@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -38,13 +36,6 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
     return str(x)
-
-
-def _workers() -> int:
-    env = os.environ.get("ENGEL_NUM_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 @dataclass
@@ -205,32 +196,11 @@ def run_dispersion(cfg: dict, seed: int) -> RunReport:
     nus = np.arange(nu_min, nu_max + 0.5 * step, step)
     rep = RunReport("dispersion", cfg)
 
-    jobs = [(n, float(nu)) for n in sorted(ns) for nu in nus]
-
-    def row(job):
-        n, nu = job
-        data = spectral.spectral_data(1.0, nu, n, m_max=32, N=N)
-        return dict(
-            n=n, delta=1.0, beta=nu, mu=data.mu, dmu_dbeta=data.mu_d1,
-            d2mu_dbeta2=data.mu_d2, grid_L=data.grid.L, grid_N=data.grid.N,
-        )
-
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        rows = list(pool.map(row, jobs))
-    rows.sort(key=lambda r: (r["n"], r["beta"]))
-
-    lines = ["n,delta,beta,mu,dmu_dbeta,d2mu_dbeta2,grid_L,grid_N"]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [str(r["n"]), _fmt(r["delta"]), _fmt(r["beta"]), _fmt(r["mu"]),
-                 _fmt(r["dmu_dbeta"]), _fmt(r["d2mu_dbeta2"]), _fmt(r["grid_L"]),
-                 str(r["grid_N"])]
-            )
-        )
+    rows = [row for n in sorted(ns)
+            for row in spectral.sample_branch(n, 1.0, nus, N=N).rows]
     rep.metrics["rows"] = len(rows)
     rep.checks.append(Check("row-count", len(rows), len(ns) * len(nus), "=="))
-    rep.metrics["csv"] = "\n".join(lines) + "\n"
+    rep.metrics["csv"] = spectral.branch_rows_csv(rows)
     return rep
 
 

@@ -25,6 +25,7 @@ from .spectral import (
     SpectralGrid,
     _mu_scale_guess,
     default_grid,
+    mu_beta_derivative,
     real_cbrt,
     spectral_data,
     solve_lowest,
@@ -65,15 +66,6 @@ class DispersionReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _branch_d1(nu: float, n: int, N: int, grid: SpectralGrid | None = None) -> float:
-    """FH derivative mutilde_n'(nu) = <2(nu + xi^2/2) phi_n, phi_n>."""
-    param = Montgomery(float(nu))
-    res = solve_lowest(param, n, grid=grid, N=N, confine_level=n)
-    mu, phi = res.pair(n)
-    w = nu + 0.5 * res.grid.nodes**2
-    return float(res.grid.inner(2.0 * w * phi, phi).real)
-
-
 def critical_points(
     n: int,
     scan: tuple[float, float] = (-4.0, 4.0),
@@ -97,7 +89,7 @@ def critical_points(
     # one shared box covering the most demanding end of the scan
     mu_guess = max(_mu_scale_guess(Montgomery(lo), n), _mu_scale_guess(Montgomery(hi), n))
     grid = default_grid(Montgomery(lo if abs(lo) > abs(hi) else hi), mu_guess, N=N)
-    d1 = np.array([_branch_d1(v, n, N, grid=grid) for v in nus])
+    d1 = np.array([mu_beta_derivative(1.0, v, n, grid=grid, N=N) for v in nus])
 
     sign_changes = [
         k for k in range(samples - 1) if d1[k] == 0.0 or d1[k] * d1[k + 1] < 0.0
@@ -117,7 +109,7 @@ def critical_points(
         bracket = (a, b)
         while b - a > tol:
             m = 0.5 * (a + b)
-            fm = _branch_d1(m, n, N, grid=grid)
+            fm = mu_beta_derivative(1.0, m, n, grid=grid, N=N)
             if fa * fm <= 0:
                 b = m
             else:
@@ -155,7 +147,8 @@ def _curvature(nu: float, n: int, N: int, grid: SpectralGrid | None, step: float
     Richardson-extrapolated from steps `step` and `step/2`."""
 
     def diff(s: float) -> float:
-        return (_branch_d1(nu + s, n, N, grid) - _branch_d1(nu - s, n, N, grid)) / (2 * s)
+        return (mu_beta_derivative(1.0, nu + s, n, grid=grid, N=N)
+                - mu_beta_derivative(1.0, nu - s, n, grid=grid, N=N)) / (2 * s)
 
     d_full = diff(step)
     d_half = diff(0.5 * step)
@@ -209,11 +202,10 @@ def curvature_consistency(
     nu0: float,
     delta_list: Sequence[float],
     N: int = 8192,
-    m_max: int = 64,
 ) -> CurvatureConsistency:
     """Check d_beta^2 mu_n(delta, nu0 delta^{1/3}) = mutilde_n''(nu0).
 
-    The left side uses the differentiated FH sum at each delta on the cone;
+    The left side is the second FH derivative at each delta on the cone;
     the reference curvature comes from finite differences of the rescaled
     branch, so the two routes share no grid.
     """
@@ -222,7 +214,7 @@ def curvature_consistency(
     d1s: dict[float, float] = {}
     for delta in delta_list:
         beta = nu0 * real_cbrt(delta)
-        data = spectral_data(float(delta), float(beta), n, m_max=m_max, N=N)
+        data = spectral_data(float(delta), float(beta), n, N=N)
         devs[float(delta)] = abs(data.mu_d2 - ref)
         d1s[float(delta)] = data.mu_d1
     return CurvatureConsistency(nu0, n, ref, devs, d1s)

@@ -10,7 +10,7 @@ and rescaling xi -> |delta|^{-1/3} xi brings it to the Montgomery family
     Htilde(nu) = -d^2/dxi^2 + (nu + xi^2/2)^2,
 
 with eigenvalues mu_n(delta, beta) = delta^{2/3} mutilde_n(beta delta^{-1/3})
-(real cube roots for delta < 0).
+(real cube roots for delta < 0); Montgomery(nu) is Generic(1, nu).
 
 Discretization: second-order central differences with Dirichlet walls at
 +-L; the matrix is symmetric tridiagonal and eigenpairs are obtained by
@@ -23,15 +23,12 @@ Grid functions are normalized in the trapezoid inner product
 
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 
 def real_cbrt(x: float) -> float:
@@ -75,15 +72,13 @@ class Character:
     alpha2: float
 
 
-@dataclass(frozen=True)
-class Montgomery:
-    """Rescaled family parameter nu."""
-
-    nu: float
+def Montgomery(nu: float) -> Generic:
+    """Rescaled family parameter nu: the generic symbol at delta = 1."""
+    return Generic(1.0, nu)
 
 
 RepParam = Generic | Schrodinger | Character
-SpectralParam = Generic | Schrodinger | Montgomery
+SpectralParam = Generic | Schrodinger
 
 
 def potential(param: SpectralParam) -> Callable[[np.ndarray], np.ndarray]:
@@ -94,9 +89,6 @@ def potential(param: SpectralParam) -> Callable[[np.ndarray], np.ndarray]:
     if isinstance(param, Schrodinger):
         lam = param.lam
         return lambda xi: lam**2 * xi**2
-    if isinstance(param, Montgomery):
-        nu = param.nu
-        return lambda xi: (nu + 0.5 * xi**2) ** 2
     raise TypeError(f"no 1-D symbol for parameter {param!r}")
 
 
@@ -219,14 +211,19 @@ class EigenResult:
         return float(min(below, abs(mus[n] - mus[n - 1])))
 
 
+_PEAK_RTOL = 1e-8  # mirror peaks differ by rounding, 1e-13..1e-10 relative
+
+
 def eigen_lowest(op: OperatorMatrix, k: int, residual_tol: float = 1e-8,
                  confine_level: int | None = None) -> EigenResult:
     """k lowest eigenpairs of the tridiagonal operator.
 
     Deterministic sign convention: each vector is positive at the leftmost
-    node where |phi| attains its maximum.  Confinement is checked for mode
-    `confine_level` (default k); auxiliary basis modes above it may be
-    box-limited, which is harmless for discrete perturbation sums.
+    node where |phi| is within `_PEAK_RTOL` of its maximum.  The potentials
+    are even, so odd modes have two mirror peaks that differ only by
+    rounding; the tolerance makes the left one win whatever k is.
+    Confinement is checked for mode `confine_level` (default k); modes
+    above it may be box-limited.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -238,7 +235,8 @@ def eigen_lowest(op: OperatorMatrix, k: int, residual_tol: float = 1e-8,
     vecs = vecs / np.sqrt(h)  # Euclidean-orthonormal -> h-weighted orthonormal
     for j in range(k):
         v = vecs[:, j]
-        peak = int(np.argmax(np.abs(v)))
+        mag = np.abs(v)
+        peak = int(np.argmax(mag >= (1.0 - _PEAK_RTOL) * mag.max()))
         if v[peak] < 0:
             vecs[:, j] = -v
     # confinement + residual post-conditions
@@ -286,9 +284,6 @@ def _mu_scale_guess(param: SpectralParam, k: int) -> float:
     """Crude upper bound for mu_k used only to size the box."""
     if isinstance(param, Schrodinger):
         return abs(param.lam) * (2 * k + 1)
-    if isinstance(param, Montgomery):
-        nu = param.nu
-        return 4.0 * (k + 1) ** (4.0 / 3.0) + nu**2 + 2 * abs(nu)
     if isinstance(param, Generic):
         s = abs(param.delta) ** (2.0 / 3.0)
         nu = param.beta * real_cbrt(param.delta) / abs(param.delta) ** (2.0 / 3.0)
@@ -311,11 +306,8 @@ def eigenvalues_extrapolated(param: SpectralParam, k: int, N: int = 4096,
 
 
 def montgomery_mu(nu: float, n: int, N: int = 4096, extrapolate: bool = True) -> float:
-    """mutilde_n(nu), Richardson-extrapolated by default."""
-    p = Montgomery(nu)
-    if extrapolate:
-        return float(eigenvalues_extrapolated(p, n, N=N)[n - 1])
-    return float(solve_lowest(p, n, N=N).eigenvalues[n - 1])
+    """mutilde_n(nu) = mu_n(1, nu), Richardson-extrapolated by default."""
+    return generic_mu(1.0, nu, n, N=N, extrapolate=extrapolate)
 
 
 def generic_mu(delta: float, beta: float, n: int, N: int = 4096,
@@ -338,11 +330,12 @@ def _w_values(delta: float, beta: float, grid: SpectralGrid) -> np.ndarray:
 
 @dataclass
 class SpectralData:
-    """Eigen data at one (delta, beta) plus first-order perturbation sums.
+    """Eigen data at one (delta, beta) and its first-order perturbation.
 
-    dphi is the beta-derivative of the n-th eigenvector from the spectral
-    sum over m <= m_max; mu_d1/mu_d2 are the Feynman-Hellmann first and
-    second derivatives of mu_n in beta (the second uses d_beta^2 H = 2).
+    dphi = d phi_n / d beta is the reduced resolvent of mu_n - H applied to
+    d_beta H phi_n = 2 W phi_n; mu_d1/mu_d2 are the Feynman-Hellmann first
+    and second derivatives of mu_n in beta (the second uses d_beta^2 H = 2).
+    `eigen` holds the pairs up to level n + 1, enough for the gap at n.
     """
 
     param: Generic
@@ -354,7 +347,6 @@ class SpectralData:
     mu_d1: float
     mu_d2: float
     eigen: EigenResult
-    coupling_tail: float
 
     @property
     def w(self) -> np.ndarray:
@@ -362,31 +354,24 @@ class SpectralData:
 
 
 def spectral_data(delta: float, beta: float, n: int, grid: SpectralGrid | None = None,
-                  m_max: int = 64, N: int = 4096) -> SpectralData:
-    """Assemble eigenpair, FH derivatives and the perturbation sum at level n."""
+                  N: int = 4096) -> SpectralData:
+    """Eigenpair n, its beta-derivative and the FH derivatives of mu_n.
+
+    Solves for n + 1 eigenpairs and takes dphi = (mu_n - H)^{-1} Pi_perp
+    (2 W phi_n) from one deflated tridiagonal solve, so that
+    mu_n'' = 2 + 2 <2 W phi_n, dphi>.
+    """
     param = Generic(delta, beta)
-    k = max(n + 1, min(m_max, 96))
-    res = solve_lowest(param, k, grid=grid, N=N,
+    res = solve_lowest(param, n + 1, grid=grid, N=N,
                        mu_guess=None if grid else _mu_scale_guess(param, n + 2),
                        confine_level=n + 1)
     grid = res.grid
     mu, phi = res.pair(n)
-    w = _w_values(delta, beta, grid)
-    dH_phi = 2.0 * w * phi
+    dH_phi = 2.0 * _w_values(delta, beta, grid) * phi
     mu_d1 = float(grid.inner(dH_phi, phi).real)
-
-    dphi = np.zeros_like(phi)
-    tail = 0.0
-    for m in range(1, k + 1):
-        if m == n:
-            continue
-        mu_m, phi_m = res.pair(m)
-        c = float(grid.inner(dH_phi, phi_m).real) / (mu - mu_m)
-        dphi += c * phi_m
-        if m == k:
-            tail = abs(c)
+    dphi = _deflated_solve(build_hamiltonian(param, grid), mu, phi, dH_phi)
     mu_d2 = 2.0 + 2.0 * float(grid.inner(dH_phi, dphi).real)
-    return SpectralData(param, n, grid, mu, phi, dphi, mu_d1, mu_d2, res, tail)
+    return SpectralData(param, n, grid, mu, phi, dphi, mu_d1, mu_d2, res)
 
 
 def mu_beta_derivative(delta: float, beta: float, n: int,
@@ -397,13 +382,6 @@ def mu_beta_derivative(delta: float, beta: float, n: int,
     mu, phi = res.pair(n)
     w = _w_values(delta, beta, res.grid)
     return float(res.grid.inner(2.0 * w * phi, phi).real)
-
-
-def mu_beta_derivative2(delta: float, beta: float, n: int,
-                        grid: SpectralGrid | None = None, m_max: int = 64,
-                        N: int = 4096) -> float:
-    """d^2 mu_n / d beta^2 through the differentiated FH sum."""
-    return spectral_data(delta, beta, n, grid=grid, m_max=m_max, N=N).mu_d2
 
 
 @dataclass
@@ -428,10 +406,10 @@ class ProjectorPair:
 
 
 def projector_derivative(delta: float, beta: float, n: int,
-                         grid: SpectralGrid | None = None, m_max: int = 64,
-                         N: int = 4096, gap_tol: float = 1e-8) -> ProjectorPair:
-    """Spectral-sum assembly of dPi_n; refuses on near-degenerate levels."""
-    data = spectral_data(delta, beta, n, grid=grid, m_max=m_max, N=N)
+                         grid: SpectralGrid | None = None, N: int = 4096,
+                         gap_tol: float = 1e-8) -> ProjectorPair:
+    """dPi_n from the eigenvector derivative; refuses on near-degenerate levels."""
+    data = spectral_data(delta, beta, n, grid=grid, N=N)
     gap = data.eigen.gap(n)
     if gap < gap_tol * max(1.0, abs(data.mu)):
         raise RuntimeError(
@@ -441,49 +419,57 @@ def projector_derivative(delta: float, beta: float, n: int,
     return ProjectorPair(data)
 
 
+# worst residual over the default branch sweep is 1.5e-10 of ||rhs||
+_RESOLVENT_RTOL = 1e-8
+
+
+def _deflated_solve(op: OperatorMatrix, mu: float, phi: np.ndarray,
+                    rhs: np.ndarray) -> np.ndarray:
+    """u with (mu - H) u = Pi_perp rhs and <u, phi> = 0, phi the mu-eigenvector.
+
+    mu - H is tridiagonal and singular only along phi: the right side is
+    projected off phi, one banded LU solve runs on the matrix as is, and
+    the phi-component the near-null direction picks up is projected away.
+    Raises when the residual exceeds `_RESOLVENT_RTOL` times ||rhs||.
+    """
+    grid = op.grid
+    rhs_p = rhs - phi * grid.inner(rhs, phi)
+    ab = np.empty((3, grid.N))
+    ab[0] = ab[2] = -op.offdiag
+    ab[1] = mu - op.diagonal
+    u = solve_banded((1, 1), ab, rhs_p)
+    u = u - phi * grid.inner(u, phi)
+    resid = grid.norm(mu * u - op.apply(u) - rhs_p)
+    if resid > _RESOLVENT_RTOL * grid.norm(rhs):
+        raise RuntimeError(
+            f"reduced-resolvent residual {resid:.3g} exceeds "
+            f"{_RESOLVENT_RTOL:g} * ||rhs||; "
+            "the level is too close to its neighbours"
+        )
+    return u
+
+
 def reduced_resolvent_solve(data: SpectralData, rhs: np.ndarray) -> np.ndarray:
     """Solve (mu_n - H) u = rhs on the orthogonal complement of phi_n.
 
-    The right side is projected off phi_n first; the singular tridiagonal
-    system is regularized by bordering with the eigenvector, which pins
-    <u, phi_n> = 0.
+    The right side is projected off phi_n first, and the result satisfies
+    <u, phi_n> = 0; real and complex right sides are both accepted.
     """
-    grid = data.grid
-    H = build_hamiltonian(data.param, grid)
-    N = grid.N
-    rhs_p = rhs - data.phi * complex(grid.inner(rhs, data.phi))
-
-    main = data.mu - H.diagonal
-    off = -H.offdiag
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    idx = np.arange(N)
-    rows += [idx, idx[:-1], idx[1:]]
-    cols += [idx, idx[1:], idx[:-1]]
-    vals += [main, np.full(N - 1, off), np.full(N - 1, off)]
-    # border with the eigenvector (Lagrange multiplier row/column)
-    rows += [idx, np.full(N, N)]
-    cols += [np.full(N, N), idx]
-    vals += [data.phi, data.phi]
-    A = csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N + 1, N + 1),
-    )
-    lu = splu(A)
-    if np.iscomplexobj(rhs_p):
-        sol = lu.solve(np.concatenate([rhs_p.real, [0.0]])) + 1j * lu.solve(
-            np.concatenate([rhs_p.imag, [0.0]])
-        )
-    else:
-        sol = lu.solve(np.concatenate([rhs_p, [0.0]]))
-    u = sol[:N]
-    return u - data.phi * complex(grid.inner(u, data.phi))
+    return _deflated_solve(build_hamiltonian(data.param, data.grid), data.mu,
+                           data.phi, rhs)
 
 
 # ---------------------------------------------------------------------------
 # branch sampling / CSV export
 # ---------------------------------------------------------------------------
+
+
+def branch_rows_csv(rows: Sequence[dict]) -> str:
+    """CSV of sampled branch rows, every float at full (.17g) precision."""
+    return "n,delta,beta,mu,dmu_dbeta,d2mu_dbeta2,grid_L,grid_N\n" + "".join(
+        "{n},{delta:.17g},{beta:.17g},{mu:.17g},{dmu_dbeta:.17g},"
+        "{d2mu_dbeta2:.17g},{grid_L:.17g},{grid_N}\n".format(**r) for r in rows
+    )
 
 
 @dataclass
@@ -494,25 +480,18 @@ class EigenBranch:
     rows: list[dict] = field(default_factory=list)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("n,delta,beta,mu,dmu_dbeta,d2mu_dbeta2,grid_L,grid_N\n")
-        for r in self.rows:
-            buf.write(
-                "{n},{delta:.17g},{beta:.17g},{mu:.17g},{dmu_dbeta:.17g},"
-                "{d2mu_dbeta2:.17g},{grid_L:.17g},{grid_N}\n".format(**r)
-            )
-        return buf.getvalue()
+        return branch_rows_csv(self.rows)
 
 
 def sample_branch(n: int, delta: float, betas: Sequence[float],
-                  m_max: int = 64, N: int = 4096) -> EigenBranch:
+                  N: int = 4096) -> EigenBranch:
     """Sample mu_n(delta, .) with first and second FH derivatives.
 
     For the Montgomery family pass delta = 1 and betas = nus.
     """
     branch = EigenBranch(n=n)
     for beta in betas:
-        data = spectral_data(delta, float(beta), n, m_max=m_max, N=N)
+        data = spectral_data(delta, float(beta), n, N=N)
         branch.rows.append(
             dict(
                 n=n,

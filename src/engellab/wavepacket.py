@@ -202,7 +202,6 @@ class WavePacketSpec:
     profile: GaussianProfile = GaussianProfile()
     grid_L: float = 20.0
     grid_N: int = 3072
-    m_max: int = 48
 
     def x0_element(self) -> GroupElement:
         return GroupElement(*self.x0)
@@ -218,9 +217,7 @@ class _PacketMachinery:
     def __init__(self, spec: WavePacketSpec):
         self.spec = spec
         grid = SpectralGrid(spec.grid_L, spec.grid_N)
-        self.data: SpectralData = spectral_data(
-            spec.delta0, spec.beta0, spec.n, grid=grid, m_max=spec.m_max
-        )
+        self.data: SpectralData = spectral_data(spec.delta0, spec.beta0, spec.n, grid=grid)
         self.grid = grid
         d = self.data
         self.mu = d.mu

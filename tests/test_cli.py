@@ -52,6 +52,18 @@ def test_dispersion_sweep_rows_and_determinism(tmp_path):
     assert lines[0].startswith("n,delta,beta")
     assert len(lines) - 1 == 2 * 5
 
+    # rows come out n-ascending, then beta-ascending, whatever the n_list order
+    swapped = {**cfg, "n_list": [2, 1]}
+    c, d = tmp_path / "c", tmp_path / "d"
+    run("dispersion", swapped, out_dir=c, seed=3)
+    run("dispersion", swapped, out_dir=d, seed=3)
+    csv_c = (c / "branches.csv").read_bytes()
+    assert csv_c == (d / "branches.csv").read_bytes()
+    keys = [(int(r.split(",")[0]), float(r.split(",")[2]))
+            for r in csv_c.decode().strip().split("\n")[1:]]
+    assert len(keys) == 2 * 5
+    assert keys == sorted(keys)
+
 
 def test_dispersion_empty_grid_errors():
     with pytest.raises(ValueError):

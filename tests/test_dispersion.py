@@ -40,13 +40,13 @@ def test_frozen_values_regression():
 
 
 def test_report_root_quality_and_grid_stability():
-    from engellab.dispersion import _branch_d1
+    from engellab.spectral import mu_beta_derivative
 
     r1 = critical_points(1, scan=(-1.0, 0.5), N=4096, samples=41)[0]
     r2 = critical_points(1, scan=(-1.0, 0.5), N=8192, samples=41)[0]
     assert abs(r1.nu_c - r2.nu_c) <= 1e-4
     assert r1.bracket[0] <= r1.nu_c <= r1.bracket[1]
-    assert abs(_branch_d1(r1.nu_c, 1, 4096)) <= 1e-6
+    assert abs(mu_beta_derivative(1.0, r1.nu_c, 1, N=4096)) <= 1e-6
 
 
 def test_scan_without_critical_point_is_empty():

@@ -1,7 +1,10 @@
 """Spectral solver, Feynman-Hellmann machinery, reduced resolvent."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from engellab.spectral import (
     ConfinementError,
@@ -9,7 +12,9 @@ from engellab.spectral import (
     Montgomery,
     Schrodinger,
     SpectralGrid,
+    _mu_scale_guess,
     build_hamiltonian,
+    default_grid,
     eigen_lowest,
     eigenvalues_extrapolated,
     generic_mu,
@@ -67,10 +72,13 @@ def test_orthonormality_and_residual():
 
 
 def test_sign_convention():
+    # positive at the leftmost node within rounding of the peak modulus
     res = solve_lowest(Montgomery(0.3), 3)
     for j in range(3):
-        v = res.eigenvectors[:, j]
-        assert v[np.argmax(np.abs(v))] > 0
+        v = np.abs(res.eigenvectors[:, j])
+        peak = int(np.argmax(v >= (1.0 - 1e-8) * v.max()))
+        assert res.eigenvectors[peak, j] > 0
+        assert peak < res.grid.N // 2
 
 
 def test_confinement_error_advises_larger_box():
@@ -204,7 +212,7 @@ def test_reduced_resolvent_zero_rhs():
 
 def test_reduced_resolvent_eigenvector_rhs():
     data = spectral_data(1.0, 0.1, 1, N=2048)
-    mu_m, phi_m = data.eigen.pair(3)
+    mu_m, phi_m = solve_lowest(data.param, 3, grid=data.grid).pair(3)
     u = reduced_resolvent_solve(data, phi_m)
     expected = phi_m / (data.mu - mu_m)
     assert data.grid.norm(u - expected) <= 1e-8 * data.grid.norm(expected)
@@ -221,6 +229,46 @@ def test_reduced_resolvent_random_rhs_residual():
     resid = data.mu * u - H.apply(u) - rhs_perp
     assert g.norm(resid) <= 1e-8 * g.norm(rhs)
     assert abs(complex(g.inner(u, data.phi))) <= 1e-10
+
+
+def test_reduced_resolvent_refuses_wrong_level():
+    # phi_1 paired with mu_2: mu - H is singular off the deflated direction
+    data = spectral_data(1.0, 0.1, 1, N=2048)
+    mu_2 = float(data.eigen.eigenvalues[1])
+    with pytest.raises(RuntimeError, match="residual"):
+        reduced_resolvent_solve(replace(data, mu=mu_2), data.grid.nodes * data.phi)
+
+
+def test_eigenvector_derivative_matches_complete_spectral_sum():
+    # at N = 512 the sum over all N modes is exact; measured worst cases are
+    # 3.1e-12 (mu'') and 8.2e-8 (dphi, the nu = -4 tunnelling pair with gap
+    # 1.6e-5); the bounds leave a margin of ~30x and ~12x
+    for n in (1, 2, 3, 4):
+        for nu in (-4.0, -1.0, NU_CRIT_1, 0.0, 2.0, 4.0):
+            data = spectral_data(1.0, nu, n, N=512)
+            g = data.grid
+            H = build_hamiltonian(data.param, g)
+            vals, vecs = eigh_tridiagonal(H.diagonal, np.full(g.N - 1, H.offdiag))
+            vecs /= np.sqrt(g.h)
+            phi = vecs[:, n - 1] * np.sign(g.inner(vecs[:, n - 1], data.phi))
+            dH_phi = 2.0 * data.w * phi
+            others = np.arange(g.N) != n - 1
+            coef = g.h * (vecs[:, others].T @ dH_phi) / (vals[n - 1] - vals[others])
+            dphi = vecs[:, others] @ coef
+            mu_d2 = 2.0 + 2.0 * g.inner(dH_phi, dphi).real
+            assert abs(data.mu_d2 - mu_d2) <= 1e-10 * abs(mu_d2)
+            assert g.norm(data.dphi - dphi) <= 1e-6 * g.norm(dphi)
+
+
+@pytest.mark.parametrize("nu, N", [(-1.0, 2048), (2.0, 2048), (-3.0, 4096), (0.0, 8192)])
+def test_eigenvector_sign_independent_of_mode_count(nu, N):
+    # odd modes have mirror peaks equal up to rounding
+    p = Generic(1.0, nu)
+    H = build_hamiltonian(p, default_grid(p, _mu_scale_guess(p, 4), N=N))
+    many = eigen_lowest(H, 32, confine_level=5).eigenvectors
+    for n in (2, 4):
+        few = eigen_lowest(H, n + 1).eigenvectors[:, n - 1]
+        assert np.max(np.abs(few - many[:, n - 1])) <= 1e-8
 
 
 # -- branch export -------------------------------------------------------------
