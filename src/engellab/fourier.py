@@ -31,15 +31,14 @@ from .algebra import GroupElement, inverse
 from .spectral import Character, Generic, RepParam, Schrodinger, SpectralGrid
 
 __all__ = [
-    "Generic",
-    "Schrodinger",
-    "Character",
     "RepParam",
     "rep_apply",
     "rep_apply_adjoint",
     "GridMarginError",
+    "live_window",
     "InfinitesimalOp",
     "infinitesimal",
+    "matrix_coefficients",
     "matrix_coefficient",
     "Factor1D",
     "GaussianKernelSpec",
@@ -56,47 +55,61 @@ class GridMarginError(ValueError):
     """Shift pushes the vector's support outside the grid box."""
 
 
-def _support_halfwidth(phi: np.ndarray, grid: SpectralGrid, rel: float = 1e-12) -> float:
-    amax = np.max(np.abs(phi))
-    if amax == 0:
-        return 0.0
-    idx = np.nonzero(np.abs(phi) > rel * amax)[0]
-    lo, hi = grid.nodes[idx[0]], grid.nodes[idx[-1]]
-    return max(abs(lo), abs(hi))
+_LIVE_RTOL = 1e-13
 
 
-def _shift(phi: np.ndarray, grid: SpectralGrid, a: float) -> np.ndarray:
-    """phi(. + a) by cubic interpolation, zero outside the box."""
-    if a == 0.0:
-        return phi.astype(complex, copy=True)
-    if _support_halfwidth(phi, grid) + abs(a) > grid.L:
-        raise GridMarginError(
-            f"shift {a:.3g} pushes support past the box L = {grid.L:.3g}"
-        )
-    spline = CubicSpline(grid.nodes, phi)
-    target = grid.nodes + a
-    out = spline(target).astype(complex)
-    out[(target < -grid.L) | (target > grid.L)] = 0.0
-    return out
+def live_window(V: np.ndarray, grid: SpectralGrid, shifts=0.0) -> tuple[slice, float]:
+    """Nodes where some column of V (N, K) is live, and the |xi| they reach.
+
+    A node is live when an entry there exceeds `_LIVE_RTOL` times the
+    largest entry of V; the window pads the live range by two nodes.
+    Raises GridMarginError when reach + |shift| > L for some shift, since
+    interpolating at xi -+ shift would then leave the box.
+    """
+    mags = np.max(np.abs(V.reshape(grid.N, -1)), axis=1)
+    live = np.nonzero(mags > _LIVE_RTOL * mags.max())[0]
+    if live.size == 0:  # V = 0
+        return slice(0, 0), 0.0
+    lo, hi = max(0, live[0] - 2), min(grid.N, live[-1] + 3)
+    reach = float(max(-grid.nodes[lo], grid.nodes[hi - 1]))
+    worst = float(np.max(np.abs(shifts), initial=0.0))
+    if reach + worst > grid.L:
+        raise GridMarginError(f"shift {worst:.3g} pushes support past the box L = {grid.L:.3g}")
+    return slice(lo, hi), reach
+
+
+def _phase(param: RepParam, xi, x) -> np.ndarray:
+    """theta with pi(x) phi(xi) = exp(i theta(xi, x)) phi(xi + s(x)).
+
+    x is a 4-sequence of coordinates, each broadcastable against xi.
+    """
+    x1, x2, x3, x4 = x
+    if isinstance(param, Generic):
+        d, b = param.delta, param.beta
+        return d * (x4 + xi * x3 + 0.5 * x1 * x3) + (b + 0.5 * d * (xi + x1) ** 2) * x2
+    if isinstance(param, Schrodinger):
+        return param.lam * (x3 + xi * x2 + 0.5 * x1 * x2)
+    if isinstance(param, Character):
+        return param.alpha1 * x1 + param.alpha2 * x2 + 0.0 * xi
+    raise TypeError(f"unsupported representation parameter {param!r}")
+
+
+def _shift_of(param: RepParam, x1):
+    """The xi-shift s(x) of pi(x): x1, except for the characters."""
+    return 0.0 * x1 if isinstance(param, Character) else x1
 
 
 def rep_apply(param: RepParam, x: GroupElement, phi: np.ndarray,
               grid: SpectralGrid) -> np.ndarray:
-    """Apply the representation of x to a grid vector."""
-    x1, x2, x3, x4 = (float(c) for c in x.coords())
-    if isinstance(param, Character):
-        return phi * np.exp(1j * (param.alpha1 * x1 + param.alpha2 * x2))
-    xi = grid.nodes
-    shifted = _shift(phi, grid, x1)
-    if isinstance(param, Generic):
-        d, b = param.delta, param.beta
-        phase = d * (x4 + xi * x3 + 0.5 * x1 * x3) + (b + 0.5 * d * (xi + x1) ** 2) * x2
-        return shifted * np.exp(1j * phase)
-    if isinstance(param, Schrodinger):
-        lam = param.lam
-        phase = lam * (x3 + xi * x2 + 0.5 * x1 * x2)
-        return shifted * np.exp(1j * phase)
-    raise TypeError(f"unsupported representation parameter {param!r}")
+    """Apply the representation of x to a grid vector; phi(. + s) comes
+    from cubic interpolation, zero outside the box."""
+    c = tuple(float(v) for v in x.coords())
+    a = _shift_of(param, c[0])
+    live_window(phi, grid, a)
+    target = grid.nodes + a
+    shifted = CubicSpline(grid.nodes, phi)(target).astype(complex)
+    shifted[(target < -grid.L) | (target > grid.L)] = 0.0
+    return shifted * np.exp(1j * _phase(param, grid.nodes, c))
 
 
 def rep_apply_adjoint(param: RepParam, x: GroupElement, phi: np.ndarray,
@@ -143,10 +156,39 @@ def infinitesimal(param: Generic, i: int, grid: SpectralGrid) -> InfinitesimalOp
     raise ValueError(f"generator index must be 1..4, got {i}")
 
 
+def matrix_coefficients(param: RepParam, coords: np.ndarray, V: np.ndarray,
+                        phi2: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """(pi(x_m) v_k, phi2) for points coords (M, 4) and columns V (N, K).
+
+    The shift moves onto phi2: with eta = xi + s(x),
+
+        (pi(x) v, phi2) = h sum_eta v(eta) e^{i theta(eta - s, x)}
+                          conj(phi2(eta - s)),
+
+    so one spline of phi2 serves every point and column, and the sum runs
+    over the live window of V only.  Raises GridMarginError when a shift
+    would take phi2's argument past the box.
+    """
+    coords = np.atleast_2d(np.asarray(coords, dtype=float))
+    shifts = _shift_of(param, coords[:, 0])
+    window = live_window(V, grid, shifts)[0]
+    xi = grid.nodes[window]
+    spline = CubicSpline(grid.nodes, phi2)
+    out = np.empty((len(coords), V.shape[1]), dtype=complex)
+    chunk = max(1, int(2e6 // max(len(xi), 1)))
+    for k0 in range(0, len(coords), chunk):
+        x = coords[k0:k0 + chunk].T[:, :, None]  # (4, m, 1)
+        u = xi[None, :] - shifts[k0:k0 + chunk, None]
+        G = np.exp(1j * _phase(param, u, x)) * np.conj(spline(u))
+        out[k0:k0 + chunk] = grid.h * (G @ V[window])
+    return out
+
+
 def matrix_coefficient(param: RepParam, x: GroupElement, phi1: np.ndarray,
                        phi2: np.ndarray, grid: SpectralGrid) -> complex:
     """(pi(x) phi1, phi2), trapezoid quadrature on the grid."""
-    return complex(grid.inner(rep_apply(param, x, phi1, grid), phi2))
+    coords = np.array([[float(c) for c in x.coords()]])
+    return complex(matrix_coefficients(param, coords, phi1[:, None], phi2, grid)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +315,6 @@ class OperatorKernel:
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
         return self.grid.h * (self.matrix @ phi)
-
-    def hs_norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.matrix) ** 2)) * self.grid.h)
 
     def operator_norm(self) -> float:
         svals = np.linalg.svd(self.matrix, compute_uv=False)

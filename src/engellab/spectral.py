@@ -394,9 +394,6 @@ class ProjectorPair:
         d = self.data
         return d.phi * complex(d.grid.inner(u, d.phi))
 
-    def project_complement(self, u: np.ndarray) -> np.ndarray:
-        return u - self.project(u)
-
     def apply_derivative(self, u: np.ndarray) -> np.ndarray:
         """dPi_n u = |dphi><phi| u + |phi><dphi| u."""
         d = self.data

@@ -16,7 +16,8 @@ x(t) = x0 Exp(d_beta mu_n t X2), disperses the profile by
 and corrects the carrier with sigma_1 (order hbar^{1/2}) and sigma_2
 (order hbar), after which the Schrodinger residual
 i hbar d_t psi + hbar^2 (X1^2 + X2^2) psi is O(hbar^{3/2}) relative to
-||psi||.
+||psi||.  `residual` evaluates it exactly on the grid, where the
+generators act as dpi(X1) = D1, dpi(X2) = iW and dpi(X1^2 + X2^2) = -H.
 
 The exact L2 norm of the bare packet is hbar^{3/4} sqrt(2 pi / |delta0|)
 ||a||_{L2} ||Phi1|| ||Phi2||: the coefficient carries the (x1, x3) mass at
@@ -33,16 +34,16 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .algebra import GroupElement, exp_basis, multiply
 from .spectral import (
     SpectralData,
     SpectralGrid,
+    build_hamiltonian,
     reduced_resolvent_solve,
     spectral_data,
 )
-from .fourier import InfinitesimalOp
+from .fourier import InfinitesimalOp, live_window, matrix_coefficients
 
 Q_QUARTER = 7.0 / 4.0
 _WEIGHTS = np.array([1.0, 1.0, 2.0, 3.0])
@@ -86,6 +87,15 @@ def _coords(x: GroupElement) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _gaussian_factors(u, s, kmax: int) -> np.ndarray:
+    """p_0..p_kmax with d^k exp(-u^2/(2s)) = p_k exp(-u^2/(2s)):
+    p_0 = 1, p_1 = -u/s, p_{k+1} = -(u/s) p_k - (k/s) p_{k-1}."""
+    p = [np.ones_like(u / s), -u / s]
+    for k in range(1, kmax):
+        p.append(-(u / s) * p[k] - (k / s) * p[k - 1])
+    return np.array(p[: kmax + 1])
+
+
 @dataclass(frozen=True)
 class GaussianProfile:
     """Schwartz profile a(t, y2, y4), Gaussian in both slots.
@@ -105,20 +115,16 @@ class GaussianProfile:
     def _s(self, t: float) -> complex:
         return self.width2**2 + 2j * self.coeff * t
 
-    def values(self, t: float, y2: np.ndarray, y4: np.ndarray) -> dict[str, np.ndarray]:
-        """Profile value and the partials used by sigma_1 / sigma_2."""
+    def partials(self, t: float, y2, y4, kmax: int) -> np.ndarray:
+        """d_2^k2 d_4^k4 a for k2, k4 <= kmax, indexed [k2, k4, ...]."""
         s = self._s(t)
         u2 = np.asarray(y2, dtype=float) - self.center2
         u4 = np.asarray(y4, dtype=float) - self.center4
-        G = self.width2 / np.sqrt(s) * np.exp(-(u2**2) / (2 * s))
-        g = np.exp(-(u4**2) / (2 * self.width4**2))
-        a = self.amplitude * G * g
-        d2 = -(u2 / s) * a
-        d22 = (u2**2 / s**2 - 1.0 / s) * a
-        d4 = -(u4 / self.width4**2) * a
-        d44 = (u4**2 / self.width4**4 - 1.0 / self.width4**2) * a
-        d24 = -(u2 / s) * d4
-        return dict(a=a, d2=d2, d22=d22, d4=d4, d44=d44, d24=d24)
+        a = (self.amplitude * self.width2 / np.sqrt(s) * np.exp(-(u2**2) / (2 * s))
+             * np.exp(-(u4**2) / (2 * self.width4**2)))
+        p2 = _gaussian_factors(u2, s, kmax)
+        p4 = _gaussian_factors(u4, self.width4**2, kmax)
+        return p2[:, None] * p4[None, :] * a
 
     def evolved_width2(self, t: float) -> float:
         """Dispersed |a|^2 width: w^2 + (2 coeff t / w)^2 in variance form."""
@@ -207,12 +213,15 @@ class WavePacketSpec:
         return GroupElement(*self.x0)
 
 
-_BASIS_NAMES = ("phi", "xi_phi", "dphi", "d1_xi_phi", "d1_dphi", "w_xi_phi",
-                "w_dphi", "u1", "u2", "u3", "u4", "u5", "u6", "u7")
+# sigma_2's basis u_j = (mu - H)^{-1} Pi_perp source_j, each source a column
+# [v, D1 v, W v] of the images of v = phi, xi phi or dphi
+_RESOLVENT_SOURCES = {"u1": ("xi_phi", 0), "u2": ("dphi", 0), "u3": ("xi_phi", 1),
+                      "u4": ("dphi", 1), "u5": ("xi_phi", 2), "u6": ("dphi", 2),
+                      "u7": ("phi", 0)}
 
 
 class _PacketMachinery:
-    """Spectral data, corrector basis vectors and fast coefficient kernels."""
+    """Spectral data, corrector basis vectors and their generator images."""
 
     def __init__(self, spec: WavePacketSpec):
         self.spec = spec
@@ -227,76 +236,26 @@ class _PacketMachinery:
 
         xi = grid.nodes
         phi = d.phi
-        dphi = d.dphi
-        w = d.w
         d1 = InfinitesimalOp(grid, None)
-        e = {
-            "phi": phi,
-            "xi_phi": xi * phi,
-            "dphi": dphi,
-            "d1_xi_phi": d1.apply(xi * phi).real,
-            "d1_dphi": d1.apply(dphi).real,
-            "w_xi_phi": w * xi * phi,
-            "w_dphi": w * dphi,
-        }
-        for j, src in enumerate(
-            ("xi_phi", "dphi", "d1_xi_phi", "d1_dphi", "w_xi_phi", "w_dphi", "phi"),
-            start=1,
-        ):
-            e[f"u{j}"] = reduced_resolvent_solve(d, e[src]).real
-        self.basis = {k: np.asarray(v, dtype=float) for k, v in e.items()}
+        H = build_hamiltonian(d.param, grid)
+
+        def images(v: np.ndarray) -> np.ndarray:
+            # on the grid dpi(X1) = D1, dpi(X2) = iW and dpi(X1^2 + X2^2) = -H,
+            # the operator the correctors were solved with
+            return np.column_stack([v, d1.apply(v).real, d.w * v, self.mu * v - H.apply(v)])
+
+        self.images = {"phi": images(phi), "xi_phi": images(xi * phi), "dphi": images(d.dphi)}
+        for u, (k, col) in _RESOLVENT_SOURCES.items():
+            self.images[u] = images(reduced_resolvent_solve(d, self.images[k][:, col]).real)
+        self.basis = {k: v[:, 0] for k, v in self.images.items()}
 
         self.phi2 = phi  # carrier pairing vector; eigenvector by default
-        stack = np.column_stack([self.basis[k] for k in _BASIS_NAMES])
-        mags = np.max(np.abs(stack), axis=1)
-        live = np.nonzero(mags > 1e-13 * mags.max())[0]
-        lo = max(0, int(live[0]) - 2)
-        hi = min(grid.N, int(live[-1]) + 3)
-        self.window = slice(lo, hi)
-        self.stack_win = stack[self.window]  # (K, nb)
-        self.xi_win = xi[self.window]
-        self._phi2_spline = CubicSpline(xi, self.phi2)
-        self.xi_support = max(abs(xi[lo]), abs(xi[hi - 1]))
+        self.xi_support = live_window(np.hstack(list(self.images.values())), grid)[1]
         # proposal scales for the transverse coefficient directions
         var = float(grid.inner(xi**2 * phi, phi).real)
         self.sigma_xi = math.sqrt(max(var, 1e-12))
         self.u1_scale = 2.0 * self.sigma_xi
         self.u3_scale = 2.0 / (abs(spec.delta0) * self.sigma_xi)
-
-    # -- batched matrix coefficients ---------------------------------------
-
-    def coef_batch(self, w_coords: np.ndarray) -> np.ndarray:
-        """C_j(w) = (pi(w) v_j, Phi2) for every basis vector, batched.
-
-        Uses (pi(w) v, Phi2) = h sum_xi v(xi) e^{i theta(xi, w)}
-        conj(Phi2(xi - w1)) with the pinned phase
-        theta = (beta + delta xi^2/2) w2 + delta (2 xi - w1) w3 / 2 + delta w4.
-        """
-        d0, b0 = self.spec.delta0, self.spec.beta0
-        w1 = w_coords[:, 0]
-        if np.any(np.abs(w1) + self.xi_support > self.grid.L):
-            raise ValueError(
-                "sample shift exceeds the grid margin; enlarge grid_L or "
-                "tighten the sampling box"
-            )
-        out = np.empty((len(w_coords), len(_BASIS_NAMES)), dtype=complex)
-        xi = self.xi_win
-        chunk = max(1, int(2e6 // len(xi)))
-        for k0 in range(0, len(w_coords), chunk):
-            sl = slice(k0, k0 + chunk)
-            w1c = w1[sl, None]
-            w2c = w_coords[sl, 1, None]
-            w3c = w_coords[sl, 2, None]
-            w4c = w_coords[sl, 3, None]
-            theta = (
-                (b0 + 0.5 * d0 * xi[None, :] ** 2) * w2c
-                + 0.5 * d0 * (2.0 * xi[None, :] - w1c) * w3c
-                + d0 * w4c
-            )
-            shifted = self._phi2_spline(xi[None, :] - w1c)
-            G = np.exp(1j * theta) * shifted  # Phi2 real by construction
-            out[sl] = self.grid.h * (G @ self.stack_win)
-        return out
 
     def center_coords(self, t: float) -> np.ndarray:
         off = np.array([0.0, self.speed * t, 0.0, 0.0])
@@ -339,63 +298,82 @@ def phase_and_center(spec: WavePacketSpec) -> PhaseAndCenter:
 # ---------------------------------------------------------------------------
 # correctors
 # ---------------------------------------------------------------------------
+# A term {(p, q, k2, k4): c} is sum c P^p y1^q d_2^k2 d_4^k4 a, P = -(y3 + y1 y2)/2;
+# a term table {basis name: term} gives each basis vector its scalar factor.
+# A derivation is given by its values on P, y1 and a_k as shift tables
+# {(dp, dq, dk2, dk4): factor}.
+
+_X1 = ({}, {(0, 0, 0, 0): 1.0}, {(1, 0, 0, 1): 1.0})  # X1 = d1 - y2 d3 + P d4
+_X2 = ({(0, 1, 0, 0): -0.5}, {}, {(0, 0, 1, 0): 1.0})  # X2 = d2
+
+# sigma_1 = (i/delta) X1 a pi(X3) Pi_n - i X2 a dPi_n Pi_n collapses on Phi1
+# to -X1a . (xi phi_n) - i X2a . (d_beta phi_n)
+_SIGMA1 = {"xi_phi": {(1, 0, 0, 1): -1.0}, "dphi": {(0, 0, 1, 0): -1j}}
 
 
-def _scalar_p(y: np.ndarray) -> np.ndarray:
-    """P(y) = -(y3 + y1 y2)/2, the X1-coefficient on x2-x4 profiles."""
-    return -0.5 * (y[..., 2] + y[..., 0] * y[..., 1])
-
-
-def corrector_sigma1(spec: WavePacketSpec, t: float, y: GroupElement | np.ndarray) -> np.ndarray:
-    """sigma_1(t, y) Phi1 as a grid vector.
-
-    sigma_1 = (i/delta) X1 a pi(X3) Pi_n - i X2 a dPi_n Pi_n collapses on
-    Phi1 to -X1a . (xi phi_n) - i X2a . (d_beta phi_n).
-    """
-    m = machinery(spec)
-    yc = _coords(y) if isinstance(y, GroupElement) else np.asarray(y, dtype=float)
-    pv = m.profile.values(t, yc[..., 1], yc[..., 3])
-    P = _scalar_p(yc)
-    x1a = P * pv["d4"]
-    x2a = pv["d2"]
-    return -x1a * m.basis["xi_phi"] - 1j * x2a * m.basis["dphi"]
-
-
-def _sigma2_coeffs(m: _PacketMachinery, t: float, yc: np.ndarray) -> list[np.ndarray]:
+def _sigma2_terms(m: _PacketMachinery) -> dict[str, dict]:
     """Coefficients of sigma_2 Phi1 on the resolvent images u1..u7.
 
     These are the scalar weights of the right-hand side
     R = i c2 X2~ sigma_1 - 2 (pi(V).V) sigma_1 - (i d_t a + Delta a) Id
-    applied to Phi1, expanded on (xi phi, dphi, D1 xi phi, D1 dphi,
-    W xi phi, W dphi, phi); the left-invariant X2 = d_2 also differentiates
-    the P(y) factor, producing the y1 d4 a correction on the W xi phi slot.
+    applied to Phi1, expanded on the `_RESOLVENT_SOURCES`; the
+    left-invariant X2 = d_2 also differentiates the P(y) factor, producing
+    the y1 d4 a correction on the W xi phi slot.
     """
-    c2 = m.speed
-    c3 = m.dispersion
-    pv = m.profile.values(t, yc[..., 1], yc[..., 3])
-    P = _scalar_p(yc)
-    y1 = yc[..., 0]
-    a22, a24, a44, a4 = pv["d22"], pv["d24"], pv["d44"], pv["d4"]
-    return [
-        -1j * c2 * P * a24,                 # u1 <- xi phi
-        c2 * a22,                           # u2 <- dphi
-        2.0 * P**2 * a44,                   # u3 <- D1(xi phi)
-        2j * P * a24,                       # u4 <- D1 dphi
-        2j * P * a24 - 1j * y1 * a4,        # u5 <- W xi phi
-        -2.0 * a22,                         # u6 <- W dphi
-        (c3 - 1.0) * a22 - P**2 * a44,      # u7 <- phi
-    ]
+    c2, c3 = m.speed, m.dispersion
+    return {
+        "u1": {(1, 0, 1, 1): -1j * c2},
+        "u2": {(0, 0, 2, 0): c2},
+        "u3": {(2, 0, 0, 2): 2.0},
+        "u4": {(1, 0, 1, 1): 2j},
+        "u5": {(1, 0, 1, 1): 2j, (0, 1, 0, 1): -1j},
+        "u6": {(0, 0, 2, 0): -2.0},
+        "u7": {(0, 0, 2, 0): c3 - 1.0, (2, 0, 0, 2): -1.0},
+    }
+
+
+def _ansatz_terms(m: _PacketMachinery, order: AnsatzOrder, hb: float) -> dict[str, dict]:
+    """Term table of a + sqrt(hbar) sigma_1 + hbar sigma_2, cut at `order`."""
+    orders = [({"phi": {(0, 0, 0, 0): 1.0}}, 1.0), (_SIGMA1, math.sqrt(hb)), (_sigma2_terms(m), hb)]
+    return {n: {k: f * c for k, c in tm.items()}
+            for table, f in orders[: list(AnsatzOrder).index(order) + 1] for n, tm in table.items()}
+
+
+def _derive(term: dict, rule: tuple[dict, dict, dict]) -> dict:
+    on_p, on_y1, on_a = rule
+    out: dict = {}
+    for (p, q, k2, k4), c in term.items():
+        for mult, base, shifts in ((p, (p - 1, q, k2, k4), on_p),
+                                   (q, (p, q - 1, k2, k4), on_y1),
+                                   (1, (p, q, k2, k4), on_a)):
+            for shift, f in shifts.items() if mult else ():
+                key = tuple(b + s for b, s in zip(base, shift))
+                out[key] = out.get(key, 0.0) + mult * f * c
+    return out
+
+
+def _scalars(m: _PacketMachinery, t: float, y: np.ndarray, kmax: int):
+    """(P, y1, profile partials up to kmax) at reduced points y (..., 4)."""
+    P = -0.5 * (y[..., 2] + y[..., 0] * y[..., 1])
+    return P, y[..., 0], m.profile.partials(t, y[..., 1], y[..., 3], kmax)
+
+
+def _evaluate(term: dict, P, y1, partials):
+    return sum(c * P**p * y1**q * partials[k2, k4] for (p, q, k2, k4), c in term.items())
+
+
+def corrector_sigma1(spec: WavePacketSpec, t: float, y: GroupElement | np.ndarray) -> np.ndarray:
+    """sigma_1(t, y) Phi1 = -X1a . (xi phi_n) - i X2a . (d_beta phi_n) as a grid vector."""
+    m = machinery(spec)
+    sc = _scalars(m, t, _coords(y) if isinstance(y, GroupElement) else np.asarray(y), 2)
+    return sum(_evaluate(tm, *sc) * m.basis[n] for n, tm in _SIGMA1.items())
 
 
 def corrector_sigma2(spec: WavePacketSpec, t: float, y: GroupElement | np.ndarray) -> np.ndarray:
     """sigma_2(t, y) Phi1 = (mu - H)^{-1} Pi_perp R(t, y) Phi1 as a grid vector."""
     m = machinery(spec)
-    yc = _coords(y) if isinstance(y, GroupElement) else np.asarray(y, dtype=float)
-    cs = _sigma2_coeffs(m, t, yc)
-    out = np.zeros(m.grid.N, dtype=complex)
-    for j, c in enumerate(cs, start=1):
-        out = out + c * m.basis[f"u{j}"]
-    return out
+    sc = _scalars(m, t, _coords(y) if isinstance(y, GroupElement) else np.asarray(y), 2)
+    return sum(_evaluate(tm, *sc) * m.basis[n] for n, tm in _sigma2_terms(m).items())
 
 
 def sigma2_diagnostic(spec: WavePacketSpec, t: float, y_points: np.ndarray) -> float:
@@ -406,17 +384,12 @@ def sigma2_diagnostic(spec: WavePacketSpec, t: float, y_points: np.ndarray) -> f
     with the same grid-level mu_n'' used in the coefficients.
     """
     m = machinery(spec)
-    g = m.grid
-    src = ("xi_phi", "dphi", "d1_xi_phi", "d1_dphi", "w_xi_phi", "w_dphi", "phi")
-    diag = np.array(
-        [float(g.inner(m.basis[k], m.basis["phi"]).real) for k in src]
+    sc = _scalars(m, t, np.atleast_2d(y_points), 2)
+    diag = sum(
+        _evaluate(tm, *sc) * float(m.grid.inner(m.images[k][:, col], m.basis["phi"]).real)
+        for tm, (k, col) in zip(_sigma2_terms(m).values(), _RESOLVENT_SOURCES.values())
     )
-    worst = 0.0
-    for y in np.atleast_2d(y_points):
-        cs = _sigma2_coeffs(m, t, y)
-        val = sum(c * dg for c, dg in zip(cs, diag))
-        worst = max(worst, abs(complex(val)))
-    return worst
+    return float(np.max(np.abs(diag)))
 
 
 # ---------------------------------------------------------------------------
@@ -424,36 +397,27 @@ def sigma2_diagnostic(spec: WavePacketSpec, t: float, y_points: np.ndarray) -> f
 # ---------------------------------------------------------------------------
 
 
+def _arguments(m: _PacketMachinery, t: float, coords: np.ndarray,
+               hb: float) -> tuple[np.ndarray, np.ndarray]:
+    """Representation argument w = hbar^{-1}.(x0^{-1} x) and profile
+    argument y = hbar^{-1/2}.(x(t)^{-1} x) of points x (M, 4)."""
+    z0 = vmultiply(vinverse(_coords(m.spec.x0_element())), coords)
+    z = vmultiply(np.array([0.0, -m.speed * t, 0.0, 0.0]), z0)
+    return vdilate(1.0 / hb, z0), vdilate(hb ** (-0.5), z)
+
+
 def ansatz_values(spec: WavePacketSpec, order: AnsatzOrder, t: float,
                   coords: np.ndarray, hbar: float | None = None) -> np.ndarray:
     """Evaluate the approximate solution at a batch of points (M, 4)."""
     m = machinery(spec)
     hb = spec.hbar if hbar is None else hbar
-    coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    x0_inv = vinverse(_coords(spec.x0_element()))
-    z0 = vmultiply(x0_inv, coords)  # x0^{-1} x
-    w = vdilate(1.0 / hb, z0)
-    center_off = np.array([0.0, -m.speed * t, 0.0, 0.0])
-    z = vmultiply(center_off, z0)  # x(t)^{-1} x
-    y = vdilate(hb ** (-0.5), z)
-
-    C = m.coef_batch(w)
-    names = list(_BASIS_NAMES)
-    pv = m.profile.values(t, y[:, 1], y[:, 3])
-    vals = pv["a"] * C[:, names.index("phi")]
-    if order in (AnsatzOrder.WITH_SIGMA1, AnsatzOrder.WITH_SIGMA1_AND_2):
-        P = _scalar_p(y)
-        x1a = P * pv["d4"]
-        x2a = pv["d2"]
-        vals = vals + math.sqrt(hb) * (
-            -x1a * C[:, names.index("xi_phi")] - 1j * x2a * C[:, names.index("dphi")]
-        )
-    if order is AnsatzOrder.WITH_SIGMA1_AND_2:
-        cs = _sigma2_coeffs(m, t, y)
-        for j, c in enumerate(cs, start=1):
-            vals = vals + hb * c * C[:, names.index(f"u{j}")]
-    phase = np.exp(-1j * m.mu * t / hb)
-    return hb ** (-Q_QUARTER) * phase * vals
+    w, y = _arguments(m, t, np.atleast_2d(np.asarray(coords, dtype=float)), hb)
+    terms = _ansatz_terms(m, order, hb)
+    C = matrix_coefficients(m.data.param, w, np.column_stack([m.basis[n] for n in terms]),
+                            m.phi2, m.grid)
+    sc = _scalars(m, t, y, 2)
+    vals = sum(_evaluate(tm, *sc) * C[:, j] for j, tm in enumerate(terms.values()))
+    return hb ** (-Q_QUARTER) * np.exp(-1j * m.mu * t / hb) * vals
 
 
 def ansatz_value(spec: WavePacketSpec, order: AnsatzOrder, t: float,
@@ -559,45 +523,44 @@ class ResidualEstimate:
 
 def residual(spec: WavePacketSpec, order: AnsatzOrder, t: float,
              sample_count: int = 10000, seed: int = 0,
-             hbar: float | None = None, fd_eps: float = 1e-3,
-             dt_factor: float = 1e-4) -> ResidualEstimate:
-    """L2 estimate of i hbar d_t psi + hbar^2 Delta psi over the packet.
+             hbar: float | None = None) -> ResidualEstimate:
+    """L2 estimate of r = i hbar d_t psi + hbar^2 (X1^2 + X2^2) psi over the packet.
 
-    Time derivative by central difference with dt = dt_factor * hbar;
-    X1^2, X2^2 by nested directional differences along x Exp(+-h Xi) with
-    h_i = fd_eps * hbar^{w_i/2}; the L2 integrals are volume-weighted
-    Monte-Carlo over a proposal matched to the true concentration scales.
+    With psi = hbar^{-7/4} e^{-i mu t/hbar} sum_j A_j(t, y) C_j(w) and
+    C_j = (pi(w) v_j, Phi2), one coefficient-kernel call gives exactly
+
+        r = hbar^{-7/4} e^{-i mu t/hbar} sum_j [(i hbar D_t A_j + hbar Delta A_j) C_j
+            + 2 sqrt(hbar) (X1 A_j C[D1 v_j] + i X2 A_j C[W v_j]) + A_j C[(mu - H) v_j]];
+
+    the L2 integrals are volume-weighted Monte-Carlo over a proposal
+    matched to the true concentration scales.
     """
+    m = machinery(spec)
     hb = spec.hbar if hbar is None else hbar
-    dt = dt_factor * hb
-    h1 = fd_eps * math.sqrt(hb)
-    h2 = fd_eps * math.sqrt(hb)
-    if max(h1, h2) > hb**1.5 / 10.0 * 100.0:
-        raise ValueError("fd step too large for this hbar")
     rng = np.random.default_rng(seed)
     s = _draw_samples(spec, t, hb, sample_count, rng)
+    w, y = _arguments(m, t, s.coords, hb)
+    terms = _ansatz_terms(m, order, hb)
+    V = np.hstack([m.images[n] for n in terms])
+    C = matrix_coefficients(m.data.param, w, V, m.phi2, m.grid).reshape(len(w), len(terms), 4)
+    sc = _scalars(m, t, y, 4)
+    # d_t at fixed x: the profile flows (d_t a = i c3 a_22) and recenters
+    # (y2 = (x2 - c2 t)/sqrt(hbar)); P and y1 do not move
+    dt = ({}, {}, {(0, 0, 2, 0): 1j * m.dispersion, (0, 0, 1, 0): -m.speed / math.sqrt(hb)})
+    psi0 = r = 0.0
+    for j, A in enumerate(terms.values()):
+        x1A, x2A = _derive(A, _X1), _derive(A, _X2)
+        slow = (1j * hb * _evaluate(_derive(A, dt), *sc)
+                + hb * (_evaluate(_derive(x1A, _X1), *sc) + _evaluate(_derive(x2A, _X2), *sc)))
+        a_j = _evaluate(A, *sc)
+        psi0 = psi0 + a_j * C[:, j, 0]
+        r = (r + slow * C[:, j, 0] + a_j * C[:, j, 3]
+             + 2.0 * math.sqrt(hb) * (_evaluate(x1A, *sc) * C[:, j, 1]
+                                      + 1j * _evaluate(x2A, *sc) * C[:, j, 2]))
 
-    def ev(tt: float, pts: np.ndarray) -> np.ndarray:
-        return ansatz_values(spec, order, tt, pts, hbar=hb)
-
-    e1p = np.array([h1, 0.0, 0.0, 0.0])
-    e1m = -e1p
-    e2p = np.array([0.0, h2, 0.0, 0.0])
-    e2m = -e2p
-    psi0 = ev(t, s.coords)
-    psit_p = ev(t + dt, s.coords)
-    psit_m = ev(t - dt, s.coords)
-    psi1p = ev(t, vmultiply(s.coords, e1p[None, :]))
-    psi1m = ev(t, vmultiply(s.coords, e1m[None, :]))
-    psi2p = ev(t, vmultiply(s.coords, e2p[None, :]))
-    psi2m = ev(t, vmultiply(s.coords, e2m[None, :]))
-
-    dtpsi = (psit_p - psit_m) / (2.0 * dt)
-    lap = (psi1p - 2.0 * psi0 + psi1m) / h1**2 + (psi2p - 2.0 * psi0 + psi2m) / h2**2
-    r = 1j * hb * dtpsi + hb**2 * lap
-
-    wr = np.abs(r) ** 2 * s.weights
-    wp = np.abs(psi0) ** 2 * s.weights
+    # the phase e^{-i mu t/hbar} has modulus one
+    wr = np.abs(hb ** (-Q_QUARTER) * r) ** 2 * s.weights
+    wp = np.abs(hb ** (-Q_QUARTER) * psi0) ** 2 * s.weights
     R = float(np.mean(wr))
     S = float(np.mean(wp))
     dR = float(np.std(wr) / math.sqrt(sample_count))
@@ -755,7 +718,7 @@ def second_microlocal_profile_demo(
         densities.append(np.abs(st.values) ** 2)
         mass_drift = max(mass_drift, abs(st.normsq() - mass0) / mass0)
         if analytic is not None:
-            ref = analytic.values(float(t), x2, np.zeros_like(x2))["a"]
+            ref = analytic.partials(float(t), x2, 0.0, 0)[0, 0]
             law_err = max(law_err, float(np.max(np.abs(st.values - ref))))
     return ProfileDemoReport(
         nu0=nu0,

@@ -1,8 +1,8 @@
 """Acceptance criteria, one test per criterion, one printed line each.
 
 Run with `pytest -s tests/test_acceptance.py` to see the PASS/FAIL lines;
-the full module takes a few minutes, dominated by the residual-scaling
-ladder (criterion 7).
+the full module takes under a minute; the residual-scaling ladder
+(criterion 7) is its longest test.
 """
 
 import math

@@ -5,22 +5,21 @@ import pytest
 
 from engellab.algebra import GroupElement, exp_basis, multiply
 from engellab.fourier import (
-    Character,
     GaussianKernelSpec,
-    Generic,
     GridMarginError,
     ProductKernel,
-    Schrodinger,
     difference_op_check,
     fourier_gaussian,
     fourier_product_kernel,
     infinitesimal,
     matrix_coefficient,
+    matrix_coefficients,
     plancherel_calibrate,
     rep_apply,
     rep_apply_adjoint,
 )
-from engellab.spectral import SpectralGrid
+from engellab.spectral import Character, Generic, Schrodinger, SpectralGrid
+from engellab.wavepacket import vinverse, vmultiply
 
 GRID = SpectralGrid(10.0, 2048)
 PARAM = Generic(1.0, 0.3)
@@ -191,11 +190,10 @@ def test_fourier_kernel_against_4d_quadrature():
 
 
 def test_fourier_sends_convolution_to_reversed_composition():
-    # <F(f*g) phi, psi> = int f(y) g(z) <pi(yz)* phi, psi> dy dz, estimated
-    # by sampling (y, z) exactly from the Gaussian kernels and applying the
-    # representation directly; must match F g o F f through the kernels
-    from engellab.algebra import GroupElement as GE
-
+    # <F(f*g) phi, psi> = int f(y) g(z) <pi((yz)^{-1}) phi, psi> dy dz,
+    # estimated by sampling (y, z) exactly from the Gaussian kernels and
+    # evaluating the coefficients directly; must match F g o F f through
+    # the kernels
     fspec = GaussianKernelSpec((0.1, 0.0, -0.1, 0.2), (0.35, 0.5, 0.4, 0.45))
     gspec = GaussianKernelSpec((-0.2, 0.1, 0.0, 0.0), (0.4, 0.45, 0.5, 0.4))
     g = SpectralGrid(10.0, 512)
@@ -213,11 +211,8 @@ def test_fourier_sends_convolution_to_reversed_composition():
     zs = rng.standard_normal((M, 4)) * np.array(gspec.widths) + np.array(gspec.centers)
     mass_f = np.prod([w * np.sqrt(2 * np.pi) for w in fspec.widths])
     mass_g = np.prod([w * np.sqrt(2 * np.pi) for w in gspec.widths])
-    acc = 0.0 + 0.0j
-    for y, z in zip(ys, zs):
-        yz = multiply(GE(*y), GE(*z))
-        acc += complex(g.inner(rep_apply_adjoint(PARAM, yz, phi, g), psi))
-    mc_route = acc / M * mass_f * mass_g
+    coefs = matrix_coefficients(PARAM, vinverse(vmultiply(ys, zs)), phi[:, None], psi, g)
+    mc_route = complex(np.mean(coefs)) * mass_f * mass_g
     assert abs(kernel_route - mc_route) <= 0.05 * abs(kernel_route)
 
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from engellab.algebra import GroupElement
+from engellab.fourier import GridMarginError, matrix_coefficient, rep_apply
+from engellab.spectral import Generic
 from engellab.wavepacket import (
     AnsatzOrder,
     GaussianProfile,
@@ -28,6 +30,7 @@ from engellab.wavepacket import (
     vinverse,
     vmultiply,
 )
+from engellab.wavepacket import _draw_samples
 
 SPEC = WavePacketSpec(delta0=1.0, beta0=0.0, n=1, hbar=0.05)
 
@@ -98,7 +101,7 @@ def test_profile_evolve_matches_analytic_gaussian():
     ref = GaussianProfile(width2=1.2, width4=1.0, coeff=coeff)
     for t in (0.4, 1.5):
         out = profile_evolve(st, t, coeff)
-        expected = ref.values(t, st.x2, np.zeros_like(st.x2))["a"]
+        expected = ref.partials(t, st.x2, 0.0, 0)[0, 0]
         assert np.max(np.abs(out.values - expected)) <= 1e-6
 
 
@@ -139,10 +142,10 @@ def test_sigma1_diagonal_vanishes_on_zero_p_locus():
 def test_sigma1_norm_bound():
     m = machinery(SPEC)
     y = GroupElement(0.4, 0.3, 0.2, -0.5)
-    pv = m.profile.values(0.0, 0.3, -0.5)
+    pv = m.profile.partials(0.0, 0.3, -0.5, 1)  # [k2, k4]
     P = -0.5 * (0.2 + 0.4 * 0.3)
-    bound = abs(P * pv["d4"]) * m.grid.norm(m.basis["xi_phi"]) + abs(
-        pv["d2"]
+    bound = abs(P * pv[0, 1]) * m.grid.norm(m.basis["xi_phi"]) + abs(
+        pv[1, 0]
     ) * m.grid.norm(m.basis["dphi"])
     assert m.grid.norm(corrector_sigma1(SPEC, 0.0, y)) <= bound * (1 + 1e-12)
 
@@ -161,8 +164,8 @@ def test_sigma2_zero_when_all_profile_curvature_vanishes():
     # inflection points of each Gaussian factor: u^2 = w^2 kills d22/d44
     y = GroupElement(0.0, w2, 0.0, w4)  # y1 = P = 0 removes the d24/d4 slots
     out = corrector_sigma2(SPEC, 0.0, y)
-    pv = m.profile.values(0.0, w2, w4)
-    assert abs(pv["d22"]) <= 1e-14 and abs(pv["d44"]) <= 1e-14
+    pv = m.profile.partials(0.0, w2, w4, 2)
+    assert abs(pv[2, 0]) <= 1e-14 and abs(pv[0, 2]) <= 1e-14
     # remaining contribution only from (c3 - 1) a22 - P^2 a44 = 0 here
     assert m.grid.norm(out) <= 1e-12
 
@@ -214,22 +217,28 @@ def test_ansatz_modulus_at_moving_center():
     # |psi(t, x(t))| = hbar^{-7/4} |a(t,0)| |(pi(w)Phi1, Phi2)|: the profile
     # recenters with x(t) but the representation argument stays at x0, so
     # the coefficient dephases; check against the independent coefficient
-    # route (matrix_coefficient shifts Phi1, the batch kernel shifts Phi2)
-    from engellab.fourier import matrix_coefficient
-    from engellab.spectral import Generic
-
+    # route (rep_apply shifts Phi1, the batch kernel shifts Phi2)
     m = machinery(SPEC)
     hb = SPEC.hbar
     t = 0.3
     c = m.center_coords(t)
     v = ansatz_values(SPEC, AnsatzOrder.LEADING, t, c[None, :])[0]
-    pv = m.profile.values(t, 0.0, 0.0)
+    a = m.profile.partials(t, 0.0, 0.0, 0)[0, 0]
     w = GroupElement(0.0, m.speed * t / hb, 0.0, 0.0)
-    coef = matrix_coefficient(
-        Generic(SPEC.delta0, SPEC.beta0), w, m.basis["phi"].astype(complex),
-        m.phi2.astype(complex), m.grid,
-    )
-    assert abs(v) == pytest.approx(hb ** (-1.75) * abs(pv["a"]) * abs(coef), rel=1e-9)
+    pi_phi = rep_apply(Generic(SPEC.delta0, SPEC.beta0), w, m.basis["phi"].astype(complex), m.grid)
+    coef = complex(m.grid.inner(pi_phi, m.phi2.astype(complex)))
+    assert abs(v) == pytest.approx(hb ** (-1.75) * abs(a) * abs(coef), rel=1e-9)
+
+
+def test_oversized_shift_raises_grid_margin_error():
+    m = machinery(SPEC)
+    hb = SPEC.hbar
+    w1 = m.grid.L - 0.5 * m.xi_support  # past the margin, inside the box
+    with pytest.raises(GridMarginError):
+        matrix_coefficient(Generic(SPEC.delta0, SPEC.beta0), GroupElement(w1, 0, 0, 0),
+                           m.basis["phi"], m.phi2, m.grid)
+    with pytest.raises(GridMarginError):
+        ansatz_values(SPEC, AnsatzOrder.LEADING, 0.0, np.array([[w1 * hb, 0, 0, 0]]))
 
 
 def test_vectorized_group_ops_match_exact():
@@ -295,9 +304,38 @@ def test_residual_invariant_under_left_translation():
     assert moved.relative == pytest.approx(base.relative, rel=1e-6)
 
 
-def test_fd_guard():
-    with pytest.raises(ValueError):
-        residual(SPEC, AnsatzOrder.LEADING, 0.0, sample_count=10, hbar=0.05, fd_eps=10.0)
+def _fd_relative_residual(spec, order, t, sample_count, seed, hb,
+                          fd_eps=1e-3, dt_factor=1e-4):
+    """Reference: i hbar d_t psi + hbar^2 (X1^2 + X2^2) psi from a 7-point
+    stencil on ansatz_values (central difference in t with dt = dt_factor
+    hbar, nested differences along x Exp(+-h Xi) with h = fd_eps hbar^{1/2}),
+    on the samples residual() draws for the same seed."""
+    s = _draw_samples(spec, t, hb, sample_count, np.random.default_rng(seed))
+    dt = dt_factor * hb
+    h = fd_eps * math.sqrt(hb)
+
+    def ev(tt, pts):
+        return ansatz_values(spec, order, tt, pts, hbar=hb)
+
+    psi0 = ev(t, s.coords)
+    dtpsi = (ev(t + dt, s.coords) - ev(t - dt, s.coords)) / (2.0 * dt)
+    lap = 0.0
+    for e in (np.array([h, 0.0, 0.0, 0.0]), np.array([0.0, h, 0.0, 0.0])):
+        lap = lap + (ev(t, vmultiply(s.coords, e)) - 2.0 * psi0
+                     + ev(t, vmultiply(s.coords, -e))) / h**2
+    r = 1j * hb * dtpsi + hb**2 * lap
+    return math.sqrt(np.mean(np.abs(r) ** 2 * s.weights)
+                     / np.mean(np.abs(psi0) ** 2 * s.weights))
+
+
+@pytest.mark.parametrize("hb", [0.1, 0.0125])
+@pytest.mark.parametrize("order", list(AnsatzOrder))
+def test_exact_residual_matches_finite_differences(order, hb):
+    # same samples, so only the discretizations differ: grid generators
+    # against the stencil on the coefficient kernel (measured <= 2.4e-3)
+    exact = residual(SPEC, order, 0.1, sample_count=2000, seed=3, hbar=hb)
+    fd = _fd_relative_residual(SPEC, order, 0.1, 2000, 3, hb)
+    assert exact.relative == pytest.approx(fd, rel=1e-2)
 
 
 # -- transport --------------------------------------------------------------------
