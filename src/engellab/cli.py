@@ -197,7 +197,7 @@ def run_dispersion(cfg: dict, seed: int) -> RunReport:
     rep = RunReport("dispersion", cfg)
 
     rows = [row for n in sorted(ns)
-            for row in spectral.sample_branch(n, 1.0, nus, N=N).rows]
+            for row in spectral.sample_branch(n, 1.0, nus, N=N)]
     rep.metrics["rows"] = len(rows)
     rep.checks.append(Check("row-count", len(rows), len(ns) * len(nus), "=="))
     rep.metrics["csv"] = spectral.branch_rows_csv(rows)
@@ -242,8 +242,6 @@ def run_plancherel(cfg: dict, seed: int) -> RunReport:
         ]
     else:
         kernels = _default_kernels()
-    spread_tol = float(cfg.get("spread_tol", 0.01))
-    doubling_tol = float(cfg.get("doubling_tol", 0.002))
     box_kwargs = dict(
         delta_min=float(cfg.get("delta_min", 0.05)),
         delta_max=cfg.get("delta_max"),
@@ -255,8 +253,8 @@ def run_plancherel(cfg: dict, seed: int) -> RunReport:
     drift = abs(cal2.mean - cal.mean) / cal.mean
     rep.metrics["calibration"] = cal.to_dict()
     rep.metrics["calibration_doubled_box"] = cal2.to_dict()
-    rep.checks.append(Check("relative-spread", cal.relative_spread, spread_tol))
-    rep.checks.append(Check("box-doubling-drift", drift, doubling_tol))
+    rep.checks.append(Check("relative-spread", cal.relative_spread, 0.01))
+    rep.checks.append(Check("box-doubling-drift", drift, 0.002))
     return rep
 
 
@@ -300,12 +298,10 @@ def run_residual_scaling(cfg: dict, seed: int) -> RunReport:
                 f"{_fmt(r['hbar'])},{_fmt(r['residual'])},{_fmt(r['sampling_error'])}"
             )
         rep.metrics[f"csv:residual_scaling_{tag}.csv"] = "\n".join(lines) + "\n"
-    lo, hi = cfg.get("full_slope_window", [1.35, 1.65])
-    rep.checks.append(Check("full-slope-low", full.slope, float(lo), ">="))
-    rep.checks.append(Check("full-slope-high", full.slope, float(hi), "<="))
-    lo1, hi1 = cfg.get("sigma1_slope_window", [0.85, 1.15])
-    rep.checks.append(Check("sigma1-slope-low", first.slope, float(lo1), ">="))
-    rep.checks.append(Check("sigma1-slope-high", first.slope, float(hi1), "<="))
+    rep.checks.append(Check("full-slope-low", full.slope, 1.35, ">="))
+    rep.checks.append(Check("full-slope-high", full.slope, 1.65, "<="))
+    rep.checks.append(Check("sigma1-slope-low", first.slope, 0.85, ">="))
+    rep.checks.append(Check("sigma1-slope-high", first.slope, 1.15, "<="))
     return rep
 
 
@@ -328,14 +324,12 @@ def run_transport(cfg: dict, seed: int) -> RunReport:
     drift = abs(last.predicted_x2 - float(spec.x0[1]))
     if drift > 1e-9:
         rep.checks.append(
-            Check("drift-relative-error", last.drift_error / drift,
-                  float(cfg.get("drift_tol", 0.03)))
+            Check("drift-relative-error", last.drift_error / drift, 0.03)
         )
     else:
         rep.checks.append(
             Check("stationary-centroid-vs-width",
-                  last.drift_error / last.packet_width,
-                  float(cfg.get("stationary_tol", 0.02)))
+                  last.drift_error / last.packet_width, 0.02)
         )
     return rep
 
@@ -363,9 +357,7 @@ def run_smicro_profile(cfg: dict, seed: int) -> RunReport:
     rep.metrics["csv"] = "\n".join(lines) + "\n"
     rep.checks.append(Check("mass-drift", demo.mass_drift, 1e-10))
     rep.checks.append(Check("gaussian-law-error", demo.gaussian_law_error, 1e-6))
-    rep.checks.append(
-        Check("on-cone-curvature-deviation", cc.max_deviation, float(cfg.get("tol", 1e-3)))
-    )
+    rep.checks.append(Check("on-cone-curvature-deviation", cc.max_deviation, 1e-3))
     return rep
 
 
@@ -438,7 +430,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--p", type=str, default=None)
     parser.add_argument("--grid-n", type=int, default=None)
     parser.add_argument("--grid-l", type=float, default=None)
-    parser.add_argument("--tol", type=float, default=None)
+    parser.add_argument("--tol", type=float, default=None,
+                        help="critical-points bisection tolerance")
     parser.add_argument("--hbar-ladder", type=str, default=None,
                         help="comma-separated hbar values")
     args = parser.parse_args(argv)

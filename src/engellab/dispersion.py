@@ -23,8 +23,7 @@ import numpy as np
 from .spectral import (
     Montgomery,
     SpectralGrid,
-    _mu_scale_guess,
-    default_grid,
+    box_grid,
     mu_beta_derivative,
     real_cbrt,
     spectral_data,
@@ -86,9 +85,8 @@ def critical_points(
     if not hi > lo:
         raise ValueError("empty scan window")
     nus = np.linspace(lo, hi, samples)
-    # one shared box covering the most demanding end of the scan
-    mu_guess = max(_mu_scale_guess(Montgomery(lo), n), _mu_scale_guess(Montgomery(hi), n))
-    grid = default_grid(Montgomery(lo if abs(lo) > abs(hi) else hi), mu_guess, N=N)
+    # one shared box for the whole scan, covering both of its ends
+    grid = box_grid([Montgomery(lo), Montgomery(hi)], n, N)
     d1 = np.array([mu_beta_derivative(1.0, v, n, grid=grid, N=N) for v in nus])
 
     sign_changes = [

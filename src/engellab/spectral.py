@@ -15,7 +15,11 @@ with eigenvalues mu_n(delta, beta) = delta^{2/3} mutilde_n(beta delta^{-1/3})
 Discretization: second-order central differences with Dirichlet walls at
 +-L; the matrix is symmetric tridiagonal and eigenpairs are obtained by
 bisection on Sturm-sequence counts plus inverse iteration (LAPACK stebz/
-stein via scipy's eigh_tridiagonal).
+stein via scipy's eigh_tridiagonal).  Default boxes come from `box_grid`,
+a closed-form rule that puts the wall 18 Agmon lengths past the turning
+point of a bound on the confined level; it scales with the natural length
+|delta|^{-1/3} (|lambda|^{-1/2} for Schrodinger), so the box of
+Generic(delta, beta) is |delta|^{-1/3} times that of Montgomery(nu).
 
 Grid functions are normalized in the trapezoid inner product
 <u, v> = h * sum(u * conj(v)).
@@ -24,7 +28,7 @@ Grid functions are normalized in the trapezoid inner product
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -157,33 +161,48 @@ def build_hamiltonian(param: SpectralParam, grid: SpectralGrid) -> OperatorMatri
     return OperatorMatrix(grid, 2.0 / h**2 + V, -1.0 / h**2)
 
 
-def choose_box(param: SpectralParam, mu_target: float, agmon: float = 18.0) -> float:
-    """Box half-width making the Dirichlet wall error negligible.
+# Agmon integral of sqrt(V - mu) from the turning point to the wall: the
+# wall error of a level below mu is ~ exp(-2 * _WALL_DECAY)
+_WALL_DECAY = 18.0
 
-    Walks outward from the classical region until the Agmon integral
-    int sqrt(V - mu) exceeds `agmon` (wall error ~ exp(-2*agmon)), then
-    adds margin and also enforces V(L) >= 4 mu_target.
+
+def _mu_scale_guess(param: SpectralParam, k: int) -> float:
+    """Crude upper bound for mu_k used only to size the box."""
+    if isinstance(param, Schrodinger):
+        return abs(param.lam) * (2 * k + 1)
+    if isinstance(param, Generic):
+        s = abs(param.delta) ** (2.0 / 3.0)
+        nu = param.beta * real_cbrt(param.delta) / abs(param.delta) ** (2.0 / 3.0)
+        return s * (4.0 * (k + 1) ** (4.0 / 3.0) + nu**2 + 2 * abs(nu))
+    raise TypeError(f"unsupported parameter {param!r}")
+
+
+def _box_half_width(param: SpectralParam, k: int) -> float:
+    """Half-width L with the wall _WALL_DECAY Agmon lengths past level k.
+
+    Let mu bound mu_k from above and xi0 be its outer turning point.  Past
+    xi0, sqrt(V - mu) >= a (xi^2 - xi0^2) for V = a^2 (xi^2 + b)^2 (generic:
+    a = |delta|/2, b = 2 beta/delta; xi0 > 0 because sqrt(mu) > a |b|) and
+    sqrt(V - mu) >= |lam| (xi - xi0) for V = lam^2 xi^2, so the Agmon
+    integral from xi0 reaches _WALL_DECAY by xi0 + u.  L = 1.1 (xi0 + u),
+    and no less than the turning point of 4 mu.
     """
-    V = potential(param)
-    mu = max(mu_target, 1e-6)
-    step = 0.01
-    xi = 0.0
-    acc = 0.0
-    # skip the classical region
-    while V(np.array([xi]))[0] < mu and xi < 1e3:
-        xi += step
-    while acc < agmon and xi < 1e3:
-        v = V(np.array([xi]))[0]
-        acc += step * np.sqrt(max(v - mu, 0.0))
-        xi += step
-    L = 1.1 * xi
-    while V(np.array([L]))[0] < 4.0 * mu:
-        L *= 1.1
-    return float(L)
+    mu = _mu_scale_guess(param, k)
+    if isinstance(param, Schrodinger):
+        lam = abs(param.lam)
+        xi0, xi4 = np.sqrt(mu) / lam, 2.0 * np.sqrt(mu) / lam
+        u = np.sqrt(2.0 * _WALL_DECAY / lam)
+    else:
+        a, b = 0.5 * abs(param.delta), 2.0 * param.beta / param.delta
+        xi0 = np.sqrt(np.sqrt(mu) / a - b)
+        xi4 = np.sqrt(2.0 * np.sqrt(mu) / a - b)
+        u = min((3.0 * _WALL_DECAY / a) ** (1.0 / 3.0), np.sqrt(_WALL_DECAY / (a * xi0)))
+    return float(max(1.1 * (xi0 + u), xi4))
 
 
-def default_grid(param: SpectralParam, mu_target: float, N: int = 4096) -> SpectralGrid:
-    return SpectralGrid(choose_box(param, mu_target), N)
+def box_grid(params: Sequence[SpectralParam], k: int, N: int = 4096) -> SpectralGrid:
+    """Smallest default box confining level k for every parameter given."""
+    return SpectralGrid(max(_box_half_width(p, k) for p in params), N)
 
 
 # ---------------------------------------------------------------------------
@@ -269,26 +288,13 @@ def eigen_lowest(op: OperatorMatrix, k: int, residual_tol: float = 1e-8,
 
 
 def solve_lowest(param: SpectralParam, k: int, grid: SpectralGrid | None = None,
-                 N: int = 4096, mu_guess: float | None = None,
-                 confine_level: int | None = None) -> EigenResult:
-    """Build the Hamiltonian on a suitable grid and return k lowest pairs."""
+                 N: int = 4096, confine_level: int | None = None) -> EigenResult:
+    """Build the Hamiltonian on `grid` (default: the box of the confined
+    level) and return the k lowest pairs."""
     if grid is None:
-        if mu_guess is None:
-            mu_guess = _mu_scale_guess(param, confine_level or k)
-        grid = default_grid(param, mu_guess, N=N)
+        grid = box_grid([param], confine_level or k, N)
     return eigen_lowest(build_hamiltonian(param, grid), k,
                         confine_level=confine_level)
-
-
-def _mu_scale_guess(param: SpectralParam, k: int) -> float:
-    """Crude upper bound for mu_k used only to size the box."""
-    if isinstance(param, Schrodinger):
-        return abs(param.lam) * (2 * k + 1)
-    if isinstance(param, Generic):
-        s = abs(param.delta) ** (2.0 / 3.0)
-        nu = param.beta * real_cbrt(param.delta) / abs(param.delta) ** (2.0 / 3.0)
-        return s * (4.0 * (k + 1) ** (4.0 / 3.0) + nu**2 + 2 * abs(nu))
-    raise TypeError(f"unsupported parameter {param!r}")
 
 
 def eigenvalues_extrapolated(param: SpectralParam, k: int, N: int = 4096,
@@ -299,7 +305,7 @@ def eigenvalues_extrapolated(param: SpectralParam, k: int, N: int = 4096,
     (4 mu_{2N} - mu_N)/3 cancels it, leaving O(h^4).
     """
     if grid is None:
-        grid = default_grid(param, _mu_scale_guess(param, k), N=N)
+        grid = box_grid([param], k, N)
     coarse = eigen_lowest(build_hamiltonian(param, grid), k).eigenvalues
     fine = eigen_lowest(build_hamiltonian(param, grid.refined()), k).eigenvalues
     return (4.0 * fine - coarse) / 3.0
@@ -362,9 +368,7 @@ def spectral_data(delta: float, beta: float, n: int, grid: SpectralGrid | None =
     mu_n'' = 2 + 2 <2 W phi_n, dphi>.
     """
     param = Generic(delta, beta)
-    res = solve_lowest(param, n + 1, grid=grid, N=N,
-                       mu_guess=None if grid else _mu_scale_guess(param, n + 2),
-                       confine_level=n + 1)
+    res = solve_lowest(param, n + 1, grid=grid, N=N)
     grid = res.grid
     mu, phi = res.pair(n)
     dH_phi = 2.0 * _w_values(delta, beta, grid) * phi
@@ -469,27 +473,16 @@ def branch_rows_csv(rows: Sequence[dict]) -> str:
     )
 
 
-@dataclass
-class EigenBranch:
-    """Sampled eigenvalue curve with FH derivatives along beta or nu."""
-
-    n: int
-    rows: list[dict] = field(default_factory=list)
-
-    def to_csv(self) -> str:
-        return branch_rows_csv(self.rows)
-
-
 def sample_branch(n: int, delta: float, betas: Sequence[float],
-                  N: int = 4096) -> EigenBranch:
-    """Sample mu_n(delta, .) with first and second FH derivatives.
+                  N: int = 4096) -> list[dict]:
+    """Rows of mu_n(delta, .) with first and second FH derivatives.
 
     For the Montgomery family pass delta = 1 and betas = nus.
     """
-    branch = EigenBranch(n=n)
+    rows = []
     for beta in betas:
         data = spectral_data(delta, float(beta), n, N=N)
-        branch.rows.append(
+        rows.append(
             dict(
                 n=n,
                 delta=delta,
@@ -501,4 +494,4 @@ def sample_branch(n: int, delta: float, betas: Sequence[float],
                 grid_N=data.grid.N,
             )
         )
-    return branch
+    return rows

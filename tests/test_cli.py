@@ -73,8 +73,7 @@ def test_dispersion_empty_grid_errors():
 
 
 def test_residual_scaling_seeded_determinism(tmp_path):
-    cfg = {"sample_count": 300, "hbar_ladder": [0.1, 0.05, 0.025, 0.0125],
-           "full_slope_window": [-10, 10], "sigma1_slope_window": [-10, 10]}
+    cfg = {"sample_count": 300, "hbar_ladder": [0.1, 0.05, 0.025, 0.0125]}
     a, b = tmp_path / "a", tmp_path / "b"
     run("residual-scaling", cfg, out_dir=a, seed=5)
     run("residual-scaling", cfg, out_dir=b, seed=5)
@@ -93,8 +92,11 @@ def test_critical_points_cli(tmp_path):
 
 
 def test_smicro_profile_cli(tmp_path):
+    # "tol" sets only the critical-points bisection; check thresholds are fixed
     rep = run("smicro-profile", {"grid_n": 2048, "times": [0.0, 1.0],
-                                 "delta_list": [1.0, 2.0]}, out_dir=tmp_path)
+                                 "delta_list": [1.0, 2.0], "tol": 1e9}, out_dir=tmp_path)
     assert rep.passed
+    thresholds = {c.name: c.threshold for c in rep.checks}
+    assert thresholds["on-cone-curvature-deviation"] == 1e-3
     csv = (tmp_path / "profile_densities.csv").read_text()
     assert csv.startswith("x2,density_t0,density_t1")

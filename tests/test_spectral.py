@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from engellab.spectral import (
@@ -12,14 +13,15 @@ from engellab.spectral import (
     Montgomery,
     Schrodinger,
     SpectralGrid,
-    _mu_scale_guess,
+    box_grid,
+    branch_rows_csv,
     build_hamiltonian,
-    default_grid,
     eigen_lowest,
     eigenvalues_extrapolated,
     generic_mu,
     montgomery_mu,
     mu_beta_derivative,
+    potential,
     projector_derivative,
     real_cbrt,
     reduced_resolvent_solve,
@@ -84,6 +86,43 @@ def test_sign_convention():
 def test_confinement_error_advises_larger_box():
     with pytest.raises(ConfinementError, match="enlarge"):
         solve_lowest(Schrodinger(1.0), 4, grid=SpectralGrid(2.0, 256))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(-3.0, 3.0), st.sampled_from([-1.0, 1.0]), st.floats(-4.0, 4.0),
+       st.integers(1, 4))
+def test_box_rule_natural_length_and_wall_decay(log_delta, sign, nu, k):
+    delta = sign * 10.0**log_delta
+    p = Generic(delta, nu * real_cbrt(delta))
+    grid = box_grid([p], k, 2048)
+    montgomery_L = box_grid([Montgomery(nu)], k, 2048).L
+    assert grid.L * abs(delta) ** (1.0 / 3.0) == pytest.approx(montgomery_L, rel=1e-12)
+    # solve_lowest raises when its residual or confinement check fails
+    res = solve_lowest(p, k, N=2048)
+    assert res.grid == grid
+    # Agmon integral of the computed level from its outer turning point,
+    # where |xi^2 + 2 beta/delta| = 2 sqrt(mu)/|delta|, to the unpadded wall
+    mu = res.eigenvalues[k - 1]
+    xi0 = np.sqrt(2.0 * np.sqrt(mu) / abs(delta) - 2.0 * p.beta / delta)
+    xi = np.linspace(xi0, grid.L / 1.1, 20001)
+    assert np.trapezoid(np.sqrt(np.maximum(potential(p)(xi) - mu, 0.0)), xi) >= 18.0
+
+
+def test_schrodinger_box_natural_length():
+    unit = box_grid([Schrodinger(1.0)], 4).L
+    for lam in (0.3, -5.0, 40.0):
+        assert box_grid([Schrodinger(lam)], 4).L * abs(lam) ** 0.5 == pytest.approx(
+            unit, rel=1e-12)
+        mus = solve_lowest(Schrodinger(lam), 4).eigenvalues / abs(lam)
+        assert np.max(np.abs(mus - [1.0, 3.0, 5.0, 7.0])) <= 1e-4
+
+
+def test_tiny_scales_refuse_confinement():
+    # the box follows the natural length, but the wall check keeps its
+    # absolute margin V(L) > mu + 1, which these scales cannot reach
+    for p in (Generic(1e-6, 0.0), Schrodinger(1e-4)):
+        with pytest.raises(ConfinementError):
+            solve_lowest(p, 1)
 
 
 def test_montgomery_ground_frozen_value():
@@ -260,11 +299,13 @@ def test_eigenvector_derivative_matches_complete_spectral_sum():
             assert g.norm(data.dphi - dphi) <= 1e-6 * g.norm(dphi)
 
 
-@pytest.mark.parametrize("nu, N", [(-1.0, 2048), (2.0, 2048), (-3.0, 4096), (0.0, 8192)])
+@pytest.mark.parametrize("nu, N", [(-1.0, 2048), (2.0, 2048), (-3.0, 4096), (0.0, 8192),
+                                   (-0.5, 2048), (3.0, 2048), (-1.0, 4096)])
 def test_eigenvector_sign_independent_of_mode_count(nu, N):
-    # odd modes have mirror peaks equal up to rounding
+    # odd modes have mirror peaks equal up to rounding; on the default boxes
+    # the last four cases flip under a plain argmax rule
     p = Generic(1.0, nu)
-    H = build_hamiltonian(p, default_grid(p, _mu_scale_guess(p, 4), N=N))
+    H = build_hamiltonian(p, box_grid([p], 4, N))
     many = eigen_lowest(H, 32, confine_level=5).eigenvectors
     for n in (2, 4):
         few = eigen_lowest(H, n + 1).eigenvectors[:, n - 1]
@@ -275,8 +316,7 @@ def test_eigenvector_sign_independent_of_mode_count(nu, N):
 
 
 def test_branch_csv_columns():
-    branch = sample_branch(1, 1.0, [0.0, 0.5], N=1024)
-    csv = branch.to_csv()
+    csv = branch_rows_csv(sample_branch(1, 1.0, [0.0, 0.5], N=1024))
     header, *rows = csv.strip().split("\n")
     assert header == "n,delta,beta,mu,dmu_dbeta,d2mu_dbeta2,grid_L,grid_N"
     assert len(rows) == 2
