@@ -16,13 +16,16 @@ operator kernel
 
 where g^ is the 1-D Fourier transform int g(t) exp(-i w t) dt: the x1
 integral is pinned by the shift and the remaining three are 1-D factors.
+Each factor is a finite sum of polynomial x Gaussian terms, so g^ is
+closed form, and the Plancherel quadrature boxes are sized from the
+factors' widths.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -35,6 +38,7 @@ __all__ = [
     "rep_apply",
     "rep_apply_adjoint",
     "GridMarginError",
+    "QuadratureBoxError",
     "live_window",
     "InfinitesimalOp",
     "infinitesimal",
@@ -53,6 +57,10 @@ __all__ = [
 
 class GridMarginError(ValueError):
     """Shift pushes the vector's support outside the grid box."""
+
+
+class QuadratureBoxError(ValueError):
+    """The Plancherel quadrature box leaves too much mass uncompensated."""
 
 
 _LIVE_RTOL = 1e-13
@@ -196,32 +204,50 @@ def matrix_coefficient(param: RepParam, x: GroupElement, phi1: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
+def _moment_transform(omegas: np.ndarray, c: float, w: float, p: int) -> np.ndarray:
+    """F_p(omega) = int (t - c)^p exp(-(t - c)^2 / (2 w^2)) exp(-i omega t) dt.
+
+    F_0 = w sqrt(2 pi) exp(-i omega c - w^2 omega^2 / 2); integrating
+    (t - c) G = -w^2 G' by parts gives F_{k+1} = w^2 (k F_{k-1} - i omega F_k).
+    """
+    prev = 0.0
+    cur = w * math.sqrt(2 * math.pi) * np.exp(-1j * omegas * c - 0.5 * (w * omegas) ** 2)
+    for k in range(p):
+        prev, cur = cur, w**2 * (k * prev - 1j * omegas * cur)
+    return cur
+
+
 @dataclass(frozen=True)
 class Factor1D:
-    """One coordinate factor of a product kernel, with its support box."""
+    """One coordinate factor of a product kernel: the finite sum of terms
+    a (t - c)^p exp(-(t - c)^2 / (2 w^2)), each given as (a, c, w, p).
 
-    fn: Callable[[np.ndarray], np.ndarray]
-    lo: float
-    hi: float
-    bandwidth: float = 8.0  # rough frequency content of fn itself
+    Its support box is [min(c - 10 w), max(c + 10 w)] over the terms.
+    """
+
+    terms: tuple[tuple[float, float, float, int], ...]
+
+    def __post_init__(self):
+        if not self.terms or any(w <= 0 for _, _, w, _ in self.terms):
+            raise ValueError("a factor needs at least one term, each of positive width")
+
+    @property
+    def lo(self) -> float:
+        return min(c - 10 * w for _, c, w, _ in self.terms)
+
+    @property
+    def hi(self) -> float:
+        return max(c + 10 * w for _, c, w, _ in self.terms)
+
+    def fn(self, t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        return sum(a * (t - c) ** p * np.exp(-((t - c) ** 2) / (2 * w**2))
+                   for a, c, w, p in self.terms)
 
     def transform(self, omegas: np.ndarray) -> np.ndarray:
-        """f^(w) = int f(t) exp(-i w t) dt, vectorized trapezoid."""
+        """f^(w) = int f(t) exp(-i w t) dt, in closed form term by term."""
         omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-        wmax = float(np.max(np.abs(omegas))) if omegas.size else 0.0
-        span = self.hi - self.lo
-        npts = int(max(512, 4.0 * span * (wmax + self.bandwidth) / (2 * math.pi)))
-        npts = min(npts, 200_000)
-        t = np.linspace(self.lo, self.hi, npts)
-        vals = self.fn(t)
-        out = np.empty(omegas.shape, dtype=complex)
-        chunk = max(1, int(4e6 / npts))
-        for k in range(0, omegas.size, chunk):
-            om = omegas[k : k + chunk]
-            out[k : k + chunk] = np.trapezoid(
-                vals[None, :] * np.exp(-1j * np.outer(om, t)), t, axis=1
-            )
-        return out
+        return sum(a * _moment_transform(omegas, c, w, p) for a, c, w, p in self.terms)
 
     def l2_normsq(self) -> float:
         t = np.linspace(self.lo, self.hi, 8192)
@@ -232,20 +258,9 @@ class Factor1D:
         return float(np.trapezoid(np.abs(self.fn(t)), t))
 
     def times_minus_t(self) -> "Factor1D":
-        fn = self.fn
-        return Factor1D(lambda t: -t * fn(t), self.lo, self.hi, self.bandwidth)
-
-
-def gaussian_factor(center: float, width: float) -> Factor1D:
-    if width <= 0:
-        raise ValueError("Gaussian width must be positive")
-    c, w = float(center), float(width)
-    return Factor1D(
-        lambda t: np.exp(-((t - c) ** 2) / (2 * w**2)),
-        c - 10 * w,
-        c + 10 * w,
-        bandwidth=8.0 / w,
-    )
+        """The factor -t f(t); each term splits by -t = -(t - c) - c."""
+        return Factor1D(tuple(term for a, c, w, p in self.terms
+                              for term in ((-a, c, w, p + 1), (-a * c, c, w, p))))
 
 
 @dataclass(frozen=True)
@@ -260,7 +275,9 @@ class GaussianKernelSpec:
             raise ValueError("widths must be positive")
 
     def factors(self) -> list[Factor1D]:
-        return [gaussian_factor(c, w) for c, w in zip(self.centers, self.widths)]
+        """One single-term Gaussian factor per coordinate."""
+        return [Factor1D(((1.0, float(c), float(w), 0),))
+                for c, w in zip(self.centers, self.widths)]
 
     def dilated(self, r: float) -> "GaussianKernelSpec":
         """Kernel x -> kappa(r . x) for the group dilation (weights 1,1,2,3)."""
@@ -269,12 +286,6 @@ class GaussianKernelSpec:
             tuple(c / r**u for c, u in zip(self.centers, ws)),
             tuple(w / r**u for w, u in zip(self.widths, ws)),
         )
-
-    def l2_normsq(self) -> float:
-        out = 1.0
-        for f in self.factors():
-            out *= f.l2_normsq()
-        return out
 
 
 @dataclass
@@ -326,7 +337,7 @@ def fourier_product_kernel(kernel: ProductKernel, param: Generic,
     """Group Fourier transform of a product kernel at a generic parameter.
 
     Uses the pinned-shift reduction; the three transverse integrals are
-    numeric 1-D Fourier transforms of the coordinate factors.
+    the closed-form 1-D Fourier transforms of the coordinate factors.
     """
     if not isinstance(param, Generic):
         raise TypeError("kernel reduction is implemented for Generic parameters")
@@ -338,11 +349,7 @@ def fourier_product_kernel(kernel: ProductKernel, param: Generic,
     xi = grid.nodes
     u = xi[:, None] - xi[None, :]
     col2 = f2.transform(b + 0.5 * d * xi**2)
-    # f3^ sampled on its argument range, then interpolated over the N^2 grid
-    arg3 = 0.5 * d * (xi[:, None] + xi[None, :])
-    s3 = np.linspace(arg3.min(), arg3.max(), 4096)
-    t3 = f3.transform(s3)
-    k3 = np.interp(arg3, s3, t3.real) + 1j * np.interp(arg3, s3, t3.imag)
+    k3 = f3.transform(0.5 * d * (xi[:, None] + xi[None, :]))
     k4 = complex(f4.transform(np.array([d]))[0])
     matrix = f1.fn(u) * col2[:, None] * k3 * k4
     return OperatorKernel(grid, matrix)
@@ -363,20 +370,16 @@ class CalibrationReport:
     c_estimates: list[float]
     mean: float
     relative_spread: float
-    box: dict
     tail_estimate: float
-    tail_estimates: list[float] = field(default_factory=list)
-    kernels: list[dict] = field(default_factory=list)
+    kernels: list[dict]  # per kernel: its echo, quadrature box and tail
 
     def to_dict(self) -> dict:
-        return dict(
-            kernels=self.kernels,
-            c_estimates=self.c_estimates,
-            mean=self.mean,
-            relative_spread=self.relative_spread,
-            box=self.box,
-            tail_estimate=self.tail_estimate,
-        )
+        return asdict(self)
+
+
+def _reach(f: Factor1D) -> float:
+    """8/w, w the factor's narrowest width: a Gaussian's |f^| is e^-32 there."""
+    return 8.0 / min(w for _, _, w, _ in f.terms)
 
 
 def _hs_mass_box(kernel: ProductKernel, delta_nodes: np.ndarray, B: float,
@@ -394,13 +397,13 @@ def _hs_mass_box(kernel: ProductKernel, delta_nodes: np.ndarray, B: float,
     u = np.linspace(f1.lo, f1.hi, nu_pts)
     w1 = np.abs(f1.fn(u)) ** 2
 
-    bw3 = f3.bandwidth
+    bw3 = _reach(f3)
     vt = np.linspace(-bw3, bw3, nv_pts)
     w3 = np.abs(f3.transform(vt)) ** 2
 
     # cumulative of |f2^|^2; the density is supported inside ~2x the factor
-    # bandwidth, beyond which the cumulative saturates (step extrapolation)
-    bw2 = f2.bandwidth
+    # reach, beyond which the cumulative saturates (step extrapolation)
+    bw2 = _reach(f2)
     tau = np.linspace(-2.5 * bw2, 2.5 * bw2, 6000)
     dens2 = np.abs(f2.transform(tau)) ** 2
     cdf2 = np.concatenate([[0.0], np.cumsum(0.5 * (dens2[1:] + dens2[:-1]) * np.diff(tau))])
@@ -424,15 +427,12 @@ def _hs_mass_box(kernel: ProductKernel, delta_nodes: np.ndarray, B: float,
         mass[k] = np.trapezoid(np.trapezoid(integrand, vt, axis=1), u)
         deficit[k] = 1.0 - mass[k] / (base * full2)
 
-    w4 = np.abs(f4.transform(delta_nodes)) ** 2
+    # both signs of delta: f4 is real, so |f4^(-d)| = |f4^(d)|, and s and the
+    # (u, v) weights are even under delta -> -delta
+    w4 = 2.0 * np.abs(f4.transform(delta_nodes)) ** 2
     box_integral = float(np.trapezoid(w4 * mass, delta_nodes))
-    # both signs of delta: |f4^(-d)| = |conj of transform at d| only for real f4;
-    # integrate the negative side explicitly
-    w4m = np.abs(f4.transform(-delta_nodes)) ** 2
-    massm = mass  # s and the (u, v) weights are even under delta -> -delta
-    box_integral += float(np.trapezoid(w4m * massm, delta_nodes))
     beta_tail = float(
-        np.trapezoid((w4 + w4m) * np.maximum(deficit, 0.0) * mass, delta_nodes)
+        np.trapezoid(w4 * np.maximum(deficit, 0.0) * mass, delta_nodes)
         / max(box_integral, 1e-300)
     )
     return box_integral, beta_tail
@@ -441,9 +441,10 @@ def _hs_mass_box(kernel: ProductKernel, delta_nodes: np.ndarray, B: float,
 def _delta_marginal_fractions(f4: Factor1D, delta_min: float, delta_max: float) -> tuple[float, float]:
     """Fractions of the delta-marginal mass excluded below delta_min and
     beyond delta_max; the marginal density is |f4^(delta)|^2 because the
-    remaining factors integrate out independently for product kernels."""
-    dd = np.linspace(0.0, delta_max + 2 * f4.bandwidth, 8000)
-    dens = np.abs(f4.transform(dd)) ** 2 + np.abs(f4.transform(-dd)) ** 2
+    remaining factors integrate out independently for product kernels, and
+    it is even in delta because f4 is real."""
+    dd = np.linspace(0.0, delta_max + 2 * _reach(f4), 8000)
+    dens = np.abs(f4.transform(dd)) ** 2
     total = float(np.trapezoid(dens, dd))
     inner = float(np.trapezoid(dens[dd <= delta_min], dd[dd <= delta_min]))
     outer = float(np.trapezoid(dens[dd >= delta_max], dd[dd >= delta_max]))
@@ -464,25 +465,24 @@ def plancherel_calibrate(
     over the quadrature box; the small-|delta| exclusion and the outer
     tails are estimated from the kernel's central (x4) spectral density
     and compensated.  The constant itself is calibrated, never asserted:
-    constancy across kernels is the meaningful output.
+    constancy across kernels is the meaningful output.  An undersized box
+    raises QuadratureBoxError.
     """
     if len(kernels) < 2:
         raise ValueError("need at least two kernels to judge constancy")
     ests: list[float] = []
-    tails: list[float] = []
-    box_used: dict = {}
     kernel_echo: list[dict] = []
     for spec in kernels:
         if isinstance(spec, GaussianKernelSpec):
-            kernel_echo.append(dict(centers=list(spec.centers), widths=list(spec.widths)))
+            echo = dict(centers=list(spec.centers), widths=list(spec.widths))
         else:
-            kernel_echo.append(dict(kind="custom-product"))
+            echo = dict(kind="custom-product")
         kern = spec if isinstance(spec, ProductKernel) else ProductKernel.from_gaussian(spec)
         f1, f2, f3, f4 = kern.factors
-        # f4's spectral density lives inside |d| <~ bandwidth; size the box there
-        dmax = delta_max if delta_max is not None else 0.7 * f4.bandwidth
+        # f4's spectral density lives inside |d| <~ its reach; size the box there
+        dmax = delta_max if delta_max is not None else 0.7 * _reach(f4)
         dmax *= box_scale
-        B = beta_box if beta_box is not None else (4.0 * f3.bandwidth**2 / delta_min + f2.bandwidth)
+        B = beta_box if beta_box is not None else (4.0 * _reach(f3)**2 / delta_min + _reach(f2))
         B *= box_scale
         delta_nodes = np.linspace(delta_min, dmax, n_delta)
         box_integral, beta_tail = _hs_mass_box(kern, delta_nodes, B)
@@ -492,20 +492,20 @@ def plancherel_calibrate(
         # stay below the 0.1% mass bar
         residual_tail = r_out + max(beta_tail, 0.0)
         if residual_tail > 1e-3:
-            raise ValueError(
+            raise QuadratureBoxError(
                 f"quadrature box too small: uncompensated tail {residual_tail:.2%}"
             )
         tail = r_in + residual_tail
         if tail > 0.2:
-            raise ValueError(f"delta_min excludes too much mass ({tail:.2%})")
-        c_est = kern.l2_normsq() * (1.0 - tail) / box_integral
-        ests.append(c_est)
-        tails.append(tail)
-        box_used = dict(delta_min=delta_min, delta_max=float(dmax), beta_box=float(B))
+            raise QuadratureBoxError(f"delta_min excludes too much mass ({tail:.2%})")
+        ests.append(kern.l2_normsq() * (1.0 - tail) / box_integral)
+        echo.update(box=dict(delta_min=delta_min, delta_max=float(dmax), beta_box=float(B)),
+                    tail=tail)
+        kernel_echo.append(echo)
     mean = float(np.mean(ests))
     spread = float((max(ests) - min(ests)) / mean)
-    return CalibrationReport(ests, mean, spread, box_used, float(max(tails)),
-                             tails, kernel_echo)
+    return CalibrationReport(ests, mean, spread, float(max(k["tail"] for k in kernel_echo)),
+                             kernel_echo)
 
 
 # ---------------------------------------------------------------------------

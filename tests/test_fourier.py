@@ -5,9 +5,11 @@ import pytest
 
 from engellab.algebra import GroupElement, exp_basis, multiply
 from engellab.fourier import (
+    Factor1D,
     GaussianKernelSpec,
     GridMarginError,
     ProductKernel,
+    QuadratureBoxError,
     difference_op_check,
     fourier_gaussian,
     fourier_product_kernel,
@@ -149,6 +151,33 @@ def test_matrix_coefficient_center_phase():
     assert c == pytest.approx(np.exp(1j * x4) * complex(GRID.inner(phi, psi)), abs=1e-12)
 
 
+# -- 1-D factor transforms -------------------------------------------------------
+
+
+def _trapezoid_transform(factor, omegas, npts=20001):
+    """Reference f^(w) = int f(t) exp(-i w t) dt by the trapezoid rule on the
+    factor's support box."""
+    t = np.linspace(factor.lo, factor.hi, npts)
+    return np.trapezoid(factor.fn(t)[None, :] * np.exp(-1j * np.outer(omegas, t)), t, axis=1)
+
+
+@pytest.mark.parametrize("name", ["shifted", "times_minus_t", "times_minus_t twice", "sum"])
+def test_factor_transform_matches_trapezoid(name):
+    shifted = GaussianKernelSpec((0.3, 0, 0, 0), (0.7, 1, 1, 1)).factors()[0]
+    other = GaussianKernelSpec((-0.4, 0, 0, 0), (1.1, 1, 1, 1)).factors()[0]
+    factor = {
+        "shifted": shifted,
+        "times_minus_t": shifted.times_minus_t(),
+        "times_minus_t twice": shifted.times_minus_t().times_minus_t(),
+        "sum": Factor1D(shifted.terms + other.terms),
+    }[name]
+    # the widest frequency a Plancherel box reaches, 0.7 * 8/w
+    edge = 0.7 * 8.0 / min(w for _, _, w, _ in factor.terms)
+    omegas = np.linspace(-edge, edge, 201)
+    ref = _trapezoid_transform(factor, omegas)
+    assert np.max(np.abs(factor.transform(omegas) - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
 # -- Fourier transform of product kernels ----------------------------------------
 
 
@@ -248,21 +277,9 @@ def test_fourier_linearity():
     K2 = fourier_gaussian(k2, PARAM, g).matrix
     f1 = ProductKernel.from_gaussian(k1).factors
     f2 = ProductKernel.from_gaussian(k2).factors
-    from engellab.fourier import Factor1D
-
-    summed = ProductKernel(
-        tuple(
-            Factor1D(
-                (lambda a, b: (lambda t: a.fn(t) + b.fn(t)))(fa, fb),
-                min(fa.lo, fb.lo), max(fa.hi, fb.hi),
-                max(fa.bandwidth, fb.bandwidth),
-            )
-            for fa, fb in zip(f1, f2)
-        )
-    )
     # product kernels are not additive coordinate-wise; verify linearity on
-    # a genuine sum in the first slot only
-    mixed = ProductKernel((summed.factors[0],) + f1[1:])
+    # a genuine sum, the two Gaussian terms, in the first slot only
+    mixed = ProductKernel((Factor1D(f1[0].terms + f2[0].terms),) + f1[1:])
     single = ProductKernel((f2[0],) + f1[1:])
     Kmix = fourier_product_kernel(mixed, PARAM, g).matrix
     Ksingle = fourier_product_kernel(single, PARAM, g).matrix
@@ -272,15 +289,51 @@ def test_fourier_linearity():
 # -- Plancherel calibration -------------------------------------------------------
 
 
+DEFAULT_KERNELS = [
+    GaussianKernelSpec((0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0)),
+    GaussianKernelSpec((0.3, -0.2, 0.1, 0.0), (0.7, 1.3, 0.8, 0.6)),
+    GaussianKernelSpec((0.0, 0.4, -0.3, 0.2), (1.2, 0.9, 1.1, 1.4)),
+]
+
+# c estimates and per-kernel boxes of the default kernels when every factor
+# transform was a 200 000-node trapezoid rule; the closed form must
+# reproduce the estimates and the boxes 0.7 * 8/w4, 4 (8/w3)^2 / delta_min + 8/w2
+PINNED = {
+    1.0: dict(c=[0.004038008495100314, 0.0040327548390937116, 0.004043493652158842],
+              delta_max=[5.6, 9.333333333333334, 4.0],
+              beta_box=[5128.0, 8006.153846153846, 4240.293847566574]),
+    2.0: dict(c=[0.004042401619676552, 0.004044271937300448, 0.0040404408057755714],
+              delta_max=[11.2, 18.666666666666668, 8.0],
+              beta_box=[10256.0, 16012.307692307691, 8480.587695133148]),
+}
+
+
+def _assert_pinned(rep, box_scale):
+    pinned = PINNED[box_scale]
+    assert rep.c_estimates == pytest.approx(pinned["c"], rel=1e-12, abs=0)
+    # each kernel reports its own box; kernel 2 (w4 = 0.6) reaches furthest
+    assert [k["box"]["delta_max"] for k in rep.kernels] == pinned["delta_max"]
+    assert [k["box"]["beta_box"] for k in rep.kernels] == pinned["beta_box"]
+    assert rep.tail_estimate == max(k["tail"] for k in rep.kernels)
+
+
 def test_plancherel_constancy_and_tails():
-    kernels = [
-        GaussianKernelSpec((0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0)),
-        GaussianKernelSpec((0.3, -0.2, 0.1, 0.0), (0.7, 1.3, 0.8, 0.6)),
-        GaussianKernelSpec((0.0, 0.4, -0.3, 0.2), (1.2, 0.9, 1.1, 1.4)),
-    ]
-    rep = plancherel_calibrate(kernels)
+    rep = plancherel_calibrate(DEFAULT_KERNELS)
     assert rep.relative_spread <= 0.01
-    assert len(rep.c_estimates) == 3
+    _assert_pinned(rep, 1.0)
+
+
+def test_plancherel_doubled_box_pinned():
+    _assert_pinned(plancherel_calibrate(DEFAULT_KERNELS, box_scale=2.0), 2.0)
+
+
+@pytest.mark.parametrize("box, message", [
+    (dict(beta_box=10.0), "uncompensated tail 0.82%"),  # beta truncation
+    (dict(delta_min=0.3), "excludes too much mass \\(32.84%\\)"),
+])
+def test_plancherel_refuses_undersized_box(box, message):
+    with pytest.raises(QuadratureBoxError, match=message):
+        plancherel_calibrate(DEFAULT_KERNELS, **box)
 
 
 def test_plancherel_dilation_invariance():
