@@ -64,6 +64,16 @@ class QuadratureBoxError(ValueError):
 
 
 _LIVE_RTOL = 1e-13
+_TILE = 128  # points per kernel tile; a tile's (point, node) buffers stay in cache
+
+
+def _live_range(mags: np.ndarray) -> tuple[int, int]:
+    """Index range [lo, hi) of the entries above `_LIVE_RTOL` times the
+    largest, padded by two on each side; (0, 0) when mags vanishes."""
+    live = np.nonzero(mags > _LIVE_RTOL * mags.max())[0]
+    if live.size == 0:
+        return 0, 0
+    return max(0, int(live[0]) - 2), min(len(mags), int(live[-1]) + 3)
 
 
 def live_window(V: np.ndarray, grid: SpectralGrid, shifts=0.0) -> tuple[slice, float]:
@@ -74,12 +84,11 @@ def live_window(V: np.ndarray, grid: SpectralGrid, shifts=0.0) -> tuple[slice, f
     Raises GridMarginError when reach + |shift| > L for some shift, since
     interpolating at xi -+ shift would then leave the box.
     """
-    mags = np.max(np.abs(V.reshape(grid.N, -1)), axis=1)
-    live = np.nonzero(mags > _LIVE_RTOL * mags.max())[0]
-    if live.size == 0:  # V = 0
+    lo, hi = _live_range(np.max(np.abs(V.reshape(grid.N, -1)), axis=1))
+    if hi == 0:  # V = 0
         return slice(0, 0), 0.0
-    lo, hi = max(0, live[0] - 2), min(grid.N, live[-1] + 3)
-    reach = float(max(-grid.nodes[lo], grid.nodes[hi - 1]))
+    nodes = grid.nodes
+    reach = float(max(-nodes[lo], nodes[hi - 1]))
     worst = float(np.max(np.abs(shifts), initial=0.0))
     if reach + worst > grid.L:
         raise GridMarginError(f"shift {worst:.3g} pushes support past the box L = {grid.L:.3g}")
@@ -164,6 +173,21 @@ def infinitesimal(param: Generic, i: int, grid: SpectralGrid) -> InfinitesimalOp
     raise ValueError(f"generator index must be 1..4, got {i}")
 
 
+def _spline_pieces(nodes: np.ndarray, phi2: np.ndarray) -> np.ndarray:
+    """Coefficients (4, N + 1) of phi2's cubic spline, column i + 1 holding
+    piece i, c3 t^3 + c2 t^2 + c1 t + c0 with t = xi - x_i.
+
+    Columns 0 and N are the constant end values: arguments stay inside
+    [-L, L], so a piece index of -1 or N - 1 only comes from an argument
+    that rounds onto an end node.
+    """
+    c = CubicSpline(nodes, phi2).c
+    out = np.zeros((4, len(nodes) + 1), dtype=c.dtype)
+    out[:, 1:-1] = c
+    out[3, 0], out[3, -1] = phi2[0], phi2[-1]
+    return out
+
+
 def matrix_coefficients(param: RepParam, coords: np.ndarray, V: np.ndarray,
                         phi2: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """(pi(x_m) v_k, phi2) for points coords (M, 4) and columns V (N, K).
@@ -173,22 +197,54 @@ def matrix_coefficients(param: RepParam, coords: np.ndarray, V: np.ndarray,
         (pi(x) v, phi2) = h sum_eta v(eta) e^{i theta(eta - s, x)}
                           conj(phi2(eta - s)),
 
-    so one spline of phi2 serves every point and column, and the sum runs
-    over the live window of V only.  Raises GridMarginError when a shift
-    would take phi2's argument past the box.
+    so one cubic spline of phi2 serves every point and column.  On the
+    uniform grid eta_j - s lies in spline piece j + k(s) at an offset
+    t(s) that is the same for every j, so each point's row of phi2 values
+    is one Horner step over a contiguous slice of the piece coefficients.
+
+    The points are sorted by k(s) and taken in tiles of `_TILE`, whose
+    e^{i theta} (cos and sin of `_phase`) and phi2 rows fill two buffers
+    reused from tile to tile.  A tile sums only over the nodes in the live
+    window of V where phi2(eta - s) is live (same `_LIVE_RTOL` rule) for
+    some point of the tile; a tile with no such node gives exact zeros.
+    Raises GridMarginError when a shift would take phi2's argument past
+    the box.
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     shifts = _shift_of(param, coords[:, 0])
     window = live_window(V, grid, shifts)[0]
-    xi = grid.nodes[window]
-    spline = CubicSpline(grid.nodes, phi2)
-    out = np.empty((len(coords), V.shape[1]), dtype=complex)
-    chunk = max(1, int(2e6 // max(len(xi), 1)))
-    for k0 in range(0, len(coords), chunk):
-        x = coords[k0:k0 + chunk].T[:, :, None]  # (4, m, 1)
-        u = xi[None, :] - shifts[k0:k0 + chunk, None]
-        G = np.exp(1j * _phase(param, u, x)) * np.conj(spline(u))
-        out[k0:k0 + chunk] = grid.h * (G @ V[window])
+    p0, p1 = _live_range(np.abs(phi2))
+    xi = grid.nodes
+    c3, c2, c1, c0 = _spline_pieces(xi, phi2)
+    k = np.floor(-shifts / grid.h).astype(int)
+    t = -shifts - k * grid.h
+    Vw = np.asarray(V[window], dtype=complex)  # cast once, not per tile product
+    out = np.zeros((len(coords), V.shape[1]), dtype=complex)
+    size = min(len(coords), _TILE) * len(Vw)
+    gbuf, fbuf = np.empty(size, dtype=complex), np.empty(size, dtype=c0.dtype)
+    order = np.argsort(k, kind="stable")
+    for a in range(0, len(order), _TILE):
+        rows = order[a:a + _TILE]
+        kt = k[rows]  # ascending
+        j0, j1 = max(window.start, p0 - kt[-1]), min(window.stop, p1 - kt[0])
+        if j1 <= j0:
+            continue
+        w = j1 - j0
+        G = gbuf[:len(rows) * w].reshape(len(rows), w)
+        F = fbuf[:len(rows) * w].reshape(len(rows), w)
+        theta = _phase(param, xi[j0:j1] - shifts[rows, None], coords[rows].T[:, :, None])
+        np.cos(theta, out=G.real)
+        np.sin(theta, out=G.imag)
+        # pieces j + k + 1 (padded numbering) for j = j0 .. j1 - 1, at offset t
+        for f, i, tr in zip(F, (kt + j0 + 1).tolist(), t[rows].tolist()):
+            np.multiply(c3[i:i + w], tr, out=f)
+            f += c2[i:i + w]
+            f *= tr
+            f += c1[i:i + w]
+            f *= tr
+            f += c0[i:i + w]
+        G *= F.conj()
+        out[rows] = grid.h * (G @ Vw[j0 - window.start:j1 - window.start])
     return out
 
 
@@ -382,6 +438,12 @@ def _reach(f: Factor1D) -> float:
     return 8.0 / min(w for _, _, w, _ in f.terms)
 
 
+def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
+    """w with w @ y = np.trapezoid(y, x)."""
+    half = 0.5 * np.diff(x)
+    return np.concatenate([half, [0.0]]) + np.concatenate([[0.0], half])
+
+
 def _hs_mass_box(kernel: ProductKernel, delta_nodes: np.ndarray, B: float,
                  nu_pts: int = 192, nv_pts: int = 512) -> tuple[float, float]:
     """Box integral of ||F kappa||_HS^2 |delta| d delta d beta and its
@@ -409,23 +471,24 @@ def _hs_mass_box(kernel: ProductKernel, delta_nodes: np.ndarray, B: float,
     cdf2 = np.concatenate([[0.0], np.cumsum(0.5 * (dens2[1:] + dens2[:-1]) * np.diff(tau))])
     full2 = float(cdf2[-1])
 
-    def beta_mass(s: np.ndarray) -> np.ndarray:
-        hi = np.interp(B + s, tau, cdf2, left=0.0, right=full2)
-        lo = np.interp(-B + s, tau, cdf2, left=0.0, right=full2)
-        return hi - lo
-
-    mass = np.zeros(delta_nodes.shape)
-    deficit = np.zeros(delta_nodes.shape)
-    uu, vv = np.meshgrid(u, vt, indexing="ij")
-    w_uv = np.outer(w1, w3)
+    # the (u, vt) trapezoid rule as one weight array; the delta-node loop
+    # refills one (2, nu, nv) argument buffer in place
+    weights = np.outer(w1 * _trapezoid_weights(u), w3 * _trapezoid_weights(vt))
     base = float(np.trapezoid(w1, u) * np.trapezoid(w3, vt))
+    half_u = 0.5 * u[:, None]
+    arg = np.empty((2, nu_pts, nv_pts))
+    mass = np.empty(delta_nodes.shape)
     for k, dlt in enumerate(delta_nodes):
-        xi_eff = vv / dlt + uu / 2
-        s = 0.5 * dlt * xi_eff**2
-        fb = beta_mass(s)
-        integrand = w_uv * fb
-        mass[k] = np.trapezoid(np.trapezoid(integrand, vt, axis=1), u)
-        deficit[k] = 1.0 - mass[k] / (base * full2)
+        s = arg[0]
+        np.add(vt / dlt, half_u, out=s)  # xi_eff
+        np.square(s, out=s)
+        s *= 0.5 * dlt
+        np.subtract(s, B, out=arg[1])
+        s += B
+        cdf = np.interp(arg, tau, cdf2, left=0.0, right=full2)
+        np.subtract(cdf[0], cdf[1], out=cdf[0])  # beta mass inside [-B, B]
+        mass[k] = np.vdot(weights, cdf[0])
+    deficit = 1.0 - mass / (base * full2)
 
     # both signs of delta: f4 is real, so |f4^(-d)| = |f4^(d)|, and s and the
     # (u, v) weights are even under delta -> -delta

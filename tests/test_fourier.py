@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from engellab.algebra import GroupElement, exp_basis, multiply
 from engellab.fourier import (
@@ -10,6 +11,8 @@ from engellab.fourier import (
     GridMarginError,
     ProductKernel,
     QuadratureBoxError,
+    _phase,
+    _shift_of,
     difference_op_check,
     fourier_gaussian,
     fourier_product_kernel,
@@ -149,6 +152,58 @@ def test_matrix_coefficient_center_phase():
     x4 = 0.83
     c = matrix_coefficient(PARAM, GroupElement(0, 0, 0, x4), phi, psi, GRID)
     assert c == pytest.approx(np.exp(1j * x4) * complex(GRID.inner(phi, psi)), abs=1e-12)
+
+
+ORACLE_GRID = SpectralGrid(16.0, 1024)
+
+
+def _direct_coefficients(param, coords, V, phi2, grid):
+    """Reference kernel: every node, no window, phi2's spline evaluated at
+    xi - s by scipy, then one product with V."""
+    shifts = _shift_of(param, coords[:, 0])
+    u = grid.nodes[None, :] - shifts[:, None]
+    G = (np.exp(1j * _phase(param, u, coords.T[:, :, None]))
+         * np.conj(CubicSpline(grid.nodes, phi2)(u)))
+    return grid.h * (G @ V)
+
+
+def _oracle_vectors(complex_values):
+    """Three columns of V and a phi2, live over |xi| < ~7.3 of the L = 16 box."""
+    xi = ORACLE_GRID.nodes
+    V = np.column_stack([np.exp(-((xi - c) ** 2) / 1.28) * (xi - c) ** p
+                         for c, p in ((0.0, 0), (0.5, 1), (-0.7, 2))])
+    phi2 = np.exp(-((xi - 0.3) ** 2) / 1.5)
+    if complex_values:
+        V = V * np.exp(0.4j * xi)[:, None]
+        phi2 = phi2 * np.exp(-0.7j * xi)
+    return V, phi2
+
+
+@pytest.mark.parametrize("param", [Generic(1.0, 0.3), Generic(-0.7, 0.2), Schrodinger(0.8),
+                                   Character(0.4, -1.1)], ids=repr)
+@pytest.mark.parametrize("M", [1, 127, 128, 129, 1000])
+def test_kernel_matches_direct_formula(param, M):
+    # the tiles (128 points), the overlap windows and the piece-aligned
+    # spline reproduce the direct sum; rows come back in input order
+    rng = np.random.default_rng(M)
+    coords = np.column_stack([rng.uniform(-8.0, 8.0, M), rng.standard_normal((M, 3))])
+    perm = rng.permutation(M)
+    for complex_values in (False, True):
+        V, phi2 = _oracle_vectors(complex_values)
+        ref = _direct_coefficients(param, coords, V, phi2, ORACLE_GRID)
+        got = matrix_coefficients(param, coords[perm], V, phi2, ORACLE_GRID)
+        assert np.max(np.abs(got - ref[perm])) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_kernel_zero_when_phi2_misses_window():
+    # the shifted phi2 (live for -6.4 < u < 7.0) misses V's window entirely, yet
+    # the shift keeps every argument inside the box: exact zeros
+    V, phi2 = _oracle_vectors(True)
+    V = V * (np.abs(ORACLE_GRID.nodes) < 1.0)[:, None]
+    coords = np.array([[-8.6, 0.3, -0.2, 0.1]])
+    assert not np.any(matrix_coefficients(PARAM, coords, V, phi2, ORACLE_GRID))
+    ref = _direct_coefficients(PARAM, coords, V, phi2, ORACLE_GRID)
+    assert np.max(np.abs(ref)) <= 1e-12
 
 
 # -- 1-D factor transforms -------------------------------------------------------
