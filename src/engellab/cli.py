@@ -431,7 +431,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--grid-n", type=int, default=None)
     parser.add_argument("--grid-l", type=float, default=None)
     parser.add_argument("--tol", type=float, default=None,
-                        help="critical-points bisection tolerance")
+                        help="critical-points root tolerance: the Newton "
+                             "refinement stops once a step is below it")
     parser.add_argument("--hbar-ladder", type=str, default=None,
                         help="comma-separated hbar values")
     args = parser.parse_args(argv)

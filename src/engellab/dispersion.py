@@ -36,6 +36,14 @@ from .spectral import (
 # ---------------------------------------------------------------------------
 
 
+class ScanBracketError(RuntimeError):
+    """A sign change of the coarse scan that the full grid does not confirm."""
+
+
+# the sign-change scan runs on (N - 1) // _SCAN_COARSEN + 1 nodes of the box
+_SCAN_COARSEN = 8
+
+
 @dataclass
 class DispersionReport:
     """One certified critical point of a Montgomery branch."""
@@ -48,6 +56,8 @@ class DispersionReport:
     certificate: int  # sign changes of mu' counted over the whole scan
     curvature_step: float
     kind: str  # "minimum" | "maximum"
+    scan_grid_n: int  # nodes of the grid the certificate was counted on
+    scan_margin: float  # smallest |mu'| over the scan samples
 
     def to_dict(self) -> dict:
         return dict(
@@ -59,6 +69,8 @@ class DispersionReport:
             certificate=self.certificate,
             curvature_step=self.curvature_step,
             kind=self.kind,
+            scan_grid_n=self.scan_grid_n,
+            scan_margin=self.scan_margin,
         )
 
     def to_json(self) -> str:
@@ -76,10 +88,18 @@ def critical_points(
 ) -> list[DispersionReport]:
     """Locate and certify all roots of mutilde_n' inside the scan window.
 
-    Roots are isolated by sign changes of the FH derivative on the sample
-    grid, refined by bisection to `tol`, and merged when closer than
-    `merge_tol`.  The curvature comes from central differences of the FH
-    derivative with Richardson halving of the step.
+    One box covers both ends of the scan.  The certificate is the number of
+    sign changes of the FH derivative over `samples` points, counted on
+    that box with (N - 1) // 8 + 1 nodes; a sample where it is exactly 0
+    opens a bracket of its own.  Each bracket is confirmed on the N-node
+    grid (`ScanBracketError` if the end values there do not bracket a
+    root) and refined on it by Newton steps on the FH derivative with the
+    FH second derivative, starting from the secant point: a step that
+    leaves the bracket is replaced by its midpoint, and the iteration stops
+    once a step is below `tol`.  Roots closer than `merge_tol` are merged.
+    The curvature comes from central differences of the FH derivative with
+    Richardson halving of the step, and mu from one eigensolve, both on the
+    N-node grid.
     """
     lo, hi = float(scan[0]), float(scan[1])
     if not hi > lo:
@@ -87,12 +107,14 @@ def critical_points(
     nus = np.linspace(lo, hi, samples)
     # one shared box for the whole scan, covering both of its ends
     grid = box_grid([Montgomery(lo), Montgomery(hi)], n, N)
-    d1 = np.array([mu_beta_derivative(1.0, v, n, grid=grid, N=N) for v in nus])
+    coarse = SpectralGrid(grid.L, (N - 1) // _SCAN_COARSEN + 1)
+    d1 = np.array([mu_beta_derivative(1.0, v, n, grid=coarse) for v in nus])
 
     sign_changes = [
         k for k in range(samples - 1) if d1[k] == 0.0 or d1[k] * d1[k + 1] < 0.0
     ]
     certificate = len(sign_changes)
+    margin = float(np.min(np.abs(d1)))
     if not sign_changes:
         warnings.warn(
             f"no sign change of the branch derivative on [{lo}, {hi}]; "
@@ -103,16 +125,7 @@ def critical_points(
     roots: list[tuple[float, tuple[float, float]]] = []
     for k in sign_changes:
         a, b = float(nus[k]), float(nus[k + 1])
-        fa = d1[k]
-        bracket = (a, b)
-        while b - a > tol:
-            m = 0.5 * (a + b)
-            fm = mu_beta_derivative(1.0, m, n, grid=grid, N=N)
-            if fa * fm <= 0:
-                b = m
-            else:
-                a, fa = m, fm
-        roots.append((0.5 * (a + b), bracket))
+        roots.append((_refine_root(a, b, n, grid, tol), (a, b)))
 
     merged: list[tuple[float, tuple[float, float]]] = []
     for root, bracket in roots:
@@ -122,7 +135,7 @@ def critical_points(
 
     reports = []
     for root, bracket in merged:
-        curv = _curvature(root, n, N, grid, curvature_step)
+        curv = _curvature(root, n, grid, curvature_step)
         mu_at = float(solve_lowest(Montgomery(root), n, grid=grid, confine_level=n)
                       .eigenvalues[n - 1])
         reports.append(
@@ -135,18 +148,52 @@ def critical_points(
                 certificate=certificate,
                 curvature_step=curvature_step,
                 kind="minimum" if curv > 0 else "maximum",
+                scan_grid_n=coarse.N,
+                scan_margin=margin,
             )
         )
     return reports
 
 
-def _curvature(nu: float, n: int, N: int, grid: SpectralGrid | None, step: float) -> float:
-    """mutilde_n''(nu) by central differences of the FH derivative,
-    Richardson-extrapolated from steps `step` and `step/2`."""
+def _refine_root(a: float, b: float, n: int, grid: SpectralGrid, tol: float) -> float:
+    """Root of mutilde_n' in [a, b] on `grid` by safeguarded Newton steps."""
+    fa = mu_beta_derivative(1.0, a, n, grid=grid)
+    fb = mu_beta_derivative(1.0, b, n, grid=grid)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if fa * fb > 0.0:
+        raise ScanBracketError(
+            f"mu_{n}' = {fa:.3g}, {fb:.3g} at the ends of [{a}, {b}] on the "
+            f"{grid.N}-node grid: the scan's sign change is not confirmed; "
+            "raise N"
+        )
+    x = a - fa * (b - a) / (fb - fa)
+    while True:
+        data = spectral_data(1.0, x, n, grid=grid)
+        f = data.mu_d1
+        if f == 0.0:
+            return x
+        if (f < 0.0) == (fa < 0.0):
+            a, fa = x, f
+        else:
+            b = x
+        step = -f / data.mu_d2 if data.mu_d2 else math.inf
+        if not a <= x + step <= b:
+            step = 0.5 * (a + b) - x
+        x += step
+        if abs(step) < tol:
+            return x
+
+
+def _curvature(nu: float, n: int, grid: SpectralGrid, step: float) -> float:
+    """mutilde_n''(nu) by central differences of the FH derivative on one
+    grid, Richardson-extrapolated from steps `step` and `step/2`."""
 
     def diff(s: float) -> float:
-        return (mu_beta_derivative(1.0, nu + s, n, grid=grid, N=N)
-                - mu_beta_derivative(1.0, nu - s, n, grid=grid, N=N)) / (2 * s)
+        return (mu_beta_derivative(1.0, nu + s, n, grid=grid)
+                - mu_beta_derivative(1.0, nu - s, n, grid=grid)) / (2 * s)
 
     d_full = diff(step)
     d_half = diff(0.5 * step)
@@ -154,8 +201,11 @@ def _curvature(nu: float, n: int, N: int, grid: SpectralGrid | None, step: float
 
 
 def branch_curvature(n: int, nu: float, N: int = 8192, step: float = 1e-3) -> float:
-    """Public wrapper around the curvature estimator."""
-    return _curvature(float(nu), n, N, None, step)
+    """Public wrapper around the curvature estimator, on one box that
+    confines level n over [nu - step, nu + step]."""
+    nu = float(nu)
+    grid = box_grid([Montgomery(nu - step), Montgomery(nu + step)], n, N)
+    return _curvature(nu, n, grid, step)
 
 
 # ---------------------------------------------------------------------------

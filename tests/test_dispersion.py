@@ -4,18 +4,22 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from engellab import dispersion, spectral
 from engellab.dispersion import (
     ALLOWED,
     NOT_ADMISSIBLE,
     OBSTRUCTED,
     ConeSection,
+    ScanBracketError,
     branch_curvature,
     critical_points,
     curvature_consistency,
     strichartz_admissible,
 )
+from engellab.spectral import Montgomery, box_grid, mu_beta_derivative
 
 # frozen by the dense-scan + Richardson grid-refinement oracle (N = 16384)
 NU_CRIT_1 = -0.3467583952
@@ -40,8 +44,6 @@ def test_frozen_values_regression():
 
 
 def test_report_root_quality_and_grid_stability():
-    from engellab.spectral import mu_beta_derivative
-
     r1 = critical_points(1, scan=(-1.0, 0.5), N=4096, samples=41)[0]
     r2 = critical_points(1, scan=(-1.0, 0.5), N=8192, samples=41)[0]
     assert abs(r1.nu_c - r2.nu_c) <= 1e-4
@@ -58,6 +60,63 @@ def test_report_json_round_trip():
     r = critical_points(1, scan=(-1.0, 0.5), N=2048, samples=21)[0]
     payload = json.loads(r.to_json())
     assert payload["n"] == 1 and payload["certificate"] == 1
+    assert payload == r.to_dict()
+    assert payload["scan_grid_n"] == 2047 // 8 + 1
+    assert 0.0 < payload["scan_margin"] < 0.1
+    # diagnostics are deterministic
+    again = critical_points(1, scan=(-1.0, 0.5), N=2048, samples=21)[0]
+    assert again.to_json() == r.to_json()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_certificate_and_root_match_full_grid_oracle(n, monkeypatch):
+    N, samples, lo, hi = 4096, 81, -4.0, 4.0
+    grid = box_grid([Montgomery(lo), Montgomery(hi)], n, N)
+    nus = np.linspace(lo, hi, samples)
+    d1 = [mu_beta_derivative(1.0, v, n, grid=grid) for v in nus]
+    changes = [k for k in range(samples - 1) if d1[k] == 0.0 or d1[k] * d1[k + 1] < 0.0]
+
+    solves: list[int] = []
+    eigen_lowest = spectral.eigen_lowest
+
+    def counting(op, k, *args, **kwargs):
+        solves.append(op.grid.N)
+        return eigen_lowest(op, k, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigen_lowest", counting)
+    reports = critical_points(n, scan=(lo, hi), N=N, samples=samples)
+    monkeypatch.undo()
+
+    assert len(reports) == len(changes) >= 1
+    assert solves.count(N) <= 10 * len(reports)
+    for r, k in zip(reports, changes):
+        assert r.certificate == len(changes)
+        assert r.bracket == (nus[k], nus[k + 1])
+        a, b = r.bracket
+        assert a <= r.nu_c <= b
+        # plain bisection on the full grid
+        fa = d1[k]
+        while b - a > 1e-12:
+            m = 0.5 * (a + b)
+            fm = mu_beta_derivative(1.0, m, n, grid=grid)
+            if fa * fm <= 0.0:
+                b = m
+            else:
+                a, fa = m, fm
+        assert abs(r.nu_c - 0.5 * (a + b)) <= 1e-10
+
+
+def test_unconfirmed_scan_bracket_raises(monkeypatch):
+    N = 2048
+    real = dispersion.mu_beta_derivative
+
+    def sign_change_on_coarse_grid_only(delta, beta, n, grid):
+        value = real(delta, beta, n, grid=grid)
+        return value if grid.N < N else abs(value) + 1.0
+
+    monkeypatch.setattr(dispersion, "mu_beta_derivative", sign_change_on_coarse_grid_only)
+    with pytest.raises(ScanBracketError, match="not confirmed"):
+        critical_points(1, scan=(-1.0, 0.5), N=N, samples=21)
 
 
 def test_curvature_consistency_across_cone():
