@@ -9,8 +9,9 @@ dilation weights (1, 1, 2, 3) and homogeneous dimension Q = 7.
 
 Group elements are stored in semidirect coordinates: the point
 (x1, x2, x3, x4) stands for Exp(x1 X1 + x3 X3 + x4 X4) Exp(x2 X2).
-All operations work for float coordinates and are exact on
-int/Fraction coordinates.
+All operations are exact on int/Fraction coordinates and work for float
+coordinates; on float arrays they act elementwise, so one GroupElement
+whose coordinates are (M,) arrays is a batch of M points.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ _BRACKET_TABLE = {(1, 2): 3, (1, 3): 4}
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Point of the Engel group in semidirect coordinates."""
+    """Point of the Engel group in semidirect coordinates; with float array
+    coordinates, a batch of points handled elementwise."""
 
     x1: object
     x2: object
@@ -48,7 +50,7 @@ IDENTITY = GroupElement(0, 0, 0, 0)
 
 def multiply(x: GroupElement, y: GroupElement) -> GroupElement:
     """Group product in semidirect coordinates."""
-    half = _half_for(x.x1, y.x1)
+    half = _half_for(*x, *y)
     return GroupElement(
         x.x1 + y.x1,
         x.x2 + y.x2,
@@ -62,26 +64,22 @@ def inverse(x: GroupElement) -> GroupElement:
     return GroupElement(-x.x1, -x.x2, -x.x3 - x.x2 * x.x1, -x.x4)
 
 
-def conjugate(g: GroupElement, x: GroupElement) -> GroupElement:
-    """g x g^{-1}."""
-    return multiply(multiply(g, x), inverse(g))
-
-
 def dilate(r, x: GroupElement) -> GroupElement:
-    """Anisotropic dilation with weights (1, 1, 2, 3); Jacobian r**7.
+    """Anisotropic dilation with `WEIGHTS`; Jacobian r**HOMOGENEOUS_DIMENSION.
 
     Rejects non-positive r: dilations form a one-parameter group over r > 0.
     """
     if not r > 0:
         raise ValueError(f"dilation factor must be positive, got {r!r}")
-    return GroupElement(r * x.x1, r * x.x2, r * r * x.x3, r * r * r * x.x4)
+    return GroupElement(*(r**w * c for w, c in zip(WEIGHTS, x)))
 
 
 def _half_for(*vals):
-    """Exact 1/2 when all coordinates are exact, float 0.5 otherwise."""
-    if any(isinstance(v, float) for v in vals):
-        return 0.5
-    return Fraction(1, 2)
+    """Exact 1/2 when every coordinate is an int or Fraction, float 0.5
+    otherwise (floats and float arrays)."""
+    if all(isinstance(v, (int, Fraction)) for v in vals):
+        return Fraction(1, 2)
+    return 0.5
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,8 @@ class ScanBracketError(RuntimeError):
 
 # the sign-change scan runs on (N - 1) // _SCAN_COARSEN + 1 nodes of the box
 _SCAN_COARSEN = 8
+# central-difference step of the curvature; Richardson also uses half of it
+_CURVATURE_STEP = 1e-3
 
 
 @dataclass
@@ -83,8 +85,6 @@ def critical_points(
     tol: float = 1e-10,
     samples: int = 161,
     N: int = 8192,
-    curvature_step: float = 1e-3,
-    merge_tol: float = 1e-5,
 ) -> list[DispersionReport]:
     """Locate and certify all roots of mutilde_n' inside the scan window.
 
@@ -96,10 +96,10 @@ def critical_points(
     root) and refined on it by Newton steps on the FH derivative with the
     FH second derivative, starting from the secant point: a step that
     leaves the bracket is replaced by its midpoint, and the iteration stops
-    once a step is below `tol`.  Roots closer than `merge_tol` are merged.
-    The curvature comes from central differences of the FH derivative with
-    Richardson halving of the step, and mu from one eigensolve, both on the
-    N-node grid.
+    once a step is below `tol`.  Brackets are disjoint, so each holds one
+    reported root.  The curvature comes from central differences of the FH
+    derivative with Richardson halving of `_CURVATURE_STEP`, and mu from one
+    eigensolve, both on the N-node grid.
     """
     lo, hi = float(scan[0]), float(scan[1])
     if not hi > lo:
@@ -122,20 +122,11 @@ def critical_points(
             stacklevel=2,
         )
 
-    roots: list[tuple[float, tuple[float, float]]] = []
-    for k in sign_changes:
-        a, b = float(nus[k]), float(nus[k + 1])
-        roots.append((_refine_root(a, b, n, grid, tol), (a, b)))
-
-    merged: list[tuple[float, tuple[float, float]]] = []
-    for root, bracket in roots:
-        if merged and abs(root - merged[-1][0]) < merge_tol:
-            continue
-        merged.append((root, bracket))
-
     reports = []
-    for root, bracket in merged:
-        curv = _curvature(root, n, grid, curvature_step)
+    for k in sign_changes:
+        bracket = (float(nus[k]), float(nus[k + 1]))
+        root = _refine_root(*bracket, n, grid, tol)
+        curv = _curvature(root, n, grid)
         mu_at = float(solve_lowest(Montgomery(root), n, grid=grid, confine_level=n)
                       .eigenvalues[n - 1])
         reports.append(
@@ -146,7 +137,7 @@ def critical_points(
                 curvature=curv,
                 bracket=bracket,
                 certificate=certificate,
-                curvature_step=curvature_step,
+                curvature_step=_CURVATURE_STEP,
                 kind="minimum" if curv > 0 else "maximum",
                 scan_grid_n=coarse.N,
                 scan_margin=margin,
@@ -187,25 +178,25 @@ def _refine_root(a: float, b: float, n: int, grid: SpectralGrid, tol: float) -> 
             return x
 
 
-def _curvature(nu: float, n: int, grid: SpectralGrid, step: float) -> float:
+def _curvature(nu: float, n: int, grid: SpectralGrid) -> float:
     """mutilde_n''(nu) by central differences of the FH derivative on one
-    grid, Richardson-extrapolated from steps `step` and `step/2`."""
+    grid, Richardson-extrapolated from steps `_CURVATURE_STEP` and half of it."""
 
     def diff(s: float) -> float:
         return (mu_beta_derivative(1.0, nu + s, n, grid=grid)
                 - mu_beta_derivative(1.0, nu - s, n, grid=grid)) / (2 * s)
 
-    d_full = diff(step)
-    d_half = diff(0.5 * step)
+    d_full = diff(_CURVATURE_STEP)
+    d_half = diff(0.5 * _CURVATURE_STEP)
     return (4.0 * d_half - d_full) / 3.0
 
 
-def branch_curvature(n: int, nu: float, N: int = 8192, step: float = 1e-3) -> float:
+def branch_curvature(n: int, nu: float, N: int = 8192) -> float:
     """Public wrapper around the curvature estimator, on one box that
-    confines level n over [nu - step, nu + step]."""
+    confines level n over nu -+ `_CURVATURE_STEP`."""
     nu = float(nu)
-    grid = box_grid([Montgomery(nu - step), Montgomery(nu + step)], n, N)
-    return _curvature(nu, n, grid, step)
+    grid = box_grid([Montgomery(nu - _CURVATURE_STEP), Montgomery(nu + _CURVATURE_STEP)], n, N)
+    return _curvature(nu, n, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ where g^ is the 1-D Fourier transform int g(t) exp(-i w t) dt: the x1
 integral is pinned by the shift and the remaining three are 1-D factors.
 Each factor is a finite sum of polynomial x Gaussian terms, so g^ is
 closed form, and the Plancherel quadrature boxes are sized from the
-factors' widths.
+factors' widths.  Plancherel calibration takes Gaussian kernels, whose
+delta marginal |f4^(delta)|^2 makes the delta fractions outside the box
+erf/erfc in closed form.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Sequence
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .algebra import GroupElement, inverse
+from .algebra import WEIGHTS, GroupElement, inverse
 from .spectral import Character, Generic, RepParam, Schrodinger, SpectralGrid
 
 __all__ = [
@@ -336,11 +338,10 @@ class GaussianKernelSpec:
                 for c, w in zip(self.centers, self.widths)]
 
     def dilated(self, r: float) -> "GaussianKernelSpec":
-        """Kernel x -> kappa(r . x) for the group dilation (weights 1,1,2,3)."""
-        ws = (1, 1, 2, 3)
+        """Kernel x -> kappa(r . x) for the group dilation."""
         return GaussianKernelSpec(
-            tuple(c / r**u for c, u in zip(self.centers, ws)),
-            tuple(w / r**u for w, u in zip(self.widths, ws)),
+            tuple(c / r**u for c, u in zip(self.centers, WEIGHTS)),
+            tuple(w / r**u for w, u in zip(self.widths, WEIGHTS)),
         )
 
 
@@ -501,55 +502,45 @@ def _hs_mass_box(kernel: ProductKernel, delta_nodes: np.ndarray, B: float,
     return box_integral, beta_tail
 
 
-def _delta_marginal_fractions(f4: Factor1D, delta_min: float, delta_max: float) -> tuple[float, float]:
-    """Fractions of the delta-marginal mass excluded below delta_min and
-    beyond delta_max; the marginal density is |f4^(delta)|^2 because the
-    remaining factors integrate out independently for product kernels, and
-    it is even in delta because f4 is real."""
-    dd = np.linspace(0.0, delta_max + 2 * _reach(f4), 8000)
-    dens = np.abs(f4.transform(dd)) ** 2
-    total = float(np.trapezoid(dens, dd))
-    inner = float(np.trapezoid(dens[dd <= delta_min], dd[dd <= delta_min]))
-    outer = float(np.trapezoid(dens[dd >= delta_max], dd[dd >= delta_max]))
-    return inner / total, outer / total
+_N_DELTA = 96  # delta nodes of the Plancherel quadrature box
 
 
 def plancherel_calibrate(
-    kernels: Sequence[GaussianKernelSpec | ProductKernel],
+    kernels: Sequence[GaussianKernelSpec],
     delta_min: float = 0.05,
     delta_max: float | None = None,
     beta_box: float | None = None,
-    n_delta: int = 96,
     box_scale: float = 1.0,
 ) -> CalibrationReport:
     """Estimate the Plancherel constant from the L^2 Parseval identity.
 
     For each kernel, c_est = ||kappa||_2^2 / int ||F kappa||_HS^2 |d| dd db
     over the quadrature box; the small-|delta| exclusion and the outer
-    tails are estimated from the kernel's central (x4) spectral density
-    and compensated.  The constant itself is calibrated, never asserted:
-    constancy across kernels is the meaningful output.  An undersized box
-    raises QuadratureBoxError.
+    tails are compensated through the kernel's central (x4) spectral
+    density.  That delta marginal is |f4^(delta)|^2, proportional to
+    exp(-w4^2 delta^2) for the x4 width w4, because the other factors
+    integrate out independently; so the excluded fractions are
+    erf(w4 delta_min) and erfc(w4 delta_max) in closed form.  The constant
+    itself is calibrated, never asserted: constancy across kernels is the
+    meaningful output.  An undersized box raises QuadratureBoxError.
     """
     if len(kernels) < 2:
         raise ValueError("need at least two kernels to judge constancy")
     ests: list[float] = []
     kernel_echo: list[dict] = []
     for spec in kernels:
-        if isinstance(spec, GaussianKernelSpec):
-            echo = dict(centers=list(spec.centers), widths=list(spec.widths))
-        else:
-            echo = dict(kind="custom-product")
-        kern = spec if isinstance(spec, ProductKernel) else ProductKernel.from_gaussian(spec)
+        echo = dict(centers=list(spec.centers), widths=list(spec.widths))
+        kern = ProductKernel.from_gaussian(spec)
         f1, f2, f3, f4 = kern.factors
         # f4's spectral density lives inside |d| <~ its reach; size the box there
         dmax = delta_max if delta_max is not None else 0.7 * _reach(f4)
         dmax *= box_scale
         B = beta_box if beta_box is not None else (4.0 * _reach(f3)**2 / delta_min + _reach(f2))
         B *= box_scale
-        delta_nodes = np.linspace(delta_min, dmax, n_delta)
+        delta_nodes = np.linspace(delta_min, dmax, _N_DELTA)
         box_integral, beta_tail = _hs_mass_box(kern, delta_nodes, B)
-        r_in, r_out = _delta_marginal_fractions(f4, delta_min, dmax)
+        w4 = spec.widths[3]
+        r_in, r_out = math.erf(w4 * delta_min), math.erfc(w4 * dmax)
         # r_in is compensated exactly through the x4 marginal density; the
         # uncompensated residual (outer delta tail + beta truncation) must
         # stay below the 0.1% mass bar
@@ -583,10 +574,12 @@ class DifferenceOpResult:
     relative: float
 
 
+_BETA_STEP = 1e-3  # central-difference step of d_beta in Delta_2
+
+
 def difference_op_check(kernel: GaussianKernelSpec | ProductKernel, index: int,
                         delta: float, beta: float,
-                        grid: SpectralGrid | None = None,
-                        beta_step: float = 1e-3) -> DifferenceOpResult:
+                        grid: SpectralGrid | None = None) -> DifferenceOpResult:
     """Verify the first two difference-operator formulas in HS norm.
 
     Delta_1 F kappa = (i/delta) [pi(X3), F kappa]  and
@@ -606,9 +599,9 @@ def difference_op_check(kernel: GaussianKernelSpec | ProductKernel, index: int,
         xi = grid.nodes
         rhs = -(xi[:, None] - xi[None, :]) * K
     else:
-        Kp = fourier_product_kernel(kern, Generic(delta, beta + beta_step), grid).matrix
-        Km = fourier_product_kernel(kern, Generic(delta, beta - beta_step), grid).matrix
-        rhs = (Kp - Km) / (2j * beta_step)
+        Kp = fourier_product_kernel(kern, Generic(delta, beta + _BETA_STEP), grid).matrix
+        Km = fourier_product_kernel(kern, Generic(delta, beta - _BETA_STEP), grid).matrix
+        rhs = (Kp - Km) / (2j * _BETA_STEP)
     dev = float(np.sqrt(np.sum(np.abs(lhs - rhs) ** 2)) * grid.h)
     scale = float(np.sqrt(np.sum(np.abs(rhs) ** 2)) * grid.h)
     return DifferenceOpResult(index, dev, dev / max(scale, 1e-300))

@@ -231,9 +231,11 @@ class EigenResult:
 
 
 _PEAK_RTOL = 1e-8  # mirror peaks differ by rounding, 1e-13..1e-10 relative
+_EIGEN_RESIDUAL_RTOL = 1e-8  # eigenpair residual bound, relative to max(|mu|, 1)
+_GAP_RTOL = 1e-8  # smallest spectral gap, relative to max(|mu|, 1), for dPi_n
 
 
-def eigen_lowest(op: OperatorMatrix, k: int, residual_tol: float = 1e-8,
+def eigen_lowest(op: OperatorMatrix, k: int,
                  confine_level: int | None = None) -> EigenResult:
     """k lowest eigenpairs of the tridiagonal operator.
 
@@ -273,7 +275,7 @@ def eigen_lowest(op: OperatorMatrix, k: int, residual_tol: float = 1e-8,
     floor = 200.0 * np.finfo(float).eps * opnorm
     for j in range(k):
         r = op.apply(vecs[:, j]) - vals[j] * vecs[:, j]
-        if op.grid.norm(r) > residual_tol * max(abs(vals[j]), 1.0) + floor:
+        if op.grid.norm(r) > _EIGEN_RESIDUAL_RTOL * max(abs(vals[j]), 1.0) + floor:
             raise RuntimeError(f"eigen residual too large for mode {j + 1}")
     if k >= 2:
         gaps = np.diff(vals)
@@ -407,12 +409,12 @@ class ProjectorPair:
 
 
 def projector_derivative(delta: float, beta: float, n: int,
-                         grid: SpectralGrid | None = None, N: int = 4096,
-                         gap_tol: float = 1e-8) -> ProjectorPair:
+                         grid: SpectralGrid | None = None,
+                         N: int = 4096) -> ProjectorPair:
     """dPi_n from the eigenvector derivative; refuses on near-degenerate levels."""
     data = spectral_data(delta, beta, n, grid=grid, N=N)
     gap = data.eigen.gap(n)
-    if gap < gap_tol * max(1.0, abs(data.mu)):
+    if gap < _GAP_RTOL * max(1.0, abs(data.mu)):
         raise RuntimeError(
             f"spectral gap {gap:.3g} at level {n} below threshold; "
             "projector derivative is ill-conditioned"

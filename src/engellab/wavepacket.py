@@ -24,18 +24,34 @@ The exact L2 norm of the bare packet is hbar^{3/4} sqrt(2 pi / |delta0|)
 scales (hbar, hbar^2) with constant transverse mass (an exact ambiguity-
 function identity), while the profile carries (x2, x4) at scales
 (hbar^{1/2}, hbar^{3/2}).  Sampling proposals below follow those scales.
+
+Batches of points are GroupElements with (M,) float coordinate arrays, and
+every product, inverse and dilation goes through the group law in
+`algebra`: the arguments are hbar^{-1}.(x0^{-1} x) and
+hbar^{-1/2}.(Exp(-d_beta mu_n t X2) x0^{-1} x), and samples are mapped to
+the group as x(t) z with the center from `PhaseAndCenter`.  (M, 4)
+coordinate arrays appear only at the coefficient kernel and as an accepted
+input form.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .algebra import GroupElement, exp_basis, multiply
+from .algebra import (
+    HOMOGENEOUS_DIMENSION,
+    GroupElement,
+    dilate,
+    exp_basis,
+    inverse,
+    multiply,
+)
 from .spectral import (
     SpectralData,
     SpectralGrid,
@@ -45,41 +61,20 @@ from .spectral import (
 )
 from .fourier import InfinitesimalOp, live_window, matrix_coefficients
 
-Q_QUARTER = 7.0 / 4.0
-_WEIGHTS = np.array([1.0, 1.0, 2.0, 3.0])
+Q_QUARTER = HOMOGENEOUS_DIMENSION / 4.0
 
 
-# ---------------------------------------------------------------------------
-# vectorized group arithmetic on coordinate arrays
-# ---------------------------------------------------------------------------
+def _points(x: GroupElement | np.ndarray) -> GroupElement:
+    """Points as one GroupElement with float coordinates, from a
+    GroupElement or from a (4,) or (..., 4) coordinate array."""
+    if isinstance(x, GroupElement):
+        return GroupElement(*(np.asarray(c, dtype=float) for c in x))
+    return GroupElement(*np.moveaxis(np.atleast_2d(np.asarray(x, dtype=float)), -1, 0))
 
 
-def vmultiply(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Group product on (..., 4) coordinate arrays."""
-    x1, x2, x3, x4 = np.moveaxis(x, -1, 0)
-    y1, y2, y3, y4 = np.moveaxis(y, -1, 0)
-    return np.stack(
-        [
-            x1 + y1,
-            x2 + y2,
-            x3 + y3 - x2 * y1,
-            x4 + y4 + 0.5 * (x1 * y3 - x3 * y1) - 0.5 * x1 * x2 * y1,
-        ],
-        axis=-1,
-    )
-
-
-def vinverse(x: np.ndarray) -> np.ndarray:
-    x1, x2, x3, x4 = np.moveaxis(x, -1, 0)
-    return np.stack([-x1, -x2, -x3 - x2 * x1, -x4], axis=-1)
-
-
-def vdilate(r: float, x: np.ndarray) -> np.ndarray:
-    return x * np.power(r, _WEIGHTS)
-
-
-def _coords(x: GroupElement) -> np.ndarray:
-    return np.array([float(c) for c in x.coords()])
+def _stacked(x: GroupElement) -> np.ndarray:
+    """The (..., 4) coordinate array of points held in a GroupElement."""
+    return np.stack(tuple(x), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -257,22 +252,10 @@ class _PacketMachinery:
         self.u1_scale = 2.0 * self.sigma_xi
         self.u3_scale = 2.0 / (abs(spec.delta0) * self.sigma_xi)
 
-    def center_coords(self, t: float) -> np.ndarray:
-        off = np.array([0.0, self.speed * t, 0.0, 0.0])
-        return vmultiply(_coords(self.spec.x0_element()), off)
 
-
-_machinery_cache: dict[WavePacketSpec, _PacketMachinery] = {}
-
-
+@functools.lru_cache(maxsize=8)
 def machinery(spec: WavePacketSpec) -> _PacketMachinery:
-    m = _machinery_cache.get(spec)
-    if m is None:
-        m = _PacketMachinery(spec)
-        if len(_machinery_cache) > 8:
-            _machinery_cache.clear()
-        _machinery_cache[spec] = m
-    return m
+    return _PacketMachinery(spec)
 
 
 @dataclass(frozen=True)
@@ -352,10 +335,10 @@ def _derive(term: dict, rule: tuple[dict, dict, dict]) -> dict:
     return out
 
 
-def _scalars(m: _PacketMachinery, t: float, y: np.ndarray, kmax: int):
-    """(P, y1, profile partials up to kmax) at reduced points y (..., 4)."""
-    P = -0.5 * (y[..., 2] + y[..., 0] * y[..., 1])
-    return P, y[..., 0], m.profile.partials(t, y[..., 1], y[..., 3], kmax)
+def _scalars(m: _PacketMachinery, t: float, y: GroupElement, kmax: int):
+    """(P, y1, profile partials up to kmax) at reduced points y."""
+    P = -0.5 * (y.x3 + y.x1 * y.x2)
+    return P, y.x1, m.profile.partials(t, y.x2, y.x4, kmax)
 
 
 def _evaluate(term: dict, P, y1, partials):
@@ -365,14 +348,14 @@ def _evaluate(term: dict, P, y1, partials):
 def corrector_sigma1(spec: WavePacketSpec, t: float, y: GroupElement | np.ndarray) -> np.ndarray:
     """sigma_1(t, y) Phi1 = -X1a . (xi phi_n) - i X2a . (d_beta phi_n) as a grid vector."""
     m = machinery(spec)
-    sc = _scalars(m, t, _coords(y) if isinstance(y, GroupElement) else np.asarray(y), 2)
+    sc = _scalars(m, t, _points(y), 2)
     return sum(_evaluate(tm, *sc) * m.basis[n] for n, tm in _SIGMA1.items())
 
 
 def corrector_sigma2(spec: WavePacketSpec, t: float, y: GroupElement | np.ndarray) -> np.ndarray:
     """sigma_2(t, y) Phi1 = (mu - H)^{-1} Pi_perp R(t, y) Phi1 as a grid vector."""
     m = machinery(spec)
-    sc = _scalars(m, t, _coords(y) if isinstance(y, GroupElement) else np.asarray(y), 2)
+    sc = _scalars(m, t, _points(y), 2)
     return sum(_evaluate(tm, *sc) * m.basis[n] for n, tm in _sigma2_terms(m).items())
 
 
@@ -384,7 +367,7 @@ def sigma2_diagnostic(spec: WavePacketSpec, t: float, y_points: np.ndarray) -> f
     with the same grid-level mu_n'' used in the coefficients.
     """
     m = machinery(spec)
-    sc = _scalars(m, t, np.atleast_2d(y_points), 2)
+    sc = _scalars(m, t, _points(y_points), 2)
     diag = sum(
         _evaluate(tm, *sc) * float(m.grid.inner(m.images[k][:, col], m.basis["phi"]).real)
         for tm, (k, col) in zip(_sigma2_terms(m).values(), _RESOLVENT_SOURCES.values())
@@ -397,21 +380,24 @@ def sigma2_diagnostic(spec: WavePacketSpec, t: float, y_points: np.ndarray) -> f
 # ---------------------------------------------------------------------------
 
 
-def _arguments(m: _PacketMachinery, t: float, coords: np.ndarray,
-               hb: float) -> tuple[np.ndarray, np.ndarray]:
-    """Representation argument w = hbar^{-1}.(x0^{-1} x) and profile
-    argument y = hbar^{-1/2}.(x(t)^{-1} x) of points x (M, 4)."""
-    z0 = vmultiply(vinverse(_coords(m.spec.x0_element())), coords)
-    z = vmultiply(np.array([0.0, -m.speed * t, 0.0, 0.0]), z0)
-    return vdilate(1.0 / hb, z0), vdilate(hb ** (-0.5), z)
+def _arguments(m: _PacketMachinery, t: float, x: GroupElement,
+               hb: float) -> tuple[np.ndarray, GroupElement]:
+    """Representation argument w = hbar^{-1}.(x0^{-1} x), as an (M, 4)
+    array, and profile argument y = hbar^{-1/2}.(x(t)^{-1} x) of points x;
+    x(t)^{-1} x = Exp(-speed t X2) x0^{-1} x."""
+    z0 = multiply(inverse(m.spec.x0_element()), x)
+    z = multiply(exp_basis(2, -m.speed * t), z0)
+    return _stacked(dilate(1.0 / hb, z0)), dilate(hb ** (-0.5), z)
 
 
 def ansatz_values(spec: WavePacketSpec, order: AnsatzOrder, t: float,
-                  coords: np.ndarray, hbar: float | None = None) -> np.ndarray:
-    """Evaluate the approximate solution at a batch of points (M, 4)."""
+                  points: GroupElement | np.ndarray,
+                  hbar: float | None = None) -> np.ndarray:
+    """Evaluate the approximate solution at a batch of points, given as a
+    GroupElement with (M,) coordinate arrays or as an (M, 4) array."""
     m = machinery(spec)
     hb = spec.hbar if hbar is None else hbar
-    w, y = _arguments(m, t, np.atleast_2d(np.asarray(coords, dtype=float)), hb)
+    w, y = _arguments(m, t, _points(points), hb)
     terms = _ansatz_terms(m, order, hb)
     C = matrix_coefficients(m.data.param, w, np.column_stack([m.basis[n] for n in terms]),
                             m.phi2, m.grid)
@@ -422,7 +408,7 @@ def ansatz_values(spec: WavePacketSpec, order: AnsatzOrder, t: float,
 
 def ansatz_value(spec: WavePacketSpec, order: AnsatzOrder, t: float,
                  x: GroupElement, hbar: float | None = None) -> complex:
-    return complex(ansatz_values(spec, order, t, _coords(x)[None, :], hbar=hbar)[0])
+    return complex(ansatz_values(spec, order, t, x, hbar=hbar)[0])
 
 
 def build_wavepacket(spec: WavePacketSpec, x: GroupElement,
@@ -448,7 +434,7 @@ def packet_norm_exact(spec: WavePacketSpec, hbar: float | None = None) -> float:
 
 @dataclass
 class _Samples:
-    coords: np.ndarray  # (M, 4) group points
+    coords: GroupElement  # M group points, (M,) coordinate arrays
     weights: np.ndarray  # 1 / proposal density
 
 
@@ -486,9 +472,13 @@ def _draw_samples(spec: WavePacketSpec, t: float, hb: float, count: int,
     q = np.prod(
         np.exp(-0.5 * (z / scales) ** 2) / (np.sqrt(2 * np.pi) * scales), axis=1
     )
-    center = m.center_coords(t)
-    coords = vmultiply(center[None, :], z)
-    return _Samples(coords, 1.0 / q)
+    center = phase_and_center(spec).center(t)
+    return _Samples(multiply(center, GroupElement(z1, z2, z3, z4)), 1.0 / q)
+
+
+def _mean_and_error(values: np.ndarray) -> tuple[float, float]:
+    """Monte-Carlo mean of importance-weighted samples and its standard error."""
+    return float(np.mean(values)), float(np.std(values) / math.sqrt(len(values)))
 
 
 def packet_norm_estimate(spec: WavePacketSpec, t: float = 0.0,
@@ -499,9 +489,8 @@ def packet_norm_estimate(spec: WavePacketSpec, t: float = 0.0,
     hb = spec.hbar if hbar is None else hbar
     rng = np.random.default_rng(seed)
     s = _draw_samples(spec, t, hb, sample_count, rng)
-    vals = np.abs(ansatz_values(spec, order, t, s.coords, hbar=hb)) ** 2 * s.weights
-    est = float(np.mean(vals))
-    err = float(np.std(vals) / math.sqrt(sample_count))
+    dens = np.abs(ansatz_values(spec, order, t, s.coords, hbar=hb)) ** 2 * s.weights
+    est, err = _mean_and_error(dens)
     return math.sqrt(est), 0.5 * err / math.sqrt(est)
 
 
@@ -559,12 +548,8 @@ def residual(spec: WavePacketSpec, order: AnsatzOrder, t: float,
                                       + 1j * _evaluate(x2A, *sc) * C[:, j, 2]))
 
     # the phase e^{-i mu t/hbar} has modulus one
-    wr = np.abs(hb ** (-Q_QUARTER) * r) ** 2 * s.weights
-    wp = np.abs(hb ** (-Q_QUARTER) * psi0) ** 2 * s.weights
-    R = float(np.mean(wr))
-    S = float(np.mean(wp))
-    dR = float(np.std(wr) / math.sqrt(sample_count))
-    dS = float(np.std(wp) / math.sqrt(sample_count))
+    R, dR = _mean_and_error(np.abs(hb ** (-Q_QUARTER) * r) ** 2 * s.weights)
+    S, dS = _mean_and_error(np.abs(hb ** (-Q_QUARTER) * psi0) ** 2 * s.weights)
     rel = math.sqrt(R / S)
     rel_err = 0.5 * rel * (dR / R + dS / S)
     return ResidualEstimate(
@@ -638,21 +623,19 @@ def transport_demo(spec: WavePacketSpec, t: float,
     Works both at generic beta0 (nonzero drift) and on a critical cone
     (stationary center).
     """
-    m = machinery(spec)
+    pc = phase_and_center(spec)
     rows = []
     for k, hb in enumerate(hbar_list or [spec.hbar]):
         hb = float(hb)
         rng = np.random.default_rng(seed + 7 * k)
         s = _draw_samples(spec, t, hb, sample_count, rng)
         dens = np.abs(ansatz_values(spec, order, t, s.coords, hbar=hb)) ** 2 * s.weights
-        x2 = s.coords[:, 1]
+        x2 = s.coords.x2
         mass = float(np.mean(dens))
         cent = float(np.mean(dens * x2) / mass)
         width = math.sqrt(max(float(np.mean(dens * x2**2) / mass) - cent**2, 0.0))
-        pred = float(m.center_coords(t)[1])
-        cent_err = float(
-            np.std(dens * (x2 - cent)) / math.sqrt(sample_count) / mass
-        )
+        pred = float(pc.center(t).x2)
+        cent_err = _mean_and_error(dens * (x2 - cent))[1] / mass
         rows.append(
             TransportRow(
                 hbar=hb,

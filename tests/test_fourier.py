@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from engellab.algebra import GroupElement, exp_basis, multiply
+from engellab.algebra import GroupElement, exp_basis, inverse, multiply
 from engellab.fourier import (
     Factor1D,
     GaussianKernelSpec,
@@ -24,7 +24,6 @@ from engellab.fourier import (
     rep_apply_adjoint,
 )
 from engellab.spectral import Character, Generic, Schrodinger, SpectralGrid
-from engellab.wavepacket import vinverse, vmultiply
 
 GRID = SpectralGrid(10.0, 2048)
 PARAM = Generic(1.0, 0.3)
@@ -295,7 +294,8 @@ def test_fourier_sends_convolution_to_reversed_composition():
     zs = rng.standard_normal((M, 4)) * np.array(gspec.widths) + np.array(gspec.centers)
     mass_f = np.prod([w * np.sqrt(2 * np.pi) for w in fspec.widths])
     mass_g = np.prod([w * np.sqrt(2 * np.pi) for w in gspec.widths])
-    coefs = matrix_coefficients(PARAM, vinverse(vmultiply(ys, zs)), phi[:, None], psi, g)
+    yz_inv = inverse(multiply(GroupElement(*ys.T), GroupElement(*zs.T)))
+    coefs = matrix_coefficients(PARAM, np.stack(tuple(yz_inv), axis=-1), phi[:, None], psi, g)
     mc_route = complex(np.mean(coefs)) * mass_f * mass_g
     assert abs(kernel_route - mc_route) <= 0.05 * abs(kernel_route)
 
@@ -350,14 +350,14 @@ DEFAULT_KERNELS = [
     GaussianKernelSpec((0.0, 0.4, -0.3, 0.2), (1.2, 0.9, 1.1, 1.4)),
 ]
 
-# c estimates and per-kernel boxes of the default kernels when every factor
-# transform was a 200 000-node trapezoid rule; the closed form must
-# reproduce the estimates and the boxes 0.7 * 8/w4, 4 (8/w3)^2 / delta_min + 8/w2
+# c estimates of the default kernels with closed-form transforms and the
+# erf/erfc delta fractions, and the per-kernel boxes
+# 0.7 * 8/w4, 4 (8/w3)^2 / delta_min + 8/w2
 PINNED = {
-    1.0: dict(c=[0.004038008495100314, 0.0040327548390937116, 0.004043493652158842],
+    1.0: dict(c=[0.0040313049935544205, 0.0040313609225266405, 0.004031247475706042],
               delta_max=[5.6, 9.333333333333334, 4.0],
               beta_box=[5128.0, 8006.153846153846, 4240.293847566574]),
-    2.0: dict(c=[0.004042401619676552, 0.004044271937300448, 0.0040404408057755714],
+    2.0: dict(c=[0.004030889104190319, 0.004031116213623949, 0.00403065392171581],
               delta_max=[11.2, 18.666666666666668, 8.0],
               beta_box=[10256.0, 16012.307692307691, 8480.587695133148]),
 }
@@ -382,9 +382,18 @@ def test_plancherel_doubled_box_pinned():
     _assert_pinned(plancherel_calibrate(DEFAULT_KERNELS, box_scale=2.0), 2.0)
 
 
+@pytest.mark.parametrize("box_scale", [1.0, 2.0])
+def test_plancherel_matches_parseval_constant(box_scale):
+    # with |d| d(delta) d(beta) on the generic dual, Parseval holds with the
+    # exact constant (2 pi)^{-3}; every estimate must sit within 1e-3 of it
+    exact = 1.0 / (8.0 * np.pi**3)
+    rep = plancherel_calibrate(DEFAULT_KERNELS, box_scale=box_scale)
+    assert all(abs(c / exact - 1.0) <= 1e-3 for c in rep.c_estimates)
+
+
 @pytest.mark.parametrize("box, message", [
     (dict(beta_box=10.0), "uncompensated tail 0.82%"),  # beta truncation
-    (dict(delta_min=0.3), "excludes too much mass \\(32.84%\\)"),
+    (dict(delta_min=0.3), "excludes too much mass \\(32.86%\\)"),
 ])
 def test_plancherel_refuses_undersized_box(box, message):
     with pytest.raises(QuadratureBoxError, match=message):

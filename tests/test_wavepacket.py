@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from engellab.algebra import GroupElement
+from engellab.algebra import GroupElement, multiply
 from engellab.fourier import GridMarginError, matrix_coefficient, rep_apply
 from engellab.spectral import Generic
 from engellab.wavepacket import (
@@ -27,8 +27,6 @@ from engellab.wavepacket import (
     second_microlocal_profile_demo,
     sigma2_diagnostic,
     transport_demo,
-    vinverse,
-    vmultiply,
 )
 from engellab.wavepacket import _draw_samples
 
@@ -204,8 +202,9 @@ def test_ansatz_phase_continuity_along_center_path():
     hb = SPEC.hbar
     ts = np.linspace(0.0, 0.4, 41)
     vals = []
+    pc = phase_and_center(SPEC)
     for t in ts:
-        c = m.center_coords(t)
+        c = np.array(pc.center(t).coords(), dtype=float)
         v = ansatz_values(SPEC, AnsatzOrder.WITH_SIGMA1, float(t), c[None, :])[0]
         vals.append(v * np.exp(1j * m.mu * t / hb))
     vals = np.array(vals)
@@ -221,7 +220,7 @@ def test_ansatz_modulus_at_moving_center():
     m = machinery(SPEC)
     hb = SPEC.hbar
     t = 0.3
-    c = m.center_coords(t)
+    c = np.array(phase_and_center(SPEC).center(t).coords(), dtype=float)
     v = ansatz_values(SPEC, AnsatzOrder.LEADING, t, c[None, :])[0]
     a = m.profile.partials(t, 0.0, 0.0, 0)[0, 0]
     w = GroupElement(0.0, m.speed * t / hb, 0.0, 0.0)
@@ -242,17 +241,34 @@ def test_oversized_shift_raises_grid_margin_error():
 
 
 def test_vectorized_group_ops_match_exact():
-    rng = np.random.default_rng(13)
-    from engellab.algebra import inverse, multiply
+    # the group law on float-array coordinates acts elementwise in float64,
+    # agrees with per-point calls to rounding, and those with exact Fractions
+    from fractions import Fraction
 
-    for _ in range(5):
-        a = rng.standard_normal(4)
-        b = rng.standard_normal(4)
-        ga, gb = GroupElement(*a), GroupElement(*b)
-        assert np.allclose(
-            vmultiply(a, b), [float(c) for c in multiply(ga, gb).coords()]
-        )
-        assert np.allclose(vinverse(a), [float(c) for c in inverse(ga).coords()])
+    from engellab.algebra import dilate, inverse
+
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((5, 4))
+    b = rng.standard_normal((5, 4))
+    r = 1.7
+    ga, gb = GroupElement(*a.T), GroupElement(*b.T)
+    batched = {"multiply": multiply(ga, gb), "inverse": inverse(ga), "dilate": dilate(r, ga)}
+    for name, out in batched.items():
+        for c in out.coords():
+            assert isinstance(c, np.ndarray) and c.dtype == np.float64, name
+    for k in range(len(a)):
+        pa, pb = GroupElement(*a[k]), GroupElement(*b[k])
+        fa, fb = (GroupElement(*(Fraction(float(c)) for c in p)) for p in (pa, pb))
+        for name, point, exact in (
+            ("multiply", multiply(pa, pb), multiply(fa, fb)),
+            ("inverse", inverse(pa), inverse(fa)),
+            ("dilate", dilate(r, pa), dilate(Fraction(r), fa)),
+        ):
+            per_point = [float(c) for c in point.coords()]
+            assert np.allclose([c[k] for c in batched[name].coords()], per_point,
+                               rtol=1e-15, atol=0), name
+            assert np.allclose(per_point, [float(c) for c in exact.coords()],
+                               rtol=1e-14, atol=1e-15), name
 
 
 # -- residual orders (cheap versions; the full ladder runs in acceptance) --------
@@ -321,8 +337,8 @@ def _fd_relative_residual(spec, order, t, sample_count, seed, hb,
     dtpsi = (ev(t + dt, s.coords) - ev(t - dt, s.coords)) / (2.0 * dt)
     lap = 0.0
     for e in (np.array([h, 0.0, 0.0, 0.0]), np.array([0.0, h, 0.0, 0.0])):
-        lap = lap + (ev(t, vmultiply(s.coords, e)) - 2.0 * psi0
-                     + ev(t, vmultiply(s.coords, -e))) / h**2
+        lap = lap + (ev(t, multiply(s.coords, GroupElement(*e))) - 2.0 * psi0
+                     + ev(t, multiply(s.coords, GroupElement(*-e)))) / h**2
     r = 1j * hb * dtpsi + hb**2 * lap
     return math.sqrt(np.mean(np.abs(r) ** 2 * s.weights)
                      / np.mean(np.abs(psi0) ** 2 * s.weights))
