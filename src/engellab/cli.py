@@ -9,6 +9,7 @@ artifacts are byte-identical across runs; wall time goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -281,16 +282,16 @@ def run_residual_scaling(cfg: dict, seed: int) -> RunReport:
     samples = int(cfg.get("sample_count", 10000))
     t = float(cfg.get("t", 0.1))
     rep = RunReport("residual-scaling", cfg)
-    full = wavepacket.residual_scaling_experiment(
+    reports = wavepacket.residual_scaling_experiment(
         spec, hbars, order=wavepacket.AnsatzOrder.WITH_SIGMA1_AND_2,
         t=t, sample_count=samples, seed=seed,
     )
-    first = wavepacket.residual_scaling_experiment(
-        spec, hbars, order=wavepacket.AnsatzOrder.WITH_SIGMA1,
-        t=t, sample_count=samples, seed=seed,
-    )
+    full = reports[wavepacket.AnsatzOrder.WITH_SIGMA1_AND_2]
+    first = reports[wavepacket.AnsatzOrder.WITH_SIGMA1]
     rep.metrics["full_slope"] = full.slope
     rep.metrics["sigma1_slope"] = first.slope
+    rep.metrics["sampling_health"] = [dict(hbar=h, **dataclasses.asdict(x))
+                                      for h, x in zip(full.hbars, full.health)]
     for tag, srep in (("full", full), ("sigma1", first)):
         lines = ["hbar,residual,sampling_error"]
         for r in srep.csv_rows():
@@ -320,6 +321,8 @@ def run_transport(cfg: dict, seed: int) -> RunReport:
             f"{_fmt(r.hbar)},{_fmt(r.packet_width)},{_fmt(r.drift_error)}"
         )
     rep.metrics["csv"] = "\n".join(lines) + "\n"
+    rep.metrics["sampling_health"] = [dict(hbar=r.hbar, **dataclasses.asdict(r.health))
+                                      for r in rows]
     last = rows[-1]
     drift = abs(last.predicted_x2 - float(spec.x0[1]))
     if drift > 1e-9:

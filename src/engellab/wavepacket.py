@@ -315,11 +315,12 @@ def _sigma2_terms(m: _PacketMachinery) -> dict[str, dict]:
     }
 
 
-def _ansatz_terms(m: _PacketMachinery, order: AnsatzOrder, hb: float) -> dict[str, dict]:
-    """Term table of a + sqrt(hbar) sigma_1 + hbar sigma_2, cut at `order`."""
+def _ansatz_terms(m: _PacketMachinery, order: AnsatzOrder, hb: float) -> list[dict[str, dict]]:
+    """Term tables of a, sqrt(hbar) sigma_1 and hbar sigma_2, one per order
+    from LEADING through `order`; their union is the ansatz cut at `order`."""
     orders = [({"phi": {(0, 0, 0, 0): 1.0}}, 1.0), (_SIGMA1, math.sqrt(hb)), (_sigma2_terms(m), hb)]
-    return {n: {k: f * c for k, c in tm.items()}
-            for table, f in orders[: list(AnsatzOrder).index(order) + 1] for n, tm in table.items()}
+    return [{n: {k: f * c for k, c in tm.items()} for n, tm in table.items()}
+            for table, f in orders[: list(AnsatzOrder).index(order) + 1]]
 
 
 def _derive(term: dict, rule: tuple[dict, dict, dict]) -> dict:
@@ -398,7 +399,7 @@ def ansatz_values(spec: WavePacketSpec, order: AnsatzOrder, t: float,
     m = machinery(spec)
     hb = spec.hbar if hbar is None else hbar
     w, y = _arguments(m, t, _points(points), hb)
-    terms = _ansatz_terms(m, order, hb)
+    terms = {n: tm for table in _ansatz_terms(m, order, hb) for n, tm in table.items()}
     C = matrix_coefficients(m.data.param, w, np.column_stack([m.basis[n] for n in terms]),
                             m.phi2, m.grid)
     sc = _scalars(m, t, y, 2)
@@ -436,6 +437,7 @@ def packet_norm_exact(spec: WavePacketSpec, hbar: float | None = None) -> float:
 class _Samples:
     coords: GroupElement  # M group points, (M,) coordinate arrays
     weights: np.ndarray  # 1 / proposal density
+    clipped: int  # z1 draws the grid-margin clip moved
 
 
 def _draw_samples(spec: WavePacketSpec, t: float, hb: float, count: int,
@@ -465,6 +467,7 @@ def _draw_samples(spec: WavePacketSpec, t: float, hb: float, count: int,
     s1 = np.minimum(s1, w1_cap / 2.5)
     z1 = rng.standard_normal(count) * s1
     z3 = rng.standard_normal(count) * s3
+    clipped = int(np.count_nonzero(np.abs(z1) > w1_cap))
     z1 = np.clip(z1, -w1_cap, w1_cap)
 
     z = np.stack([z1, z2, z3, z4], axis=-1)
@@ -473,12 +476,27 @@ def _draw_samples(spec: WavePacketSpec, t: float, hb: float, count: int,
         np.exp(-0.5 * (z / scales) ** 2) / (np.sqrt(2 * np.pi) * scales), axis=1
     )
     center = phase_and_center(spec).center(t)
-    return _Samples(multiply(center, GroupElement(z1, z2, z3, z4)), 1.0 / q)
+    return _Samples(multiply(center, GroupElement(z1, z2, z3, z4)), 1.0 / q, clipped)
 
 
 def _mean_and_error(values: np.ndarray) -> tuple[float, float]:
     """Monte-Carlo mean of importance-weighted samples and its standard error."""
     return float(np.mean(values)), float(np.std(values) / math.sqrt(len(values)))
+
+
+@dataclass(frozen=True)
+class SamplingHealth:
+    """How well one draw serves the importance weights w = |psi|^2 / q."""
+
+    ess_ratio: float  # Kish effective sample size over N, (sum w)^2 / (N sum w^2)
+    max_weight_share: float  # max w / sum w
+    clipped: int  # z1 draws the grid-margin clip moved
+
+
+def _sampling_health(w: np.ndarray, clipped: int) -> SamplingHealth:
+    total = float(np.sum(w))
+    return SamplingHealth(total**2 / (len(w) * float(np.sum(w**2))),
+                          float(np.max(w)) / total, clipped)
 
 
 def packet_norm_estimate(spec: WavePacketSpec, t: float = 0.0,
@@ -508,12 +526,14 @@ class ResidualEstimate:
     psi_norm: float
     sampling_error: float  # on the relative residual
     sample_count: int
+    health: SamplingHealth  # of the weights |psi|^2 / q at this order
 
 
 def residual(spec: WavePacketSpec, order: AnsatzOrder, t: float,
              sample_count: int = 10000, seed: int = 0,
-             hbar: float | None = None) -> ResidualEstimate:
-    """L2 estimate of r = i hbar d_t psi + hbar^2 (X1^2 + X2^2) psi over the packet.
+             hbar: float | None = None) -> dict[AnsatzOrder, ResidualEstimate]:
+    """L2 estimates of r = i hbar d_t psi + hbar^2 (X1^2 + X2^2) psi over the
+    packet, for every ansatz order from LEADING through `order`.
 
     With psi = hbar^{-7/4} e^{-i mu t/hbar} sum_j A_j(t, y) C_j(w) and
     C_j = (pi(w) v_j, Phi2), one coefficient-kernel call gives exactly
@@ -521,46 +541,54 @@ def residual(spec: WavePacketSpec, order: AnsatzOrder, t: float,
         r = hbar^{-7/4} e^{-i mu t/hbar} sum_j [(i hbar D_t A_j + hbar Delta A_j) C_j
             + 2 sqrt(hbar) (X1 A_j C[D1 v_j] + i X2 A_j C[W v_j]) + A_j C[(mu - H) v_j]];
 
-    the L2 integrals are volume-weighted Monte-Carlo over a proposal
-    matched to the true concentration scales.
+    the orders are nested, so each lower order's r and psi are the partial
+    sums of that accumulation at its cut, and one draw and one kernel call
+    serve every order.  The L2 integrals are volume-weighted Monte-Carlo
+    over a proposal matched to the true concentration scales.
     """
     m = machinery(spec)
     hb = spec.hbar if hbar is None else hbar
     rng = np.random.default_rng(seed)
     s = _draw_samples(spec, t, hb, sample_count, rng)
     w, y = _arguments(m, t, s.coords, hb)
-    terms = _ansatz_terms(m, order, hb)
-    V = np.hstack([m.images[n] for n in terms])
-    C = matrix_coefficients(m.data.param, w, V, m.phi2, m.grid).reshape(len(w), len(terms), 4)
+    tables = _ansatz_terms(m, order, hb)
+    V = np.hstack([m.images[n] for table in tables for n in table])
+    C = matrix_coefficients(m.data.param, w, V, m.phi2, m.grid).reshape(len(w), -1, 4)
     sc = _scalars(m, t, y, 4)
     # d_t at fixed x: the profile flows (d_t a = i c3 a_22) and recenters
     # (y2 = (x2 - c2 t)/sqrt(hbar)); P and y1 do not move
     dt = ({}, {}, {(0, 0, 2, 0): 1j * m.dispersion, (0, 0, 1, 0): -m.speed / math.sqrt(hb)})
     psi0 = r = 0.0
-    for j, A in enumerate(terms.values()):
-        x1A, x2A = _derive(A, _X1), _derive(A, _X2)
-        slow = (1j * hb * _evaluate(_derive(A, dt), *sc)
-                + hb * (_evaluate(_derive(x1A, _X1), *sc) + _evaluate(_derive(x2A, _X2), *sc)))
-        a_j = _evaluate(A, *sc)
-        psi0 = psi0 + a_j * C[:, j, 0]
-        r = (r + slow * C[:, j, 0] + a_j * C[:, j, 3]
-             + 2.0 * math.sqrt(hb) * (_evaluate(x1A, *sc) * C[:, j, 1]
-                                      + 1j * _evaluate(x2A, *sc) * C[:, j, 2]))
+    j = 0
+    estimates = {}
+    for cut, table in zip(AnsatzOrder, tables):
+        for A in table.values():
+            x1A, x2A = _derive(A, _X1), _derive(A, _X2)
+            slow = (1j * hb * _evaluate(_derive(A, dt), *sc)
+                    + hb * (_evaluate(_derive(x1A, _X1), *sc) + _evaluate(_derive(x2A, _X2), *sc)))
+            a_j = _evaluate(A, *sc)
+            psi0 = psi0 + a_j * C[:, j, 0]
+            r = (r + slow * C[:, j, 0] + a_j * C[:, j, 3]
+                 + 2.0 * math.sqrt(hb) * (_evaluate(x1A, *sc) * C[:, j, 1]
+                                          + 1j * _evaluate(x2A, *sc) * C[:, j, 2]))
+            j += 1
 
-    # the phase e^{-i mu t/hbar} has modulus one
-    R, dR = _mean_and_error(np.abs(hb ** (-Q_QUARTER) * r) ** 2 * s.weights)
-    S, dS = _mean_and_error(np.abs(hb ** (-Q_QUARTER) * psi0) ** 2 * s.weights)
-    rel = math.sqrt(R / S)
-    rel_err = 0.5 * rel * (dR / R + dS / S)
-    return ResidualEstimate(
-        hbar=hb,
-        order=order.value,
-        relative=rel,
-        absolute=math.sqrt(R),
-        psi_norm=math.sqrt(S),
-        sampling_error=rel_err,
-        sample_count=sample_count,
-    )
+        # the phase e^{-i mu t/hbar} has modulus one
+        R, dR = _mean_and_error(np.abs(hb ** (-Q_QUARTER) * r) ** 2 * s.weights)
+        dens = np.abs(hb ** (-Q_QUARTER) * psi0) ** 2 * s.weights
+        S, dS = _mean_and_error(dens)
+        rel = math.sqrt(R / S)
+        estimates[cut] = ResidualEstimate(
+            hbar=hb,
+            order=cut.value,
+            relative=rel,
+            absolute=math.sqrt(R),
+            psi_norm=math.sqrt(S),
+            sampling_error=0.5 * rel * (dR / R + dS / S),
+            sample_count=sample_count,
+            health=_sampling_health(dens, s.clipped),
+        )
+    return estimates
 
 
 @dataclass
@@ -571,6 +599,7 @@ class ScalingReport:
     sampling_errors: list[float]
     slope: float
     intercept: float
+    health: list[SamplingHealth]  # one per hbar
 
     def csv_rows(self) -> list[dict]:
         return [
@@ -582,20 +611,26 @@ class ScalingReport:
 def residual_scaling_experiment(spec: WavePacketSpec, hbar_list: Sequence[float],
                                 order: AnsatzOrder = AnsatzOrder.WITH_SIGMA1_AND_2,
                                 t: float = 0.1, sample_count: int = 10000,
-                                seed: int = 0) -> ScalingReport:
-    """Least-squares slope of log(relative residual) against log(hbar)."""
+                                seed: int = 0) -> dict[AnsatzOrder, ScalingReport]:
+    """Least-squares slope of log(relative residual) against log(hbar), for
+    every ansatz order from LEADING through `order`.
+
+    Each hbar takes one `residual` call (seed + 1000 k for the k-th hbar),
+    so one draw and one coefficient-kernel call per hbar serve every order.
+    """
     if len(hbar_list) < 4:
         raise ValueError("need at least 4 hbar values for a slope")
-    res, errs = [], []
-    for k, hb in enumerate(hbar_list):
-        est = residual(spec, order, t, sample_count=sample_count,
-                       seed=seed + 1000 * k, hbar=float(hb))
-        res.append(est.relative)
-        errs.append(est.sampling_error)
-    slope, intercept = np.polyfit(np.log(np.asarray(hbar_list, dtype=float)),
-                                  np.log(np.asarray(res)), 1)
-    return ScalingReport(order.value, [float(h) for h in hbar_list], res, errs,
-                         float(slope), float(intercept))
+    hbars = [float(h) for h in hbar_list]
+    per_hbar = [residual(spec, order, t, sample_count=sample_count, seed=seed + 1000 * k, hbar=hb)
+                for k, hb in enumerate(hbars)]
+    reports = {}
+    for cut in per_hbar[0]:
+        ests = [e[cut] for e in per_hbar]
+        res = [e.relative for e in ests]
+        slope, intercept = np.polyfit(np.log(np.asarray(hbars)), np.log(np.asarray(res)), 1)
+        reports[cut] = ScalingReport(cut.value, hbars, res, [e.sampling_error for e in ests],
+                                     float(slope), float(intercept), [e.health for e in ests])
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -612,6 +647,7 @@ class TransportRow:
     packet_width: float
     drift_error: float
     sampling_error: float
+    health: SamplingHealth  # of the weights |ansatz|^2 / q
 
 
 def transport_demo(spec: WavePacketSpec, t: float,
@@ -645,6 +681,7 @@ def transport_demo(spec: WavePacketSpec, t: float,
                 packet_width=width,
                 drift_error=abs(cent - pred),
                 sampling_error=cent_err,
+                health=_sampling_health(dens, s.clipped),
             )
         )
     return rows

@@ -2,7 +2,7 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the PASS/FAIL lines;
 the full module takes under a minute; the residual-scaling ladder
-(criterion 7) is its longest test, about 6 s on a 2-core host.
+(criterion 7) is its longest test, about 3 s on a 2-core host.
 """
 
 import math
@@ -133,14 +133,12 @@ def scaling_spec():
 
 def test_criterion_7_residual_scaling(scaling_spec):
     ladder = [0.1, 0.05, 0.025, 0.0125]
-    full = wavepacket.residual_scaling_experiment(
+    reports = wavepacket.residual_scaling_experiment(
         scaling_spec, ladder, order=wavepacket.AnsatzOrder.WITH_SIGMA1_AND_2,
         t=0.1, sample_count=10000, seed=0,
     )
-    first = wavepacket.residual_scaling_experiment(
-        scaling_spec, ladder, order=wavepacket.AnsatzOrder.WITH_SIGMA1,
-        t=0.1, sample_count=10000, seed=0,
-    )
+    full = reports[wavepacket.AnsatzOrder.WITH_SIGMA1_AND_2]
+    first = reports[wavepacket.AnsatzOrder.WITH_SIGMA1]
     ok = 1.35 <= full.slope <= 1.65 and 0.85 <= first.slope <= 1.15
     _criterion(7, "residual scaling", ok,
                f"full-corrector slope {full.slope:.3f} in [1.35,1.65], "

@@ -83,6 +83,35 @@ def test_residual_scaling_seeded_determinism(tmp_path):
         assert header == "hbar,residual,sampling_error"
 
 
+# Kish ESS/N, largest weight share and clipped z1 draws per hbar at the CLI
+# defaults, seed 0; ESS/N and the share also follow from ansatz_values on the
+# same draws, so reporting them moved no sample or weight
+SAMPLING_HEALTH = {
+    "residual-scaling": [
+        (0.1, 0.345721965915485, 0.0007644583201196021, 0),
+        (0.05, 0.3647584846049298, 0.0007323553797006466, 0),
+        (0.025, 0.32567060395121633, 0.002658761392256905, 7),
+        (0.0125, 0.21132873885804324, 0.005328456129840959, 21),
+    ],
+    "transport": [
+        (0.05, 0.04397622541410485, 0.026068100113251457, 96),
+        (0.025, 0.036996125896265435, 0.021143470657683804, 139),
+        (0.0125, 0.04221730855106611, 0.010727398210628108, 161),
+    ],
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(SAMPLING_HEALTH))
+def test_sampling_health_reported(tmp_path, subcommand):
+    run(subcommand, {}, out_dir=tmp_path, seed=0)
+    rows = json.loads((tmp_path / "report.json").read_text())["metrics"]["sampling_health"]
+    assert [r["hbar"] for r in rows] == [p[0] for p in SAMPLING_HEALTH[subcommand]]
+    for r, (_, ess, share, clipped) in zip(rows, SAMPLING_HEALTH[subcommand]):
+        assert r["ess_ratio"] == pytest.approx(ess, rel=1e-12)
+        assert r["max_weight_share"] == pytest.approx(share, rel=1e-12)
+        assert r["clipped"] == clipped
+
+
 def test_critical_points_cli(tmp_path):
     rep = run("critical-points", {"n": 1, "scan": [-1.0, 0.5], "grid_n": 2048,
                                   "tol": 1e-8}, out_dir=tmp_path)

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from engellab import wavepacket
 from engellab.algebra import GroupElement, multiply
-from engellab.fourier import GridMarginError, matrix_coefficient, rep_apply
+from engellab.fourier import GridMarginError, matrix_coefficient, matrix_coefficients, rep_apply
 from engellab.spectral import Generic
 from engellab.wavepacket import (
     AnsatzOrder,
@@ -24,6 +25,7 @@ from engellab.wavepacket import (
     phase_and_center,
     profile_evolve,
     residual,
+    residual_scaling_experiment,
     second_microlocal_profile_demo,
     sigma2_diagnostic,
     transport_demo,
@@ -277,17 +279,53 @@ def test_vectorized_group_ops_match_exact():
 def test_residual_order_hierarchy():
     hb = 0.05
     t = 0.1
-    r0 = residual(SPEC, AnsatzOrder.LEADING, t, sample_count=3000, seed=5, hbar=hb)
-    r1 = residual(SPEC, AnsatzOrder.WITH_SIGMA1, t, sample_count=3000, seed=5, hbar=hb)
-    r2 = residual(SPEC, AnsatzOrder.WITH_SIGMA1_AND_2, t, sample_count=3000, seed=5, hbar=hb)
+    r = residual(SPEC, AnsatzOrder.WITH_SIGMA1_AND_2, t, sample_count=3000, seed=5, hbar=hb)
+    r0, r1, r2 = (r[order] for order in AnsatzOrder)
     assert r2.relative < r1.relative < r0.relative
     assert r2.relative <= 0.1
 
 
+def test_one_pass_orders_match_separate_calls(monkeypatch):
+    # one draw and one kernel call per hbar serve every order; the sigma1 and
+    # leading columns differ from a lone call's narrower kernel call only by
+    # the GEMM's summation order
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return matrix_coefficients(*args, **kwargs)
+
+    ladder = [0.1, 0.05, 0.025, 0.0125]
+    top = AnsatzOrder.WITH_SIGMA1_AND_2
+    monkeypatch.setattr(wavepacket, "matrix_coefficients", counted)
+    reports = residual_scaling_experiment(SPEC, ladder, order=top, t=0.1,
+                                          sample_count=400, seed=21)
+    assert len(calls) == len(ladder)
+    monkeypatch.undo()
+    assert list(reports) == list(AnsatzOrder)
+
+    def fields(e):
+        return e.relative, e.absolute, e.sampling_error
+
+    for k, hb in enumerate(ladder):
+        def lone(order):
+            return residual(SPEC, order, 0.1, sample_count=400, seed=21 + 1000 * k,
+                            hbar=hb)[order]
+
+        one_pass = residual(SPEC, top, 0.1, sample_count=400, seed=21 + 1000 * k, hbar=hb)
+        for order, est in one_pass.items():
+            rep = reports[order]
+            assert (rep.residuals[k], rep.sampling_errors[k]) == (est.relative, est.sampling_error)
+            if order is not top:
+                assert fields(est) == pytest.approx(fields(lone(order)), rel=1e-14)
+
+
 def test_residual_sample_doubling_consistency():
     hb = 0.05
-    r1 = residual(SPEC, AnsatzOrder.WITH_SIGMA1, 0.1, sample_count=2000, seed=6, hbar=hb)
-    r2 = residual(SPEC, AnsatzOrder.WITH_SIGMA1, 0.1, sample_count=4000, seed=7, hbar=hb)
+    r1 = residual(SPEC, AnsatzOrder.WITH_SIGMA1, 0.1, sample_count=2000, seed=6,
+                  hbar=hb)[AnsatzOrder.WITH_SIGMA1]
+    r2 = residual(SPEC, AnsatzOrder.WITH_SIGMA1, 0.1, sample_count=4000, seed=7,
+                  hbar=hb)[AnsatzOrder.WITH_SIGMA1]
     tol = 4.0 * (r1.sampling_error + r2.sampling_error)
     assert abs(r1.relative - r2.relative) <= tol
 
@@ -302,7 +340,7 @@ def test_leading_residual_halforder_scaling():
     for hb in (0.1, 0.025):
         rels.append(
             residual(frozen, AnsatzOrder.LEADING, 0.05, sample_count=4000,
-                     seed=8, hbar=hb).relative
+                     seed=8, hbar=hb)[AnsatzOrder.LEADING].relative
         )
     slope = math.log(rels[0] / rels[1]) / math.log(4.0)
     assert 0.3 <= slope <= 0.7
@@ -312,11 +350,11 @@ def test_residual_invariant_under_left_translation():
     # moving x0 left-translates samples and arguments together, so the
     # estimate is reproduced up to arithmetic roundoff
     base = residual(SPEC, AnsatzOrder.WITH_SIGMA1, 0.1, sample_count=2000,
-                    seed=14, hbar=0.05)
+                    seed=14, hbar=0.05)[AnsatzOrder.WITH_SIGMA1]
     moved_spec = WavePacketSpec(x0=(0.3, -0.2, 0.15, 0.1), delta0=1.0,
                                 beta0=0.0, n=1, hbar=0.05)
     moved = residual(moved_spec, AnsatzOrder.WITH_SIGMA1, 0.1,
-                     sample_count=2000, seed=14, hbar=0.05)
+                     sample_count=2000, seed=14, hbar=0.05)[AnsatzOrder.WITH_SIGMA1]
     assert moved.relative == pytest.approx(base.relative, rel=1e-6)
 
 
@@ -349,7 +387,7 @@ def _fd_relative_residual(spec, order, t, sample_count, seed, hb,
 def test_exact_residual_matches_finite_differences(order, hb):
     # same samples, so only the discretizations differ: grid generators
     # against the stencil on the coefficient kernel (measured <= 2.4e-3)
-    exact = residual(SPEC, order, 0.1, sample_count=2000, seed=3, hbar=hb)
+    exact = residual(SPEC, order, 0.1, sample_count=2000, seed=3, hbar=hb)[order]
     fd = _fd_relative_residual(SPEC, order, 0.1, 2000, 3, hb)
     assert exact.relative == pytest.approx(fd, rel=1e-2)
 
