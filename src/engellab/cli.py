@@ -73,6 +73,7 @@ class RunReport:
     checks: list[Check] = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
+    files: dict[str, str] = field(default_factory=dict)  # data files by name
 
     @property
     def passed(self) -> bool:
@@ -201,7 +202,7 @@ def run_dispersion(cfg: dict, seed: int) -> RunReport:
             for row in spectral.sample_branch(n, 1.0, nus, N=N)]
     rep.metrics["rows"] = len(rows)
     rep.checks.append(Check("row-count", len(rows), len(ns) * len(nus), "=="))
-    rep.metrics["csv"] = spectral.branch_rows_csv(rows)
+    rep.files["branches.csv"] = spectral.branch_rows_csv(rows)
     return rep
 
 
@@ -269,7 +270,6 @@ def _spec_from_cfg(cfg: dict) -> wavepacket.WavePacketSpec:
         delta0=float(cfg.get("delta0", 1.0)),
         beta0=float(cfg.get("beta0", 0.0)),
         n=int(cfg.get("n", 1)),
-        hbar=float(cfg.get("hbar", 0.05)),
         profile=profile,
         grid_L=float(cfg.get("grid_l", 20.0)),
         grid_N=int(cfg.get("grid_n", 3072)),
@@ -298,7 +298,7 @@ def run_residual_scaling(cfg: dict, seed: int) -> RunReport:
             lines.append(
                 f"{_fmt(r['hbar'])},{_fmt(r['residual'])},{_fmt(r['sampling_error'])}"
             )
-        rep.metrics[f"csv:residual_scaling_{tag}.csv"] = "\n".join(lines) + "\n"
+        rep.files[f"residual_scaling_{tag}.csv"] = "\n".join(lines) + "\n"
     rep.checks.append(Check("full-slope-low", full.slope, 1.35, ">="))
     rep.checks.append(Check("full-slope-high", full.slope, 1.65, "<="))
     rep.checks.append(Check("sigma1-slope-low", first.slope, 0.85, ">="))
@@ -320,7 +320,7 @@ def run_transport(cfg: dict, seed: int) -> RunReport:
             f"{_fmt(r.t)},{_fmt(r.centroid_x2)},{_fmt(r.predicted_x2)},"
             f"{_fmt(r.hbar)},{_fmt(r.packet_width)},{_fmt(r.drift_error)}"
         )
-    rep.metrics["csv"] = "\n".join(lines) + "\n"
+    rep.files["transport.csv"] = "\n".join(lines) + "\n"
     rep.metrics["sampling_health"] = [dict(hbar=r.hbar, **dataclasses.asdict(r.health))
                                       for r in rows]
     last = rows[-1]
@@ -357,7 +357,7 @@ def run_smicro_profile(cfg: dict, seed: int) -> RunReport:
         lines.append(
             _fmt(float(x2)) + "," + ",".join(_fmt(float(d[i])) for d in demo.densities)
         )
-    rep.metrics["csv"] = "\n".join(lines) + "\n"
+    rep.files["profile_densities.csv"] = "\n".join(lines) + "\n"
     rep.checks.append(Check("mass-drift", demo.mass_drift, 1e-10))
     rep.checks.append(Check("gaussian-law-error", demo.gaussian_law_error, 1e-6))
     rep.checks.append(Check("on-cone-curvature-deviation", cc.max_deviation, 1e-3))
@@ -390,12 +390,6 @@ _RUNNERS = {
     "strichartz": run_strichartz,
 }
 
-_CSV_NAMES = {
-    "dispersion": "branches.csv",
-    "transport": "transport.csv",
-    "smicro-profile": "profile_densities.csv",
-}
-
 
 def run(subcommand: str, config: dict, out_dir: str | Path | None = None,
         seed: int = 0) -> RunReport:
@@ -403,17 +397,11 @@ def run(subcommand: str, config: dict, out_dir: str | Path | None = None,
     if subcommand not in _RUNNERS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
     report = _RUNNERS[subcommand](dict(config), seed)
-    csv_payloads: dict[str, str] = {}
-    single = report.metrics.pop("csv", None)
-    if single is not None:
-        csv_payloads[_CSV_NAMES.get(subcommand, "data.csv")] = single
-    for key in [k for k in report.metrics if k.startswith("csv:")]:
-        csv_payloads[key.split(":", 1)[1]] = report.metrics.pop(key)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        for name in sorted(csv_payloads):
-            (out / name).write_text(csv_payloads[name])
+        for name in sorted(report.files):
+            (out / name).write_text(report.files[name])
             report.outputs.append(str(out / name))
         _write_report(report, out)
     return report

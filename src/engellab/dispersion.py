@@ -127,8 +127,7 @@ def critical_points(
         bracket = (float(nus[k]), float(nus[k + 1]))
         root = _refine_root(*bracket, n, grid, tol)
         curv = _curvature(root, n, grid)
-        mu_at = float(solve_lowest(Montgomery(root), n, grid=grid, confine_level=n)
-                      .eigenvalues[n - 1])
+        mu_at = float(solve_lowest(Montgomery(root), n, grid=grid).eigenvalues[n - 1])
         reports.append(
             DispersionReport(
                 n=n,

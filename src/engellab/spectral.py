@@ -290,13 +290,12 @@ def eigen_lowest(op: OperatorMatrix, k: int,
 
 
 def solve_lowest(param: SpectralParam, k: int, grid: SpectralGrid | None = None,
-                 N: int = 4096, confine_level: int | None = None) -> EigenResult:
-    """Build the Hamiltonian on `grid` (default: the box of the confined
-    level) and return the k lowest pairs."""
+                 N: int = 4096) -> EigenResult:
+    """Build the Hamiltonian on `grid` (default: the box of level k) and
+    return the k lowest pairs; confinement is checked at level k."""
     if grid is None:
-        grid = box_grid([param], confine_level or k, N)
-    return eigen_lowest(build_hamiltonian(param, grid), k,
-                        confine_level=confine_level)
+        grid = box_grid([param], k, N)
+    return eigen_lowest(build_hamiltonian(param, grid), k)
 
 
 def eigenvalues_extrapolated(param: SpectralParam, k: int, N: int = 4096,
@@ -313,18 +312,14 @@ def eigenvalues_extrapolated(param: SpectralParam, k: int, N: int = 4096,
     return (4.0 * fine - coarse) / 3.0
 
 
-def montgomery_mu(nu: float, n: int, N: int = 4096, extrapolate: bool = True) -> float:
-    """mutilde_n(nu) = mu_n(1, nu), Richardson-extrapolated by default."""
-    return generic_mu(1.0, nu, n, N=N, extrapolate=extrapolate)
+def montgomery_mu(nu: float, n: int, N: int = 4096) -> float:
+    """mutilde_n(nu) = mu_n(1, nu), Richardson-extrapolated."""
+    return generic_mu(1.0, nu, n, N=N)
 
 
-def generic_mu(delta: float, beta: float, n: int, N: int = 4096,
-               extrapolate: bool = True) -> float:
-    """mu_n(delta, beta), Richardson-extrapolated by default."""
-    p = Generic(delta, beta)
-    if extrapolate:
-        return float(eigenvalues_extrapolated(p, n, N=N)[n - 1])
-    return float(solve_lowest(p, n, N=N).eigenvalues[n - 1])
+def generic_mu(delta: float, beta: float, n: int, N: int = 4096) -> float:
+    """mu_n(delta, beta), Richardson-extrapolated."""
+    return float(eigenvalues_extrapolated(Generic(delta, beta), n, N=N)[n - 1])
 
 
 # ---------------------------------------------------------------------------

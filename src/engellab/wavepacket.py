@@ -1,15 +1,17 @@
 """Wave packets concentrated at a point of the group and a generic
 representation, their corrector hierarchy, and propagation experiments.
 
-A packet with profile a, carrier vectors Phi1 (eigenvector of the symbol
-at level n) and Phi2, center x0 and scale hbar is
+A packet with profile a, carrier vector Phi1 (eigenvector of the symbol
+at level n, also the pairing vector), center x0 and scale hbar is
 
     psi(x) = hbar^{-7/4} a(hbar^{-1/2}.(x0^{-1} x))
-             (pi(hbar^{-1}.(x0^{-1} x)) Phi1, Phi2),
+             (pi(hbar^{-1}.(x0^{-1} x)) Phi1, Phi1),
 
-the profile depending only on the (x2, x4) coordinates.  Approximate
-evolution takes the phase S(t) = -mu_n t, moves the center along
-x(t) = x0 Exp(d_beta mu_n t X2), disperses the profile by
+the profile depending only on the (x2, x4) coordinates.  `WavePacketSpec`
+holds the concentration data of the family (psi^hbar)_{hbar>0}; hbar is
+the asymptotic variable, so every evaluator takes it as an argument.
+Approximate evolution takes the phase S(t) = -mu_n t, moves the center
+along x(t) = x0 Exp(d_beta mu_n t X2), disperses the profile by
 
     i d_t a + (d_beta^2 mu_n / 2) d_{x2}^2 a = 0,
 
@@ -20,7 +22,7 @@ i hbar d_t psi + hbar^2 (X1^2 + X2^2) psi is O(hbar^{3/2}) relative to
 generators act as dpi(X1) = D1, dpi(X2) = iW and dpi(X1^2 + X2^2) = -H.
 
 The exact L2 norm of the bare packet is hbar^{3/4} sqrt(2 pi / |delta0|)
-||a||_{L2} ||Phi1|| ||Phi2||: the coefficient carries the (x1, x3) mass at
+||a||_{L2} ||Phi1||^2: the coefficient carries the (x1, x3) mass at
 scales (hbar, hbar^2) with constant transverse mass (an exact ambiguity-
 function identity), while the profile carries (x2, x4) at scales
 (hbar^{1/2}, hbar^{3/2}).  Sampling proposals below follow those scales.
@@ -29,7 +31,7 @@ Batches of points are GroupElements with (M,) float coordinate arrays, and
 every product, inverse and dilation goes through the group law in
 `algebra`: the arguments are hbar^{-1}.(x0^{-1} x) and
 hbar^{-1/2}.(Exp(-d_beta mu_n t X2) x0^{-1} x), and samples are mapped to
-the group as x(t) z with the center from `PhaseAndCenter`.  (M, 4)
+the group as x(t) z with the center x(t) from the machinery.  (M, 4)
 coordinate arrays appear only at the coefficient kernel and as an accepted
 input form.
 """
@@ -39,7 +41,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -93,7 +95,7 @@ def _gaussian_factors(u, s, kmax: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianProfile:
-    """Schwartz profile a(t, y2, y4), Gaussian in both slots.
+    """Schwartz profile a(t, y2, y4), centred Gaussian of unit peak in both slots.
 
     The y2 factor evolves under i d_t a + coeff d_2^2 a = 0 in closed form
     (complex-width Gaussian); y4 is a spectator.  All partial derivatives
@@ -102,9 +104,6 @@ class GaussianProfile:
 
     width2: float = 0.45
     width4: float = 0.8
-    center2: float = 0.0
-    center4: float = 0.0
-    amplitude: float = 1.0
     coeff: float = 0.0  # dispersion coefficient; 0 freezes the profile
 
     def _s(self, t: float) -> complex:
@@ -113,9 +112,9 @@ class GaussianProfile:
     def partials(self, t: float, y2, y4, kmax: int) -> np.ndarray:
         """d_2^k2 d_4^k4 a for k2, k4 <= kmax, indexed [k2, k4, ...]."""
         s = self._s(t)
-        u2 = np.asarray(y2, dtype=float) - self.center2
-        u4 = np.asarray(y4, dtype=float) - self.center4
-        a = (self.amplitude * self.width2 / np.sqrt(s) * np.exp(-(u2**2) / (2 * s))
+        u2 = np.asarray(y2, dtype=float)
+        u4 = np.asarray(y4, dtype=float)
+        a = (self.width2 / np.sqrt(s) * np.exp(-(u2**2) / (2 * s))
              * np.exp(-(u4**2) / (2 * self.width4**2)))
         p2 = _gaussian_factors(u2, s, kmax)
         p4 = _gaussian_factors(u4, self.width4**2, kmax)
@@ -127,12 +126,7 @@ class GaussianProfile:
         return math.sqrt(w**2 + (2.0 * self.coeff * t / w) ** 2)
 
     def l2_normsq(self) -> float:
-        return self.amplitude**2 * math.pi * self.width2 * self.width4
-
-    def with_coeff(self, coeff: float) -> "GaussianProfile":
-        return GaussianProfile(
-            self.width2, self.width4, self.center2, self.center4, self.amplitude, coeff
-        )
+        return math.pi * self.width2 * self.width4
 
 
 @dataclass
@@ -193,13 +187,13 @@ class AnsatzOrder(enum.Enum):
 
 @dataclass(frozen=True)
 class WavePacketSpec:
-    """Concentration data of a packet; heavy spectral objects are cached."""
+    """Concentration data of a packet family, without hbar; heavy spectral
+    objects are cached per spec."""
 
     x0: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
     delta0: float = 1.0
     beta0: float = 0.0
     n: int = 1
-    hbar: float = 0.05
     profile: GaussianProfile = GaussianProfile()
     grid_L: float = 20.0
     grid_N: int = 3072
@@ -224,10 +218,8 @@ class _PacketMachinery:
         self.data: SpectralData = spectral_data(spec.delta0, spec.beta0, spec.n, grid=grid)
         self.grid = grid
         d = self.data
-        self.mu = d.mu
-        self.speed = d.mu_d1  # transport speed d_beta mu_n
         self.dispersion = 0.5 * d.mu_d2  # profile equation coefficient
-        self.profile = spec.profile.with_coeff(self.dispersion)
+        self.profile = replace(spec.profile, coeff=self.dispersion)
 
         xi = grid.nodes
         phi = d.phi
@@ -237,14 +229,13 @@ class _PacketMachinery:
         def images(v: np.ndarray) -> np.ndarray:
             # on the grid dpi(X1) = D1, dpi(X2) = iW and dpi(X1^2 + X2^2) = -H,
             # the operator the correctors were solved with
-            return np.column_stack([v, d1.apply(v).real, d.w * v, self.mu * v - H.apply(v)])
+            return np.column_stack([v, d1.apply(v).real, d.w * v, d.mu * v - H.apply(v)])
 
         self.images = {"phi": images(phi), "xi_phi": images(xi * phi), "dphi": images(d.dphi)}
         for u, (k, col) in _RESOLVENT_SOURCES.items():
             self.images[u] = images(reduced_resolvent_solve(d, self.images[k][:, col]).real)
         self.basis = {k: v[:, 0] for k, v in self.images.items()}
 
-        self.phi2 = phi  # carrier pairing vector; eigenvector by default
         self.xi_support = live_window(np.hstack(list(self.images.values())), grid)[1]
         # proposal scales for the transverse coefficient directions
         var = float(grid.inner(xi**2 * phi, phi).real)
@@ -252,30 +243,14 @@ class _PacketMachinery:
         self.u1_scale = 2.0 * self.sigma_xi
         self.u3_scale = 2.0 / (abs(spec.delta0) * self.sigma_xi)
 
+    def center(self, t: float) -> GroupElement:
+        """Moving center x(t) = x0 Exp(d_beta mu_n t X2)."""
+        return multiply(self.spec.x0_element(), exp_basis(2, self.data.mu_d1 * t))
+
 
 @functools.lru_cache(maxsize=8)
 def machinery(spec: WavePacketSpec) -> _PacketMachinery:
     return _PacketMachinery(spec)
-
-
-@dataclass(frozen=True)
-class PhaseAndCenter:
-    """Phase S(t) = -mu_n t and moving center x(t) = x0 Exp(speed t X2)."""
-
-    mu: float
-    speed: float
-    x0: GroupElement
-
-    def phase(self, t: float) -> float:
-        return -self.mu * t
-
-    def center(self, t: float) -> GroupElement:
-        return multiply(self.x0, exp_basis(2, self.speed * t))
-
-
-def phase_and_center(spec: WavePacketSpec) -> PhaseAndCenter:
-    m = machinery(spec)
-    return PhaseAndCenter(m.mu, m.speed, spec.x0_element())
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +278,7 @@ def _sigma2_terms(m: _PacketMachinery) -> dict[str, dict]:
     left-invariant X2 = d_2 also differentiates the P(y) factor, producing
     the y1 d4 a correction on the W xi phi slot.
     """
-    c2, c3 = m.speed, m.dispersion
+    c2, c3 = m.data.mu_d1, m.dispersion
     return {
         "u1": {(1, 0, 1, 1): -1j * c2},
         "u2": {(0, 0, 2, 0): c2},
@@ -385,45 +360,31 @@ def _arguments(m: _PacketMachinery, t: float, x: GroupElement,
                hb: float) -> tuple[np.ndarray, GroupElement]:
     """Representation argument w = hbar^{-1}.(x0^{-1} x), as an (M, 4)
     array, and profile argument y = hbar^{-1/2}.(x(t)^{-1} x) of points x;
-    x(t)^{-1} x = Exp(-speed t X2) x0^{-1} x."""
+    x(t)^{-1} x = Exp(-d_beta mu_n t X2) x0^{-1} x."""
     z0 = multiply(inverse(m.spec.x0_element()), x)
-    z = multiply(exp_basis(2, -m.speed * t), z0)
+    z = multiply(exp_basis(2, -m.data.mu_d1 * t), z0)
     return _stacked(dilate(1.0 / hb, z0)), dilate(hb ** (-0.5), z)
 
 
 def ansatz_values(spec: WavePacketSpec, order: AnsatzOrder, t: float,
-                  points: GroupElement | np.ndarray,
-                  hbar: float | None = None) -> np.ndarray:
+                  points: GroupElement | np.ndarray, hbar: float) -> np.ndarray:
     """Evaluate the approximate solution at a batch of points, given as a
     GroupElement with (M,) coordinate arrays or as an (M, 4) array."""
     m = machinery(spec)
-    hb = spec.hbar if hbar is None else hbar
-    w, y = _arguments(m, t, _points(points), hb)
-    terms = {n: tm for table in _ansatz_terms(m, order, hb) for n, tm in table.items()}
+    w, y = _arguments(m, t, _points(points), hbar)
+    terms = {n: tm for table in _ansatz_terms(m, order, hbar) for n, tm in table.items()}
     C = matrix_coefficients(m.data.param, w, np.column_stack([m.basis[n] for n in terms]),
-                            m.phi2, m.grid)
+                            m.data.phi, m.grid)
     sc = _scalars(m, t, y, 2)
     vals = sum(_evaluate(tm, *sc) * C[:, j] for j, tm in enumerate(terms.values()))
-    return hb ** (-Q_QUARTER) * np.exp(-1j * m.mu * t / hb) * vals
+    return hbar ** (-Q_QUARTER) * np.exp(-1j * m.data.mu * t / hbar) * vals
 
 
-def ansatz_value(spec: WavePacketSpec, order: AnsatzOrder, t: float,
-                 x: GroupElement, hbar: float | None = None) -> complex:
-    return complex(ansatz_values(spec, order, t, x, hbar=hbar)[0])
-
-
-def build_wavepacket(spec: WavePacketSpec, x: GroupElement,
-                     hbar: float | None = None) -> complex:
-    """Value of the bare packet at a point (the t = 0 leading ansatz)."""
-    return ansatz_value(spec, AnsatzOrder.LEADING, 0.0, x, hbar=hbar)
-
-
-def packet_norm_exact(spec: WavePacketSpec, hbar: float | None = None) -> float:
+def packet_norm_exact(spec: WavePacketSpec, hbar: float) -> float:
     """Closed-form L2 norm hbar^{3/4} sqrt(2 pi/|delta0|) ||a|| of the packet."""
-    hb = spec.hbar if hbar is None else hbar
     m = machinery(spec)
     return (
-        hb**0.75
+        hbar**0.75
         * math.sqrt(2.0 * math.pi / abs(spec.delta0) * m.profile.l2_normsq())
     )
 
@@ -475,8 +436,7 @@ def _draw_samples(spec: WavePacketSpec, t: float, hb: float, count: int,
     q = np.prod(
         np.exp(-0.5 * (z / scales) ** 2) / (np.sqrt(2 * np.pi) * scales), axis=1
     )
-    center = phase_and_center(spec).center(t)
-    return _Samples(multiply(center, GroupElement(z1, z2, z3, z4)), 1.0 / q, clipped)
+    return _Samples(multiply(m.center(t), GroupElement(z1, z2, z3, z4)), 1.0 / q, clipped)
 
 
 def _mean_and_error(values: np.ndarray) -> tuple[float, float]:
@@ -499,19 +459,6 @@ def _sampling_health(w: np.ndarray, clipped: int) -> SamplingHealth:
                           float(np.max(w)) / total, clipped)
 
 
-def packet_norm_estimate(spec: WavePacketSpec, t: float = 0.0,
-                         order: AnsatzOrder = AnsatzOrder.LEADING,
-                         sample_count: int = 20000, seed: int = 0,
-                         hbar: float | None = None) -> tuple[float, float]:
-    """Importance-sampled L2 norm of the ansatz and its sampling error."""
-    hb = spec.hbar if hbar is None else hbar
-    rng = np.random.default_rng(seed)
-    s = _draw_samples(spec, t, hb, sample_count, rng)
-    dens = np.abs(ansatz_values(spec, order, t, s.coords, hbar=hb)) ** 2 * s.weights
-    est, err = _mean_and_error(dens)
-    return math.sqrt(est), 0.5 * err / math.sqrt(est)
-
-
 # ---------------------------------------------------------------------------
 # Schrodinger residual
 # ---------------------------------------------------------------------------
@@ -529,14 +476,13 @@ class ResidualEstimate:
     health: SamplingHealth  # of the weights |psi|^2 / q at this order
 
 
-def residual(spec: WavePacketSpec, order: AnsatzOrder, t: float,
-             sample_count: int = 10000, seed: int = 0,
-             hbar: float | None = None) -> dict[AnsatzOrder, ResidualEstimate]:
+def residual(spec: WavePacketSpec, order: AnsatzOrder, t: float, hbar: float,
+             sample_count: int = 10000, seed: int = 0) -> dict[AnsatzOrder, ResidualEstimate]:
     """L2 estimates of r = i hbar d_t psi + hbar^2 (X1^2 + X2^2) psi over the
     packet, for every ansatz order from LEADING through `order`.
 
     With psi = hbar^{-7/4} e^{-i mu t/hbar} sum_j A_j(t, y) C_j(w) and
-    C_j = (pi(w) v_j, Phi2), one coefficient-kernel call gives exactly
+    C_j = (pi(w) v_j, Phi1), one coefficient-kernel call gives exactly
 
         r = hbar^{-7/4} e^{-i mu t/hbar} sum_j [(i hbar D_t A_j + hbar Delta A_j) C_j
             + 2 sqrt(hbar) (X1 A_j C[D1 v_j] + i X2 A_j C[W v_j]) + A_j C[(mu - H) v_j]];
@@ -547,39 +493,39 @@ def residual(spec: WavePacketSpec, order: AnsatzOrder, t: float,
     over a proposal matched to the true concentration scales.
     """
     m = machinery(spec)
-    hb = spec.hbar if hbar is None else hbar
     rng = np.random.default_rng(seed)
-    s = _draw_samples(spec, t, hb, sample_count, rng)
-    w, y = _arguments(m, t, s.coords, hb)
-    tables = _ansatz_terms(m, order, hb)
+    s = _draw_samples(spec, t, hbar, sample_count, rng)
+    w, y = _arguments(m, t, s.coords, hbar)
+    tables = _ansatz_terms(m, order, hbar)
     V = np.hstack([m.images[n] for table in tables for n in table])
-    C = matrix_coefficients(m.data.param, w, V, m.phi2, m.grid).reshape(len(w), -1, 4)
+    C = matrix_coefficients(m.data.param, w, V, m.data.phi, m.grid).reshape(len(w), -1, 4)
     sc = _scalars(m, t, y, 4)
     # d_t at fixed x: the profile flows (d_t a = i c3 a_22) and recenters
     # (y2 = (x2 - c2 t)/sqrt(hbar)); P and y1 do not move
-    dt = ({}, {}, {(0, 0, 2, 0): 1j * m.dispersion, (0, 0, 1, 0): -m.speed / math.sqrt(hb)})
+    dt = ({}, {}, {(0, 0, 2, 0): 1j * m.dispersion, (0, 0, 1, 0): -m.data.mu_d1 / math.sqrt(hbar)})
     psi0 = r = 0.0
     j = 0
     estimates = {}
     for cut, table in zip(AnsatzOrder, tables):
         for A in table.values():
             x1A, x2A = _derive(A, _X1), _derive(A, _X2)
-            slow = (1j * hb * _evaluate(_derive(A, dt), *sc)
-                    + hb * (_evaluate(_derive(x1A, _X1), *sc) + _evaluate(_derive(x2A, _X2), *sc)))
+            slow = (1j * hbar * _evaluate(_derive(A, dt), *sc)
+                    + hbar * (_evaluate(_derive(x1A, _X1), *sc)
+                              + _evaluate(_derive(x2A, _X2), *sc)))
             a_j = _evaluate(A, *sc)
             psi0 = psi0 + a_j * C[:, j, 0]
             r = (r + slow * C[:, j, 0] + a_j * C[:, j, 3]
-                 + 2.0 * math.sqrt(hb) * (_evaluate(x1A, *sc) * C[:, j, 1]
-                                          + 1j * _evaluate(x2A, *sc) * C[:, j, 2]))
+                 + 2.0 * math.sqrt(hbar) * (_evaluate(x1A, *sc) * C[:, j, 1]
+                                            + 1j * _evaluate(x2A, *sc) * C[:, j, 2]))
             j += 1
 
         # the phase e^{-i mu t/hbar} has modulus one
-        R, dR = _mean_and_error(np.abs(hb ** (-Q_QUARTER) * r) ** 2 * s.weights)
-        dens = np.abs(hb ** (-Q_QUARTER) * psi0) ** 2 * s.weights
+        R, dR = _mean_and_error(np.abs(hbar ** (-Q_QUARTER) * r) ** 2 * s.weights)
+        dens = np.abs(hbar ** (-Q_QUARTER) * psi0) ** 2 * s.weights
         S, dS = _mean_and_error(dens)
         rel = math.sqrt(R / S)
         estimates[cut] = ResidualEstimate(
-            hbar=hb,
+            hbar=hbar,
             order=cut.value,
             relative=rel,
             absolute=math.sqrt(R),
@@ -621,7 +567,7 @@ def residual_scaling_experiment(spec: WavePacketSpec, hbar_list: Sequence[float]
     if len(hbar_list) < 4:
         raise ValueError("need at least 4 hbar values for a slope")
     hbars = [float(h) for h in hbar_list]
-    per_hbar = [residual(spec, order, t, sample_count=sample_count, seed=seed + 1000 * k, hbar=hb)
+    per_hbar = [residual(spec, order, t, hb, sample_count=sample_count, seed=seed + 1000 * k)
                 for k, hb in enumerate(hbars)]
     reports = {}
     for cut in per_hbar[0]:
@@ -650,27 +596,28 @@ class TransportRow:
     health: SamplingHealth  # of the weights |ansatz|^2 / q
 
 
-def transport_demo(spec: WavePacketSpec, t: float,
-                   hbar_list: Sequence[float] | None = None,
-                   order: AnsatzOrder = AnsatzOrder.WITH_SIGMA1,
+def transport_demo(spec: WavePacketSpec, t: float, hbar_list: Sequence[float],
                    sample_count: int = 20000, seed: int = 0) -> list[TransportRow]:
-    """x2 centroid of |ansatz|^2 at time t against x0 Exp(speed t X2).
+    """x2 centroid of |ansatz|^2 (cut after sigma_1) at time t against the
+    center x0 Exp(d_beta mu_n t X2), one row per hbar.
 
     Works both at generic beta0 (nonzero drift) and on a critical cone
     (stationary center).
     """
-    pc = phase_and_center(spec)
+    if not hbar_list:
+        raise ValueError("need at least one hbar value")
+    pred = float(machinery(spec).center(t).x2)
     rows = []
-    for k, hb in enumerate(hbar_list or [spec.hbar]):
+    for k, hb in enumerate(hbar_list):
         hb = float(hb)
         rng = np.random.default_rng(seed + 7 * k)
         s = _draw_samples(spec, t, hb, sample_count, rng)
-        dens = np.abs(ansatz_values(spec, order, t, s.coords, hbar=hb)) ** 2 * s.weights
+        psi = ansatz_values(spec, AnsatzOrder.WITH_SIGMA1, t, s.coords, hb)
+        dens = np.abs(psi) ** 2 * s.weights
         x2 = s.coords.x2
         mass = float(np.mean(dens))
         cent = float(np.mean(dens * x2) / mass)
         width = math.sqrt(max(float(np.mean(dens * x2**2) / mass) - cent**2, 0.0))
-        pred = float(pc.center(t).x2)
         cent_err = _mean_and_error(dens * (x2 - cent))[1] / mass
         rows.append(
             TransportRow(

@@ -68,8 +68,7 @@ def test_criterion_4_feynman_hellmann():
         delta = float(rng.uniform(0.5, 2.0))
         beta = float(rng.uniform(-1.0, 1.0))
         n = int(rng.integers(1, 4))
-        grid = spectral.solve_lowest(spectral.Generic(delta, beta), n,
-                                     confine_level=n).grid
+        grid = spectral.solve_lowest(spectral.Generic(delta, beta), n).grid
         fh = spectral.mu_beta_derivative(delta, beta, n, grid=grid)
         s = 1e-4
         mp = spectral.solve_lowest(spectral.Generic(delta, beta + s), n,
@@ -128,7 +127,7 @@ def test_criterion_6_cone_curvature_consistency():
 
 @pytest.fixture(scope="module")
 def scaling_spec():
-    return wavepacket.WavePacketSpec(delta0=1.0, beta0=0.0, n=1, hbar=0.05)
+    return wavepacket.WavePacketSpec(delta0=1.0, beta0=0.0, n=1)
 
 
 def test_criterion_7_residual_scaling(scaling_spec):
@@ -153,9 +152,7 @@ def test_criterion_8_transport_law(scaling_spec):
     drift = abs(r.predicted_x2)
     generic_ok = r.drift_error <= 0.03 * drift
 
-    crit_spec = wavepacket.WavePacketSpec(
-        delta0=1.0, beta0=NU_CRIT_1, n=1, hbar=0.0125
-    )
+    crit_spec = wavepacket.WavePacketSpec(delta0=1.0, beta0=NU_CRIT_1, n=1)
     rows_c = wavepacket.transport_demo(
         crit_spec, 0.5, hbar_list=[0.0125], sample_count=30000, seed=2
     )

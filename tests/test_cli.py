@@ -83,6 +83,12 @@ def test_residual_scaling_seeded_determinism(tmp_path):
         assert header == "hbar,residual,sampling_error"
 
 
+def test_transport_empty_ladder_errors():
+    # a config "hbar" key sets nothing, so an empty ladder has no hbar to run
+    with pytest.raises(ValueError, match="hbar"):
+        run("transport", {"sample_count": 500, "hbar_ladder": [], "hbar": 0.02}, seed=3)
+
+
 # Kish ESS/N, largest weight share and clipped z1 draws per hbar at the CLI
 # defaults, seed 0; ESS/N and the share also follow from ansatz_values on the
 # same draws, so reporting them moved no sample or weight

@@ -166,7 +166,7 @@ def test_fh_first_derivative_vs_central_difference():
         delta = float(rng.uniform(0.5, 2.5))
         beta = float(rng.uniform(-1.5, 1.5))
         n = int(rng.integers(1, 4))
-        grid = solve_lowest(Generic(delta, beta), n, confine_level=n).grid
+        grid = solve_lowest(Generic(delta, beta), n).grid
         fh = mu_beta_derivative(delta, beta, n, grid=grid)
         s = 1e-4
         mp = solve_lowest(Generic(delta, beta + s), n, grid=grid).eigenvalues[n - 1]

@@ -14,15 +14,11 @@ from engellab.wavepacket import (
     GaussianProfile,
     ProfileState,
     WavePacketSpec,
-    ansatz_value,
     ansatz_values,
-    build_wavepacket,
     corrector_sigma1,
     corrector_sigma2,
     machinery,
-    packet_norm_estimate,
     packet_norm_exact,
-    phase_and_center,
     profile_evolve,
     residual,
     residual_scaling_experiment,
@@ -32,20 +28,24 @@ from engellab.wavepacket import (
 )
 from engellab.wavepacket import _draw_samples
 
-SPEC = WavePacketSpec(delta0=1.0, beta0=0.0, n=1, hbar=0.05)
+SPEC = WavePacketSpec(delta0=1.0, beta0=0.0, n=1)
+HBAR = 0.05
+
+
+def _bare(x):
+    """Value of the bare packet (the t = 0 leading ansatz) at one point."""
+    return ansatz_values(SPEC, AnsatzOrder.LEADING, 0.0, x, HBAR)[0]
 
 
 def test_value_at_center():
-    hb = SPEC.hbar
-    v = build_wavepacket(SPEC, GroupElement(0, 0, 0, 0))
-    # a(0) = 1 and <Phi1, Phi2> = 1 for the default eigenvector pairing
-    assert v == pytest.approx(hb ** (-7.0 / 4.0), rel=1e-12)
+    v = _bare(GroupElement(0, 0, 0, 0))
+    # a(0) = 1 and <Phi1, Phi1> = 1 for the normalized eigenvector
+    assert v == pytest.approx(HBAR ** (-7.0 / 4.0), rel=1e-12)
 
 
 def test_profile_decay_along_x2():
-    hb = SPEC.hbar
-    peak = abs(build_wavepacket(SPEC, GroupElement(0, 0, 0, 0)))
-    off = abs(build_wavepacket(SPEC, GroupElement(0, 10 * math.sqrt(hb), 0, 0)))
+    peak = abs(_bare(GroupElement(0, 0, 0, 0)))
+    off = abs(_bare(GroupElement(0, 10 * math.sqrt(HBAR), 0, 0)))
     assert off <= 1e-6 * peak
 
 
@@ -53,25 +53,21 @@ def test_norm_scaling_is_hbar_three_quarters():
     # hbar^{-3/4} ||psi|| should be flat in hbar and match the closed form
     vals = []
     for hb in (0.1, 0.05, 0.025):
-        est, err = packet_norm_estimate(SPEC, hbar=hb, sample_count=20000, seed=11)
-        exact = packet_norm_exact(SPEC, hbar=hb)
-        assert est == pytest.approx(exact, rel=0.02)
+        est = residual(SPEC, AnsatzOrder.LEADING, 0.0, hb, sample_count=20000,
+                       seed=11)[AnsatzOrder.LEADING].psi_norm
+        assert est == pytest.approx(packet_norm_exact(SPEC, hb), rel=0.02)
         vals.append(est / hb**0.75)
     assert max(vals) / min(vals) - 1.0 <= 0.02
 
 
 def test_phase_and_center_group_law():
-    pc = phase_and_center(SPEC)
+    m = machinery(SPEC)
     t, s = 0.3, 0.45
-    lhs = pc.center(t + s)
-    step = GroupElement(0.0, pc.speed * s, 0.0, 0.0)
-    from engellab.algebra import multiply
-
-    rhs = multiply(pc.center(t), step)
+    lhs = m.center(t + s)
+    rhs = multiply(m.center(t), GroupElement(0.0, m.data.mu_d1 * s, 0.0, 0.0))
     assert np.allclose(
         [float(c) for c in lhs.coords()], [float(c) for c in rhs.coords()]
     )
-    assert pc.phase(t) == pytest.approx(-machinery(SPEC).mu * t)
 
 
 # -- profile evolution ----------------------------------------------------------
@@ -173,8 +169,7 @@ def test_sigma2_zero_when_all_profile_curvature_vanishes():
 def test_sigma2_diagonal_diagnostic():
     # the diagonal-part cancellation is exact up to an O(h^2) quadrature
     # drift in <d1(xi phi), phi>, so the 1e-6 bar needs the finer grid
-    spec = WavePacketSpec(delta0=1.0, beta0=0.0, n=1, hbar=0.05,
-                          grid_L=8.0, grid_N=8192)
+    spec = WavePacketSpec(delta0=1.0, beta0=0.0, n=1, grid_L=8.0, grid_N=8192)
     ys = np.array(
         [
             [0.5, 0.3, -0.2, 0.4],
@@ -189,26 +184,14 @@ def test_sigma2_diagonal_diagnostic():
 # -- ansatz ----------------------------------------------------------------------
 
 
-def test_ansatz_t0_leading_equals_bare_packet():
-    rng = np.random.default_rng(12)
-    for _ in range(4):
-        z = rng.standard_normal(4) * np.array([0.05, 0.1, 0.01, 0.005])
-        x = GroupElement(*z)
-        a = ansatz_value(SPEC, AnsatzOrder.LEADING, 0.0, x)
-        b = build_wavepacket(SPEC, x)
-        assert a == pytest.approx(b, rel=1e-12)
-
-
 def test_ansatz_phase_continuity_along_center_path():
     m = machinery(SPEC)
-    hb = SPEC.hbar
     ts = np.linspace(0.0, 0.4, 41)
     vals = []
-    pc = phase_and_center(SPEC)
     for t in ts:
-        c = np.array(pc.center(t).coords(), dtype=float)
-        v = ansatz_values(SPEC, AnsatzOrder.WITH_SIGMA1, float(t), c[None, :])[0]
-        vals.append(v * np.exp(1j * m.mu * t / hb))
+        c = np.array(m.center(t).coords(), dtype=float)
+        v = ansatz_values(SPEC, AnsatzOrder.WITH_SIGMA1, float(t), c[None, :], HBAR)[0]
+        vals.append(v * np.exp(1j * m.data.mu * t / HBAR))
     vals = np.array(vals)
     # after removing the dynamical phase the path is smooth: no branch jumps
     assert np.max(np.abs(np.diff(vals))) <= 0.1 * np.max(np.abs(vals))
@@ -220,26 +203,25 @@ def test_ansatz_modulus_at_moving_center():
     # the coefficient dephases; check against the independent coefficient
     # route (rep_apply shifts Phi1, the batch kernel shifts Phi2)
     m = machinery(SPEC)
-    hb = SPEC.hbar
+    hb = HBAR
     t = 0.3
-    c = np.array(phase_and_center(SPEC).center(t).coords(), dtype=float)
-    v = ansatz_values(SPEC, AnsatzOrder.LEADING, t, c[None, :])[0]
+    c = np.array(m.center(t).coords(), dtype=float)
+    v = ansatz_values(SPEC, AnsatzOrder.LEADING, t, c[None, :], hb)[0]
     a = m.profile.partials(t, 0.0, 0.0, 0)[0, 0]
-    w = GroupElement(0.0, m.speed * t / hb, 0.0, 0.0)
+    w = GroupElement(0.0, m.data.mu_d1 * t / hb, 0.0, 0.0)
     pi_phi = rep_apply(Generic(SPEC.delta0, SPEC.beta0), w, m.basis["phi"].astype(complex), m.grid)
-    coef = complex(m.grid.inner(pi_phi, m.phi2.astype(complex)))
+    coef = complex(m.grid.inner(pi_phi, m.data.phi.astype(complex)))
     assert abs(v) == pytest.approx(hb ** (-1.75) * abs(a) * abs(coef), rel=1e-9)
 
 
 def test_oversized_shift_raises_grid_margin_error():
     m = machinery(SPEC)
-    hb = SPEC.hbar
     w1 = m.grid.L - 0.5 * m.xi_support  # past the margin, inside the box
     with pytest.raises(GridMarginError):
         matrix_coefficient(Generic(SPEC.delta0, SPEC.beta0), GroupElement(w1, 0, 0, 0),
-                           m.basis["phi"], m.phi2, m.grid)
+                           m.basis["phi"], m.data.phi, m.grid)
     with pytest.raises(GridMarginError):
-        ansatz_values(SPEC, AnsatzOrder.LEADING, 0.0, np.array([[w1 * hb, 0, 0, 0]]))
+        _bare(np.array([[w1 * HBAR, 0, 0, 0]]))
 
 
 def test_vectorized_group_ops_match_exact():
@@ -331,15 +313,12 @@ def test_residual_sample_doubling_consistency():
 
 
 def test_leading_residual_halforder_scaling():
-    # bare ansatz with frozen profile: residual ~ hbar^{1/2} (transport term)
-    frozen = WavePacketSpec(
-        delta0=1.0, beta0=0.0, n=1, hbar=0.05,
-        profile=GaussianProfile(coeff=0.0),
-    )
+    # bare ansatz (its profile flows with mu''/2, as every packet's does):
+    # residual ~ hbar^{1/2}, from the sqrt(hbar) X1 a, X2 a terms sigma_1 removes
     rels = []
     for hb in (0.1, 0.025):
         rels.append(
-            residual(frozen, AnsatzOrder.LEADING, 0.05, sample_count=4000,
+            residual(SPEC, AnsatzOrder.LEADING, 0.05, sample_count=4000,
                      seed=8, hbar=hb)[AnsatzOrder.LEADING].relative
         )
     slope = math.log(rels[0] / rels[1]) / math.log(4.0)
@@ -351,8 +330,7 @@ def test_residual_invariant_under_left_translation():
     # estimate is reproduced up to arithmetic roundoff
     base = residual(SPEC, AnsatzOrder.WITH_SIGMA1, 0.1, sample_count=2000,
                     seed=14, hbar=0.05)[AnsatzOrder.WITH_SIGMA1]
-    moved_spec = WavePacketSpec(x0=(0.3, -0.2, 0.15, 0.1), delta0=1.0,
-                                beta0=0.0, n=1, hbar=0.05)
+    moved_spec = WavePacketSpec(x0=(0.3, -0.2, 0.15, 0.1), delta0=1.0, beta0=0.0, n=1)
     moved = residual(moved_spec, AnsatzOrder.WITH_SIGMA1, 0.1,
                      sample_count=2000, seed=14, hbar=0.05)[AnsatzOrder.WITH_SIGMA1]
     assert moved.relative == pytest.approx(base.relative, rel=1e-6)
