@@ -97,6 +97,14 @@ def _write_report(report: RunReport, out_dir: Path) -> None:
     report.outputs.append(str(path))
 
 
+def _reads(*keys: str):
+    """Declare the config keys a runner reads; `run` rejects any other key."""
+    def declare(runner):
+        runner.keys = frozenset(keys)
+        return runner
+    return declare
+
+
 def _print_checks(report: RunReport) -> None:
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
@@ -120,6 +128,7 @@ def _rand_vector(rng) -> algebra.LieVector:
     return algebra.LieVector(*(_rand_fraction(rng) for _ in range(4)))
 
 
+@_reads("trials")
 def run_identities(cfg: dict, seed: int) -> RunReport:
     rng = np.random.default_rng(seed)
     trials = int(cfg.get("trials", 40))
@@ -187,6 +196,7 @@ def run_identities(cfg: dict, seed: int) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
+@_reads("n_list", "nu_min", "nu_max", "nu_step", "grid_n")
 def run_dispersion(cfg: dict, seed: int) -> RunReport:
     ns = list(cfg.get("n_list", [1, 2, 3, 4]))
     nu_min = float(cfg.get("nu_min", -4.0))
@@ -211,6 +221,7 @@ def run_dispersion(cfg: dict, seed: int) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
+@_reads("n", "scan", "grid_n", "tol")
 def run_critical_points(cfg: dict, seed: int) -> RunReport:
     n = int(cfg.get("n", 1))
     scan = tuple(cfg.get("scan", [-4.0, 4.0]))
@@ -236,6 +247,7 @@ def _default_kernels() -> list[fourier.GaussianKernelSpec]:
     ]
 
 
+@_reads("kernels", "delta_min", "delta_max", "beta_box")
 def run_plancherel(cfg: dict, seed: int) -> RunReport:
     if "kernels" in cfg:
         kernels = [
@@ -260,7 +272,12 @@ def run_plancherel(cfg: dict, seed: int) -> RunReport:
     return rep
 
 
+_SPEC_KEYS = ("profile_width2", "profile_width4", "x0", "delta0", "beta0", "n",
+              "grid_l", "grid_n")
+
+
 def _spec_from_cfg(cfg: dict) -> wavepacket.WavePacketSpec:
+    """The packet spec from the `_SPEC_KEYS` of cfg."""
     profile = wavepacket.GaussianProfile(
         width2=float(cfg.get("profile_width2", 0.45)),
         width4=float(cfg.get("profile_width4", 0.8)),
@@ -276,6 +293,7 @@ def _spec_from_cfg(cfg: dict) -> wavepacket.WavePacketSpec:
     )
 
 
+@_reads(*_SPEC_KEYS, "hbar_ladder", "sample_count", "t")
 def run_residual_scaling(cfg: dict, seed: int) -> RunReport:
     spec = _spec_from_cfg(cfg)
     hbars = [float(h) for h in cfg.get("hbar_ladder", [0.1, 0.05, 0.025, 0.0125])]
@@ -306,6 +324,7 @@ def run_residual_scaling(cfg: dict, seed: int) -> RunReport:
     return rep
 
 
+@_reads(*_SPEC_KEYS, "hbar_ladder", "sample_count", "t")
 def run_transport(cfg: dict, seed: int) -> RunReport:
     spec = _spec_from_cfg(cfg)
     t = float(cfg.get("t", 0.5))
@@ -337,6 +356,7 @@ def run_transport(cfg: dict, seed: int) -> RunReport:
     return rep
 
 
+@_reads("n", "grid_n", "delta_list", "times")
 def run_smicro_profile(cfg: dict, seed: int) -> RunReport:
     n = int(cfg.get("n", 1))
     N = int(cfg.get("grid_n", 4096))
@@ -364,6 +384,7 @@ def run_smicro_profile(cfg: dict, seed: int) -> RunReport:
     return rep
 
 
+@_reads("q", "p", "expect")
 def run_strichartz(cfg: dict, seed: int) -> RunReport:
     q = cfg.get("q", "inf")
     p = cfg.get("p", 2)
@@ -393,10 +414,19 @@ _RUNNERS = {
 
 def run(subcommand: str, config: dict, out_dir: str | Path | None = None,
         seed: int = 0) -> RunReport:
-    """Execute one experiment; write report.json and data CSVs under out_dir."""
+    """Execute one experiment; write report.json and data CSVs under out_dir.
+
+    Raises ValueError for an unknown subcommand, or naming every config key
+    the subcommand does not read.
+    """
     if subcommand not in _RUNNERS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
-    report = _RUNNERS[subcommand](dict(config), seed)
+    runner = _RUNNERS[subcommand]
+    unknown = sorted(set(config) - runner.keys)
+    if unknown:
+        raise ValueError(f"{subcommand} does not read config key(s) {', '.join(unknown)}; "
+                         f"it reads {', '.join(sorted(runner.keys))}")
+    report = runner(dict(config), seed)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -6,7 +6,11 @@ Representations act on L^2(R_xi) grid vectors; the generic class reads
                     exp[i (b + d (xi + x1)^2 / 2) x2] phi(xi + x1),
 
 with infinitesimal generators pi(X1) = d_xi, pi(X2) = i(b + d xi^2/2),
-pi(X3) = i d xi, pi(X4) = i d.
+pi(X3) = i d xi, pi(X4) = i d.  In the shifted variable eta = xi + s(x)
+(s = x1, or 0 for the characters) the phase of every class is a quadratic
+in eta whose coefficients depend on x alone, so the matrix-coefficient
+kernel takes exact cos/sin only at the start of each block of `_R` nodes
+and steps through the block by the exact recurrence of a quadratic phase.
 
 The group Fourier transform F kappa(pi) = int kappa(x) pi(x)* dx of a
 product kernel kappa(x) = f1(x1) f2(x2) f3(x3) f4(x4) reduces to the
@@ -67,6 +71,7 @@ class QuadratureBoxError(ValueError):
 
 _LIVE_RTOL = 1e-13
 _TILE = 128  # points per kernel tile; a tile's (point, node) buffers stay in cache
+_R = 16  # nodes per phase block: exact cos/sin at block starts, a recurrence between
 
 
 def _live_range(mags: np.ndarray) -> tuple[int, int]:
@@ -97,19 +102,26 @@ def live_window(V: np.ndarray, grid: SpectralGrid, shifts=0.0) -> tuple[slice, f
     return slice(lo, hi), reach
 
 
-def _phase(param: RepParam, xi, x) -> np.ndarray:
-    """theta with pi(x) phi(xi) = exp(i theta(xi, x)) phi(xi + s(x)).
+def _quadratic_phase(param: RepParam, coords: np.ndarray):
+    """(a, b, c), each of shape (M,), for points coords (M, 4), with
 
-    x is a 4-sequence of coordinates, each broadcastable against xi.
+        pi(x) phi(xi) = exp(i (a + b eta + c eta^2)) phi(eta),  eta = xi + s(x):
+
+    Generic(delta, beta): a = delta (x4 - x1 x3 / 2) + beta x2, b = delta x3,
+    c = delta x2 / 2; Schrodinger(lam): a = lam (x3 - x1 x2 / 2), b = lam x2,
+    c = 0; Character(alpha1, alpha2): a = alpha1 x1 + alpha2 x2, b = c = 0.
+    Both rep_apply and matrix_coefficients take the phase from here.
     """
-    x1, x2, x3, x4 = x
+    x1, x2, x3, x4 = coords.T
+    zero = np.zeros_like(x1)
     if isinstance(param, Generic):
-        d, b = param.delta, param.beta
-        return d * (x4 + xi * x3 + 0.5 * x1 * x3) + (b + 0.5 * d * (xi + x1) ** 2) * x2
+        d = param.delta
+        return d * (x4 - 0.5 * x1 * x3) + param.beta * x2, d * x3, 0.5 * d * x2
     if isinstance(param, Schrodinger):
-        return param.lam * (x3 + xi * x2 + 0.5 * x1 * x2)
+        lam = param.lam
+        return lam * (x3 - 0.5 * x1 * x2), lam * x2, zero
     if isinstance(param, Character):
-        return param.alpha1 * x1 + param.alpha2 * x2 + 0.0 * xi
+        return param.alpha1 * x1 + param.alpha2 * x2, zero, zero
     raise TypeError(f"unsupported representation parameter {param!r}")
 
 
@@ -122,13 +134,14 @@ def rep_apply(param: RepParam, x: GroupElement, phi: np.ndarray,
               grid: SpectralGrid) -> np.ndarray:
     """Apply the representation of x to a grid vector; phi(. + s) comes
     from cubic interpolation, zero outside the box."""
-    c = tuple(float(v) for v in x.coords())
-    a = _shift_of(param, c[0])
-    live_window(phi, grid, a)
-    target = grid.nodes + a
+    coords = np.array([[float(v) for v in x.coords()]])
+    s = _shift_of(param, coords[0, 0])
+    live_window(phi, grid, s)
+    target = grid.nodes + s
     shifted = CubicSpline(grid.nodes, phi)(target).astype(complex)
     shifted[(target < -grid.L) | (target > grid.L)] = 0.0
-    return shifted * np.exp(1j * _phase(param, grid.nodes, c))
+    (a,), (b,), (c,) = _quadratic_phase(param, coords)
+    return shifted * np.exp(1j * (a + (b + c * target) * target))
 
 
 def rep_apply_adjoint(param: RepParam, x: GroupElement, phi: np.ndarray,
@@ -196,57 +209,85 @@ def matrix_coefficients(param: RepParam, coords: np.ndarray, V: np.ndarray,
 
     The shift moves onto phi2: with eta = xi + s(x),
 
-        (pi(x) v, phi2) = h sum_eta v(eta) e^{i theta(eta - s, x)}
-                          conj(phi2(eta - s)),
+        (pi(x) v, phi2) = h sum_eta v(eta) e^{i theta(eta)} conj(phi2(eta - s)),
 
     so one cubic spline of phi2 serves every point and column.  On the
     uniform grid eta_j - s lies in spline piece j + k(s) at an offset
-    t(s) that is the same for every j, so each point's row of phi2 values
-    is one Horner step over a contiguous slice of the piece coefficients.
+    t(s) that is the same for every j, so a point's row of phi2 values is
+    the cubic in t over a contiguous slice of the piece coefficients; the
+    points of one k(s) get theirs from one product of their powers of t
+    with that slice.
+
+    On the nodes the phase is the quadratic theta = a + b eta + c eta^2 of
+    `_quadratic_phase`, and e^{ia} multiplies each output row once.  Of the
+    rest, E_j = e^{i (b eta_j + c eta_j^2)}, only the block starts, every
+    `_R` nodes, take exact cos/sin, together with the step
+    D_j = E_{j+1} / E_j = e^{i h (b + c (2 eta_j + h))}; inside a block the
+    exact two-term recurrence
+
+        E_{j+1} = E_j D_j,   D_{j+1} = D_j e^{2 i c h^2}
+
+    fills the other nodes, and its rounding grows at most like `_R`^2 eps.
 
     The points are sorted by k(s) and taken in tiles of `_TILE`, whose
-    e^{i theta} (cos and sin of `_phase`) and phi2 rows fill two buffers
-    reused from tile to tile.  A tile sums only over the nodes in the live
-    window of V where phi2(eta - s) is live (same `_LIVE_RTOL` rule) for
-    some point of the tile; a tile with no such node gives exact zeros.
-    Raises GridMarginError when a shift would take phi2's argument past
-    the box.
+    E and phi2 rows fill buffers reused from tile to tile.  A tile sums
+    only over the nodes in the live window of V where phi2(eta - s) is live
+    (same `_LIVE_RTOL` rule) for some point of the tile; a tile with no such
+    node gives exact zeros.  Raises GridMarginError when a shift would take
+    phi2's argument past the box.
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     shifts = _shift_of(param, coords[:, 0])
     window = live_window(V, grid, shifts)[0]
     p0, p1 = _live_range(np.abs(phi2))
-    xi = grid.nodes
-    c3, c2, c1, c0 = _spline_pieces(xi, phi2)
-    k = np.floor(-shifts / grid.h).astype(int)
-    t = -shifts - k * grid.h
+    xi, h = grid.nodes, grid.h
+    pieces = _spline_pieces(xi, phi2).conj()
+    k = np.floor(-shifts / h).astype(int)
+    order = np.argsort(k, kind="stable")
+    k = k[order]
+    powers = np.vander(-shifts[order] - k * h, 4)  # t^3, t^2, t, 1
+    pa, pb, pc = (p[order] for p in _quadratic_phase(param, coords))
     Vw = np.asarray(V[window], dtype=complex)  # cast once, not per tile product
     out = np.zeros((len(coords), V.shape[1]), dtype=complex)
-    size = min(len(coords), _TILE) * len(Vw)
-    gbuf, fbuf = np.empty(size, dtype=complex), np.empty(size, dtype=c0.dtype)
-    order = np.argsort(k, kind="stable")
+    tile = min(len(coords), _TILE)
+    blocks = -(-len(Vw) // _R)
+    ebuf = np.empty(tile * blocks * _R, dtype=complex)  # E, rows padded to whole blocks
+    dbuf, qbuf = np.empty(tile * blocks, dtype=complex), np.empty(tile * blocks, dtype=complex)
+    fbuf = np.empty(tile * len(Vw), dtype=pieces.dtype)
     for a in range(0, len(order), _TILE):
-        rows = order[a:a + _TILE]
-        kt = k[rows]  # ascending
+        z = slice(a, a + _TILE)
+        kt = k[z]  # ascending
         j0, j1 = max(window.start, p0 - kt[-1]), min(window.stop, p1 - kt[0])
         if j1 <= j0:
             continue
-        w = j1 - j0
-        G = gbuf[:len(rows) * w].reshape(len(rows), w)
-        F = fbuf[:len(rows) * w].reshape(len(rows), w)
-        theta = _phase(param, xi[j0:j1] - shifts[rows, None], coords[rows].T[:, :, None])
-        np.cos(theta, out=G.real)
-        np.sin(theta, out=G.imag)
-        # pieces j + k + 1 (padded numbering) for j = j0 .. j1 - 1, at offset t
-        for f, i, tr in zip(F, (kt + j0 + 1).tolist(), t[rows].tolist()):
-            np.multiply(c3[i:i + w], tr, out=f)
-            f += c2[i:i + w]
-            f *= tr
-            f += c1[i:i + w]
-            f *= tr
-            f += c0[i:i + w]
-        G *= F.conj()
-        out[rows] = grid.h * (G @ Vw[j0 - window.start:j1 - window.start])
+        m, w = len(kt), j1 - j0
+        nb = -(-w // _R)
+        E = ebuf[:m * nb * _R].reshape(m, nb, _R)
+        D, Q = dbuf[:m * nb], qbuf[:m * nb]  # flat, block-major like E's rows
+        F = fbuf[:m * w].reshape(m, w)
+        b, c = pb[z, None], pc[z, None]
+        eta = xi[j0:j1:_R]  # block starts
+        theta = (b + c * eta) * eta
+        np.cos(theta, out=E[:, :, 0].real)
+        np.sin(theta, out=E[:, :, 0].imag)
+        theta = h * (b + c * (2.0 * eta + h))
+        np.cos(theta, out=D.reshape(m, nb).real)
+        np.sin(theta, out=D.reshape(m, nb).imag)
+        Q.reshape(m, nb)[:] = np.exp(2j * h * h * c)
+        Er = E.reshape(m * nb, _R).T  # Er[r]: node r of every block, one flat operand
+        for r in range(1, _R):
+            np.multiply(Er[r - 1], D, out=Er[r])
+            D *= Q
+        # conj(phi2) rows: pieces k + j + 1 (padded numbering), j = j0 .. j1 - 1
+        cuts = [0, *(np.flatnonzero(np.diff(kt)) + 1).tolist(), m]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            i = int(kt[lo]) + j0 + 1
+            np.matmul(powers[a + lo:a + hi], pieces[:, i:i + w], out=F[lo:hi])
+        G = E.reshape(m, nb * _R)[:, :w]
+        G *= F
+        C = G @ Vw[j0 - window.start:j1 - window.start]
+        C *= h * np.exp(1j * pa[z])[:, None]
+        out[order[z]] = C
     return out
 
 

@@ -1,9 +1,15 @@
 """CLI subcommands, determinism, exit codes."""
 
+import importlib.util
+import inspect
 import json
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
+from engellab import cli
 from engellab.cli import main, run
 
 
@@ -84,9 +90,79 @@ def test_residual_scaling_seeded_determinism(tmp_path):
 
 
 def test_transport_empty_ladder_errors():
-    # a config "hbar" key sets nothing, so an empty ladder has no hbar to run
     with pytest.raises(ValueError, match="hbar"):
-        run("transport", {"sample_count": 500, "hbar_ladder": [], "hbar": 0.02}, seed=3)
+        run("transport", {"sample_count": 500, "hbar_ladder": []}, seed=3)
+
+
+@pytest.mark.parametrize("subcommand, config, unknown", [
+    ("transport", {"hbar": 0.02}, "hbar"),
+    ("residual-scaling", {"sample_cont": 300, "hbar_ladder": [0.1]}, "sample_cont"),
+    ("smicro-profile", {"tol": 1e9, "grid_n": 2048}, "tol"),
+    ("strichartz", {"q": 2, "p": 2.8, "alpha": 1, "beta": 2}, "alpha, beta"),
+])
+def test_unknown_config_keys_rejected(tmp_path, subcommand, config, unknown):
+    # refused before any work, naming every key the subcommand does not read
+    with pytest.raises(ValueError, match=f"does not read config key\\(s\\) {unknown};"):
+        run(subcommand, config, out_dir=tmp_path)
+    assert not any(tmp_path.iterdir())
+
+
+def test_runners_declare_the_keys_they_read():
+    for name, runner in cli._RUNNERS.items():
+        src = inspect.getsource(runner)
+        if "_spec_from_cfg(cfg)" in src:
+            src += inspect.getsource(cli._spec_from_cfg)
+        read = set(re.findall(r'cfg(?:\.get\(|\[)"(\w+)"|"(\w+)" in cfg', src))
+        assert {k for pair in read for k in pair if k} == runner.keys, name
+
+
+def _workloads_module(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_configs_accepted(monkeypatch):
+    # every key the benchmark workloads send (n_list, nu_min, nu_max, nu_step,
+    # grid_n, n, trials, q, p, expect) is one its subcommand reads
+    workloads = _workloads_module(monkeypatch)
+    sent = set()
+    for name in ("branch-sweep", "certify", "packet-residual"):
+        for exp in workloads.make_inputs(name, 0).experiments:
+            if exp.subcommand in cli._RUNNERS:
+                assert set(exp.config) <= cli._RUNNERS[exp.subcommand].keys, exp.exp_id
+                sent |= set(exp.config)
+    assert {"n_list", "nu_step", "grid_n", "n", "trials", "q", "p", "expect"} <= sent
+
+
+# main's flags, the config key each sets and the subcommands that read it
+MAIN_FLAGS = [
+    (["--n", "2"], "n", {"critical-points", "smicro-profile", "residual-scaling", "transport"}),
+    (["--q", "4", "--p", "7/3"], "p", {"strichartz"}),
+    (["--tol", "1e-8"], "tol", {"critical-points"}),
+    (["--grid-n", "512"], "grid_n",
+     {"dispersion", "critical-points", "smicro-profile", "residual-scaling", "transport"}),
+    (["--grid-l", "12"], "grid_l", {"residual-scaling", "transport"}),
+    (["--hbar-ladder", "0.1,0.05"], "hbar_ladder", {"residual-scaling", "transport"}),
+]
+
+
+@pytest.mark.parametrize("flags, key, readers", MAIN_FLAGS, ids=lambda v: str(v))
+def test_main_flags_accepted_where_read(monkeypatch, flags, key, readers):
+    # main passes its flags through run's key check; only the experiments
+    # are stubbed out, each with its runner's keys
+    monkeypatch.setattr(cli, "_RUNNERS", {
+        name: cli._reads(*runner.keys)(lambda cfg, seed, name=name: cli.RunReport(name, cfg))
+        for name, runner in cli._RUNNERS.items()})
+    for sub in cli.SUBCOMMANDS:
+        if sub in readers:
+            assert main([sub, *flags]) == 0
+        else:
+            with pytest.raises(ValueError, match=rf"config key\(s\) [^;]*\b{key}\b"):
+                main([sub, *flags])
 
 
 # Kish ESS/N, largest weight share and clipped z1 draws per hbar at the CLI
@@ -127,9 +203,10 @@ def test_critical_points_cli(tmp_path):
 
 
 def test_smicro_profile_cli(tmp_path):
-    # "tol" sets only the critical-points bisection; check thresholds are fixed
+    # the check thresholds are fixed; "tol", which only critical-points reads,
+    # is refused (test_unknown_config_keys_rejected)
     rep = run("smicro-profile", {"grid_n": 2048, "times": [0.0, 1.0],
-                                 "delta_list": [1.0, 2.0], "tol": 1e9}, out_dir=tmp_path)
+                                 "delta_list": [1.0, 2.0]}, out_dir=tmp_path)
     assert rep.passed
     thresholds = {c.name: c.threshold for c in rep.checks}
     assert thresholds["on-cone-curvature-deviation"] == 1e-3

@@ -11,12 +11,12 @@ from engellab.fourier import (
     GridMarginError,
     ProductKernel,
     QuadratureBoxError,
-    _phase,
-    _shift_of,
+    _R,
     difference_op_check,
     fourier_gaussian,
     fourier_product_kernel,
     infinitesimal,
+    live_window,
     matrix_coefficient,
     matrix_coefficients,
     plancherel_calibrate,
@@ -156,13 +156,32 @@ def test_matrix_coefficient_center_phase():
 ORACLE_GRID = SpectralGrid(16.0, 1024)
 
 
+TWO_PI = np.longdouble("6.283185307179586476925286766559005768")
+
+
+def _reference_phase(param, coords, u):
+    """theta(u, x) of pi(x) phi(u) = e^{i theta} phi(u + s(x)), straight from
+    the representation formulas, per element in long double."""
+    x1, x2, x3, x4 = (v[:, None] for v in np.asarray(coords, dtype=np.longdouble).T)
+    u = np.asarray(u, dtype=np.longdouble)
+    if isinstance(param, Generic):
+        d, b = np.longdouble(param.delta), np.longdouble(param.beta)
+        return d * (x4 + u * x3 + x1 * x3 / 2) + (b + d * (u + x1) * (u + x1) / 2) * x2
+    if isinstance(param, Schrodinger):
+        return np.longdouble(param.lam) * (x3 + u * x2 + x1 * x2 / 2)
+    return np.longdouble(param.alpha1) * x1 + np.longdouble(param.alpha2) * x2 + 0 * u
+
+
 def _direct_coefficients(param, coords, V, phi2, grid):
-    """Reference kernel: every node, no window, phi2's spline evaluated at
-    xi - s by scipy, then one product with V."""
-    shifts = _shift_of(param, coords[:, 0])
+    """Reference kernel: every node, no window, theta per element in long
+    double at u = xi - s and reduced there to [-pi, pi] before exp, phi2's
+    spline evaluated at u by scipy, then one product with V."""
+    shifts = coords[:, 0] * (not isinstance(param, Character))
+    xi = grid.nodes.astype(np.longdouble)
+    theta = _reference_phase(param, coords, xi[None, :] - shifts[:, None])
+    theta = (theta - TWO_PI * np.rint(theta / TWO_PI)).astype(float)  # |theta| <= pi
     u = grid.nodes[None, :] - shifts[:, None]
-    G = (np.exp(1j * _phase(param, u, coords.T[:, :, None]))
-         * np.conj(CubicSpline(grid.nodes, phi2)(u)))
+    G = np.exp(1j * theta) * np.conj(CubicSpline(grid.nodes, phi2)(u))
     return grid.h * (G @ V)
 
 
@@ -178,20 +197,65 @@ def _oracle_vectors(complex_values):
     return V, phi2
 
 
-@pytest.mark.parametrize("param", [Generic(1.0, 0.3), Generic(-0.7, 0.2), Schrodinger(0.8),
-                                   Character(0.4, -1.1)], ids=repr)
+def _oracle_scale(ref, V, phi2, large):
+    """What the 1e-12 bound is relative to: the largest coefficient, or at
+    large phases, where the sums cancel down to rounding, each column's
+    Cauchy-Schwarz bound ||v_k|| ||phi2|| of |(pi(x) v_k, phi2)|."""
+    if not large:
+        return np.max(np.abs(ref))
+    return ORACLE_GRID.norm(phi2) * np.array([ORACLE_GRID.norm(v) for v in V.T])
+
+
+def _oracle_points(rng, M, large):
+    """M points with shifts in (-8, 8); with `large` the phase over the live
+    nodes reaches ~3 000 rad, as in the hbar = 0.0125 residual draws."""
+    scale = (12.0, 60.0, 1000.0) if large else (1.0, 1.0, 1.0)
+    return np.column_stack([rng.uniform(-8.0, 8.0, M),
+                            rng.standard_normal((M, 3)) * scale])
+
+
+ORACLE_PARAMS = [Generic(1.0, 0.3), Generic(-0.7, 0.2), Schrodinger(0.8), Character(0.4, -1.1)]
+
+
+@pytest.mark.parametrize("param", ORACLE_PARAMS, ids=repr)
 @pytest.mark.parametrize("M", [1, 127, 128, 129, 1000])
 def test_kernel_matches_direct_formula(param, M):
-    # the tiles (128 points), the overlap windows and the piece-aligned
-    # spline reproduce the direct sum; rows come back in input order
+    # the tiles (128 points), the overlap windows, the piece-aligned spline
+    # and the block recurrence of the phase reproduce the direct sum, also
+    # where the phase reaches ~3 000 rad; rows come back in input order
     rng = np.random.default_rng(M)
-    coords = np.column_stack([rng.uniform(-8.0, 8.0, M), rng.standard_normal((M, 3))])
     perm = rng.permutation(M)
-    for complex_values in (False, True):
-        V, phi2 = _oracle_vectors(complex_values)
-        ref = _direct_coefficients(param, coords, V, phi2, ORACLE_GRID)
-        got = matrix_coefficients(param, coords[perm], V, phi2, ORACLE_GRID)
-        assert np.max(np.abs(got - ref[perm])) <= 1e-12 * np.max(np.abs(ref))
+    for large in (False, True):
+        coords = _oracle_points(rng, M, large)
+        if large and M == 1000 and isinstance(param, Generic):
+            xi = ORACLE_GRID.nodes[np.abs(ORACLE_GRID.nodes) < 7.3]
+            assert np.max(np.abs(_reference_phase(param, coords, xi))) > 2500
+        for complex_values in (False, True):
+            V, phi2 = _oracle_vectors(complex_values)
+            ref = _direct_coefficients(param, coords, V, phi2, ORACLE_GRID)
+            got = matrix_coefficients(param, coords[perm], V, phi2, ORACLE_GRID)
+            scale = _oracle_scale(ref, V, phi2, large)
+            assert np.all(np.abs(got - ref[perm]) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("param", ORACLE_PARAMS, ids=repr)
+@pytest.mark.parametrize("half_width", [0.15, 0.5])
+def test_kernel_short_windows(param, half_width):
+    # V live over fewer nodes than a phase block, and over a width that is
+    # not a whole number of blocks: padded blocks must not leak into the sum
+    V, phi2 = _oracle_vectors(True)
+    V = V * (np.abs(ORACLE_GRID.nodes) < half_width)[:, None]
+    window = live_window(V, ORACLE_GRID)[0]
+    width = window.stop - window.start
+    assert width % _R and (width < _R) == (half_width < 0.2)
+    rng = np.random.default_rng(3)
+    for M in (1, 129):
+        for large in (False, True):
+            coords = _oracle_points(rng, M, large)
+            coords[:, 0] *= 0.8  # keep phi2's live range over V's window
+            ref = _direct_coefficients(param, coords, V, phi2, ORACLE_GRID)
+            got = matrix_coefficients(param, coords, V, phi2, ORACLE_GRID)
+            assert np.all(np.abs(got - ref) <= 1e-12 * _oracle_scale(ref, V, phi2, large))
 
 
 def test_kernel_zero_when_phi2_misses_window():
