@@ -33,6 +33,10 @@ SUBCOMMANDS = (
 )
 
 
+class ConfigError(ValueError):
+    """A config a subcommand refuses: keys it does not read, an empty sweep grid."""
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
@@ -204,7 +208,7 @@ def run_dispersion(cfg: dict, seed: int) -> RunReport:
     step = float(cfg.get("nu_step", 0.05))
     N = int(cfg.get("grid_n", 2048))
     if not ns or nu_max <= nu_min:
-        raise ValueError("empty sweep grid")
+        raise ConfigError("empty sweep grid")
     nus = np.arange(nu_min, nu_max + 0.5 * step, step)
     rep = RunReport("dispersion", cfg)
 
@@ -416,16 +420,16 @@ def run(subcommand: str, config: dict, out_dir: str | Path | None = None,
         seed: int = 0) -> RunReport:
     """Execute one experiment; write report.json and data CSVs under out_dir.
 
-    Raises ValueError for an unknown subcommand, or naming every config key
-    the subcommand does not read.
+    Raises ValueError for an unknown subcommand, and ConfigError naming every
+    config key the subcommand does not read.
     """
     if subcommand not in _RUNNERS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
     runner = _RUNNERS[subcommand]
     unknown = sorted(set(config) - runner.keys)
     if unknown:
-        raise ValueError(f"{subcommand} does not read config key(s) {', '.join(unknown)}; "
-                         f"it reads {', '.join(sorted(runner.keys))}")
+        raise ConfigError(f"{subcommand} does not read config key(s) {', '.join(unknown)}; "
+                          f"it reads {', '.join(sorted(runner.keys))}")
     report = runner(dict(config), seed)
     if out_dir is not None:
         out = Path(out_dir)
@@ -473,7 +477,10 @@ def main(argv: list[str] | None = None) -> int:
         cfg["hbar_ladder"] = [float(h) for h in args.hbar_ladder.split(",")]
 
     t0 = time.time()
-    report = run(args.subcommand, cfg, out_dir=args.out, seed=args.seed)
+    try:
+        report = run(args.subcommand, cfg, out_dir=args.out, seed=args.seed)
+    except ConfigError as err:  # refused input is a usage error; faults keep tracebacks
+        parser.error(str(err))
     _print_checks(report)
     print(f"wall-time: {time.time() - t0:.2f}s", file=sys.stderr)
     return 0 if report.passed else 1

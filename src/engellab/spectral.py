@@ -13,9 +13,14 @@ with eigenvalues mu_n(delta, beta) = delta^{2/3} mutilde_n(beta delta^{-1/3})
 (real cube roots for delta < 0); Montgomery(nu) is Generic(1, nu).
 
 Discretization: second-order central differences with Dirichlet walls at
-+-L; the matrix is symmetric tridiagonal and eigenpairs are obtained by
-bisection on Sturm-sequence counts plus inverse iteration (LAPACK stebz/
-stein via scipy's eigh_tridiagonal).  Default boxes come from `box_grid`,
++-L.  Every potential here is even and `build_hamiltonian` mirrors it, so
+the symmetric tridiagonal matrix commutes exactly with xi -> -xi and splits
+into an even and an odd block of about N/2 rows each.  By the discrete
+Sturm oscillation theorem mode j has j - 1 sign changes, so the modes
+alternate even, odd, even, ... from the ground state.  Each block is
+solved by bisection on Sturm-sequence counts plus inverse iteration (LAPACK
+stebz/stein via scipy's eigh_tridiagonal) and its vectors are mirrored to
+the full grid, exactly even or odd.  Default boxes come from `box_grid`,
 a closed-form rule that puts the wall 18 Agmon lengths past the turning
 point of a bound on the confined level; it scales with the natural length
 |delta|^{-1/3} (|lambda|^{-1/2} for Schrodinger), so the box of
@@ -155,8 +160,15 @@ class OperatorMatrix:
 
 
 def build_hamiltonian(param: SpectralParam, grid: SpectralGrid) -> OperatorMatrix:
-    """Three-point Laplacian plus the diagonal squared potential."""
-    V = potential(param)(grid.nodes)
+    """Three-point Laplacian plus the diagonal squared potential.
+
+    V is even; it is evaluated on the left half of the nodes (centre
+    included) and mirrored, so the diagonal is exactly symmetric although
+    linspace nodes are antisymmetric only to ~1 ulp.
+    """
+    N = grid.N
+    V = potential(param)(grid.nodes[: (N + 1) // 2])
+    V = np.concatenate([V, V[: N // 2][::-1]])
     h = grid.h
     return OperatorMatrix(grid, 2.0 / h**2 + V, -1.0 / h**2)
 
@@ -230,36 +242,78 @@ class EigenResult:
         return float(min(below, abs(mus[n] - mus[n - 1])))
 
 
-_PEAK_RTOL = 1e-8  # mirror peaks differ by rounding, 1e-13..1e-10 relative
 _EIGEN_RESIDUAL_RTOL = 1e-8  # eigenpair residual bound, relative to max(|mu|, 1)
 _GAP_RTOL = 1e-8  # smallest spectral gap, relative to max(|mu|, 1), for dPi_n
 
 
+def _parity_block(d: np.ndarray, offdiag: float,
+                  parity: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the even (0) or odd (1) block.
+
+    The unknowns are the left half of the nodes, u_{N-1-i} = +-u_i.  For
+    even N the mirror neighbour of node N/2 - 1 is itself, so the last
+    diagonal entry becomes d +- offdiag.  For odd N the odd block ends in a
+    Dirichlet condition at the centre; the even block keeps the centre
+    node, and scaling the other unknowns by sqrt(2) makes its coupling
+    sqrt(2) offdiag on both sides, which keeps the block symmetric.
+    """
+    N = len(d)
+    m = N // 2
+    if N % 2 == 0:
+        block_d = d[:m].copy()
+        block_d[-1] += offdiag if parity == 0 else -offdiag
+        return block_d, np.full(m - 1, offdiag)
+    if parity == 1:
+        return d[:m], np.full(m - 1, offdiag)
+    block_e = np.full(m, offdiag)
+    block_e[-1] *= np.sqrt(2.0)
+    return d[: m + 1], block_e
+
+
 def eigen_lowest(op: OperatorMatrix, k: int,
                  confine_level: int | None = None) -> EigenResult:
-    """k lowest eigenpairs of the tridiagonal operator.
+    """k lowest eigenpairs of the mirror-symmetric tridiagonal operator.
 
-    Deterministic sign convention: each vector is positive at the leftmost
-    node where |phi| is within `_PEAK_RTOL` of its maximum.  The potentials
-    are even, so odd modes have two mirror peaks that differ only by
-    rounding; the tolerance makes the left one win whatever k is.
-    Confinement is checked for mode `confine_level` (default k); modes
-    above it may be box-limited.
+    The operator commutes with xi -> -xi, so it is solved as its even and
+    odd blocks of about N/2 rows.  With a negative off-diagonal the j-th
+    eigenvector has j - 1 sign changes, so mode 2i + 1 is the i-th even
+    pair and mode 2i + 2 the i-th odd one; a tunnelling pair whose values
+    come out non-monotone at rounding level keeps these labels.  Vectors
+    are exactly even or odd.  Raises ValueError on a diagonal that is not
+    mirror-symmetric.
+
+    Deterministic sign convention: each vector is positive at the first
+    maximum of |phi|; mirror peaks are bitwise equal, so the left one wins
+    whatever k is.  Confinement is checked for mode `confine_level`
+    (default k); modes above it may be box-limited.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     N = op.grid.N
     d = op.diagonal
-    e = np.full(N - 1, op.offdiag)
-    vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+    if np.any(d != d[::-1]):
+        raise ValueError("the diagonal is not mirror-symmetric; build the operator "
+                         "with build_hamiltonian")
+    m = N // 2
     h = op.grid.h
-    vecs = vecs / np.sqrt(h)  # Euclidean-orthonormal -> h-weighted orthonormal
-    for j in range(k):
-        v = vecs[:, j]
-        mag = np.abs(v)
-        peak = int(np.argmax(mag >= (1.0 - _PEAK_RTOL) * mag.max()))
-        if v[peak] < 0:
-            vecs[:, j] = -v
+    vals = np.empty(k)
+    vecs = np.empty((N, k), order="F")  # contiguous columns, as LAPACK returns them
+    for parity in (0, 1):
+        count = (k + 1 - parity) // 2
+        if count == 0:
+            continue
+        w, v = eigh_tridiagonal(*_parity_block(d, op.offdiag, parity),
+                                select="i", select_range=(0, count - 1))
+        vals[parity::2] = w
+        # block-orthonormal -> h-weighted orthonormal on the full grid
+        half = v[:m] / np.sqrt(2.0 * h)
+        cols = vecs[:, parity::2]
+        cols[:m] = half
+        cols[N - m:] = -half[::-1] if parity else half[::-1]
+        if N % 2:
+            cols[m] = v[m] / np.sqrt(h) if parity == 0 else 0.0
+    peak = np.argmax(np.abs(vecs), axis=0)
+    vecs *= np.where(vecs[peak, np.arange(k)] < 0, -1.0, 1.0)
     # confinement + residual post-conditions
     if confine_level is None:
         confine_level = k

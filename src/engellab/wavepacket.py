@@ -188,7 +188,11 @@ class AnsatzOrder(enum.Enum):
 @dataclass(frozen=True)
 class WavePacketSpec:
     """Concentration data of a packet family, without hbar; heavy spectral
-    objects are cached per spec."""
+    objects are cached per spec.
+
+    The profile disperses with mu_n''/2 of the packet's own mode, so its
+    `coeff` is not an input: any value other than 0 is refused.
+    """
 
     x0: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
     delta0: float = 1.0
@@ -197,6 +201,11 @@ class WavePacketSpec:
     profile: GaussianProfile = GaussianProfile()
     grid_L: float = 20.0
     grid_N: int = 3072
+
+    def __post_init__(self):
+        if self.profile.coeff != 0:
+            raise ValueError("a packet's profile disperses with mu''/2 of its mode; "
+                             "leave profile.coeff at 0")
 
     def x0_element(self) -> GroupElement:
         return GroupElement(*self.x0)

@@ -107,6 +107,30 @@ def test_unknown_config_keys_rejected(tmp_path, subcommand, config, unknown):
     assert not any(tmp_path.iterdir())
 
 
+def test_refused_config_is_a_usage_error(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"n_list": []}))
+    for argv, message in (
+        (["strichartz", "--q", "2", "--p", "2.8", "--tol", "1"],
+         "strichartz does not read config key(s) tol;"),
+        (["dispersion", "--config", str(empty)], "empty sweep grid"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: engellab") and f"error: {message}" in err
+
+
+def test_real_faults_keep_their_traceback(monkeypatch):
+    def broken(cfg, seed):
+        raise ValueError("a fault, not a refused config")
+    broken.keys = frozenset()
+    monkeypatch.setitem(cli._RUNNERS, "strichartz", broken)
+    with pytest.raises(ValueError, match="a fault"):
+        main(["strichartz"])
+
+
 def test_runners_declare_the_keys_they_read():
     for name, runner in cli._RUNNERS.items():
         src = inspect.getsource(runner)
@@ -151,9 +175,10 @@ MAIN_FLAGS = [
 
 
 @pytest.mark.parametrize("flags, key, readers", MAIN_FLAGS, ids=lambda v: str(v))
-def test_main_flags_accepted_where_read(monkeypatch, flags, key, readers):
-    # main passes its flags through run's key check; only the experiments
-    # are stubbed out, each with its runner's keys
+def test_main_flags_accepted_where_read(monkeypatch, capsys, flags, key, readers):
+    # main passes its flags through run's key check and reports a refusal as
+    # a usage error; only the experiments are stubbed out, each with its
+    # runner's keys
     monkeypatch.setattr(cli, "_RUNNERS", {
         name: cli._reads(*runner.keys)(lambda cfg, seed, name=name: cli.RunReport(name, cfg))
         for name, runner in cli._RUNNERS.items()})
@@ -161,8 +186,11 @@ def test_main_flags_accepted_where_read(monkeypatch, flags, key, readers):
         if sub in readers:
             assert main([sub, *flags]) == 0
         else:
-            with pytest.raises(ValueError, match=rf"config key\(s\) [^;]*\b{key}\b"):
+            with pytest.raises(SystemExit) as exc:
                 main([sub, *flags])
+            assert exc.value.code == 2
+            assert re.search(rf"error: {sub} does not read config key\(s\) [^;]*\b{key}\b",
+                             capsys.readouterr().err)
 
 
 # Kish ESS/N, largest weight share and clipped z1 draws per hbar at the CLI

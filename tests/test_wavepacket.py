@@ -60,6 +60,14 @@ def test_norm_scaling_is_hbar_three_quarters():
     assert max(vals) / min(vals) - 1.0 <= 0.02
 
 
+def test_spec_refuses_a_profile_coefficient():
+    # the machinery disperses the profile with mu''/2 of the packet's mode
+    with pytest.raises(ValueError, match="coeff"):
+        WavePacketSpec(profile=GaussianProfile(coeff=0.3))
+    m = machinery(SPEC)
+    assert m.profile.coeff == 0.5 * m.data.mu_d2 != SPEC.profile.coeff
+
+
 def test_phase_and_center_group_law():
     m = machinery(SPEC)
     t, s = 0.3, 0.45
