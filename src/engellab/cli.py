@@ -34,7 +34,8 @@ SUBCOMMANDS = (
 
 
 class ConfigError(ValueError):
-    """A config a subcommand refuses: keys it does not read, an empty sweep grid."""
+    """A config a subcommand refuses: keys it does not read, an empty sweep
+    grid, an hbar ladder too short for the experiment."""
 
 
 def _fmt(x) -> str:
@@ -280,6 +281,18 @@ _SPEC_KEYS = ("profile_width2", "profile_width4", "x0", "delta0", "beta0", "n",
               "grid_l", "grid_n")
 
 
+def _hbar_ladder(values, least: int, use: str) -> list[float]:
+    """The config's hbar ladder as floats; ConfigError unless it holds at
+    least `least` numbers."""
+    try:
+        hbars = [float(h) for h in values]
+    except (TypeError, ValueError):
+        raise ConfigError(f"hbar_ladder must be a list of numbers, got {values!r}") from None
+    if len(hbars) < least:
+        raise ConfigError(f"{use} needs at least {least} hbar value(s), got {len(hbars)}")
+    return hbars
+
+
 def _spec_from_cfg(cfg: dict) -> wavepacket.WavePacketSpec:
     """The packet spec from the `_SPEC_KEYS` of cfg."""
     profile = wavepacket.GaussianProfile(
@@ -300,7 +313,8 @@ def _spec_from_cfg(cfg: dict) -> wavepacket.WavePacketSpec:
 @_reads(*_SPEC_KEYS, "hbar_ladder", "sample_count", "t")
 def run_residual_scaling(cfg: dict, seed: int) -> RunReport:
     spec = _spec_from_cfg(cfg)
-    hbars = [float(h) for h in cfg.get("hbar_ladder", [0.1, 0.05, 0.025, 0.0125])]
+    hbars = _hbar_ladder(cfg.get("hbar_ladder", [0.1, 0.05, 0.025, 0.0125]), 4,
+                         "a residual-scaling slope")
     samples = int(cfg.get("sample_count", 10000))
     t = float(cfg.get("t", 0.1))
     rep = RunReport("residual-scaling", cfg)
@@ -332,7 +346,7 @@ def run_residual_scaling(cfg: dict, seed: int) -> RunReport:
 def run_transport(cfg: dict, seed: int) -> RunReport:
     spec = _spec_from_cfg(cfg)
     t = float(cfg.get("t", 0.5))
-    hbars = [float(h) for h in cfg.get("hbar_ladder", [0.05, 0.025, 0.0125])]
+    hbars = _hbar_ladder(cfg.get("hbar_ladder", [0.05, 0.025, 0.0125]), 1, "transport")
     samples = int(cfg.get("sample_count", 20000))
     rows = wavepacket.transport_demo(spec, t, hbar_list=hbars,
                                      sample_count=samples, seed=seed)
@@ -441,6 +455,14 @@ def run(subcommand: str, config: dict, out_dir: str | Path | None = None,
     return report
 
 
+def _numbers(text: str) -> list[float]:
+    """A comma-separated list of numbers, as --hbar-ladder takes it."""
+    try:
+        return [float(h) for h in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="engellab",
@@ -458,7 +480,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--tol", type=float, default=None,
                         help="critical-points root tolerance: the Newton "
                              "refinement stops once a step is below it")
-    parser.add_argument("--hbar-ladder", type=str, default=None,
+    parser.add_argument("--hbar-ladder", type=_numbers, default=None,
                         help="comma-separated hbar values")
     args = parser.parse_args(argv)
 
@@ -474,7 +496,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.grid_l is not None:
         cfg["grid_l"] = args.grid_l
     if args.hbar_ladder is not None:
-        cfg["hbar_ladder"] = [float(h) for h in args.hbar_ladder.split(",")]
+        cfg["hbar_ladder"] = args.hbar_ladder
 
     t0 = time.time()
     try:

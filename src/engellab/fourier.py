@@ -11,6 +11,9 @@ pi(X3) = i d xi, pi(X4) = i d.  In the shifted variable eta = xi + s(x)
 in eta whose coefficients depend on x alone, so the matrix-coefficient
 kernel takes exact cos/sin only at the start of each block of `_R` nodes
 and steps through the block by the exact recurrence of a quadratic phase.
+Off-node values phi(eta - s) come from the not-a-knot cubic spline of phi,
+built here by one tridiagonal slope solve (`_spline_table`); rep_apply and
+the kernel read the same piece table.
 
 The group Fourier transform F kappa(pi) = int kappa(x) pi(x)* dx of a
 product kernel kappa(x) = f1(x1) f2(x2) f3(x3) f4(x4) reduces to the
@@ -34,7 +37,7 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from .algebra import WEIGHTS, GroupElement, inverse
 from .spectral import Character, Generic, RepParam, Schrodinger, SpectralGrid
@@ -133,12 +136,17 @@ def _shift_of(param: RepParam, x1):
 def rep_apply(param: RepParam, x: GroupElement, phi: np.ndarray,
               grid: SpectralGrid) -> np.ndarray:
     """Apply the representation of x to a grid vector; phi(. + s) comes
-    from cubic interpolation, zero outside the box."""
+    from phi's not-a-knot cubic spline, zero outside the box."""
     coords = np.array([[float(v) for v in x.coords()]])
     s = _shift_of(param, coords[0, 0])
     live_window(phi, grid, s)
-    target = grid.nodes + s
-    shifted = CubicSpline(grid.nodes, phi)(target).astype(complex)
+    nodes = grid.nodes
+    target = nodes + s
+    i = np.clip(np.searchsorted(nodes, target, side="right") - 1, 0, grid.N - 2)
+    c3, c2, c1, c0 = _spline_table(nodes, phi)[:, i]
+    t = target - nodes[i]
+    t2 = t * t
+    shifted = (c0 + c1 * t + c2 * t2 + c3 * (t2 * t)).astype(complex)
     shifted[(target < -grid.L) | (target > grid.L)] = 0.0
     (a,), (b,), (c,) = _quadratic_phase(param, coords)
     return shifted * np.exp(1j * (a + (b + c * target) * target))
@@ -188,15 +196,57 @@ def infinitesimal(param: Generic, i: int, grid: SpectralGrid) -> InfinitesimalOp
     raise ValueError(f"generator index must be 1..4, got {i}")
 
 
+def _spline_table(nodes: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients (4, N - 1) of the not-a-knot cubic spline of y on the
+    increasing nodes, column i holding piece i, c3 t^3 + c2 t^2 + c1 t + c0
+    with t = xi - x_i (rows c3, c2, c1, c0).
+
+    The slopes s at the nodes solve the tridiagonal C2 system with the
+    not-a-knot end rows (third derivative continuous across x_1 and
+    x_{N-2}); each piece is then the cubic Hermite interpolant of (y, s).
+    The equations and their order of operations are those of
+    scipy.interpolate.CubicSpline, so the table is bitwise its `.c`.
+    Values are cast to float64 or complex128; raises ValueError unless
+    there is one finite value per node and at least four nodes.
+    """
+    x = np.asarray(nodes, dtype=float)
+    y = np.asarray(y)
+    y = y.astype(complex if np.iscomplexobj(y) else float, copy=False)
+    n = len(x)
+    if y.shape != (n,):
+        raise ValueError(f"need one spline value per node: {y.shape} values, {n} nodes")
+    if n < 4:
+        raise ValueError("a not-a-knot spline needs at least 4 nodes")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("spline values must be finite")
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    A = np.zeros((3, n))  # banded: upper, main and lower diagonals
+    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[-1, :-2] = dx[1:]
+    b = np.empty(n, dtype=y.dtype)
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = x[2] - x[0]
+    A[1, 0], A[0, 1] = dx[1], d
+    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    A[1, -1], A[-1, -2] = dx[-2], d
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
 def _spline_pieces(nodes: np.ndarray, phi2: np.ndarray) -> np.ndarray:
-    """Coefficients (4, N + 1) of phi2's cubic spline, column i + 1 holding
-    piece i, c3 t^3 + c2 t^2 + c1 t + c0 with t = xi - x_i.
+    """phi2's `_spline_table` padded to (4, N + 1), column i + 1 holding
+    piece i.
 
     Columns 0 and N are the constant end values: arguments stay inside
     [-L, L], so a piece index of -1 or N - 1 only comes from an argument
     that rounds onto an end node.
     """
-    c = CubicSpline(nodes, phi2).c
+    c = _spline_table(nodes, phi2)
     out = np.zeros((4, len(nodes) + 1), dtype=c.dtype)
     out[:, 1:-1] = c
     out[3, 0], out[3, -1] = phi2[0], phi2[-1]

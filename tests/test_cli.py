@@ -3,7 +3,9 @@
 import importlib.util
 import inspect
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -108,18 +110,45 @@ def test_unknown_config_keys_rejected(tmp_path, subcommand, config, unknown):
 
 
 def test_refused_config_is_a_usage_error(tmp_path, capsys):
-    empty = tmp_path / "empty.json"
-    empty.write_text(json.dumps({"n_list": []}))
+    configs = {"empty": {"n_list": []}, "no-hbar": {"hbar_ladder": []},
+               "text-hbar": {"hbar_ladder": ["0.05", "a"]}}
+    for name, config in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
     for argv, message in (
         (["strichartz", "--q", "2", "--p", "2.8", "--tol", "1"],
          "strichartz does not read config key(s) tol;"),
-        (["dispersion", "--config", str(empty)], "empty sweep grid"),
+        (["dispersion", "--config", str(tmp_path / "empty.json")], "empty sweep grid"),
+        # bad hbar ladders are refused before any sampling
+        (["residual-scaling", "--hbar-ladder", "0.1,0.05"],
+         "a residual-scaling slope needs at least 4 hbar value(s), got 2"),
+        (["residual-scaling", "--hbar-ladder", "0.1,x,0.025,0.0125"],
+         "argument --hbar-ladder: expected comma-separated numbers, got '0.1,x,0.025,0.0125'"),
+        (["transport", "--hbar-ladder", ""],
+         "argument --hbar-ladder: expected comma-separated numbers, got ''"),
+        (["transport", "--config", str(tmp_path / "no-hbar.json")],
+         "transport needs at least 1 hbar value(s), got 0"),
+        (["transport", "--config", str(tmp_path / "text-hbar.json")],
+         "hbar_ladder must be a list of numbers, got ['0.05', 'a']"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: engellab") and f"error: {message}" in err
+
+
+def test_cli_import_skips_scipy_interpolate():
+    # the spline is built in-house; scipy.interpolate would also pull in
+    # scipy.optimize, ~140 ms of set-up and ~23 MiB of peak RSS in every
+    # CLI call and benchmark pass (BENCH_15.json)
+    probe = ("import sys, engellab.cli; "
+             "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize') "
+             "if m in sys.modules))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_real_faults_keep_their_traceback(monkeypatch):

@@ -12,6 +12,8 @@ from engellab.fourier import (
     ProductKernel,
     QuadratureBoxError,
     _R,
+    _quadratic_phase,
+    _spline_table,
     difference_op_check,
     fourier_gaussian,
     fourier_product_kernel,
@@ -94,6 +96,62 @@ def test_adjoint_matches_pinned_phase_at_exact_shift():
     shifted[m:] = phi[: GRID.N - m]
     theta = (0.3 + 0.5 * xi**2) * (-0.52) + 0.5 * (2 * xi - m * GRID.h) * 0.31 + 0.17
     assert GRID.norm(lhs - np.exp(-1j * theta) * shifted) < 1e-12
+
+
+# -- the not-a-knot spline -------------------------------------------------------
+
+
+def _spline_vectors(N):
+    """A real and a complex vector on the L = 12 box of N nodes, live over it all."""
+    rng = np.random.default_rng(N)
+    xi = SpectralGrid(12.0, N).nodes
+    real = np.exp(-xi**2 / 3) * np.cos(2 * xi) + 1e-3 * rng.standard_normal(N)
+    return real, real * np.exp(0.6j * xi) + 1e-3j * rng.standard_normal(N)
+
+
+@pytest.mark.parametrize("N", [768, 2048, 3072, 2049])
+def test_spline_table_is_scipy_not_a_knot(N):
+    # scipy's CubicSpline is the oracle: same equations, same rounding
+    nodes = SpectralGrid(12.0, N).nodes
+    for y in _spline_vectors(N):
+        ref, got = CubicSpline(nodes, y).c, _spline_table(nodes, y)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()  # bitwise, signed zeros included
+
+
+def _rep_apply_by_scipy(param, x, phi, grid):
+    """rep_apply with phi(. + s) from scipy's CubicSpline at the targets."""
+    coords = np.array([[float(v) for v in x.coords()]])
+    target = grid.nodes + (0.0 if isinstance(param, Character) else coords[0, 0])
+    shifted = CubicSpline(grid.nodes, phi)(target).astype(complex)
+    shifted[(target < -grid.L) | (target > grid.L)] = 0.0
+    (a,), (b,), (c,) = _quadratic_phase(param, coords)
+    return shifted * np.exp(1j * (a + (b + c * target) * target))
+
+
+@pytest.mark.parametrize("param", [PARAM, Schrodinger(2.0), Character(0.5, -1.0)], ids=repr)
+def test_rep_apply_matches_scipy_spline(param):
+    # x1 = 0 puts every target on a node, -L and L included; the narrow
+    # vector takes off-node shifts and targets past the box
+    wide = _spline_vectors(GRID.N)[1]
+    narrow = np.exp(-GRID.nodes**2 / 2)
+    for phi, x1 in ((wide, 0.0), (narrow, 0.0), (narrow, 7 * GRID.h), (narrow, -0.123),
+                    (narrow.astype(complex), 1.5)):
+        x = GroupElement(x1, 0.2, -0.3, 0.4)
+        assert np.array_equal(rep_apply(param, x, phi, GRID),
+                              _rep_apply_by_scipy(param, x, phi, GRID))
+
+
+def test_spline_refuses_bad_values():
+    bad = _gaussian()
+    bad[100] = np.nan
+    x = GroupElement(0.1, 0.2, 0.0, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        rep_apply(PARAM, x, bad, GRID)
+    with pytest.raises(ValueError, match="finite"):
+        matrix_coefficient(PARAM, x, _gaussian(), bad, GRID)
+    with pytest.raises(ValueError, match="one spline value per node"):
+        _spline_table(GRID.nodes, _gaussian()[:-1])
 
 
 # -- infinitesimal generators ---------------------------------------------------

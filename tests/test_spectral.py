@@ -332,8 +332,9 @@ def test_eigenvector_derivative_matches_complete_spectral_sum():
 @pytest.mark.parametrize("nu, N", [(-1.0, 2048), (2.0, 2048), (-3.0, 4096), (0.0, 8192),
                                    (-0.5, 2048), (3.0, 2048), (-1.0, 4096)])
 def test_eigenvector_sign_independent_of_mode_count(nu, N):
-    # odd modes have mirror peaks equal up to rounding; on the default boxes
-    # the last four cases flip under a plain argmax rule
+    # vectors are mirrored from their parity block, so an odd mode's two
+    # peaks are bitwise equal and the sign rule is a plain argmax of |phi|;
+    # the sign must not depend on how many modes the solve was asked for
     p = Generic(1.0, nu)
     H = build_hamiltonian(p, box_grid([p], 4, N))
     many = eigen_lowest(H, 32, confine_level=5).eigenvectors

@@ -419,3 +419,12 @@ def test_second_microlocal_demo_custom_profile():
     assert rep.mass_drift <= 1e-10
     # a modulated packet drifts: the density at t=1 is not the initial one
     assert np.max(np.abs(rep.densities[1] - rep.densities[0])) > 0.1
+
+
+def test_short_ladders_raise_value_error():
+    # library callers get a ValueError before any work; the CLI checks its
+    # ladders itself and reports them as usage errors
+    with pytest.raises(ValueError, match="at least 4 hbar values"):
+        residual_scaling_experiment(SPEC, [0.1, 0.05, 0.025])
+    with pytest.raises(ValueError, match="at least one hbar value"):
+        transport_demo(SPEC, 0.5, [])
