@@ -25,7 +25,9 @@ The exact L2 norm of the bare packet is hbar^{3/4} sqrt(2 pi / |delta0|)
 ||a||_{L2} ||Phi1||^2: the coefficient carries the (x1, x3) mass at
 scales (hbar, hbar^2) with constant transverse mass (an exact ambiguity-
 function identity), while the profile carries (x2, x4) at scales
-(hbar^{1/2}, hbar^{3/2}).  Sampling proposals below follow those scales.
+(hbar^{1/2}, hbar^{3/2}).  The same identity with the transverse phase
+integrated out makes `transport_demo`'s moments exact (`_fibre_moments`);
+the residual's sampling proposals below follow those scales.
 
 Batches of points are GroupElements with (M,) float coordinate arrays, and
 every product, inverse and dilation goes through the group law in
@@ -593,6 +595,68 @@ def residual_scaling_experiment(spec: WavePacketSpec, hbar_list: Sequence[float]
 # ---------------------------------------------------------------------------
 
 
+# Gauss-Hermite nodes per axis of the (y2, y4) integral: exact to degree 15,
+# and the sigma_1 integrands with the x2^2 moment reach degree 4 in y2, 2 in y4
+_GH_NODES = 8
+
+
+def _fibre_moments(m: _PacketMachinery, order: AnsatzOrder, t: float,
+                   hb: float) -> tuple[float, float, float]:
+    """Exact ||psi||^2 and the mean and variance of y2 under |psi|^2 for the
+    ansatz cut at `order` (LEADING or WITH_SIGMA1), without sampling.
+
+    Write C[u; v](w) = (pi(w) u, v).  At fixed (w2, w4) the orthogonality
+    relations of the square-integrable representation give
+
+        int int C[u; v] conj C[u'; v'] dw1 dw3 = (2 pi / |delta|) (u, u') (v', v),
+
+    and the P factor of a term, P = -hbar (w3 + w1 w2) / 2 (the shift
+    x0^{-1} x -> x(t)^{-1} x leaves y3 + y1 y2 unchanged), maps onto pairs by
+
+        (w3 + w1 w2) C[u; v] = -w2 C[u; xi v] + (i / delta) (C[u'; v] + C[u; v']),
+
+    u' and v' being the D1 images.  With x = x0 z, z = hbar.w, hbar w2 =
+    sqrt(hbar) y2 + d_beta mu_n t and y4 = hbar^{3/2} w4, every coefficient
+    is a polynomial times a's Gaussian, so after the Gram sum the (y2, y4)
+    integral is Gauss-Hermite with |a|^2's weights, exact at `_GH_NODES`.
+    The measure gives ||psi||^2 = hbar^{3/2} int int (Gram sum) dy2 dy4:
+    hbar^{-7/2} from psi's prefactor, hbar^3 from dw1 dw3, hbar^2 from dy2 dy4.
+    """
+    x, wts = np.polynomial.hermite.hermgauss(_GH_NODES)
+    alpha2 = m.profile.evolved_width2(t) ** -2  # |a|^2 ~ exp(-alpha2 y2^2 - alpha4 y4^2)
+    alpha4 = m.profile.width4 ** -2
+    y2 = x[:, None] / math.sqrt(alpha2)
+    y4 = x[None, :] / math.sqrt(alpha4)
+    quad = np.outer(wts * np.exp(x**2), wts * np.exp(x**2)) / math.sqrt(alpha2 * alpha4)
+    partials = m.profile.partials(t, y2, y4, 1)
+    hw2 = math.sqrt(hb) * y2 + m.data.mu_d1 * t
+    p_factor = -0.5j * hb / m.data.param.delta
+
+    terms = []  # (u, v, coefficient on the nodes), u and v as (image name, column)
+    for table in _ansatz_terms(m, order, hb):
+        for name, term in table.items():
+            for (p, q, k2, k4), c in term.items():
+                f = c * partials[k2, k4]
+                if q or p > 1:
+                    raise ValueError(f"no fibre form for P^{p} y1^{q}: orders through sigma_1 only")
+                if p == 0:
+                    terms.append(((name, 0), ("phi", 0), f))
+                else:
+                    terms += [((name, 0), ("xi_phi", 0), 0.5 * hw2 * f),
+                              ((name, 1), ("phi", 0), p_factor * f),
+                              ((name, 0), ("phi", 1), p_factor * f)]
+
+    vec = {k: m.images[k[0]][:, k[1]] for u, v, _ in terms for k in (u, v)}
+    inner = m.grid.inner
+    density = sum(
+        cs * np.conj(cr) * (inner(vec[us], vec[ur]) * inner(vec[vr], vec[vs]))
+        for us, vs, cs in terms for ur, vr, cr in terms
+    ).real * (2.0 * math.pi / abs(m.data.param.delta))
+    i0, i1, i2 = (float(np.sum(quad * y2**j * density)) for j in range(3))
+    mean = i1 / i0
+    return hb**1.5 * i0, mean, i2 / i0 - mean**2
+
+
 @dataclass
 class TransportRow:
     hbar: float
@@ -601,45 +665,30 @@ class TransportRow:
     predicted_x2: float
     packet_width: float
     drift_error: float
-    sampling_error: float
-    health: SamplingHealth  # of the weights |ansatz|^2 / q
+    mass: float  # ||ansatz||^2, cut after sigma_1
 
 
-def transport_demo(spec: WavePacketSpec, t: float, hbar_list: Sequence[float],
-                   sample_count: int = 20000, seed: int = 0) -> list[TransportRow]:
+def transport_demo(spec: WavePacketSpec, t: float,
+                   hbar_list: Sequence[float]) -> list[TransportRow]:
     """x2 centroid of |ansatz|^2 (cut after sigma_1) at time t against the
     center x0 Exp(d_beta mu_n t X2), one row per hbar.
 
-    Works both at generic beta0 (nonzero drift) and on a critical cone
-    (stationary center).
+    The mass, centroid and width are exact integrals (`_fibre_moments`),
+    so the rows are deterministic.  Works both at generic beta0 (nonzero
+    drift) and on a critical cone (stationary center).
     """
     if not hbar_list:
         raise ValueError("need at least one hbar value")
-    pred = float(machinery(spec).center(t).x2)
+    m = machinery(spec)
+    pred = float(m.center(t).x2)
     rows = []
-    for k, hb in enumerate(hbar_list):
+    for hb in hbar_list:
         hb = float(hb)
-        rng = np.random.default_rng(seed + 7 * k)
-        s = _draw_samples(spec, t, hb, sample_count, rng)
-        psi = ansatz_values(spec, AnsatzOrder.WITH_SIGMA1, t, s.coords, hb)
-        dens = np.abs(psi) ** 2 * s.weights
-        x2 = s.coords.x2
-        mass = float(np.mean(dens))
-        cent = float(np.mean(dens * x2) / mass)
-        width = math.sqrt(max(float(np.mean(dens * x2**2) / mass) - cent**2, 0.0))
-        cent_err = _mean_and_error(dens * (x2 - cent))[1] / mass
-        rows.append(
-            TransportRow(
-                hbar=hb,
-                t=t,
-                centroid_x2=cent,
-                predicted_x2=pred,
-                packet_width=width,
-                drift_error=abs(cent - pred),
-                sampling_error=cent_err,
-                health=_sampling_health(dens, s.clipped),
-            )
-        )
+        mass, mean, var = _fibre_moments(m, AnsatzOrder.WITH_SIGMA1, t, hb)
+        offset = math.sqrt(hb) * mean  # x2 = x(t)_2 + sqrt(hbar) y2
+        rows.append(TransportRow(hbar=hb, t=t, centroid_x2=pred + offset, predicted_x2=pred,
+                                 packet_width=math.sqrt(hb * max(var, 0.0)),
+                                 drift_error=abs(offset), mass=mass))
     return rows
 
 

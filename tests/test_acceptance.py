@@ -145,17 +145,13 @@ def test_criterion_7_residual_scaling(scaling_spec):
 
 
 def test_criterion_8_transport_law(scaling_spec):
-    rows = wavepacket.transport_demo(
-        scaling_spec, 0.5, hbar_list=[0.0125], sample_count=30000, seed=1
-    )
+    rows = wavepacket.transport_demo(scaling_spec, 0.5, hbar_list=[0.0125])
     r = rows[0]
     drift = abs(r.predicted_x2)
     generic_ok = r.drift_error <= 0.03 * drift
 
     crit_spec = wavepacket.WavePacketSpec(delta0=1.0, beta0=NU_CRIT_1, n=1)
-    rows_c = wavepacket.transport_demo(
-        crit_spec, 0.5, hbar_list=[0.0125], sample_count=30000, seed=2
-    )
+    rows_c = wavepacket.transport_demo(crit_spec, 0.5, hbar_list=[0.0125])
     rc = rows_c[0]
     critical_ok = rc.drift_error <= 0.02 * rc.packet_width
     _criterion(8, "transport law", generic_ok and critical_ok,

@@ -93,7 +93,24 @@ def test_residual_scaling_seeded_determinism(tmp_path):
 
 def test_transport_empty_ladder_errors():
     with pytest.raises(ValueError, match="hbar"):
-        run("transport", {"sample_count": 500, "hbar_ladder": []}, seed=3)
+        run("transport", {"hbar_ladder": []}, seed=3)
+
+
+def test_transport_output_independent_of_seed(tmp_path, monkeypatch):
+    # exact moments, no sampling: the out tree is the same for every seed
+    # (relative --out, since report.json lists the written paths)
+    for seed in (0, 7):
+        (tmp_path / f"s{seed}").mkdir()
+        monkeypatch.chdir(tmp_path / f"s{seed}")
+        rep = run("transport", {}, out_dir="out", seed=seed)
+        assert rep.passed
+    for name in ("report.json", "transport.csv"):
+        a, b = (tmp_path / f"s{seed}" / "out" / name for seed in (0, 7))
+        assert a.read_bytes() == b.read_bytes()
+    ratios = [r["mass_ratio"] for r in rep.metrics["mass_ratio"]]
+    # the sigma_1 correction adds O(hbar) to the leading closed-form mass
+    assert ratios == pytest.approx([1.0048, 1.0023, 1.0011], abs=1e-4)
+    assert "sampling_health" not in rep.metrics
 
 
 @pytest.mark.parametrize("subcommand, config, unknown", [
@@ -101,6 +118,8 @@ def test_transport_empty_ladder_errors():
     ("residual-scaling", {"sample_cont": 300, "hbar_ladder": [0.1]}, "sample_cont"),
     ("smicro-profile", {"tol": 1e9, "grid_n": 2048}, "tol"),
     ("strichartz", {"q": 2, "p": 2.8, "alpha": 1, "beta": 2}, "alpha, beta"),
+    # transport integrates exactly and no longer samples
+    ("transport", {"sample_count": 500}, "sample_count"),
 ])
 def test_unknown_config_keys_rejected(tmp_path, subcommand, config, unknown):
     # refused before any work, naming every key the subcommand does not read
@@ -229,19 +248,15 @@ def test_main_flags_accepted_where_read(monkeypatch, capsys, flags, key, readers
 
 
 # Kish ESS/N, largest weight share and clipped z1 draws per hbar at the CLI
-# defaults, seed 0; ESS/N and the share also follow from ansatz_values on the
-# same draws, so reporting them moved no sample or weight
+# defaults, seed 0, for residual-scaling, the only sampling subcommand
+# (transport integrates exactly); ESS/N and the share also follow from
+# ansatz_values on the same draws, so reporting them moved no sample or weight
 SAMPLING_HEALTH = {
     "residual-scaling": [
         (0.1, 0.345721965915485, 0.0007644583201196021, 0),
         (0.05, 0.3647584846049298, 0.0007323553797006466, 0),
         (0.025, 0.32567060395121633, 0.002658761392256905, 7),
         (0.0125, 0.21132873885804324, 0.005328456129840959, 21),
-    ],
-    "transport": [
-        (0.05, 0.04397622541410485, 0.026068100113251457, 96),
-        (0.025, 0.036996125896265435, 0.021143470657683804, 139),
-        (0.0125, 0.04221730855106611, 0.010727398210628108, 161),
     ],
 }
 
