@@ -9,7 +9,6 @@ artifacts are byte-identical across runs; wall time goes to stderr only.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -310,30 +309,25 @@ def _spec_from_cfg(cfg: dict) -> wavepacket.WavePacketSpec:
     )
 
 
-@_reads(*_SPEC_KEYS, "hbar_ladder", "sample_count", "t")
+@_reads(*_SPEC_KEYS, "hbar_ladder", "t")
 def run_residual_scaling(cfg: dict, seed: int) -> RunReport:
+    # exact integrals, no sampling: the seed changes nothing
     spec = _spec_from_cfg(cfg)
     hbars = _hbar_ladder(cfg.get("hbar_ladder", [0.1, 0.05, 0.025, 0.0125]), 4,
                          "a residual-scaling slope")
-    samples = int(cfg.get("sample_count", 10000))
     t = float(cfg.get("t", 0.1))
     rep = RunReport("residual-scaling", cfg)
     reports = wavepacket.residual_scaling_experiment(
-        spec, hbars, order=wavepacket.AnsatzOrder.WITH_SIGMA1_AND_2,
-        t=t, sample_count=samples, seed=seed,
+        spec, hbars, order=wavepacket.AnsatzOrder.WITH_SIGMA1_AND_2, t=t,
     )
     full = reports[wavepacket.AnsatzOrder.WITH_SIGMA1_AND_2]
     first = reports[wavepacket.AnsatzOrder.WITH_SIGMA1]
     rep.metrics["full_slope"] = full.slope
     rep.metrics["sigma1_slope"] = first.slope
-    rep.metrics["sampling_health"] = [dict(hbar=h, **dataclasses.asdict(x))
-                                      for h, x in zip(full.hbars, full.health)]
     for tag, srep in (("full", full), ("sigma1", first)):
-        lines = ["hbar,residual,sampling_error"]
+        lines = ["hbar,residual"]
         for r in srep.csv_rows():
-            lines.append(
-                f"{_fmt(r['hbar'])},{_fmt(r['residual'])},{_fmt(r['sampling_error'])}"
-            )
+            lines.append(f"{_fmt(r['hbar'])},{_fmt(r['residual'])}")
         rep.files[f"residual_scaling_{tag}.csv"] = "\n".join(lines) + "\n"
     rep.checks.append(Check("full-slope-low", full.slope, 1.35, ">="))
     rep.checks.append(Check("full-slope-high", full.slope, 1.65, "<="))

@@ -26,16 +26,17 @@ The exact L2 norm of the bare packet is hbar^{3/4} sqrt(2 pi / |delta0|)
 scales (hbar, hbar^2) with constant transverse mass (an exact ambiguity-
 function identity), while the profile carries (x2, x4) at scales
 (hbar^{1/2}, hbar^{3/2}).  The same identity with the transverse phase
-integrated out makes `transport_demo`'s moments exact (`_fibre_moments`);
-the residual's sampling proposals below follow those scales.
+integrated out makes every L2 integral of the packet exact: `residual`'s
+||r|| and ||psi|| and `transport_demo`'s moments are Gram sums over the
+(w1, w3) fibres followed by a fixed Gauss-Hermite rule in (y2, y4)
+(`_fibre_pairs`, `_fibre_densities`).
 
 Batches of points are GroupElements with (M,) float coordinate arrays, and
 every product, inverse and dilation goes through the group law in
 `algebra`: the arguments are hbar^{-1}.(x0^{-1} x) and
-hbar^{-1/2}.(Exp(-d_beta mu_n t X2) x0^{-1} x), and samples are mapped to
-the group as x(t) z with the center x(t) from the machinery.  (M, 4)
-coordinate arrays appear only at the coefficient kernel and as an accepted
-input form.
+hbar^{-1/2}.(Exp(-d_beta mu_n t X2) x0^{-1} x), with the center x(t) from
+the machinery.  (M, 4) coordinate arrays appear only at the coefficient
+kernel and as an accepted input form.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .spectral import (
     reduced_resolvent_solve,
     spectral_data,
 )
-from .fourier import InfinitesimalOp, live_window, matrix_coefficients
+from .fourier import InfinitesimalOp, matrix_coefficients
 
 Q_QUARTER = HOMOGENEOUS_DIMENSION / 4.0
 
@@ -247,13 +248,6 @@ class _PacketMachinery:
             self.images[u] = images(reduced_resolvent_solve(d, self.images[k][:, col]).real)
         self.basis = {k: v[:, 0] for k, v in self.images.items()}
 
-        self.xi_support = live_window(np.hstack(list(self.images.values())), grid)[1]
-        # proposal scales for the transverse coefficient directions
-        var = float(grid.inner(xi**2 * phi, phi).real)
-        self.sigma_xi = math.sqrt(max(var, 1e-12))
-        self.u1_scale = 2.0 * self.sigma_xi
-        self.u3_scale = 2.0 / (abs(spec.delta0) * self.sigma_xi)
-
     def center(self, t: float) -> GroupElement:
         """Moving center x(t) = x0 Exp(d_beta mu_n t X2)."""
         return multiply(self.spec.x0_element(), exp_basis(2, self.data.mu_d1 * t))
@@ -401,73 +395,116 @@ def packet_norm_exact(spec: WavePacketSpec, hbar: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo sampling of the concentration region
+# exact L2 integrals over the coefficient fibres
 # ---------------------------------------------------------------------------
+# Write C[u; v](w) = (pi(w) u, v).  At fixed (w2, w4) the orthogonality
+# relations of the square-integrable representation (Folland, A Course in
+# Abstract Harmonic Analysis, 7.2) give
+#
+#     int int C[u; v] conj C[u'; v'] dw1 dw3 = (2 pi / |delta|) (u, u') (v', v),
+#
+# and the fibre variables of a term act on a coefficient as
+#
+#     w1 C[u; v] = C[xi u; v] - C[u; xi v],
+#     (w3 + w1 w2) C[u; v] = -w2 C[u; xi v] + (i / delta) (C[D1 u; v] + C[u; D1 v]),
+#
+# with y1 = sqrt(hbar) w1 and P = -hbar (w3 + w1 w2) / 2 (the shift
+# x0^{-1} x -> x(t)^{-1} x leaves y3 + y1 y2 unchanged).  With x = x0 z,
+# z = hbar.w, hbar w2 = sqrt(hbar) y2 + d_beta mu_n t and y4 = hbar^{3/2} w4,
+# every coefficient left over is a polynomial in y2 times a partial of a, so
+# after the Gram sum the (y2, y4) integral is Gauss-Hermite with |a|^2's
+# weights.  The measure gives ||f||^2 = hbar^{3/2} int int (Gram sum) dy2 dy4
+# for f = hbar^{-7/4} sum c C: hbar^{-7/2} from the prefactor, hbar^3 from
+# dw1 dw3 and hbar^2 from dy2 dy4.
+
+# Gauss-Hermite nodes per axis of the (y2, y4) integral, exact to degree 15:
+# the |r|^2 integrands of sigma_2's residual reach degree 8 per axis
+# (k2 + p <= 4, k4 <= 4), 10 in y2 with transport's y2^2 weight
+_GH_NODES = 8
 
 
-@dataclass
-class _Samples:
-    coords: GroupElement  # M group points, (M,) coordinate arrays
-    weights: np.ndarray  # 1 / proposal density
-    clipped: int  # z1 draws the grid-margin clip moved
+def _fibre_rule(m: _PacketMachinery, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes y2 (n, 1) and y4 (1, n) of the (y2, y4) rule and its weights,
+    which divide out |a(t)|^2's Gaussian: the integrands carry it."""
+    x, wts = np.polynomial.hermite.hermgauss(_GH_NODES)
+    alpha2 = m.profile.evolved_width2(t) ** -2  # |a|^2 ~ exp(-alpha2 y2^2 - alpha4 y4^2)
+    alpha4 = m.profile.width4 ** -2
+    quad = np.outer(wts * np.exp(x**2), wts * np.exp(x**2)) / math.sqrt(alpha2 * alpha4)
+    return x[:, None] / math.sqrt(alpha2), x[None, :] / math.sqrt(alpha4), quad
 
 
-def _draw_samples(spec: WavePacketSpec, t: float, hb: float, count: int,
-                  rng: np.random.Generator) -> _Samples:
-    """Importance samples matched to the packet's concentration geometry.
+def _fibre_pairs(m: _PacketMachinery, t: float, hb: float, y2: np.ndarray, y4: np.ndarray,
+                 columns: list[tuple[tuple[str, int], dict, complex]]) -> dict:
+    """{(u word, v word): coefficient on the nodes} with
 
-    z2 and z4 follow the profile at scales hbar^{1/2}, hbar^{3/2}; the
-    coefficient directions z1, z3 live at scales hbar, hbar^2 but broaden
-    linearly with w2 = z2/hbar (the chirp spreads the transverse mass), so
-    their proposal widths are conditioned on the drawn z2.
+        sum over columns (u, term, factor) of factor * term . C[u; phi]
+            = sum c C[u word; v word]
+
+    at each fixed (w2, w4).  u is an image column (name, col); a word
+    (name, col, ops) is that column, or phi's, with xi ('x') and D1 ('d')
+    applied in the order of ops.  A monomial P^p y1^q takes the y1 moves q
+    times, then the P moves p times.
     """
-    m = machinery(spec)
-    d0 = abs(spec.delta0)
-    sx = m.sigma_xi
-    w2t = m.profile.evolved_width2(t)
-    s2 = w2t * math.sqrt(hb)
-    s4 = m.profile.width4 * hb**1.5
+    kmax = max(max(k[2:]) for _, term, _ in columns for k in term)
+    partials = m.profile.partials(t, y2, y4, kmax)
+    rh = math.sqrt(hb)
+    pf = -0.5j * hb / m.data.param.delta
+    on_y1 = (("x", "", rh), ("", "x", -rh))
+    on_p = (("", "x", 0.5 * (rh * y2 + m.data.mu_d1 * t)), ("d", "", pf), ("", "d", pf))
 
-    z2 = rng.standard_normal(count) * s2
-    z4 = rng.standard_normal(count) * s4
-    w2 = z2 / hb
-    s1 = hb * np.maximum(m.u1_scale, 1.3 * d0 * sx**3 * np.abs(w2))
-    s3 = hb**2 * np.maximum(m.u3_scale, 1.3 * sx * np.abs(w2))
-    # keep representation shifts inside the grid margin; the clipped slices
-    # carry profile weight exp(-(y2/width)^2) ~ 0 by construction
-    w1_cap = 0.9 * (m.grid.L - m.xi_support) * hb
-    s1 = np.minimum(s1, w1_cap / 2.5)
-    z1 = rng.standard_normal(count) * s1
-    z3 = rng.standard_normal(count) * s3
-    clipped = int(np.count_nonzero(np.abs(z1) > w1_cap))
-    z1 = np.clip(z1, -w1_cap, w1_cap)
+    def expansion(p: int, q: int) -> dict:
+        words = {("", ""): 1.0}
+        for moves in (on_y1,) * q + (on_p,) * p:
+            out: dict = {}
+            for (du, dv), c in words.items():
+                for eu, ev, f in moves:
+                    out[du + eu, dv + ev] = out.get((du + eu, dv + ev), 0.0) + f * c
+            words = out
+        return words
 
-    z = np.stack([z1, z2, z3, z4], axis=-1)
-    scales = np.stack([s1, np.full(count, s2), s3, np.full(count, s4)], axis=-1)
-    q = np.prod(
-        np.exp(-0.5 * (z / scales) ** 2) / (np.sqrt(2 * np.pi) * scales), axis=1
-    )
-    return _Samples(multiply(m.center(t), GroupElement(z1, z2, z3, z4)), 1.0 / q, clipped)
-
-
-def _mean_and_error(values: np.ndarray) -> tuple[float, float]:
-    """Monte-Carlo mean of importance-weighted samples and its standard error."""
-    return float(np.mean(values)), float(np.std(values) / math.sqrt(len(values)))
+    grouped: dict = {}  # (u, p, q) -> coefficient on the nodes
+    for u, term, factor in columns:
+        for (p, q, k2, k4), c in term.items():
+            grouped[u, p, q] = grouped.get((u, p, q), 0.0) + factor * c * partials[k2, k4]
+    expansions = {pq: expansion(*pq) for pq in {(p, q) for _, p, q in grouped}}
+    pairs: dict = {}
+    for (u, p, q), f in grouped.items():
+        for (du, dv), c in expansions[p, q].items():
+            key = ((*u, du), ("phi", 0, dv))
+            pairs[key] = pairs.get(key, 0.0) + c * f
+    return pairs
 
 
-@dataclass(frozen=True)
-class SamplingHealth:
-    """How well one draw serves the importance weights w = |psi|^2 / q."""
+def _fibre_densities(m: _PacketMachinery, pair_maps: list[dict]) -> list[np.ndarray]:
+    """int int |sum c C[u; v]|^2 dw1 dw3 on the nodes for each pair map
+    {(u, v): c}, as (2 pi / |delta|) sum_{s,t} c_s conj c_t (u_s, u_t) (v_t, v_s)
+    from one Gram matrix of every word the maps name."""
+    d1 = InfinitesimalOp(m.grid, None)
+    vectors: dict = {}
 
-    ess_ratio: float  # Kish effective sample size over N, (sum w)^2 / (N sum w^2)
-    max_weight_share: float  # max w / sum w
-    clipped: int  # z1 draws the grid-margin clip moved
+    def vector(word):
+        if word not in vectors:
+            name, col, ops = word
+            if not ops:
+                vectors[word] = m.images[name][:, col]
+            else:
+                v = vector((name, col, ops[:-1]))
+                vectors[word] = m.grid.nodes * v if ops[-1] == "x" else d1.apply(v).real
+        return vectors[word]
 
-
-def _sampling_health(w: np.ndarray, clipped: int) -> SamplingHealth:
-    total = float(np.sum(w))
-    return SamplingHealth(total**2 / (len(w) * float(np.sum(w**2))),
-                          float(np.max(w)) / total, clipped)
+    words = dict.fromkeys(w for pairs in pair_maps for key in pairs for w in key)
+    index = {w: k for k, w in enumerate(words)}
+    W = np.column_stack([vector(w) for w in words])
+    gram = m.grid.h * (W.T @ W.conj())  # (w_a, w_b)
+    densities = []
+    for pairs in pair_maps:
+        u = [index[key[0]] for key in pairs]
+        v = [index[key[1]] for key in pairs]
+        coupling = gram[np.ix_(u, u)] * gram[np.ix_(v, v)].T
+        c = np.array(list(pairs.values())).reshape(len(pairs), -1)
+        form = np.sum(c * (coupling @ c.conj()), axis=0).real
+        densities.append(2.0 * math.pi / abs(m.data.param.delta) * form.reshape(_GH_NODES, -1))
+    return densities
 
 
 # ---------------------------------------------------------------------------
@@ -482,70 +519,47 @@ class ResidualEstimate:
     relative: float
     absolute: float
     psi_norm: float
-    sampling_error: float  # on the relative residual
-    sample_count: int
-    health: SamplingHealth  # of the weights |psi|^2 / q at this order
 
 
-def residual(spec: WavePacketSpec, order: AnsatzOrder, t: float, hbar: float,
-             sample_count: int = 10000, seed: int = 0) -> dict[AnsatzOrder, ResidualEstimate]:
-    """L2 estimates of r = i hbar d_t psi + hbar^2 (X1^2 + X2^2) psi over the
-    packet, for every ansatz order from LEADING through `order`.
+def residual(spec: WavePacketSpec, order: AnsatzOrder, t: float,
+             hbar: float) -> dict[AnsatzOrder, ResidualEstimate]:
+    """L2 norms of r = i hbar d_t psi + hbar^2 (X1^2 + X2^2) psi and of psi
+    over the packet, for every ansatz order from LEADING through `order`.
 
-    With psi = hbar^{-7/4} e^{-i mu t/hbar} sum_j A_j(t, y) C_j(w) and
-    C_j = (pi(w) v_j, Phi1), one coefficient-kernel call gives exactly
+    With psi = hbar^{-7/4} e^{-i mu t/hbar} sum_j A_j(t, y) C[v_j; Phi1](w),
+    exactly
 
-        r = hbar^{-7/4} e^{-i mu t/hbar} sum_j [(i hbar D_t A_j + hbar Delta A_j) C_j
+        r = hbar^{-7/4} e^{-i mu t/hbar} sum_j [(i hbar D_t A_j + hbar Delta A_j) C[v_j]
             + 2 sqrt(hbar) (X1 A_j C[D1 v_j] + i X2 A_j C[W v_j]) + A_j C[(mu - H) v_j]];
 
-    the orders are nested, so each lower order's r and psi are the partial
-    sums of that accumulation at its cut, and one draw and one kernel call
-    serve every order.  The L2 integrals are volume-weighted Monte-Carlo
-    over a proposal matched to the true concentration scales.
+    the phase has modulus one, and both norms are exact Gram sums over the
+    fibres.  The orders are nested, so each lower order's r and psi are
+    partial sums of the same columns, and one Gram matrix serves them all.
     """
     m = machinery(spec)
-    rng = np.random.default_rng(seed)
-    s = _draw_samples(spec, t, hbar, sample_count, rng)
-    w, y = _arguments(m, t, s.coords, hbar)
-    tables = _ansatz_terms(m, order, hbar)
-    V = np.hstack([m.images[n] for table in tables for n in table])
-    C = matrix_coefficients(m.data.param, w, V, m.data.phi, m.grid).reshape(len(w), -1, 4)
-    sc = _scalars(m, t, y, 4)
+    y2, y4, quad = _fibre_rule(m, t)
     # d_t at fixed x: the profile flows (d_t a = i c3 a_22) and recenters
     # (y2 = (x2 - c2 t)/sqrt(hbar)); P and y1 do not move
     dt = ({}, {}, {(0, 0, 2, 0): 1j * m.dispersion, (0, 0, 1, 0): -m.data.mu_d1 / math.sqrt(hbar)})
-    psi0 = r = 0.0
-    j = 0
-    estimates = {}
-    for cut, table in zip(AnsatzOrder, tables):
-        for A in table.values():
+    psi_cols: list = []
+    r_cols: list = []
+    pair_maps = []
+    for table in _ansatz_terms(m, order, hbar):
+        for name, A in table.items():
             x1A, x2A = _derive(A, _X1), _derive(A, _X2)
-            slow = (1j * hbar * _evaluate(_derive(A, dt), *sc)
-                    + hbar * (_evaluate(_derive(x1A, _X1), *sc)
-                              + _evaluate(_derive(x2A, _X2), *sc)))
-            a_j = _evaluate(A, *sc)
-            psi0 = psi0 + a_j * C[:, j, 0]
-            r = (r + slow * C[:, j, 0] + a_j * C[:, j, 3]
-                 + 2.0 * math.sqrt(hbar) * (_evaluate(x1A, *sc) * C[:, j, 1]
-                                            + 1j * _evaluate(x2A, *sc) * C[:, j, 2]))
-            j += 1
-
-        # the phase e^{-i mu t/hbar} has modulus one
-        R, dR = _mean_and_error(np.abs(hbar ** (-Q_QUARTER) * r) ** 2 * s.weights)
-        dens = np.abs(hbar ** (-Q_QUARTER) * psi0) ** 2 * s.weights
-        S, dS = _mean_and_error(dens)
-        rel = math.sqrt(R / S)
-        estimates[cut] = ResidualEstimate(
-            hbar=hbar,
-            order=cut.value,
-            relative=rel,
-            absolute=math.sqrt(R),
-            psi_norm=math.sqrt(S),
-            sampling_error=0.5 * rel * (dR / R + dS / S),
-            sample_count=sample_count,
-            health=_sampling_health(dens, s.clipped),
-        )
-    return estimates
+            psi_cols.append(((name, 0), A, 1.0))
+            r_cols += [((name, 0), _derive(A, dt), 1j * hbar),
+                       ((name, 0), _derive(x1A, _X1), hbar),
+                       ((name, 0), _derive(x2A, _X2), hbar),
+                       ((name, 3), A, 1.0),
+                       ((name, 1), x1A, 2.0 * math.sqrt(hbar)),
+                       ((name, 2), x2A, 2j * math.sqrt(hbar))]
+        pair_maps += [_fibre_pairs(m, t, hbar, y2, y4, cols) for cols in (psi_cols, r_cols)]
+    norms = [math.sqrt(hbar**1.5 * float(np.sum(quad * d)))
+             for d in _fibre_densities(m, pair_maps)]
+    return {cut: ResidualEstimate(hbar=hbar, order=cut.value, relative=r / psi,
+                                  absolute=r, psi_norm=psi)
+            for cut, psi, r in zip(AnsatzOrder, norms[::2], norms[1::2])}
 
 
 @dataclass
@@ -553,40 +567,28 @@ class ScalingReport:
     order: str
     hbars: list[float]
     residuals: list[float]
-    sampling_errors: list[float]
     slope: float
     intercept: float
-    health: list[SamplingHealth]  # one per hbar
 
     def csv_rows(self) -> list[dict]:
-        return [
-            dict(hbar=h, residual=r, sampling_error=e)
-            for h, r, e in zip(self.hbars, self.residuals, self.sampling_errors)
-        ]
+        return [dict(hbar=h, residual=r) for h, r in zip(self.hbars, self.residuals)]
 
 
 def residual_scaling_experiment(spec: WavePacketSpec, hbar_list: Sequence[float],
                                 order: AnsatzOrder = AnsatzOrder.WITH_SIGMA1_AND_2,
-                                t: float = 0.1, sample_count: int = 10000,
-                                seed: int = 0) -> dict[AnsatzOrder, ScalingReport]:
+                                t: float = 0.1) -> dict[AnsatzOrder, ScalingReport]:
     """Least-squares slope of log(relative residual) against log(hbar), for
-    every ansatz order from LEADING through `order`.
-
-    Each hbar takes one `residual` call (seed + 1000 k for the k-th hbar),
-    so one draw and one coefficient-kernel call per hbar serve every order.
-    """
+    every ansatz order from LEADING through `order`, one `residual` call per
+    hbar."""
     if len(hbar_list) < 4:
         raise ValueError("need at least 4 hbar values for a slope")
     hbars = [float(h) for h in hbar_list]
-    per_hbar = [residual(spec, order, t, hb, sample_count=sample_count, seed=seed + 1000 * k)
-                for k, hb in enumerate(hbars)]
+    per_hbar = [residual(spec, order, t, hb) for hb in hbars]
     reports = {}
     for cut in per_hbar[0]:
-        ests = [e[cut] for e in per_hbar]
-        res = [e.relative for e in ests]
+        res = [e[cut].relative for e in per_hbar]
         slope, intercept = np.polyfit(np.log(np.asarray(hbars)), np.log(np.asarray(res)), 1)
-        reports[cut] = ScalingReport(cut.value, hbars, res, [e.sampling_error for e in ests],
-                                     float(slope), float(intercept), [e.health for e in ests])
+        reports[cut] = ScalingReport(cut.value, hbars, res, float(slope), float(intercept))
     return reports
 
 
@@ -595,63 +597,14 @@ def residual_scaling_experiment(spec: WavePacketSpec, hbar_list: Sequence[float]
 # ---------------------------------------------------------------------------
 
 
-# Gauss-Hermite nodes per axis of the (y2, y4) integral: exact to degree 15,
-# and the sigma_1 integrands with the x2^2 moment reach degree 4 in y2, 2 in y4
-_GH_NODES = 8
-
-
 def _fibre_moments(m: _PacketMachinery, order: AnsatzOrder, t: float,
                    hb: float) -> tuple[float, float, float]:
     """Exact ||psi||^2 and the mean and variance of y2 under |psi|^2 for the
-    ansatz cut at `order` (LEADING or WITH_SIGMA1), without sampling.
-
-    Write C[u; v](w) = (pi(w) u, v).  At fixed (w2, w4) the orthogonality
-    relations of the square-integrable representation give
-
-        int int C[u; v] conj C[u'; v'] dw1 dw3 = (2 pi / |delta|) (u, u') (v', v),
-
-    and the P factor of a term, P = -hbar (w3 + w1 w2) / 2 (the shift
-    x0^{-1} x -> x(t)^{-1} x leaves y3 + y1 y2 unchanged), maps onto pairs by
-
-        (w3 + w1 w2) C[u; v] = -w2 C[u; xi v] + (i / delta) (C[u'; v] + C[u; v']),
-
-    u' and v' being the D1 images.  With x = x0 z, z = hbar.w, hbar w2 =
-    sqrt(hbar) y2 + d_beta mu_n t and y4 = hbar^{3/2} w4, every coefficient
-    is a polynomial times a's Gaussian, so after the Gram sum the (y2, y4)
-    integral is Gauss-Hermite with |a|^2's weights, exact at `_GH_NODES`.
-    The measure gives ||psi||^2 = hbar^{3/2} int int (Gram sum) dy2 dy4:
-    hbar^{-7/2} from psi's prefactor, hbar^3 from dw1 dw3, hbar^2 from dy2 dy4.
-    """
-    x, wts = np.polynomial.hermite.hermgauss(_GH_NODES)
-    alpha2 = m.profile.evolved_width2(t) ** -2  # |a|^2 ~ exp(-alpha2 y2^2 - alpha4 y4^2)
-    alpha4 = m.profile.width4 ** -2
-    y2 = x[:, None] / math.sqrt(alpha2)
-    y4 = x[None, :] / math.sqrt(alpha4)
-    quad = np.outer(wts * np.exp(x**2), wts * np.exp(x**2)) / math.sqrt(alpha2 * alpha4)
-    partials = m.profile.partials(t, y2, y4, 1)
-    hw2 = math.sqrt(hb) * y2 + m.data.mu_d1 * t
-    p_factor = -0.5j * hb / m.data.param.delta
-
-    terms = []  # (u, v, coefficient on the nodes), u and v as (image name, column)
-    for table in _ansatz_terms(m, order, hb):
-        for name, term in table.items():
-            for (p, q, k2, k4), c in term.items():
-                f = c * partials[k2, k4]
-                if q or p > 1:
-                    raise ValueError(f"no fibre form for P^{p} y1^{q}: orders through sigma_1 only")
-                if p == 0:
-                    terms.append(((name, 0), ("phi", 0), f))
-                else:
-                    terms += [((name, 0), ("xi_phi", 0), 0.5 * hw2 * f),
-                              ((name, 1), ("phi", 0), p_factor * f),
-                              ((name, 0), ("phi", 1), p_factor * f)]
-
-    vec = {k: m.images[k[0]][:, k[1]] for u, v, _ in terms for k in (u, v)}
-    inner = m.grid.inner
-    density = sum(
-        cs * np.conj(cr) * (inner(vec[us], vec[ur]) * inner(vec[vr], vec[vs]))
-        for us, vs, cs in terms for ur, vr, cr in terms
-    ).real * (2.0 * math.pi / abs(m.data.param.delta))
+    ansatz cut at `order`: y2^j weights on the fibre density of psi."""
+    y2, y4, quad = _fibre_rule(m, t)
+    cols = [((name, 0), A, 1.0) for table in _ansatz_terms(m, order, hb)
+            for name, A in table.items()]
+    density, = _fibre_densities(m, [_fibre_pairs(m, t, hb, y2, y4, cols)])
     i0, i1, i2 = (float(np.sum(quad * y2**j * density)) for j in range(3))
     mean = i1 / i0
     return hb**1.5 * i0, mean, i2 / i0 - mean**2

@@ -1,8 +1,7 @@
 """Acceptance criteria, one test per criterion, one printed line each.
 
 Run with `pytest -s tests/test_acceptance.py` to see the PASS/FAIL lines;
-the full module takes under a minute; the residual-scaling ladder
-(criterion 7) is its longest test, about 3 s on a 2-core host.
+the full module takes a few seconds on a 2-core host.
 """
 
 import math
@@ -133,8 +132,7 @@ def scaling_spec():
 def test_criterion_7_residual_scaling(scaling_spec):
     ladder = [0.1, 0.05, 0.025, 0.0125]
     reports = wavepacket.residual_scaling_experiment(
-        scaling_spec, ladder, order=wavepacket.AnsatzOrder.WITH_SIGMA1_AND_2,
-        t=0.1, sample_count=10000, seed=0,
+        scaling_spec, ladder, order=wavepacket.AnsatzOrder.WITH_SIGMA1_AND_2, t=0.1,
     )
     full = reports[wavepacket.AnsatzOrder.WITH_SIGMA1_AND_2]
     first = reports[wavepacket.AnsatzOrder.WITH_SIGMA1]

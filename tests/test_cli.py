@@ -80,15 +80,25 @@ def test_dispersion_empty_grid_errors():
         run("dispersion", {"n_list": [1], "nu_min": 1.0, "nu_max": 0.0})
 
 
-def test_residual_scaling_seeded_determinism(tmp_path):
-    cfg = {"sample_count": 300, "hbar_ladder": [0.1, 0.05, 0.025, 0.0125]}
-    a, b = tmp_path / "a", tmp_path / "b"
-    run("residual-scaling", cfg, out_dir=a, seed=5)
-    run("residual-scaling", cfg, out_dir=b, seed=5)
-    for name in ("residual_scaling_full.csv", "residual_scaling_sigma1.csv"):
+def _run_at_seeds_0_and_7(tmp_path, monkeypatch, subcommand):
+    """The two --out trees of a run at the defaults, seeds 0 and 7 (relative
+    --out, since report.json lists the written paths), and the last report."""
+    for seed in (0, 7):
+        (tmp_path / f"s{seed}").mkdir()
+        monkeypatch.chdir(tmp_path / f"s{seed}")
+        rep = run(subcommand, {}, out_dir="out", seed=seed)
+        assert rep.passed
+    return [tmp_path / f"s{seed}" / "out" for seed in (0, 7)], rep
+
+
+def test_residual_scaling_output_independent_of_seed(tmp_path, monkeypatch):
+    # exact fibre integrals, no sampling: the out tree is the same for every seed
+    (a, b), rep = _run_at_seeds_0_and_7(tmp_path, monkeypatch, "residual-scaling")
+    for name in ("report.json", "residual_scaling_full.csv", "residual_scaling_sigma1.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
-        header = (a / name).read_text().split("\n", 1)[0]
-        assert header == "hbar,residual,sampling_error"
+    for name in ("residual_scaling_full.csv", "residual_scaling_sigma1.csv"):
+        assert (a / name).read_text().split("\n", 1)[0] == "hbar,residual"
+    assert "sampling_health" not in rep.metrics
 
 
 def test_transport_empty_ladder_errors():
@@ -98,15 +108,9 @@ def test_transport_empty_ladder_errors():
 
 def test_transport_output_independent_of_seed(tmp_path, monkeypatch):
     # exact moments, no sampling: the out tree is the same for every seed
-    # (relative --out, since report.json lists the written paths)
-    for seed in (0, 7):
-        (tmp_path / f"s{seed}").mkdir()
-        monkeypatch.chdir(tmp_path / f"s{seed}")
-        rep = run("transport", {}, out_dir="out", seed=seed)
-        assert rep.passed
+    (a, b), rep = _run_at_seeds_0_and_7(tmp_path, monkeypatch, "transport")
     for name in ("report.json", "transport.csv"):
-        a, b = (tmp_path / f"s{seed}" / "out" / name for seed in (0, 7))
-        assert a.read_bytes() == b.read_bytes()
+        assert (a / name).read_bytes() == (b / name).read_bytes()
     ratios = [r["mass_ratio"] for r in rep.metrics["mass_ratio"]]
     # the sigma_1 correction adds O(hbar) to the leading closed-form mass
     assert ratios == pytest.approx([1.0048, 1.0023, 1.0011], abs=1e-4)
@@ -120,6 +124,8 @@ def test_transport_output_independent_of_seed(tmp_path, monkeypatch):
     ("strichartz", {"q": 2, "p": 2.8, "alpha": 1, "beta": 2}, "alpha, beta"),
     # transport integrates exactly and no longer samples
     ("transport", {"sample_count": 500}, "sample_count"),
+    # nor does residual-scaling
+    ("residual-scaling", {"sample_count": 500}, "sample_count"),
 ])
 def test_unknown_config_keys_rejected(tmp_path, subcommand, config, unknown):
     # refused before any work, naming every key the subcommand does not read
@@ -137,7 +143,7 @@ def test_refused_config_is_a_usage_error(tmp_path, capsys):
         (["strichartz", "--q", "2", "--p", "2.8", "--tol", "1"],
          "strichartz does not read config key(s) tol;"),
         (["dispersion", "--config", str(tmp_path / "empty.json")], "empty sweep grid"),
-        # bad hbar ladders are refused before any sampling
+        # bad hbar ladders are refused before any work
         (["residual-scaling", "--hbar-ladder", "0.1,0.05"],
          "a residual-scaling slope needs at least 4 hbar value(s), got 2"),
         (["residual-scaling", "--hbar-ladder", "0.1,x,0.025,0.0125"],
@@ -245,31 +251,6 @@ def test_main_flags_accepted_where_read(monkeypatch, capsys, flags, key, readers
             assert exc.value.code == 2
             assert re.search(rf"error: {sub} does not read config key\(s\) [^;]*\b{key}\b",
                              capsys.readouterr().err)
-
-
-# Kish ESS/N, largest weight share and clipped z1 draws per hbar at the CLI
-# defaults, seed 0, for residual-scaling, the only sampling subcommand
-# (transport integrates exactly); ESS/N and the share also follow from
-# ansatz_values on the same draws, so reporting them moved no sample or weight
-SAMPLING_HEALTH = {
-    "residual-scaling": [
-        (0.1, 0.345721965915485, 0.0007644583201196021, 0),
-        (0.05, 0.3647584846049298, 0.0007323553797006466, 0),
-        (0.025, 0.32567060395121633, 0.002658761392256905, 7),
-        (0.0125, 0.21132873885804324, 0.005328456129840959, 21),
-    ],
-}
-
-
-@pytest.mark.parametrize("subcommand", sorted(SAMPLING_HEALTH))
-def test_sampling_health_reported(tmp_path, subcommand):
-    run(subcommand, {}, out_dir=tmp_path, seed=0)
-    rows = json.loads((tmp_path / "report.json").read_text())["metrics"]["sampling_health"]
-    assert [r["hbar"] for r in rows] == [p[0] for p in SAMPLING_HEALTH[subcommand]]
-    for r, (_, ess, share, clipped) in zip(rows, SAMPLING_HEALTH[subcommand]):
-        assert r["ess_ratio"] == pytest.approx(ess, rel=1e-12)
-        assert r["max_weight_share"] == pytest.approx(share, rel=1e-12)
-        assert r["clipped"] == clipped
 
 
 def test_critical_points_cli(tmp_path):
