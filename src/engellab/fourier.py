@@ -8,12 +8,10 @@ Representations act on L^2(R_xi) grid vectors; the generic class reads
 with infinitesimal generators pi(X1) = d_xi, pi(X2) = i(b + d xi^2/2),
 pi(X3) = i d xi, pi(X4) = i d.  In the shifted variable eta = xi + s(x)
 (s = x1, or 0 for the characters) the phase of every class is a quadratic
-in eta whose coefficients depend on x alone, so the matrix-coefficient
-kernel takes exact cos/sin only at the start of each block of `_R` nodes
-and steps through the block by the exact recurrence of a quadratic phase.
-Off-node values phi(eta - s) come from the not-a-knot cubic spline of phi,
-built here by one tridiagonal slope solve (`_spline_table`); rep_apply and
-the kernel read the same piece table.
+in eta whose coefficients depend on x alone; the matrix-coefficient kernel
+takes its cos/sin exactly at every node.  Off-node values phi(eta - s)
+come from phi's not-a-knot cubic spline (one tridiagonal slope solve,
+`_spline_table`), whose piece table rep_apply and the kernel share.
 
 The group Fourier transform F kappa(pi) = int kappa(x) pi(x)* dx of a
 product kernel kappa(x) = f1(x1) f2(x2) f3(x3) f4(x4) reduces to the
@@ -37,6 +35,7 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import solve_banded
 
 from .algebra import WEIGHTS, GroupElement, inverse
@@ -73,8 +72,7 @@ class QuadratureBoxError(ValueError):
 
 
 _LIVE_RTOL = 1e-13
-_TILE = 128  # points per kernel tile; a tile's (point, node) buffers stay in cache
-_R = 16  # nodes per phase block: exact cos/sin at block starts, a recurrence between
+_TILE = 128  # points per kernel tile; a tile's (point, node) arrays stay in cache
 
 
 def _live_range(mags: np.ndarray) -> tuple[int, int]:
@@ -264,23 +262,12 @@ def matrix_coefficients(param: RepParam, coords: np.ndarray, V: np.ndarray,
     so one cubic spline of phi2 serves every point and column.  On the
     uniform grid eta_j - s lies in spline piece j + k(s) at an offset
     t(s) that is the same for every j, so a point's row of phi2 values is
-    the cubic in t over a contiguous slice of the piece coefficients; the
-    points of one k(s) get theirs from one product of their powers of t
-    with that slice.
+    the cubic in t over a contiguous slice of the piece coefficients.  Of
+    the phase theta = a + b eta + c eta^2 (`_quadratic_phase`), b eta +
+    c eta^2 takes exact cos/sin at every summed node and e^{ia} multiplies
+    each output row once.
 
-    On the nodes the phase is the quadratic theta = a + b eta + c eta^2 of
-    `_quadratic_phase`, and e^{ia} multiplies each output row once.  Of the
-    rest, E_j = e^{i (b eta_j + c eta_j^2)}, only the block starts, every
-    `_R` nodes, take exact cos/sin, together with the step
-    D_j = E_{j+1} / E_j = e^{i h (b + c (2 eta_j + h))}; inside a block the
-    exact two-term recurrence
-
-        E_{j+1} = E_j D_j,   D_{j+1} = D_j e^{2 i c h^2}
-
-    fills the other nodes, and its rounding grows at most like `_R`^2 eps.
-
-    The points are sorted by k(s) and taken in tiles of `_TILE`, whose
-    E and phi2 rows fill buffers reused from tile to tile.  A tile sums
+    The points are taken in input order in tiles of `_TILE`.  A tile sums
     only over the nodes in the live window of V where phi2(eta - s) is live
     (same `_LIVE_RTOL` rule) for some point of the tile; a tile with no such
     node gives exact zeros.  Raises GridMarginError when a shift would take
@@ -293,51 +280,24 @@ def matrix_coefficients(param: RepParam, coords: np.ndarray, V: np.ndarray,
     xi, h = grid.nodes, grid.h
     pieces = _spline_pieces(xi, phi2).conj()
     k = np.floor(-shifts / h).astype(int)
-    order = np.argsort(k, kind="stable")
-    k = k[order]
-    powers = np.vander(-shifts[order] - k * h, 4)  # t^3, t^2, t, 1
-    pa, pb, pc = (p[order] for p in _quadratic_phase(param, coords))
-    Vw = np.asarray(V[window], dtype=complex)  # cast once, not per tile product
+    powers = np.vander(-shifts - k * h, 4)  # t^3, t^2, t, 1
+    pa, pb, pc = _quadratic_phase(param, coords)
     out = np.zeros((len(coords), V.shape[1]), dtype=complex)
-    tile = min(len(coords), _TILE)
-    blocks = -(-len(Vw) // _R)
-    ebuf = np.empty(tile * blocks * _R, dtype=complex)  # E, rows padded to whole blocks
-    dbuf, qbuf = np.empty(tile * blocks, dtype=complex), np.empty(tile * blocks, dtype=complex)
-    fbuf = np.empty(tile * len(Vw), dtype=pieces.dtype)
-    for a in range(0, len(order), _TILE):
+    for a in range(0, len(coords), _TILE):
         z = slice(a, a + _TILE)
-        kt = k[z]  # ascending
-        j0, j1 = max(window.start, p0 - kt[-1]), min(window.stop, p1 - kt[0])
+        kt = k[z]
+        j0, j1 = max(window.start, p0 - kt.max()), min(window.stop, p1 - kt.min())
         if j1 <= j0:
             continue
-        m, w = len(kt), j1 - j0
-        nb = -(-w // _R)
-        E = ebuf[:m * nb * _R].reshape(m, nb, _R)
-        D, Q = dbuf[:m * nb], qbuf[:m * nb]  # flat, block-major like E's rows
-        F = fbuf[:m * w].reshape(m, w)
-        b, c = pb[z, None], pc[z, None]
-        eta = xi[j0:j1:_R]  # block starts
-        theta = (b + c * eta) * eta
-        np.cos(theta, out=E[:, :, 0].real)
-        np.sin(theta, out=E[:, :, 0].imag)
-        theta = h * (b + c * (2.0 * eta + h))
-        np.cos(theta, out=D.reshape(m, nb).real)
-        np.sin(theta, out=D.reshape(m, nb).imag)
-        Q.reshape(m, nb)[:] = np.exp(2j * h * h * c)
-        Er = E.reshape(m * nb, _R).T  # Er[r]: node r of every block, one flat operand
-        for r in range(1, _R):
-            np.multiply(Er[r - 1], D, out=Er[r])
-            D *= Q
+        eta = xi[j0:j1]
+        theta = (pb[z, None] + pc[z, None] * eta) * eta
+        G = np.empty(theta.shape, dtype=complex)
+        np.cos(theta, out=G.real)
+        np.sin(theta, out=G.imag)
         # conj(phi2) rows: pieces k + j + 1 (padded numbering), j = j0 .. j1 - 1
-        cuts = [0, *(np.flatnonzero(np.diff(kt)) + 1).tolist(), m]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            i = int(kt[lo]) + j0 + 1
-            np.matmul(powers[a + lo:a + hi], pieces[:, i:i + w], out=F[lo:hi])
-        G = E.reshape(m, nb * _R)[:, :w]
-        G *= F
-        C = G @ Vw[j0 - window.start:j1 - window.start]
-        C *= h * np.exp(1j * pa[z])[:, None]
-        out[order[z]] = C
+        rows = sliding_window_view(pieces, j1 - j0, axis=1)[:, kt + j0 + 1]
+        G *= np.einsum("mp,pmw->mw", powers[z], rows)
+        out[z] = (G @ V[j0:j1]) * (h * np.exp(1j * pa[z]))[:, None]
     return out
 
 
@@ -536,8 +496,11 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
     return np.concatenate([half, [0.0]]) + np.concatenate([[0.0], half])
 
 
-def _hs_mass_box(kernel: ProductKernel, delta_nodes: np.ndarray, B: float,
-                 nu_pts: int = 192, nv_pts: int = 512) -> tuple[float, float]:
+_N_DELTA = 96  # delta nodes of the Plancherel quadrature box
+_NU_PTS, _NV_PTS = 192, 512  # its u and vtilde trapezoid nodes
+
+
+def _hs_mass_box(kernel: ProductKernel, delta_nodes: np.ndarray, B: float) -> tuple[float, float]:
     """Box integral of ||F kappa||_HS^2 |delta| d delta d beta and its
     beta-truncation deficit (as a fraction).
 
@@ -548,11 +511,11 @@ def _hs_mass_box(kernel: ProductKernel, delta_nodes: np.ndarray, B: float,
     """
     f1, f2, f3, f4 = kernel.factors
 
-    u = np.linspace(f1.lo, f1.hi, nu_pts)
+    u = np.linspace(f1.lo, f1.hi, _NU_PTS)
     w1 = np.abs(f1.fn(u)) ** 2
 
     bw3 = _reach(f3)
-    vt = np.linspace(-bw3, bw3, nv_pts)
+    vt = np.linspace(-bw3, bw3, _NV_PTS)
     w3 = np.abs(f3.transform(vt)) ** 2
 
     # cumulative of |f2^|^2; the density is supported inside ~2x the factor
@@ -568,7 +531,7 @@ def _hs_mass_box(kernel: ProductKernel, delta_nodes: np.ndarray, B: float,
     weights = np.outer(w1 * _trapezoid_weights(u), w3 * _trapezoid_weights(vt))
     base = float(np.trapezoid(w1, u) * np.trapezoid(w3, vt))
     half_u = 0.5 * u[:, None]
-    arg = np.empty((2, nu_pts, nv_pts))
+    arg = np.empty((2, _NU_PTS, _NV_PTS))
     mass = np.empty(delta_nodes.shape)
     for k, dlt in enumerate(delta_nodes):
         s = arg[0]
@@ -591,9 +554,6 @@ def _hs_mass_box(kernel: ProductKernel, delta_nodes: np.ndarray, B: float,
         / max(box_integral, 1e-300)
     )
     return box_integral, beta_tail
-
-
-_N_DELTA = 96  # delta nodes of the Plancherel quadrature box
 
 
 def plancherel_calibrate(

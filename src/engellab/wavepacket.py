@@ -661,15 +661,16 @@ class ProfileDemoReport:
     gaussian_law_error: float | None  # None for non-Gaussian input profiles
 
 
+# width and x2 grid of the demo's default Gaussian profile
+_DEMO_WIDTH, _DEMO_BOX, _DEMO_POINTS = 1.0, 40.0, 2048
+
+
 def second_microlocal_profile_demo(
     n: int,
     nu0: float,
     curvature: float,
     times: Sequence[float] = (0.0, 0.5, 1.0, 2.0),
     profile: ProfileState | None = None,
-    width: float = 1.0,
-    box: float = 40.0,
-    points: int = 2048,
 ) -> ProfileDemoReport:
     """Free 1-D dispersion of a profile on the x2 line with the
     effective-mass coefficient curvature/2 of mode n at the cone nu0.
@@ -680,9 +681,9 @@ def second_microlocal_profile_demo(
     """
     coeff = 0.5 * curvature
     if profile is None:
-        x2 = np.linspace(-box, box, points, endpoint=False)
-        state = ProfileState(x2, np.exp(-(x2**2) / (2.0 * width**2)).astype(complex))
-        analytic = GaussianProfile(width2=width, width4=1.0, coeff=coeff)
+        x2 = np.linspace(-_DEMO_BOX, _DEMO_BOX, _DEMO_POINTS, endpoint=False)
+        state = ProfileState(x2, np.exp(-(x2**2) / (2.0 * _DEMO_WIDTH**2)).astype(complex))
+        analytic = GaussianProfile(width2=_DEMO_WIDTH, width4=1.0, coeff=coeff)
     else:
         state = profile
         x2 = state.x2

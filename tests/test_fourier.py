@@ -11,7 +11,7 @@ from engellab.fourier import (
     GridMarginError,
     ProductKernel,
     QuadratureBoxError,
-    _R,
+    _TILE,
     _quadratic_phase,
     _spline_table,
     difference_op_check,
@@ -276,11 +276,11 @@ ORACLE_PARAMS = [Generic(1.0, 0.3), Generic(-0.7, 0.2), Schrodinger(0.8), Charac
 
 
 @pytest.mark.parametrize("param", ORACLE_PARAMS, ids=repr)
-@pytest.mark.parametrize("M", [1, 127, 128, 129, 1000])
+@pytest.mark.parametrize("M", [1, _TILE - 1, _TILE, _TILE + 1, 1000])
 def test_kernel_matches_direct_formula(param, M):
-    # the tiles (128 points), the overlap windows, the piece-aligned spline
-    # and the block recurrence of the phase reproduce the direct sum, also
-    # where the phase reaches ~3 000 rad; rows come back in input order
+    # the tiles of _TILE points, the overlap windows and the piece-aligned
+    # spline reproduce the direct sum, also where the phase reaches ~3 000
+    # rad; rows come back in input order
     rng = np.random.default_rng(M)
     perm = rng.permutation(M)
     for large in (False, True):
@@ -299,13 +299,9 @@ def test_kernel_matches_direct_formula(param, M):
 @pytest.mark.parametrize("param", ORACLE_PARAMS, ids=repr)
 @pytest.mark.parametrize("half_width", [0.15, 0.5])
 def test_kernel_short_windows(param, half_width):
-    # V live over fewer nodes than a phase block, and over a width that is
-    # not a whole number of blocks: padded blocks must not leak into the sum
+    # V live over a few nodes only: the tile's node range is that short window
     V, phi2 = _oracle_vectors(True)
     V = V * (np.abs(ORACLE_GRID.nodes) < half_width)[:, None]
-    window = live_window(V, ORACLE_GRID)[0]
-    width = window.stop - window.start
-    assert width % _R and (width < _R) == (half_width < 0.2)
     rng = np.random.default_rng(3)
     for M in (1, 129):
         for large in (False, True):
@@ -314,6 +310,40 @@ def test_kernel_short_windows(param, half_width):
             ref = _direct_coefficients(param, coords, V, phi2, ORACLE_GRID)
             got = matrix_coefficients(param, coords, V, phi2, ORACLE_GRID)
             assert np.all(np.abs(got - ref) <= 1e-12 * _oracle_scale(ref, V, phi2, large))
+
+
+def _end_node_case():
+    """V live over |xi| <= 5, where it is O(1) at its last live nodes, a phi2
+    live up to both box ends, and shifts that put the window's end nodes on
+    the box's: s = +-(L - reach), those an ulp outward (still inside the
+    margin, but k(s) = floor(-s / h) rounds down a piece), those minus a
+    few steps h, and a few integer multiples of h."""
+    xi, L, h = ORACLE_GRID.nodes, ORACLE_GRID.L, ORACLE_GRID.h
+    V, _ = _oracle_vectors(True)
+    V = V * (np.abs(xi) <= 5.0)[:, None]
+    phi2 = np.exp(-(xi**2) / 400.0) * (1.0 + 0.3j * np.sin(0.7 * xi))
+    reach = live_window(V, ORACLE_GRID)[1]
+    edge = L - reach
+    shifts = [sign * (edge - n * h) for sign in (1.0, -1.0) for n in range(4)]
+    shifts += [sign * np.nextafter(edge, 2 * edge) for sign in (1.0, -1.0)]
+    shifts += [n * h for n in (-7, -2, 1, 5)]
+    return V, phi2, np.array(shifts)
+
+
+@pytest.mark.parametrize("param", ORACLE_PARAMS, ids=repr)
+def test_kernel_at_box_end_nodes(param):
+    # arguments eta - s on the box's end nodes read the constant padded
+    # columns of the piece table: column N for a single point at s = -(L -
+    # reach), column 0 in a tile where the ulp-outward shift sits below the
+    # tile's largest k(s), whose node range then starts at the window's start
+    V, phi2, shifts = _end_node_case()
+    rng = np.random.default_rng(11)
+    for M in (1, _TILE + 1):
+        for s in shifts if M == 1 else [shifts]:
+            coords = np.column_stack([np.resize(s, M), rng.standard_normal((M, 3))])
+            ref = _direct_coefficients(param, coords, V, phi2, ORACLE_GRID)
+            got = matrix_coefficients(param, coords, V, phi2, ORACLE_GRID)
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.max(np.abs(ref)))
 
 
 def test_kernel_zero_when_phi2_misses_window():
