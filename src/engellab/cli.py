@@ -357,14 +357,16 @@ def run_transport(cfg: dict, seed: int) -> RunReport:
         for r in rows]
     last = rows[-1]
     drift = abs(last.predicted_x2 - float(spec.x0[1]))
-    if drift > 1e-9:
+    # a drift within the stationary gate's own bound is checked as stationary
+    width_rtol = 0.02
+    if drift > width_rtol * last.packet_width:
         rep.checks.append(
             Check("drift-relative-error", last.drift_error / drift, 0.03)
         )
     else:
         rep.checks.append(
             Check("stationary-centroid-vs-width",
-                  last.drift_error / last.packet_width, 0.02)
+                  last.drift_error / last.packet_width, width_rtol)
         )
     return rep
 

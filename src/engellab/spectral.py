@@ -17,10 +17,15 @@ Discretization: second-order central differences with Dirichlet walls at
 the symmetric tridiagonal matrix commutes exactly with xi -> -xi and splits
 into an even and an odd block of about N/2 rows each.  By the discrete
 Sturm oscillation theorem mode j has j - 1 sign changes, so the modes
-alternate even, odd, even, ... from the ground state.  Each block is
-solved by bisection on Sturm-sequence counts plus inverse iteration (LAPACK
-stebz/stein via scipy's eigh_tridiagonal) and its vectors are mirrored to
-the full grid, exactly even or odd.  Default boxes come from `box_grid`,
+alternate even, odd, even, ... from the ground state.  On each block,
+bisection on Sturm-sequence counts (LAPACK stebz via scipy's
+eigh_tridiagonal) certifies which mode is which to 1e-4 E, E the natural
+energy |delta|^{2/3} (|lambda| for Schrodinger); inverse iteration (stein)
+gives the vectors, which are mirrored to the full grid, exactly even or
+odd; and mu is the Rayleigh quotient of the mirrored vector in gradient
+form, accurate to ~eps mu where bisection alone stops at ~eps ||H||, with
+||H|| ~ 4/h^2.  The wall must clear the confined level by max(E, mu/2).
+Default boxes come from `box_grid`,
 a closed-form rule that puts the wall 18 Agmon lengths past the turning
 point of a bound on the confined level; it scales with the natural length
 |delta|^{-1/3} (|lambda|^{-1/2} for Schrodinger), so the box of
@@ -148,6 +153,7 @@ class OperatorMatrix:
     grid: SpectralGrid
     diagonal: np.ndarray
     offdiag: float  # constant off-diagonal entry, -1/h^2
+    energy_scale: float  # natural energy E of the symbol: |delta|^{2/3} or |lambda|
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         out = self.diagonal * u
@@ -157,6 +163,15 @@ class OperatorMatrix:
 
     def potential_values(self) -> np.ndarray:
         return self.diagonal - 2.0 / self.grid.h**2
+
+
+def _energy_scale(param: SpectralParam) -> float:
+    """Natural energy: mu_n scales as |delta|^{2/3} (generic), |lambda| (Schrodinger)."""
+    if isinstance(param, Generic):
+        return abs(param.delta) ** (2.0 / 3.0)
+    if isinstance(param, Schrodinger):
+        return abs(param.lam)
+    raise TypeError(f"unsupported parameter {param!r}")
 
 
 def build_hamiltonian(param: SpectralParam, grid: SpectralGrid) -> OperatorMatrix:
@@ -170,7 +185,7 @@ def build_hamiltonian(param: SpectralParam, grid: SpectralGrid) -> OperatorMatri
     V = potential(param)(grid.nodes[: (N + 1) // 2])
     V = np.concatenate([V, V[: N // 2][::-1]])
     h = grid.h
-    return OperatorMatrix(grid, 2.0 / h**2 + V, -1.0 / h**2)
+    return OperatorMatrix(grid, 2.0 / h**2 + V, -1.0 / h**2, _energy_scale(param))
 
 
 # Agmon integral of sqrt(V - mu) from the turning point to the wall: the
@@ -183,8 +198,8 @@ def _mu_scale_guess(param: SpectralParam, k: int) -> float:
     if isinstance(param, Schrodinger):
         return abs(param.lam) * (2 * k + 1)
     if isinstance(param, Generic):
-        s = abs(param.delta) ** (2.0 / 3.0)
-        nu = param.beta * real_cbrt(param.delta) / abs(param.delta) ** (2.0 / 3.0)
+        s = _energy_scale(param)
+        nu = param.beta * real_cbrt(param.delta) / s
         return s * (4.0 * (k + 1) ** (4.0 / 3.0) + nu**2 + 2 * abs(nu))
     raise TypeError(f"unsupported parameter {param!r}")
 
@@ -244,6 +259,9 @@ class EigenResult:
 
 _EIGEN_RESIDUAL_RTOL = 1e-8  # eigenpair residual bound, relative to max(|mu|, 1)
 _GAP_RTOL = 1e-8  # smallest spectral gap, relative to max(|mu|, 1), for dPi_n
+# bisection tolerance in units of the natural energy E: it only has to tell
+# the modes of a block apart; 1e-3 left stein short of the resolvent gate
+_BISECT_RTOL = 1e-4
 
 
 def _parity_block(d: np.ndarray, offdiag: float,
@@ -280,7 +298,9 @@ def eigen_lowest(op: OperatorMatrix, k: int,
     pair and mode 2i + 2 the i-th odd one; a tunnelling pair whose values
     come out non-monotone at rounding level keeps these labels.  Vectors
     are exactly even or odd.  Raises ValueError on a diagonal that is not
-    mirror-symmetric.
+    mirror-symmetric.  Bisection to `_BISECT_RTOL` E fixes each mode's
+    index and mu is the Rayleigh quotient of its vector; a quotient outside
+    the bisection interval raises RuntimeError.
 
     Deterministic sign convention: each vector is positive at the first
     maximum of |phi|; mirror peaks are bitwise equal, so the left one wins
@@ -296,15 +316,16 @@ def eigen_lowest(op: OperatorMatrix, k: int,
                          "with build_hamiltonian")
     m = N // 2
     h = op.grid.h
-    vals = np.empty(k)
+    tol = _BISECT_RTOL * op.energy_scale
+    counted = np.empty(k)
     vecs = np.empty((N, k), order="F")  # contiguous columns, as LAPACK returns them
     for parity in (0, 1):
         count = (k + 1 - parity) // 2
         if count == 0:
             continue
         w, v = eigh_tridiagonal(*_parity_block(d, op.offdiag, parity),
-                                select="i", select_range=(0, count - 1))
-        vals[parity::2] = w
+                                select="i", select_range=(0, count - 1), tol=tol)
+        counted[parity::2] = w
         # block-orthonormal -> h-weighted orthonormal on the full grid
         half = v[:m] / np.sqrt(2.0 * h)
         cols = vecs[:, parity::2]
@@ -314,12 +335,18 @@ def eigen_lowest(op: OperatorMatrix, k: int,
             cols[m] = v[m] / np.sqrt(h) if parity == 0 else 0.0
     peak = np.argmax(np.abs(vecs), axis=0)
     vecs *= np.where(vecs[peak, np.arange(k)] < 0, -1.0, 1.0)
+    # mu from the Rayleigh quotient in gradient form, h sum ((v_{i+1} - v_i)/h)^2
+    # (-offdiag = 1/h^2, Dirichlet zeros past both walls) plus h sum V v^2:
+    # no 2/h^2 cancels, so mu is good to ~eps mu where bisection gave eps ||H||
+    V = op.potential_values()
+    dv = np.diff(vecs, axis=0, prepend=0.0, append=0.0)
+    vals = -op.offdiag * h * np.sum(dv * dv, axis=0) + h * (V @ vecs**2)
     # confinement + residual post-conditions
     if confine_level is None:
         confine_level = k
     mu_top = float(vals[confine_level - 1])
-    V_wall = float(op.potential_values()[-1])
-    if V_wall <= mu_top + max(1.0, 0.5 * abs(mu_top)):
+    V_wall = float(V[-1])
+    if V_wall <= mu_top + max(op.energy_scale, 0.5 * abs(mu_top)):
         raise ConfinementError(
             f"V(+-L) = {V_wall:.3g} does not confine level mu = {mu_top:.3g}; "
             f"enlarge the box (L = {op.grid.L})"
@@ -327,6 +354,9 @@ def eigen_lowest(op: OperatorMatrix, k: int,
     # backward-error floor: inverse iteration delivers ||r|| ~ eps * ||H||
     opnorm = float(np.max(np.abs(d))) + 2.0 * abs(op.offdiag)
     floor = 200.0 * np.finfo(float).eps * opnorm
+    # each vector's mode is the one bisection counted at its index
+    if np.any(np.abs(vals - counted) > tol + floor):
+        raise RuntimeError("inverse iteration left the bisection interval of a mode")
     for j in range(k):
         r = op.apply(vecs[:, j]) - vals[j] * vecs[:, j]
         if op.grid.norm(r) > _EIGEN_RESIDUAL_RTOL * max(abs(vals[j]), 1.0) + floor:

@@ -117,6 +117,17 @@ def test_transport_output_independent_of_seed(tmp_path, monkeypatch):
     assert "sampling_health" not in rep.metrics
 
 
+def test_transport_picks_its_check_by_drift_against_width():
+    # on the n = 1 cone the drift is 2.0e-6 against a width of 0.143: well
+    # inside the stationary gate's 0.02 of the width, so that gate runs; at
+    # the defaults the drift is 0.287 against 0.156 and the drift is checked
+    for config, name in (({"beta0": -0.3467583952}, "stationary-centroid-vs-width"),
+                         ({}, "drift-relative-error")):
+        rep = run("transport", config, seed=0)
+        assert [c.name for c in rep.checks] == [name]
+        assert rep.passed
+
+
 @pytest.mark.parametrize("subcommand, config, unknown", [
     ("transport", {"hbar": 0.02}, "hbar"),
     ("residual-scaling", {"sample_cont": 300, "hbar_ladder": [0.1]}, "sample_cont"),

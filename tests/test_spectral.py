@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
+from engellab import spectral
 from engellab.spectral import (
     ConfinementError,
     Generic,
@@ -113,13 +114,24 @@ def test_asymmetric_diagonal_refused():
         eigen_lowest(replace(H, diagonal=d), 1)
 
 
+def test_mode_certificate_refuses_a_swapped_vector(monkeypatch):
+    # a vector of another mode has its Rayleigh quotient outside the
+    # bisection interval of the index it was returned for
+    def swapped(*args, **kwargs):
+        w, v = eigh_tridiagonal(*args, **kwargs)
+        return w, v[:, ::-1]
+    monkeypatch.setattr(spectral, "eigh_tridiagonal", swapped)
+    with pytest.raises(RuntimeError, match="bisection interval"):
+        solve_lowest(Montgomery(0.0), 4, N=2048)
+
+
 def test_confinement_error_advises_larger_box():
     with pytest.raises(ConfinementError, match="enlarge"):
         solve_lowest(Schrodinger(1.0), 4, grid=SpectralGrid(2.0, 256))
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.floats(-3.0, 3.0), st.sampled_from([-1.0, 1.0]), st.floats(-4.0, 4.0),
+@given(st.floats(-6.0, 3.0), st.sampled_from([-1.0, 1.0]), st.floats(-4.0, 4.0),
        st.integers(1, 4))
 def test_box_rule_natural_length_and_wall_decay(log_delta, sign, nu, k):
     delta = sign * 10.0**log_delta
@@ -140,19 +152,40 @@ def test_box_rule_natural_length_and_wall_decay(log_delta, sign, nu, k):
 
 def test_schrodinger_box_natural_length():
     unit = box_grid([Schrodinger(1.0)], 4).L
-    for lam in (0.3, -5.0, 40.0):
+    for lam in (1e-4, 0.3, -5.0, 40.0, -1e3):
         assert box_grid([Schrodinger(lam)], 4).L * abs(lam) ** 0.5 == pytest.approx(
             unit, rel=1e-12)
         mus = solve_lowest(Schrodinger(lam), 4).eigenvalues / abs(lam)
         assert np.max(np.abs(mus - [1.0, 3.0, 5.0, 7.0])) <= 1e-4
 
 
-def test_tiny_scales_refuse_confinement():
-    # the box follows the natural length, but the wall check keeps its
-    # absolute margin V(L) > mu + 1, which these scales cannot reach
-    for p in (Generic(1e-6, 0.0), Schrodinger(1e-4)):
-        with pytest.raises(ConfinementError):
-            solve_lowest(p, 1)
+def test_tiny_scales_certified():
+    # the wall margin is in the natural energy E, so boxes that follow the
+    # natural length confine at any scale; measured 7.7e-13 (rescaling law),
+    # 1.1e-6 and 5.2e-6 (harmonic ladder, the O(h^2) stencil bias), and
+    # the bounds leave a margin of ~10x
+    lhs = generic_mu(1e-6, 0.0, 1)
+    rhs = 1e-4 * montgomery_mu(0.0, 1)
+    assert abs(lhs - rhs) <= 1e-11 * abs(rhs)
+    assert abs(solve_lowest(Schrodinger(1e-4), 1).eigenvalues[0] / 1e-4 - 1.0) <= 1e-5
+    ladder = np.array([1.0, 3.0, 5.0, 7.0])
+    mus = solve_lowest(Schrodinger(0.01), 4).eigenvalues / 0.01
+    assert np.max(np.abs(mus - ladder) / ladder) <= 5e-5
+
+
+@pytest.mark.filterwarnings("ignore:near-degenerate")
+def test_eigenvalue_independent_of_mode_count():
+    # mu is the Rayleigh quotient of its vector, so it does not carry the
+    # k-dependent bisection error (~1e-11 at eps ||H|| on these grids);
+    # measured worst case 9.6e-16
+    for N in (2048, 8192):
+        for nu in (-4.0, -3.0, NU_CRIT_1, 0.0, 2.0, 4.0):
+            p = Montgomery(nu)
+            H = build_hamiltonian(p, box_grid([p], 7, N))
+            for n in range(1, 5):
+                mu = eigen_lowest(H, n).eigenvalues[n - 1]
+                more = eigen_lowest(H, n + 3).eigenvalues[n - 1]
+                assert abs(mu - more) <= 1e-13 * max(1.0, abs(mu)), (N, nu, n)
 
 
 def test_montgomery_ground_frozen_value():
