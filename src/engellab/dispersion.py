@@ -11,7 +11,6 @@ coefficient is mutilde_n''(nu0)/2.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -60,23 +59,6 @@ class DispersionReport:
     kind: str  # "minimum" | "maximum"
     scan_grid_n: int  # nodes of the grid the certificate was counted on
     scan_margin: float  # smallest |mu'| over the scan samples
-
-    def to_dict(self) -> dict:
-        return dict(
-            n=self.n,
-            nu_c=self.nu_c,
-            mu_at_c=self.mu_at_c,
-            curvature=self.curvature,
-            bracket=list(self.bracket),
-            certificate=self.certificate,
-            curvature_step=self.curvature_step,
-            kind=self.kind,
-            scan_grid_n=self.scan_grid_n,
-            scan_margin=self.scan_margin,
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def critical_points(

@@ -31,7 +31,7 @@ erf/erfc in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -480,9 +480,6 @@ class CalibrationReport:
     relative_spread: float
     tail_estimate: float
     kernels: list[dict]  # per kernel: its echo, quadrature box and tail
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _reach(f: Factor1D) -> float:

@@ -239,11 +239,15 @@ def box_grid(params: Sequence[SpectralParam], k: int, N: int = 4096) -> Spectral
 
 @dataclass
 class EigenResult:
-    """Lowest eigenpairs on a grid; vectors are columns, h-normalized."""
+    """Lowest eigenpairs of an operator; vectors are columns, h-normalized."""
 
-    grid: SpectralGrid
+    op: OperatorMatrix  # the operator the pairs were solved on
     eigenvalues: np.ndarray  # shape (k,)
     eigenvectors: np.ndarray  # shape (N, k)
+
+    @property
+    def grid(self) -> SpectralGrid:
+        return self.op.grid
 
     def pair(self, n: int) -> tuple[float, np.ndarray]:
         """1-based mode index."""
@@ -370,7 +374,7 @@ def eigen_lowest(op: OperatorMatrix, k: int,
                 "will be unreliable at the affected levels",
                 stacklevel=2,
             )
-    return EigenResult(op.grid, vals, vecs)
+    return EigenResult(op, vals, vecs)
 
 
 def solve_lowest(param: SpectralParam, k: int, grid: SpectralGrid | None = None,
@@ -422,7 +426,8 @@ class SpectralData:
     dphi = d phi_n / d beta is the reduced resolvent of mu_n - H applied to
     d_beta H phi_n = 2 W phi_n; mu_d1/mu_d2 are the Feynman-Hellmann first
     and second derivatives of mu_n in beta (the second uses d_beta^2 H = 2).
-    `eigen` holds the pairs up to level n + 1, enough for the gap at n.
+    `eigen` holds the pairs up to level n + 1, enough for the gap at n, and
+    the operator they were solved on, which the resolvent solves reuse.
     """
 
     param: Generic
@@ -454,7 +459,7 @@ def spectral_data(delta: float, beta: float, n: int, grid: SpectralGrid | None =
     mu, phi = res.pair(n)
     dH_phi = 2.0 * _w_values(delta, beta, grid) * phi
     mu_d1 = float(grid.inner(dH_phi, phi).real)
-    dphi = _deflated_solve(build_hamiltonian(param, grid), mu, phi, dH_phi)
+    dphi = _deflated_solve(res.op, mu, phi, dH_phi)
     mu_d2 = 2.0 + 2.0 * float(grid.inner(dH_phi, dphi).real)
     return SpectralData(param, n, grid, mu, phi, dphi, mu_d1, mu_d2, res)
 
@@ -537,42 +542,4 @@ def reduced_resolvent_solve(data: SpectralData, rhs: np.ndarray) -> np.ndarray:
     The right side is projected off phi_n first, and the result satisfies
     <u, phi_n> = 0; real and complex right sides are both accepted.
     """
-    return _deflated_solve(build_hamiltonian(data.param, data.grid), data.mu,
-                           data.phi, rhs)
-
-
-# ---------------------------------------------------------------------------
-# branch sampling / CSV export
-# ---------------------------------------------------------------------------
-
-
-def branch_rows_csv(rows: Sequence[dict]) -> str:
-    """CSV of sampled branch rows, every float at full (.17g) precision."""
-    return "n,delta,beta,mu,dmu_dbeta,d2mu_dbeta2,grid_L,grid_N\n" + "".join(
-        "{n},{delta:.17g},{beta:.17g},{mu:.17g},{dmu_dbeta:.17g},"
-        "{d2mu_dbeta2:.17g},{grid_L:.17g},{grid_N}\n".format(**r) for r in rows
-    )
-
-
-def sample_branch(n: int, delta: float, betas: Sequence[float],
-                  N: int = 4096) -> list[dict]:
-    """Rows of mu_n(delta, .) with first and second FH derivatives.
-
-    For the Montgomery family pass delta = 1 and betas = nus.
-    """
-    rows = []
-    for beta in betas:
-        data = spectral_data(delta, float(beta), n, N=N)
-        rows.append(
-            dict(
-                n=n,
-                delta=delta,
-                beta=float(beta),
-                mu=data.mu,
-                dmu_dbeta=data.mu_d1,
-                d2mu_dbeta2=data.mu_d2,
-                grid_L=data.grid.L,
-                grid_N=data.grid.N,
-            )
-        )
-    return rows
+    return _deflated_solve(data.eigen.op, data.mu, data.phi, rhs)

@@ -60,7 +60,6 @@ from .algebra import (
 from .spectral import (
     SpectralData,
     SpectralGrid,
-    build_hamiltonian,
     reduced_resolvent_solve,
     spectral_data,
 )
@@ -236,7 +235,7 @@ class _PacketMachinery:
         xi = grid.nodes
         phi = d.phi
         d1 = InfinitesimalOp(grid, None)
-        H = build_hamiltonian(d.param, grid)
+        H = d.eigen.op
 
         def images(v: np.ndarray) -> np.ndarray:
             # on the grid dpi(X1) = D1, dpi(X2) = iW and dpi(X1^2 + X2^2) = -H,
@@ -570,9 +569,6 @@ class ScalingReport:
     slope: float
     intercept: float
 
-    def csv_rows(self) -> list[dict]:
-        return [dict(hbar=h, residual=r) for h, r in zip(self.hbars, self.residuals)]
-
 
 def residual_scaling_experiment(spec: WavePacketSpec, hbar_list: Sequence[float],
                                 order: AnsatzOrder = AnsatzOrder.WITH_SIGMA1_AND_2,
@@ -652,7 +648,6 @@ def transport_demo(spec: WavePacketSpec, t: float,
 
 @dataclass
 class ProfileDemoReport:
-    nu0: float
     coefficient: float
     times: list[float]
     x2: np.ndarray
@@ -666,14 +661,13 @@ _DEMO_WIDTH, _DEMO_BOX, _DEMO_POINTS = 1.0, 40.0, 2048
 
 
 def second_microlocal_profile_demo(
-    n: int,
-    nu0: float,
     curvature: float,
     times: Sequence[float] = (0.0, 0.5, 1.0, 2.0),
     profile: ProfileState | None = None,
 ) -> ProfileDemoReport:
     """Free 1-D dispersion of a profile on the x2 line with the
-    effective-mass coefficient curvature/2 of mode n at the cone nu0.
+    effective-mass coefficient curvature/2, curvature = mutilde_n''(nu_c)
+    of a branch at its critical point.
 
     Emits |a(t)|^2 curves and checks mass conservation; any Schwartz-class
     grid profile is accepted, and for the default Gaussian the analytic
@@ -700,7 +694,6 @@ def second_microlocal_profile_demo(
             ref = analytic.partials(float(t), x2, 0.0, 0)[0, 0]
             law_err = max(law_err, float(np.max(np.abs(st.values - ref))))
     return ProfileDemoReport(
-        nu0=nu0,
         coefficient=coeff,
         times=[float(t) for t in times],
         x2=x2,

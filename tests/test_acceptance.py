@@ -203,7 +203,7 @@ def test_criterion_11_strichartz_arithmetic():
 
 def test_criterion_12_second_microlocal_profile():
     cc = dispersion.curvature_consistency(1, NU_CRIT_1, [0.5, 1.0, 2.0], N=4096)
-    demo = wavepacket.second_microlocal_profile_demo(1, NU_CRIT_1, cc.curvature_ref)
+    demo = wavepacket.second_microlocal_profile_demo(cc.curvature_ref)
     coeff_dev = max(
         abs(2.0 * demo.coefficient - d2) for d2 in
         (cc.curvature_ref + dev for dev in cc.deviations.values())

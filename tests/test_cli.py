@@ -73,6 +73,44 @@ def test_dispersion_sweep_rows_and_determinism(tmp_path):
     assert keys == sorted(keys)
 
 
+def test_branch_csv_columns(tmp_path):
+    run("dispersion", {"n_list": [1], "nu_min": 0.0, "nu_max": 0.5, "nu_step": 0.5,
+                       "grid_n": 1024}, out_dir=tmp_path)
+    header, *rows = (tmp_path / "branches.csv").read_text().strip().split("\n")
+    assert header == "n,delta,beta,mu,dmu_dbeta,d2mu_dbeta2,grid_L,grid_N"
+    assert len(rows) == 2
+    assert rows[0].startswith("1,1,0,")
+
+
+# cheap configs of every subcommand that writes a data file, and the files
+CSV_RUNS = [
+    ("dispersion", {"n_list": [1, 2], "nu_min": -0.2, "nu_max": 0.2, "nu_step": 0.2,
+                    "grid_n": 512}, ["branches.csv"]),
+    ("residual-scaling", {"grid_n": 1024},
+     ["residual_scaling_full.csv", "residual_scaling_sigma1.csv"]),
+    ("transport", {"grid_n": 1024, "hbar_ladder": [0.05, 0.025]}, ["transport.csv"]),
+    ("smicro-profile", {"grid_n": 2048, "times": [0.0, 1.0], "delta_list": [1.0]},
+     ["profile_densities.csv"]),
+]
+
+
+@pytest.mark.parametrize("subcommand, config, names", CSV_RUNS, ids=[c[0] for c in CSV_RUNS])
+def test_every_csv_is_rectangular_and_numeric(tmp_path, subcommand, config, names):
+    rep = run(subcommand, config, out_dir=tmp_path)
+    assert sorted(rep.files) == sorted(names)
+    for name in names:
+        text = (tmp_path / name).read_text()
+        assert text.endswith("\n") and not text.endswith("\n\n"), name
+        header, *rows = text[:-1].split("\n")
+        assert rows, name
+        width = len(header.split(","))
+        for row in rows:
+            fields = row.split(",")
+            assert len(fields) == width, (name, row)
+            for f in fields:
+                float(f)  # raises on a field that is not a number
+
+
 def test_dispersion_empty_grid_errors():
     with pytest.raises(ValueError):
         run("dispersion", {"n_list": [], "nu_min": 0, "nu_max": 1})

@@ -15,7 +15,6 @@ from engellab.spectral import (
     Schrodinger,
     SpectralGrid,
     box_grid,
-    branch_rows_csv,
     build_hamiltonian,
     eigen_lowest,
     eigenvalues_extrapolated,
@@ -26,7 +25,6 @@ from engellab.spectral import (
     projector_derivative,
     real_cbrt,
     reduced_resolvent_solve,
-    sample_branch,
     solve_lowest,
     spectral_data,
 )
@@ -374,17 +372,6 @@ def test_eigenvector_sign_independent_of_mode_count(nu, N):
     for n in (2, 4):
         few = eigen_lowest(H, n + 1).eigenvectors[:, n - 1]
         assert np.max(np.abs(few - many[:, n - 1])) <= 1e-8
-
-
-# -- branch export -------------------------------------------------------------
-
-
-def test_branch_csv_columns():
-    csv = branch_rows_csv(sample_branch(1, 1.0, [0.0, 0.5], N=1024))
-    header, *rows = csv.strip().split("\n")
-    assert header == "n,delta,beta,mu,dmu_dbeta,d2mu_dbeta2,grid_L,grid_N"
-    assert len(rows) == 2
-    assert rows[0].startswith("1,1,0,")
 
 
 def test_richardson_extrapolation_improves():

@@ -675,7 +675,7 @@ def test_leading_order_mass_is_closed_form():
 
 
 def test_second_microlocal_demo_checks():
-    rep = second_microlocal_profile_demo(1, -0.3467583952, 1.5761268)
+    rep = second_microlocal_profile_demo(1.5761268)
     assert rep.coefficient == pytest.approx(0.5 * 1.5761268)
     assert rep.mass_drift <= 1e-10
     assert rep.gaussian_law_error <= 1e-6
@@ -687,7 +687,7 @@ def test_second_microlocal_demo_custom_profile():
     x2 = np.linspace(-40, 40, 2048, endpoint=False)
     bump = (np.exp(-(x2**2) / 2) * np.cos(1.3 * x2)).astype(complex)
     rep = second_microlocal_profile_demo(
-        1, -0.3467583952, 1.5761268, profile=ProfileState(x2, bump),
+        1.5761268, profile=ProfileState(x2, bump),
         times=(0.0, 1.0),
     )
     assert rep.gaussian_law_error is None
