@@ -23,10 +23,11 @@ from .spectral import (
     Montgomery,
     SpectralGrid,
     box_grid,
+    build_hamiltonian,
+    eigen_mode,
     mu_beta_derivative,
     real_cbrt,
     spectral_data,
-    solve_lowest,
 )
 
 
@@ -81,7 +82,8 @@ def critical_points(
     once a step is below `tol`.  Brackets are disjoint, so each holds one
     reported root.  The curvature comes from central differences of the FH
     derivative with Richardson halving of `_CURVATURE_STEP`, and mu from one
-    eigensolve, both on the N-node grid.
+    eigensolve, both on the N-node grid.  Every eigensolve here solves mode
+    n alone (`eigen_mode`).
     """
     lo, hi = float(scan[0]), float(scan[1])
     if not hi > lo:
@@ -109,7 +111,7 @@ def critical_points(
         bracket = (float(nus[k]), float(nus[k + 1]))
         root = _refine_root(*bracket, n, grid, tol)
         curv = _curvature(root, n, grid)
-        mu_at = float(solve_lowest(Montgomery(root), n, grid=grid).eigenvalues[n - 1])
+        mu_at, _ = eigen_mode(build_hamiltonian(Montgomery(root), grid), n)
         reports.append(
             DispersionReport(
                 n=n,

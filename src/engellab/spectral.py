@@ -25,11 +25,13 @@ gives the vectors, which are mirrored to the full grid, exactly even or
 odd; and mu is the Rayleigh quotient of the mirrored vector in gradient
 form, accurate to ~eps mu where bisection alone stops at ~eps ||H||, with
 ||H|| ~ 4/h^2.  The wall must clear the confined level by max(E, mu/2).
-Default boxes come from `box_grid`,
-a closed-form rule that puts the wall 18 Agmon lengths past the turning
-point of a bound on the confined level; it scales with the natural length
-|delta|^{-1/3} (|lambda|^{-1/2} for Schrodinger), so the box of
-Generic(delta, beta) is |delta|^{-1/3} times that of Montgomery(nu).
+`eigen_lowest` solves the k lowest modes; `eigen_mode` solves mode n alone,
+at its index in its own block, through the same code, and is what
+`spectral_data` and `mu_beta_derivative` use.  Default boxes come from
+`box_grid`, a closed-form rule that puts the wall 18 Agmon lengths past
+the turning point of a bound on the confined level; it scales with the
+natural length |delta|^{-1/3} (|lambda|^{-1/2} for Schrodinger), so the box
+of Generic(delta, beta) is |delta|^{-1/3} times that of Montgomery(nu).
 
 Grid functions are normalized in the trapezoid inner product
 <u, v> = h * sum(u * conj(v)).
@@ -253,16 +255,8 @@ class EigenResult:
         """1-based mode index."""
         return float(self.eigenvalues[n - 1]), self.eigenvectors[:, n - 1]
 
-    def gap(self, n: int) -> float:
-        mus = self.eigenvalues
-        if len(mus) <= n:
-            raise ValueError("request more eigenpairs to know the gap")
-        below = abs(mus[n - 1] - mus[n - 2]) if n >= 2 else np.inf
-        return float(min(below, abs(mus[n] - mus[n - 1])))
-
 
 _EIGEN_RESIDUAL_RTOL = 1e-8  # eigenpair residual bound, relative to max(|mu|, 1)
-_GAP_RTOL = 1e-8  # smallest spectral gap, relative to max(|mu|, 1), for dPi_n
 # bisection tolerance in units of the natural energy E: it only has to tell
 # the modes of a block apart; 1e-3 left stein short of the resolvent gate
 _BISECT_RTOL = 1e-4
@@ -292,6 +286,69 @@ def _parity_block(d: np.ndarray, offdiag: float,
     return d[: m + 1], block_e
 
 
+def _solve_modes(op: OperatorMatrix, first: int, last: int,
+                 confine_level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Certified pairs of modes first..last (1-based) from their parity blocks.
+
+    Mode 2i + 1 + p is the i-th pair of block p, so each block solves only
+    the indices of its own modes in the range.  Confinement is checked at
+    mode `confine_level`, which must lie in the range.
+    """
+    N = op.grid.N
+    d = op.diagonal
+    if np.any(d != d[::-1]):
+        raise ValueError("the diagonal is not mirror-symmetric; build the operator "
+                         "with build_hamiltonian")
+    m = N // 2
+    h = op.grid.h
+    tol = _BISECT_RTOL * op.energy_scale
+    k = last - first + 1
+    counted = np.empty(k)
+    vecs = np.empty((N, k), order="F")  # contiguous columns, as LAPACK returns them
+    for parity in (0, 1):
+        lo, hi = (first - parity) // 2, (last - 1 - parity) // 2
+        if lo > hi:
+            continue
+        w, v = eigh_tridiagonal(*_parity_block(d, op.offdiag, parity),
+                                select="i", select_range=(lo, hi), tol=tol)
+        start = 2 * lo + 1 + parity - first  # column of the block's first mode
+        counted[start::2] = w
+        # block-orthonormal -> h-weighted orthonormal on the full grid
+        half = v[:m] / np.sqrt(2.0 * h)
+        cols = vecs[:, start::2]
+        cols[:m] = half
+        cols[N - m:] = -half[::-1] if parity else half[::-1]
+        if N % 2:
+            cols[m] = v[m] / np.sqrt(h) if parity == 0 else 0.0
+    peak = np.argmax(np.abs(vecs), axis=0)
+    vecs *= np.where(vecs[peak, np.arange(k)] < 0, -1.0, 1.0)
+    # mu from the Rayleigh quotient in gradient form, h sum ((v_{i+1} - v_i)/h)^2
+    # (-offdiag = 1/h^2, Dirichlet zeros past both walls) plus h sum V v^2:
+    # no 2/h^2 cancels, so mu is good to ~eps mu where bisection gave eps ||H||
+    V = op.potential_values()
+    dv = np.diff(vecs, axis=0, prepend=0.0, append=0.0)
+    vals = -op.offdiag * h * np.sum(dv * dv, axis=0) + h * (V @ vecs**2)
+    # confinement + residual post-conditions
+    mu_top = float(vals[confine_level - first])
+    V_wall = float(V[-1])
+    if V_wall <= mu_top + max(op.energy_scale, 0.5 * abs(mu_top)):
+        raise ConfinementError(
+            f"V(+-L) = {V_wall:.3g} does not confine level mu = {mu_top:.3g}; "
+            f"enlarge the box (L = {op.grid.L})"
+        )
+    # backward-error floor: inverse iteration delivers ||r|| ~ eps * ||H||
+    opnorm = float(np.max(np.abs(d))) + 2.0 * abs(op.offdiag)
+    floor = 200.0 * np.finfo(float).eps * opnorm
+    # each vector's mode is the one bisection counted at its index
+    if np.any(np.abs(vals - counted) > tol + floor):
+        raise RuntimeError("inverse iteration left the bisection interval of a mode")
+    for j in range(k):
+        r = op.apply(vecs[:, j]) - vals[j] * vecs[:, j]
+        if op.grid.norm(r) > _EIGEN_RESIDUAL_RTOL * max(abs(vals[j]), 1.0) + floor:
+            raise RuntimeError(f"eigen residual too large for mode {first + j}")
+    return vals, vecs
+
+
 def eigen_lowest(op: OperatorMatrix, k: int,
                  confine_level: int | None = None) -> EigenResult:
     """k lowest eigenpairs of the mirror-symmetric tridiagonal operator.
@@ -313,58 +370,7 @@ def eigen_lowest(op: OperatorMatrix, k: int,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    N = op.grid.N
-    d = op.diagonal
-    if np.any(d != d[::-1]):
-        raise ValueError("the diagonal is not mirror-symmetric; build the operator "
-                         "with build_hamiltonian")
-    m = N // 2
-    h = op.grid.h
-    tol = _BISECT_RTOL * op.energy_scale
-    counted = np.empty(k)
-    vecs = np.empty((N, k), order="F")  # contiguous columns, as LAPACK returns them
-    for parity in (0, 1):
-        count = (k + 1 - parity) // 2
-        if count == 0:
-            continue
-        w, v = eigh_tridiagonal(*_parity_block(d, op.offdiag, parity),
-                                select="i", select_range=(0, count - 1), tol=tol)
-        counted[parity::2] = w
-        # block-orthonormal -> h-weighted orthonormal on the full grid
-        half = v[:m] / np.sqrt(2.0 * h)
-        cols = vecs[:, parity::2]
-        cols[:m] = half
-        cols[N - m:] = -half[::-1] if parity else half[::-1]
-        if N % 2:
-            cols[m] = v[m] / np.sqrt(h) if parity == 0 else 0.0
-    peak = np.argmax(np.abs(vecs), axis=0)
-    vecs *= np.where(vecs[peak, np.arange(k)] < 0, -1.0, 1.0)
-    # mu from the Rayleigh quotient in gradient form, h sum ((v_{i+1} - v_i)/h)^2
-    # (-offdiag = 1/h^2, Dirichlet zeros past both walls) plus h sum V v^2:
-    # no 2/h^2 cancels, so mu is good to ~eps mu where bisection gave eps ||H||
-    V = op.potential_values()
-    dv = np.diff(vecs, axis=0, prepend=0.0, append=0.0)
-    vals = -op.offdiag * h * np.sum(dv * dv, axis=0) + h * (V @ vecs**2)
-    # confinement + residual post-conditions
-    if confine_level is None:
-        confine_level = k
-    mu_top = float(vals[confine_level - 1])
-    V_wall = float(V[-1])
-    if V_wall <= mu_top + max(op.energy_scale, 0.5 * abs(mu_top)):
-        raise ConfinementError(
-            f"V(+-L) = {V_wall:.3g} does not confine level mu = {mu_top:.3g}; "
-            f"enlarge the box (L = {op.grid.L})"
-        )
-    # backward-error floor: inverse iteration delivers ||r|| ~ eps * ||H||
-    opnorm = float(np.max(np.abs(d))) + 2.0 * abs(op.offdiag)
-    floor = 200.0 * np.finfo(float).eps * opnorm
-    # each vector's mode is the one bisection counted at its index
-    if np.any(np.abs(vals - counted) > tol + floor):
-        raise RuntimeError("inverse iteration left the bisection interval of a mode")
-    for j in range(k):
-        r = op.apply(vecs[:, j]) - vals[j] * vecs[:, j]
-        if op.grid.norm(r) > _EIGEN_RESIDUAL_RTOL * max(abs(vals[j]), 1.0) + floor:
-            raise RuntimeError(f"eigen residual too large for mode {j + 1}")
+    vals, vecs = _solve_modes(op, 1, k, k if confine_level is None else confine_level)
     if k >= 2:
         gaps = np.diff(vals)
         scale = max(1.0, float(np.max(np.abs(vals))))
@@ -375,6 +381,19 @@ def eigen_lowest(op: OperatorMatrix, k: int,
                 stacklevel=2,
             )
     return EigenResult(op, vals, vecs)
+
+
+def eigen_mode(op: OperatorMatrix, n: int) -> tuple[float, np.ndarray]:
+    """Eigenpair n (1-based) alone: `eigen_lowest(op, n).pair(n)` to rounding.
+
+    Only index (n - 1) // 2 of parity block (n - 1) % 2 is bisected and
+    inverse-iterated, with the checks of `eigen_lowest`; confinement is
+    checked at mode n.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    vals, vecs = _solve_modes(op, n, n, n)
+    return float(vals[0]), vecs[:, 0]
 
 
 def solve_lowest(param: SpectralParam, k: int, grid: SpectralGrid | None = None,
@@ -426,8 +445,8 @@ class SpectralData:
     dphi = d phi_n / d beta is the reduced resolvent of mu_n - H applied to
     d_beta H phi_n = 2 W phi_n; mu_d1/mu_d2 are the Feynman-Hellmann first
     and second derivatives of mu_n in beta (the second uses d_beta^2 H = 2).
-    `eigen` holds the pairs up to level n + 1, enough for the gap at n, and
-    the operator they were solved on, which the resolvent solves reuse.
+    `op` is the operator phi_n was solved on, which the resolvent solves
+    reuse.
     """
 
     param: Generic
@@ -438,7 +457,7 @@ class SpectralData:
     dphi: np.ndarray
     mu_d1: float
     mu_d2: float
-    eigen: EigenResult
+    op: OperatorMatrix
 
     @property
     def w(self) -> np.ndarray:
@@ -449,61 +468,35 @@ def spectral_data(delta: float, beta: float, n: int, grid: SpectralGrid | None =
                   N: int = 4096) -> SpectralData:
     """Eigenpair n, its beta-derivative and the FH derivatives of mu_n.
 
-    Solves for n + 1 eigenpairs and takes dphi = (mu_n - H)^{-1} Pi_perp
-    (2 W phi_n) from one deflated tridiagonal solve, so that
-    mu_n'' = 2 + 2 <2 W phi_n, dphi>.
+    Solves for mode n alone (`eigen_mode`; the default box is that of level
+    n + 1, confinement is checked at n) and takes dphi = (mu_n - H)^{-1}
+    Pi_perp (2 W phi_n) from one deflated tridiagonal solve, so that
+    mu_n'' = 2 + 2 <2 W phi_n, dphi>.  No neighbouring level is solved, so
+    a tunnelling pair (e.g. n = 1 at beta = -40) gives no near-degeneracy
+    warning; the resolvent's residual gate is what refuses a level too
+    close to its neighbours.
     """
     param = Generic(delta, beta)
-    res = solve_lowest(param, n + 1, grid=grid, N=N)
-    grid = res.grid
-    mu, phi = res.pair(n)
+    if grid is None:
+        grid = box_grid([param], n + 1, N)
+    op = build_hamiltonian(param, grid)
+    mu, phi = eigen_mode(op, n)
     dH_phi = 2.0 * _w_values(delta, beta, grid) * phi
     mu_d1 = float(grid.inner(dH_phi, phi).real)
-    dphi = _deflated_solve(res.op, mu, phi, dH_phi)
+    dphi = _deflated_solve(op, mu, phi, dH_phi)
     mu_d2 = 2.0 + 2.0 * float(grid.inner(dH_phi, dphi).real)
-    return SpectralData(param, n, grid, mu, phi, dphi, mu_d1, mu_d2, res)
+    return SpectralData(param, n, grid, mu, phi, dphi, mu_d1, mu_d2, op)
 
 
 def mu_beta_derivative(delta: float, beta: float, n: int,
                        grid: SpectralGrid | None = None, N: int = 4096) -> float:
-    """d mu_n / d beta via the Feynman-Hellmann expectation <2 W phi, phi>."""
+    """d mu_n / d beta via the Feynman-Hellmann expectation <2 W phi, phi>,
+    from mode n alone on `grid` (default: the box of level n)."""
     param = Generic(delta, beta)
-    res = solve_lowest(param, n, grid=grid, N=N)
-    mu, phi = res.pair(n)
-    w = _w_values(delta, beta, res.grid)
-    return float(res.grid.inner(2.0 * w * phi, phi).real)
-
-
-@dataclass
-class ProjectorPair:
-    """Rank-one projector onto phi_n and its beta-derivative."""
-
-    data: SpectralData
-
-    def project(self, u: np.ndarray) -> np.ndarray:
-        d = self.data
-        return d.phi * complex(d.grid.inner(u, d.phi))
-
-    def apply_derivative(self, u: np.ndarray) -> np.ndarray:
-        """dPi_n u = |dphi><phi| u + |phi><dphi| u."""
-        d = self.data
-        return d.dphi * complex(d.grid.inner(u, d.phi)) + d.phi * complex(
-            d.grid.inner(u, d.dphi)
-        )
-
-
-def projector_derivative(delta: float, beta: float, n: int,
-                         grid: SpectralGrid | None = None,
-                         N: int = 4096) -> ProjectorPair:
-    """dPi_n from the eigenvector derivative; refuses on near-degenerate levels."""
-    data = spectral_data(delta, beta, n, grid=grid, N=N)
-    gap = data.eigen.gap(n)
-    if gap < _GAP_RTOL * max(1.0, abs(data.mu)):
-        raise RuntimeError(
-            f"spectral gap {gap:.3g} at level {n} below threshold; "
-            "projector derivative is ill-conditioned"
-        )
-    return ProjectorPair(data)
+    if grid is None:
+        grid = box_grid([param], n, N)
+    _, phi = eigen_mode(build_hamiltonian(param, grid), n)
+    return float(grid.inner(2.0 * _w_values(delta, beta, grid) * phi, phi).real)
 
 
 # worst residual over the default branch sweep is 1.5e-10 of ||rhs||
@@ -542,4 +535,4 @@ def reduced_resolvent_solve(data: SpectralData, rhs: np.ndarray) -> np.ndarray:
     The right side is projected off phi_n first, and the result satisfies
     <u, phi_n> = 0; real and complex right sides are both accepted.
     """
-    return _deflated_solve(data.eigen.op, data.mu, data.phi, rhs)
+    return _deflated_solve(data.op, data.mu, data.phi, rhs)

@@ -235,7 +235,7 @@ class _PacketMachinery:
         xi = grid.nodes
         phi = d.phi
         d1 = InfinitesimalOp(grid, None)
-        H = d.eigen.op
+        H = d.op
 
         def images(v: np.ndarray) -> np.ndarray:
             # on the grid dpi(X1) = D1, dpi(X2) = iW and dpi(X1^2 + X2^2) = -H,

@@ -80,18 +80,21 @@ def test_certificate_and_root_match_full_grid_oracle(n, monkeypatch):
     changes = [k for k in range(samples - 1) if d1[k] == 0.0 or d1[k] * d1[k + 1] < 0.0]
 
     solves: list[int] = []
-    eigen_lowest = spectral.eigen_lowest
 
-    def counting(op, k, *args, **kwargs):
-        solves.append(op.grid.N)
-        return eigen_lowest(op, k, *args, **kwargs)
+    def counting(solve):
+        def wrapped(op, k, *args, **kwargs):
+            solves.append(op.grid.N)
+            return solve(op, k, *args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(spectral, "eigen_lowest", counting)
+    for name in ("eigen_lowest", "eigen_mode"):
+        monkeypatch.setattr(spectral, name, counting(getattr(spectral, name)))
+    monkeypatch.setattr(dispersion, "eigen_mode", spectral.eigen_mode)
     reports = critical_points(n, scan=(lo, hi), N=N, samples=samples)
     monkeypatch.undo()
 
     assert len(reports) == len(changes) >= 1
-    assert solves.count(N) <= 10 * len(reports)
+    assert len(reports) <= solves.count(N) <= 10 * len(reports)
     for r, k in zip(reports, changes):
         assert r.certificate == len(changes)
         assert r.bracket == (nus[k], nus[k + 1])

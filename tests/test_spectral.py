@@ -1,10 +1,12 @@
 """Spectral solver, Feynman-Hellmann machinery, reduced resolvent."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from projector import projector_derivative
 from scipy.linalg import eigh_tridiagonal
 
 from engellab import spectral
@@ -17,12 +19,12 @@ from engellab.spectral import (
     box_grid,
     build_hamiltonian,
     eigen_lowest,
+    eigen_mode,
     eigenvalues_extrapolated,
     generic_mu,
     montgomery_mu,
     mu_beta_derivative,
     potential,
-    projector_derivative,
     real_cbrt,
     reduced_resolvent_solve,
     solve_lowest,
@@ -334,9 +336,46 @@ def test_reduced_resolvent_random_rhs_residual():
 def test_reduced_resolvent_refuses_wrong_level():
     # phi_1 paired with mu_2: mu - H is singular off the deflated direction
     data = spectral_data(1.0, 0.1, 1, N=2048)
-    mu_2 = float(data.eigen.eigenvalues[1])
+    mu_2 = float(solve_lowest(data.param, 2, grid=data.grid).eigenvalues[1])
     with pytest.raises(RuntimeError, match="residual"):
         reduced_resolvent_solve(replace(data, mu=mu_2), data.grid.nodes * data.phi)
+
+
+@pytest.mark.filterwarnings("ignore:near-degenerate")
+def test_single_mode_solves_match_lowest_modes_route():
+    # spectral_data and mu_beta_derivative solve mode n alone; the reference
+    # takes pair n of eigen_lowest(H, n + 1) (of eigen_lowest(H, n) for the
+    # FH derivative) on the same grid.  Measured worst cases at N = 2048:
+    # 4.8e-16 (mu), 4.6e-14 (mu'), 9.6e-14 (mu''), 7.3e-14 (dphi, phi's
+    # parity) and 4.6e-14 (FH derivative); the bounds leave a margin of
+    # >= 20x.  dphi's part of the other parity is rounding amplified by
+    # 1/gap: at nu = -40 it is up to 7.4e-2 of ||dphi|| on either route and
+    # the routes differ there by up to 3.3e-3, so only phi's parity is
+    # compared
+    for n in (1, 2, 3, 4):
+        for nu in (-40.0, -4.0, NU_CRIT_1, 0.0, 4.0):
+            p = Montgomery(nu)
+            grid = box_grid([p], n + 1, 2048)
+            with warnings.catch_warnings():
+                # no neighbouring level is solved, so the tunnelling pair
+                # of nu = -40 gives no near-degeneracy warning
+                warnings.simplefilter("error")
+                data = spectral_data(1.0, nu, n, grid=grid)
+                fh = mu_beta_derivative(1.0, nu, n, grid=grid)
+            H = build_hamiltonian(p, grid)
+            mu, phi = eigen_lowest(H, n + 1).pair(n)
+            dH_phi = 2.0 * data.w * phi
+            dphi = reduced_resolvent_solve(replace(data, mu=mu, phi=phi), dH_phi)
+            mu_d2 = 2.0 + 2.0 * grid.inner(dH_phi, dphi).real
+            scale = max(1.0, abs(mu))
+            assert abs(data.mu - mu) <= 1e-14 * scale, (n, nu)
+            assert abs(data.mu_d1 - grid.inner(dH_phi, phi).real) <= 1e-12 * scale, (n, nu)
+            assert abs(data.mu_d2 - mu_d2) <= 2e-12 * max(1.0, abs(mu_d2)), (n, nu)
+            diff = data.dphi - dphi
+            same_parity = 0.5 * (diff + (-1.0) ** (n - 1) * diff[::-1])
+            assert grid.norm(same_parity) <= 2e-12 * grid.norm(dphi), (n, nu)
+            _, phi_n = eigen_lowest(H, n).pair(n)
+            assert abs(fh - grid.inner(2.0 * data.w * phi_n, phi_n).real) <= 1e-12 * scale
 
 
 def test_eigenvector_derivative_matches_complete_spectral_sum():
@@ -372,6 +411,8 @@ def test_eigenvector_sign_independent_of_mode_count(nu, N):
     for n in (2, 4):
         few = eigen_lowest(H, n + 1).eigenvectors[:, n - 1]
         assert np.max(np.abs(few - many[:, n - 1])) <= 1e-8
+        _, alone = eigen_mode(H, n)
+        assert np.max(np.abs(alone - many[:, n - 1])) <= 1e-8
 
 
 def test_richardson_extrapolation_improves():
