@@ -126,22 +126,12 @@ def _print_checks(report: RunReport) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _rand_fraction(rng: np.random.Generator) -> Fraction:
-    return Fraction(int(rng.integers(-12, 13)), int(rng.integers(1, 9)))
-
-
-def _rand_group(rng) -> algebra.GroupElement:
-    return algebra.GroupElement(*(_rand_fraction(rng) for _ in range(4)))
-
-
-def _rand_vector(rng) -> algebra.LieVector:
-    return algebra.LieVector(*(_rand_fraction(rng) for _ in range(4)))
-
-
 @_reads("trials")
 def run_identities(cfg: dict, seed: int) -> RunReport:
     rng = np.random.default_rng(seed)
     trials = int(cfg.get("trials", 40))
+    if trials < 0:
+        raise ConfigError(f"identities needs a trial count of at least 0, got {trials}")
     rep = RunReport("identities", cfg)
 
     bad_assoc = 0
@@ -149,15 +139,19 @@ def run_identities(cfg: dict, seed: int) -> RunReport:
     bad_bch = 0
     bad_jacobi = 0
     e = algebra.GroupElement(0, 0, 0, 0)
-    for _ in range(trials):
-        x, y, z = (_rand_group(rng) for _ in range(3))
+    # 24 random rationals a/b per trial, a in [-12, 12] and b in [1, 8]: the
+    # group elements x, y, z and then the Lie vectors v, u, w
+    nums = rng.integers(-12, 13, size=(trials, 24)).tolist()
+    dens = rng.integers(1, 9, size=(trials, 24)).tolist()
+    for num, den in zip(nums, dens):
+        q = [Fraction(a, b) for a, b in zip(num, den)]
+        x, y, z = (algebra.GroupElement(*q[i:i + 4]) for i in (0, 4, 8))
+        v, u, w = (algebra.LieVector(*q[i:i + 4]) for i in (12, 16, 20))
         lhs = algebra.multiply(algebra.multiply(x, y), z)
         rhs = algebra.multiply(x, algebra.multiply(y, z))
         bad_assoc += lhs != rhs
         bad_inv += algebra.multiply(x, algebra.inverse(x)) != e
-        v = _rand_vector(rng)
         bad_bch += algebra.semidirect_to_exp(algebra.exp_to_semidirect(v)) != v
-        u, w = _rand_vector(rng), _rand_vector(rng)
         jac = (
             algebra.bracket(u, algebra.bracket(v, w))
             + algebra.bracket(v, algebra.bracket(w, u))

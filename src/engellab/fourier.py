@@ -493,7 +493,7 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
     return np.concatenate([half, [0.0]]) + np.concatenate([[0.0], half])
 
 
-_N_DELTA = 96  # delta nodes of the Plancherel quadrature box
+_N_DELTA = 96  # delta nodes of the Plancherel box over its default delta range
 _NU_PTS, _NV_PTS = 192, 512  # its u and vtilde trapezoid nodes
 
 
@@ -504,7 +504,15 @@ def _hs_mass_box(kernel: ProductKernel, delta_nodes: np.ndarray, B: float) -> tu
     Works in the variables u = xi - xi', vtilde = delta (xi + xi')/2; the
     |delta| Plancherel weight cancels the Jacobian, so the integrand stays
     regular near delta = 0.  The beta integral of |f2^(beta + s)|^2 over
-    [-B, B] is a lookup in the cumulative of |f2^|^2.
+    [-B, B] is a lookup in the cumulative of |f2^|^2, tabulated on
+    [-T, T].
+
+    Covered nodes skip the lookup.  At a node delta, |s| = |delta| xi_eff^2 / 2
+    is at most S = |delta| (max|vtilde| / |delta| + max|u| / 2)^2 / 2 (taken a
+    few ulps up).  Where S + T < B, every s + B lies above the table and
+    every s - B below it, so each lookup clamps to the full mass minus 0 and
+    the node's (u, vtilde) sum is the full mass against the weights: the
+    value the lookups give, bit for bit.  Every other node keeps the lookup.
     """
     f1, f2, f3, f4 = kernel.factors
 
@@ -523,14 +531,19 @@ def _hs_mass_box(kernel: ProductKernel, delta_nodes: np.ndarray, B: float) -> tu
     cdf2 = np.concatenate([[0.0], np.cumsum(0.5 * (dens2[1:] + dens2[:-1]) * np.diff(tau))])
     full2 = float(cdf2[-1])
 
-    # the (u, vt) trapezoid rule as one weight array; the delta-node loop
-    # refills one (2, nu, nv) argument buffer in place
+    # the (u, vt) trapezoid rule as one weight array
     weights = np.outer(w1 * _trapezoid_weights(u), w3 * _trapezoid_weights(vt))
     base = float(np.trapezoid(w1, u) * np.trapezoid(w3, vt))
+    mass = np.empty(delta_nodes.shape)
+    adelta = np.abs(delta_nodes)
+    s_bound = (np.abs(vt).max() / adelta + 0.5 * np.abs(u).max()) ** 2 * (0.5 * adelta)
+    covered = s_bound * (1.0 + 8 * np.finfo(float).eps) + tau[-1] < B
+    mass[covered] = np.vdot(weights, np.full(weights.shape, full2))
+    # each uncovered node refills one (2, nu, nv) argument buffer in place
     half_u = 0.5 * u[:, None]
     arg = np.empty((2, _NU_PTS, _NV_PTS))
-    mass = np.empty(delta_nodes.shape)
-    for k, dlt in enumerate(delta_nodes):
+    for k in np.flatnonzero(~covered):
+        dlt = delta_nodes[k]
         s = arg[0]
         np.add(vt / dlt, half_u, out=s)  # xi_eff
         np.square(s, out=s)
@@ -585,7 +598,16 @@ def plancherel_calibrate(
         dmax *= box_scale
         B = beta_box if beta_box is not None else (4.0 * _reach(f3)**2 / delta_min + _reach(f2))
         B *= box_scale
-        delta_nodes = np.linspace(delta_min, dmax, _N_DELTA)
+        # one delta step at every box scale, _N_DELTA nodes over the default
+        # delta range, so doubling the box tests truncation, not a coarser rule
+        step = (0.7 * _reach(f4) - delta_min) / (_N_DELTA - 1)
+        n_delta = round((dmax - delta_min) / step) + 1 if step > 0 else 0
+        if n_delta < 2:
+            raise QuadratureBoxError(
+                f"delta range [{delta_min:g}, {dmax:g}] holds fewer than 2 nodes of the "
+                f"delta step {step:.3g}"
+            )
+        delta_nodes = np.linspace(delta_min, dmax, n_delta)
         box_integral, beta_tail = _hs_mass_box(kern, delta_nodes, B)
         w4 = spec.widths[3]
         r_in, r_out = math.erf(w4 * delta_min), math.erfc(w4 * dmax)

@@ -185,7 +185,7 @@ def test_unknown_config_keys_rejected(tmp_path, subcommand, config, unknown):
 
 def test_refused_config_is_a_usage_error(tmp_path, capsys):
     configs = {"empty": {"n_list": []}, "no-hbar": {"hbar_ladder": []},
-               "text-hbar": {"hbar_ladder": ["0.05", "a"]}}
+               "text-hbar": {"hbar_ladder": ["0.05", "a"]}, "minus-trials": {"trials": -1}}
     for name, config in configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))
     for argv, message in (
@@ -203,6 +203,8 @@ def test_refused_config_is_a_usage_error(tmp_path, capsys):
          "transport needs at least 1 hbar value(s), got 0"),
         (["transport", "--config", str(tmp_path / "text-hbar.json")],
          "hbar_ladder must be a list of numbers, got ['0.05', 'a']"),
+        (["identities", "--config", str(tmp_path / "minus-trials.json")],
+         "identities needs a trial count of at least 0, got -1"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from engellab import fourier
 from engellab.algebra import GroupElement, exp_basis, inverse, multiply
 from engellab.fourier import (
     Factor1D,
@@ -509,7 +510,7 @@ PINNED = {
     1.0: dict(c=[0.0040313049935544205, 0.0040313609225266405, 0.004031247475706042],
               delta_max=[5.6, 9.333333333333334, 4.0],
               beta_box=[5128.0, 8006.153846153846, 4240.293847566574]),
-    2.0: dict(c=[0.004030889104190319, 0.004031116213623949, 0.00403065392171581],
+    2.0: dict(c=[0.00403130520003664, 0.004031361335711693, 0.004031247063245638],
               delta_max=[11.2, 18.666666666666668, 8.0],
               beta_box=[10256.0, 16012.307692307691, 8480.587695133148]),
 }
@@ -537,10 +538,79 @@ def test_plancherel_doubled_box_pinned():
 @pytest.mark.parametrize("box_scale", [1.0, 2.0])
 def test_plancherel_matches_parseval_constant(box_scale):
     # with |d| d(delta) d(beta) on the generic dual, Parseval holds with the
-    # exact constant (2 pi)^{-3}; every estimate must sit within 1e-3 of it
+    # exact constant (2 pi)^{-3}; every estimate must sit within 1e-4 of it
+    # (worst measured 4.83e-5, at both box scales)
     exact = 1.0 / (8.0 * np.pi**3)
     rep = plancherel_calibrate(DEFAULT_KERNELS, box_scale=box_scale)
-    assert all(abs(c / exact - 1.0) <= 1e-3 for c in rep.c_estimates)
+    assert all(abs(c / exact - 1.0) <= 1e-4 for c in rep.c_estimates)
+
+
+def _hs_mass_box_lookups(kernel, delta_nodes, B):
+    """Reference for `fourier._hs_mass_box`: the beta lookup at every delta node."""
+    f1, f2, f3, f4 = kernel.factors
+    u = np.linspace(f1.lo, f1.hi, fourier._NU_PTS)
+    w1 = np.abs(f1.fn(u)) ** 2
+    bw3 = fourier._reach(f3)
+    vt = np.linspace(-bw3, bw3, fourier._NV_PTS)
+    w3 = np.abs(f3.transform(vt)) ** 2
+    bw2 = fourier._reach(f2)
+    tau = np.linspace(-2.5 * bw2, 2.5 * bw2, 6000)
+    dens2 = np.abs(f2.transform(tau)) ** 2
+    cdf2 = np.concatenate([[0.0], np.cumsum(0.5 * (dens2[1:] + dens2[:-1]) * np.diff(tau))])
+    full2 = float(cdf2[-1])
+    weights = np.outer(w1 * fourier._trapezoid_weights(u), w3 * fourier._trapezoid_weights(vt))
+    base = float(np.trapezoid(w1, u) * np.trapezoid(w3, vt))
+    mass = np.empty(delta_nodes.shape)
+    for k, dlt in enumerate(delta_nodes):
+        s = (vt / dlt + 0.5 * u[:, None]) ** 2 * (0.5 * dlt)
+        inside = (np.interp(s + B, tau, cdf2, left=0.0, right=full2)
+                  - np.interp(s - B, tau, cdf2, left=0.0, right=full2))
+        mass[k] = np.vdot(weights, inside)
+    deficit = 1.0 - mass / (base * full2)
+    w4 = 2.0 * np.abs(f4.transform(delta_nodes)) ** 2
+    box_integral = float(np.trapezoid(w4 * mass, delta_nodes))
+    beta_tail = float(np.trapezoid(w4 * np.maximum(deficit, 0.0) * mass, delta_nodes)
+                      / max(box_integral, 1e-300))
+    return box_integral, beta_tail
+
+
+def _count_lookups(monkeypatch) -> list:
+    """A list that grows by one at each np.interp call."""
+    lookups, interp = [], np.interp
+    monkeypatch.setattr(fourier.np, "interp", lambda *a, **kw: lookups.append(1) or interp(*a, **kw))
+    return lookups
+
+
+@pytest.mark.parametrize("box_scale", [1.0, 2.0])
+def test_default_boxes_skip_every_beta_lookup(monkeypatch, box_scale):
+    # every delta node of the default boxes is covered: its beta lookups
+    # would all clamp, so none is made, and the result is the lookups' own
+    hs_mass_box, boxes = fourier._hs_mass_box, []
+    monkeypatch.setattr(fourier, "_hs_mass_box",
+                        lambda *box: boxes.append(box) or hs_mass_box(*box))
+    lookups = _count_lookups(monkeypatch)
+    plancherel_calibrate(DEFAULT_KERNELS, box_scale=box_scale)
+    assert len(boxes) == len(DEFAULT_KERNELS) and not lookups
+    for box in boxes:
+        np.testing.assert_array_max_ulp(hs_mass_box(*box), _hs_mass_box_lookups(*box), maxulp=1)
+
+
+@pytest.mark.parametrize("widths, beta_box, uncovered", [
+    # the first default kernel: |s| reaches ~680 at delta = 0.05 and ~80 at
+    # its smallest, against the table's T = 20
+    ((1.0, 1.0, 1.0, 1.0), 300.0, 2),
+    # a wide |f2^|^2 (T = 400) live far into its table: at beta_box 100 no
+    # node is covered and the lookups do not all clamp
+    ((0.3, 0.05, 2.0, 1.0), 450.0, 3),
+    ((0.3, 0.05, 2.0, 1.0), 100.0, 96),
+])
+def test_partly_covered_boxes_match_full_lookups(monkeypatch, widths, beta_box, uncovered):
+    kernel = ProductKernel.from_gaussian(GaussianKernelSpec((0, 0, 0, 0), widths))
+    nodes = np.linspace(0.05, 5.6, 96)
+    lookups = _count_lookups(monkeypatch)
+    got = fourier._hs_mass_box(kernel, nodes, beta_box)
+    assert len(lookups) == uncovered
+    np.testing.assert_array_max_ulp(got, _hs_mass_box_lookups(kernel, nodes, beta_box), maxulp=1)
 
 
 @pytest.mark.parametrize("box, message", [
