@@ -38,7 +38,7 @@ SUBCOMMANDS = (
 
 class ConfigError(ValueError):
     """A config a subcommand refuses: keys it does not read, an empty sweep
-    grid, an hbar ladder too short for the experiment."""
+    grid, an hbar ladder too short for the experiment, a malformed kernel."""
 
 
 def _fmt(x) -> str:
@@ -253,23 +253,28 @@ def _default_kernels() -> list[fourier.GaussianKernelSpec]:
     ]
 
 
-@_reads("kernels", "delta_min", "delta_max", "beta_box")
+def _kernel_from_cfg(i: int, entry) -> fourier.GaussianKernelSpec:
+    """Entry i of the plancherel `kernels` list; ConfigError naming the entry
+    unless GaussianKernelSpec accepts it."""
+    try:
+        return fourier.GaussianKernelSpec(tuple(entry["centers"]), tuple(entry["widths"]))
+    except (KeyError, TypeError, ValueError):
+        raise ConfigError(f"plancherel kernel {i} {entry!r} needs 4 finite centers "
+                          "and 4 finite positive widths") from None
+
+
+@_reads("kernels")
 def run_plancherel(cfg: dict, seed: int) -> RunReport:
     if "kernels" in cfg:
-        kernels = [
-            fourier.GaussianKernelSpec(tuple(k["centers"]), tuple(k["widths"]))
-            for k in cfg["kernels"]
-        ]
+        entries = cfg["kernels"]
+        if not isinstance(entries, list) or len(entries) < 2:
+            raise ConfigError(f"plancherel needs a list of at least 2 kernels, got {entries!r}")
+        kernels = [_kernel_from_cfg(i, k) for i, k in enumerate(entries)]
     else:
         kernels = _default_kernels()
-    box_kwargs = dict(
-        delta_min=float(cfg.get("delta_min", 0.05)),
-        delta_max=cfg.get("delta_max"),
-        beta_box=cfg.get("beta_box"),
-    )
     rep = RunReport("plancherel", cfg)
-    cal = fourier.plancherel_calibrate(kernels, **box_kwargs)
-    cal2 = fourier.plancherel_calibrate(kernels, box_scale=2.0, **box_kwargs)
+    cal = fourier.plancherel_calibrate(kernels)
+    cal2 = fourier.plancherel_calibrate(kernels, box_scale=2.0)
     drift = abs(cal2.mean - cal.mean) / cal.mean
     rep.metrics["calibration"] = asdict(cal)
     rep.metrics["calibration_doubled_box"] = asdict(cal2)

@@ -23,9 +23,11 @@ where g^ is the 1-D Fourier transform int g(t) exp(-i w t) dt: the x1
 integral is pinned by the shift and the remaining three are 1-D factors.
 Each factor is a finite sum of polynomial x Gaussian terms, so g^ is
 closed form, and the Plancherel quadrature boxes are sized from the
-factors' widths.  Plancherel calibration takes Gaussian kernels, whose
-delta marginal |f4^(delta)|^2 makes the delta fractions outside the box
-erf/erfc in closed form.
+factors' widths.  Plancherel calibration integrates beta over the whole
+line, where f2^(b + d xi^2/2) integrates to ||f2^||^2 whatever the shift,
+and |delta| from 0 to delta_max = 0.7 * 8/w4.  It takes Gaussian kernels,
+whose delta marginal |f4^(delta)|^2 makes the delta fraction beyond the
+box erfc(w4 delta_max) in closed form.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ class GridMarginError(ValueError):
 
 
 class QuadratureBoxError(ValueError):
-    """The Plancherel quadrature box leaves too much mass uncompensated."""
+    """The Plancherel quadrature box leaves too much delta mass outside it."""
 
 
 _LIVE_RTOL = 1e-13
@@ -380,8 +382,11 @@ class GaussianKernelSpec:
     widths: tuple[float, float, float, float]
 
     def __post_init__(self):
-        if any(w <= 0 for w in self.widths):
-            raise ValueError("widths must be positive")
+        if (len(self.centers) != 4 or len(self.widths) != 4
+                or not all(map(math.isfinite, (*self.centers, *self.widths)))
+                or any(w <= 0 for w in self.widths)):
+            raise ValueError("a Gaussian kernel needs 4 finite centers and 4 finite "
+                             "positive widths")
 
     def factors(self) -> list[Factor1D]:
         """One single-term Gaussian factor per coordinate."""
@@ -487,103 +492,49 @@ def _reach(f: Factor1D) -> float:
     return 8.0 / min(w for _, _, w, _ in f.terms)
 
 
-def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
-    """w with w @ y = np.trapezoid(y, x)."""
-    half = 0.5 * np.diff(x)
-    return np.concatenate([half, [0.0]]) + np.concatenate([[0.0], half])
-
-
 _N_DELTA = 96  # delta nodes of the Plancherel box over its default delta range
 _NU_PTS, _NV_PTS = 192, 512  # its u and vtilde trapezoid nodes
 
 
-def _hs_mass_box(kernel: ProductKernel, delta_nodes: np.ndarray, B: float) -> tuple[float, float]:
-    """Box integral of ||F kappa||_HS^2 |delta| d delta d beta and its
-    beta-truncation deficit (as a fraction).
+def _hs_mass_box(kernel: ProductKernel, delta_nodes: np.ndarray) -> float:
+    """Integral of ||F kappa||_HS^2 |delta| d delta d beta, beta over the
+    whole line and delta over both signs of the (nonnegative) delta nodes.
 
-    Works in the variables u = xi - xi', vtilde = delta (xi + xi')/2; the
-    |delta| Plancherel weight cancels the Jacobian, so the integrand stays
-    regular near delta = 0.  The beta integral of |f2^(beta + s)|^2 over
-    [-B, B] is a lookup in the cumulative of |f2^|^2, tabulated on
-    [-T, T].
-
-    Covered nodes skip the lookup.  At a node delta, |s| = |delta| xi_eff^2 / 2
-    is at most S = |delta| (max|vtilde| / |delta| + max|u| / 2)^2 / 2 (taken a
-    few ulps up).  Where S + T < B, every s + B lies above the table and
-    every s - B below it, so each lookup clamps to the full mass minus 0 and
-    the node's (u, vtilde) sum is the full mass against the weights: the
-    value the lookups give, bit for bit.  Every other node keeps the lookup.
+    In the variables u = xi - xi', vtilde = delta (xi + xi')/2 the |delta|
+    Plancherel weight cancels the Jacobian, and beta enters only through
+    f2^(beta + delta xi_eff^2 / 2), whose integral over the whole line is
+    ||f2^||^2 whatever the shift.  So the integral factors into ||f1||^2,
+    ||f3^||^2 and ||f2^||^2 (trapezoid rules on u, vtilde and tau nodes)
+    times the delta trapezoid of 2 |f4^(delta)|^2: f4 is real, so
+    |f4^(-d)| = |f4^(d)|.
     """
     f1, f2, f3, f4 = kernel.factors
-
     u = np.linspace(f1.lo, f1.hi, _NU_PTS)
-    w1 = np.abs(f1.fn(u)) ** 2
-
-    bw3 = _reach(f3)
-    vt = np.linspace(-bw3, bw3, _NV_PTS)
-    w3 = np.abs(f3.transform(vt)) ** 2
-
-    # cumulative of |f2^|^2; the density is supported inside ~2x the factor
-    # reach, beyond which the cumulative saturates (step extrapolation)
-    bw2 = _reach(f2)
-    tau = np.linspace(-2.5 * bw2, 2.5 * bw2, 6000)
-    dens2 = np.abs(f2.transform(tau)) ** 2
-    cdf2 = np.concatenate([[0.0], np.cumsum(0.5 * (dens2[1:] + dens2[:-1]) * np.diff(tau))])
-    full2 = float(cdf2[-1])
-
-    # the (u, vt) trapezoid rule as one weight array
-    weights = np.outer(w1 * _trapezoid_weights(u), w3 * _trapezoid_weights(vt))
-    base = float(np.trapezoid(w1, u) * np.trapezoid(w3, vt))
-    mass = np.empty(delta_nodes.shape)
-    adelta = np.abs(delta_nodes)
-    s_bound = (np.abs(vt).max() / adelta + 0.5 * np.abs(u).max()) ** 2 * (0.5 * adelta)
-    covered = s_bound * (1.0 + 8 * np.finfo(float).eps) + tau[-1] < B
-    mass[covered] = np.vdot(weights, np.full(weights.shape, full2))
-    # each uncovered node refills one (2, nu, nv) argument buffer in place
-    half_u = 0.5 * u[:, None]
-    arg = np.empty((2, _NU_PTS, _NV_PTS))
-    for k in np.flatnonzero(~covered):
-        dlt = delta_nodes[k]
-        s = arg[0]
-        np.add(vt / dlt, half_u, out=s)  # xi_eff
-        np.square(s, out=s)
-        s *= 0.5 * dlt
-        np.subtract(s, B, out=arg[1])
-        s += B
-        cdf = np.interp(arg, tau, cdf2, left=0.0, right=full2)
-        np.subtract(cdf[0], cdf[1], out=cdf[0])  # beta mass inside [-B, B]
-        mass[k] = np.vdot(weights, cdf[0])
-    deficit = 1.0 - mass / (base * full2)
-
-    # both signs of delta: f4 is real, so |f4^(-d)| = |f4^(d)|, and s and the
-    # (u, v) weights are even under delta -> -delta
+    vt = np.linspace(-_reach(f3), _reach(f3), _NV_PTS)
+    # |f2^|^2 is supported inside ~2x the factor reach
+    tau = np.linspace(-2.5 * _reach(f2), 2.5 * _reach(f2), 6000)
+    base = (np.trapezoid(np.abs(f1.fn(u)) ** 2, u)
+            * np.trapezoid(np.abs(f3.transform(vt)) ** 2, vt)
+            * np.trapezoid(np.abs(f2.transform(tau)) ** 2, tau))
     w4 = 2.0 * np.abs(f4.transform(delta_nodes)) ** 2
-    box_integral = float(np.trapezoid(w4 * mass, delta_nodes))
-    beta_tail = float(
-        np.trapezoid(w4 * np.maximum(deficit, 0.0) * mass, delta_nodes)
-        / max(box_integral, 1e-300)
-    )
-    return box_integral, beta_tail
+    return float(base * np.trapezoid(w4, delta_nodes))
 
 
-def plancherel_calibrate(
-    kernels: Sequence[GaussianKernelSpec],
-    delta_min: float = 0.05,
-    delta_max: float | None = None,
-    beta_box: float | None = None,
-    box_scale: float = 1.0,
-) -> CalibrationReport:
+def plancherel_calibrate(kernels: Sequence[GaussianKernelSpec],
+                         box_scale: float = 1.0) -> CalibrationReport:
     """Estimate the Plancherel constant from the L^2 Parseval identity.
 
-    For each kernel, c_est = ||kappa||_2^2 / int ||F kappa||_HS^2 |d| dd db
-    over the quadrature box; the small-|delta| exclusion and the outer
-    tails are compensated through the kernel's central (x4) spectral
-    density.  That delta marginal is |f4^(delta)|^2, proportional to
-    exp(-w4^2 delta^2) for the x4 width w4, because the other factors
-    integrate out independently; so the excluded fractions are
-    erf(w4 delta_min) and erfc(w4 delta_max) in closed form.  The constant
-    itself is calibrated, never asserted: constancy across kernels is the
-    meaningful output.  An undersized box raises QuadratureBoxError.
+    For each kernel, c_est = ||kappa||_2^2 / int ||F kappa||_HS^2 |d| dd db,
+    with beta over the whole line and |delta| over [0, delta_max],
+    delta_max = box_scale * 0.7 * 8/w4; the outer delta tail is
+    compensated through the kernel's central (x4) spectral density.  That
+    delta marginal is |f4^(delta)|^2, proportional to exp(-w4^2 delta^2)
+    for the x4 width w4, because the other factors integrate out
+    independently; so the excluded fraction is erfc(w4 delta_max) in
+    closed form.  The constant itself is calibrated, never asserted:
+    constancy across kernels is the meaningful output.  A box whose tail
+    exceeds 0.1%, or that holds fewer than 2 delta nodes, raises
+    QuadratureBoxError.
     """
     if len(kernels) < 2:
         raise ValueError("need at least two kernels to judge constancy")
@@ -592,39 +543,23 @@ def plancherel_calibrate(
     for spec in kernels:
         echo = dict(centers=list(spec.centers), widths=list(spec.widths))
         kern = ProductKernel.from_gaussian(spec)
-        f1, f2, f3, f4 = kern.factors
         # f4's spectral density lives inside |d| <~ its reach; size the box there
-        dmax = delta_max if delta_max is not None else 0.7 * _reach(f4)
-        dmax *= box_scale
-        B = beta_box if beta_box is not None else (4.0 * _reach(f3)**2 / delta_min + _reach(f2))
-        B *= box_scale
+        dmax_default = 0.7 * _reach(kern.factors[3])
+        dmax = box_scale * dmax_default
         # one delta step at every box scale, _N_DELTA nodes over the default
         # delta range, so doubling the box tests truncation, not a coarser rule
-        step = (0.7 * _reach(f4) - delta_min) / (_N_DELTA - 1)
-        n_delta = round((dmax - delta_min) / step) + 1 if step > 0 else 0
+        step = dmax_default / (_N_DELTA - 1)
+        n_delta = round(dmax / step) + 1
         if n_delta < 2:
             raise QuadratureBoxError(
-                f"delta range [{delta_min:g}, {dmax:g}] holds fewer than 2 nodes of the "
-                f"delta step {step:.3g}"
+                f"delta range [0, {dmax:g}] holds fewer than 2 nodes of the delta step {step:.3g}"
             )
-        delta_nodes = np.linspace(delta_min, dmax, n_delta)
-        box_integral, beta_tail = _hs_mass_box(kern, delta_nodes, B)
-        w4 = spec.widths[3]
-        r_in, r_out = math.erf(w4 * delta_min), math.erfc(w4 * dmax)
-        # r_in is compensated exactly through the x4 marginal density; the
-        # uncompensated residual (outer delta tail + beta truncation) must
-        # stay below the 0.1% mass bar
-        residual_tail = r_out + max(beta_tail, 0.0)
-        if residual_tail > 1e-3:
-            raise QuadratureBoxError(
-                f"quadrature box too small: uncompensated tail {residual_tail:.2%}"
-            )
-        tail = r_in + residual_tail
-        if tail > 0.2:
-            raise QuadratureBoxError(f"delta_min excludes too much mass ({tail:.2%})")
+        tail = math.erfc(spec.widths[3] * dmax)
+        if tail > 1e-3:
+            raise QuadratureBoxError(f"quadrature box too small: uncompensated tail {tail:.2%}")
+        box_integral = _hs_mass_box(kern, np.linspace(0.0, dmax, n_delta))
         ests.append(kern.l2_normsq() * (1.0 - tail) / box_integral)
-        echo.update(box=dict(delta_min=delta_min, delta_max=float(dmax), beta_box=float(B)),
-                    tail=tail)
+        echo.update(box=dict(delta_max=float(dmax)), tail=tail)
         kernel_echo.append(echo)
     mean = float(np.mean(ests))
     spread = float((max(ests) - min(ests)) / mean)

@@ -419,16 +419,6 @@ def eigenvalues_extrapolated(param: SpectralParam, k: int, N: int = 4096,
     return (4.0 * fine - coarse) / 3.0
 
 
-def montgomery_mu(nu: float, n: int, N: int = 4096) -> float:
-    """mutilde_n(nu) = mu_n(1, nu), Richardson-extrapolated."""
-    return generic_mu(1.0, nu, n, N=N)
-
-
-def generic_mu(delta: float, beta: float, n: int, N: int = 4096) -> float:
-    """mu_n(delta, beta), Richardson-extrapolated."""
-    return float(eigenvalues_extrapolated(Generic(delta, beta), n, N=N)[n - 1])
-
-
 # ---------------------------------------------------------------------------
 # Feynman-Hellmann machinery
 # ---------------------------------------------------------------------------

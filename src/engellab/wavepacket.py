@@ -385,12 +385,9 @@ def ansatz_values(spec: WavePacketSpec, order: AnsatzOrder, t: float,
 
 
 def packet_norm_exact(spec: WavePacketSpec, hbar: float) -> float:
-    """Closed-form L2 norm hbar^{3/4} sqrt(2 pi/|delta0|) ||a|| of the packet."""
-    m = machinery(spec)
-    return (
-        hbar**0.75
-        * math.sqrt(2.0 * math.pi / abs(spec.delta0) * m.profile.l2_normsq())
-    )
+    """Closed-form L2 norm hbar^{3/4} sqrt(2 pi/|delta0|) ||a|| of the packet,
+    from the profile alone: ||a|| does not depend on its dispersion."""
+    return hbar**0.75 * math.sqrt(2.0 * math.pi / abs(spec.delta0) * spec.profile.l2_normsq())
 
 
 # ---------------------------------------------------------------------------

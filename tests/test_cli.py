@@ -175,6 +175,9 @@ def test_transport_picks_its_check_by_drift_against_width():
     ("transport", {"sample_count": 500}, "sample_count"),
     # nor does residual-scaling
     ("residual-scaling", {"sample_count": 500}, "sample_count"),
+    # plancherel integrates beta over the whole line and delta from 0
+    ("plancherel", {"beta_box": 100.0, "delta_min": 0.1, "delta_max": 5.0},
+     "beta_box, delta_max, delta_min"),
 ])
 def test_unknown_config_keys_rejected(tmp_path, subcommand, config, unknown):
     # refused before any work, naming every key the subcommand does not read
@@ -185,7 +188,12 @@ def test_unknown_config_keys_rejected(tmp_path, subcommand, config, unknown):
 
 def test_refused_config_is_a_usage_error(tmp_path, capsys):
     configs = {"empty": {"n_list": []}, "no-hbar": {"hbar_ladder": []},
-               "text-hbar": {"hbar_ladder": ["0.05", "a"]}, "minus-trials": {"trials": -1}}
+               "text-hbar": {"hbar_ladder": ["0.05", "a"]}, "minus-trials": {"trials": -1},
+               "three-centers": {"kernels": [{"centers": [0, 0, 0], "widths": [1, 1, 1, 1]},
+                                             {"centers": [0, 0, 0, 0], "widths": [1, 1, 1, 1]}]},
+               "no-widths": {"kernels": [{"centers": [0, 0, 0, 0], "widths": [1, 1, 1, 1]},
+                                         {"centers": [0, 0, 0, 0]}]},
+               "one-kernel": {"kernels": [{"centers": [0, 0, 0, 0], "widths": [1, 1, 1, 1]}]}}
     for name, config in configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))
     for argv, message in (
@@ -205,6 +213,15 @@ def test_refused_config_is_a_usage_error(tmp_path, capsys):
          "hbar_ladder must be a list of numbers, got ['0.05', 'a']"),
         (["identities", "--config", str(tmp_path / "minus-trials.json")],
          "identities needs a trial count of at least 0, got -1"),
+        # a malformed Gaussian kernel is refused, naming the entry
+        (["plancherel", "--config", str(tmp_path / "three-centers.json")],
+         "plancherel kernel 0 {'centers': [0, 0, 0], 'widths': [1, 1, 1, 1]} needs 4 finite "
+         "centers and 4 finite positive widths"),
+        (["plancherel", "--config", str(tmp_path / "no-widths.json")],
+         "plancherel kernel 1 {'centers': [0, 0, 0, 0]} needs 4 finite centers"),
+        (["plancherel", "--config", str(tmp_path / "one-kernel.json")],
+         "plancherel needs a list of at least 2 kernels, got [{'centers': [0, 0, 0, 0], "
+         "'widths': [1, 1, 1, 1]}]"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -503,16 +503,13 @@ DEFAULT_KERNELS = [
     GaussianKernelSpec((0.0, 0.4, -0.3, 0.2), (1.2, 0.9, 1.1, 1.4)),
 ]
 
-# c estimates of the default kernels with closed-form transforms and the
-# erf/erfc delta fractions, and the per-kernel boxes
-# 0.7 * 8/w4, 4 (8/w3)^2 / delta_min + 8/w2
+# c estimates of the default kernels with closed-form transforms, beta over
+# the whole line and the erfc delta fraction, and the per-kernel boxes 0.7 * 8/w4
 PINNED = {
-    1.0: dict(c=[0.0040313049935544205, 0.0040313609225266405, 0.004031247475706042],
-              delta_max=[5.6, 9.333333333333334, 4.0],
-              beta_box=[5128.0, 8006.153846153846, 4240.293847566574]),
-    2.0: dict(c=[0.00403130520003664, 0.004031361335711693, 0.004031247063245638],
-              delta_max=[11.2, 18.666666666666668, 8.0],
-              beta_box=[10256.0, 16012.307692307691, 8480.587695133148]),
+    1.0: dict(c=[0.004031441804149939, 0.004031441804149938, 0.004031441804149939],
+              delta_max=[5.6, 9.333333333333334, 4.0]),
+    2.0: dict(c=[0.004031441804149939, 0.004031441804149938, 0.004031441804149938],
+              delta_max=[11.2, 18.666666666666668, 8.0]),
 }
 
 
@@ -520,8 +517,7 @@ def _assert_pinned(rep, box_scale):
     pinned = PINNED[box_scale]
     assert rep.c_estimates == pytest.approx(pinned["c"], rel=1e-12, abs=0)
     # each kernel reports its own box; kernel 2 (w4 = 0.6) reaches furthest
-    assert [k["box"]["delta_max"] for k in rep.kernels] == pinned["delta_max"]
-    assert [k["box"]["beta_box"] for k in rep.kernels] == pinned["beta_box"]
+    assert [k["box"] for k in rep.kernels] == [dict(delta_max=d) for d in pinned["delta_max"]]
     assert rep.tail_estimate == max(k["tail"] for k in rep.kernels)
 
 
@@ -538,88 +534,41 @@ def test_plancherel_doubled_box_pinned():
 @pytest.mark.parametrize("box_scale", [1.0, 2.0])
 def test_plancherel_matches_parseval_constant(box_scale):
     # with |d| d(delta) d(beta) on the generic dual, Parseval holds with the
-    # exact constant (2 pi)^{-3}; every estimate must sit within 1e-4 of it
-    # (worst measured 4.83e-5, at both box scales)
+    # exact constant (2 pi)^{-3}; every estimate must sit within 2e-15 of it
+    # (worst measured 4.4e-16, at both box scales: a margin of ~4.5x)
     exact = 1.0 / (8.0 * np.pi**3)
     rep = plancherel_calibrate(DEFAULT_KERNELS, box_scale=box_scale)
-    assert all(abs(c / exact - 1.0) <= 1e-4 for c in rep.c_estimates)
+    assert all(abs(c / exact - 1.0) <= 2e-15 for c in rep.c_estimates)
 
 
-def _hs_mass_box_lookups(kernel, delta_nodes, B):
-    """Reference for `fourier._hs_mass_box`: the beta lookup at every delta node."""
-    f1, f2, f3, f4 = kernel.factors
-    u = np.linspace(f1.lo, f1.hi, fourier._NU_PTS)
-    w1 = np.abs(f1.fn(u)) ** 2
-    bw3 = fourier._reach(f3)
-    vt = np.linspace(-bw3, bw3, fourier._NV_PTS)
-    w3 = np.abs(f3.transform(vt)) ** 2
-    bw2 = fourier._reach(f2)
-    tau = np.linspace(-2.5 * bw2, 2.5 * bw2, 6000)
-    dens2 = np.abs(f2.transform(tau)) ** 2
-    cdf2 = np.concatenate([[0.0], np.cumsum(0.5 * (dens2[1:] + dens2[:-1]) * np.diff(tau))])
-    full2 = float(cdf2[-1])
-    weights = np.outer(w1 * fourier._trapezoid_weights(u), w3 * fourier._trapezoid_weights(vt))
-    base = float(np.trapezoid(w1, u) * np.trapezoid(w3, vt))
-    mass = np.empty(delta_nodes.shape)
-    for k, dlt in enumerate(delta_nodes):
-        s = (vt / dlt + 0.5 * u[:, None]) ** 2 * (0.5 * dlt)
-        inside = (np.interp(s + B, tau, cdf2, left=0.0, right=full2)
-                  - np.interp(s - B, tau, cdf2, left=0.0, right=full2))
-        mass[k] = np.vdot(weights, inside)
-    deficit = 1.0 - mass / (base * full2)
-    w4 = 2.0 * np.abs(f4.transform(delta_nodes)) ** 2
-    box_integral = float(np.trapezoid(w4 * mass, delta_nodes))
-    beta_tail = float(np.trapezoid(w4 * np.maximum(deficit, 0.0) * mass, delta_nodes)
-                      / max(box_integral, 1e-300))
-    return box_integral, beta_tail
-
-
-def _count_lookups(monkeypatch) -> list:
-    """A list that grows by one at each np.interp call."""
-    lookups, interp = [], np.interp
-    monkeypatch.setattr(fourier.np, "interp", lambda *a, **kw: lookups.append(1) or interp(*a, **kw))
-    return lookups
-
-
-@pytest.mark.parametrize("box_scale", [1.0, 2.0])
-def test_default_boxes_skip_every_beta_lookup(monkeypatch, box_scale):
-    # every delta node of the default boxes is covered: its beta lookups
-    # would all clamp, so none is made, and the result is the lookups' own
-    hs_mass_box, boxes = fourier._hs_mass_box, []
-    monkeypatch.setattr(fourier, "_hs_mass_box",
-                        lambda *box: boxes.append(box) or hs_mass_box(*box))
-    lookups = _count_lookups(monkeypatch)
-    plancherel_calibrate(DEFAULT_KERNELS, box_scale=box_scale)
-    assert len(boxes) == len(DEFAULT_KERNELS) and not lookups
-    for box in boxes:
-        np.testing.assert_array_max_ulp(hs_mass_box(*box), _hs_mass_box_lookups(*box), maxulp=1)
-
-
-@pytest.mark.parametrize("widths, beta_box, uncovered", [
-    # the first default kernel: |s| reaches ~680 at delta = 0.05 and ~80 at
-    # its smallest, against the table's T = 20
-    ((1.0, 1.0, 1.0, 1.0), 300.0, 2),
-    # a wide |f2^|^2 (T = 400) live far into its table: at beta_box 100 no
-    # node is covered and the lookups do not all clamp
-    ((0.3, 0.05, 2.0, 1.0), 450.0, 3),
-    ((0.3, 0.05, 2.0, 1.0), 100.0, 96),
+@pytest.mark.parametrize("delta, L, N, n_beta", [
+    (0.5, 12.0, 257, 241), (1.0, 10.0, 257, 281), (2.0, 8.0, 193, 321),
 ])
-def test_partly_covered_boxes_match_full_lookups(monkeypatch, widths, beta_box, uncovered):
-    kernel = ProductKernel.from_gaussian(GaussianKernelSpec((0, 0, 0, 0), widths))
-    nodes = np.linspace(0.05, 5.6, 96)
-    lookups = _count_lookups(monkeypatch)
-    got = fourier._hs_mass_box(kernel, nodes, beta_box)
-    assert len(lookups) == uncovered
-    np.testing.assert_array_max_ulp(got, _hs_mass_box_lookups(kernel, nodes, beta_box), maxulp=1)
+def test_hs_mass_matches_beta_quadrature_of_fourier_kernel(delta, L, N, n_beta):
+    # oracle for the exact-beta reduction: |delta| int ||F kappa(pi)||_HS^2
+    # d beta by the trapezoid rule over HS norms of the operator kernel,
+    # against _hs_mass_box's base |f4^(delta)|^2, read off its two-node
+    # rule on [0, delta].  The beta range holds every shift delta xi^2 / 2
+    # of the grid plus 30 on each side; the box L keeps |f3^| below ~1e-10.
+    # Measured 3.0e-11, 4.4e-16 and 2.2e-16 apart; the bound leaves ~10x.
+    kernel = ProductKernel.from_gaussian(DEFAULT_KERNELS[1])
+    grid = SpectralGrid(L, N)
+    betas = np.linspace(-0.5 * delta * L**2 - 30.0, 30.0, n_beta)
+    hs = [np.sum(np.abs(fourier_product_kernel(kernel, Generic(delta, b), grid).matrix) ** 2)
+          for b in betas]
+    quadrature = delta * grid.h**2 * np.trapezoid(hs, betas)
+    f4sq = np.abs(kernel.factors[3].transform(np.array([0.0, delta]))) ** 2
+    reduced = fourier._hs_mass_box(kernel, np.array([0.0, delta])) / (delta * f4sq.sum()) * f4sq[1]
+    assert abs(quadrature / reduced - 1.0) <= 3e-10
 
 
-@pytest.mark.parametrize("box, message", [
-    (dict(beta_box=10.0), "uncompensated tail 0.82%"),  # beta truncation
-    (dict(delta_min=0.3), "excludes too much mass \\(32.86%\\)"),
+@pytest.mark.parametrize("box_scale, message", [
+    (0.4, "uncompensated tail 0.15%"),  # delta_max = 0.4 * 0.7 * 8/w4
+    (0.0, "fewer than 2 nodes"),
 ])
-def test_plancherel_refuses_undersized_box(box, message):
+def test_plancherel_refuses_undersized_box(box_scale, message):
     with pytest.raises(QuadratureBoxError, match=message):
-        plancherel_calibrate(DEFAULT_KERNELS, **box)
+        plancherel_calibrate(DEFAULT_KERNELS, box_scale=box_scale)
 
 
 def test_plancherel_dilation_invariance():
@@ -631,6 +580,18 @@ def test_plancherel_dilation_invariance():
 def test_plancherel_requires_two_kernels():
     with pytest.raises(ValueError):
         plancherel_calibrate([GaussianKernelSpec((0, 0, 0, 0), (1, 1, 1, 1))])
+
+
+@pytest.mark.parametrize("centers, widths", [
+    ((0, 0, 0), (1, 1, 1, 1)),
+    ((0, 0, 0, 0), (1, 1, 1, 1, 1)),
+    ((0, 0, float("nan"), 0), (1, 1, 1, 1)),
+    ((0, 0, 0, 0), (1, 1, float("inf"), 1)),
+    ((0, 0, 0, 0), (1, 0, 1, 1)),
+])
+def test_gaussian_kernel_needs_four_finite_centers_and_widths(centers, widths):
+    with pytest.raises(ValueError, match="4 finite centers and 4 finite positive widths"):
+        GaussianKernelSpec(centers, widths)
 
 
 # -- difference operators ----------------------------------------------------------

@@ -21,8 +21,6 @@ from engellab.spectral import (
     eigen_lowest,
     eigen_mode,
     eigenvalues_extrapolated,
-    generic_mu,
-    montgomery_mu,
     mu_beta_derivative,
     potential,
     real_cbrt,
@@ -164,8 +162,8 @@ def test_tiny_scales_certified():
     # natural length confine at any scale; measured 7.7e-13 (rescaling law),
     # 1.1e-6 and 5.2e-6 (harmonic ladder, the O(h^2) stencil bias), and
     # the bounds leave a margin of ~10x
-    lhs = generic_mu(1e-6, 0.0, 1)
-    rhs = 1e-4 * montgomery_mu(0.0, 1)
+    lhs = eigenvalues_extrapolated(Generic(1e-6, 0.0), 1)[0]
+    rhs = 1e-4 * eigenvalues_extrapolated(Montgomery(0.0), 1)[0]
     assert abs(lhs - rhs) <= 1e-11 * abs(rhs)
     assert abs(solve_lowest(Schrodinger(1e-4), 1).eigenvalues[0] / 1e-4 - 1.0) <= 1e-5
     ladder = np.array([1.0, 3.0, 5.0, 7.0])
@@ -189,27 +187,24 @@ def test_eigenvalue_independent_of_mode_count():
 
 
 def test_montgomery_ground_frozen_value():
-    assert montgomery_mu(0.0, 1) == pytest.approx(MU1_MONTGOMERY_0, abs=1e-6)
-
-
-def test_generic_matches_montgomery_at_delta_one():
-    assert generic_mu(1.0, 0.0, 1) == pytest.approx(montgomery_mu(0.0, 1), abs=1e-6)
+    mu = eigenvalues_extrapolated(Montgomery(0.0), 1)[0]
+    assert mu == pytest.approx(MU1_MONTGOMERY_0, abs=1e-6)
 
 
 def test_rescaling_identity_sample():
     # mu_n(d, b) = d^{2/3} mutilde_n(b d^{-1/3}); full grid in acceptance
     for delta, beta, n in ((2.0, -1.0, 1), (0.5, 0.8, 2), (8.0, 2.0, 3)):
-        lhs = generic_mu(delta, beta, n)
+        lhs = eigenvalues_extrapolated(Generic(delta, beta), n)[n - 1]
         nu = beta / real_cbrt(delta)
-        rhs = delta ** (2.0 / 3.0) * montgomery_mu(nu, n)
+        rhs = delta ** (2.0 / 3.0) * eigenvalues_extrapolated(Montgomery(nu), n)[n - 1]
         assert abs(lhs - rhs) / abs(lhs) <= 1e-6
 
 
 def test_rescaling_negative_delta_real_cbrt():
     delta, beta = -2.0, 0.6
-    lhs = generic_mu(delta, beta, 1)
+    lhs = eigenvalues_extrapolated(Generic(delta, beta), 1)[0]
     nu = beta / real_cbrt(delta)
-    rhs = abs(delta) ** (2.0 / 3.0) * montgomery_mu(nu, 1)
+    rhs = abs(delta) ** (2.0 / 3.0) * eigenvalues_extrapolated(Montgomery(nu), 1)[0]
     assert abs(lhs - rhs) / abs(lhs) <= 1e-6
 
 

@@ -65,6 +65,16 @@ def test_norm_scaling_is_hbar_three_quarters():
     assert max(vals) / min(vals) - 1.0 <= 0.02
 
 
+def test_norm_needs_no_spectral_data():
+    # the norm is the profile's closed form, 0.28187 at hbar 0.05, also at
+    # beta0 = -4 (gap 1.6e-5), where the packet machinery's resolvent gate
+    # refuses to build
+    spec = WavePacketSpec(delta0=1.0, beta0=-4.0, n=1)
+    exact = HBAR**0.75 * math.sqrt(2.0 * math.pi * math.pi * 0.45 * 0.8)
+    assert packet_norm_exact(spec, HBAR) == pytest.approx(exact, rel=1e-15)
+    assert packet_norm_exact(spec, HBAR) == pytest.approx(0.28187, abs=5e-6)
+
+
 def test_spec_refuses_a_profile_coefficient():
     # the machinery disperses the profile with mu''/2 of the packet's mode
     with pytest.raises(ValueError, match="coeff"):
