@@ -38,7 +38,8 @@ SUBCOMMANDS = (
 
 class ConfigError(ValueError):
     """A config a subcommand refuses: keys it does not read, an empty sweep
-    grid, an hbar ladder too short for the experiment, a malformed kernel."""
+    grid, an hbar ladder too short for the experiment, a malformed kernel,
+    an argument `critical_points` refuses (e.g. a tol that is not > 0)."""
 
 
 def _fmt(x) -> str:
@@ -233,7 +234,12 @@ def run_critical_points(cfg: dict, seed: int) -> RunReport:
     scan = tuple(cfg.get("scan", [-4.0, 4.0]))
     N = int(cfg.get("grid_n", 8192))
     tol = float(cfg.get("tol", 1e-10))
-    reports = dispersion.critical_points(n, scan=scan, tol=tol, N=N)
+    try:
+        reports = dispersion.critical_points(n, scan=scan, tol=tol, N=N)
+    except spectral.ConfinementError:
+        raise
+    except ValueError as err:  # a refused argument: tol, scan, n or grid_n
+        raise ConfigError(f"critical-points: {err}") from None
     rep = RunReport("critical-points", cfg)
     rep.metrics["reports"] = [asdict(r) for r in reports]
     if n == 1:

@@ -21,10 +21,9 @@ import numpy as np
 
 from .spectral import (
     Montgomery,
+    SpectralData,
     SpectralGrid,
     box_grid,
-    build_hamiltonian,
-    eigen_mode,
     mu_beta_derivative,
     real_cbrt,
     spectral_data,
@@ -42,7 +41,7 @@ class ScanBracketError(RuntimeError):
 
 # the sign-change scan runs on (N - 1) // _SCAN_COARSEN + 1 nodes of the box
 _SCAN_COARSEN = 8
-# central-difference step of the curvature; Richardson also uses half of it
+# central-difference step of `branch_curvature`; Richardson also uses half of it
 _CURVATURE_STEP = 1e-3
 
 
@@ -56,7 +55,6 @@ class DispersionReport:
     curvature: float
     bracket: tuple[float, float]
     certificate: int  # sign changes of mu' counted over the whole scan
-    curvature_step: float
     kind: str  # "minimum" | "maximum"
     scan_grid_n: int  # nodes of the grid the certificate was counted on
     scan_margin: float  # smallest |mu'| over the scan samples
@@ -79,15 +77,17 @@ def critical_points(
     root) and refined on it by Newton steps on the FH derivative with the
     FH second derivative, starting from the secant point: a step that
     leaves the bracket is replaced by its midpoint, and the iteration stops
-    once a step is below `tol`.  Brackets are disjoint, so each holds one
-    reported root.  The curvature comes from central differences of the FH
-    derivative with Richardson halving of `_CURVATURE_STEP`, and mu from one
-    eigensolve, both on the N-node grid.  Every eigensolve here solves mode
-    n alone (`eigen_mode`).
+    once a step is below `tol` (finite and positive, else ValueError) or no
+    longer moves the point.  Brackets are disjoint, so each holds one
+    reported root.  mu and the curvature are the eigenvalue and FH second
+    derivative of the last Newton solve, within `tol` of the root.  Every
+    eigensolve here solves mode n alone (`eigen_mode`).
     """
     lo, hi = float(scan[0]), float(scan[1])
     if not hi > lo:
         raise ValueError("empty scan window")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"root tolerance must be finite and positive, got {tol!r}")
     nus = np.linspace(lo, hi, samples)
     # one shared box for the whole scan, covering both of its ends
     grid = box_grid([Montgomery(lo), Montgomery(hi)], n, N)
@@ -109,19 +109,16 @@ def critical_points(
     reports = []
     for k in sign_changes:
         bracket = (float(nus[k]), float(nus[k + 1]))
-        root = _refine_root(*bracket, n, grid, tol)
-        curv = _curvature(root, n, grid)
-        mu_at, _ = eigen_mode(build_hamiltonian(Montgomery(root), grid), n)
+        root, data = _refine_root(*bracket, n, grid, tol)
         reports.append(
             DispersionReport(
                 n=n,
                 nu_c=root,
-                mu_at_c=mu_at,
-                curvature=curv,
+                mu_at_c=data.mu,
+                curvature=data.mu_d2,
                 bracket=bracket,
                 certificate=certificate,
-                curvature_step=_CURVATURE_STEP,
-                kind="minimum" if curv > 0 else "maximum",
+                kind="minimum" if data.mu_d2 > 0 else "maximum",
                 scan_grid_n=coarse.N,
                 scan_margin=margin,
             )
@@ -129,26 +126,25 @@ def critical_points(
     return reports
 
 
-def _refine_root(a: float, b: float, n: int, grid: SpectralGrid, tol: float) -> float:
-    """Root of mutilde_n' in [a, b] on `grid` by safeguarded Newton steps."""
+def _refine_root(a: float, b: float, n: int, grid: SpectralGrid,
+                 tol: float) -> tuple[float, SpectralData]:
+    """Root of mutilde_n' in [a, b] on `grid` by safeguarded Newton steps,
+    with the spectral data of the last Newton point."""
     fa = mu_beta_derivative(1.0, a, n, grid=grid)
     fb = mu_beta_derivative(1.0, b, n, grid=grid)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
     if fa * fb > 0.0:
         raise ScanBracketError(
             f"mu_{n}' = {fa:.3g}, {fb:.3g} at the ends of [{a}, {b}] on the "
             f"{grid.N}-node grid: the scan's sign change is not confirmed; "
             "raise N"
         )
-    x = a - fa * (b - a) / (fb - fa)
+    # the secant point is a where fa = 0 and b where fb = 0
+    x = a - fa * (b - a) / (fb - fa) if fa != fb else a
     while True:
         data = spectral_data(1.0, x, n, grid=grid)
         f = data.mu_d1
         if f == 0.0:
-            return x
+            return x, data
         if (f < 0.0) == (fa < 0.0):
             a, fa = x, f
         else:
@@ -156,30 +152,24 @@ def _refine_root(a: float, b: float, n: int, grid: SpectralGrid, tol: float) -> 
         step = -f / data.mu_d2 if data.mu_d2 else math.inf
         if not a <= x + step <= b:
             step = 0.5 * (a + b) - x
+        if abs(step) < tol or x + step == x:
+            return x + step, data
         x += step
-        if abs(step) < tol:
-            return x
 
 
-def _curvature(nu: float, n: int, grid: SpectralGrid) -> float:
-    """mutilde_n''(nu) by central differences of the FH derivative on one
-    grid, Richardson-extrapolated from steps `_CURVATURE_STEP` and half of it."""
+def branch_curvature(n: int, nu: float, N: int = 8192) -> float:
+    """mutilde_n''(nu) by central differences of the FH derivative on one box
+    confining level n over nu -+ `_CURVATURE_STEP`, Richardson-extrapolated
+    from that step and half of it: the finite-difference reference that
+    `curvature_consistency` compares the FH second derivative with."""
+    nu = float(nu)
+    grid = box_grid([Montgomery(nu - _CURVATURE_STEP), Montgomery(nu + _CURVATURE_STEP)], n, N)
 
     def diff(s: float) -> float:
         return (mu_beta_derivative(1.0, nu + s, n, grid=grid)
                 - mu_beta_derivative(1.0, nu - s, n, grid=grid)) / (2 * s)
 
-    d_full = diff(_CURVATURE_STEP)
-    d_half = diff(0.5 * _CURVATURE_STEP)
-    return (4.0 * d_half - d_full) / 3.0
-
-
-def branch_curvature(n: int, nu: float, N: int = 8192) -> float:
-    """Public wrapper around the curvature estimator, on one box that
-    confines level n over nu -+ `_CURVATURE_STEP`."""
-    nu = float(nu)
-    grid = box_grid([Montgomery(nu - _CURVATURE_STEP), Montgomery(nu + _CURVATURE_STEP)], n, N)
-    return _curvature(nu, n, grid)
+    return (4.0 * diff(0.5 * _CURVATURE_STEP) - diff(_CURVATURE_STEP)) / 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +182,6 @@ class ConeSection:
     """The dilation-invariant set beta = nu0 * delta^{1/3}."""
 
     nu0: float
-    delta_min: float = 1e-3
-    delta_max: float = 16.0
 
     def beta(self, delta: float) -> float:
         return self.nu0 * real_cbrt(delta)
@@ -235,7 +223,7 @@ def curvature_consistency(
     devs: dict[float, float] = {}
     d1s: dict[float, float] = {}
     for delta in delta_list:
-        beta = nu0 * real_cbrt(delta)
+        beta = ConeSection(nu0).beta(delta)
         data = spectral_data(float(delta), float(beta), n, N=N)
         devs[float(delta)] = abs(data.mu_d2 - ref)
         d1s[float(delta)] = data.mu_d1

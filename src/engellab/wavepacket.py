@@ -30,13 +30,6 @@ integrated out makes every L2 integral of the packet exact: `residual`'s
 ||r|| and ||psi|| and `transport_demo`'s moments are Gram sums over the
 (w1, w3) fibres followed by a fixed Gauss-Hermite rule in (y2, y4)
 (`_fibre_pairs`, `_fibre_densities`).
-
-Batches of points are GroupElements with (M,) float coordinate arrays, and
-every product, inverse and dilation goes through the group law in
-`algebra`: the arguments are hbar^{-1}.(x0^{-1} x) and
-hbar^{-1/2}.(Exp(-d_beta mu_n t X2) x0^{-1} x), with the center x(t) from
-the machinery.  (M, 4) coordinate arrays appear only at the coefficient
-kernel and as an accepted input form.
 """
 
 from __future__ import annotations
@@ -49,36 +42,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import (
-    HOMOGENEOUS_DIMENSION,
-    GroupElement,
-    dilate,
-    exp_basis,
-    inverse,
-    multiply,
-)
+from .algebra import GroupElement, exp_basis, multiply
 from .spectral import (
     SpectralData,
     SpectralGrid,
     reduced_resolvent_solve,
     spectral_data,
 )
-from .fourier import InfinitesimalOp, matrix_coefficients
-
-Q_QUARTER = HOMOGENEOUS_DIMENSION / 4.0
-
-
-def _points(x: GroupElement | np.ndarray) -> GroupElement:
-    """Points as one GroupElement with float coordinates, from a
-    GroupElement or from a (4,) or (..., 4) coordinate array."""
-    if isinstance(x, GroupElement):
-        return GroupElement(*(np.asarray(c, dtype=float) for c in x))
-    return GroupElement(*np.moveaxis(np.atleast_2d(np.asarray(x, dtype=float)), -1, 0))
-
-
-def _stacked(x: GroupElement) -> np.ndarray:
-    """The (..., 4) coordinate array of points held in a GroupElement."""
-    return np.stack(tuple(x), axis=-1)
+from .fourier import InfinitesimalOp
 
 
 # ---------------------------------------------------------------------------
@@ -315,73 +286,9 @@ def _derive(term: dict, rule: tuple[dict, dict, dict]) -> dict:
     return out
 
 
-def _scalars(m: _PacketMachinery, t: float, y: GroupElement, kmax: int):
-    """(P, y1, profile partials up to kmax) at reduced points y."""
-    P = -0.5 * (y.x3 + y.x1 * y.x2)
-    return P, y.x1, m.profile.partials(t, y.x2, y.x4, kmax)
-
-
-def _evaluate(term: dict, P, y1, partials):
-    return sum(c * P**p * y1**q * partials[k2, k4] for (p, q, k2, k4), c in term.items())
-
-
-def corrector_sigma1(spec: WavePacketSpec, t: float, y: GroupElement | np.ndarray) -> np.ndarray:
-    """sigma_1(t, y) Phi1 = -X1a . (xi phi_n) - i X2a . (d_beta phi_n) as a grid vector."""
-    m = machinery(spec)
-    sc = _scalars(m, t, _points(y), 2)
-    return sum(_evaluate(tm, *sc) * m.basis[n] for n, tm in _SIGMA1.items())
-
-
-def corrector_sigma2(spec: WavePacketSpec, t: float, y: GroupElement | np.ndarray) -> np.ndarray:
-    """sigma_2(t, y) Phi1 = (mu - H)^{-1} Pi_perp R(t, y) Phi1 as a grid vector."""
-    m = machinery(spec)
-    sc = _scalars(m, t, _points(y), 2)
-    return sum(_evaluate(tm, *sc) * m.basis[n] for n, tm in _sigma2_terms(m).items())
-
-
-def sigma2_diagnostic(spec: WavePacketSpec, t: float, y_points: np.ndarray) -> float:
-    """max |<R(t,y) Phi1, phi_n>| over sample points.
-
-    Vanishing diagonal part of R is exactly the solvability condition for
-    sigma_2; it holds when the profile satisfies the dispersion equation
-    with the same grid-level mu_n'' used in the coefficients.
-    """
-    m = machinery(spec)
-    sc = _scalars(m, t, _points(y_points), 2)
-    diag = sum(
-        _evaluate(tm, *sc) * float(m.grid.inner(m.images[k][:, col], m.basis["phi"]).real)
-        for tm, (k, col) in zip(_sigma2_terms(m).values(), _RESOLVENT_SOURCES.values())
-    )
-    return float(np.max(np.abs(diag)))
-
-
 # ---------------------------------------------------------------------------
-# ansatz evaluation
+# exact L2 integrals over the coefficient fibres
 # ---------------------------------------------------------------------------
-
-
-def _arguments(m: _PacketMachinery, t: float, x: GroupElement,
-               hb: float) -> tuple[np.ndarray, GroupElement]:
-    """Representation argument w = hbar^{-1}.(x0^{-1} x), as an (M, 4)
-    array, and profile argument y = hbar^{-1/2}.(x(t)^{-1} x) of points x;
-    x(t)^{-1} x = Exp(-d_beta mu_n t X2) x0^{-1} x."""
-    z0 = multiply(inverse(m.spec.x0_element()), x)
-    z = multiply(exp_basis(2, -m.data.mu_d1 * t), z0)
-    return _stacked(dilate(1.0 / hb, z0)), dilate(hb ** (-0.5), z)
-
-
-def ansatz_values(spec: WavePacketSpec, order: AnsatzOrder, t: float,
-                  points: GroupElement | np.ndarray, hbar: float) -> np.ndarray:
-    """Evaluate the approximate solution at a batch of points, given as a
-    GroupElement with (M,) coordinate arrays or as an (M, 4) array."""
-    m = machinery(spec)
-    w, y = _arguments(m, t, _points(points), hbar)
-    terms = {n: tm for table in _ansatz_terms(m, order, hbar) for n, tm in table.items()}
-    C = matrix_coefficients(m.data.param, w, np.column_stack([m.basis[n] for n in terms]),
-                            m.data.phi, m.grid)
-    sc = _scalars(m, t, y, 2)
-    vals = sum(_evaluate(tm, *sc) * C[:, j] for j, tm in enumerate(terms.values()))
-    return hbar ** (-Q_QUARTER) * np.exp(-1j * m.data.mu * t / hbar) * vals
 
 
 def packet_norm_exact(spec: WavePacketSpec, hbar: float) -> float:
@@ -390,9 +297,6 @@ def packet_norm_exact(spec: WavePacketSpec, hbar: float) -> float:
     return hbar**0.75 * math.sqrt(2.0 * math.pi / abs(spec.delta0) * spec.profile.l2_normsq())
 
 
-# ---------------------------------------------------------------------------
-# exact L2 integrals over the coefficient fibres
-# ---------------------------------------------------------------------------
 # Write C[u; v](w) = (pi(w) u, v).  At fixed (w2, w4) the orthogonality
 # relations of the square-integrable representation (Folland, A Course in
 # Abstract Harmonic Analysis, 7.2) give

@@ -200,6 +200,13 @@ def test_refused_config_is_a_usage_error(tmp_path, capsys):
         (["strichartz", "--q", "2", "--p", "2.8", "--tol", "1"],
          "strichartz does not read config key(s) tol;"),
         (["dispersion", "--config", str(tmp_path / "empty.json")], "empty sweep grid"),
+        # a root tolerance that is not finite and positive would never stop Newton
+        (["critical-points", "--tol", "0"],
+         "critical-points: root tolerance must be finite and positive, got 0.0"),
+        (["critical-points", "--tol", "-1"],
+         "critical-points: root tolerance must be finite and positive, got -1.0"),
+        (["critical-points", "--tol", "nan"],
+         "critical-points: root tolerance must be finite and positive, got nan"),
         # bad hbar ladders are refused before any work
         (["residual-scaling", "--hbar-ladder", "0.1,0.05"],
          "a residual-scaling slope needs at least 4 hbar value(s), got 2"),

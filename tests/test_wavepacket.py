@@ -3,9 +3,11 @@
 import math
 
 import numpy as np
+import packet_reference
 import pytest
+from packet_reference import ansatz_values, corrector_sigma1, corrector_sigma2, sigma2_diagnostic
 
-from engellab import wavepacket
+from engellab import fourier, wavepacket
 from engellab.algebra import GroupElement, dilate, multiply
 from engellab.fourier import (
     GridMarginError,
@@ -21,16 +23,12 @@ from engellab.wavepacket import (
     GaussianProfile,
     ProfileState,
     WavePacketSpec,
-    ansatz_values,
-    corrector_sigma1,
-    corrector_sigma2,
     machinery,
     packet_norm_exact,
     profile_evolve,
     residual,
     residual_scaling_experiment,
     second_microlocal_profile_demo,
-    sigma2_diagnostic,
     transport_demo,
 )
 
@@ -293,20 +291,24 @@ def test_residual_order_hierarchy():
 
 
 def test_one_pass_orders_match_separate_calls(monkeypatch):
-    # the residual integrates over the fibres and calls no coefficient
-    # kernel; the leading and sigma1 estimates differ from a lone call's only
-    # by the Gram matrix's summation order over fewer words
+    # the residual integrates over the fibres and reaches no coefficient
+    # kernel (both kernels take their phase from fourier._quadratic_phase);
+    # the leading and sigma1 estimates differ from a lone call's only by the
+    # Gram matrix's summation order over fewer words
     calls = []
+    phase = fourier._quadratic_phase
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return matrix_coefficients(*args, **kwargs)
+        return phase(*args, **kwargs)
 
     ladder = [0.1, 0.05, 0.025, 0.0125]
     top = AnsatzOrder.WITH_SIGMA1_AND_2
-    monkeypatch.setattr(wavepacket, "matrix_coefficients", counted)
+    monkeypatch.setattr(fourier, "_quadratic_phase", counted)
     reports = residual_scaling_experiment(SPEC, ladder, order=top, t=0.1)
     assert not calls
+    _bare(GroupElement(0, 0, 0, 0))  # the pointwise reference does reach it
+    assert calls
     monkeypatch.undo()
     assert list(reports) == list(AnsatzOrder)
 
@@ -405,12 +407,13 @@ def _pointwise(spec, order, t, hb, points):
     without the common factor hbar^{-7/4} e^{-i mu t/hbar}, as {order: (r, psi)}
     for every order from LEADING through `order`."""
     m = machinery(spec)
-    w, y = wavepacket._arguments(m, t, points, hb)
+    w, y = packet_reference._arguments(m, t, points, hb)
     tables = wavepacket._ansatz_terms(m, order, hb)
     V = np.hstack([m.images[n] for table in tables for n in table])
     C = matrix_coefficients(m.data.param, w, V, m.data.phi, m.grid).reshape(len(w), -1, 4)
-    sc = wavepacket._scalars(m, t, y, 4)
-    ev, derive, X1, X2 = wavepacket._evaluate, wavepacket._derive, wavepacket._X1, wavepacket._X2
+    sc = packet_reference._scalars(m, t, y, 4)
+    ev, derive, X1, X2 = (packet_reference._evaluate, wavepacket._derive,
+                          wavepacket._X1, wavepacket._X2)
     dt = ({}, {}, {(0, 0, 2, 0): 1j * m.dispersion, (0, 0, 1, 0): -m.data.mu_d1 / math.sqrt(hb)})
     psi = r = 0.0
     j = 0
@@ -436,7 +439,7 @@ def _mc_residual(spec, order, t, hb, points, weights):
     pointwise reference on importance samples."""
     out = {}
     for cut, (r, psi) in _pointwise(spec, order, t, hb, points).items():
-        R, S = (np.abs(hb ** (-wavepacket.Q_QUARTER) * f) ** 2 * weights for f in (r, psi))
+        R, S = (np.abs(hb ** (-packet_reference.Q_QUARTER) * f) ** 2 * weights for f in (r, psi))
         rel = math.sqrt(np.mean(R) / np.mean(S))
         err = 0.5 * rel * sum(np.std(f) / (math.sqrt(len(f)) * np.mean(f)) for f in (R, S))
         out[cut] = rel, err
