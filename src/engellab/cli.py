@@ -38,8 +38,8 @@ SUBCOMMANDS = (
 
 class ConfigError(ValueError):
     """A config a subcommand refuses: keys it does not read, an empty sweep
-    grid, an hbar ladder too short for the experiment, a malformed kernel,
-    an argument `critical_points` refuses (e.g. a tol that is not > 0)."""
+    grid or a step that is not > 0, an hbar ladder too short for the
+    experiment, a malformed kernel, an argument the library refuses."""
 
 
 def _fmt(x) -> str:
@@ -114,6 +114,17 @@ def _reads(*keys: str):
         runner.keys = frozenset(keys)
         return runner
     return declare
+
+
+def _refusing(subcommand: str, call, *args, **kwargs):
+    """call(*args, **kwargs); a ValueError other than ConfinementError is an
+    argument the library refuses and is raised as a ConfigError."""
+    try:
+        return call(*args, **kwargs)
+    except spectral.ConfinementError:
+        raise
+    except ValueError as err:
+        raise ConfigError(f"{subcommand}: {err}") from None
 
 
 def _print_checks(report: RunReport) -> None:
@@ -204,6 +215,9 @@ def run_dispersion(cfg: dict, seed: int) -> RunReport:
     nu_max = float(cfg.get("nu_max", 4.0))
     step = float(cfg.get("nu_step", 0.05))
     N = int(cfg.get("grid_n", 2048))
+    if not (np.isfinite([nu_min, nu_max, step]).all() and step > 0.0):
+        raise ConfigError("dispersion needs finite nu_min, nu_max and nu_step > 0, got "
+                          f"{nu_min}, {nu_max}, {step}")
     if not ns or nu_max <= nu_min:
         raise ConfigError("empty sweep grid")
     nus = np.arange(nu_min, nu_max + 0.5 * step, step)
@@ -228,18 +242,12 @@ def run_dispersion(cfg: dict, seed: int) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-@_reads("n", "scan", "grid_n", "tol")
+@_reads("n", "scan", "tol")
 def run_critical_points(cfg: dict, seed: int) -> RunReport:
     n = int(cfg.get("n", 1))
     scan = tuple(cfg.get("scan", [-4.0, 4.0]))
-    N = int(cfg.get("grid_n", 8192))
     tol = float(cfg.get("tol", 1e-10))
-    try:
-        reports = dispersion.critical_points(n, scan=scan, tol=tol, N=N)
-    except spectral.ConfinementError:
-        raise
-    except ValueError as err:  # a refused argument: tol, scan, n or grid_n
-        raise ConfigError(f"critical-points: {err}") from None
+    reports = _refusing("critical-points", dispersion.critical_points, n, scan=scan, tol=tol)
     rep = RunReport("critical-points", cfg)
     rep.metrics["reports"] = [asdict(r) for r in reports]
     if n == 1:
@@ -383,11 +391,12 @@ def run_transport(cfg: dict, seed: int) -> RunReport:
 def run_smicro_profile(cfg: dict, seed: int) -> RunReport:
     n = int(cfg.get("n", 1))
     N = int(cfg.get("grid_n", 4096))
-    reports = dispersion.critical_points(n, N=N, samples=81)
+    reports = _refusing("smicro-profile", dispersion.critical_points, n, samples=81)
     if not reports:
-        raise ValueError("no critical point found for the requested mode")
+        raise ConfigError(f"smicro-profile: mode {n} has no critical point on [-4, 4]")
     r0 = reports[0]
-    cc = dispersion.curvature_consistency(n, r0.nu_c, cfg.get("delta_list", [0.5, 1.0, 2.0]), N=N)
+    cc = _refusing("smicro-profile", dispersion.curvature_consistency,
+                   n, r0.nu_c, cfg.get("delta_list", [0.5, 1.0, 2.0]), N=N)
     demo = wavepacket.second_microlocal_profile_demo(
         r0.curvature, times=tuple(cfg.get("times", (0.0, 0.5, 1.0, 2.0)))
     )
@@ -408,7 +417,7 @@ def run_strichartz(cfg: dict, seed: int) -> RunReport:
     q = cfg.get("q", "inf")
     p = cfg.get("p", 2)
     rep = RunReport("strichartz", cfg)
-    verdict = dispersion.strichartz_admissible(q, p)
+    verdict = _refusing("strichartz", dispersion.strichartz_admissible, q, p)
     rep.metrics["classification"] = verdict
     expected = cfg.get("expect")
     if expected is not None:

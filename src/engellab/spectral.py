@@ -27,11 +27,14 @@ form, accurate to ~eps mu where bisection alone stops at ~eps ||H||, with
 ||H|| ~ 4/h^2.  The wall must clear the confined level by max(E, mu/2).
 `eigen_lowest` solves the k lowest modes; `eigen_mode` solves mode n alone,
 at its index in its own block, through the same code, and is what
-`spectral_data` and `mu_beta_derivative` use.  Default boxes come from
-`box_grid`, a closed-form rule that puts the wall 18 Agmon lengths past
-the turning point of a bound on the confined level; it scales with the
-natural length |delta|^{-1/3} (|lambda|^{-1/2} for Schrodinger), so the box
-of Generic(delta, beta) is |delta|^{-1/3} times that of Montgomery(nu).
+`spectral_data` uses.  Default boxes come from `box_grid`, a closed-form
+rule that puts the wall 18 Agmon lengths past the turning point of a bound
+on the confined level; it scales with the natural length |delta|^{-1/3}
+(|lambda|^{-1/2} for Schrodinger), so the box of Generic(delta, beta) is
+|delta|^{-1/3} times that of Montgomery(nu).
+
+Critical points of the Montgomery branches and their curvature reference
+come from `dispersion.montgomery_branch` on Hermite functions instead.
 
 Grid functions are normalized in the trapezoid inner product
 <u, v> = h * sum(u * conj(v)).
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
@@ -109,7 +112,7 @@ def potential(param: SpectralParam) -> Callable[[np.ndarray], np.ndarray]:
 
 
 class ConfinementError(ValueError):
-    """Raised when the Dirichlet box is too small for the requested level."""
+    """Raised when the Dirichlet box, or a Hermite basis, is too small for the level."""
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +209,9 @@ def _mu_scale_guess(param: SpectralParam, k: int) -> float:
     raise TypeError(f"unsupported parameter {param!r}")
 
 
-def _box_half_width(param: SpectralParam, k: int) -> float:
-    """Half-width L with the wall _WALL_DECAY Agmon lengths past level k.
+def box_grid(param: SpectralParam, k: int, N: int = 4096) -> SpectralGrid:
+    """Default box of N nodes: half-width L with the wall _WALL_DECAY Agmon
+    lengths past level k.
 
     Let mu bound mu_k from above and xi0 be its outer turning point.  Past
     xi0, sqrt(V - mu) >= a (xi^2 - xi0^2) for V = a^2 (xi^2 + b)^2 (generic:
@@ -226,12 +230,7 @@ def _box_half_width(param: SpectralParam, k: int) -> float:
         xi0 = np.sqrt(np.sqrt(mu) / a - b)
         xi4 = np.sqrt(2.0 * np.sqrt(mu) / a - b)
         u = min((3.0 * _WALL_DECAY / a) ** (1.0 / 3.0), np.sqrt(_WALL_DECAY / (a * xi0)))
-    return float(max(1.1 * (xi0 + u), xi4))
-
-
-def box_grid(params: Sequence[SpectralParam], k: int, N: int = 4096) -> SpectralGrid:
-    """Smallest default box confining level k for every parameter given."""
-    return SpectralGrid(max(_box_half_width(p, k) for p in params), N)
+    return SpectralGrid(float(max(1.1 * (xi0 + u), xi4)), N)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +400,7 @@ def solve_lowest(param: SpectralParam, k: int, grid: SpectralGrid | None = None,
     """Build the Hamiltonian on `grid` (default: the box of level k) and
     return the k lowest pairs; confinement is checked at level k."""
     if grid is None:
-        grid = box_grid([param], k, N)
+        grid = box_grid(param, k, N)
     return eigen_lowest(build_hamiltonian(param, grid), k)
 
 
@@ -413,7 +412,7 @@ def eigenvalues_extrapolated(param: SpectralParam, k: int, N: int = 4096,
     (4 mu_{2N} - mu_N)/3 cancels it, leaving O(h^4).
     """
     if grid is None:
-        grid = box_grid([param], k, N)
+        grid = box_grid(param, k, N)
     coarse = eigen_lowest(build_hamiltonian(param, grid), k).eigenvalues
     fine = eigen_lowest(build_hamiltonian(param, grid.refined()), k).eigenvalues
     return (4.0 * fine - coarse) / 3.0
@@ -468,7 +467,7 @@ def spectral_data(delta: float, beta: float, n: int, grid: SpectralGrid | None =
     """
     param = Generic(delta, beta)
     if grid is None:
-        grid = box_grid([param], n + 1, N)
+        grid = box_grid(param, n + 1, N)
     op = build_hamiltonian(param, grid)
     mu, phi = eigen_mode(op, n)
     dH_phi = 2.0 * _w_values(delta, beta, grid) * phi
@@ -476,17 +475,6 @@ def spectral_data(delta: float, beta: float, n: int, grid: SpectralGrid | None =
     dphi = _deflated_solve(op, mu, phi, dH_phi)
     mu_d2 = 2.0 + 2.0 * float(grid.inner(dH_phi, dphi).real)
     return SpectralData(param, n, grid, mu, phi, dphi, mu_d1, mu_d2, op)
-
-
-def mu_beta_derivative(delta: float, beta: float, n: int,
-                       grid: SpectralGrid | None = None, N: int = 4096) -> float:
-    """d mu_n / d beta via the Feynman-Hellmann expectation <2 W phi, phi>,
-    from mode n alone on `grid` (default: the box of level n)."""
-    param = Generic(delta, beta)
-    if grid is None:
-        grid = box_grid([param], n, N)
-    _, phi = eigen_mode(build_hamiltonian(param, grid), n)
-    return float(grid.inner(2.0 * _w_values(delta, beta, grid) * phi, phi).real)
 
 
 # worst residual over the default branch sweep is 1.5e-10 of ||rhs||

@@ -68,7 +68,7 @@ def test_criterion_4_feynman_hellmann():
         beta = float(rng.uniform(-1.0, 1.0))
         n = int(rng.integers(1, 4))
         grid = spectral.solve_lowest(spectral.Generic(delta, beta), n).grid
-        fh = spectral.mu_beta_derivative(delta, beta, n, grid=grid)
+        fh = spectral.spectral_data(delta, beta, n, grid=grid).mu_d1
         s = 1e-4
         mp = spectral.solve_lowest(spectral.Generic(delta, beta + s), n,
                                    grid=grid).eigenvalues[n - 1]
@@ -99,11 +99,23 @@ def test_criterion_4_feynman_hellmann():
 
 
 def test_criterion_5_hl_reproduction():
-    reports = dispersion.critical_points(1, scan=(-4.0, 4.0), N=8192, samples=161)
+    reports = dispersion.critical_points(1, scan=(-4.0, 4.0), samples=161)
     unique = len(reports) == 1
     r = reports[0]
-    fine = dispersion.critical_points(1, scan=(-1.0, 0.2), N=16384, samples=41)[0]
-    stable = abs(fine.nu_c - r.nu_c) <= 1e-4
+    # refinement: the finite-difference root at N = 16384, bisected on the
+    # box of the bracket's left end; it shares no discretization with r
+    a, b = r.bracket
+    grid = spectral.box_grid(spectral.Montgomery(a), 2, 16384)
+    fa = spectral.spectral_data(1.0, a, 1, grid=grid).mu_d1
+    while b - a > 1e-9:
+        m = 0.5 * (a + b)
+        fm = spectral.spectral_data(1.0, m, 1, grid=grid).mu_d1
+        if fa * fm <= 0.0:
+            b = m
+        else:
+            a, fa = m, fm
+    fine_nu_c = 0.5 * (a + b)
+    stable = abs(fine_nu_c - r.nu_c) <= 1e-4
     frozen_ok = (
         abs(r.nu_c - NU_CRIT_1) <= 1e-5
         and abs(r.mu_at_c - MU_AT_CRIT_1) <= 1e-5
@@ -113,7 +125,7 @@ def test_criterion_5_hl_reproduction():
     _criterion(5, "HL reproduction", ok,
                f"count={len(reports)}, nu_c={r.nu_c:.8f} (frozen {NU_CRIT_1}), "
                f"mu={r.mu_at_c:.8f}, curv={r.curvature:.6f}, "
-               f"refinement shift {abs(fine.nu_c - r.nu_c):.2e}")
+               f"refinement shift {abs(fine_nu_c - r.nu_c):.2e}")
 
 
 def test_criterion_6_cone_curvature_consistency():

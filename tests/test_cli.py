@@ -186,6 +186,7 @@ def test_unknown_config_keys_rejected(tmp_path, subcommand, config, unknown):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.filterwarnings("ignore:no sign change")  # smicro-profile --n 16
 def test_refused_config_is_a_usage_error(tmp_path, capsys):
     configs = {"empty": {"n_list": []}, "no-hbar": {"hbar_ladder": []},
                "text-hbar": {"hbar_ladder": ["0.05", "a"]}, "minus-trials": {"trials": -1},
@@ -193,7 +194,10 @@ def test_refused_config_is_a_usage_error(tmp_path, capsys):
                                              {"centers": [0, 0, 0, 0], "widths": [1, 1, 1, 1]}]},
                "no-widths": {"kernels": [{"centers": [0, 0, 0, 0], "widths": [1, 1, 1, 1]},
                                          {"centers": [0, 0, 0, 0]}]},
-               "one-kernel": {"kernels": [{"centers": [0, 0, 0, 0], "widths": [1, 1, 1, 1]}]}}
+               "one-kernel": {"kernels": [{"centers": [0, 0, 0, 0], "widths": [1, 1, 1, 1]}]},
+               "zero-step": {"nu_step": 0}, "minus-step": {"nu_step": -0.1},
+               "nan-step": {"nu_step": float("nan")}, "inf-min": {"nu_min": float("-inf")},
+               "zero-delta": {"delta_list": [0.5, 0.0]}}
     for name, config in configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))
     for argv, message in (
@@ -229,6 +233,27 @@ def test_refused_config_is_a_usage_error(tmp_path, capsys):
         (["plancherel", "--config", str(tmp_path / "one-kernel.json")],
          "plancherel needs a list of at least 2 kernels, got [{'centers': [0, 0, 0, 0], "
          "'widths': [1, 1, 1, 1]}]"),
+        # a sweep step that is not finite and positive, or an infinite end
+        (["dispersion", "--config", str(tmp_path / "zero-step.json")],
+         "dispersion needs finite nu_min, nu_max and nu_step > 0, got -4.0, 4.0, 0.0"),
+        (["dispersion", "--config", str(tmp_path / "minus-step.json")],
+         "dispersion needs finite nu_min, nu_max and nu_step > 0, got -4.0, 4.0, -0.1"),
+        (["dispersion", "--config", str(tmp_path / "nan-step.json")],
+         "dispersion needs finite nu_min, nu_max and nu_step > 0, got -4.0, 4.0, nan"),
+        (["dispersion", "--config", str(tmp_path / "inf-min.json")],
+         "dispersion needs finite nu_min, nu_max and nu_step > 0, got -inf, 4.0, 0.05"),
+        # arguments the library refuses
+        (["smicro-profile", "--n", "0"],
+         "smicro-profile: need n >= 1 and a finite nu, got n = 0, nu = -4.0"),
+        (["smicro-profile", "--grid-n", "2"], "smicro-profile: need at least 3 grid nodes"),
+        (["smicro-profile", "--n", "16"], "smicro-profile: mode 16 has no critical point on [-4, 4]"),
+        (["smicro-profile", "--config", str(tmp_path / "zero-delta.json")],
+         "smicro-profile: Generic requires delta != 0"),
+        (["strichartz", "--p", "abc"], "strichartz: Invalid literal for Fraction: 'abc'"),
+        (["strichartz", "--q", "1"], "strichartz: exponent q = 1 below 2"),
+        # critical points are solved on Hermite functions, with no grid
+        (["critical-points", "--grid-n", "512"],
+         "critical-points does not read config key(s) grid_n;"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -297,7 +322,7 @@ MAIN_FLAGS = [
     (["--q", "4", "--p", "7/3"], "p", ("strichartz",)),
     (["--tol", "1e-8"], "tol", ("critical-points",)),
     (["--grid-n", "512"], "grid_n",
-     ("residual-scaling", "critical-points", "smicro-profile", "transport", "dispersion")),
+     ("residual-scaling", "smicro-profile", "transport", "dispersion")),
     (["--grid-l", "12"], "grid_l", ("residual-scaling", "transport")),
     (["--hbar-ladder", "0.1,0.05"], "hbar_ladder", ("residual-scaling", "transport")),
 ]
@@ -329,8 +354,8 @@ def test_main_flags_accepted_where_read(monkeypatch, capsys, flags, key, readers
 
 
 def test_critical_points_cli(tmp_path):
-    rep = run("critical-points", {"n": 1, "scan": [-1.0, 0.5], "grid_n": 2048,
-                                  "tol": 1e-8}, out_dir=tmp_path)
+    rep = run("critical-points", {"n": 1, "scan": [-1.0, 0.5], "tol": 1e-8},
+              out_dir=tmp_path)
     assert rep.passed
     assert len(rep.metrics["reports"]) == 1
     assert rep.metrics["reports"][0]["curvature"] > 0

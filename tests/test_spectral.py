@@ -21,7 +21,6 @@ from engellab.spectral import (
     eigen_lowest,
     eigen_mode,
     eigenvalues_extrapolated,
-    mu_beta_derivative,
     potential,
     real_cbrt,
     reduced_resolvent_solve,
@@ -91,7 +90,7 @@ def test_parity_split_matches_full_solve():
     for N in (2048, 1024, 8192, 4097, 8191):
         for p in [Montgomery(nu) for nu in (-4.0, -3.0, NU_CRIT_1, 0.0, 2.0, 4.0)] + [
                 Generic(1.0, -40.0)]:
-            H = build_hamiltonian(p, box_grid([p], 5, N))
+            H = build_hamiltonian(p, box_grid(p, 5, N))
             full = eigh_tridiagonal(H.diagonal, np.full(N - 1, H.offdiag), select="i",
                                     select_range=(0, 4), eigvals_only=True)
             opnorm = np.max(np.abs(H.diagonal)) + 2.0 * abs(H.offdiag)
@@ -134,8 +133,8 @@ def test_confinement_error_advises_larger_box():
 def test_box_rule_natural_length_and_wall_decay(log_delta, sign, nu, k):
     delta = sign * 10.0**log_delta
     p = Generic(delta, nu * real_cbrt(delta))
-    grid = box_grid([p], k, 2048)
-    montgomery_L = box_grid([Montgomery(nu)], k, 2048).L
+    grid = box_grid(p, k, 2048)
+    montgomery_L = box_grid(Montgomery(nu), k, 2048).L
     assert grid.L * abs(delta) ** (1.0 / 3.0) == pytest.approx(montgomery_L, rel=1e-12)
     # solve_lowest raises when its residual or confinement check fails
     res = solve_lowest(p, k, N=2048)
@@ -149,9 +148,9 @@ def test_box_rule_natural_length_and_wall_decay(log_delta, sign, nu, k):
 
 
 def test_schrodinger_box_natural_length():
-    unit = box_grid([Schrodinger(1.0)], 4).L
+    unit = box_grid(Schrodinger(1.0), 4).L
     for lam in (1e-4, 0.3, -5.0, 40.0, -1e3):
-        assert box_grid([Schrodinger(lam)], 4).L * abs(lam) ** 0.5 == pytest.approx(
+        assert box_grid(Schrodinger(lam), 4).L * abs(lam) ** 0.5 == pytest.approx(
             unit, rel=1e-12)
         mus = solve_lowest(Schrodinger(lam), 4).eigenvalues / abs(lam)
         assert np.max(np.abs(mus - [1.0, 3.0, 5.0, 7.0])) <= 1e-4
@@ -179,7 +178,7 @@ def test_eigenvalue_independent_of_mode_count():
     for N in (2048, 8192):
         for nu in (-4.0, -3.0, NU_CRIT_1, 0.0, 2.0, 4.0):
             p = Montgomery(nu)
-            H = build_hamiltonian(p, box_grid([p], 7, N))
+            H = build_hamiltonian(p, box_grid(p, 7, N))
             for n in range(1, 5):
                 mu = eigen_lowest(H, n).eigenvalues[n - 1]
                 more = eigen_lowest(H, n + 3).eigenvalues[n - 1]
@@ -225,7 +224,7 @@ def test_fh_first_derivative_vs_central_difference():
         beta = float(rng.uniform(-1.5, 1.5))
         n = int(rng.integers(1, 4))
         grid = solve_lowest(Generic(delta, beta), n).grid
-        fh = mu_beta_derivative(delta, beta, n, grid=grid)
+        fh = spectral_data(delta, beta, n, grid=grid).mu_d1
         s = 1e-4
         mp = solve_lowest(Generic(delta, beta + s), n, grid=grid).eigenvalues[n - 1]
         mm = solve_lowest(Generic(delta, beta - s), n, grid=grid).eigenvalues[n - 1]
@@ -235,12 +234,12 @@ def test_fh_first_derivative_vs_central_difference():
 def test_fh_derivative_vanishes_on_cone():
     for delta in (0.5, 2.0):
         beta = NU_CRIT_1 * real_cbrt(delta)
-        assert abs(mu_beta_derivative(delta, beta, 1, N=8192)) <= 1e-5
+        assert abs(spectral_data(delta, beta, 1, N=8192).mu_d1) <= 1e-5
 
 
 def test_fh_derivative_positive_above_critical():
-    assert mu_beta_derivative(1.0, NU_CRIT_1 + 0.5, 1) > 0
-    assert mu_beta_derivative(1.0, NU_CRIT_1 - 0.5, 1) < 0
+    assert spectral_data(1.0, NU_CRIT_1 + 0.5, 1).mu_d1 > 0
+    assert spectral_data(1.0, NU_CRIT_1 - 0.5, 1).mu_d1 < 0
 
 
 def test_fh_second_derivative_vs_central_difference():
@@ -338,25 +337,22 @@ def test_reduced_resolvent_refuses_wrong_level():
 
 @pytest.mark.filterwarnings("ignore:near-degenerate")
 def test_single_mode_solves_match_lowest_modes_route():
-    # spectral_data and mu_beta_derivative solve mode n alone; the reference
-    # takes pair n of eigen_lowest(H, n + 1) (of eigen_lowest(H, n) for the
-    # FH derivative) on the same grid.  Measured worst cases at N = 2048:
-    # 4.8e-16 (mu), 4.6e-14 (mu'), 9.6e-14 (mu''), 7.3e-14 (dphi, phi's
-    # parity) and 4.6e-14 (FH derivative); the bounds leave a margin of
-    # >= 20x.  dphi's part of the other parity is rounding amplified by
+    # spectral_data solves mode n alone; the reference takes pair n of
+    # eigen_lowest(H, n + 1) on the same grid.  Measured worst cases at
+    # N = 2048: 4.8e-16 (mu), 4.6e-14 (mu'), 9.6e-14 (mu'') and 7.3e-14
+    # (dphi, phi's parity); the bounds leave a margin of >= 20x.  dphi's part of the other parity is rounding amplified by
     # 1/gap: at nu = -40 it is up to 7.4e-2 of ||dphi|| on either route and
     # the routes differ there by up to 3.3e-3, so only phi's parity is
     # compared
     for n in (1, 2, 3, 4):
         for nu in (-40.0, -4.0, NU_CRIT_1, 0.0, 4.0):
             p = Montgomery(nu)
-            grid = box_grid([p], n + 1, 2048)
+            grid = box_grid(p, n + 1, 2048)
             with warnings.catch_warnings():
                 # no neighbouring level is solved, so the tunnelling pair
                 # of nu = -40 gives no near-degeneracy warning
                 warnings.simplefilter("error")
                 data = spectral_data(1.0, nu, n, grid=grid)
-                fh = mu_beta_derivative(1.0, nu, n, grid=grid)
             H = build_hamiltonian(p, grid)
             mu, phi = eigen_lowest(H, n + 1).pair(n)
             dH_phi = 2.0 * data.w * phi
@@ -369,8 +365,6 @@ def test_single_mode_solves_match_lowest_modes_route():
             diff = data.dphi - dphi
             same_parity = 0.5 * (diff + (-1.0) ** (n - 1) * diff[::-1])
             assert grid.norm(same_parity) <= 2e-12 * grid.norm(dphi), (n, nu)
-            _, phi_n = eigen_lowest(H, n).pair(n)
-            assert abs(fh - grid.inner(2.0 * data.w * phi_n, phi_n).real) <= 1e-12 * scale
 
 
 def test_eigenvector_derivative_matches_complete_spectral_sum():
@@ -401,7 +395,7 @@ def test_eigenvector_sign_independent_of_mode_count(nu, N):
     # peaks are bitwise equal and the sign rule is a plain argmax of |phi|;
     # the sign must not depend on how many modes the solve was asked for
     p = Generic(1.0, nu)
-    H = build_hamiltonian(p, box_grid([p], 4, N))
+    H = build_hamiltonian(p, box_grid(p, 4, N))
     many = eigen_lowest(H, 32, confine_level=5).eigenvectors
     for n in (2, 4):
         few = eigen_lowest(H, n + 1).eigenvectors[:, n - 1]
