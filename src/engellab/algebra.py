@@ -11,7 +11,9 @@ Group elements are stored in semidirect coordinates: the point
 (x1, x2, x3, x4) stands for Exp(x1 X1 + x3 X3 + x4 X4) Exp(x2 X2).
 All operations are exact on int/Fraction coordinates and work for float
 coordinates; on float arrays they act elementwise, so one GroupElement
-whose coordinates are (M,) arrays is a batch of M points.
+whose coordinates are (M,) arrays is a batch of M points.  On `Polynomial`
+coordinates they are exact as well, so one symbolic evaluation proves a
+polynomial identity of the group or the algebra for every point.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Callable, Sequence
 
 WEIGHTS = (1, 1, 2, 3)
@@ -75,9 +78,9 @@ def dilate(r, x: GroupElement) -> GroupElement:
 
 
 def _half_for(*vals):
-    """Exact 1/2 when every coordinate is an int or Fraction, float 0.5
-    otherwise (floats and float arrays)."""
-    if all(isinstance(v, (int, Fraction)) for v in vals):
+    """Exact 1/2 when every coordinate is an int, a Fraction or a
+    Polynomial, float 0.5 otherwise (floats and float arrays)."""
+    if all(isinstance(v, (int, Fraction, Polynomial)) for v in vals):
         return Fraction(1, 2)
     return 0.5
 
@@ -179,6 +182,69 @@ def left_invariant_derivative(
 
 
 # ---------------------------------------------------------------------------
+# Commutative polynomials: symbolic coordinates
+# ---------------------------------------------------------------------------
+
+
+class Polynomial:
+    """Commutative polynomial with int/Fraction coefficients.
+
+    `terms` maps an exponent tuple (e0, e1, ...) of t0^e0 t1^e1 ... to its
+    nonzero coefficient; tuples carry no trailing zeros, so () is the
+    constant monomial.  Polynomials add, subtract and multiply with each
+    other and with int/Fraction scalars on either side, which is all the
+    group law, inverse, BCH split and bracket ask of a coordinate.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[tuple[int, ...], int | Fraction] | None = None):
+        self.terms = {m: c for m, c in (terms or {}).items() if c}
+
+    @staticmethod
+    def variables(count: int) -> list["Polynomial"]:
+        """The coordinate functions t0, ..., t_{count-1}."""
+        return [Polynomial({(0,) * i + (1,): 1}) for i in range(count)]
+
+    def __add__(self, other):
+        if not isinstance(other, (Polynomial, int, Fraction)):
+            return NotImplemented
+        out = dict(self.terms)
+        for m, c in _as_polynomial(other).terms.items():
+            out[m] = out.get(m, 0) + c
+        return Polynomial(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Polynomial({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, (Polynomial, int, Fraction)):
+            return NotImplemented
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, (Polynomial, int, Fraction)):
+            return NotImplemented
+        out: dict[tuple[int, ...], int | Fraction] = {}
+        for m2, c2 in _as_polynomial(other).terms.items():
+            for m1, c1 in self.terms.items():
+                m = tuple(a + b for a, b in zip_longest(m1, m2, fillvalue=0))
+                out[m] = out.get(m, 0) + c1 * c2
+        return Polynomial(out)
+
+    __rmul__ = __mul__
+
+
+def _as_polynomial(v) -> Polynomial:
+    return v if isinstance(v, Polynomial) else Polynomial({(): v})
+
+
+# ---------------------------------------------------------------------------
 # PBW normal ordering in the universal enveloping algebra
 # ---------------------------------------------------------------------------
 
@@ -186,8 +252,8 @@ Monomial = tuple[int, int, int, int]  # exponents of X1^a X2^b X3^c X4^d
 
 
 @lru_cache(maxsize=None)
-def _normal_form_word(word: tuple[int, ...]) -> tuple[tuple[Monomial, Fraction], ...]:
-    """Normal form of a product of generators, as (monomial, coeff) pairs.
+def _normal_form_word(word: tuple[int, ...]) -> tuple[tuple[Monomial, int], ...]:
+    """Normal form of a product of generators, as (monomial, int coeff) pairs.
 
     Rewrites Xj Xi -> Xi Xj - [Xi, Xj] for the first adjacent inversion and
     recurses; termination and confluence are the standard PBW diamond
@@ -202,7 +268,7 @@ def _normal_form_word(word: tuple[int, ...]) -> tuple[tuple[Monomial, Fraction],
             if br is not None:
                 contracted = word[:k] + (br,) + word[k + 2 :]
                 for mono, c in _normal_form_word(contracted):
-                    newc = terms.get(mono, Fraction(0)) - c
+                    newc = terms.get(mono, 0) - c
                     if newc:
                         terms[mono] = newc
                     else:
@@ -211,11 +277,12 @@ def _normal_form_word(word: tuple[int, ...]) -> tuple[tuple[Monomial, Fraction],
     expo = [0, 0, 0, 0]
     for g in word:
         expo[g - 1] += 1
-    return ((tuple(expo), Fraction(1)),)
+    return ((tuple(expo), 1),)
 
 
 class PBWPolynomial:
-    """Rational linear combination of ordered monomials X1^a X2^b X3^c X4^d.
+    """Rational linear combination of ordered monomials X1^a X2^b X3^c X4^d,
+    with int or Fraction coefficients.
 
     The zero polynomial has empty support; two elements are equal iff their
     normal forms coincide, which is what makes the rewriting confluent.
@@ -223,11 +290,12 @@ class PBWPolynomial:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Monomial, Fraction] | None = None):
-        self.terms: dict[Monomial, Fraction] = {}
+    def __init__(self, terms: dict[Monomial, int | Fraction] | None = None):
+        self.terms: dict[Monomial, int | Fraction] = {}
         if terms:
             for mono, c in terms.items():
-                c = Fraction(c)
+                if not isinstance(c, (int, Fraction)):
+                    c = Fraction(c)
                 if c:
                     self.terms[tuple(mono)] = c
 
@@ -239,21 +307,21 @@ class PBWPolynomial:
 
     @staticmethod
     def one() -> "PBWPolynomial":
-        return PBWPolynomial({(0, 0, 0, 0): Fraction(1)})
+        return PBWPolynomial({(0, 0, 0, 0): 1})
 
     @staticmethod
     def generator(i: int) -> "PBWPolynomial":
         expo = [0, 0, 0, 0]
         expo[i - 1] = 1
-        return PBWPolynomial({tuple(expo): Fraction(1)})
+        return PBWPolynomial({tuple(expo): 1})
 
     @staticmethod
     def from_word(word: Sequence[int], coeff=1) -> "PBWPolynomial":
         """Normal form of coeff * X_{w1} X_{w2} ... (generator indices)."""
         coeff = Fraction(coeff)
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int | Fraction] = {}
         for mono, c in _normal_form_word(tuple(word)):
-            out[mono] = out.get(mono, Fraction(0)) + coeff * c
+            out[mono] = out.get(mono, 0) + coeff * c
         return PBWPolynomial(out)
 
     # -- ring operations ----------------------------------------------------
@@ -261,13 +329,13 @@ class PBWPolynomial:
     def __add__(self, other: "PBWPolynomial") -> "PBWPolynomial":
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
+            out[mono] = out.get(mono, 0) + c
         return PBWPolynomial(out)
 
     def __sub__(self, other: "PBWPolynomial") -> "PBWPolynomial":
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) - c
+            out[mono] = out.get(mono, 0) - c
         return PBWPolynomial(out)
 
     def __neg__(self) -> "PBWPolynomial":
@@ -278,14 +346,14 @@ class PBWPolynomial:
         return PBWPolynomial({m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other: "PBWPolynomial") -> "PBWPolynomial":
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int | Fraction] = {}
         for m1, c1 in self.terms.items():
             w1 = _monomial_word(m1)
             for m2, c2 in other.terms.items():
                 word = w1 + _monomial_word(m2)
                 coeff = c1 * c2
                 for mono, c in _normal_form_word(word):
-                    out[mono] = out.get(mono, Fraction(0)) + coeff * c
+                    out[mono] = out.get(mono, 0) + coeff * c
         return PBWPolynomial(out)
 
     def commutator(self, other: "PBWPolynomial") -> "PBWPolynomial":

@@ -33,8 +33,9 @@ from .spectral import ConfinementError, real_cbrt, spectral_data
 # Montgomery branches on Hermite functions
 # ---------------------------------------------------------------------------
 
-# over n = 1..12 and nu in [-40, 100] the two sizes agree to 3.3e-12; the
-# eigenvectors of _BASIS_MAX functions take 8 MiB
+# over n = 1..30 and nu in [-40, 100] at unit steps the two sizes agree to
+# 9.1e-12 (2.5e-12 over n <= 12); the eigenvectors of _BASIS_MAX functions
+# take 8 MiB
 _BASIS_MIN, _BASIS_STEP, _BASIS_RTOL, _BASIS_MAX = 24, 8, 1e-10, 1024
 
 
@@ -48,16 +49,17 @@ def montgomery_branch(n: int, nu: float) -> tuple[float, float, float]:
     square of xi^2 over all k; at length s they scale by s^2, 1/s^2 and
     s^4, so the block is exact.  mu' = 2 nu + <phi, xi^2 phi> and mu'' is
     the complete Feynman-Hellmann sum over the block.  The rule: length
-    s = (2 + max(nu, 0))^{-1/4} (harmonic for large nu) and _BASIS_MIN + n
-    + 2 max(0, -nu) functions (they reach the wells at xi^2 = -2 nu).  The
-    values on _BASIS_STEP more functions are returned; ConfinementError if
-    one differs from the rule's by over _BASIS_RTOL max(1, |value|) or the
-    rule needs over _BASIS_MAX functions (nu below about (n - 992)/2).
+    s = (2 + max(nu, 0))^{-1/4} (harmonic for large nu) and _BASIS_MIN + 2n
+    + 2 max(0, -nu) functions (mode n has about n/2 nodes in each of the
+    wells at xi^2 = -2 nu).  The values on _BASIS_STEP more functions are
+    returned; ConfinementError if one differs from the rule's by over
+    _BASIS_RTOL max(1, |value|) or the rule needs over _BASIS_MAX functions
+    (nu below about n - 496).
     """
     nu = float(nu)
     if n < 1 or not math.isfinite(nu):
         raise ValueError(f"need n >= 1 and a finite nu, got n = {n}, nu = {nu}")
-    size = _BASIS_MIN + n + 2 * math.ceil(max(-nu, 0.0))
+    size = _BASIS_MIN + 2 * n + 2 * math.ceil(max(-nu, 0.0))
     if size + _BASIS_STEP > _BASIS_MAX:
         raise ConfinementError(f"mutilde_{n}({nu}) needs {size + _BASIS_STEP} "
                                f"Hermite functions, more than {_BASIS_MAX}")
@@ -253,7 +255,10 @@ def _as_exponent(x) -> Fraction | None:
     if isinstance(x, str):
         if x.strip().lower() in ("inf", "infinity", "oo"):
             return None
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"exponent {x!r} has a zero denominator") from None
     if isinstance(x, float):
         if math.isinf(x):
             return None

@@ -1,5 +1,6 @@
 """Exact group/Lie-algebra arithmetic and PBW normal ordering."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from engellab.algebra import (
     GroupElement,
     LieVector,
     PBWPolynomial,
+    Polynomial,
     X1,
     X2,
     X3,
@@ -213,6 +215,38 @@ def test_dilation_homogeneity_of_fields():
             lhs = left_invariant_derivative(lambda g: f(dilate(r, g)), x, i)
             rhs = r ** weights[i - 1] * left_invariant_derivative(f, dilate(r, x), i)
             assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-8)
+
+
+# -- symbolic coordinates ----------------------------------------------------
+
+
+def _evaluate(p, point):
+    """p at t = point, exactly."""
+    return sum((c * math.prod(t**e for t, e in zip(point, m)) for m, c in p.terms.items()),
+               Fraction(0))
+
+
+def test_polynomial_ring_operations():
+    t0, t1 = Polynomial.variables(2)
+    assert not ((t0 + 1) * (t0 - 1) - t0 * t0 + 1).terms
+    assert not (2 - t0 + (t0 - 2)).terms
+    assert (Fraction(1, 2) * t1 * 4).terms == {(0, 1): 2}
+    assert (t0 * t1 * t0).terms == {(2, 1): 1}
+    with pytest.raises(TypeError):
+        t0 * 0.5
+
+
+def test_symbolic_product_agrees_with_rational_evaluation():
+    t = Polynomial.variables(12)
+    x, y, z = (GroupElement(*t[i:i + 4]) for i in (0, 4, 8))
+    symbolic = multiply(multiply(x, y), z).coords()
+    rng = np.random.default_rng(11)
+    nums = rng.integers(-12, 13, size=(40, 12)).tolist()
+    dens = rng.integers(1, 9, size=(40, 12)).tolist()
+    for num, den in zip(nums, dens):
+        q = [Fraction(a, b) for a, b in zip(num, den)]
+        a, b, c = (GroupElement(*q[i:i + 4]) for i in (0, 4, 8))
+        assert tuple(_evaluate(p, q) for p in symbolic) == multiply(multiply(a, b), c).coords()
 
 
 # -- PBW normal ordering -----------------------------------------------------

@@ -7,11 +7,13 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from engellab import cli
+from engellab import algebra, cli
+from engellab.algebra import GroupElement, LieVector, bracket, exp_to_semidirect, multiply
 from engellab.cli import main, run
 
 
@@ -26,6 +28,43 @@ def test_identities_all_pass(tmp_path):
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["passed"] is True
     assert payload["experiment"] == "identities"
+
+
+def _broken_product_sign(x, y):
+    # the -x1 x2 y1 / 2 term of x4 with its sign flipped
+    g = multiply(x, y)
+    return GroupElement(g.x1, g.x2, g.x3, g.x4 + x.x1 * x.x2 * y.x1)
+
+
+def _broken_product_x3(x, y):
+    # x3 without its -x2 y1 term
+    g = multiply(x, y)
+    return GroupElement(g.x1, g.x2, g.x3 + x.x2 * y.x1, g.x4)
+
+
+def _broken_bracket(u, v):
+    # [u, v]_3 without its -u2 v1 term
+    b = bracket(u, v)
+    return LieVector(b.v1, b.v2, b.v3 + u.v2 * v.v1, b.v4)
+
+
+def _broken_bch(v):
+    # 1/6 in place of the 1/12 of the triple-bracket term
+    g = exp_to_semidirect(v)
+    return GroupElement(g.x1, g.x2, g.x3, g.x4 - Fraction(1, 12) * v.v1 * v.v1 * v.v2)
+
+
+@pytest.mark.parametrize("name, broken, check", [
+    ("multiply", _broken_product_sign, "associativity-nonzero-terms"),
+    ("multiply", _broken_product_x3, "associativity-nonzero-terms"),
+    ("bracket", _broken_bracket, "jacobi-nonzero-terms"),
+    ("exp_to_semidirect", _broken_bch, "bch-roundtrip-nonzero-terms"),
+])
+def test_identities_catch_a_broken_law(monkeypatch, name, broken, check):
+    monkeypatch.setattr(algebra, name, broken)
+    rep = cli.run_identities({"trials": 0}, seed=0)
+    assert {c.name: c.value for c in rep.checks}[check] > 0
+    assert not rep.passed
 
 
 def test_strichartz_exit_codes(capsys):
@@ -250,6 +289,7 @@ def test_refused_config_is_a_usage_error(tmp_path, capsys):
         (["smicro-profile", "--config", str(tmp_path / "zero-delta.json")],
          "smicro-profile: Generic requires delta != 0"),
         (["strichartz", "--p", "abc"], "strichartz: Invalid literal for Fraction: 'abc'"),
+        (["strichartz", "--p", "1/0"], "strichartz: exponent '1/0' has a zero denominator"),
         (["strichartz", "--q", "1"], "strichartz: exponent q = 1 below 2"),
         # critical points are solved on Hermite functions, with no grid
         (["critical-points", "--grid-n", "512"],

@@ -130,19 +130,19 @@ def test_certificate_and_root_match_full_grid_oracle(n, monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_curvature_is_the_last_newton_solve_fh_second_derivative(n):
     # the report's curvature is the complete Feynman-Hellmann sum at the last
-    # Newton point; a Richardson central difference of mu' is an independent
-    # route to it.  Measured 5.5e-14 to 2.6e-13 over n = 1..3; bound at ~4x
-    s = 1e-3
-
-    def diff(nu, step):
-        return (montgomery_branch(n, nu + step)[1]
-                - montgomery_branch(n, nu - step)[1]) / (2 * step)
-
+    # Newton point; the derivative of a degree-10 Chebyshev fit of mu' at 41
+    # Chebyshev nodes on nu_c +- 0.1 (one basis size for n = 1..3) is an
+    # independent route to it.  The fit averages out the rounding of mu',
+    # which makes a Richardson difference at step 1e-3 scatter by up to
+    # 4.6e-12 as the basis size changes.
+    # Measured 5.3e-15 to 3.0e-13 over n = 1..3 (at most 3.3e-13 with 23 to
+    # 60 in place of _BASIS_MIN); bound at ~3x
     reports = critical_points(n)
     assert reports
     for r in reports:
-        richardson = (4.0 * diff(r.nu_c, 0.5 * s) - diff(r.nu_c, s)) / 3.0
-        assert abs(r.curvature - richardson) <= 1e-12
+        nus = r.nu_c + 0.1 * np.cos(np.pi * (np.arange(41) + 0.5) / 41)
+        fit = np.polynomial.Chebyshev.fit(nus, [montgomery_branch(n, v)[1] for v in nus], 10)
+        assert abs(r.curvature - fit.deriv()(r.nu_c)) <= 1e-12
         assert r.kind == ("minimum" if r.curvature > 0 else "maximum")
 
 
@@ -179,8 +179,8 @@ def test_montgomery_branch_matches_fd_richardson():
 
 
 def test_montgomery_branch_converges_in_basis_size(monkeypatch):
-    # 200 + n + 2 max(0, -nu) functions instead of 24 + n + ...: measured
-    # 2.4e-12 of max(1, |value|) at worst over these points; bound at ~4x
+    # 200 + 2n + 2 max(0, -nu) functions instead of 24 + 2n + ...: measured
+    # 1.5e-12 of max(1, |value|) at worst over these points; bound at ~7x
     points = [(n, nu) for n in (1, 2, 3, 4, 8, 12)
               for nu in (-40.0, -12.0, -1.0, 0.0, 4.0, 40.0, 100.0)]
     rule = [montgomery_branch(n, nu) for n, nu in points]
@@ -193,6 +193,15 @@ def test_montgomery_branch_converges_in_basis_size(monkeypatch):
     monkeypatch.setattr(dispersion, "_BASIS_MIN", 2)
     with pytest.raises(ConfinementError, match="Hermite functions give"):
         montgomery_branch(1, 0.0)
+
+
+@pytest.mark.parametrize("n", [19, 21, 22])
+def test_high_modes_certified_in_the_double_well(n):
+    # a size rule growing by n alone refused these modes on parts of
+    # [-40, -22]: each well holds about n/2 nodes of mode n
+    for nu in range(-40, -21):
+        mu, d1, d2 = montgomery_branch(n, float(nu))
+        assert 0.0 < mu and d1 < 0.0
 
 
 @pytest.mark.parametrize("n, scan", [(8, (-4.0, 4.0)), (12, (-4.0, 4.0)),
