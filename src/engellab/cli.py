@@ -299,8 +299,7 @@ def run_plancherel(cfg: dict, seed: int) -> RunReport:
     return rep
 
 
-_SPEC_KEYS = ("profile_width2", "profile_width4", "x0", "delta0", "beta0", "n",
-              "grid_l", "grid_n")
+_SPEC_KEYS = ("profile_width2", "profile_width4", "x0", "delta0", "beta0", "n")
 
 
 def _hbar_ladder(values, least: int, use: str) -> list[float]:
@@ -327,15 +326,13 @@ def _spec_from_cfg(cfg: dict) -> wavepacket.WavePacketSpec:
         beta0=float(cfg.get("beta0", 0.0)),
         n=int(cfg.get("n", 1)),
         profile=profile,
-        grid_L=float(cfg.get("grid_l", 20.0)),
-        grid_N=int(cfg.get("grid_n", 3072)),
     )
 
 
 @_reads(*_SPEC_KEYS, "hbar_ladder", "t")
 def run_residual_scaling(cfg: dict, seed: int) -> RunReport:
     # exact integrals, no sampling: the seed changes nothing
-    spec = _spec_from_cfg(cfg)
+    spec = _refusing("residual-scaling", lambda: _spec_from_cfg(cfg))
     hbars = _hbar_ladder(cfg.get("hbar_ladder", [0.1, 0.05, 0.025, 0.0125]), 4,
                          "a residual-scaling slope")
     t = float(cfg.get("t", 0.1))
@@ -360,7 +357,7 @@ def run_residual_scaling(cfg: dict, seed: int) -> RunReport:
 @_reads(*_SPEC_KEYS, "hbar_ladder", "t")
 def run_transport(cfg: dict, seed: int) -> RunReport:
     # exact integrals, no sampling: the seed changes nothing
-    spec = _spec_from_cfg(cfg)
+    spec = _refusing("transport", lambda: _spec_from_cfg(cfg))
     t = float(cfg.get("t", 0.5))
     hbars = _hbar_ladder(cfg.get("hbar_ladder", [0.05, 0.025, 0.0125]), 1, "transport")
     rows = wavepacket.transport_demo(spec, t, hbar_list=hbars)
@@ -488,7 +485,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--q", type=str, default=None)
     parser.add_argument("--p", type=str, default=None)
     parser.add_argument("--grid-n", type=int, default=None)
-    parser.add_argument("--grid-l", type=float, default=None)
     parser.add_argument("--tol", type=float, default=None,
                         help="critical-points root tolerance: the Newton "
                              "refinement stops once a step is below it")
@@ -505,8 +501,6 @@ def main(argv: list[str] | None = None) -> int:
             cfg[key] = val
     if args.grid_n is not None:
         cfg["grid_n"] = args.grid_n
-    if args.grid_l is not None:
-        cfg["grid_l"] = args.grid_l
     if args.hbar_ladder is not None:
         cfg["hbar_ladder"] = args.hbar_ladder
 

@@ -39,6 +39,27 @@ from .spectral import ConfinementError, real_cbrt, spectral_data
 _BASIS_MIN, _BASIS_STEP, _BASIS_RTOL, _BASIS_MAX = 24, 8, 1e-10, 1024
 
 
+def certify_basis(n: int, nu: float, solve):
+    """solve(m) -> ((mu, mu', mu''), extra) on m Hermite functions per parity
+    block, at the rule's m and at _BASIS_STEP more, for mode n of Htilde(nu).
+
+    The rule is _BASIS_MIN + 2n + 2 ceil(max(-nu, 0)) functions (mode n has
+    about n/2 nodes in each of the wells at xi^2 = -2 nu).  Returns the
+    larger solve; ConfinementError if one of its values differs from the
+    rule's by over _BASIS_RTOL max(1, |value|) or the rule needs over
+    _BASIS_MAX functions (nu below about n - 496).
+    """
+    size = _BASIS_MIN + 2 * n + 2 * math.ceil(max(-nu, 0.0))
+    if size + _BASIS_STEP > _BASIS_MAX:
+        raise ConfinementError(f"mutilde_{n}({nu}) needs {size + _BASIS_STEP} "
+                               f"Hermite functions, more than {_BASIS_MAX}")
+    (rule, _), (more, extra) = solve(size), solve(size + _BASIS_STEP)
+    if np.any(np.abs(rule - more) > _BASIS_RTOL * np.maximum(1.0, np.abs(more))):
+        raise ConfinementError(f"mutilde_{n}({nu}): {size} and {size + _BASIS_STEP} Hermite "
+                               f"functions give (mu, mu', mu'') = {rule} and {more}")
+    return more, extra
+
+
 def montgomery_branch(n: int, nu: float) -> tuple[float, float, float]:
     """mutilde_n(nu) and its first two nu-derivatives.
 
@@ -48,45 +69,35 @@ def montgomery_branch(n: int, nu: float) -> tuple[float, float, float]:
     p^2 the same diagonal and the negated off-diagonal, and xi^4 is the
     square of xi^2 over all k; at length s they scale by s^2, 1/s^2 and
     s^4, so the block is exact.  mu' = 2 nu + <phi, xi^2 phi> and mu'' is
-    the complete Feynman-Hellmann sum over the block.  The rule: length
-    s = (2 + max(nu, 0))^{-1/4} (harmonic for large nu) and _BASIS_MIN + 2n
-    + 2 max(0, -nu) functions (mode n has about n/2 nodes in each of the
-    wells at xi^2 = -2 nu).  The values on _BASIS_STEP more functions are
-    returned; ConfinementError if one differs from the rule's by over
-    _BASIS_RTOL max(1, |value|) or the rule needs over _BASIS_MAX functions
-    (nu below about n - 496).
+    the complete Feynman-Hellmann sum over the block.  The length is
+    s = (2 + max(nu, 0))^{-1/4} (harmonic for large nu) and the basis size
+    is certified by `certify_basis`.
     """
     nu = float(nu)
     if n < 1 or not math.isfinite(nu):
         raise ValueError(f"need n >= 1 and a finite nu, got n = {n}, nu = {nu}")
-    size = _BASIS_MIN + 2 * n + 2 * math.ceil(max(-nu, 0.0))
-    if size + _BASIS_STEP > _BASIS_MAX:
-        raise ConfinementError(f"mutilde_{n}({nu}) needs {size + _BASIS_STEP} "
-                               f"Hermite functions, more than {_BASIS_MAX}")
-    k = 2.0 * np.arange(size + _BASIS_STEP) + (n - 1) % 2
     s2, j = (2.0 + max(nu, 0.0)) ** -0.5, (n - 1) // 2
-    d, e = k + 0.5, 0.5 * np.sqrt((k + 1) * (k + 2))
-    band = np.zeros((3, k.size))
-    band[0] = d * d + e * e + np.r_[0.0, e[:-1]] ** 2
-    band[1, :-1], band[2, :-2] = e[:-1] * (d[:-1] + d[1:]), e[:-2] * e[1:-1]
-    band *= 0.25 * s2 * s2
-    band[0] += (1.0 / s2 + nu * s2) * d
-    band[1, :-1] += (nu * s2 - 1.0 / s2) * e[:-1]
-    rule, more = np.empty(3), np.empty(3)
-    for m, values in ((size, rule), (size + _BASIS_STEP, more)):
-        w, v = eig_banded(band[:, :m], lower=True)
+
+    def solve(m: int):
+        k = 2.0 * np.arange(m) + (n - 1) % 2
+        d, e = k + 0.5, 0.5 * np.sqrt((k + 1) * (k + 2))
+        band = np.zeros((3, m))
+        band[0] = d * d + e * e + np.r_[0.0, e[:-1]] ** 2
+        band[1, :-1], band[2, :-2] = e[:-1] * (d[:-1] + d[1:]), e[:-2] * e[1:-1]
+        band *= 0.25 * s2 * s2
+        band[0] += (1.0 / s2 + nu * s2) * d
+        band[1, :-1] += (nu * s2 - 1.0 / s2) * e[:-1]
+        w, v = eig_banded(band, lower=True)
         phi = v[:, j]
-        x2_phi = d[:m] * phi
-        x2_phi[:-1] += e[:m - 1] * phi[1:]
-        x2_phi[1:] += e[:m - 1] * phi[:-1]
+        x2_phi = d * phi
+        x2_phi[:-1] += e[:-1] * phi[1:]
+        x2_phi[1:] += e[:-1] * phi[:-1]
         c = s2 * (v.T @ x2_phi)
         gaps = w[j] - w
         gaps[j] = math.inf
-        values[:] = nu * nu + w[j], 2.0 * nu + c[j], 2.0 + 2.0 * np.sum(c * c / gaps)
-    if np.any(np.abs(rule - more) > _BASIS_RTOL * np.maximum(1.0, np.abs(more))):
-        raise ConfinementError(f"mutilde_{n}({nu}): {size} and {size + _BASIS_STEP} Hermite "
-                               f"functions give (mu, mu', mu'') = {rule} and {more}")
-    return tuple(map(float, more))
+        return np.array([nu * nu + w[j], 2.0 * nu + c[j], 2.0 + 2.0 * np.sum(c * c / gaps)]), None
+
+    return tuple(map(float, certify_basis(n, nu, solve)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -155,14 +166,15 @@ def critical_points(
 def _refine_root(a: float, b: float, fa: float, fb: float, n: int,
                  tol: float) -> tuple[float, tuple[float, float, float]]:
     """Root of mutilde_n' in [a, b], where it takes the scan values fa and
-    fb, by safeguarded Newton steps, with the branch at the last Newton
-    point."""
+    fb, by safeguarded Newton steps, with the branch solved at the last
+    Newton point."""
     # the secant point is a where fa = 0 and b where fb = 0
     x = a - fa * (b - a) / (fb - fa) if fa != fb else a
+    last = False
     while True:
         branch = montgomery_branch(n, x)
         _, f, df = branch
-        if f == 0.0:
+        if f == 0.0 or last:
             return x, branch
         if (f < 0.0) == (fa < 0.0):
             a, fa = x, f
@@ -173,8 +185,7 @@ def _refine_root(a: float, b: float, fa: float, fb: float, n: int,
         step = -f / df if df else math.inf
         if not a < x + step < b:
             step = 0.5 * (a + b) - x
-        if abs(step) < tol or not a < x + step < b:
-            return x + step, branch
+        last = abs(step) < tol or not a < x + step < b
         x += step
 
 

@@ -459,11 +459,11 @@ def spectral_data(delta: float, beta: float, n: int, grid: SpectralGrid | None =
 
     Solves for mode n alone (`eigen_mode`; the default box is that of level
     n + 1, confinement is checked at n) and takes dphi = (mu_n - H)^{-1}
-    Pi_perp (2 W phi_n) from one deflated tridiagonal solve, so that
-    mu_n'' = 2 + 2 <2 W phi_n, dphi>.  No neighbouring level is solved, so
-    a tunnelling pair (e.g. n = 1 at beta = -40) gives no near-degeneracy
-    warning; the resolvent's residual gate is what refuses a level too
-    close to its neighbours.
+    Pi_perp (2 W phi_n) from one deflated tridiagonal solve, kept on phi_n's
+    parity, so that mu_n'' = 2 + 2 <2 W phi_n, dphi>.  No neighbouring
+    level is solved, so a tunnelling pair (e.g. n = 1 at beta = -40) gives
+    no near-degeneracy warning; the resolvent's residual gate is what
+    refuses a level too close to its neighbours.
     """
     param = Generic(delta, beta)
     if grid is None:
@@ -472,7 +472,10 @@ def spectral_data(delta: float, beta: float, n: int, grid: SpectralGrid | None =
     mu, phi = eigen_mode(op, n)
     dH_phi = 2.0 * _w_values(delta, beta, grid) * phi
     mu_d1 = float(grid.inner(dH_phi, phi).real)
+    # 2 W phi_n has phi_n's parity and H commutes with the mirror, so dphi
+    # has it too; the other parity is rounding amplified by 1/gap
     dphi = _deflated_solve(op, mu, phi, dH_phi)
+    dphi = 0.5 * (dphi + (-1.0) ** (n - 1) * dphi[::-1])
     mu_d2 = 2.0 + 2.0 * float(grid.inner(dH_phi, dphi).real)
     return SpectralData(param, n, grid, mu, phi, dphi, mu_d1, mu_d2, op)
 
@@ -505,12 +508,3 @@ def _deflated_solve(op: OperatorMatrix, mu: float, phi: np.ndarray,
             "the level is too close to its neighbours"
         )
     return u
-
-
-def reduced_resolvent_solve(data: SpectralData, rhs: np.ndarray) -> np.ndarray:
-    """Solve (mu_n - H) u = rhs on the orthogonal complement of phi_n.
-
-    The right side is projected off phi_n first, and the result satisfies
-    <u, phi_n> = 0; real and complex right sides are both accepted.
-    """
-    return _deflated_solve(data.op, data.mu, data.phi, rhs)

@@ -18,8 +18,11 @@ along x(t) = x0 Exp(d_beta mu_n t X2), disperses the profile by
 and corrects the carrier with sigma_1 (order hbar^{1/2}) and sigma_2
 (order hbar), after which the Schrodinger residual
 i hbar d_t psi + hbar^2 (X1^2 + X2^2) psi is O(hbar^{3/2}) relative to
-||psi||.  `residual` evaluates it exactly on the grid, where the
-generators act as dpi(X1) = D1, dpi(X2) = iW and dpi(X1^2 + X2^2) = -H.
+||psi||.  The carrier and its correctors are coefficient vectors on
+Hermite functions (`_PacketMachinery`), where xi and d/dxi are exact
+tridiagonal matrices: the generators act exactly on coefficients as
+dpi(X1) = d/dxi, dpi(X2) = iW and dpi(X1^2 + X2^2) = -H = d^2/dxi^2 - W^2,
+with no grid and no box.
 
 The exact L2 norm of the bare packet is hbar^{3/4} sqrt(2 pi / |delta0|)
 ||a||_{L2} ||Phi1||^2: the coefficient carries the (x1, x3) mass at
@@ -43,13 +46,8 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import GroupElement, exp_basis, multiply
-from .spectral import (
-    SpectralData,
-    SpectralGrid,
-    reduced_resolvent_solve,
-    spectral_data,
-)
-from .fourier import InfinitesimalOp
+from .dispersion import certify_basis
+from .spectral import real_cbrt
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +170,12 @@ class WavePacketSpec:
     beta0: float = 0.0
     n: int = 1
     profile: GaussianProfile = GaussianProfile()
-    grid_L: float = 20.0
-    grid_N: int = 3072
 
     def __post_init__(self):
+        if not (self.n >= 1 and self.delta0 != 0 and math.isfinite(self.delta0)
+                and math.isfinite(self.beta0)):
+            raise ValueError(f"a packet needs n >= 1, a finite delta0 != 0 and a finite beta0, "
+                             f"got n = {self.n}, delta0 = {self.delta0}, beta0 = {self.beta0}")
         if self.profile.coeff != 0:
             raise ValueError("a packet's profile disperses with mu''/2 of its mode; "
                              "leave profile.coeff at 0")
@@ -185,42 +185,101 @@ class WavePacketSpec:
 
 
 # sigma_2's basis u_j = (mu - H)^{-1} Pi_perp source_j, each source a column
-# [v, D1 v, W v] of the images of v = phi, xi phi or dphi
+# [v, D1 v, W v] of the images of v = xi phi or dphi
 _RESOLVENT_SOURCES = {"u1": ("xi_phi", 0), "u2": ("dphi", 0), "u3": ("xi_phi", 1),
-                      "u4": ("dphi", 1), "u5": ("xi_phi", 2), "u6": ("dphi", 2),
-                      "u7": ("phi", 0)}
+                      "u4": ("dphi", 1), "u5": ("xi_phi", 2), "u6": ("dphi", 2)}
+
+# zero coefficients kept past the M Hermite functions of the solves: xi and
+# d/dxi raise a vector's top index by one, W by two and H by four, and the
+# deepest word of `residual` (d/dxi or xi on the (mu - H) image of xi phi)
+# by six, so every image and word is exact
+_PAD = 6
+
+
+def _ladder(v: np.ndarray, up: float, down: float) -> np.ndarray:
+    """Coefficients (axis 0) of sum_k v_k (up e_k psi_{k+1} + down e_{k-1} psi_{k-1}),
+    e_k = sqrt((k + 1)/2): on Hermite functions psi_k of length s, xi is
+    up = down = s and d/dxi is up = -1/s, down = 1/s."""
+    e = np.sqrt(0.5 * np.arange(1.0, len(v))).reshape(-1, *[1] * (v.ndim - 1))
+    out = np.zeros_like(v)
+    out[1:] = up * e * v[:-1]
+    out[:-1] += down * e * v[1:]
+    return out
+
+
+def _bordered_solve(border: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """u (axis 0) with (mu - H) u = Pi_perp r and <u, phi> = 0 on the M
+    functions of border = [[mu - H, phi], [phi^T, 0]], zero past them: the
+    border's multiplier takes r's component along phi."""
+    M = len(border) - 1
+    u = np.zeros_like(r)
+    u[:M] = np.linalg.solve(border, np.concatenate([r[:M], np.zeros((1, *r.shape[1:]))]))[:M]
+    return u
 
 
 class _PacketMachinery:
-    """Spectral data, corrector basis vectors and their generator images."""
+    """Mode n of H(delta0, beta0), the corrector basis vectors and their
+    generator images, as coefficients on Hermite functions.
+
+    The length is s = |delta0|^{-1/3} (2 + max(nu, 0))^{-1/4}, nu =
+    beta0 / delta0^{1/3}, where H is |delta0|^{2/3} Htilde(nu) on the
+    functions of `montgomery_branch`.  phi is mode n of its parity block,
+    and dphi and u1..u6 solve (mu - H) u = Pi_perp r, <u, phi> = 0, each
+    one bordered solve on the M functions of both parities; the basis size
+    is `certify_basis`'s, on (mu, mu', mu'') in the units of Htilde(nu).
+    """
 
     def __init__(self, spec: WavePacketSpec):
         self.spec = spec
-        grid = SpectralGrid(spec.grid_L, spec.grid_N)
-        self.data: SpectralData = spectral_data(spec.delta0, spec.beta0, spec.n, grid=grid)
-        self.grid = grid
-        d = self.data
-        self.dispersion = 0.5 * d.mu_d2  # profile equation coefficient
+        n, cbrt = spec.n, real_cbrt(spec.delta0)
+        nu = spec.beta0 / cbrt
+        self.length = abs(spec.delta0) ** (-1.0 / 3.0) * (2.0 + max(nu, 0.0)) ** -0.25
+        units = np.array([cbrt * cbrt, cbrt, 1.0])
+
+        def solve(m: int):
+            M, p, j = 2 * m, (n - 1) % 2, (n - 1) // 2
+            H = self.h(np.eye(M + _PAD, M))[:M]
+            w, v = np.linalg.eigh(H[p::2, p::2])
+            phi = np.zeros(M + _PAD)
+            phi[p:M:2] = v[:, j] * np.sign(v[np.argmax(np.abs(v[:, j])), j])
+            border = np.block([[w[j] * np.eye(M) - H, phi[:M, None]], [phi[None, :M], 0.0]])
+            dH_phi = 2.0 * self.w(phi)
+            dphi = _bordered_solve(border, dH_phi)
+            fh = np.array([w[j], dH_phi @ phi, 2.0 + 2.0 * (dH_phi @ dphi)])
+            return fh / units, (fh, phi, dphi, border)
+
+        _, (fh, phi, dphi, border) = certify_basis(n, nu, solve)
+        self.mu, self.mu_d1, self.mu_d2 = map(float, fh)
+        self.dispersion = 0.5 * self.mu_d2  # profile equation coefficient
         self.profile = replace(spec.profile, coeff=self.dispersion)
 
-        xi = grid.nodes
-        phi = d.phi
-        d1 = InfinitesimalOp(grid, None)
-        H = d.op
-
-        def images(v: np.ndarray) -> np.ndarray:
-            # on the grid dpi(X1) = D1, dpi(X2) = iW and dpi(X1^2 + X2^2) = -H,
-            # the operator the correctors were solved with
-            return np.column_stack([v, d1.apply(v).real, d.w * v, d.mu * v - H.apply(v)])
-
-        self.images = {"phi": images(phi), "xi_phi": images(xi * phi), "dphi": images(d.dphi)}
-        for u, (k, col) in _RESOLVENT_SOURCES.items():
-            self.images[u] = images(reduced_resolvent_solve(d, self.images[k][:, col]).real)
+        self.images = self._images({"phi": phi, "xi_phi": self.xi(phi), "dphi": dphi})
+        sources = np.column_stack([self.images[k][:, col] for k, col in _RESOLVENT_SOURCES.values()])
+        u = _bordered_solve(border, sources)
+        self.images.update(self._images(dict(zip(_RESOLVENT_SOURCES, u.T))))
         self.basis = {k: v[:, 0] for k, v in self.images.items()}
+
+    def xi(self, v: np.ndarray) -> np.ndarray:
+        return _ladder(v, self.length, self.length)
+
+    def d(self, v: np.ndarray) -> np.ndarray:
+        return _ladder(v, -1.0 / self.length, 1.0 / self.length)
+
+    def w(self, v: np.ndarray) -> np.ndarray:
+        return self.spec.beta0 * v + 0.5 * self.spec.delta0 * self.xi(self.xi(v))
+
+    def h(self, v: np.ndarray) -> np.ndarray:
+        return self.w(self.w(v)) - self.d(self.d(v))
+
+    def _images(self, vectors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        # dpi(X1) = d/dxi, dpi(X2) = iW and dpi(X1^2 + X2^2) = -H
+        V = np.column_stack(list(vectors.values()))
+        images = np.stack([V, self.d(V), self.w(V), self.mu * V - self.h(V)], axis=-1)
+        return dict(zip(vectors, images.transpose(1, 0, 2)))
 
     def center(self, t: float) -> GroupElement:
         """Moving center x(t) = x0 Exp(d_beta mu_n t X2)."""
-        return multiply(self.spec.x0_element(), exp_basis(2, self.data.mu_d1 * t))
+        return multiply(self.spec.x0_element(), exp_basis(2, self.mu_d1 * t))
 
 
 @functools.lru_cache(maxsize=8)
@@ -245,7 +304,7 @@ _SIGMA1 = {"xi_phi": {(1, 0, 0, 1): -1.0}, "dphi": {(0, 0, 1, 0): -1j}}
 
 
 def _sigma2_terms(m: _PacketMachinery) -> dict[str, dict]:
-    """Coefficients of sigma_2 Phi1 on the resolvent images u1..u7.
+    """Coefficients of sigma_2 Phi1 on the resolvent images u1..u6.
 
     These are the scalar weights of the right-hand side
     R = i c2 X2~ sigma_1 - 2 (pi(V).V) sigma_1 - (i d_t a + Delta a) Id
@@ -253,7 +312,7 @@ def _sigma2_terms(m: _PacketMachinery) -> dict[str, dict]:
     left-invariant X2 = d_2 also differentiates the P(y) factor, producing
     the y1 d4 a correction on the W xi phi slot.
     """
-    c2, c3 = m.data.mu_d1, m.dispersion
+    c2 = m.mu_d1
     return {
         "u1": {(1, 0, 1, 1): -1j * c2},
         "u2": {(0, 0, 2, 0): c2},
@@ -261,7 +320,6 @@ def _sigma2_terms(m: _PacketMachinery) -> dict[str, dict]:
         "u4": {(1, 0, 1, 1): 2j},
         "u5": {(1, 0, 1, 1): 2j, (0, 1, 0, 1): -1j},
         "u6": {(0, 0, 2, 0): -2.0},
-        "u7": {(0, 0, 2, 0): c3 - 1.0, (2, 0, 0, 2): -1.0},
     }
 
 
@@ -348,9 +406,9 @@ def _fibre_pairs(m: _PacketMachinery, t: float, hb: float, y2: np.ndarray, y4: n
     kmax = max(max(k[2:]) for _, term, _ in columns for k in term)
     partials = m.profile.partials(t, y2, y4, kmax)
     rh = math.sqrt(hb)
-    pf = -0.5j * hb / m.data.param.delta
+    pf = -0.5j * hb / m.spec.delta0
     on_y1 = (("x", "", rh), ("", "x", -rh))
-    on_p = (("", "x", 0.5 * (rh * y2 + m.data.mu_d1 * t)), ("d", "", pf), ("", "d", pf))
+    on_p = (("", "x", 0.5 * (rh * y2 + m.mu_d1 * t)), ("d", "", pf), ("", "d", pf))
 
     def expansion(p: int, q: int) -> dict:
         words = {("", ""): 1.0}
@@ -378,8 +436,7 @@ def _fibre_pairs(m: _PacketMachinery, t: float, hb: float, y2: np.ndarray, y4: n
 def _fibre_densities(m: _PacketMachinery, pair_maps: list[dict]) -> list[np.ndarray]:
     """int int |sum c C[u; v]|^2 dw1 dw3 on the nodes for each pair map
     {(u, v): c}, as (2 pi / |delta|) sum_{s,t} c_s conj c_t (u_s, u_t) (v_t, v_s)
-    from one Gram matrix of every word the maps name."""
-    d1 = InfinitesimalOp(m.grid, None)
+    from one Gram matrix of every word the maps name, on coefficients."""
     vectors: dict = {}
 
     def vector(word):
@@ -389,13 +446,13 @@ def _fibre_densities(m: _PacketMachinery, pair_maps: list[dict]) -> list[np.ndar
                 vectors[word] = m.images[name][:, col]
             else:
                 v = vector((name, col, ops[:-1]))
-                vectors[word] = m.grid.nodes * v if ops[-1] == "x" else d1.apply(v).real
+                vectors[word] = m.xi(v) if ops[-1] == "x" else m.d(v)
         return vectors[word]
 
     words = dict.fromkeys(w for pairs in pair_maps for key in pairs for w in key)
     index = {w: k for k, w in enumerate(words)}
     W = np.column_stack([vector(w) for w in words])
-    gram = m.grid.h * (W.T @ W.conj())  # (w_a, w_b)
+    gram = W.T @ W  # (w_a, w_b), real coefficients
     densities = []
     for pairs in pair_maps:
         u = [index[key[0]] for key in pairs]
@@ -403,7 +460,7 @@ def _fibre_densities(m: _PacketMachinery, pair_maps: list[dict]) -> list[np.ndar
         coupling = gram[np.ix_(u, u)] * gram[np.ix_(v, v)].T
         c = np.array(list(pairs.values())).reshape(len(pairs), -1)
         form = np.sum(c * (coupling @ c.conj()), axis=0).real
-        densities.append(2.0 * math.pi / abs(m.data.param.delta) * form.reshape(_GH_NODES, -1))
+        densities.append(2.0 * math.pi / abs(m.spec.delta0) * form.reshape(_GH_NODES, -1))
     return densities
 
 
@@ -440,7 +497,7 @@ def residual(spec: WavePacketSpec, order: AnsatzOrder, t: float,
     y2, y4, quad = _fibre_rule(m, t)
     # d_t at fixed x: the profile flows (d_t a = i c3 a_22) and recenters
     # (y2 = (x2 - c2 t)/sqrt(hbar)); P and y1 do not move
-    dt = ({}, {}, {(0, 0, 2, 0): 1j * m.dispersion, (0, 0, 1, 0): -m.data.mu_d1 / math.sqrt(hbar)})
+    dt = ({}, {}, {(0, 0, 2, 0): 1j * m.dispersion, (0, 0, 1, 0): -m.mu_d1 / math.sqrt(hbar)})
     psi_cols: list = []
     r_cols: list = []
     pair_maps = []

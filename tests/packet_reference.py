@@ -2,13 +2,19 @@
 `wavepacket`'s machinery and term tables; a test reference for the exact
 fibre sums, which evaluate the packet at no point.
 
-Batches of points are GroupElements with (M,) float coordinate arrays, and
-every product, inverse and dilation goes through the group law in
-`algebra`: the arguments are hbar^{-1}.(x0^{-1} x) and
+The machinery holds coefficient vectors on Hermite functions; `on_grid`
+samples them on a grid by the three-term recurrence, for the coefficient
+kernel of `fourier`.  Batches of points are GroupElements with (M,) float
+coordinate arrays, and every product, inverse and dilation goes through
+the group law in `algebra`: the arguments are hbar^{-1}.(x0^{-1} x) and
 hbar^{-1/2}.(Exp(-d_beta mu_n t X2) x0^{-1} x), with the center x(t) from
 the machinery.  (M, 4) coordinate arrays appear only at the coefficient
 kernel and as an accepted input form.
 """
+
+import functools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +27,7 @@ from engellab.algebra import (
     multiply,
 )
 from engellab.fourier import matrix_coefficients
+from engellab.spectral import Generic, SpectralGrid
 from engellab.wavepacket import (
     _RESOLVENT_SOURCES,
     _SIGMA1,
@@ -33,6 +40,42 @@ from engellab.wavepacket import (
 )
 
 Q_QUARTER = HOMOGENEOUS_DIMENSION / 4.0
+
+
+# the grid the pointwise references sample the packet's vectors on
+GRID = SpectralGrid(20.0, 3072)
+
+
+def hermite_values(m: _PacketMachinery, coefficients: np.ndarray,
+                   grid: SpectralGrid) -> np.ndarray:
+    """Values on the grid nodes of coefficient vectors (axis 0) on m's
+    Hermite functions psi_k(xi) = s^{-1/2} h_k(xi/s):
+    h_0 = pi^{-1/4} e^{-x^2/2}, h_{k+1} = sqrt(2/(k+1)) x h_k - sqrt(k/(k+1)) h_{k-1}."""
+    x = grid.nodes / m.length
+    h = np.empty((len(coefficients), grid.N))
+    h[0] = np.pi**-0.25 * np.exp(-0.5 * x * x)
+    h[1] = math.sqrt(2.0) * x * h[0]
+    for k in range(1, len(h) - 1):
+        h[k + 1] = math.sqrt(2.0 / (k + 1)) * x * h[k] - math.sqrt(k / (k + 1)) * h[k - 1]
+    return np.tensordot(h, coefficients, axes=(0, 0)) / math.sqrt(m.length)
+
+
+@dataclass
+class GridPacket:
+    """The machinery's images and basis vectors sampled on a grid."""
+
+    grid: SpectralGrid
+    param: Generic
+    images: dict  # name -> (N, 4)
+    basis: dict  # name -> (N,)
+
+
+@functools.lru_cache(maxsize=8)
+def on_grid(spec: WavePacketSpec, grid: SpectralGrid = GRID) -> GridPacket:
+    m = machinery(spec)
+    images = {k: hermite_values(m, v, grid) for k, v in m.images.items()}
+    return GridPacket(grid, Generic(spec.delta0, spec.beta0), images,
+                      {k: v[:, 0] for k, v in images.items()})
 
 
 def _points(x: GroupElement | np.ndarray) -> GroupElement:
@@ -59,14 +102,14 @@ def _evaluate(term: dict, P, y1, partials):
 
 
 def corrector_sigma1(spec: WavePacketSpec, t: float, y: GroupElement | np.ndarray) -> np.ndarray:
-    """sigma_1(t, y) Phi1 = -X1a . (xi phi_n) - i X2a . (d_beta phi_n) as a grid vector."""
+    """sigma_1(t, y) Phi1 = -X1a . (xi phi_n) - i X2a . (d_beta phi_n) as coefficients."""
     m = machinery(spec)
     sc = _scalars(m, t, _points(y), 2)
     return sum(_evaluate(tm, *sc) * m.basis[n] for n, tm in _SIGMA1.items())
 
 
 def corrector_sigma2(spec: WavePacketSpec, t: float, y: GroupElement | np.ndarray) -> np.ndarray:
-    """sigma_2(t, y) Phi1 = (mu - H)^{-1} Pi_perp R(t, y) Phi1 as a grid vector."""
+    """sigma_2(t, y) Phi1 = (mu - H)^{-1} Pi_perp R(t, y) Phi1 as coefficients."""
     m = machinery(spec)
     sc = _scalars(m, t, _points(y), 2)
     return sum(_evaluate(tm, *sc) * m.basis[n] for n, tm in _sigma2_terms(m).items())
@@ -77,12 +120,15 @@ def sigma2_diagnostic(spec: WavePacketSpec, t: float, y_points: np.ndarray) -> f
 
     Vanishing diagonal part of R is exactly the solvability condition for
     sigma_2; it holds when the profile satisfies the dispersion equation
-    with the same grid-level mu_n'' used in the coefficients.
+    with the same mu_n'' used in the coefficients.  Besides the sources
+    of u1..u6, R holds the identity term ((c3 - 1) a_22 - P^2 a_44) phi_n,
+    which Pi_perp removes from sigma_2's right side.
     """
     m = machinery(spec)
     sc = _scalars(m, t, _points(y_points), 2)
-    diag = sum(
-        _evaluate(tm, *sc) * float(m.grid.inner(m.images[k][:, col], m.basis["phi"]).real)
+    diag = _evaluate({(0, 0, 2, 0): m.dispersion - 1.0, (2, 0, 0, 2): -1.0}, *sc)
+    diag = diag + sum(
+        _evaluate(tm, *sc) * float(m.images[k][:, col] @ m.basis["phi"])
         for tm, (k, col) in zip(_sigma2_terms(m).values(), _RESOLVENT_SOURCES.values())
     )
     return float(np.max(np.abs(diag)))
@@ -94,7 +140,7 @@ def _arguments(m: _PacketMachinery, t: float, x: GroupElement,
     array, and profile argument y = hbar^{-1/2}.(x(t)^{-1} x) of points x;
     x(t)^{-1} x = Exp(-d_beta mu_n t X2) x0^{-1} x."""
     z0 = multiply(inverse(m.spec.x0_element()), x)
-    z = multiply(exp_basis(2, -m.data.mu_d1 * t), z0)
+    z = multiply(exp_basis(2, -m.mu_d1 * t), z0)
     return _stacked(dilate(1.0 / hb, z0)), dilate(hb ** (-0.5), z)
 
 
@@ -102,11 +148,11 @@ def ansatz_values(spec: WavePacketSpec, order: AnsatzOrder, t: float,
                   points: GroupElement | np.ndarray, hbar: float) -> np.ndarray:
     """Evaluate the approximate solution at a batch of points, given as a
     GroupElement with (M,) coordinate arrays or as an (M, 4) array."""
-    m = machinery(spec)
+    m, g = machinery(spec), on_grid(spec)
     w, y = _arguments(m, t, _points(points), hbar)
     terms = {n: tm for table in _ansatz_terms(m, order, hbar) for n, tm in table.items()}
-    C = matrix_coefficients(m.data.param, w, np.column_stack([m.basis[n] for n in terms]),
-                            m.data.phi, m.grid)
+    C = matrix_coefficients(g.param, w, np.column_stack([g.basis[n] for n in terms]),
+                            g.basis["phi"], g.grid)
     sc = _scalars(m, t, y, 2)
     vals = sum(_evaluate(tm, *sc) * C[:, j] for j, tm in enumerate(terms.values()))
-    return hbar ** (-Q_QUARTER) * np.exp(-1j * m.data.mu * t / hbar) * vals
+    return hbar ** (-Q_QUARTER) * np.exp(-1j * m.mu * t / hbar) * vals

@@ -125,9 +125,8 @@ def test_branch_csv_columns(tmp_path):
 CSV_RUNS = [
     ("dispersion", {"n_list": [1, 2], "nu_min": -0.2, "nu_max": 0.2, "nu_step": 0.2,
                     "grid_n": 512}, ["branches.csv"]),
-    ("residual-scaling", {"grid_n": 1024},
-     ["residual_scaling_full.csv", "residual_scaling_sigma1.csv"]),
-    ("transport", {"grid_n": 1024, "hbar_ladder": [0.05, 0.025]}, ["transport.csv"]),
+    ("residual-scaling", {}, ["residual_scaling_full.csv", "residual_scaling_sigma1.csv"]),
+    ("transport", {"hbar_ladder": [0.05, 0.025]}, ["transport.csv"]),
     ("smicro-profile", {"grid_n": 2048, "times": [0.0, 1.0], "delta_list": [1.0]},
      ["profile_densities.csv"]),
 ]
@@ -195,7 +194,7 @@ def test_transport_output_independent_of_seed(tmp_path, monkeypatch):
 
 
 def test_transport_picks_its_check_by_drift_against_width():
-    # on the n = 1 cone the drift is 2.0e-6 against a width of 0.143: well
+    # on the n = 1 cone the drift is 6.7e-9 against a width of 0.143: well
     # inside the stationary gate's 0.02 of the width, so that gate runs; at
     # the defaults the drift is 0.287 against 0.156 and the drift is checked
     for config, name in (({"beta0": -0.3467583952}, "stationary-centroid-vs-width"),
@@ -236,7 +235,8 @@ def test_refused_config_is_a_usage_error(tmp_path, capsys):
                "one-kernel": {"kernels": [{"centers": [0, 0, 0, 0], "widths": [1, 1, 1, 1]}]},
                "zero-step": {"nu_step": 0}, "minus-step": {"nu_step": -0.1},
                "nan-step": {"nu_step": float("nan")}, "inf-min": {"nu_min": float("-inf")},
-               "zero-delta": {"delta_list": [0.5, 0.0]}}
+               "zero-delta": {"delta_list": [0.5, 0.0]}, "grid-l": {"grid_l": 12.0},
+               "zero-delta0": {"delta0": 0}}
     for name, config in configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))
     for argv, message in (
@@ -284,6 +284,12 @@ def test_refused_config_is_a_usage_error(tmp_path, capsys):
         # arguments the library refuses
         (["smicro-profile", "--n", "0"],
          "smicro-profile: need n >= 1 and a finite nu, got n = 0, nu = -4.0"),
+        (["residual-scaling", "--n", "0"],
+         "residual-scaling: a packet needs n >= 1, a finite delta0 != 0 and a finite beta0, "
+         "got n = 0, delta0 = 1.0, beta0 = 0.0"),
+        (["transport", "--config", str(tmp_path / "zero-delta0.json")],
+         "transport: a packet needs n >= 1, a finite delta0 != 0 and a finite beta0, "
+         "got n = 1, delta0 = 0.0, beta0 = 0.0"),
         (["smicro-profile", "--grid-n", "2"], "smicro-profile: need at least 3 grid nodes"),
         (["smicro-profile", "--n", "16"], "smicro-profile: mode 16 has no critical point on [-4, 4]"),
         (["smicro-profile", "--config", str(tmp_path / "zero-delta.json")],
@@ -291,9 +297,15 @@ def test_refused_config_is_a_usage_error(tmp_path, capsys):
         (["strichartz", "--p", "abc"], "strichartz: Invalid literal for Fraction: 'abc'"),
         (["strichartz", "--p", "1/0"], "strichartz: exponent '1/0' has a zero denominator"),
         (["strichartz", "--q", "1"], "strichartz: exponent q = 1 below 2"),
-        # critical points are solved on Hermite functions, with no grid
+        # critical points and the packet are solved on Hermite functions,
+        # with no grid
         (["critical-points", "--grid-n", "512"],
          "critical-points does not read config key(s) grid_n;"),
+        (["residual-scaling", "--grid-n", "512"],
+         "residual-scaling does not read config key(s) grid_n;"),
+        (["transport", "--config", str(tmp_path / "grid-l.json")],
+         "transport does not read config key(s) grid_l;"),
+        (["transport", "--grid-l", "12"], "unrecognized arguments: --grid-l 12"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -361,9 +373,7 @@ MAIN_FLAGS = [
     (["--n", "2"], "n", ("residual-scaling", "critical-points", "smicro-profile", "transport")),
     (["--q", "4", "--p", "7/3"], "p", ("strichartz",)),
     (["--tol", "1e-8"], "tol", ("critical-points",)),
-    (["--grid-n", "512"], "grid_n",
-     ("residual-scaling", "smicro-profile", "transport", "dispersion")),
-    (["--grid-l", "12"], "grid_l", ("residual-scaling", "transport")),
+    (["--grid-n", "512"], "grid_n", ("smicro-profile", "dispersion")),
     (["--hbar-ladder", "0.1,0.05"], "hbar_ladder", ("residual-scaling", "transport")),
 ]
 

@@ -127,19 +127,21 @@ def test_certificate_and_root_match_full_grid_oracle(n, monkeypatch):
         assert abs(r.nu_c - 0.5 * (a + b)) <= 1e-10
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_curvature_is_the_last_newton_solve_fh_second_derivative(n):
-    # the report's curvature is the complete Feynman-Hellmann sum at the last
-    # Newton point; the derivative of a degree-10 Chebyshev fit of mu' at 41
-    # Chebyshev nodes on nu_c +- 0.1 (one basis size for n = 1..3) is an
-    # independent route to it.  The fit averages out the rounding of mu',
-    # which makes a Richardson difference at step 1e-3 scatter by up to
-    # 4.6e-12 as the basis size changes.
-    # Measured 5.3e-15 to 3.0e-13 over n = 1..3 (at most 3.3e-13 with 23 to
-    # 60 in place of _BASIS_MIN); bound at ~3x
+    # the report's mu and curvature are those of the branch solved at the
+    # reported nu_c, so montgomery_branch reproduces them exactly; the
+    # derivative of a degree-10 Chebyshev fit of mu' at 41 Chebyshev nodes
+    # on nu_c +- 0.1 is an independent route to the curvature.  The fit
+    # averages out the rounding of mu', which makes a Richardson difference
+    # at step 1e-3 scatter by up to 4.6e-12 as the basis size changes.
+    # Measured 5.3e-15 to 3.0e-13 over n = 1..4 (at most 3.3e-13 with 23 to
+    # 60 in place of _BASIS_MIN over n = 1..3); bound at ~3x
     reports = critical_points(n)
     assert reports
     for r in reports:
+        mu, _, curvature = montgomery_branch(n, r.nu_c)
+        assert (r.mu_at_c, r.curvature) == (mu, curvature)
         nus = r.nu_c + 0.1 * np.cos(np.pi * (np.arange(41) + 0.5) / 41)
         fit = np.polynomial.Chebyshev.fit(nus, [montgomery_branch(n, v)[1] for v in nus], 10)
         assert abs(r.curvature - fit.deriv()(r.nu_c)) <= 1e-12

@@ -11,6 +11,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from engellab import spectral
 from engellab.spectral import (
+    _deflated_solve,
     ConfinementError,
     Generic,
     Montgomery,
@@ -23,7 +24,6 @@ from engellab.spectral import (
     eigenvalues_extrapolated,
     potential,
     real_cbrt,
-    reduced_resolvent_solve,
     solve_lowest,
     spectral_data,
 )
@@ -302,14 +302,14 @@ def test_diagonal_part_identity_x1():
 
 def test_reduced_resolvent_zero_rhs():
     data = spectral_data(1.0, 0.1, 1, N=2048)
-    u = reduced_resolvent_solve(data, np.zeros(data.grid.N))
+    u = _deflated_solve(data.op, data.mu, data.phi, np.zeros(data.grid.N))
     assert data.grid.norm(u) == 0.0
 
 
 def test_reduced_resolvent_eigenvector_rhs():
     data = spectral_data(1.0, 0.1, 1, N=2048)
     mu_m, phi_m = solve_lowest(data.param, 3, grid=data.grid).pair(3)
-    u = reduced_resolvent_solve(data, phi_m)
+    u = _deflated_solve(data.op, data.mu, data.phi, phi_m)
     expected = phi_m / (data.mu - mu_m)
     assert data.grid.norm(u - expected) <= 1e-8 * data.grid.norm(expected)
 
@@ -319,7 +319,7 @@ def test_reduced_resolvent_random_rhs_residual():
     g = data.grid
     rng = np.random.default_rng(6)
     rhs = rng.standard_normal(g.N) * np.exp(-(g.nodes**2))
-    u = reduced_resolvent_solve(data, rhs)
+    u = _deflated_solve(data.op, data.mu, data.phi, rhs)
     H = build_hamiltonian(data.param, g)
     rhs_perp = rhs - data.phi * complex(g.inner(rhs, data.phi)).real
     resid = data.mu * u - H.apply(u) - rhs_perp
@@ -332,7 +332,7 @@ def test_reduced_resolvent_refuses_wrong_level():
     data = spectral_data(1.0, 0.1, 1, N=2048)
     mu_2 = float(solve_lowest(data.param, 2, grid=data.grid).eigenvalues[1])
     with pytest.raises(RuntimeError, match="residual"):
-        reduced_resolvent_solve(replace(data, mu=mu_2), data.grid.nodes * data.phi)
+        _deflated_solve(data.op, mu_2, data.phi, data.grid.nodes * data.phi)
 
 
 @pytest.mark.filterwarnings("ignore:near-degenerate")
@@ -340,10 +340,10 @@ def test_single_mode_solves_match_lowest_modes_route():
     # spectral_data solves mode n alone; the reference takes pair n of
     # eigen_lowest(H, n + 1) on the same grid.  Measured worst cases at
     # N = 2048: 4.8e-16 (mu), 4.6e-14 (mu'), 9.6e-14 (mu'') and 7.3e-14
-    # (dphi, phi's parity); the bounds leave a margin of >= 20x.  dphi's part of the other parity is rounding amplified by
-    # 1/gap: at nu = -40 it is up to 7.4e-2 of ||dphi|| on either route and
-    # the routes differ there by up to 3.3e-3, so only phi's parity is
-    # compared
+    # (dphi, phi's parity); the bounds leave a margin of >= 20x.  The
+    # reference's dphi has a part of the other parity, rounding amplified by
+    # 1/gap (up to 7.4e-2 of ||dphi|| at nu = -40), which spectral_data
+    # drops, so only phi's parity is compared
     for n in (1, 2, 3, 4):
         for nu in (-40.0, -4.0, NU_CRIT_1, 0.0, 4.0):
             p = Montgomery(nu)
@@ -356,7 +356,7 @@ def test_single_mode_solves_match_lowest_modes_route():
             H = build_hamiltonian(p, grid)
             mu, phi = eigen_lowest(H, n + 1).pair(n)
             dH_phi = 2.0 * data.w * phi
-            dphi = reduced_resolvent_solve(replace(data, mu=mu, phi=phi), dH_phi)
+            dphi = _deflated_solve(data.op, mu, phi, dH_phi)
             mu_d2 = 2.0 + 2.0 * grid.inner(dH_phi, dphi).real
             scale = max(1.0, abs(mu))
             assert abs(data.mu - mu) <= 1e-14 * scale, (n, nu)
@@ -365,6 +365,16 @@ def test_single_mode_solves_match_lowest_modes_route():
             diff = data.dphi - dphi
             same_parity = 0.5 * (diff + (-1.0) ** (n - 1) * diff[::-1])
             assert grid.norm(same_parity) <= 2e-12 * grid.norm(dphi), (n, nu)
+
+
+def test_dphi_has_the_parity_of_phi():
+    # 2 W phi_n has phi_n's parity and H commutes with the mirror; at the
+    # tunnelling pairs of nu = -40 the solve alone gave the other parity
+    # 0.97 / 7.4 / 1.6 / 3.3 % of ||dphi|| for n = 1..4 (N = 2048)
+    for n in (1, 2, 3, 4):
+        data = spectral_data(1.0, -40.0, n, N=2048)
+        assert np.array_equal(data.dphi, (-1.0) ** (n - 1) * data.dphi[::-1]), n
+        assert data.grid.norm(data.dphi) > 0.0
 
 
 def test_eigenvector_derivative_matches_complete_spectral_sum():

@@ -5,19 +5,25 @@ import math
 import numpy as np
 import packet_reference
 import pytest
-from packet_reference import ansatz_values, corrector_sigma1, corrector_sigma2, sigma2_diagnostic
+from packet_reference import (
+    ansatz_values,
+    corrector_sigma1,
+    corrector_sigma2,
+    on_grid,
+    sigma2_diagnostic,
+)
 
 from engellab import fourier, wavepacket
 from engellab.algebra import GroupElement, dilate, multiply
+from engellab.dispersion import montgomery_branch
 from engellab.fourier import (
     GridMarginError,
-    InfinitesimalOp,
     live_window,
     matrix_coefficient,
     matrix_coefficients,
     rep_apply,
 )
-from engellab.spectral import Generic
+from engellab.spectral import ConfinementError, SpectralGrid, real_cbrt
 from engellab.wavepacket import (
     AnsatzOrder,
     GaussianProfile,
@@ -65,8 +71,8 @@ def test_norm_scaling_is_hbar_three_quarters():
 
 def test_norm_needs_no_spectral_data():
     # the norm is the profile's closed form, 0.28187 at hbar 0.05, also at
-    # beta0 = -4 (gap 1.6e-5), where the packet machinery's resolvent gate
-    # refuses to build
+    # beta0 = -4 (gap 1.6e-5), where the correctors grow like 1/gap
+    # (test_tunnelling_pair_builds)
     spec = WavePacketSpec(delta0=1.0, beta0=-4.0, n=1)
     exact = HBAR**0.75 * math.sqrt(2.0 * math.pi * math.pi * 0.45 * 0.8)
     assert packet_norm_exact(spec, HBAR) == pytest.approx(exact, rel=1e-15)
@@ -78,17 +84,115 @@ def test_spec_refuses_a_profile_coefficient():
     with pytest.raises(ValueError, match="coeff"):
         WavePacketSpec(profile=GaussianProfile(coeff=0.3))
     m = machinery(SPEC)
-    assert m.profile.coeff == 0.5 * m.data.mu_d2 != SPEC.profile.coeff
+    assert m.profile.coeff == 0.5 * m.mu_d2 != SPEC.profile.coeff
 
 
 def test_phase_and_center_group_law():
     m = machinery(SPEC)
     t, s = 0.3, 0.45
     lhs = m.center(t + s)
-    rhs = multiply(m.center(t), GroupElement(0.0, m.data.mu_d1 * s, 0.0, 0.0))
+    rhs = multiply(m.center(t), GroupElement(0.0, m.mu_d1 * s, 0.0, 0.0))
     assert np.allclose(
         [float(c) for c in lhs.coords()], [float(c) for c in rhs.coords()]
     )
+
+
+# -- Hermite machinery -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_machinery_matches_montgomery_branch(n):
+    # (mu, mu', mu'') = (|d|^{2/3} mu~, sign(d) |d|^{1/3} mu~', mu~'') at
+    # nu = beta0 / d^{1/3}: two Galerkin routes (both parities through the
+    # generators against the closed-form parity block); measured worst
+    # 9.8e-15 relative to max(1, |value|) over these 12 points, bound at ~3x
+    for delta in (-0.7, 1.0, 2.0):
+        for beta in (-4.0, -0.35, 0.0, 0.5):
+            m = machinery(WavePacketSpec(delta0=delta, beta0=beta, n=n))
+            c = real_cbrt(delta)
+            ref = np.array(montgomery_branch(n, beta / c)) * [c * c, c, 1.0]
+            got = np.array([m.mu, m.mu_d1, m.mu_d2])
+            assert np.all(np.abs(got - ref) <= 3e-14 * np.maximum(1.0, np.abs(ref))), (delta, beta)
+
+
+def test_generators_satisfy_the_algebra_on_coefficients():
+    # -D^2 + W^2 from the two tridiagonal matrices is H = p^2 + W^2 with
+    # the closed-form xi^2 (diagonal s^2 (k + 1/2), (k, k + 2) entry
+    # s^2 sqrt((k + 1)(k + 2))/2) and p^2 (the same over s^4, off-diagonal
+    # negated): measured 3.6e-16 of max |H|.  phi is its eigenvector on the
+    # M functions of the solves (measured 2.6e-16); past them (mu - H) phi
+    # is the basis' truncation, 1.6e-13 here, which certify_basis bounds
+    spec = WavePacketSpec(delta0=-0.7, beta0=0.5, n=2)
+    m = machinery(spec)
+    K = len(m.basis["phi"])
+    k = np.arange(K + 2.0)
+    off = np.diag(np.sqrt((k[:-2] + 1) * (k[:-2] + 2)) / 2, 2)
+    x2 = m.length**2 * (np.diag(k + 0.5) + off + off.T)
+    p2 = (np.diag(k + 0.5) - off - off.T) / m.length**2
+    w = spec.beta0 * np.eye(K + 2) + 0.5 * spec.delta0 * x2
+    H = (p2 + w @ w)[:K - 4, :K - 4]
+    assert np.max(np.abs(m.h(np.eye(K, K - 4))[:K - 4] - H)) <= 1e-13 * np.max(np.abs(H))
+    phi, M = m.basis["phi"], K - wavepacket._PAD
+    assert np.linalg.norm((m.w(m.w(phi)) - m.d(m.d(phi)) - m.mu * phi)[:M]) <= 1e-14 * m.mu
+
+
+def test_tunnelling_pair_builds():
+    # beta0 = -4 (gap 1.6e-5): each parity is solved exactly apart, so no
+    # rounding crosses the gap, and mu'' is the Hermite branch's
+    m = machinery(WavePacketSpec(beta0=-4.0))
+    # measured 2.7e-15, bound as in test_machinery_matches_montgomery_branch
+    assert abs(m.mu_d2 - montgomery_branch(1, -4.0)[2]) <= 3e-14
+    for name in ("phi", "dphi", "u2", "u3", "u6"):  # phi's parity: even indices
+        assert not np.any(m.basis[name][1::2]), name
+    for name in ("xi_phi", "u1", "u4", "u5"):
+        assert not np.any(m.basis[name][::2]), name
+    est = residual(WavePacketSpec(beta0=-4.0), AnsatzOrder.WITH_SIGMA1_AND_2, 0.1, 0.0125)
+    assert all(math.isfinite(e.relative) for e in est.values())
+
+
+def test_padding_keeps_every_image_and_word_exact(monkeypatch):
+    # no ladder step meets a nonzero top coefficient, so none drops a term,
+    # and twice the padding changes no bit of residual or transport
+    specs = (SPEC, WavePacketSpec(delta0=-0.7, beta0=0.5, n=2),
+             WavePacketSpec(delta0=2.0, beta0=-1.0, n=3))
+    ladder = wavepacket._ladder
+
+    def checked(v, up, down):
+        assert not np.any(v[-1])
+        return ladder(v, up, down)
+
+    def outputs():
+        wavepacket.machinery.cache_clear()
+        out = []
+        for spec in specs:
+            out += [(e.relative, e.absolute, e.psi_norm) for hb in (0.1, 0.0125) for e in
+                    residual(spec, AnsatzOrder.WITH_SIGMA1_AND_2, 0.1, hb).values()]
+            out += [(r.mass, r.centroid_x2, r.packet_width)
+                    for r in transport_demo(spec, 0.5, [0.05, 0.0125])]
+        return out
+
+    monkeypatch.setattr(wavepacket, "_ladder", checked)
+    base = outputs()
+    monkeypatch.setattr(wavepacket, "_ladder", ladder)
+    monkeypatch.setattr(wavepacket, "_PAD", 2 * wavepacket._PAD)
+    assert outputs() == base
+    wavepacket.machinery.cache_clear()
+
+
+def test_basis_beyond_the_cap_is_refused():
+    # the basis rule is montgomery_branch's; at beta0 = -600 it needs more
+    # than 1024 functions per parity block
+    with pytest.raises(ConfinementError, match="more than 1024"):
+        machinery(WavePacketSpec(beta0=-600.0))
+
+
+def test_spec_has_no_grid():
+    for knob in ("grid_L", "grid_N"):
+        with pytest.raises(TypeError, match=knob):
+            WavePacketSpec(**{knob: 1})
+    for bad in ({"delta0": 0.0}, {"n": 0}, {"beta0": math.inf}, {"delta0": math.nan}):
+        with pytest.raises(ValueError, match="needs n >= 1, a finite delta0 != 0"):
+            WavePacketSpec(**bad)
 
 
 # -- profile evolution ----------------------------------------------------------
@@ -145,7 +249,7 @@ def test_sigma1_vanishes_where_profile_is_flat():
     m = machinery(SPEC)
     out = corrector_sigma1(SPEC, 0.0, GroupElement(0.7, 0.0, -0.3, 0.0))
     # y2 = y4 = 0 kills both derivative factors regardless of y1, y3
-    assert m.grid.norm(out) <= 1e-14
+    assert np.linalg.norm(out) <= 1e-14
 
 
 def test_sigma1_diagonal_vanishes_on_zero_p_locus():
@@ -153,7 +257,7 @@ def test_sigma1_diagonal_vanishes_on_zero_p_locus():
     m = machinery(SPEC)
     y = GroupElement(0.6, 0.5, -0.3, 0.8)  # y3 + y1 y2 = 0
     out = corrector_sigma1(SPEC, 0.0, y)
-    assert abs(complex(m.grid.inner(out, m.basis["phi"]))) <= 1e-12
+    assert abs(out @ m.basis["phi"]) <= 1e-12
 
 
 def test_sigma1_norm_bound():
@@ -161,16 +265,16 @@ def test_sigma1_norm_bound():
     y = GroupElement(0.4, 0.3, 0.2, -0.5)
     pv = m.profile.partials(0.0, 0.3, -0.5, 1)  # [k2, k4]
     P = -0.5 * (0.2 + 0.4 * 0.3)
-    bound = abs(P * pv[0, 1]) * m.grid.norm(m.basis["xi_phi"]) + abs(
+    bound = abs(P * pv[0, 1]) * np.linalg.norm(m.basis["xi_phi"]) + abs(
         pv[1, 0]
-    ) * m.grid.norm(m.basis["dphi"])
-    assert m.grid.norm(corrector_sigma1(SPEC, 0.0, y)) <= bound * (1 + 1e-12)
+    ) * np.linalg.norm(m.basis["dphi"])
+    assert np.linalg.norm(corrector_sigma1(SPEC, 0.0, y)) <= bound * (1 + 1e-12)
 
 
 def test_sigma2_orthogonal_to_carrier():
     m = machinery(SPEC)
     out = corrector_sigma2(SPEC, 0.2, GroupElement(0.3, 0.1, 0.2, -0.3))
-    assert abs(complex(m.grid.inner(out, m.basis["phi"]))) <= 1e-8
+    assert abs(out @ m.basis["phi"]) <= 1e-8
 
 
 def test_sigma2_zero_when_all_profile_curvature_vanishes():
@@ -183,14 +287,14 @@ def test_sigma2_zero_when_all_profile_curvature_vanishes():
     out = corrector_sigma2(SPEC, 0.0, y)
     pv = m.profile.partials(0.0, w2, w4, 2)
     assert abs(pv[2, 0]) <= 1e-14 and abs(pv[0, 2]) <= 1e-14
-    # remaining contribution only from (c3 - 1) a22 - P^2 a44 = 0 here
-    assert m.grid.norm(out) <= 1e-12
+    # sigma_2 has no term on phi: the identity term (c3 - 1) a22 - P^2 a44
+    # of its right side lies along phi, which Pi_perp removes
+    assert np.linalg.norm(out) <= 1e-12
 
 
 def test_sigma2_diagonal_diagnostic():
-    # the diagonal-part cancellation is exact up to an O(h^2) quadrature
-    # drift in <d1(xi phi), phi>, so the 1e-6 bar needs the finer grid
-    spec = WavePacketSpec(delta0=1.0, beta0=0.0, n=1, grid_L=8.0, grid_N=8192)
+    # the diagonal part cancels through <d/dxi (xi phi), phi> = 1/2 and
+    # <W dphi, phi> = (mu'' - 2)/4, both exact on coefficients
     ys = np.array(
         [
             [0.5, 0.3, -0.2, 0.4],
@@ -199,7 +303,7 @@ def test_sigma2_diagonal_diagnostic():
             [0.8, 0.8, 0.6, -0.6],
         ]
     )
-    assert sigma2_diagnostic(spec, 0.3, ys) <= 1e-6
+    assert sigma2_diagnostic(SPEC, 0.3, ys) <= 1e-6
 
 
 # -- ansatz ----------------------------------------------------------------------
@@ -212,7 +316,7 @@ def test_ansatz_phase_continuity_along_center_path():
     for t in ts:
         c = np.array(m.center(t).coords(), dtype=float)
         v = ansatz_values(SPEC, AnsatzOrder.WITH_SIGMA1, float(t), c[None, :], HBAR)[0]
-        vals.append(v * np.exp(1j * m.data.mu * t / HBAR))
+        vals.append(v * np.exp(1j * m.mu * t / HBAR))
     vals = np.array(vals)
     # after removing the dynamical phase the path is smooth: no branch jumps
     assert np.max(np.abs(np.diff(vals))) <= 0.1 * np.max(np.abs(vals))
@@ -223,25 +327,25 @@ def test_ansatz_modulus_at_moving_center():
     # recenters with x(t) but the representation argument stays at x0, so
     # the coefficient dephases; check against the independent coefficient
     # route (rep_apply shifts Phi1, the batch kernel shifts Phi2)
-    m = machinery(SPEC)
+    m, g = machinery(SPEC), on_grid(SPEC)
     hb = HBAR
     t = 0.3
     c = np.array(m.center(t).coords(), dtype=float)
     v = ansatz_values(SPEC, AnsatzOrder.LEADING, t, c[None, :], hb)[0]
     a = m.profile.partials(t, 0.0, 0.0, 0)[0, 0]
-    w = GroupElement(0.0, m.data.mu_d1 * t / hb, 0.0, 0.0)
-    pi_phi = rep_apply(Generic(SPEC.delta0, SPEC.beta0), w, m.basis["phi"].astype(complex), m.grid)
-    coef = complex(m.grid.inner(pi_phi, m.data.phi.astype(complex)))
+    w = GroupElement(0.0, m.mu_d1 * t / hb, 0.0, 0.0)
+    phi = g.basis["phi"].astype(complex)
+    coef = complex(g.grid.inner(rep_apply(g.param, w, phi, g.grid), phi))
     assert abs(v) == pytest.approx(hb ** (-1.75) * abs(a) * abs(coef), rel=1e-9)
 
 
 def test_oversized_shift_raises_grid_margin_error():
-    m = machinery(SPEC)
-    reach = live_window(np.hstack(list(m.images.values())), m.grid)[1]
-    w1 = m.grid.L - 0.5 * reach  # past the margin, inside the box
+    g = on_grid(SPEC)
+    reach = live_window(np.hstack(list(g.images.values())), g.grid)[1]
+    w1 = g.grid.L - 0.5 * reach  # past the margin, inside the box
     with pytest.raises(GridMarginError):
-        matrix_coefficient(Generic(SPEC.delta0, SPEC.beta0), GroupElement(w1, 0, 0, 0),
-                           m.basis["phi"], m.data.phi, m.grid)
+        matrix_coefficient(g.param, GroupElement(w1, 0, 0, 0),
+                           g.basis["phi"], g.basis["phi"], g.grid)
     with pytest.raises(GridMarginError):
         _bare(np.array([[w1 * HBAR, 0, 0, 0]]))
 
@@ -372,11 +476,11 @@ def _draw_samples(spec, t, hb, count, rng):
     linearly with w2 = z2/hbar (the chirp spreads the transverse mass), so
     their proposal widths are conditioned on the drawn z2.
     """
-    m = machinery(spec)
-    grid = m.grid
-    phi = m.basis["phi"]
+    m, g = machinery(spec), on_grid(spec)
+    grid = g.grid
+    phi = g.basis["phi"]
     sx = math.sqrt(max(float(grid.inner(grid.nodes**2 * phi, phi).real), 1e-12))
-    reach = live_window(np.hstack(list(m.images.values())), grid)[1]
+    reach = live_window(np.hstack(list(g.images.values())), grid)[1]
     d0 = abs(spec.delta0)
     s2 = m.profile.evolved_width2(t) * math.sqrt(hb)
     s4 = m.profile.width4 * hb**1.5
@@ -397,24 +501,24 @@ def _draw_samples(spec, t, hb, count, rng):
     return multiply(m.center(t), GroupElement(z1, z2, z3, z4)), 1.0 / q
 
 
-def _pointwise(spec, order, t, hb, points):
+def _pointwise(spec, order, t, hb, points, grid=packet_reference.GRID):
     """Reference: r and psi at group points, accumulated from one
-    coefficient-kernel call,
+    coefficient-kernel call on the packet's vectors sampled on `grid`,
 
         r = hbar^{-7/4} e^{-i mu t/hbar} sum_j [(i hbar D_t A_j + hbar Delta A_j) C[v_j]
             + 2 sqrt(hbar) (X1 A_j C[D1 v_j] + i X2 A_j C[W v_j]) + A_j C[(mu - H) v_j]],
 
     without the common factor hbar^{-7/4} e^{-i mu t/hbar}, as {order: (r, psi)}
     for every order from LEADING through `order`."""
-    m = machinery(spec)
+    m, g = machinery(spec), on_grid(spec, grid)
     w, y = packet_reference._arguments(m, t, points, hb)
     tables = wavepacket._ansatz_terms(m, order, hb)
-    V = np.hstack([m.images[n] for table in tables for n in table])
-    C = matrix_coefficients(m.data.param, w, V, m.data.phi, m.grid).reshape(len(w), -1, 4)
+    V = np.hstack([g.images[n] for table in tables for n in table])
+    C = matrix_coefficients(g.param, w, V, g.basis["phi"], grid).reshape(len(w), -1, 4)
     sc = packet_reference._scalars(m, t, y, 4)
     ev, derive, X1, X2 = (packet_reference._evaluate, wavepacket._derive,
                           wavepacket._X1, wavepacket._X2)
-    dt = ({}, {}, {(0, 0, 2, 0): 1j * m.dispersion, (0, 0, 1, 0): -m.data.mu_d1 / math.sqrt(hb)})
+    dt = ({}, {}, {(0, 0, 2, 0): 1j * m.dispersion, (0, 0, 1, 0): -m.mu_d1 / math.sqrt(hb)})
     psi = r = 0.0
     j = 0
     out = {}
@@ -470,7 +574,7 @@ def _fd_relative_residual(spec, order, t, hb, points, weights, fd_eps=1e-3, dt_f
 @pytest.mark.parametrize("hb", [0.1, 0.0125])
 @pytest.mark.parametrize("order", list(AnsatzOrder))
 def test_exact_residual_matches_finite_differences(order, hb):
-    # same samples, so only the discretizations differ: grid generators
+    # same samples, so only the discretizations differ: exact generators
     # against the stencil on the coefficient kernel (measured <= 2.4e-3)
     points, weights = _draw_samples(SPEC, 0.1, hb, 2000, np.random.default_rng(3))
     exact = _mc_residual(SPEC, order, 0.1, hb, points, weights)[order][0]
@@ -494,14 +598,12 @@ def test_residual_exact_matches_monte_carlo(hb):
         assert abs(est.relative - rel) <= MAX_Z * err, order
 
 
-class _FFTDerivative:
-    """Stand-in for InfinitesimalOp(grid, None): d/dxi by FFT."""
-
-    def __init__(self, grid, diagonal):
-        self.grid = grid
-
-    def apply(self, v):
-        return _spectral_derivative(v, self.grid)
+# a coarse grid (h = 0.05) for the brute-force (w1, w3) quadratures, so
+# that the kernel's w3 period 2 pi/(|delta| h) takes few nodes; L = 20
+# clears the largest w1 shift (9.5) plus the reach of the (mu - H) images,
+# whose rounding-level Hermite tails stay above the kernel's live threshold
+# out to |xi| ~ 9.2
+COARSE = SpectralGrid(20.0, 801)
 
 
 @pytest.mark.parametrize("hb", [0.1, 0.0125])
@@ -509,12 +611,11 @@ def test_residual_fibre_density_matches_brute_force(monkeypatch, hb):
     # int int |r|^2 dw1 dw3 at three (y2, y4) nodes: residual's Gram-sum
     # density against a brute-force quadrature of the pointwise reference.
     # The w3 window is one period of the grid kernel, shifted to the
-    # transverse mass at w3 ~ -w1 w2 / 2.  FFT derivatives in the pair map
-    # make the identities exact up to the kernel's splines: measured 1.9e-8
-    # at both hbar, bound at ~5x (with the machinery's D1 it is 3.5e-5 to
-    # 9.8e-5 at hbar = 0.1)
-    spec = WavePacketSpec(delta0=1.3, beta0=0.3, n=1, grid_L=16.0, grid_N=641)
-    m = machinery(spec)  # built before the patch: its images keep D1
+    # transverse mass at w3 ~ -w1 w2 / 2.  The pair map's generators are
+    # exact, so the two agree up to the kernel's splines: measured 1.9e-8
+    # at both hbar, bound at ~5x
+    spec = WavePacketSpec(delta0=1.3, beta0=0.3, n=1)
+    m = machinery(spec)
     t, top = 0.1, AnsatzOrder.WITH_SIGMA1_AND_2
     densities = []
     fibre_densities = wavepacket._fibre_densities
@@ -524,18 +625,17 @@ def test_residual_fibre_density_matches_brute_force(monkeypatch, hb):
         return densities
 
     monkeypatch.setattr(wavepacket, "_fibre_densities", captured)
-    monkeypatch.setattr(wavepacket, "InfinitesimalOp", _FFTDerivative)
     residual(spec, top, t, hbar=hb)
     r_density = densities[-1]  # psi and r of each order in turn
     y2, y4, _ = wavepacket._fibre_rule(m, t)
-    period, M, dw1 = 2.0 * math.pi / (abs(spec.delta0) * m.grid.h), 256, 0.1
+    period, M, dw1 = 2.0 * math.pi / (abs(spec.delta0) * COARSE.h), 256, 0.1
     w1, k = np.meshgrid(np.arange(-9.5, 9.5, dw1) + 0.013,
                         (np.arange(M) - M // 2) * period / M, indexing="ij")
     for i, j in ((3, 4), (4, 2), (2, 5)):
-        w2 = (math.sqrt(hb) * y2[i, 0] + m.data.mu_d1 * t) / hb
+        w2 = (math.sqrt(hb) * y2[i, 0] + m.mu_d1 * t) / hb
         w = GroupElement(w1.ravel(), np.full(w1.size, w2), (k - 0.5 * w1 * w2).ravel(),
                          np.full(w1.size, y4[0, j] / hb**1.5))
-        r = _pointwise(spec, top, t, hb, dilate(hb, w))[top][0]
+        r = _pointwise(spec, top, t, hb, dilate(hb, w), COARSE)[top][0]
         brute = dw1 * period / M * np.sum(np.abs(r) ** 2)
         assert brute == pytest.approx(r_density[i, j], rel=1e-7)
 
@@ -569,20 +669,21 @@ def test_fibre_gram_and_w3_identities(w2, w4):
     # brute-force (w1, w3) quadrature of the coefficient kernel against
     #   int int C[u;v] conj C[u';v'] = (2 pi/|delta|) (u,u') (v',v)
     #   (w3 + w1 w2) C[u;v] = -w2 C[u; xi v] + (i/delta) (C[u';v] + C[u;v'])
-    # on a coarse packet grid (h = 0.05).  The kernel's sum over nodes makes
-    # C a trigonometric polynomial in w3 of period 2 pi/(|delta| h), so the
-    # trapezoid rule on one period with more nodes than the live span (208)
-    # is exact in w3; w1 runs off the nodes, through the splines of v.
-    spec = WavePacketSpec(delta0=1.3, beta0=0.3, n=1, grid_L=16.0, grid_N=641)
-    m = machinery(spec)
-    grid, d = m.grid, spec.delta0
-    us = [m.basis[k] for k in ("phi", "xi_phi", "dphi")]
-    vs = [m.basis[k] for k in ("phi", "xi_phi")]
+    # on the packet's vectors sampled on a coarse grid (h = 0.05).  The
+    # kernel's sum over nodes makes C a trigonometric polynomial in w3 of
+    # period 2 pi/(|delta| h), so the trapezoid rule on one period with
+    # more nodes than the live span (208) is exact in w3; w1 runs off the
+    # nodes, through the splines of v.
+    spec = WavePacketSpec(delta0=1.3, beta0=0.3, n=1)
+    g = on_grid(spec, COARSE)
+    grid, d = g.grid, spec.delta0
+    us = [g.basis[k] for k in ("phi", "xi_phi", "dphi")]
+    vs = [g.basis[k] for k in ("phi", "xi_phi")]
     period, M, dw1 = 2.0 * math.pi / (abs(d) * grid.h), 256, 0.1
     w1, w3 = np.meshgrid(np.arange(-9.5, 9.5, dw1) + 0.013,
                          (np.arange(M) - M // 2) * period / M, indexing="ij")
     pts = np.stack([w1.ravel(), np.full(w1.size, w2), w3.ravel(), np.full(w1.size, w4)], -1)
-    C = np.concatenate([matrix_coefficients(m.data.param, pts, np.column_stack(us), v, grid)
+    C = np.concatenate([matrix_coefficients(g.param, pts, np.column_stack(us), v, grid)
                         for v in vs], axis=1)  # column (v, u) pairs, v-major
     pairs = [(u, v) for v in vs for u in us]
     dA = dw1 * period / M
@@ -607,10 +708,6 @@ def test_fibre_gram_and_w3_identities(w2, w4):
     # the three (w2, w4), the splines' interpolation error; bounds at ~4x
     assert rel(brute, exact) <= 2e-7
     assert rel(moment, w3_rhs(lambda v: _spectral_derivative(v, grid))) <= 4e-7
-    # with the central-difference D1 of the machinery's images, which
-    # transport uses, its O(h^2) error shows: measured 8.8e-5 to 7.4e-4; bound at ~4x
-    d1 = InfinitesimalOp(grid, None)
-    assert rel(moment, w3_rhs(lambda v: d1.apply(v).real)) <= 3e-3
 
 
 def _mc_transport(spec, t, hb, count, seed):
@@ -621,11 +718,11 @@ def _mc_transport(spec, t, hb, count, seed):
     at twice its variance, and (w1, w3) follow the coefficient's transverse
     mass, which sits at w3 ~ -w1 w2 / 2 and spreads with the chirp |w2|.
     """
-    m = machinery(spec)
+    m, g = machinery(spec), on_grid(spec)
     rng = np.random.default_rng(seed)
-    grid = m.grid
-    sig = math.sqrt(grid.inner(grid.nodes**2 * m.basis["phi"], m.basis["phi"]).real)
-    c = m.data.mu_d1 * t
+    grid = g.grid
+    sig = math.sqrt(grid.inner(grid.nodes**2 * g.basis["phi"], g.basis["phi"]).real)
+    c = m.mu_d1 * t
     s2 = m.profile.evolved_width2(t) * math.sqrt(hb)
     s4 = m.profile.width4 * hb**1.5
     z2 = c + s2 * rng.standard_normal(count)
