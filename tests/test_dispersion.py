@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from grid_reference import eigenvalues_extrapolated
 
 from engellab import dispersion, spectral
 from engellab.dispersion import (
@@ -23,7 +24,6 @@ from engellab.spectral import (
     ConfinementError,
     Montgomery,
     box_grid,
-    eigenvalues_extrapolated,
     spectral_data,
 )
 

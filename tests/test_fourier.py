@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from grid_reference import infinitesimal
 from scipy.interpolate import CubicSpline
 
 from engellab import fourier
@@ -18,7 +19,6 @@ from engellab.fourier import (
     difference_op_check,
     fourier_gaussian,
     fourier_product_kernel,
-    infinitesimal,
     live_window,
     matrix_coefficient,
     matrix_coefficients,
@@ -356,6 +356,87 @@ def test_kernel_zero_when_phi2_misses_window():
     assert not np.any(matrix_coefficients(PARAM, coords, V, phi2, ORACLE_GRID))
     ref = _direct_coefficients(PARAM, coords, V, phi2, ORACLE_GRID)
     assert np.max(np.abs(ref)) <= 1e-12
+
+
+# -- phi2's prepared spline, kept from the last call ------------------------------
+
+
+def _cold(monkeypatch, param, coords, V, phi2, grid):
+    """matrix_coefficients with the memo of phi2's preparation cleared."""
+    monkeypatch.setattr(fourier, "_last_prepared", None)
+    return matrix_coefficients(param, coords, V, phi2, grid)
+
+
+MEMO_POINTS = np.random.default_rng(5).uniform(-1.5, 1.5, size=(_TILE + 3, 4))
+
+
+@pytest.mark.parametrize("param", ORACLE_PARAMS, ids=repr)
+def test_memo_result_is_the_cold_result(param, monkeypatch):
+    # a warm call reuses the last preparation and gives the cold call's bits,
+    # for a V of several columns and for V = phi2, whose window is reused too
+    V, phi2 = _oracle_vectors(True)
+    for cols in (V, phi2[:, None]):
+        for coords in (MEMO_POINTS, MEMO_POINTS[:1]):
+            cold = _cold(monkeypatch, param, coords, cols, phi2, ORACLE_GRID)
+            prep = fourier._last_prepared
+            warm = matrix_coefficients(param, coords, cols, phi2, ORACLE_GRID)
+            assert fourier._last_prepared is prep
+            assert warm.tobytes() == cold.tobytes()
+
+
+def test_memo_sees_phi2_changed_in_place(monkeypatch):
+    # phi2 and V = phi2 change in place between calls: the new values count
+    V, phi2 = _oracle_vectors(True)
+    matrix_coefficients(PARAM, MEMO_POINTS, V, phi2, ORACLE_GRID)
+    matrix_coefficient(PARAM, GroupElement(0.2, 0.1, 0, 0), phi2, phi2, ORACLE_GRID)
+    phi2 *= np.exp(0.9j * ORACLE_GRID.nodes)
+    phi2[400:420] = 0.0
+    x = GroupElement(*MEMO_POINTS[0])
+    got = matrix_coefficients(PARAM, MEMO_POINTS, V, phi2, ORACLE_GRID)
+    one = matrix_coefficient(PARAM, x, phi2, phi2, ORACLE_GRID)
+    fresh = phi2.copy()
+    assert got.tobytes() == _cold(monkeypatch, PARAM, MEMO_POINTS, V, fresh,
+                                  ORACLE_GRID).tobytes()
+    ref = _cold(monkeypatch, PARAM, MEMO_POINTS[:1], fresh[:, None], fresh, ORACLE_GRID)
+    assert one == complex(ref[0, 0])
+
+
+def test_memo_never_keeps_refused_phi2():
+    # after a good call a NaN phi2 on the same grid still raises, and the
+    # memo keeps the good preparation; a shift past the box still raises
+    # when V is the prepared vector
+    V, phi2 = _oracle_vectors(False)
+    good = matrix_coefficients(PARAM, MEMO_POINTS, V, phi2, ORACLE_GRID)
+    prep = fourier._last_prepared
+    bad = phi2.copy()
+    bad[500] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        matrix_coefficients(PARAM, MEMO_POINTS, V, bad, ORACLE_GRID)
+    with pytest.raises(ValueError, match="finite"):
+        matrix_coefficient(PARAM, GroupElement(0.1, 0, 0, 0), bad, bad, ORACLE_GRID)
+    assert fourier._last_prepared is prep
+    assert matrix_coefficients(PARAM, MEMO_POINTS, V, phi2, ORACLE_GRID).tobytes() \
+        == good.tobytes()
+    with pytest.raises(GridMarginError):
+        matrix_coefficient(PARAM, GroupElement(ORACLE_GRID.L, 0, 0, 0), phi2, phi2,
+                           ORACLE_GRID)
+
+
+def test_memo_keyed_by_grid_and_dtype(monkeypatch):
+    # the same values on another grid of as many nodes, and as float and as
+    # complex, are each prepared anew and give their cold results
+    V, phi2 = _oracle_vectors(False)
+    other = SpectralGrid(15.0, ORACLE_GRID.N)
+    cases = [(ORACLE_GRID, phi2), (other, phi2), (ORACLE_GRID, phi2.astype(complex)),
+             (ORACLE_GRID, phi2)]
+    for single in (False, True):
+        cols = (lambda p: p[:, None]) if single else (lambda p: V)
+        cold = [_cold(monkeypatch, PARAM, MEMO_POINTS, cols(p), p, g) for g, p in cases]
+        for (g, p), ref in zip(cases, cold):
+            got = matrix_coefficients(PARAM, MEMO_POINTS, cols(p), p, g)
+            assert fourier._last_prepared.grid == g
+            assert fourier._last_prepared.phi2.dtype == p.dtype
+            assert got.tobytes() == ref.tobytes()
 
 
 # -- 1-D factor transforms -------------------------------------------------------

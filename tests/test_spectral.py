@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from grid_reference import InfinitesimalOp, eigenvalues_extrapolated
 from hypothesis import given, settings, strategies as st
 from projector import projector_derivative
 from scipy.linalg import eigh_tridiagonal
@@ -21,7 +22,6 @@ from engellab.spectral import (
     build_hamiltonian,
     eigen_lowest,
     eigen_mode,
-    eigenvalues_extrapolated,
     potential,
     real_cbrt,
     solve_lowest,
@@ -285,8 +285,6 @@ def test_diagonal_part_identity_x2():
 
 def test_diagonal_part_identity_x1():
     # <pi(X1) dPi phi, phi> = (1/(2 i delta)) mu' <pi(X3) phi, phi>
-    from engellab.fourier import InfinitesimalOp
-
     delta, beta, n = 1.0, 0.3, 1
     data = spectral_data(delta, beta, n, N=8192)
     g = data.grid
