@@ -10,9 +10,11 @@ coefficient is mutilde_n''(nu0)/2.
 
 `montgomery_branch` gives the branch and its first two nu-derivatives by
 Galerkin on Hermite functions, where Htilde(nu) = p^2 + nu^2 + nu xi^2 +
-xi^4/4 is an exact pentadiagonal matrix on each parity block: no box, grid
-or Richardson step.  `critical_points` runs on it alone, and it is the
-curvature reference of `curvature_consistency`.
+xi^4/4 is an exact pentadiagonal matrix on each parity block: per basis
+size one eigenpair of that block and one banded reduced-resolvent solve
+for the second derivative, with no box, grid or Richardson step.
+`critical_points` runs on it alone, and it is the curvature reference of
+`curvature_consistency`.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import eig_banded
+from scipy.linalg.lapack import dgbsv
 
 from .spectral import ConfinementError, real_cbrt, spectral_data
 
@@ -34,25 +37,33 @@ from .spectral import ConfinementError, real_cbrt, spectral_data
 # ---------------------------------------------------------------------------
 
 # over n = 1..30 and nu in [-40, 100] at unit steps the two sizes agree to
-# 9.1e-12 (2.5e-12 over n <= 12); the eigenvectors of _BASIS_MAX functions
-# take 8 MiB
+# 5.5e-12 (1.4e-12 over n <= 12); at _BASIS_MAX functions a branch solve
+# allocates 8 MiB, the reduction matrix of dsbevx, and keeps O(m) arrays
 _BASIS_MIN, _BASIS_STEP, _BASIS_RTOL, _BASIS_MAX = 24, 8, 1e-10, 1024
 
 
-def certify_basis(n: int, nu: float, solve):
-    """solve(m) -> ((mu, mu', mu''), extra) on m Hermite functions per parity
-    block, at the rule's m and at _BASIS_STEP more, for mode n of Htilde(nu).
-
-    The rule is _BASIS_MIN + 2n + 2 ceil(max(-nu, 0)) functions (mode n has
-    about n/2 nodes in each of the wells at xi^2 = -2 nu).  Returns the
-    larger solve; ConfinementError if one of its values differs from the
-    rule's by over _BASIS_RTOL max(1, |value|) or the rule needs over
-    _BASIS_MAX functions (nu below about n - 496).
-    """
+def _basis_size(n: int, nu: float) -> int:
+    """The rule's number of Hermite functions per parity block for mode n of
+    Htilde(nu): _BASIS_MIN + 2n + 2 ceil(max(-nu, 0)) (mode n has about n/2
+    nodes in each of the wells at xi^2 = -2 nu); ConfinementError if it
+    and the certificate's _BASIS_STEP more exceed _BASIS_MAX (nu below
+    about n - 496)."""
     size = _BASIS_MIN + 2 * n + 2 * math.ceil(max(-nu, 0.0))
     if size + _BASIS_STEP > _BASIS_MAX:
         raise ConfinementError(f"mutilde_{n}({nu}) needs {size + _BASIS_STEP} "
                                f"Hermite functions, more than {_BASIS_MAX}")
+    return size
+
+
+def certify_basis(n: int, nu: float, solve):
+    """solve(m) -> ((mu, mu', mu''), extra) on m Hermite functions per parity
+    block, at `_basis_size`'s m and at _BASIS_STEP more, for mode n of
+    Htilde(nu).
+
+    Returns the larger solve; ConfinementError if one of its values differs
+    from the rule's by over _BASIS_RTOL max(1, |value|).
+    """
+    size = _basis_size(n, nu)
     (rule, _), (more, extra) = solve(size), solve(size + _BASIS_STEP)
     if np.any(np.abs(rule - more) > _BASIS_RTOL * np.maximum(1.0, np.abs(more))):
         raise ConfinementError(f"mutilde_{n}({nu}): {size} and {size + _BASIS_STEP} Hermite "
@@ -64,38 +75,62 @@ def montgomery_branch(n: int, nu: float) -> tuple[float, float, float]:
     """mutilde_n(nu) and its first two nu-derivatives.
 
     Galerkin on the Hermite functions k = p, p + 2, ... of the parity p of
-    mode n, where it is eigenvalue (n - 1) // 2.  On unit-length functions
-    xi^2 has diagonal k + 1/2 and (k, k + 2) entry sqrt((k + 1)(k + 2))/2,
-    p^2 the same diagonal and the negated off-diagonal, and xi^4 is the
-    square of xi^2 over all k; at length s they scale by s^2, 1/s^2 and
-    s^4, so the block is exact.  mu' = 2 nu + <phi, xi^2 phi> and mu'' is
-    the complete Feynman-Hellmann sum over the block.  The length is
-    s = (2 + max(nu, 0))^{-1/4} (harmonic for large nu) and the basis size
-    is certified by `certify_basis`.
+    mode n, where it is eigenvalue j = (n - 1) // 2.  On unit-length
+    functions xi^2 has diagonal k + 1/2 and (k, k + 2) entry
+    sqrt((k + 1)(k + 2))/2, p^2 the same diagonal and the negated
+    off-diagonal, and xi^4 is the square of xi^2 over all k; at length s
+    they scale by s^2, 1/s^2 and s^4, so the block is exact.  Only
+    eigenpair j is solved, by `eig_banded`, whose Sturm-count bisection
+    certifies the index.  mu' = 2 nu + <phi, xi^2 phi> and mu'' = 2 +
+    2 <r, u> with r = Pi_perp xi^2 phi and (mu - H) u = r: one reduced-
+    resolvent solve, a banded LU (`dgbsv`) of mu - H with Nelson's
+    normalization u_i = 0 at phi's largest entry i in place of <u, phi> = 0
+    (the two differ by a multiple of phi, to which r is orthogonal), which
+    leaves a nonsingular system.  The length is s = (2 + max(nu, 0))^{-1/4}
+    (harmonic for large nu) and the basis size is certified by
+    `certify_basis`; the band is built once at the certificate's size, and
+    the rule's size solves its leading block.
     """
     nu = float(nu)
     if n < 1 or not math.isfinite(nu):
         raise ValueError(f"need n >= 1 and a finite nu, got n = {n}, nu = {nu}")
     s2, j = (2.0 + max(nu, 0.0)) ** -0.5, (n - 1) // 2
+    # the entries depend on k alone, so the rule's block leads the certificate's
+    k = np.arange((n - 1) % 2, 2 * (_basis_size(n, nu) + _BASIS_STEP), 2.0)
+    d, e = k + 0.5, 0.5 * np.sqrt((k + 1) * (k + 2))
+    band = np.zeros((3, len(k)))
+    band[0] = d * d + e * e
+    band[0, 1:] += e[:-1] * e[:-1]
+    band[1], band[2, :-1] = 2.0 * e * (d + 1.0), e[:-1] * e[1:]
+    band *= 0.25 * s2 * s2
+    band[0] += (1.0 / s2 + nu * s2) * d
+    band[1] += (nu * s2 - 1.0 / s2) * e
+    # -band in LAPACK's general band storage, entry (r, c) in row 4 + r - c;
+    # rows 0 and 1 are the LU's fill-in
+    neg = np.zeros((7, len(k)))
+    neg[4:] = -band
+    neg[3, 1:], neg[2, 2:] = neg[5, :-1], neg[6, :-2]
 
     def solve(m: int):
-        k = 2.0 * np.arange(m) + (n - 1) % 2
-        d, e = k + 0.5, 0.5 * np.sqrt((k + 1) * (k + 2))
-        band = np.zeros((3, m))
-        band[0] = d * d + e * e + np.r_[0.0, e[:-1]] ** 2
-        band[1, :-1], band[2, :-2] = e[:-1] * (d[:-1] + d[1:]), e[:-2] * e[1:-1]
-        band *= 0.25 * s2 * s2
-        band[0] += (1.0 / s2 + nu * s2) * d
-        band[1, :-1] += (nu * s2 - 1.0 / s2) * e[:-1]
-        w, v = eig_banded(band, lower=True)
-        phi = v[:, j]
-        x2_phi = d * phi
-        x2_phi[:-1] += e[:-1] * phi[1:]
-        x2_phi[1:] += e[:-1] * phi[:-1]
-        c = s2 * (v.T @ x2_phi)
-        gaps = w[j] - w
-        gaps[j] = math.inf
-        return np.array([nu * nu + w[j], 2.0 * nu + c[j], 2.0 + 2.0 * np.sum(c * c / gaps)]), None
+        (w,), v = eig_banded(band[:, :m], lower=True, select="i", select_range=(j, j))
+        phi = v[:, 0]
+        x2_phi = d[:m] * phi
+        x2_phi[:-1] += e[:m - 1] * phi[1:]
+        x2_phi[1:] += e[:m - 1] * phi[:-1]
+        c = phi @ x2_phi
+        r = x2_phi - c * phi
+        # column i of mu - H becomes a unit column, so the other entries of u
+        # solve the system without row and column i; row i leaves rounding
+        # in u_i, which the normalization sets to zero
+        lu = neg[:, :m].copy()
+        lu[4] += w
+        i = np.argmax(np.abs(phi))
+        lu[2:, i] = 0.0, 0.0, 1.0, 0.0, 0.0
+        *_, u, info = dgbsv(2, 2, lu, r, overwrite_ab=1)
+        if info:
+            raise np.linalg.LinAlgError(f"mode {j} of mutilde_{n}({nu})'s block is degenerate")
+        u[i] = 0.0
+        return np.array([nu * nu + w, 2.0 * nu + s2 * c, 2.0 + 2.0 * s2 * s2 * (r @ u)]), None
 
     return tuple(map(float, certify_basis(n, nu, solve)[0]))
 

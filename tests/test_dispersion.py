@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from grid_reference import eigenvalues_extrapolated
+from hermite_reference import branch_by_spectral_sum, parity_block
 
 from engellab import dispersion, spectral
 from engellab.dispersion import (
@@ -135,7 +136,7 @@ def test_curvature_is_the_last_newton_solve_fh_second_derivative(n):
     # on nu_c +- 0.1 is an independent route to the curvature.  The fit
     # averages out the rounding of mu', which makes a Richardson difference
     # at step 1e-3 scatter by up to 4.6e-12 as the basis size changes.
-    # Measured 5.3e-15 to 3.0e-13 over n = 1..4 (at most 3.3e-13 with 23 to
+    # Measured 6.7e-16 to 3.5e-13 over n = 1..4 (at most 3.5e-13 with 23 to
     # 60 in place of _BASIS_MIN over n = 1..3); bound at ~3x
     reports = critical_points(n)
     assert reports
@@ -182,7 +183,7 @@ def test_montgomery_branch_matches_fd_richardson():
 
 def test_montgomery_branch_converges_in_basis_size(monkeypatch):
     # 200 + 2n + 2 max(0, -nu) functions instead of 24 + 2n + ...: measured
-    # 1.5e-12 of max(1, |value|) at worst over these points; bound at ~7x
+    # 1.0e-12 of max(1, |value|) at worst over these points; bound at ~10x
     points = [(n, nu) for n in (1, 2, 3, 4, 8, 12)
               for nu in (-40.0, -12.0, -1.0, 0.0, 4.0, 40.0, 100.0)]
     rule = [montgomery_branch(n, nu) for n, nu in points]
@@ -194,6 +195,62 @@ def test_montgomery_branch_converges_in_basis_size(monkeypatch):
     # a basis too small for the level fails its own certificate
     monkeypatch.setattr(dispersion, "_BASIS_MIN", 2)
     with pytest.raises(ConfinementError, match="Hermite functions give"):
+        montgomery_branch(1, 0.0)
+
+
+def test_branch_matches_the_complete_feynman_hellmann_sum():
+    # one eigenpair and one reduced-resolvent solve against every eigenpair
+    # of the block and mu'' as the sum over the other modes, at the samples
+    # of the default scan: measured 1.8e-14 of max(1, |value|) at worst
+    for n in (1, 2, 3, 4):
+        for nu in np.linspace(-4.0, 4.0, 161):
+            got, ref = np.array(montgomery_branch(n, nu)), np.array(branch_by_spectral_sum(n, nu))
+            assert np.all(np.abs(got - ref) <= 3e-14 * np.maximum(1.0, np.abs(ref))), (n, nu)
+
+
+def _branch_or_none(branch, n, nu):
+    try:
+        return np.array(branch(n, nu))
+    except ConfinementError:
+        return None
+
+
+@pytest.mark.parametrize("basis_min", [dispersion._BASIS_MIN, 4])
+def test_branch_refuses_where_the_spectral_sum_does(basis_min, monkeypatch):
+    # every third n of 1..30 and every fifth nu of [-40, 100]: at the rule's
+    # size neither route refuses a point and they agree to 4.0e-12 of
+    # max(1, |value|) (7.0e-12 over all 4 230 points at unit steps), bound at
+    # ~3x; with 4 in place of _BASIS_MIN the certificate refuses 31 of these
+    # points, the same ones for both routes
+    monkeypatch.setattr(dispersion, "_BASIS_MIN", basis_min)
+    refused = []
+    for n in range(1, 31, 3):
+        for nu in range(-40, 101, 5):
+            got = _branch_or_none(montgomery_branch, n, float(nu))
+            ref = _branch_or_none(branch_by_spectral_sum, n, float(nu))
+            assert (got is None) == (ref is None), (n, nu)
+            if got is None:
+                refused.append((n, nu))
+            else:
+                assert np.all(np.abs(got - ref) <= 1.2e-11 * np.maximum(1.0, np.abs(ref)))
+    assert (len(refused) > 0) == (basis_min == 4)
+
+
+def test_branch_solves_the_eigenvalue_of_its_index():
+    # mu - nu^2 is eigenvalue (n - 1) // 2 of the dense parity block at the
+    # certificate's size, where the tunnelling pairs at nu = -40 sit in the
+    # two blocks: measured 9.0e-15 relative at worst
+    for n in range(1, 9):
+        for nu in (-40.0, -20.0, 0.0, 50.0):
+            m = dispersion._basis_size(n, nu) + dispersion._BASIS_STEP
+            ev = np.linalg.eigvalsh(parity_block(n, nu, m))[(n - 1) // 2]
+            assert abs(montgomery_branch(n, nu)[0] - nu * nu - ev) <= 1e-13 * abs(ev), (n, nu)
+
+
+def test_singular_reduced_resolvent_is_refused(monkeypatch):
+    # a singular LU would pass NaN through the certificate; it raises instead
+    monkeypatch.setattr(dispersion, "dgbsv", lambda *a, **k: (None, None, a[3], 1))
+    with pytest.raises(np.linalg.LinAlgError, match="degenerate"):
         montgomery_branch(1, 0.0)
 
 
