@@ -222,6 +222,8 @@ def run_dispersion(cfg: dict, seed: int) -> RunReport:
                           f"{nu_min}, {nu_max}, {step}")
     if not ns or nu_max <= nu_min:
         raise ConfigError("empty sweep grid")
+    if N < 3 or not all(isinstance(n, int) and n >= 1 for n in ns):
+        raise ConfigError(f"dispersion needs integer modes >= 1 and grid_n >= 3, got {ns}, {N}")
     nus = np.arange(nu_min, nu_max + 0.5 * step, step)
     rep = RunReport("dispersion", cfg)
 

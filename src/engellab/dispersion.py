@@ -26,8 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eig_banded
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dgbsv, dsbevx
 
 from .spectral import ConfinementError, real_cbrt, spectral_data
 
@@ -40,6 +39,7 @@ from .spectral import ConfinementError, real_cbrt, spectral_data
 # 5.5e-12 (1.4e-12 over n <= 12); at _BASIS_MAX functions a branch solve
 # allocates 8 MiB, the reduction matrix of dsbevx, and keeps O(m) arrays
 _BASIS_MIN, _BASIS_STEP, _BASIS_RTOL, _BASIS_MAX = 24, 8, 1e-10, 1024
+_ABSTOL = 2.0 * np.finfo(float).tiny  # eig_banded's dsbevx tolerance, 2 dlamch("s")
 
 
 def _basis_size(n: int, nu: float) -> int:
@@ -80,16 +80,16 @@ def montgomery_branch(n: int, nu: float) -> tuple[float, float, float]:
     sqrt((k + 1)(k + 2))/2, p^2 the same diagonal and the negated
     off-diagonal, and xi^4 is the square of xi^2 over all k; at length s
     they scale by s^2, 1/s^2 and s^4, so the block is exact.  Only
-    eigenpair j is solved, by `eig_banded`, whose Sturm-count bisection
-    certifies the index.  mu' = 2 nu + <phi, xi^2 phi> and mu'' = 2 +
-    2 <r, u> with r = Pi_perp xi^2 phi and (mu - H) u = r: one reduced-
-    resolvent solve, a banded LU (`dgbsv`) of mu - H with Nelson's
-    normalization u_i = 0 at phi's largest entry i in place of <u, phi> = 0
-    (the two differ by a multiple of phi, to which r is orthogonal), which
-    leaves a nonsingular system.  The length is s = (2 + max(nu, 0))^{-1/4}
-    (harmonic for large nu) and the basis size is certified by
-    `certify_basis`; the band is built once at the certificate's size, and
-    the rule's size solves its leading block.
+    eigenpair j is solved, by LAPACK dsbevx called as `eig_banded` calls
+    it, whose Sturm-count bisection certifies the index.  mu' = 2 nu +
+    <phi, xi^2 phi> and mu'' = 2 + 2 <r, u> with r = Pi_perp xi^2 phi and
+    (mu - H) u = r: one reduced-resolvent solve, a banded LU (`dgbsv`) of
+    mu - H with Nelson's normalization u_i = 0 at phi's largest entry i in
+    place of <u, phi> = 0 (the two differ by a multiple of phi, to which r
+    is orthogonal), which leaves a nonsingular system.  The length is s =
+    (2 + max(nu, 0))^{-1/4} (harmonic for large nu) and the basis size is
+    certified by `certify_basis`; the band is built once at the
+    certificate's size, and the rule's size solves its leading block.
     """
     nu = float(nu)
     if n < 1 or not math.isfinite(nu):
@@ -112,8 +112,9 @@ def montgomery_branch(n: int, nu: float) -> tuple[float, float, float]:
     neg[3, 1:], neg[2, 2:] = neg[5, :-1], neg[6, :-2]
 
     def solve(m: int):
-        (w,), v = eig_banded(band[:, :m], lower=True, select="i", select_range=(j, j))
-        phi = v[:, 0]
+        w, v, _, _, info = dsbevx(band[:, :m], 0.0, 1.0, j + 1, j + 1, range=2, lower=1,
+                                  abstol=_ABSTOL, overwrite_ab=0)
+        w, phi = w[0], v[:, 0]
         x2_phi = d[:m] * phi
         x2_phi[:-1] += e[:m - 1] * phi[1:]
         x2_phi[1:] += e[:m - 1] * phi[:-1]
@@ -126,8 +127,8 @@ def montgomery_branch(n: int, nu: float) -> tuple[float, float, float]:
         lu[4] += w
         i = np.argmax(np.abs(phi))
         lu[2:, i] = 0.0, 0.0, 1.0, 0.0, 0.0
-        *_, u, info = dgbsv(2, 2, lu, r, overwrite_ab=1)
-        if info:
+        *_, u, lu_info = dgbsv(2, 2, lu, r, overwrite_ab=1)
+        if info or lu_info:
             raise np.linalg.LinAlgError(f"mode {j} of mutilde_{n}({nu})'s block is degenerate")
         u[i] = 0.0
         return np.array([nu * nu + w, 2.0 * nu + s2 * c, 2.0 + 2.0 * s2 * s2 * (r @ u)]), None

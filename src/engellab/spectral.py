@@ -17,14 +17,14 @@ Discretization: second-order central differences with Dirichlet walls at
 the symmetric tridiagonal matrix commutes exactly with xi -> -xi and splits
 into an even and an odd block of about N/2 rows each.  By the discrete
 Sturm oscillation theorem mode j has j - 1 sign changes, so the modes
-alternate even, odd, even, ... from the ground state.  On each block,
-bisection on Sturm-sequence counts (LAPACK stebz via scipy's
-eigh_tridiagonal) certifies which mode is which to 1e-4 E, E the natural
-energy |delta|^{2/3} (|lambda| for Schrodinger); inverse iteration (stein)
-gives the vectors, which are mirrored to the full grid, exactly even or
-odd; and mu is the Rayleigh quotient of the mirrored vector in gradient
-form, accurate to ~eps mu where bisection alone stops at ~eps ||H||, with
-||H|| ~ 4/h^2.  The wall must clear the confined level by max(E, mu/2).
+alternate even, odd, even, ... from the ground state.  On its block,
+bisection on Sturm-sequence counts (LAPACK dstebz) certifies which mode is
+which to 1e-4 E, E the natural energy |delta|^{2/3} (|lambda| for
+Schrodinger); inverse iteration (dstein) gives the vector; and mu is its
+Rayleigh quotient in gradient form, accurate to ~eps mu where bisection
+alone stops at ~eps ||H||, with ||H|| ~ 4/h^2.  These and the checks run on
+the block; vectors are mirrored to the full grid, exactly even or odd, on
+return.  The wall must clear the confined level by max(E, mu/2).
 `eigen_lowest` solves the k lowest modes; `eigen_mode` solves mode n alone,
 at its index in its own block, through the same code, and is what
 `spectral_data` uses.  Default boxes come from `box_grid`, a closed-form
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg.lapack import dgtsv, dstebz, dstein
 
 
 def real_cbrt(x: float) -> float:
@@ -161,13 +161,18 @@ class OperatorMatrix:
     energy_scale: float  # natural energy E of the symbol: |delta|^{2/3} or |lambda|
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        out = self.diagonal * u
-        out[:-1] += self.offdiag * u[1:]
-        out[1:] += self.offdiag * u[:-1]
-        return out
+        return _tridiagonal_apply(self.diagonal, self.offdiag, u)
 
     def potential_values(self) -> np.ndarray:
         return self.diagonal - 2.0 / self.grid.h**2
+
+
+def _tridiagonal_apply(d, e, u: np.ndarray) -> np.ndarray:
+    """Symmetric tridiagonal matrix (diagonal d, off-diagonal e) times u."""
+    out = d * u
+    out[:-1] += e * u[1:]
+    out[1:] += e * u[:-1]
+    return out
 
 
 def _energy_scale(param: SpectralParam) -> float:
@@ -278,11 +283,23 @@ def _parity_block(d: np.ndarray, offdiag: float,
         block_d = d[:m].copy()
         block_d[-1] += offdiag if parity == 0 else -offdiag
         return block_d, np.full(m - 1, offdiag)
-    if parity == 1:
-        return d[:m], np.full(m - 1, offdiag)
+    if parity == 1:  # one row at N = 3, where LAPACK's wrappers still want an e entry
+        return d[:m], np.full(max(m - 1, 1), offdiag)
     block_e = np.full(m, offdiag)
     block_e[-1] *= np.sqrt(2.0)
     return d[: m + 1], block_e
+
+
+def _mirror(x: np.ndarray, parity: int, h: float, out: np.ndarray) -> np.ndarray:
+    """Fill `out` with the exactly even (parity 0) or odd grid function(s) u of
+    block coordinates x = sqrt(2h) u (sqrt(h) u at an odd grid's centre)."""
+    N = len(out)
+    m = N // 2
+    out[:m] = x[:m] / np.sqrt(2.0 * h)
+    out[N - m:] = -out[m - 1::-1] if parity else out[m - 1::-1]
+    if N % 2:
+        out[m] = x[m] / np.sqrt(h) if parity == 0 else 0.0
+    return out
 
 
 def _solve_modes(op: OperatorMatrix, first: int, last: int,
@@ -295,56 +312,53 @@ def _solve_modes(op: OperatorMatrix, first: int, last: int,
     """
     N = op.grid.N
     d = op.diagonal
-    if np.any(d != d[::-1]):
+    if (d != d[::-1]).any():
         raise ValueError("the diagonal is not mirror-symmetric; build the operator "
                          "with build_hamiltonian")
-    m = N // 2
-    h = op.grid.h
+    m, h, V = N // 2, op.grid.h, op.potential_values()
     tol = _BISECT_RTOL * op.energy_scale
+    # backward-error floor: inverse iteration delivers ||r|| ~ eps * ||H||
+    floor = 200.0 * np.finfo(float).eps * (float(abs(d).max()) + 2.0 * abs(op.offdiag))
     k = last - first + 1
-    counted = np.empty(k)
+    counted, vals, resid = np.empty(k), np.empty(k), np.empty(k)
     vecs = np.empty((N, k), order="F")  # contiguous columns, as LAPACK returns them
     for parity in (0, 1):
         lo, hi = (first - parity) // 2, (last - 1 - parity) // 2
         if lo > hi:
             continue
-        w, v = eigh_tridiagonal(*_parity_block(d, op.offdiag, parity),
-                                select="i", select_range=(lo, hi), tol=tol)
+        bd, be = _parity_block(d, op.offdiag, parity)
+        count, w, iblock, isplit, info = dstebz(bd, be, 2, 0.0, 1.0, lo + 1, hi + 1, tol, "B")
+        if not info:
+            x, info = dstein(bd, be, w[:count], iblock, isplit)
+        if info:
+            raise np.linalg.LinAlgError(f"stebz/stein info {info} on parity block {parity}")
+        # mu from the Rayleigh quotient in gradient form: 1/h^2 times the
+        # squared differences from the wall's zero on (the last one to the
+        # mirror node once for even N, to the centre node twice for odd N)
+        # plus V x^2; no 2/h^2 cancels, so mu is good to ~eps mu, not eps ||H||
+        dx = x[1:m] - x[:m - 1]
+        ends = x[0] ** 2 + ((x[m - 1] - (0.0 if parity else np.sqrt(2.0) * x[m])) ** 2
+                            if N % 2 else 2.0 * parity * x[m - 1] ** 2)
+        mu = -op.offdiag * (np.einsum("ij,ij->j", dx, dx) + ends) + V[:len(bd)] @ x**2
+        r = _tridiagonal_apply(bd[:, None], be[:, None], x) - mu * x
         start = 2 * lo + 1 + parity - first  # column of the block's first mode
-        counted[start::2] = w
-        # block-orthonormal -> h-weighted orthonormal on the full grid
-        half = v[:m] / np.sqrt(2.0 * h)
-        cols = vecs[:, start::2]
-        cols[:m] = half
-        cols[N - m:] = -half[::-1] if parity else half[::-1]
-        if N % 2:
-            cols[m] = v[m] / np.sqrt(h) if parity == 0 else 0.0
-    peak = np.argmax(np.abs(vecs), axis=0)
+        counted[start::2], vals[start::2] = w[:count], mu
+        resid[start::2] = np.linalg.norm(r, axis=0)
+        _mirror(x, parity, h, vecs[:, start::2])
+    # positive at the first maximum of |phi|, which the left half holds
+    peak = abs(vecs[:N - m]).argmax(axis=0)
     vecs *= np.where(vecs[peak, np.arange(k)] < 0, -1.0, 1.0)
-    # mu from the Rayleigh quotient in gradient form, h sum ((v_{i+1} - v_i)/h)^2
-    # (-offdiag = 1/h^2, Dirichlet zeros past both walls) plus h sum V v^2:
-    # no 2/h^2 cancels, so mu is good to ~eps mu where bisection gave eps ||H||
-    V = op.potential_values()
-    dv = np.diff(vecs, axis=0, prepend=0.0, append=0.0)
-    vals = -op.offdiag * h * np.sum(dv * dv, axis=0) + h * (V @ vecs**2)
     # confinement + residual post-conditions
     mu_top = float(vals[confine_level - first])
-    V_wall = float(V[-1])
-    if V_wall <= mu_top + max(op.energy_scale, 0.5 * abs(mu_top)):
-        raise ConfinementError(
-            f"V(+-L) = {V_wall:.3g} does not confine level mu = {mu_top:.3g}; "
-            f"enlarge the box (L = {op.grid.L})"
-        )
-    # backward-error floor: inverse iteration delivers ||r|| ~ eps * ||H||
-    opnorm = float(np.max(np.abs(d))) + 2.0 * abs(op.offdiag)
-    floor = 200.0 * np.finfo(float).eps * opnorm
+    if V[0] <= mu_top + max(op.energy_scale, 0.5 * abs(mu_top)):
+        raise ConfinementError(f"V(+-L) = {V[0]:.3g} does not confine level mu = "
+                               f"{mu_top:.3g}; enlarge the box (L = {op.grid.L})")
     # each vector's mode is the one bisection counted at its index
-    if np.any(np.abs(vals - counted) > tol + floor):
+    if (abs(vals - counted) > tol + floor).any():
         raise RuntimeError("inverse iteration left the bisection interval of a mode")
-    for j in range(k):
-        r = op.apply(vecs[:, j]) - vals[j] * vecs[:, j]
-        if op.grid.norm(r) > _EIGEN_RESIDUAL_RTOL * max(abs(vals[j]), 1.0) + floor:
-            raise RuntimeError(f"eigen residual too large for mode {first + j}")
+    bad = resid > _EIGEN_RESIDUAL_RTOL * np.maximum(abs(vals), 1.0) + floor
+    if bad.any():
+        raise RuntimeError(f"eigen residual too large for mode {first + np.argmax(bad)}")
     return vals, vecs
 
 
@@ -445,52 +459,55 @@ def spectral_data(delta: float, beta: float, n: int, grid: SpectralGrid | None =
 
     Solves for mode n alone (`eigen_mode`; the default box is that of level
     n + 1, confinement is checked at n) and takes dphi = (mu_n - H)^{-1}
-    Pi_perp (2 W phi_n) from one deflated tridiagonal solve, kept on phi_n's
-    parity, so that mu_n'' = 2 + 2 <2 W phi_n, dphi>.  No neighbouring
-    level is solved, so a tunnelling pair (e.g. n = 1 at beta = -40) gives
-    no near-degeneracy warning; the resolvent's residual gate is what
-    refuses a level too close to its neighbours.
+    Pi_perp (2 W phi_n) from one solve on phi_n's parity block, so that
+    mu_n'' = 2 + 2 <2 W phi_n, dphi> and dphi has phi_n's parity exactly.
+    No neighbouring level is solved, so a tunnelling pair (e.g. n = 1 at
+    beta = -40) gives no near-degeneracy warning; the resolvent's residual
+    gate is what refuses a level too close to its neighbours.
     """
     param = Generic(delta, beta)
     if grid is None:
         grid = box_grid(param, n + 1, N)
     op = build_hamiltonian(param, grid)
     mu, phi = eigen_mode(op, n)
-    dH_phi = 2.0 * _w_values(delta, beta, grid) * phi
-    mu_d1 = float(grid.inner(dH_phi, phi).real)
-    # 2 W phi_n has phi_n's parity and H commutes with the mirror, so dphi
-    # has it too; the other parity is rounding amplified by 1/gap
-    dphi = _deflated_solve(op, mu, phi, dH_phi)
-    dphi = 0.5 * (dphi + (-1.0) ** (n - 1) * dphi[::-1])
-    mu_d2 = 2.0 + 2.0 * float(grid.inner(dH_phi, dphi).real)
+    parity, h, m = (n - 1) % 2, grid.h, grid.N // 2
+    x = phi[: grid.N - m if parity == 0 else m] * np.sqrt(2.0 * h)  # block coordinates
+    x[m:] = phi[m:len(x)] * np.sqrt(h)  # an odd grid's centre, in the even block
+    dH_x = 2.0 * _w_values(delta, beta, grid)[:len(x)] * x
+    u = _reduced_resolvent(op, mu, x, dH_x, parity)
+    mu_d1, mu_d2 = float(dH_x @ x), 2.0 + 2.0 * float(dH_x @ u)
+    dphi = _mirror(u, parity, h, np.empty(grid.N))
     return SpectralData(param, n, grid, mu, phi, dphi, mu_d1, mu_d2, op)
 
 
-# worst residual over the default branch sweep is 1.5e-10 of ||rhs||
+# worst residual over the default branch sweep is 1.3e-11 of ||rhs|| (N = 2049: 1.5e-11)
 _RESOLVENT_RTOL = 1e-8
 
 
-def _deflated_solve(op: OperatorMatrix, mu: float, phi: np.ndarray,
-                    rhs: np.ndarray) -> np.ndarray:
-    """u with (mu - H) u = Pi_perp rhs and <u, phi> = 0, phi the mu-eigenvector.
+def _reduced_resolvent(op: OperatorMatrix, mu: float, x: np.ndarray, rhs: np.ndarray,
+                       parity: int) -> np.ndarray:
+    """u with (mu - H) u = Pi_perp rhs and <u, x> = 0 on parity block
+    `parity`, in its coordinates, x the mu-eigenvector.
 
-    mu - H is tridiagonal and singular only along phi: the right side is
-    projected off phi, one banded LU solve runs on the matrix as is, and
-    the phi-component the near-null direction picks up is projected away.
-    Raises when the residual exceeds `_RESOLVENT_RTOL` times ||rhs||.
+    One tridiagonal LU (LAPACK dgtsv) with Nelson's normalization: the
+    column of mu - H at x's largest entry i is a unit column, which leaves
+    a nonsingular system, and u_i = 0 stands in for <u, x> = 0 (they differ
+    by a multiple of x, to which the right side is orthogonal) until a last
+    projection.  Raises when the residual exceeds `_RESOLVENT_RTOL` ||rhs||.
     """
-    grid = op.grid
-    rhs_p = rhs - phi * grid.inner(rhs, phi)
-    ab = np.empty((3, grid.N))
-    ab[0] = ab[2] = -op.offdiag
-    ab[1] = mu - op.diagonal
-    u = solve_banded((1, 1), ab, rhs_p)
-    u = u - phi * grid.inner(u, phi)
-    resid = grid.norm(mu * u - op.apply(u) - rhs_p)
-    if resid > _RESOLVENT_RTOL * grid.norm(rhs):
-        raise RuntimeError(
-            f"reduced-resolvent residual {resid:.3g} exceeds "
-            f"{_RESOLVENT_RTOL:g} * ||rhs||; "
-            "the level is too close to its neighbours"
-        )
+    bd, be = _parity_block(op.diagonal, op.offdiag, parity)
+    r = rhs - x * (x @ rhs)
+    i = np.argmax(np.abs(x))
+    dl, dd, du = -be, mu - bd, -be
+    dd[i] = 1.0
+    du[i - 1:i] = dl[i:i + 1] = 0.0
+    *_, u, info = dgtsv(dl, dd, du, r, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    if info:
+        raise np.linalg.LinAlgError(f"mu - H is singular off x's direction (pivot {info})")
+    u[i] = 0.0
+    u -= x * (x @ u)
+    resid = np.linalg.norm(mu * u - _tridiagonal_apply(bd, be, u) - r)
+    if resid > _RESOLVENT_RTOL * np.linalg.norm(rhs):
+        raise RuntimeError(f"reduced-resolvent residual {resid:.3g} exceeds {_RESOLVENT_RTOL:g}"
+                           " * ||rhs||; the level is too close to its neighbours")
     return u

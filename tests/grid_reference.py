@@ -1,13 +1,16 @@
 """Finite-difference references on a spectral grid that no library code
-uses: the generators of a generic representation as grid operators, and
-Richardson-extrapolated eigenvalues."""
+uses: the generators of a generic representation as grid operators,
+Richardson-extrapolated eigenvalues, and the reduced resolvent solved on
+the full grid."""
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from engellab.spectral import (
     Generic,
+    OperatorMatrix,
     SpectralGrid,
     SpectralParam,
     box_grid,
@@ -66,3 +69,18 @@ def eigenvalues_extrapolated(param: SpectralParam, k: int, N: int = 4096,
     coarse = eigen_lowest(build_hamiltonian(param, grid), k).eigenvalues
     fine = eigen_lowest(build_hamiltonian(param, grid.refined()), k).eigenvalues
     return (4.0 * fine - coarse) / 3.0
+
+
+def deflated_solve(op: OperatorMatrix, mu: float, phi: np.ndarray,
+                   rhs: np.ndarray) -> np.ndarray:
+    """u with (mu - H) u = Pi_perp rhs and <u, phi> = 0 on the full grid,
+    phi the mu-eigenvector: one banded LU of the singular mu - H between two
+    projections off phi, with no parity split and no normalization.  The
+    reference route for `spectral._reduced_resolvent`."""
+    grid = op.grid
+    rhs_p = rhs - phi * grid.inner(rhs, phi)
+    ab = np.empty((3, grid.N))
+    ab[0] = ab[2] = -op.offdiag
+    ab[1] = mu - op.diagonal
+    u = solve_banded((1, 1), ab, rhs_p)
+    return u - phi * grid.inner(u, phi)

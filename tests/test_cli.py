@@ -236,7 +236,8 @@ def test_refused_config_is_a_usage_error(tmp_path, capsys):
                "zero-step": {"nu_step": 0}, "minus-step": {"nu_step": -0.1},
                "nan-step": {"nu_step": float("nan")}, "inf-min": {"nu_min": float("-inf")},
                "zero-delta": {"delta_list": [0.5, 0.0]}, "grid-l": {"grid_l": 12.0},
-               "zero-delta0": {"delta0": 0}}
+               "zero-delta0": {"delta0": 0}, "zero-mode": {"n_list": [0]},
+               "half-mode": {"n_list": [1, 1.5]}}
     for name, config in configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))
     for argv, message in (
@@ -281,6 +282,13 @@ def test_refused_config_is_a_usage_error(tmp_path, capsys):
          "dispersion needs finite nu_min, nu_max and nu_step > 0, got -4.0, 4.0, nan"),
         (["dispersion", "--config", str(tmp_path / "inf-min.json")],
          "dispersion needs finite nu_min, nu_max and nu_step > 0, got -inf, 4.0, 0.05"),
+        # modes and grids the sweep cannot solve, refused before any work
+        (["dispersion", "--config", str(tmp_path / "zero-mode.json")],
+         "dispersion needs integer modes >= 1 and grid_n >= 3, got [0], 2048"),
+        (["dispersion", "--config", str(tmp_path / "half-mode.json")],
+         "dispersion needs integer modes >= 1 and grid_n >= 3, got [1, 1.5], 2048"),
+        (["dispersion", "--grid-n", "2"],
+         "dispersion needs integer modes >= 1 and grid_n >= 3, got [1, 2, 3, 4], 2"),
         # arguments the library refuses
         (["smicro-profile", "--n", "0"],
          "smicro-profile: need n >= 1 and a finite nu, got n = 0, nu = -4.0"),

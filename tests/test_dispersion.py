@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from grid_reference import eigenvalues_extrapolated
 from hermite_reference import branch_by_spectral_sum, parity_block
+from scipy.linalg import eig_banded
+from scipy.linalg.lapack import dsbevx
 
 from engellab import dispersion, spectral
 from engellab.dispersion import (
@@ -245,6 +247,24 @@ def test_branch_solves_the_eigenvalue_of_its_index():
             m = dispersion._basis_size(n, nu) + dispersion._BASIS_STEP
             ev = np.linalg.eigvalsh(parity_block(n, nu, m))[(n - 1) // 2]
             assert abs(montgomery_branch(n, nu)[0] - nu * nu - ev) <= 1e-13 * abs(ev), (n, nu)
+
+
+def test_branch_eigenpair_is_eig_bandeds_to_the_bit(monkeypatch):
+    # montgomery_branch calls LAPACK dsbevx with eig_banded's own arguments,
+    # so each certificate solve returns eig_banded(select="i")'s eigenpair
+    calls = []
+
+    def checked(ab, vl, vu, il, iu, **kwargs):
+        out = dsbevx(ab, vl, vu, il, iu, **kwargs)
+        w, v = eig_banded(ab, lower=True, select="i", select_range=(il - 1, iu - 1))
+        assert np.array_equal(out[0][:1], w) and np.array_equal(out[1], v)
+        calls.append(il)
+        return out
+
+    monkeypatch.setattr(dispersion, "dsbevx", checked)
+    for n, nu in ((1, -3.5), (1, 0.3), (2, -40.0), (3, -2.0), (4, 3.0), (7, 50.0)):
+        montgomery_branch(n, nu)
+    assert calls == [1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 4, 4]
 
 
 def test_singular_reduced_resolvent_is_refused(monkeypatch):

@@ -5,14 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from grid_reference import InfinitesimalOp, eigenvalues_extrapolated
+from grid_reference import InfinitesimalOp, deflated_solve, eigenvalues_extrapolated
 from hypothesis import given, settings, strategies as st
 from projector import projector_derivative
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv, dstein
 
 from engellab import spectral
 from engellab.spectral import (
-    _deflated_solve,
+    _reduced_resolvent,
     ConfinementError,
     Generic,
     Montgomery,
@@ -115,9 +116,9 @@ def test_mode_certificate_refuses_a_swapped_vector(monkeypatch):
     # a vector of another mode has its Rayleigh quotient outside the
     # bisection interval of the index it was returned for
     def swapped(*args, **kwargs):
-        w, v = eigh_tridiagonal(*args, **kwargs)
-        return w, v[:, ::-1]
-    monkeypatch.setattr(spectral, "eigh_tridiagonal", swapped)
+        v, info = dstein(*args, **kwargs)
+        return v[:, ::-1], info
+    monkeypatch.setattr(spectral, "dstein", swapped)
     with pytest.raises(RuntimeError, match="bisection interval"):
         solve_lowest(Montgomery(0.0), 4, N=2048)
 
@@ -125,6 +126,9 @@ def test_mode_certificate_refuses_a_swapped_vector(monkeypatch):
 def test_confinement_error_advises_larger_box():
     with pytest.raises(ConfinementError, match="enlarge"):
         solve_lowest(Schrodinger(1.0), 4, grid=SpectralGrid(2.0, 256))
+    # the odd block of the smallest grid has a single row
+    with pytest.raises(ConfinementError, match="enlarge"):
+        spectral_data(1.0, 0.0, 2, grid=SpectralGrid(5.0, 3))
 
 
 @settings(max_examples=30, deadline=None)
@@ -298,16 +302,24 @@ def test_diagonal_part_identity_x1():
 # -- reduced resolvent ---------------------------------------------------------
 
 
+def _resolvent(data, mu, rhs):
+    """`_reduced_resolvent` of `spectral_data` for an even mode on an even
+    grid and a right side of its parity, both on the full grid."""
+    g = data.grid
+    x, r = (v[: g.N // 2] * np.sqrt(2.0 * g.h) for v in (data.phi, rhs))
+    return spectral._mirror(_reduced_resolvent(data.op, mu, x, r, 0), 0, g.h, np.empty(g.N))
+
+
 def test_reduced_resolvent_zero_rhs():
     data = spectral_data(1.0, 0.1, 1, N=2048)
-    u = _deflated_solve(data.op, data.mu, data.phi, np.zeros(data.grid.N))
+    u = _resolvent(data, data.mu, np.zeros(data.grid.N))
     assert data.grid.norm(u) == 0.0
 
 
 def test_reduced_resolvent_eigenvector_rhs():
     data = spectral_data(1.0, 0.1, 1, N=2048)
     mu_m, phi_m = solve_lowest(data.param, 3, grid=data.grid).pair(3)
-    u = _deflated_solve(data.op, data.mu, data.phi, phi_m)
+    u = _resolvent(data, data.mu, phi_m)
     expected = phi_m / (data.mu - mu_m)
     assert data.grid.norm(u - expected) <= 1e-8 * data.grid.norm(expected)
 
@@ -317,7 +329,8 @@ def test_reduced_resolvent_random_rhs_residual():
     g = data.grid
     rng = np.random.default_rng(6)
     rhs = rng.standard_normal(g.N) * np.exp(-(g.nodes**2))
-    u = _deflated_solve(data.op, data.mu, data.phi, rhs)
+    rhs += rhs[::-1]  # the even block's right side, like phi_1
+    u = _resolvent(data, data.mu, rhs)
     H = build_hamiltonian(data.param, g)
     rhs_perp = rhs - data.phi * complex(g.inner(rhs, data.phi)).real
     resid = data.mu * u - H.apply(u) - rhs_perp
@@ -326,22 +339,39 @@ def test_reduced_resolvent_random_rhs_residual():
 
 
 def test_reduced_resolvent_refuses_wrong_level():
-    # phi_1 paired with mu_2: mu - H is singular off the deflated direction
+    # phi_1 paired with mu_3, the next level of its block: mu - H is
+    # singular off the deflated direction
     data = spectral_data(1.0, 0.1, 1, N=2048)
-    mu_2 = float(solve_lowest(data.param, 2, grid=data.grid).eigenvalues[1])
+    mu_3 = float(solve_lowest(data.param, 3, grid=data.grid).eigenvalues[2])
     with pytest.raises(RuntimeError, match="residual"):
-        _deflated_solve(data.op, mu_2, data.phi, data.grid.nodes * data.phi)
+        _resolvent(data, mu_3, data.grid.nodes**2 * data.phi)
+
+
+def test_resolvent_solves_a_row_where_a_plain_lu_meets_a_zero_pivot():
+    # at this row of a branch sweep an LU of the even block of mu - H meets
+    # an exactly zero pivot; with the unit column at phi's peak the system
+    # is nonsingular, and mu'' matches the full-grid route (measured 2.9e-15)
+    nu = 1.7000000000000046
+    data = spectral_data(1.0, nu, 3, grid=box_grid(Montgomery(nu), 4, 2048))
+    bd, be = spectral._parity_block(data.op.diagonal, data.op.offdiag, 0)
+    assert dgtsv(-be, data.mu - bd, -be, np.ones(len(bd)))[-1] > 0
+    dH_phi = 2.0 * data.w * data.phi
+    dphi = deflated_solve(data.op, data.mu, data.phi, dH_phi)
+    mu_d2 = 2.0 + 2.0 * data.grid.inner(dH_phi, dphi).real
+    assert abs(data.mu_d2 - mu_d2) <= 2e-12 * max(1.0, abs(mu_d2))
 
 
 @pytest.mark.filterwarnings("ignore:near-degenerate")
 def test_single_mode_solves_match_lowest_modes_route():
-    # spectral_data solves mode n alone; the reference takes pair n of
-    # eigen_lowest(H, n + 1) on the same grid.  Measured worst cases at
-    # N = 2048: 4.8e-16 (mu), 4.6e-14 (mu'), 9.6e-14 (mu'') and 7.3e-14
-    # (dphi, phi's parity); the bounds leave a margin of >= 20x.  The
-    # reference's dphi has a part of the other parity, rounding amplified by
-    # 1/gap (up to 7.4e-2 of ||dphi|| at nu = -40), which spectral_data
-    # drops, so only phi's parity is compared
+    # spectral_data solves mode n alone, on its parity block; the reference
+    # takes pair n of eigen_lowest(H, n + 1) on the same grid and the
+    # full-grid resolvent solve.  Measured worst cases at N = 2048: 4.0e-16
+    # (mu), 4.5e-14 (mu'), 5.5e-13 (mu'', n = 3 at nu = -4, where both
+    # routes are 1.2-1.8e-12 from the block's complete spectral sum) and
+    # 2.7e-13 (dphi, phi's parity); the bounds leave a margin of >= 3.6x.
+    # The reference's dphi has a part of the other parity, rounding
+    # amplified by 1/gap (up to 7.4e-2 of ||dphi|| at nu = -40), which the
+    # block solve never forms, so only phi's parity is compared
     for n in (1, 2, 3, 4):
         for nu in (-40.0, -4.0, NU_CRIT_1, 0.0, 4.0):
             p = Montgomery(nu)
@@ -354,7 +384,7 @@ def test_single_mode_solves_match_lowest_modes_route():
             H = build_hamiltonian(p, grid)
             mu, phi = eigen_lowest(H, n + 1).pair(n)
             dH_phi = 2.0 * data.w * phi
-            dphi = _deflated_solve(data.op, mu, phi, dH_phi)
+            dphi = deflated_solve(data.op, mu, phi, dH_phi)
             mu_d2 = 2.0 + 2.0 * grid.inner(dH_phi, dphi).real
             scale = max(1.0, abs(mu))
             assert abs(data.mu - mu) <= 1e-14 * scale, (n, nu)
@@ -377,8 +407,9 @@ def test_dphi_has_the_parity_of_phi():
 
 def test_eigenvector_derivative_matches_complete_spectral_sum():
     # at N = 512 the sum over all N modes is exact; measured worst cases are
-    # 3.1e-12 (mu'') and 8.2e-8 (dphi, the nu = -4 tunnelling pair with gap
-    # 1.6e-5); the bounds leave a margin of ~30x and ~12x
+    # 2.6e-12 (mu'') and 3.3e-10 (dphi, which the nu = -4 tunnelling
+    # partner, 1.6e-5 away in the other block, does not reach); the bounds
+    # leave a margin of ~38x and ~3000x
     for n in (1, 2, 3, 4):
         for nu in (-4.0, -1.0, NU_CRIT_1, 0.0, 2.0, 4.0):
             data = spectral_data(1.0, nu, n, N=512)
