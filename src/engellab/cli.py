@@ -37,9 +37,10 @@ SUBCOMMANDS = (
 
 
 class ConfigError(ValueError):
-    """A config a subcommand refuses: keys it does not read, an empty sweep
-    grid or a step that is not > 0, an hbar ladder too short for the
-    experiment, a malformed kernel, an argument the library refuses."""
+    """A config a subcommand refuses: keys it does not read, a value of the
+    wrong kind, an empty sweep grid or a step that is not > 0, an hbar
+    ladder too short for the experiment, a malformed kernel, an argument
+    the library refuses."""
 
 
 def _fmt(x) -> str:
@@ -127,6 +128,16 @@ def _refusing(subcommand: str, call, *args, **kwargs):
         raise ConfigError(f"{subcommand}: {err}") from None
 
 
+def _converting(refusal: str, convert):
+    """convert(), which converts raw config values; a TypeError or
+    ValueError there is a value of the wrong kind, raised as a ConfigError
+    that starts with `refusal`."""
+    try:
+        return convert()
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{refusal} ({err})") from None
+
+
 def _print_checks(report: RunReport) -> None:
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
@@ -156,7 +167,8 @@ def run_identities(cfg: dict, seed: int) -> RunReport:
     words test PBW confluence; the enveloping-algebra lemmas are exact.
     """
     rng = np.random.default_rng(seed)
-    trials = int(cfg.get("trials", 40))
+    trials = _converting("identities needs an integer trial count",
+                         lambda: int(cfg.get("trials", 40)))
     if trials < 0:
         raise ConfigError(f"identities needs a trial count of at least 0, got {trials}")
     rep = RunReport("identities", cfg)
@@ -210,13 +222,34 @@ def run_identities(cfg: dict, seed: int) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
+# the worst FD-against-Hermite deviation, in units of h^2 max(1, mu)^2, is
+# 0.228 (n = 1, nu = -1.15) over n = 1..12 and nu in [-6, 6] at step 0.05,
+# the same at N = 512 and 2048: O(h^2) with a constant uniform in the mode;
+# the bound leaves a margin of 2.2
+_FD_DEVIATION_BOUND = 0.5
+
+
+def _fd_deviation(n: int, nu: float, branch, N: int) -> float:
+    """max |v_FD - v_H| / (h^2 max(1, mu_H)^2) over (mu, mu', mu''), with
+    v_H the Hermite `branch` of mode n at nu and v_FD `spectral_data` at
+    delta = 1 on its N-node grid of spacing h."""
+    d = spectral.spectral_data(1.0, nu, n, N=N)
+    scale = d.grid.h ** 2 * max(1.0, branch[0]) ** 2
+    return max(abs(f - v) for f, v in zip((d.mu, d.mu_d1, d.mu_d2), branch)) / scale
+
+
 @_reads("n_list", "nu_min", "nu_max", "nu_step", "grid_n")
 def run_dispersion(cfg: dict, seed: int) -> RunReport:
-    ns = list(cfg.get("n_list", [1, 2, 3, 4]))
-    nu_min = float(cfg.get("nu_min", -4.0))
-    nu_max = float(cfg.get("nu_max", 4.0))
-    step = float(cfg.get("nu_step", 0.05))
-    N = int(cfg.get("grid_n", 2048))
+    """The Montgomery branches (mu, mu', mu'') of `n_list` on the nu grid,
+    at delta = 1, where d_beta = d_nu, each row from `montgomery_branch`.
+    `grid_n` is the grid of the independent check: `spectral_data` on it
+    at the first and last nu of each branch must agree with the rows to
+    O(h^2) (`fd-agreement`)."""
+    ns, nu_min, nu_max, step, N = _converting(
+        "dispersion needs a list n_list and numbers nu_min, nu_max, nu_step and grid_n",
+        lambda: (list(cfg.get("n_list", [1, 2, 3, 4])), float(cfg.get("nu_min", -4.0)),
+                 float(cfg.get("nu_max", 4.0)), float(cfg.get("nu_step", 0.05)),
+                 int(cfg.get("grid_n", 2048))))
     if not (np.isfinite([nu_min, nu_max, step]).all() and step > 0.0):
         raise ConfigError("dispersion needs finite nu_min, nu_max and nu_step > 0, got "
                           f"{nu_min}, {nu_max}, {step}")
@@ -224,20 +257,20 @@ def run_dispersion(cfg: dict, seed: int) -> RunReport:
         raise ConfigError("empty sweep grid")
     if N < 3 or not all(isinstance(n, int) and n >= 1 for n in ns):
         raise ConfigError(f"dispersion needs integer modes >= 1 and grid_n >= 3, got {ns}, {N}")
-    nus = np.arange(nu_min, nu_max + 0.5 * step, step)
+    nus = [float(nu) for nu in np.arange(nu_min, nu_max + 0.5 * step, step)]
     rep = RunReport("dispersion", cfg)
 
-    # one row per spectral_data call, n-ascending then nu-ascending; only the
-    # row is kept, not the eigenvectors behind it
-    rows = []
-    for n in sorted(ns):
-        for nu in nus:
-            d = spectral.spectral_data(1.0, float(nu), n, N=N)
-            rows.append((n, 1.0, float(nu), d.mu, d.mu_d1, d.mu_d2, d.grid.L, d.grid.N))
+    # one row per montgomery_branch call, n-ascending then nu-ascending
+    branches = [(n, [dispersion.montgomery_branch(n, nu) for nu in nus]) for n in sorted(ns)]
+    rows = [(n, 1.0, nu, *b) for n, branch in branches for nu, b in zip(nus, branch)]
+    ends = sorted({0, len(nus) - 1})
     rep.metrics["rows"] = len(rows)
+    rep.metrics["fd_deviation"] = max(_fd_deviation(n, nus[i], branch[i], N)
+                                      for n, branch in branches for i in ends)
     rep.checks.append(Check("row-count", len(rows), len(ns) * len(nus), "=="))
+    rep.checks.append(Check("fd-agreement", rep.metrics["fd_deviation"], _FD_DEVIATION_BOUND))
     rep.files["branches.csv"] = _csv(
-        ("n", "delta", "beta", "mu", "dmu_dbeta", "d2mu_dbeta2", "grid_L", "grid_N"), rows)
+        ("n", "delta", "beta", "mu", "dmu_dbeta", "d2mu_dbeta2"), rows)
     return rep
 
 
@@ -248,9 +281,10 @@ def run_dispersion(cfg: dict, seed: int) -> RunReport:
 
 @_reads("n", "scan", "tol")
 def run_critical_points(cfg: dict, seed: int) -> RunReport:
-    n = int(cfg.get("n", 1))
-    scan = tuple(cfg.get("scan", [-4.0, 4.0]))
-    tol = float(cfg.get("tol", 1e-10))
+    n, scan, tol = _converting(
+        "critical-points needs an integer n, a scan pair and a number tol",
+        lambda: (int(cfg.get("n", 1)), tuple(cfg.get("scan", [-4.0, 4.0])),
+                 float(cfg.get("tol", 1e-10))))
     reports = _refusing("critical-points", dispersion.critical_points, n, scan=scan, tol=tol)
     rep = RunReport("critical-points", cfg)
     rep.metrics["reports"] = [asdict(r) for r in reports]
@@ -318,16 +352,15 @@ def _hbar_ladder(values, least: int, use: str) -> list[float]:
 
 def _spec_from_cfg(cfg: dict) -> wavepacket.WavePacketSpec:
     """The packet spec from the `_SPEC_KEYS` of cfg."""
-    profile = wavepacket.GaussianProfile(
-        width2=float(cfg.get("profile_width2", 0.45)),
-        width4=float(cfg.get("profile_width4", 0.8)),
-    )
+    width2, width4, x0, delta0, beta0, n = _converting(
+        "a packet needs numbers profile_width2, profile_width4, delta0 and beta0, "
+        "a list x0 and an integer n",
+        lambda: (float(cfg.get("profile_width2", 0.45)), float(cfg.get("profile_width4", 0.8)),
+                 tuple(cfg.get("x0", (0.0, 0.0, 0.0, 0.0))), float(cfg.get("delta0", 1.0)),
+                 float(cfg.get("beta0", 0.0)), int(cfg.get("n", 1))))
     return wavepacket.WavePacketSpec(
-        x0=tuple(cfg.get("x0", (0.0, 0.0, 0.0, 0.0))),
-        delta0=float(cfg.get("delta0", 1.0)),
-        beta0=float(cfg.get("beta0", 0.0)),
-        n=int(cfg.get("n", 1)),
-        profile=profile,
+        x0=x0, delta0=delta0, beta0=beta0, n=n,
+        profile=wavepacket.GaussianProfile(width2=width2, width4=width4),
     )
 
 
@@ -337,7 +370,7 @@ def run_residual_scaling(cfg: dict, seed: int) -> RunReport:
     spec = _refusing("residual-scaling", lambda: _spec_from_cfg(cfg))
     hbars = _hbar_ladder(cfg.get("hbar_ladder", [0.1, 0.05, 0.025, 0.0125]), 4,
                          "a residual-scaling slope")
-    t = float(cfg.get("t", 0.1))
+    t = _converting("residual-scaling needs a number t", lambda: float(cfg.get("t", 0.1)))
     rep = RunReport("residual-scaling", cfg)
     reports = wavepacket.residual_scaling_experiment(
         spec, hbars, order=wavepacket.AnsatzOrder.WITH_SIGMA1_AND_2, t=t,
@@ -360,7 +393,7 @@ def run_residual_scaling(cfg: dict, seed: int) -> RunReport:
 def run_transport(cfg: dict, seed: int) -> RunReport:
     # exact integrals, no sampling: the seed changes nothing
     spec = _refusing("transport", lambda: _spec_from_cfg(cfg))
-    t = float(cfg.get("t", 0.5))
+    t = _converting("transport needs a number t", lambda: float(cfg.get("t", 0.5)))
     hbars = _hbar_ladder(cfg.get("hbar_ladder", [0.05, 0.025, 0.0125]), 1, "transport")
     rows = wavepacket.transport_demo(spec, t, hbar_list=hbars)
     rep = RunReport("transport", cfg)
@@ -390,17 +423,17 @@ def run_transport(cfg: dict, seed: int) -> RunReport:
 
 @_reads("n", "grid_n", "delta_list", "times")
 def run_smicro_profile(cfg: dict, seed: int) -> RunReport:
-    n = int(cfg.get("n", 1))
-    N = int(cfg.get("grid_n", 4096))
+    n, N, times = _converting(
+        "smicro-profile needs integers n and grid_n and a list of times",
+        lambda: (int(cfg.get("n", 1)), int(cfg.get("grid_n", 4096)),
+                 tuple(cfg.get("times", (0.0, 0.5, 1.0, 2.0)))))
     reports = _refusing("smicro-profile", dispersion.critical_points, n, samples=81)
     if not reports:
         raise ConfigError(f"smicro-profile: mode {n} has no critical point on [-4, 4]")
     r0 = reports[0]
     cc = _refusing("smicro-profile", dispersion.curvature_consistency,
                    n, r0.nu_c, cfg.get("delta_list", [0.5, 1.0, 2.0]), N=N)
-    demo = wavepacket.second_microlocal_profile_demo(
-        r0.curvature, times=tuple(cfg.get("times", (0.0, 0.5, 1.0, 2.0)))
-    )
+    demo = wavepacket.second_microlocal_profile_demo(r0.curvature, times=times)
     rep = RunReport("smicro-profile", cfg)
     rep.metrics["critical_point"] = asdict(r0)
     rep.metrics["coefficient"] = demo.coefficient
@@ -486,7 +519,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--n", type=int, default=None)
     parser.add_argument("--q", type=str, default=None)
     parser.add_argument("--p", type=str, default=None)
-    parser.add_argument("--grid-n", type=int, default=None)
+    parser.add_argument("--grid-n", type=int, default=None,
+                        help="nodes of the finite-difference grid that checks the "
+                             "Hermite values: dispersion's fd-agreement rows and "
+                             "smicro-profile's on-cone curvature")
     parser.add_argument("--tol", type=float, default=None,
                         help="critical-points root tolerance: the Newton "
                              "refinement stops once a step is below it")

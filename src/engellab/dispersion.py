@@ -13,8 +13,10 @@ Galerkin on Hermite functions, where Htilde(nu) = p^2 + nu^2 + nu xi^2 +
 xi^4/4 is an exact pentadiagonal matrix on each parity block: per basis
 size one eigenpair of that block and one banded reduced-resolvent solve
 for the second derivative, with no box, grid or Richardson step.
-`critical_points` runs on it alone, and it is the curvature reference of
-`curvature_consistency`.
+`critical_points` and the `dispersion` sweep of `cli` run on it alone,
+and it is the reference that finite differences are checked against:
+the curvature in `curvature_consistency`, and (mu, mu', mu'') at the ends
+of each swept branch.
 """
 
 from __future__ import annotations

@@ -7,12 +7,13 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from engellab import algebra, cli
+from engellab import algebra, cli, dispersion, spectral
 from engellab.algebra import GroupElement, LieVector, bracket, exp_to_semidirect, multiply
 from engellab.cli import main, run
 
@@ -113,12 +114,89 @@ def test_dispersion_sweep_rows_and_determinism(tmp_path):
 
 
 def test_branch_csv_columns(tmp_path):
+    # a Hermite row has no grid, so the grid columns are gone
     run("dispersion", {"n_list": [1], "nu_min": 0.0, "nu_max": 0.5, "nu_step": 0.5,
                        "grid_n": 1024}, out_dir=tmp_path)
     header, *rows = (tmp_path / "branches.csv").read_text().strip().split("\n")
-    assert header == "n,delta,beta,mu,dmu_dbeta,d2mu_dbeta2,grid_L,grid_N"
+    assert header == "n,delta,beta,mu,dmu_dbeta,d2mu_dbeta2"
     assert len(rows) == 2
     assert rows[0].startswith("1,1,0,")
+
+
+def _branch_rows(path):
+    return [tuple(float(f) for f in line.split(","))
+            for line in (path / "branches.csv").read_text().strip().split("\n")[1:]]
+
+
+def test_branch_rows_are_montgomery_branch(tmp_path):
+    # every row is montgomery_branch's at delta = 1, bit for bit, with the
+    # rows n-ascending, then nu-ascending, whatever the n_list order
+    cfg = {"n_list": [3, 1, 2], "nu_min": -1.0, "nu_max": 1.0, "nu_step": 0.25}
+    rep = run("dispersion", cfg, out_dir=tmp_path)
+    assert rep.passed
+    rows = _branch_rows(tmp_path)
+    assert [(r[0], r[2]) for r in rows] == [(n, -1.0 + 0.25 * k) for n in (1, 2, 3)
+                                           for k in range(9)]
+    for n, delta, nu, *values in rows:
+        assert delta == 1.0
+        assert tuple(values) == dispersion.montgomery_branch(int(n), nu)
+
+
+def test_branch_csv_does_not_depend_on_grid_n(tmp_path):
+    cfg = {"n_list": [1, 2, 3, 4], "nu_min": -4.0, "nu_max": 4.0, "nu_step": 0.05}
+    for N in (1024, 2048):
+        assert run("dispersion", {**cfg, "grid_n": N}, out_dir=tmp_path / str(N)).passed
+    assert ((tmp_path / "1024" / "branches.csv").read_bytes()
+            == (tmp_path / "2048" / "branches.csv").read_bytes())
+
+
+@pytest.mark.parametrize("N", [512, 1024, 2048, 2049])
+@pytest.mark.parametrize("cfg", [
+    # the CI sweep (the default), the sweeps of the tests, and a high mode
+    # across both wells and the harmonic side
+    {},
+    {"n_list": [1, 2], "nu_min": -0.2, "nu_max": 0.2, "nu_step": 0.1},
+    {"n_list": [1], "nu_min": 0.0, "nu_max": 0.5, "nu_step": 0.5},
+    {"n_list": [12], "nu_min": -6.0, "nu_max": 6.0, "nu_step": 6.0},
+], ids=["default", "tests", "one-branch", "n12"])
+def test_fd_agreement_passes(cfg, N):
+    rep = run("dispersion", {**cfg, "grid_n": N})
+    check = {c.name: c for c in rep.checks}["fd-agreement"]
+    assert check.passed and check.value == rep.metrics["fd_deviation"]
+    # an O(h^2) deviation, not a zero one: the check solves its own grid
+    assert 0.0 < check.value < check.threshold == 0.5
+
+
+def _shift(n, nu, N, mu):
+    """Twice the fd-agreement bound, in its units at mode n, nu and N."""
+    h = spectral.box_grid(spectral.Generic(1.0, nu), n + 1, N).h
+    return 2.0 * cli._FD_DEVIATION_BOUND * h * h * max(1.0, mu) ** 2
+
+
+def test_fd_agreement_fails_on_a_shifted_fd_curvature(monkeypatch):
+    def shifted(delta, beta, n, N):
+        d = real(delta, beta, n, N=N)
+        return replace(d, mu_d2=d.mu_d2 + _shift(n, beta, N, d.mu))
+
+    real = spectral.spectral_data
+    monkeypatch.setattr(spectral, "spectral_data", shifted)
+    rep = run("dispersion", {"n_list": [1, 2], "nu_min": -0.2, "nu_max": 0.2,
+                             "nu_step": 0.1, "grid_n": 512})
+    assert [c.name for c in rep.checks if not c.passed] == ["fd-agreement"]
+
+
+def test_fd_agreement_fails_on_a_perturbed_branch_row(monkeypatch):
+    # only the first row of the branch is perturbed: the check reads the
+    # rows it writes
+    def perturbed(n, nu):
+        mu, d1, d2 = real(n, nu)
+        return mu, d1, d2 + (_shift(n, nu, 512, mu) if nu == -0.2 else 0.0)
+
+    real = dispersion.montgomery_branch
+    monkeypatch.setattr(dispersion, "montgomery_branch", perturbed)
+    rep = run("dispersion", {"n_list": [1], "nu_min": -0.2, "nu_max": 0.2,
+                             "nu_step": 0.1, "grid_n": 512})
+    assert [c.name for c in rep.checks if not c.passed] == ["fd-agreement"]
 
 
 # cheap configs of every subcommand that writes a data file, and the files
@@ -237,7 +315,10 @@ def test_refused_config_is_a_usage_error(tmp_path, capsys):
                "nan-step": {"nu_step": float("nan")}, "inf-min": {"nu_min": float("-inf")},
                "zero-delta": {"delta_list": [0.5, 0.0]}, "grid-l": {"grid_l": 12.0},
                "zero-delta0": {"delta0": 0}, "zero-mode": {"n_list": [0]},
-               "half-mode": {"n_list": [1, 1.5]}}
+               "half-mode": {"n_list": [1, 1.5]}, "int-modes": {"n_list": 3},
+               "text-grid": {"grid_n": "abc"}, "text-nu": {"nu_min": "x"},
+               "text-n": {"n": "a"}, "text-trials": {"trials": "many"},
+               "text-t": {"t": "x"}, "int-times": {"times": 3}, "int-x0": {"x0": 3}}
     for name, config in configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))
     for argv, message in (
@@ -289,6 +370,30 @@ def test_refused_config_is_a_usage_error(tmp_path, capsys):
          "dispersion needs integer modes >= 1 and grid_n >= 3, got [1, 1.5], 2048"),
         (["dispersion", "--grid-n", "2"],
          "dispersion needs integer modes >= 1 and grid_n >= 3, got [1, 2, 3, 4], 2"),
+        # config values of the wrong kind
+        (["dispersion", "--config", str(tmp_path / "int-modes.json")],
+         "dispersion needs a list n_list and numbers nu_min, nu_max, nu_step and grid_n "
+         "('int' object is not iterable)"),
+        (["dispersion", "--config", str(tmp_path / "text-grid.json")],
+         "dispersion needs a list n_list and numbers nu_min, nu_max, nu_step and grid_n "
+         "(invalid literal for int() with base 10: 'abc')"),
+        (["dispersion", "--config", str(tmp_path / "text-nu.json")],
+         "dispersion needs a list n_list and numbers nu_min, nu_max, nu_step and grid_n "
+         "(could not convert string to float: 'x')"),
+        (["critical-points", "--config", str(tmp_path / "text-n.json")],
+         "critical-points needs an integer n, a scan pair and a number tol "
+         "(invalid literal for int() with base 10: 'a')"),
+        (["identities", "--config", str(tmp_path / "text-trials.json")],
+         "identities needs an integer trial count "
+         "(invalid literal for int() with base 10: 'many')"),
+        (["transport", "--config", str(tmp_path / "int-x0.json")],
+         "transport: a packet needs numbers profile_width2, profile_width4, delta0 and beta0, "
+         "a list x0 and an integer n ('int' object is not iterable)"),
+        (["transport", "--config", str(tmp_path / "text-t.json")],
+         "transport needs a number t (could not convert string to float: 'x')"),
+        (["smicro-profile", "--config", str(tmp_path / "int-times.json")],
+         "smicro-profile needs integers n and grid_n and a list of times "
+         "('int' object is not iterable)"),
         # arguments the library refuses
         (["smicro-profile", "--n", "0"],
          "smicro-profile: need n >= 1 and a finite nu, got n = 0, nu = -4.0"),
