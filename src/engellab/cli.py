@@ -138,6 +138,14 @@ def _converting(refusal: str, convert):
         raise ConfigError(f"{refusal} ({err})") from None
 
 
+def _integer(value) -> int:
+    """int(value) for a config count; a float with a fractional part (or
+    nan or inf) is a ValueError, not truncated: 2048.0 reads as 2048."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _print_checks(report: RunReport) -> None:
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
@@ -168,7 +176,7 @@ def run_identities(cfg: dict, seed: int) -> RunReport:
     """
     rng = np.random.default_rng(seed)
     trials = _converting("identities needs an integer trial count",
-                         lambda: int(cfg.get("trials", 40)))
+                         lambda: _integer(cfg.get("trials", 40)))
     if trials < 0:
         raise ConfigError(f"identities needs a trial count of at least 0, got {trials}")
     rep = RunReport("identities", cfg)
@@ -249,7 +257,7 @@ def run_dispersion(cfg: dict, seed: int) -> RunReport:
         "dispersion needs a list n_list and numbers nu_min, nu_max, nu_step and grid_n",
         lambda: (list(cfg.get("n_list", [1, 2, 3, 4])), float(cfg.get("nu_min", -4.0)),
                  float(cfg.get("nu_max", 4.0)), float(cfg.get("nu_step", 0.05)),
-                 int(cfg.get("grid_n", 2048))))
+                 _integer(cfg.get("grid_n", 2048))))
     if not (np.isfinite([nu_min, nu_max, step]).all() and step > 0.0):
         raise ConfigError("dispersion needs finite nu_min, nu_max and nu_step > 0, got "
                           f"{nu_min}, {nu_max}, {step}")
@@ -283,7 +291,7 @@ def run_dispersion(cfg: dict, seed: int) -> RunReport:
 def run_critical_points(cfg: dict, seed: int) -> RunReport:
     n, scan, tol = _converting(
         "critical-points needs an integer n, a scan pair and a number tol",
-        lambda: (int(cfg.get("n", 1)), tuple(cfg.get("scan", [-4.0, 4.0])),
+        lambda: (_integer(cfg.get("n", 1)), tuple(cfg.get("scan", [-4.0, 4.0])),
                  float(cfg.get("tol", 1e-10))))
     reports = _refusing("critical-points", dispersion.critical_points, n, scan=scan, tol=tol)
     rep = RunReport("critical-points", cfg)
@@ -357,7 +365,7 @@ def _spec_from_cfg(cfg: dict) -> wavepacket.WavePacketSpec:
         "a list x0 and an integer n",
         lambda: (float(cfg.get("profile_width2", 0.45)), float(cfg.get("profile_width4", 0.8)),
                  tuple(cfg.get("x0", (0.0, 0.0, 0.0, 0.0))), float(cfg.get("delta0", 1.0)),
-                 float(cfg.get("beta0", 0.0)), int(cfg.get("n", 1))))
+                 float(cfg.get("beta0", 0.0)), _integer(cfg.get("n", 1))))
     return wavepacket.WavePacketSpec(
         x0=x0, delta0=delta0, beta0=beta0, n=n,
         profile=wavepacket.GaussianProfile(width2=width2, width4=width4),
@@ -425,7 +433,7 @@ def run_transport(cfg: dict, seed: int) -> RunReport:
 def run_smicro_profile(cfg: dict, seed: int) -> RunReport:
     n, N, times = _converting(
         "smicro-profile needs integers n and grid_n and a list of times",
-        lambda: (int(cfg.get("n", 1)), int(cfg.get("grid_n", 4096)),
+        lambda: (_integer(cfg.get("n", 1)), _integer(cfg.get("grid_n", 4096)),
                  tuple(cfg.get("times", (0.0, 0.5, 1.0, 2.0)))))
     reports = _refusing("smicro-profile", dispersion.critical_points, n, samples=81)
     if not reports:

@@ -13,10 +13,10 @@ Galerkin on Hermite functions, where Htilde(nu) = p^2 + nu^2 + nu xi^2 +
 xi^4/4 is an exact pentadiagonal matrix on each parity block: per basis
 size one eigenpair of that block and one banded reduced-resolvent solve
 for the second derivative, with no box, grid or Richardson step.
-`critical_points` and the `dispersion` sweep of `cli` run on it alone,
-and it is the reference that finite differences are checked against:
-the curvature in `curvature_consistency`, and (mu, mu', mu'') at the ends
-of each swept branch.
+`critical_points`, the `dispersion` sweep of `cli` and the packet
+machinery of `wavepacket` run on these blocks alone, and the branch is
+the reference that finite differences are checked against: the curvature
+in `curvature_consistency` and (mu, mu', mu'') at each swept branch's ends.
 """
 
 from __future__ import annotations
@@ -73,6 +73,73 @@ def certify_basis(n: int, nu: float, solve):
     return more, extra
 
 
+def _parity_block(p: int, nu: float, m: int):
+    """Htilde(nu) - nu^2 on `montgomery_branch`'s m functions k = p, p + 2, ...:
+    xi^2's unit-length diagonal d and (k, k + 2) entry e, the lower band for
+    `dsbevx`, and -band in general band storage for `_resolve`."""
+    s2 = (2.0 + max(nu, 0.0)) ** -0.5
+    k = np.arange(p, 2 * m, 2.0)
+    d, e = k + 0.5, 0.5 * np.sqrt((k + 1) * (k + 2))
+    band = np.zeros((3, m))
+    band[0] = d * d + e * e
+    band[0, 1:] += e[:-1] * e[:-1]
+    band[1], band[2, :-1] = 2.0 * e * (d + 1.0), e[:-1] * e[1:]
+    band *= 0.25 * s2 * s2
+    band[0] += (1.0 / s2 + nu * s2) * d
+    band[1] += (nu * s2 - 1.0 / s2) * e
+    # -band in LAPACK's general band storage, entry (r, c) in row 4 + r - c;
+    # rows 0 and 1 are the LU's fill-in
+    neg = np.zeros((7, m))
+    neg[4:] = -band
+    neg[3, 1:], neg[2, 2:] = neg[5, :-1], neg[6, :-2]
+    return d, e, band, neg
+
+
+def _resolve(neg: np.ndarray, w: float, r: np.ndarray, i: int | None = None) -> np.ndarray:
+    """u (axis 0) with (w - block) u = r on the block's leading len(r)
+    functions, neg = -block: one banded LU (`dgbsv`), given i with Nelson's
+    normalization u_i = 0 for the eigenvalue w (`montgomery_branch`)."""
+    lu = neg[:, :len(r)].copy()
+    lu[4] += w
+    if i is not None:
+        # column i of w - block becomes a unit column, so the other entries
+        # of u solve the system without row and column i; row i leaves
+        # rounding in u_i, which the normalization sets to zero
+        lu[2:, i] = 0.0, 0.0, 1.0, 0.0, 0.0
+    *_, u, info = dgbsv(2, 2, lu, r, overwrite_ab=1)
+    if info:
+        raise np.linalg.LinAlgError(f"w - block is degenerate at w = {w} (pivot {info})")
+    if i is not None:
+        u[i] = 0.0
+    return u
+
+
+def _hermite_branch(n: int, nu: float) -> tuple[np.ndarray, tuple[float, np.ndarray]]:
+    """`montgomery_branch`'s (mu, mu', mu'') and (w, phi), w = mu - nu^2 and
+    phi mode n on its parity block, at the certificate's size."""
+    nu = float(nu)
+    if n < 1 or not math.isfinite(nu):
+        raise ValueError(f"need n >= 1 and a finite nu, got n = {n}, nu = {nu}")
+    s2, j = (2.0 + max(nu, 0.0)) ** -0.5, (n - 1) // 2
+    d, e, band, neg = _parity_block((n - 1) % 2, nu, _basis_size(n, nu) + _BASIS_STEP)
+
+    def solve(m: int):
+        w, v, _, _, info = dsbevx(band[:, :m], 0.0, 1.0, j + 1, j + 1, range=2, lower=1,
+                                  abstol=_ABSTOL, overwrite_ab=0)
+        if info:
+            raise np.linalg.LinAlgError(f"mode {j} of mutilde_{n}({nu})'s block is degenerate")
+        w, phi = w[0], v[:, 0]
+        x2_phi = d[:m] * phi
+        x2_phi[:-1] += e[:m - 1] * phi[1:]
+        x2_phi[1:] += e[:m - 1] * phi[:-1]
+        c = phi @ x2_phi
+        r = x2_phi - c * phi
+        u = _resolve(neg, w, r, np.argmax(np.abs(phi)))
+        return np.array([nu * nu + w, 2.0 * nu + s2 * c, 2.0 + 2.0 * s2 * s2 * (r @ u)]), (w, phi)
+
+    return certify_basis(n, nu, solve)
+
+
 def montgomery_branch(n: int, nu: float) -> tuple[float, float, float]:
     """mutilde_n(nu) and its first two nu-derivatives.
 
@@ -85,57 +152,14 @@ def montgomery_branch(n: int, nu: float) -> tuple[float, float, float]:
     eigenpair j is solved, by LAPACK dsbevx called as `eig_banded` calls
     it, whose Sturm-count bisection certifies the index.  mu' = 2 nu +
     <phi, xi^2 phi> and mu'' = 2 + 2 <r, u> with r = Pi_perp xi^2 phi and
-    (mu - H) u = r: one reduced-resolvent solve, a banded LU (`dgbsv`) of
-    mu - H with Nelson's normalization u_i = 0 at phi's largest entry i in
-    place of <u, phi> = 0 (the two differ by a multiple of phi, to which r
-    is orthogonal), which leaves a nonsingular system.  The length is s =
-    (2 + max(nu, 0))^{-1/4} (harmonic for large nu) and the basis size is
-    certified by `certify_basis`; the band is built once at the
-    certificate's size, and the rule's size solves its leading block.
+    (mu - H) u = r: one banded LU with Nelson's normalization (`_resolve`),
+    whose u differs from the reduced resolvent's by a multiple of phi, to
+    which r is orthogonal.  The length is s = (2 + max(nu, 0))^{-1/4}
+    (harmonic for large nu) and the basis size is certified by
+    `certify_basis`; the band is built once at the certificate's size, and
+    the rule's size solves its leading block.
     """
-    nu = float(nu)
-    if n < 1 or not math.isfinite(nu):
-        raise ValueError(f"need n >= 1 and a finite nu, got n = {n}, nu = {nu}")
-    s2, j = (2.0 + max(nu, 0.0)) ** -0.5, (n - 1) // 2
-    # the entries depend on k alone, so the rule's block leads the certificate's
-    k = np.arange((n - 1) % 2, 2 * (_basis_size(n, nu) + _BASIS_STEP), 2.0)
-    d, e = k + 0.5, 0.5 * np.sqrt((k + 1) * (k + 2))
-    band = np.zeros((3, len(k)))
-    band[0] = d * d + e * e
-    band[0, 1:] += e[:-1] * e[:-1]
-    band[1], band[2, :-1] = 2.0 * e * (d + 1.0), e[:-1] * e[1:]
-    band *= 0.25 * s2 * s2
-    band[0] += (1.0 / s2 + nu * s2) * d
-    band[1] += (nu * s2 - 1.0 / s2) * e
-    # -band in LAPACK's general band storage, entry (r, c) in row 4 + r - c;
-    # rows 0 and 1 are the LU's fill-in
-    neg = np.zeros((7, len(k)))
-    neg[4:] = -band
-    neg[3, 1:], neg[2, 2:] = neg[5, :-1], neg[6, :-2]
-
-    def solve(m: int):
-        w, v, _, _, info = dsbevx(band[:, :m], 0.0, 1.0, j + 1, j + 1, range=2, lower=1,
-                                  abstol=_ABSTOL, overwrite_ab=0)
-        w, phi = w[0], v[:, 0]
-        x2_phi = d[:m] * phi
-        x2_phi[:-1] += e[:m - 1] * phi[1:]
-        x2_phi[1:] += e[:m - 1] * phi[:-1]
-        c = phi @ x2_phi
-        r = x2_phi - c * phi
-        # column i of mu - H becomes a unit column, so the other entries of u
-        # solve the system without row and column i; row i leaves rounding
-        # in u_i, which the normalization sets to zero
-        lu = neg[:, :m].copy()
-        lu[4] += w
-        i = np.argmax(np.abs(phi))
-        lu[2:, i] = 0.0, 0.0, 1.0, 0.0, 0.0
-        *_, u, lu_info = dgbsv(2, 2, lu, r, overwrite_ab=1)
-        if info or lu_info:
-            raise np.linalg.LinAlgError(f"mode {j} of mutilde_{n}({nu})'s block is degenerate")
-        u[i] = 0.0
-        return np.array([nu * nu + w, 2.0 * nu + s2 * c, 2.0 + 2.0 * s2 * s2 * (r @ u)]), None
-
-    return tuple(map(float, certify_basis(n, nu, solve)[0]))
+    return tuple(map(float, _hermite_branch(n, nu)[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import GroupElement, exp_basis, multiply
-from .dispersion import certify_basis
+from .dispersion import _hermite_branch, _parity_block, _resolve
 from .spectral import real_cbrt
 
 
@@ -207,26 +207,17 @@ def _ladder(v: np.ndarray, up: float, down: float) -> np.ndarray:
     return out
 
 
-def _bordered_solve(border: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """u (axis 0) with (mu - H) u = Pi_perp r and <u, phi> = 0 on the M
-    functions of border = [[mu - H, phi], [phi^T, 0]], zero past them: the
-    border's multiplier takes r's component along phi."""
-    M = len(border) - 1
-    u = np.zeros_like(r)
-    u[:M] = np.linalg.solve(border, np.concatenate([r[:M], np.zeros((1, *r.shape[1:]))]))[:M]
-    return u
-
-
 class _PacketMachinery:
     """Mode n of H(delta0, beta0), the corrector basis vectors and their
     generator images, as coefficients on Hermite functions.
 
     The length is s = |delta0|^{-1/3} (2 + max(nu, 0))^{-1/4}, nu =
-    beta0 / delta0^{1/3}, where H is |delta0|^{2/3} Htilde(nu) on the
-    functions of `montgomery_branch`.  phi is mode n of its parity block,
-    and dphi and u1..u6 solve (mu - H) u = Pi_perp r, <u, phi> = 0, each
-    one bordered solve on the M functions of both parities; the basis size
-    is `certify_basis`'s, on (mu, mu', mu'') in the units of Htilde(nu).
+    beta0 / delta0^{1/3}, where H is |delta0|^{2/3} (nu^2 + block) on each
+    parity block of `montgomery_branch`, whose phi, mu, mu' and mu'' and
+    certified size (m functions per parity, M = 2m) the machinery takes.
+    dphi and u1..u6 solve (mu - H) u = Pi_perp r, <u, phi> = 0 by one
+    banded LU per block (`dispersion._resolve`): Nelson's between
+    projections onto phi-perp on phi's block, a plain one on the other.
     """
 
     def __init__(self, spec: WavePacketSpec):
@@ -234,29 +225,27 @@ class _PacketMachinery:
         n, cbrt = spec.n, real_cbrt(spec.delta0)
         nu = spec.beta0 / cbrt
         self.length = abs(spec.delta0) ** (-1.0 / 3.0) * (2.0 + max(nu, 0.0)) ** -0.25
-        units = np.array([cbrt * cbrt, cbrt, 1.0])
-
-        def solve(m: int):
-            M, p, j = 2 * m, (n - 1) % 2, (n - 1) // 2
-            H = self.h(np.eye(M + _PAD, M))[:M]
-            w, v = np.linalg.eigh(H[p::2, p::2])
-            phi = np.zeros(M + _PAD)
-            phi[p:M:2] = v[:, j] * np.sign(v[np.argmax(np.abs(v[:, j])), j])
-            border = np.block([[w[j] * np.eye(M) - H, phi[:M, None]], [phi[None, :M], 0.0]])
-            dH_phi = 2.0 * self.w(phi)
-            dphi = _bordered_solve(border, dH_phi)
-            fh = np.array([w[j], dH_phi @ phi, 2.0 + 2.0 * (dH_phi @ dphi)])
-            return fh / units, (fh, phi, dphi, border)
-
-        _, (fh, phi, dphi, border) = certify_basis(n, nu, solve)
-        self.mu, self.mu_d1, self.mu_d2 = map(float, fh)
+        (mu, mu_d1, mu_d2), (w, phi_p) = _hermite_branch(n, nu)
+        self.mu, self.mu_d1, self.mu_d2 = float(cbrt * cbrt * mu), float(cbrt * mu_d1), float(mu_d2)
         self.dispersion = 0.5 * self.mu_d2  # profile equation coefficient
         self.profile = replace(spec.profile, coeff=self.dispersion)
 
-        self.images = self._images({"phi": phi, "xi_phi": self.xi(phi), "dphi": dphi})
+        M, p, i = 2 * len(phi_p), (n - 1) % 2, np.argmax(np.abs(phi_p))
+        phi = np.zeros(M + _PAD)
+        phi[p:M:2] = phi_p = phi_p * np.sign(phi_p[i])  # largest entry positive
+        on_phi, off_phi = (_parity_block(q, nu, M // 2)[3] for q in (p, 1 - p))
+
+        def solve(r: np.ndarray) -> np.ndarray:
+            u = np.zeros_like(r)
+            u_p = _resolve(on_phi, w, r[p:M:2] - np.multiply.outer(phi_p, phi_p @ r[p:M:2]), i)
+            u[p:M:2] = u_p - np.multiply.outer(phi_p, phi_p @ u_p)
+            u[1 - p:M:2] = _resolve(off_phi, w, r[1 - p:M:2])
+            return u / (cbrt * cbrt)
+
+        self.images = self._images({"phi": phi, "xi_phi": self.xi(phi),
+                                    "dphi": solve(2.0 * self.w(phi))})
         sources = np.column_stack([self.images[k][:, col] for k, col in _RESOLVENT_SOURCES.values()])
-        u = _bordered_solve(border, sources)
-        self.images.update(self._images(dict(zip(_RESOLVENT_SOURCES, u.T))))
+        self.images.update(self._images(dict(zip(_RESOLVENT_SOURCES, solve(sources).T))))
         self.basis = {k: v[:, 0] for k, v in self.images.items()}
 
     def xi(self, v: np.ndarray) -> np.ndarray:

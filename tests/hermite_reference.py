@@ -1,8 +1,18 @@
-"""The Montgomery branch by the complete Feynman-Hellmann sum: every
+"""Dense routes to the Hermite parity blocks, test references for the
+banded ones of `dispersion`.
+
+The Montgomery branch by the complete Feynman-Hellmann sum: every
 eigenpair of the Hermite parity block, then mu'' as the sum over the other
 modes.  A test reference for `dispersion.montgomery_branch`, which solves
 one eigenpair and one reduced-resolvent system; both share its basis rule
-and certificate (`dispersion.certify_basis`)."""
+and certificate (`dispersion.certify_basis`).
+
+The packet machinery by dense linear algebra on both parities at once:
+H from the generators' images of the unit vectors, every eigenpair of
+phi's block, and each resolvent vector one bordered solve.  A test
+reference for `wavepacket._PacketMachinery`, which solves each parity
+block by one banded LU.
+"""
 
 import math
 
@@ -10,6 +20,7 @@ import numpy as np
 from scipy.linalg import eig_banded
 
 from engellab.dispersion import certify_basis
+from engellab.wavepacket import _PAD, _RESOLVENT_SOURCES, _PacketMachinery
 
 
 def parity_block(n: int, nu: float, m: int) -> np.ndarray:
@@ -52,3 +63,33 @@ def branch_by_spectral_sum(n: int, nu: float) -> tuple[float, float, float]:
         return np.array([nu * nu + w[j], 2.0 * nu + c[j], 2.0 + 2.0 * np.sum(c * c / gaps)]), None
 
     return tuple(map(float, certify_basis(n, nu, solve)[0]))
+
+
+def dense_machinery(m: _PacketMachinery) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """m's basis vectors and (mu, mu', mu''), solved densely on m's M
+    functions: H = W^2 - D^2 from m's generators, phi mode n of H's parity
+    block by `eigh` (largest entry positive), mu' = <dH phi, phi> with
+    dH = 2W, mu'' = 2 + 2 <dH phi, dphi>, and dphi and u1..u6 with
+    (mu - H) u = Pi_perp r and <u, phi> = 0 from the bordered system
+    [[mu - H, phi], [phi^T, 0]] of size M + 1, whose multiplier takes r's
+    component along phi; every vector is zero past the M functions."""
+    n = m.spec.n
+    M, p, j = len(m.basis["phi"]) - _PAD, (n - 1) % 2, (n - 1) // 2
+    H = m.h(np.eye(M + _PAD, M))[:M]
+    w, v = np.linalg.eigh(H[p::2, p::2])
+    phi = np.zeros(M + _PAD)
+    phi[p:M:2] = v[:, j] * np.sign(v[np.argmax(np.abs(v[:, j])), j])
+    border = np.block([[w[j] * np.eye(M) - H, phi[:M, None]], [phi[None, :M], 0.0]])
+
+    def bordered_solve(r: np.ndarray) -> np.ndarray:
+        u = np.zeros_like(r)
+        u[:M] = np.linalg.solve(border, np.concatenate([r[:M], np.zeros((1, *r.shape[1:]))]))[:M]
+        return u
+
+    dH_phi = 2.0 * m.w(phi)
+    dphi = bordered_solve(dH_phi)
+    basis = {"phi": phi, "xi_phi": m.xi(phi), "dphi": dphi}
+    images = {k: (x, m.d(x), m.w(x)) for k, x in basis.items()}
+    sources = np.column_stack([images[k][col] for k, col in _RESOLVENT_SOURCES.values()])
+    basis.update(zip(_RESOLVENT_SOURCES, bordered_solve(sources).T))
+    return basis, np.array([w[j], dH_phi @ phi, 2.0 + 2.0 * (dH_phi @ dphi)])

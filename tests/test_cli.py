@@ -318,7 +318,10 @@ def test_refused_config_is_a_usage_error(tmp_path, capsys):
                "half-mode": {"n_list": [1, 1.5]}, "int-modes": {"n_list": 3},
                "text-grid": {"grid_n": "abc"}, "text-nu": {"nu_min": "x"},
                "text-n": {"n": "a"}, "text-trials": {"trials": "many"},
-               "text-t": {"t": "x"}, "int-times": {"times": 3}, "int-x0": {"x0": 3}}
+               "text-t": {"t": "x"}, "int-times": {"times": 3}, "int-x0": {"x0": 3},
+               "half-grid": {"grid_n": 2048.9}, "half-n": {"n": 1.5},
+               "half-trials": {"trials": 40.5}, "inf-grid": {"grid_n": float("inf")},
+               "half-packet-n": {"n": 2.5}}
     for name, config in configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))
     for argv, message in (
@@ -394,6 +397,20 @@ def test_refused_config_is_a_usage_error(tmp_path, capsys):
         (["smicro-profile", "--config", str(tmp_path / "int-times.json")],
          "smicro-profile needs integers n and grid_n and a list of times "
          "('int' object is not iterable)"),
+        # counts with a fractional part, which int() would truncate
+        (["dispersion", "--config", str(tmp_path / "half-grid.json")],
+         "dispersion needs a list n_list and numbers nu_min, nu_max, nu_step and grid_n "
+         "(2048.9 is not an integer)"),
+        (["critical-points", "--config", str(tmp_path / "half-n.json")],
+         "critical-points needs an integer n, a scan pair and a number tol "
+         "(1.5 is not an integer)"),
+        (["identities", "--config", str(tmp_path / "half-trials.json")],
+         "identities needs an integer trial count (40.5 is not an integer)"),
+        (["smicro-profile", "--config", str(tmp_path / "inf-grid.json")],
+         "smicro-profile needs integers n and grid_n and a list of times (inf is not an integer)"),
+        (["residual-scaling", "--config", str(tmp_path / "half-packet-n.json")],
+         "residual-scaling: a packet needs numbers profile_width2, profile_width4, delta0 and "
+         "beta0, a list x0 and an integer n (2.5 is not an integer)"),
         # arguments the library refuses
         (["smicro-profile", "--n", "0"],
          "smicro-profile: need n >= 1 and a finite nu, got n = 0, nu = -4.0"),

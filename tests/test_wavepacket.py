@@ -5,6 +5,7 @@ import math
 import numpy as np
 import packet_reference
 import pytest
+from hermite_reference import dense_machinery, parity_block
 from packet_reference import (
     ansatz_values,
     corrector_sigma1,
@@ -103,9 +104,10 @@ def test_phase_and_center_group_law():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_machinery_matches_montgomery_branch(n):
     # (mu, mu', mu'') = (|d|^{2/3} mu~, sign(d) |d|^{1/3} mu~', mu~'') at
-    # nu = beta0 / d^{1/3}: two Galerkin routes (both parities through the
-    # generators against the closed-form parity block); measured worst
-    # 9.8e-15 relative to max(1, |value|) over these 12 points, bound at ~3x
+    # nu = beta0 / d^{1/3}: the machinery takes the branch's solve and
+    # converts its units, so this checks the conversion against the values
+    # scaled here; measured 0 over these 48 points (the same products), and
+    # the bound, 3e-14 relative to max(1, |value|), leaves rounding room
     for delta in (-0.7, 1.0, 2.0):
         for beta in (-4.0, -0.35, 0.0, 0.5):
             m = machinery(WavePacketSpec(delta0=delta, beta0=beta, n=n))
@@ -115,24 +117,47 @@ def test_machinery_matches_montgomery_branch(n):
             assert np.all(np.abs(got - ref) <= 3e-14 * np.maximum(1.0, np.abs(ref))), (delta, beta)
 
 
+# the banded block solves against the dense route of hermite_reference
+# (eigh, then one bordered solve over both parities), relative to each
+# vector's largest entry: measured worst 2.3e-15 at the first three specs;
+# at beta0 = -4 (gap 1.6e-5) 7.1e-15 on phi's parity and 3.2e-10 to
+# 7.6e-10 for u1, u4 and u5, whose block has condition 1.6e8 there.
+# (mu, mu', mu'') agree to 6.7e-15 of max(1, |value|).  Bounds at ~4x
+@pytest.mark.parametrize("spec, phi_tol, other_tol", [
+    (SPEC, 1e-14, 1e-14),
+    (WavePacketSpec(n=3, delta0=2.0, beta0=-1.0), 1e-14, 1e-14),
+    (WavePacketSpec(n=2, delta0=-0.7, beta0=0.5), 1e-14, 1e-14),
+    (WavePacketSpec(beta0=-4.0), 3e-14, 3e-9),
+], ids=["default", "n3-even", "n2-odd", "tunnelling"])
+def test_machinery_matches_the_dense_bordered_route(spec, phi_tol, other_tol):
+    m = machinery(spec)
+    basis, fh = dense_machinery(m)
+    got = np.array([m.mu, m.mu_d1, m.mu_d2])
+    assert np.all(np.abs(got - fh) <= 3e-14 * np.maximum(1.0, np.abs(fh)))
+    for name, v in basis.items():
+        tol = other_tol if name in ("xi_phi", "u1", "u4", "u5") else phi_tol
+        assert np.max(np.abs(m.basis[name] - v)) <= tol * np.max(np.abs(v)), name
+
+
 def test_generators_satisfy_the_algebra_on_coefficients():
-    # -D^2 + W^2 from the two tridiagonal matrices is H = p^2 + W^2 with
-    # the closed-form xi^2 (diagonal s^2 (k + 1/2), (k, k + 2) entry
-    # s^2 sqrt((k + 1)(k + 2))/2) and p^2 (the same over s^4, off-diagonal
-    # negated): measured 3.6e-16 of max |H|.  phi is its eigenvector on the
-    # M functions of the solves (measured 2.6e-16); past them (mu - H) phi
-    # is the basis' truncation, 1.6e-13 here, which certify_basis bounds
+    # -D^2 + W^2 from the two tridiagonal ladders is |delta0|^{2/3} (nu^2 +
+    # block) on each parity, with the closed-form block the branch solves
+    # (hermite_reference.parity_block), and couples no two parities:
+    # measured 4.8e-16 of max |H|, so the machinery may take the branch's
+    # solve.  phi is its eigenvector on the M functions of the solves
+    # (measured 5.0e-16); past them (mu - H) phi is the basis' truncation,
+    # 1.6e-13 here, which certify_basis bounds
     spec = WavePacketSpec(delta0=-0.7, beta0=0.5, n=2)
     m = machinery(spec)
-    K = len(m.basis["phi"])
-    k = np.arange(K + 2.0)
-    off = np.diag(np.sqrt((k[:-2] + 1) * (k[:-2] + 2)) / 2, 2)
-    x2 = m.length**2 * (np.diag(k + 0.5) + off + off.T)
-    p2 = (np.diag(k + 0.5) - off - off.T) / m.length**2
-    w = spec.beta0 * np.eye(K + 2) + 0.5 * spec.delta0 * x2
-    H = (p2 + w @ w)[:K - 4, :K - 4]
-    assert np.max(np.abs(m.h(np.eye(K, K - 4))[:K - 4] - H)) <= 1e-13 * np.max(np.abs(H))
-    phi, M = m.basis["phi"], K - wavepacket._PAD
+    c = real_cbrt(spec.delta0)
+    nu = spec.beta0 / c
+    K = len(m.basis["phi"]) - 4  # h raises the top index by four
+    H = m.h(np.eye(K + 4, K))[:K]
+    for q in (0, 1):
+        block = c * c * (nu * nu * np.eye(K // 2) + parity_block(q + 1, nu, K // 2))
+        assert np.max(np.abs(H[q::2, q::2] - block)) <= 1e-13 * np.max(np.abs(H))
+        assert not np.any(H[q::2, 1 - q::2])
+    phi, M = m.basis["phi"], len(m.basis["phi"]) - wavepacket._PAD
     assert np.linalg.norm((m.w(m.w(phi)) - m.d(m.d(phi)) - m.mu * phi)[:M]) <= 1e-14 * m.mu
 
 
