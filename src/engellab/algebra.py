@@ -299,6 +299,14 @@ class PBWPolynomial:
                 if c:
                     self.terms[tuple(mono)] = c
 
+    @classmethod
+    def _of(cls, terms: dict[Monomial, int | Fraction]) -> "PBWPolynomial":
+        """The polynomial of int/Fraction `terms` keyed by monomial tuples,
+        as the ring operations build them: zeros dropped, nothing converted."""
+        p = cls.__new__(cls)
+        p.terms = {mono: c for mono, c in terms.items() if c}
+        return p
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -318,11 +326,8 @@ class PBWPolynomial:
     @staticmethod
     def from_word(word: Sequence[int], coeff=1) -> "PBWPolynomial":
         """Normal form of coeff * X_{w1} X_{w2} ... (generator indices)."""
-        coeff = Fraction(coeff)
-        out: dict[Monomial, int | Fraction] = {}
-        for mono, c in _normal_form_word(tuple(word)):
-            out[mono] = out.get(mono, 0) + coeff * c
-        return PBWPolynomial(out)
+        coeff = _exact(coeff)
+        return PBWPolynomial._of({mono: coeff * c for mono, c in _normal_form_word(tuple(word))})
 
     # -- ring operations ----------------------------------------------------
 
@@ -330,31 +335,29 @@ class PBWPolynomial:
         out = dict(self.terms)
         for mono, c in other.terms.items():
             out[mono] = out.get(mono, 0) + c
-        return PBWPolynomial(out)
+        return PBWPolynomial._of(out)
 
     def __sub__(self, other: "PBWPolynomial") -> "PBWPolynomial":
         out = dict(self.terms)
         for mono, c in other.terms.items():
             out[mono] = out.get(mono, 0) - c
-        return PBWPolynomial(out)
+        return PBWPolynomial._of(out)
 
     def __neg__(self) -> "PBWPolynomial":
-        return PBWPolynomial({m: -c for m, c in self.terms.items()})
+        return PBWPolynomial._of({m: -c for m, c in self.terms.items()})
 
     def scale(self, c) -> "PBWPolynomial":
-        c = Fraction(c)
-        return PBWPolynomial({m: c * v for m, v in self.terms.items()})
+        c = _exact(c)
+        return PBWPolynomial._of({m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other: "PBWPolynomial") -> "PBWPolynomial":
         out: dict[Monomial, int | Fraction] = {}
         for m1, c1 in self.terms.items():
-            w1 = _monomial_word(m1)
             for m2, c2 in other.terms.items():
-                word = w1 + _monomial_word(m2)
                 coeff = c1 * c2
-                for mono, c in _normal_form_word(word):
+                for mono, c in _monomial_product(m1, m2):
                     out[mono] = out.get(mono, 0) + coeff * c
-        return PBWPolynomial(out)
+        return PBWPolynomial._of(out)
 
     def commutator(self, other: "PBWPolynomial") -> "PBWPolynomial":
         return self * other - other * self
@@ -401,11 +404,25 @@ class PBWPolynomial:
         return PBWPolynomial(terms)
 
 
+def _exact(c) -> int | Fraction:
+    """An int coefficient as itself, any other number as a Fraction; the two
+    compare, hash and print alike where their values agree."""
+    return c if isinstance(c, int) else Fraction(c)
+
+
 def _monomial_word(mono: Monomial) -> tuple[int, ...]:
     word: list[int] = []
     for gen, expo in enumerate(mono, start=1):
         word.extend([gen] * expo)
     return tuple(word)
+
+
+@lru_cache(maxsize=None)
+def _monomial_product(m1: Monomial, m2: Monomial) -> tuple[tuple[Monomial, int], ...]:
+    """Normal form of the product of two ordered monomials, as
+    `_normal_form_word` gives it for their joined words: the table that
+    `PBWPolynomial.__mul__` reads per pair of terms."""
+    return _normal_form_word(_monomial_word(m1) + _monomial_word(m2))
 
 
 def pbw_normal_form(word: Sequence[int], coeff=1) -> PBWPolynomial:

@@ -199,17 +199,17 @@ def run_identities(cfg: dict, seed: int) -> RunReport:
 
     # PBW confluence: a random word's normal form equals the product of its
     # generators multiplied out one at a time
+    X1, X2, X3, X4 = generators = [algebra.PBWPolynomial.generator(i) for i in (1, 2, 3, 4)]
     bad_confluence = 0
     for _ in range(trials):
-        word = [int(g) for g in rng.integers(1, 5, size=int(rng.integers(2, 7)))]
+        word = rng.integers(1, 5, size=int(rng.integers(2, 7))).tolist()
         ref = algebra.pbw_normal_form(word)
         reref = algebra.PBWPolynomial.one()
         for g in word:
-            reref = reref * algebra.PBWPolynomial.generator(g)
+            reref = reref * generators[g - 1]
         bad_confluence += reref != ref
     rep.checks.append(Check("pbw-confluence-failures", bad_confluence, 0, "=="))
 
-    X1, X2, X3, X4 = (algebra.PBWPolynomial.generator(i) for i in (1, 2, 3, 4))
     minus_sublap = (X1 * X1 + X2 * X2).scale(-1)
     id1 = X2 * X3 - X1.scale(Fraction(-1, 2)).commutator(minus_sublap)
     rep.checks.append(Check("lemma-x2x3-identity-nonzero-terms", len(id1.terms), 0, "=="))
@@ -268,8 +268,9 @@ def run_dispersion(cfg: dict, seed: int) -> RunReport:
     nus = [float(nu) for nu in np.arange(nu_min, nu_max + 0.5 * step, step)]
     rep = RunReport("dispersion", cfg)
 
-    # one row per montgomery_branch call, n-ascending then nu-ascending
-    branches = [(n, [dispersion.montgomery_branch(n, nu) for nu in nus]) for n in sorted(ns)]
+    # montgomery_branch's rows, one batched solve per branch, n-ascending
+    # then nu-ascending
+    branches = [(n, dispersion._branch_rows(n, nus)) for n in sorted(ns)]
     rows = [(n, 1.0, nu, *b) for n, branch in branches for nu, b in zip(nus, branch)]
     ends = sorted({0, len(nus) - 1})
     rep.metrics["rows"] = len(rows)

@@ -57,42 +57,60 @@ def _basis_size(n: int, nu: float) -> int:
     return size
 
 
-def certify_basis(n: int, nu: float, solve):
-    """solve(m) -> ((mu, mu', mu''), extra) on m Hermite functions per parity
-    block, at `_basis_size`'s m and at _BASIS_STEP more, for mode n of
-    Htilde(nu).
-
-    Returns the larger solve; ConfinementError if one of its values differs
-    from the rule's by over _BASIS_RTOL max(1, |value|).
-    """
-    size = _basis_size(n, nu)
-    (rule, _), (more, extra) = solve(size), solve(size + _BASIS_STEP)
-    if np.any(np.abs(rule - more) > _BASIS_RTOL * np.maximum(1.0, np.abs(more))):
-        raise ConfinementError(f"mutilde_{n}({nu}): {size} and {size + _BASIS_STEP} Hermite "
-                               f"functions give (mu, mu', mu'') = {rule} and {more}")
-    return more, extra
+def _certify(n: int, nus: Sequence[float], size: int, rule: np.ndarray, more: np.ndarray) -> None:
+    """The basis certificate of mode n of Htilde(nu) at each of `nus`, whose
+    (mu, mu', mu'') are the rows of `rule` on `size` Hermite functions per
+    parity block and of `more` on _BASIS_STEP more: ConfinementError for
+    the first nu where a value differs from the larger solve's by over
+    _BASIS_RTOL max(1, |value|)."""
+    bad = np.abs(rule - more) > _BASIS_RTOL * np.maximum(1.0, np.abs(more))
+    if bad.any():
+        k = int(np.argmax(bad.any(axis=1)))
+        raise ConfinementError(f"mutilde_{n}({nus[k]}): {size} and {size + _BASIS_STEP} Hermite "
+                               f"functions give (mu, mu', mu'') = {rule[k]} and {more[k]}")
 
 
-def _parity_block(p: int, nu: float, m: int):
-    """Htilde(nu) - nu^2 on `montgomery_branch`'s m functions k = p, p + 2, ...:
-    xi^2's unit-length diagonal d and (k, k + 2) entry e, the lower band for
-    `dsbevx`, and -band in general band storage for `_resolve`."""
-    s2 = (2.0 + max(nu, 0.0)) ** -0.5
-    k = np.arange(p, 2 * m, 2.0)
-    d, e = k + 0.5, 0.5 * np.sqrt((k + 1) * (k + 2))
-    band = np.zeros((3, m))
-    band[0] = d * d + e * e
-    band[0, 1:] += e[:-1] * e[:-1]
-    band[1], band[2, :-1] = 2.0 * e * (d + 1.0), e[:-1] * e[1:]
-    band *= 0.25 * s2 * s2
-    band[0] += (1.0 / s2 + nu * s2) * d
-    band[1] += (nu * s2 - 1.0 / s2) * e
+_BAND_TERMS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _band_terms(p: int):
+    """The nu-independent parts of `_parity_blocks` on the _BASIS_MAX
+    Hermite functions k = p, p + 2, ...: xi^2's unit-length diagonal d and
+    (k, k + 2) entry e, and the lower band of xi^4 = (xi^2)^2.  A block
+    of any size takes their leading entries, so they are built once per
+    parity, read-only."""
+    if p not in _BAND_TERMS:
+        k = np.arange(p, 2 * _BASIS_MAX, 2.0)
+        d, e = k + 0.5, 0.5 * np.sqrt((k + 1) * (k + 2))
+        quartic = np.zeros((3, _BASIS_MAX))
+        quartic[0] = d * d + e * e
+        quartic[0, 1:] += e[:-1] * e[:-1]
+        quartic[1], quartic[2, :-1] = 2.0 * e * (d + 1.0), e[:-1] * e[1:]
+        for a in (d, e, quartic):
+            a.flags.writeable = False
+        _BAND_TERMS[p] = d, e, quartic
+    return _BAND_TERMS[p]
+
+
+def _parity_blocks(p: int, nus: Sequence[float], m: int):
+    """Htilde(nu) - nu^2 on `montgomery_branch`'s m functions k = p, p + 2,
+    ..., one block per nu of `nus`: the squared lengths s^2 = (2 + max(nu,
+    0))^{-1/2}, the lower bands for `dsbevx`, shape (len(nus), 3, m), and
+    -bands in general band storage for `_resolve`, shape (len(nus), 7, m)."""
+    d, e, quartic = _band_terms(p)
+    s2 = [(2.0 + max(nu, 0.0)) ** -0.5 for nu in nus]
+    # per nu: the factors of xi^4, of the diagonal d and of the entry e
+    f = np.array([(0.25 * s * s, 1.0 / s + nu * s, nu * s - 1.0 / s) for s, nu in zip(s2, nus)])
+    bands = quartic[:, :m] * f[:, 0, None, None]
+    bands[:, 2, -1] = 0.0  # past the block
+    bands[:, 0] += f[:, 1, None] * d[:m]
+    bands[:, 1] += f[:, 2, None] * e[:m]
     # -band in LAPACK's general band storage, entry (r, c) in row 4 + r - c;
     # rows 0 and 1 are the LU's fill-in
-    neg = np.zeros((7, m))
-    neg[4:] = -band
-    neg[3, 1:], neg[2, 2:] = neg[5, :-1], neg[6, :-2]
-    return d, e, band, neg
+    negs = np.zeros((len(nus), 7, m))
+    negs[:, 4:] = -bands
+    negs[:, 3, 1:], negs[:, 2, 2:] = negs[:, 5, :-1], negs[:, 6, :-2]
+    return s2, bands, negs
 
 
 def _resolve(neg: np.ndarray, w: float, r: np.ndarray, i: int | None = None) -> np.ndarray:
@@ -114,30 +132,62 @@ def _resolve(neg: np.ndarray, w: float, r: np.ndarray, i: int | None = None) -> 
     return u
 
 
-def _hermite_branch(n: int, nu: float) -> tuple[np.ndarray, tuple[float, np.ndarray]]:
-    """`montgomery_branch`'s (mu, mu', mu'') and (w, phi), w = mu - nu^2 and
-    phi mode n on its parity block, at the certificate's size."""
-    nu = float(nu)
-    if n < 1 or not math.isfinite(nu):
-        raise ValueError(f"need n >= 1 and a finite nu, got n = {n}, nu = {nu}")
-    s2, j = (2.0 + max(nu, 0.0)) ** -0.5, (n - 1) // 2
-    d, e, band, neg = _parity_block((n - 1) % 2, nu, _basis_size(n, nu) + _BASIS_STEP)
+def _hermite_branch(n: int, nus: Sequence[float]) -> list[tuple[np.ndarray, tuple]]:
+    """`montgomery_branch`'s (mu, mu', mu'') at each of `nus`, with (w, phi,
+    neg): w = mu - nu^2, phi mode n on its parity block at the certificate's
+    size, and neg = -block there in `_resolve`'s storage.
 
-    def solve(m: int):
-        w, v, _, _, info = dsbevx(band[:, :m], 0.0, 1.0, j + 1, j + 1, range=2, lower=1,
-                                  abstol=_ABSTOL, overwrite_ab=0)
-        if info:
-            raise np.linalg.LinAlgError(f"mode {j} of mutilde_{n}({nu})'s block is degenerate")
-        w, phi = w[0], v[:, 0]
-        x2_phi = d[:m] * phi
-        x2_phi[:-1] += e[:m - 1] * phi[1:]
-        x2_phi[1:] += e[:m - 1] * phi[:-1]
-        c = phi @ x2_phi
-        r = x2_phi - c * phi
-        u = _resolve(neg, w, r, np.argmax(np.abs(phi)))
-        return np.array([nu * nu + w, 2.0 * nu + s2 * c, 2.0 + 2.0 * s2 * s2 * (r @ u)]), (w, phi)
+    The nus that share a basis size are solved together: one band build,
+    then per nu one `dsbevx`, one `_resolve` and the dot products at each of
+    the certificate's two sizes, with the rest array operations over the
+    group; every value is the one-nu call's to the bit.  A nu refused
+    before any solve (n < 1, nu not finite, a basis over _BASIS_MAX)
+    raises as its one-nu call does, the first such nu in `nus` order.
+    """
+    nus, sizes = [float(nu) for nu in nus], []
+    for nu in nus:
+        if n < 1 or not math.isfinite(nu):
+            raise ValueError(f"need n >= 1 and a finite nu, got n = {n}, nu = {nu}")
+        sizes.append(_basis_size(n, nu))
+    if not nus:
+        return []
+    p, j = (n - 1) % 2, (n - 1) // 2
+    d, e, _ = _band_terms(p)
+    out = [None] * len(nus)
+    for size in dict.fromkeys(sizes):
+        at = [k for k, s in enumerate(sizes) if s == size]
+        group = [nus[k] for k in at]
+        s2, bands, negs = _parity_blocks(p, group, size + _BASIS_STEP)
 
-    return certify_basis(n, nu, solve)
+        def solve(m: int):
+            w, phi = np.empty(len(group)), np.empty((len(group), m))
+            for k, band in enumerate(bands):
+                ev, v, _, _, info = dsbevx(band[:, :m], 0.0, 1.0, j + 1, j + 1, range=2,
+                                           lower=1, abstol=_ABSTOL, overwrite_ab=0)
+                if info:
+                    raise np.linalg.LinAlgError(
+                        f"mode {j} of mutilde_{n}({group[k]})'s block is degenerate")
+                w[k], phi[k] = ev[0], v[:, 0]
+            x2_phi = d[:m] * phi
+            x2_phi[:, :-1] += e[:m - 1] * phi[:, 1:]
+            x2_phi[:, 1:] += e[:m - 1] * phi[:, :-1]
+            c = np.array([a @ b for a, b in zip(phi, x2_phi)])
+            r = x2_phi - c[:, None] * phi
+            i = np.abs(phi).argmax(axis=1)
+            ru = [rk @ _resolve(neg, wk, rk, ik) for rk, neg, wk, ik in zip(r, negs, w, i)]
+            return np.array([(nu * nu + wk, 2.0 * nu + s * ck, 2.0 + 2.0 * s * s * ruk)
+                             for nu, s, wk, ck, ruk in zip(group, s2, w, c, ru)]), (w, phi)
+
+        rule, (more, (w, phi)) = solve(size)[0], solve(size + _BASIS_STEP)
+        _certify(n, group, size, rule, more)
+        for k, values, wk, ph, neg in zip(at, more, w, phi, negs):
+            out[k] = values, (wk, ph, neg)
+    return out
+
+
+def _branch_rows(n: int, nus: Sequence[float]) -> list[tuple[float, float, float]]:
+    """`montgomery_branch` at each of `nus`, by one `_hermite_branch` call."""
+    return [tuple(map(float, values)) for values, _ in _hermite_branch(n, nus)]
 
 
 def montgomery_branch(n: int, nu: float) -> tuple[float, float, float]:
@@ -156,10 +206,11 @@ def montgomery_branch(n: int, nu: float) -> tuple[float, float, float]:
     whose u differs from the reduced resolvent's by a multiple of phi, to
     which r is orthogonal.  The length is s = (2 + max(nu, 0))^{-1/4}
     (harmonic for large nu) and the basis size is certified by
-    `certify_basis`; the band is built once at the certificate's size, and
-    the rule's size solves its leading block.
+    `_certify`: the values on `_basis_size`'s m functions must agree with
+    those on _BASIS_STEP more, which are returned; the band is built once
+    at the larger size, and the rule's size solves its leading block.
     """
-    return tuple(map(float, _hermite_branch(n, nu)[0]))
+    return _branch_rows(n, [nu])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +240,10 @@ def critical_points(
 ) -> list[DispersionReport]:
     """Locate and certify all roots of mutilde_n' inside the scan window.
 
-    Every value comes from `montgomery_branch`.  The certificate is the
-    number of sign changes of mu' over `samples` points; a sample where it
-    is exactly 0 opens a bracket of its own.  Each bracket is refined by
+    Every value is `montgomery_branch`'s, the scan samples' from one
+    batched call.  The certificate is the number of sign changes of mu'
+    over `samples` points; a sample where it is exactly 0 opens a bracket
+    of its own.  Each bracket is refined by
     Newton steps on mu' with mu'', starting from the secant point of the
     scan values: a step that does not land strictly inside the bracket is
     replaced by its midpoint, and the iteration stops once a step is below
@@ -205,7 +257,7 @@ def critical_points(
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"root tolerance must be finite and positive, got {tol!r}")
     nus = np.linspace(lo, hi, samples)
-    d1 = np.array([montgomery_branch(n, v)[1] for v in nus])
+    d1 = np.array([row[1] for row in _branch_rows(n, nus)])
 
     sign_changes = [k for k in range(samples - 1)
                     if d1[k] == 0.0 or d1[k] * d1[k + 1] < 0.0]

@@ -46,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import GroupElement, exp_basis, multiply
-from .dispersion import _hermite_branch, _parity_block, _resolve
+from .dispersion import _hermite_branch, _parity_blocks, _resolve
 from .spectral import real_cbrt
 
 
@@ -225,7 +225,7 @@ class _PacketMachinery:
         n, cbrt = spec.n, real_cbrt(spec.delta0)
         nu = spec.beta0 / cbrt
         self.length = abs(spec.delta0) ** (-1.0 / 3.0) * (2.0 + max(nu, 0.0)) ** -0.25
-        (mu, mu_d1, mu_d2), (w, phi_p) = _hermite_branch(n, nu)
+        [((mu, mu_d1, mu_d2), (w, phi_p, on_phi))] = _hermite_branch(n, [nu])
         self.mu, self.mu_d1, self.mu_d2 = float(cbrt * cbrt * mu), float(cbrt * mu_d1), float(mu_d2)
         self.dispersion = 0.5 * self.mu_d2  # profile equation coefficient
         self.profile = replace(spec.profile, coeff=self.dispersion)
@@ -233,7 +233,7 @@ class _PacketMachinery:
         M, p, i = 2 * len(phi_p), (n - 1) % 2, np.argmax(np.abs(phi_p))
         phi = np.zeros(M + _PAD)
         phi[p:M:2] = phi_p = phi_p * np.sign(phi_p[i])  # largest entry positive
-        on_phi, off_phi = (_parity_block(q, nu, M // 2)[3] for q in (p, 1 - p))
+        [off_phi] = _parity_blocks(1 - p, [nu], M // 2)[2]
 
         def solve(r: np.ndarray) -> np.ndarray:
             u = np.zeros_like(r)

@@ -5,7 +5,7 @@ The Montgomery branch by the complete Feynman-Hellmann sum: every
 eigenpair of the Hermite parity block, then mu'' as the sum over the other
 modes.  A test reference for `dispersion.montgomery_branch`, which solves
 one eigenpair and one reduced-resolvent system; both share its basis rule
-and certificate (`dispersion.certify_basis`).
+(`dispersion._basis_size`) and certificate (`dispersion._certify`).
 
 The packet machinery by dense linear algebra on both parities at once:
 H from the generators' images of the unit vectors, every eigenpair of
@@ -19,7 +19,7 @@ import math
 import numpy as np
 from scipy.linalg import eig_banded
 
-from engellab.dispersion import certify_basis
+from engellab.dispersion import _BASIS_STEP, _basis_size, _certify
 from engellab.wavepacket import _PAD, _RESOLVENT_SOURCES, _PacketMachinery
 
 
@@ -60,9 +60,12 @@ def branch_by_spectral_sum(n: int, nu: float) -> tuple[float, float, float]:
         c = s2 * (v.T @ x2_phi)
         gaps = w[j] - w
         gaps[j] = math.inf
-        return np.array([nu * nu + w[j], 2.0 * nu + c[j], 2.0 + 2.0 * np.sum(c * c / gaps)]), None
+        return np.array([nu * nu + w[j], 2.0 * nu + c[j], 2.0 + 2.0 * np.sum(c * c / gaps)])
 
-    return tuple(map(float, certify_basis(n, nu, solve)[0]))
+    size = _basis_size(n, nu)
+    rule, more = solve(size), solve(size + _BASIS_STEP)
+    _certify(n, [nu], size, rule[None], more[None])
+    return tuple(map(float, more))
 
 
 def dense_machinery(m: _PacketMachinery) -> tuple[dict[str, np.ndarray], np.ndarray]:

@@ -1,5 +1,6 @@
 """Exact group/Lie-algebra arithmetic and PBW normal ordering."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -283,6 +284,41 @@ def test_pbw_confluence_random_words():
         left = pbw_normal_form(word[:split])
         right = pbw_normal_form(word[split:])
         assert left * right == ref
+
+
+def test_pbw_confluence_every_word_up_to_length_five():
+    # all 4 + 16 + 64 + 256 + 1024 words: the normal form of each equals the
+    # product of its generators multiplied out one at a time, which reads
+    # the monomial-product table instead of rewriting the word
+    words = [w for k in range(1, 6) for w in itertools.product((1, 2, 3, 4), repeat=k)]
+    assert len(words) == 1364
+    generators = (X1, X2, X3, X4)
+    for word in words:
+        product = PBWPolynomial.one()
+        for g in word:
+            product = product * generators[g - 1]
+        assert product == pbw_normal_form(word), word
+
+
+def test_from_word_and_scale_with_fraction_coefficients():
+    half = PBWPolynomial.from_word([2, 1], Fraction(1, 2))
+    assert half.terms == {(1, 1, 0, 0): Fraction(1, 2), (0, 0, 1, 0): Fraction(-1, 2)}
+    assert half == (X1 * X2 - X3).scale(Fraction(1, 2)) == pbw_normal_form([2, 1]).scale(0.5)
+    assert half.scale(2) == pbw_normal_form([2, 1])
+    assert half.scale(0).is_zero() and PBWPolynomial.from_word([2, 1], 0).is_zero()
+    # an int coefficient stays an int
+    assert all(type(c) is int for c in PBWPolynomial.from_word([2, 1], 3).terms.values())
+
+
+def test_int_and_fraction_coefficients_compare_hash_and_print_alike():
+    ints = PBWPolynomial.from_word([2, 1], 2)
+    fractions_ = PBWPolynomial.from_word([2, 1], Fraction(2))
+    mixed = PBWPolynomial({(1, 1, 0, 0): 2, (0, 0, 1, 0): Fraction(-2)})
+    text = "-2 * X1^0 X2^0 X3^1 X4^0 + 2 * X1^1 X2^1 X3^0 X4^0"
+    for p in (ints, fractions_, mixed, PBWPolynomial.deserialize(text)):
+        assert p == ints and hash(p) == hash(ints) and p.serialize() == text
+    assert len({ints, fractions_, mixed}) == 1
+    assert ints != ints.scale(Fraction(1, 2))
 
 
 def test_zero_polynomial_support_and_serialization():

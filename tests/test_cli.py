@@ -29,6 +29,7 @@ def test_identities_all_pass(tmp_path):
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["passed"] is True
     assert payload["experiment"] == "identities"
+    assert payload["metrics"]["x2x3_serialized"] == "1 * X1^0 X2^1 X3^1 X4^0"
 
 
 def _broken_product_sign(x, y):
@@ -188,12 +189,12 @@ def test_fd_agreement_fails_on_a_shifted_fd_curvature(monkeypatch):
 def test_fd_agreement_fails_on_a_perturbed_branch_row(monkeypatch):
     # only the first row of the branch is perturbed: the check reads the
     # rows it writes
-    def perturbed(n, nu):
-        mu, d1, d2 = real(n, nu)
-        return mu, d1, d2 + (_shift(n, nu, 512, mu) if nu == -0.2 else 0.0)
+    def perturbed(n, nus):
+        return [(mu, d1, d2 + (_shift(n, nu, 512, mu) if nu == -0.2 else 0.0))
+                for nu, (mu, d1, d2) in zip(nus, real(n, nus))]
 
-    real = dispersion.montgomery_branch
-    monkeypatch.setattr(dispersion, "montgomery_branch", perturbed)
+    real = dispersion._branch_rows
+    monkeypatch.setattr(dispersion, "_branch_rows", perturbed)
     rep = run("dispersion", {"n_list": [1], "nu_min": -0.2, "nu_max": 0.2,
                              "nu_step": 0.1, "grid_n": 512})
     assert [c.name for c in rep.checks if not c.passed] == ["fd-agreement"]

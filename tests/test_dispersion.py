@@ -100,12 +100,13 @@ def test_certificate_and_root_match_full_grid_oracle(n, monkeypatch):
     changes = [k for k in range(samples - 1) if d1[k] == 0.0 or d1[k] * d1[k + 1] < 0.0]
 
     calls: list[float] = []
+    real = dispersion._branch_rows
 
-    def counting(n, nu):
-        calls.append(nu)
-        return montgomery_branch(n, nu)
+    def counting(n, nus):
+        calls.extend(nus)
+        return real(n, nus)
 
-    monkeypatch.setattr(dispersion, "montgomery_branch", counting)
+    monkeypatch.setattr(dispersion, "_branch_rows", counting)
     reports = critical_points(n, scan=(lo, hi), samples=samples)
     monkeypatch.undo()
 
@@ -317,6 +318,69 @@ def test_montgomery_branch_refusals():
     # the rule would need more than 1024 functions
     with pytest.raises(ConfinementError, match="more than 1024"):
         montgomery_branch(1, -500.0)
+
+
+# -- one Hermite call over a nu grid ---------------------------------------------
+
+# -6.3 .. 1.2 at step 0.05: ceil(max(-nu, 0)) takes 8 values, so one call
+# solves 8 groups of nus that share a basis size
+BATCH_GRID = np.arange(-6.3, 1.2 + 0.025, 0.05)
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_batched_branch_is_the_one_nu_branch_bit_for_bit(n):
+    sizes = [dispersion._basis_size(n, nu) for nu in BATCH_GRID]
+    assert len(set(sizes)) == 8
+    rows = dispersion._branch_rows(n, BATCH_GRID)
+    assert _bits(rows) == _bits([montgomery_branch(n, nu) for nu in BATCH_GRID])
+    for nu, size, (values, (w, phi, neg)) in zip(BATCH_GRID, sizes,
+                                                  dispersion._hermite_branch(n, BATCH_GRID)):
+        [(v1, (w1, phi1, neg1))] = dispersion._hermite_branch(n, [nu])
+        assert _bits(values) == _bits(v1) and _bits(w) == _bits(w1)
+        assert _bits(phi) == _bits(phi1) and _bits(neg) == _bits(neg1)
+        assert len(phi) == size + dispersion._BASIS_STEP
+
+
+def test_branch_returns_phis_block_at_phis_size():
+    # neg is -block in general band storage, entry (r, c) in row 4 + r - c,
+    # at phi's size, and phi is its eigenvector of eigenvalue w: against the
+    # dense block, measured 2.3e-16 of its largest entry and a residual of
+    # 3.7e-16 max(1, |w|) at worst; bounds at ~30x
+    for n, nu in ((1, -3.5), (2, 0.3), (3, -40.0), (4, 7.0)):
+        [(_, (w, phi, neg))] = dispersion._hermite_branch(n, [nu])
+        m = len(phi)
+        dense = parity_block(n, nu, m)
+        got = np.zeros((m, m))
+        for r in range(m):
+            for c in range(max(0, r - 2), min(m, r + 3)):
+                got[r, c] = -neg[4 + r - c, c]
+        assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense)), (n, nu)
+        assert np.max(np.abs(dense @ phi - w * phi)) <= 1e-14 * max(1.0, abs(w)), (n, nu)
+
+
+@pytest.mark.parametrize("n, refused, error, basis_min", [
+    (1, math.nan, ValueError, None),
+    (0, -1.0, ValueError, None),
+    (1, -500.0, ConfinementError, None),
+    # the certificate at 4 functions in place of _BASIS_MIN refuses
+    # nu <= 4 for n = 1 and passes 4.5 and above
+    (1, 4.0, ConfinementError, 4),
+])
+def test_batched_branch_refuses_as_the_one_nu_call(n, refused, error, basis_min, monkeypatch):
+    # a grid holding one refused nu raises the one-nu call's error on it
+    # (n < 1 refuses every nu, so the first)
+    if basis_min is not None:
+        monkeypatch.setattr(dispersion, "_BASIS_MIN", basis_min)
+    grid = [5.0, 6.0, refused, 4.5] if basis_min else [-1.0, 0.5, refused, 1.0]
+    with pytest.raises(error) as one:
+        montgomery_branch(n, refused)
+    with pytest.raises(error) as batch:
+        dispersion._branch_rows(n, grid)
+    assert str(batch.value) == str(one.value)
 
 
 def test_curvature_consistency_across_cone():
