@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from typing import Callable, Sequence
+from typing import Sequence
 
 WEIGHTS = (1, 1, 2, 3)
 HOMOGENEOUS_DIMENSION = 7
@@ -65,16 +65,6 @@ def multiply(x: GroupElement, y: GroupElement) -> GroupElement:
 def inverse(x: GroupElement) -> GroupElement:
     """Group inverse; multiply(x, inverse(x)) is the identity."""
     return GroupElement(-x.x1, -x.x2, -x.x3 - x.x2 * x.x1, -x.x4)
-
-
-def dilate(r, x: GroupElement) -> GroupElement:
-    """Anisotropic dilation with `WEIGHTS`; Jacobian r**HOMOGENEOUS_DIMENSION.
-
-    Rejects non-positive r: dilations form a one-parameter group over r > 0.
-    """
-    if not r > 0:
-        raise ValueError(f"dilation factor must be positive, got {r!r}")
-    return GroupElement(*(r**w * c for w, c in zip(WEIGHTS, x)))
 
 
 def _half_for(*vals):
@@ -155,30 +145,6 @@ def exp_basis(i: int, t) -> GroupElement:
     coords = [0, 0, 0, 0]
     coords[i - 1] = t
     return GroupElement(*coords)
-
-
-def left_invariant_derivative(
-    f: Callable[[GroupElement], float],
-    x: GroupElement,
-    i: int,
-    h: float | None = None,
-) -> float:
-    """Central difference of t -> f(x Exp(t Xi)) at t = 0.
-
-    Approximates the left-invariant vector field Xi, which in semidirect
-    coordinates reads
-
-        X1 = d1 - x2 d3 - (x3 + x1 x2)/2 d4,  X2 = d2,
-        X3 = d3 + x1/2 d4,                    X4 = d4.
-    """
-    if h is None:
-        scale = max(1.0, max(abs(float(c)) for c in x.coords()))
-        h = 1e-5 * scale
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    fp = f(multiply(x, exp_basis(i, h)))
-    fm = f(multiply(x, exp_basis(i, -h)))
-    return (fp - fm) / (2.0 * h)
 
 
 # ---------------------------------------------------------------------------
@@ -388,20 +354,6 @@ class PBWPolynomial:
             coeff = self.terms[mono]
             parts.append(f"{coeff} * X1^{a} X2^{b} X3^{c} X4^{d}")
         return " + ".join(parts)
-
-    @staticmethod
-    def deserialize(text: str) -> "PBWPolynomial":
-        text = text.strip()
-        if text == "0":
-            return PBWPolynomial.zero()
-        terms: dict[Monomial, Fraction] = {}
-        for part in text.split(" + "):
-            coeff_str, mono_str = part.split(" * ")
-            expo = []
-            for factor in mono_str.split():
-                expo.append(int(factor.split("^")[1]))
-            terms[tuple(expo)] = Fraction(coeff_str)
-        return PBWPolynomial(terms)
 
 
 def _exact(c) -> int | Fraction:

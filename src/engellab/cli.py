@@ -146,6 +146,23 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _finite_numbers(value) -> list[float]:
+    """A config list of numbers as floats; a TypeError or ValueError unless
+    every entry is a finite number."""
+    numbers = [float(v) for v in value]
+    if not np.isfinite(numbers).all():
+        raise ValueError(f"{value!r} holds a number that is not finite")
+    return numbers
+
+
+def _finite_time(value, subcommand: str) -> float:
+    """The config's time t as a float; ConfigError unless it is finite."""
+    t = _converting(f"{subcommand} needs a number t", lambda: float(value))
+    if not np.isfinite(t):
+        raise ConfigError(f"{subcommand} needs a finite t, got {t}")
+    return t
+
+
 def _print_checks(report: RunReport) -> None:
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
@@ -292,8 +309,10 @@ def run_dispersion(cfg: dict, seed: int) -> RunReport:
 def run_critical_points(cfg: dict, seed: int) -> RunReport:
     n, scan, tol = _converting(
         "critical-points needs an integer n, a scan pair and a number tol",
-        lambda: (_integer(cfg.get("n", 1)), tuple(cfg.get("scan", [-4.0, 4.0])),
+        lambda: (_integer(cfg.get("n", 1)), _finite_numbers(cfg.get("scan", [-4.0, 4.0])),
                  float(cfg.get("tol", 1e-10))))
+    if len(scan) != 2:
+        raise ConfigError(f"critical-points needs a scan of exactly two numbers, got {scan}")
     reports = _refusing("critical-points", dispersion.critical_points, n, scan=scan, tol=tol)
     rep = RunReport("critical-points", cfg)
     rep.metrics["reports"] = [asdict(r) for r in reports]
@@ -349,13 +368,15 @@ _SPEC_KEYS = ("profile_width2", "profile_width4", "x0", "delta0", "beta0", "n")
 
 def _hbar_ladder(values, least: int, use: str) -> list[float]:
     """The config's hbar ladder as floats; ConfigError unless it holds at
-    least `least` numbers."""
+    least `least` numbers, each finite and > 0."""
     try:
         hbars = [float(h) for h in values]
     except (TypeError, ValueError):
         raise ConfigError(f"hbar_ladder must be a list of numbers, got {values!r}") from None
     if len(hbars) < least:
         raise ConfigError(f"{use} needs at least {least} hbar value(s), got {len(hbars)}")
+    if not all(0.0 < h < np.inf for h in hbars):
+        raise ConfigError(f"hbar_ladder must hold finite numbers > 0, got {values!r}")
     return hbars
 
 
@@ -365,7 +386,8 @@ def _spec_from_cfg(cfg: dict) -> wavepacket.WavePacketSpec:
         "a packet needs numbers profile_width2, profile_width4, delta0 and beta0, "
         "a list x0 and an integer n",
         lambda: (float(cfg.get("profile_width2", 0.45)), float(cfg.get("profile_width4", 0.8)),
-                 tuple(cfg.get("x0", (0.0, 0.0, 0.0, 0.0))), float(cfg.get("delta0", 1.0)),
+                 tuple(float(c) for c in cfg.get("x0", (0.0, 0.0, 0.0, 0.0))),
+                 float(cfg.get("delta0", 1.0)),
                  float(cfg.get("beta0", 0.0)), _integer(cfg.get("n", 1))))
     return wavepacket.WavePacketSpec(
         x0=x0, delta0=delta0, beta0=beta0, n=n,
@@ -379,11 +401,9 @@ def run_residual_scaling(cfg: dict, seed: int) -> RunReport:
     spec = _refusing("residual-scaling", lambda: _spec_from_cfg(cfg))
     hbars = _hbar_ladder(cfg.get("hbar_ladder", [0.1, 0.05, 0.025, 0.0125]), 4,
                          "a residual-scaling slope")
-    t = _converting("residual-scaling needs a number t", lambda: float(cfg.get("t", 0.1)))
+    t = _finite_time(cfg.get("t", 0.1), "residual-scaling")
     rep = RunReport("residual-scaling", cfg)
-    reports = wavepacket.residual_scaling_experiment(
-        spec, hbars, order=wavepacket.AnsatzOrder.WITH_SIGMA1_AND_2, t=t,
-    )
+    reports = wavepacket.residual_scaling_experiment(spec, hbars, t=t)
     full = reports[wavepacket.AnsatzOrder.WITH_SIGMA1_AND_2]
     first = reports[wavepacket.AnsatzOrder.WITH_SIGMA1]
     rep.metrics["full_slope"] = full.slope
@@ -402,7 +422,7 @@ def run_residual_scaling(cfg: dict, seed: int) -> RunReport:
 def run_transport(cfg: dict, seed: int) -> RunReport:
     # exact integrals, no sampling: the seed changes nothing
     spec = _refusing("transport", lambda: _spec_from_cfg(cfg))
-    t = _converting("transport needs a number t", lambda: float(cfg.get("t", 0.5)))
+    t = _finite_time(cfg.get("t", 0.5), "transport")
     hbars = _hbar_ladder(cfg.get("hbar_ladder", [0.05, 0.025, 0.0125]), 1, "transport")
     rows = wavepacket.transport_demo(spec, t, hbar_list=hbars)
     rep = RunReport("transport", cfg)
@@ -435,13 +455,17 @@ def run_smicro_profile(cfg: dict, seed: int) -> RunReport:
     n, N, times = _converting(
         "smicro-profile needs integers n and grid_n and a list of times",
         lambda: (_integer(cfg.get("n", 1)), _integer(cfg.get("grid_n", 4096)),
-                 tuple(cfg.get("times", (0.0, 0.5, 1.0, 2.0)))))
+                 _finite_numbers(cfg.get("times", (0.0, 0.5, 1.0, 2.0)))))
+    deltas = _converting("smicro-profile needs a list delta_list of finite numbers",
+                         lambda: _finite_numbers(cfg.get("delta_list", [0.5, 1.0, 2.0])))
+    if not deltas:
+        raise ConfigError("smicro-profile needs a non-empty delta_list")
     reports = _refusing("smicro-profile", dispersion.critical_points, n, samples=81)
     if not reports:
         raise ConfigError(f"smicro-profile: mode {n} has no critical point on [-4, 4]")
     r0 = reports[0]
     cc = _refusing("smicro-profile", dispersion.curvature_consistency,
-                   n, r0.nu_c, cfg.get("delta_list", [0.5, 1.0, 2.0]), N=N)
+                   n, r0.nu_c, deltas, N=N)
     demo = wavepacket.second_microlocal_profile_demo(r0.curvature, times=times)
     rep = RunReport("smicro-profile", cfg)
     rep.metrics["critical_point"] = asdict(r0)

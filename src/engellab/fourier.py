@@ -9,12 +9,10 @@ with infinitesimal generators pi(X1) = d_xi, pi(X2) = i(b + d xi^2/2),
 pi(X3) = i d xi, pi(X4) = i d.  In the shifted variable eta = xi + s(x)
 (s = x1, or 0 for the characters) the phase of every class is a quadratic
 in eta whose coefficients depend on x alone; the matrix-coefficient kernel
-takes its cos/sin exactly at every node.  Off-node values phi(eta - s)
-come from phi's not-a-knot cubic spline (one tridiagonal slope solve,
-`_spline_table`), whose piece table rep_apply and the kernel share.
-rep_apply builds it on every call; the kernel builds phi2's table only
-when phi2 or the grid differ from its previous call's, and keeps the
-last one.
+takes its cos/sin exactly at every node.  Off-node values phi2(eta - s)
+come from phi2's not-a-knot cubic spline (one tridiagonal slope solve,
+`_spline_table`); the kernel builds phi2's piece table only when phi2 or
+the grid differ from its previous call's, and keeps the last one.
 
 The group Fourier transform F kappa(pi) = int kappa(x) pi(x)* dx of a
 product kernel kappa(x) = f1(x1) f2(x2) f3(x3) f4(x4) reduces to the
@@ -23,7 +21,8 @@ operator kernel
     K(xi, xi') = f1(xi - xi') f2^(b + d xi^2/2) f3^(d (xi + xi')/2) f4^(d),
 
 where g^ is the 1-D Fourier transform int g(t) exp(-i w t) dt: the x1
-integral is pinned by the shift and the remaining three are 1-D factors.
+integral is pinned by the shift and the remaining three are 1-D factors
+(tests/grid_reference.py builds K on a grid).
 Each factor is a finite sum of polynomial x Gaussian terms, so g^ is
 closed form, and the Plancherel quadrature boxes are sized from the
 factors' widths.  Plancherel calibration integrates beta over the whole
@@ -43,13 +42,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import solve_banded
 
-from .algebra import WEIGHTS, GroupElement, inverse
+from .algebra import GroupElement
 from .spectral import Character, Generic, RepParam, Schrodinger, SpectralGrid
 
 __all__ = [
     "RepParam",
-    "rep_apply",
-    "rep_apply_adjoint",
     "GridMarginError",
     "QuadratureBoxError",
     "live_window",
@@ -57,12 +54,7 @@ __all__ = [
     "matrix_coefficient",
     "Factor1D",
     "GaussianKernelSpec",
-    "ProductKernel",
-    "OperatorKernel",
-    "fourier_product_kernel",
-    "fourier_gaussian",
     "plancherel_calibrate",
-    "difference_op_check",
 ]
 
 
@@ -120,7 +112,6 @@ def _quadratic_phase(param: RepParam, coords: np.ndarray):
     Generic(delta, beta): a = delta (x4 - x1 x3 / 2) + beta x2, b = delta x3,
     c = delta x2 / 2; Schrodinger(lam): a = lam (x3 - x1 x2 / 2), b = lam x2,
     c = 0; Character(alpha1, alpha2): a = alpha1 x1 + alpha2 x2, b = c = 0.
-    Both rep_apply and matrix_coefficients take the phase from here.
     """
     x1, x2, x3, x4 = coords.T
     zero = np.zeros_like(x1)
@@ -138,31 +129,6 @@ def _quadratic_phase(param: RepParam, coords: np.ndarray):
 def _shift_of(param: RepParam, x1):
     """The xi-shift s(x) of pi(x): x1, except for the characters."""
     return 0.0 * x1 if isinstance(param, Character) else x1
-
-
-def rep_apply(param: RepParam, x: GroupElement, phi: np.ndarray,
-              grid: SpectralGrid) -> np.ndarray:
-    """Apply the representation of x to a grid vector; phi(. + s) comes
-    from phi's not-a-knot cubic spline, zero outside the box."""
-    coords = np.array([[float(v) for v in x.coords()]])
-    s = _shift_of(param, coords[0, 0])
-    live_window(phi, grid, s)
-    nodes = grid.nodes
-    target = nodes + s
-    i = np.clip(np.searchsorted(nodes, target, side="right") - 1, 0, grid.N - 2)
-    c3, c2, c1, c0 = _spline_table(nodes, phi)[:, i]
-    t = target - nodes[i]
-    t2 = t * t
-    shifted = (c0 + c1 * t + c2 * t2 + c3 * (t2 * t)).astype(complex)
-    shifted[(target < -grid.L) | (target > grid.L)] = 0.0
-    (a,), (b,), (c,) = _quadratic_phase(param, coords)
-    return shifted * np.exp(1j * (a + (b + c * target) * target))
-
-
-def rep_apply_adjoint(param: RepParam, x: GroupElement, phi: np.ndarray,
-                      grid: SpectralGrid) -> np.ndarray:
-    """pi(x)* phi = pi(x^{-1}) phi."""
-    return rep_apply(param, inverse(x), phi, grid)
 
 
 def _spline_table(nodes: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -383,15 +349,6 @@ class Factor1D:
         t = np.linspace(self.lo, self.hi, 8192)
         return float(np.trapezoid(np.abs(self.fn(t)) ** 2, t))
 
-    def l1_norm(self) -> float:
-        t = np.linspace(self.lo, self.hi, 8192)
-        return float(np.trapezoid(np.abs(self.fn(t)), t))
-
-    def times_minus_t(self) -> "Factor1D":
-        """The factor -t f(t); each term splits by -t = -(t - c) - c."""
-        return Factor1D(tuple(term for a, c, w, p in self.terms
-                              for term in ((-a, c, w, p + 1), (-a * c, c, w, p))))
-
 
 @dataclass(frozen=True)
 class GaussianKernelSpec:
@@ -411,85 +368,6 @@ class GaussianKernelSpec:
         """One single-term Gaussian factor per coordinate."""
         return [Factor1D(((1.0, float(c), float(w), 0),))
                 for c, w in zip(self.centers, self.widths)]
-
-    def dilated(self, r: float) -> "GaussianKernelSpec":
-        """Kernel x -> kappa(r . x) for the group dilation."""
-        return GaussianKernelSpec(
-            tuple(c / r**u for c, u in zip(self.centers, WEIGHTS)),
-            tuple(w / r**u for w, u in zip(self.widths, WEIGHTS)),
-        )
-
-
-@dataclass
-class ProductKernel:
-    """General product kernel given by four 1-D factors."""
-
-    factors: tuple[Factor1D, Factor1D, Factor1D, Factor1D]
-
-    @staticmethod
-    def from_gaussian(spec: GaussianKernelSpec) -> "ProductKernel":
-        return ProductKernel(tuple(spec.factors()))
-
-    def l2_normsq(self) -> float:
-        out = 1.0
-        for f in self.factors:
-            out *= f.l2_normsq()
-        return out
-
-    def l1_norm(self) -> float:
-        out = 1.0
-        for f in self.factors:
-            out *= f.l1_norm()
-        return out
-
-    def with_coordinate_weight(self, i: int) -> "ProductKernel":
-        """Kernel of (-x_i) kappa, the difference-operator source."""
-        fs = list(self.factors)
-        fs[i - 1] = fs[i - 1].times_minus_t()
-        return ProductKernel(tuple(fs))
-
-
-@dataclass
-class OperatorKernel:
-    """Discrete integral kernel K(xi, xi') of F kappa(pi) on a grid."""
-
-    grid: SpectralGrid
-    matrix: np.ndarray  # complex (N, N)
-
-    def apply(self, phi: np.ndarray) -> np.ndarray:
-        return self.grid.h * (self.matrix @ phi)
-
-    def operator_norm(self) -> float:
-        svals = np.linalg.svd(self.matrix, compute_uv=False)
-        return float(svals[0] * self.grid.h)
-
-
-def fourier_product_kernel(kernel: ProductKernel, param: Generic,
-                           grid: SpectralGrid) -> OperatorKernel:
-    """Group Fourier transform of a product kernel at a generic parameter.
-
-    Uses the pinned-shift reduction; the three transverse integrals are
-    the closed-form 1-D Fourier transforms of the coordinate factors.
-    """
-    if not isinstance(param, Generic):
-        raise TypeError("kernel reduction is implemented for Generic parameters")
-    d, b = param.delta, param.beta
-    f1, f2, f3, f4 = kernel.factors
-    supp1 = max(abs(f1.lo), abs(f1.hi))
-    if supp1 > 2 * grid.L:
-        raise GridMarginError("x1 support of the kernel exceeds the grid box")
-    xi = grid.nodes
-    u = xi[:, None] - xi[None, :]
-    col2 = f2.transform(b + 0.5 * d * xi**2)
-    k3 = f3.transform(0.5 * d * (xi[:, None] + xi[None, :]))
-    k4 = complex(f4.transform(np.array([d]))[0])
-    matrix = f1.fn(u) * col2[:, None] * k3 * k4
-    return OperatorKernel(grid, matrix)
-
-
-def fourier_gaussian(kernel: GaussianKernelSpec, param: Generic,
-                     grid: SpectralGrid) -> OperatorKernel:
-    return fourier_product_kernel(ProductKernel.from_gaussian(kernel), param, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +393,7 @@ _N_DELTA = 96  # delta nodes of the Plancherel box over its default delta range
 _NU_PTS, _NV_PTS = 192, 512  # its u and vtilde trapezoid nodes
 
 
-def _hs_mass_box(kernel: ProductKernel, delta_nodes: np.ndarray) -> float:
+def _hs_mass_box(factors: Sequence[Factor1D], delta_nodes: np.ndarray) -> float:
     """Integral of ||F kappa||_HS^2 |delta| d delta d beta, beta over the
     whole line and delta over both signs of the (nonnegative) delta nodes.
 
@@ -527,7 +405,7 @@ def _hs_mass_box(kernel: ProductKernel, delta_nodes: np.ndarray) -> float:
     times the delta trapezoid of 2 |f4^(delta)|^2: f4 is real, so
     |f4^(-d)| = |f4^(d)|.
     """
-    f1, f2, f3, f4 = kernel.factors
+    f1, f2, f3, f4 = factors
     u = np.linspace(f1.lo, f1.hi, _NU_PTS)
     vt = np.linspace(-_reach(f3), _reach(f3), _NV_PTS)
     # |f2^|^2 is supported inside ~2x the factor reach
@@ -561,9 +439,9 @@ def plancherel_calibrate(kernels: Sequence[GaussianKernelSpec],
     kernel_echo: list[dict] = []
     for spec in kernels:
         echo = dict(centers=list(spec.centers), widths=list(spec.widths))
-        kern = ProductKernel.from_gaussian(spec)
+        factors = spec.factors()
         # f4's spectral density lives inside |d| <~ its reach; size the box there
-        dmax_default = 0.7 * _reach(kern.factors[3])
+        dmax_default = 0.7 * _reach(factors[3])
         dmax = box_scale * dmax_default
         # one delta step at every box scale, _N_DELTA nodes over the default
         # delta range, so doubling the box tests truncation, not a coarser rule
@@ -576,56 +454,11 @@ def plancherel_calibrate(kernels: Sequence[GaussianKernelSpec],
         tail = math.erfc(spec.widths[3] * dmax)
         if tail > 1e-3:
             raise QuadratureBoxError(f"quadrature box too small: uncompensated tail {tail:.2%}")
-        box_integral = _hs_mass_box(kern, np.linspace(0.0, dmax, n_delta))
-        ests.append(kern.l2_normsq() * (1.0 - tail) / box_integral)
+        box_integral = _hs_mass_box(factors, np.linspace(0.0, dmax, n_delta))
+        ests.append(math.prod(f.l2_normsq() for f in factors) * (1.0 - tail) / box_integral)
         echo.update(box=dict(delta_max=float(dmax)), tail=tail)
         kernel_echo.append(echo)
     mean = float(np.mean(ests))
     spread = float((max(ests) - min(ests)) / mean)
     return CalibrationReport(ests, mean, spread, float(max(k["tail"] for k in kernel_echo)),
                              kernel_echo)
-
-
-# ---------------------------------------------------------------------------
-# difference operators Delta_1, Delta_2
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class DifferenceOpResult:
-    index: int
-    absolute: float
-    relative: float
-
-
-_BETA_STEP = 1e-3  # central-difference step of d_beta in Delta_2
-
-
-def difference_op_check(kernel: GaussianKernelSpec | ProductKernel, index: int,
-                        delta: float, beta: float,
-                        grid: SpectralGrid | None = None) -> DifferenceOpResult:
-    """Verify the first two difference-operator formulas in HS norm.
-
-    Delta_1 F kappa = (i/delta) [pi(X3), F kappa]  and
-    Delta_2 F kappa = (1/i) d_beta F kappa; the left sides are Fourier
-    transforms of (-x_i) kappa computed independently from the factor
-    transforms, the right sides use only the kernel of F kappa itself.
-    """
-    if index not in (1, 2):
-        raise ValueError("only Delta_1 and Delta_2 are realized")
-    kern = kernel if isinstance(kernel, ProductKernel) else ProductKernel.from_gaussian(kernel)
-    if grid is None:
-        grid = SpectralGrid(12.0, 768)
-    param = Generic(delta, beta)
-    lhs = fourier_product_kernel(kern.with_coordinate_weight(index), param, grid).matrix
-    if index == 1:
-        K = fourier_product_kernel(kern, param, grid).matrix
-        xi = grid.nodes
-        rhs = -(xi[:, None] - xi[None, :]) * K
-    else:
-        Kp = fourier_product_kernel(kern, Generic(delta, beta + _BETA_STEP), grid).matrix
-        Km = fourier_product_kernel(kern, Generic(delta, beta - _BETA_STEP), grid).matrix
-        rhs = (Kp - Km) / (2j * _BETA_STEP)
-    dev = float(np.sqrt(np.sum(np.abs(lhs - rhs) ** 2)) * grid.h)
-    scale = float(np.sqrt(np.sum(np.abs(rhs) ** 2)) * grid.h)
-    return DifferenceOpResult(index, dev, dev / max(scale, 1e-300))

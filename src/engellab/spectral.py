@@ -10,7 +10,7 @@ and rescaling xi -> |delta|^{-1/3} xi brings it to the Montgomery family
     Htilde(nu) = -d^2/dxi^2 + (nu + xi^2/2)^2,
 
 with eigenvalues mu_n(delta, beta) = delta^{2/3} mutilde_n(beta delta^{-1/3})
-(real cube roots for delta < 0); Montgomery(nu) is Generic(1, nu).
+(real cube roots for delta < 0); Htilde(nu) is H(1, nu).
 
 Discretization: second-order central differences with Dirichlet walls at
 +-L.  Every potential here is even and `build_hamiltonian` mirrors it, so
@@ -31,7 +31,7 @@ at its index in its own block, through the same code, and is what
 rule that puts the wall 18 Agmon lengths past the turning point of a bound
 on the confined level; it scales with the natural length |delta|^{-1/3}
 (|lambda|^{-1/2} for Schrodinger), so the box of Generic(delta, beta) is
-|delta|^{-1/3} times that of Montgomery(nu).
+|delta|^{-1/3} times that of Generic(1, nu).
 
 Critical points of the Montgomery branches and their curvature reference
 come from `dispersion.montgomery_branch` on Hermite functions instead.
@@ -89,11 +89,6 @@ class Character:
 
     alpha1: float
     alpha2: float
-
-
-def Montgomery(nu: float) -> Generic:
-    """Rescaled family parameter nu: the generic symbol at delta = 1."""
-    return Generic(1.0, nu)
 
 
 RepParam = Generic | Schrodinger | Character

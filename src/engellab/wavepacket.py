@@ -162,7 +162,8 @@ class WavePacketSpec:
     objects are cached per spec.
 
     The profile disperses with mu_n''/2 of the packet's own mode, so its
-    `coeff` is not an input: any value other than 0 is refused.
+    `coeff` is not an input: any value other than 0 is refused.  x0 is four
+    finite numbers and both profile widths are finite and > 0.
     """
 
     x0: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
@@ -176,6 +177,12 @@ class WavePacketSpec:
                 and math.isfinite(self.beta0)):
             raise ValueError(f"a packet needs n >= 1, a finite delta0 != 0 and a finite beta0, "
                              f"got n = {self.n}, delta0 = {self.delta0}, beta0 = {self.beta0}")
+        if len(self.x0) != 4 or not all(map(math.isfinite, self.x0)):
+            raise ValueError(f"a packet needs x0 of 4 finite numbers, got {self.x0}")
+        widths = (self.profile.width2, self.profile.width4)
+        if not all(math.isfinite(w) and w > 0 for w in widths):
+            raise ValueError("a packet needs finite profile widths > 0, got "
+                             f"profile.width2 = {widths[0]}, profile.width4 = {widths[1]}")
         if self.profile.coeff != 0:
             raise ValueError("a packet's profile disperses with mu''/2 of its mode; "
                              "leave profile.coeff at 0")
@@ -518,15 +525,13 @@ class ScalingReport:
 
 
 def residual_scaling_experiment(spec: WavePacketSpec, hbar_list: Sequence[float],
-                                order: AnsatzOrder = AnsatzOrder.WITH_SIGMA1_AND_2,
                                 t: float = 0.1) -> dict[AnsatzOrder, ScalingReport]:
     """Least-squares slope of log(relative residual) against log(hbar), for
-    every ansatz order from LEADING through `order`, one `residual` call per
-    hbar."""
+    every ansatz order, one `residual` call per hbar."""
     if len(hbar_list) < 4:
         raise ValueError("need at least 4 hbar values for a slope")
     hbars = [float(h) for h in hbar_list]
-    per_hbar = [residual(spec, order, t, hb) for hb in hbars]
+    per_hbar = [residual(spec, AnsatzOrder.WITH_SIGMA1_AND_2, t, hb) for hb in hbars]
     reports = {}
     for cut in per_hbar[0]:
         res = [e[cut].relative for e in per_hbar]
@@ -600,7 +605,7 @@ class ProfileDemoReport:
     x2: np.ndarray
     densities: list[np.ndarray]
     mass_drift: float
-    gaussian_law_error: float | None  # None for non-Gaussian input profiles
+    gaussian_law_error: float
 
 
 # width and x2 grid of the demo's default Gaussian profile
@@ -610,36 +615,28 @@ _DEMO_WIDTH, _DEMO_BOX, _DEMO_POINTS = 1.0, 40.0, 2048
 def second_microlocal_profile_demo(
     curvature: float,
     times: Sequence[float] = (0.0, 0.5, 1.0, 2.0),
-    profile: ProfileState | None = None,
 ) -> ProfileDemoReport:
-    """Free 1-D dispersion of a profile on the x2 line with the
+    """Free 1-D dispersion of a Gaussian profile on the x2 line with the
     effective-mass coefficient curvature/2, curvature = mutilde_n''(nu_c)
     of a branch at its critical point.
 
-    Emits |a(t)|^2 curves and checks mass conservation; any Schwartz-class
-    grid profile is accepted, and for the default Gaussian the analytic
-    complex-width dispersion law is verified as well.
+    Emits |a(t)|^2 curves, checks mass conservation and verifies the
+    analytic complex-width dispersion law.
     """
     coeff = 0.5 * curvature
-    if profile is None:
-        x2 = np.linspace(-_DEMO_BOX, _DEMO_BOX, _DEMO_POINTS, endpoint=False)
-        state = ProfileState(x2, np.exp(-(x2**2) / (2.0 * _DEMO_WIDTH**2)).astype(complex))
-        analytic = GaussianProfile(width2=_DEMO_WIDTH, width4=1.0, coeff=coeff)
-    else:
-        state = profile
-        x2 = state.x2
-        analytic = None
+    x2 = np.linspace(-_DEMO_BOX, _DEMO_BOX, _DEMO_POINTS, endpoint=False)
+    state = ProfileState(x2, np.exp(-(x2**2) / (2.0 * _DEMO_WIDTH**2)).astype(complex))
+    analytic = GaussianProfile(width2=_DEMO_WIDTH, width4=1.0, coeff=coeff)
     mass0 = state.normsq()
     densities = []
     mass_drift = 0.0
-    law_err = None if analytic is None else 0.0
+    law_err = 0.0
     for t in times:
         st = profile_evolve(state, float(t), coeff) if t else state
         densities.append(np.abs(st.values) ** 2)
         mass_drift = max(mass_drift, abs(st.normsq() - mass0) / mass0)
-        if analytic is not None:
-            ref = analytic.partials(float(t), x2, 0.0, 0)[0, 0]
-            law_err = max(law_err, float(np.max(np.abs(st.values - ref))))
+        ref = analytic.partials(float(t), x2, 0.0, 0)[0, 0]
+        law_err = max(law_err, float(np.max(np.abs(st.values - ref))))
     return ProfileDemoReport(
         coefficient=coeff,
         times=[float(t) for t in times],

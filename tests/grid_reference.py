@@ -1,5 +1,7 @@
-"""Finite-difference references on a spectral grid that no library code
-uses: the generators of a generic representation as grid operators,
+"""References on a spectral grid that no library code uses: the Montgomery
+parameter, a representation applied to a grid vector, the generators of a
+generic representation as grid operators, the group Fourier transform of
+a product kernel with the difference operators Delta_1 and Delta_2,
 Richardson-extrapolated eigenvalues, and the reduced resolvent solved on
 the full grid."""
 
@@ -8,15 +10,50 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
+from engellab.algebra import WEIGHTS, GroupElement
+from engellab.fourier import (
+    Factor1D,
+    GaussianKernelSpec,
+    GridMarginError,
+    _quadratic_phase,
+    _shift_of,
+    _spline_table,
+    live_window,
+)
 from engellab.spectral import (
     Generic,
     OperatorMatrix,
+    RepParam,
     SpectralGrid,
     SpectralParam,
     box_grid,
     build_hamiltonian,
     eigen_lowest,
 )
+
+
+def Montgomery(nu: float) -> Generic:
+    """Rescaled family parameter nu: the generic symbol at delta = 1."""
+    return Generic(1.0, nu)
+
+
+def rep_apply(param: RepParam, x: GroupElement, phi: np.ndarray,
+              grid: SpectralGrid) -> np.ndarray:
+    """Apply the representation of x to a grid vector; phi(. + s) comes
+    from phi's not-a-knot cubic spline, zero outside the box."""
+    coords = np.array([[float(v) for v in x.coords()]])
+    s = _shift_of(param, coords[0, 0])
+    live_window(phi, grid, s)
+    nodes = grid.nodes
+    target = nodes + s
+    i = np.clip(np.searchsorted(nodes, target, side="right") - 1, 0, grid.N - 2)
+    c3, c2, c1, c0 = _spline_table(nodes, phi)[:, i]
+    t = target - nodes[i]
+    t2 = t * t
+    shifted = (c0 + c1 * t + c2 * t2 + c3 * (t2 * t)).astype(complex)
+    shifted[(target < -grid.L) | (target > grid.L)] = 0.0
+    (a,), (b,), (c,) = _quadratic_phase(param, coords)
+    return shifted * np.exp(1j * (a + (b + c * target) * target))
 
 
 @dataclass
@@ -84,3 +121,106 @@ def deflated_solve(op: OperatorMatrix, mu: float, phi: np.ndarray,
     ab[1] = mu - op.diagonal
     u = solve_banded((1, 1), ab, rhs_p)
     return u - phi * grid.inner(u, phi)
+
+
+# ---------------------------------------------------------------------------
+# product kernels, their group Fourier transform and Delta_1, Delta_2
+# ---------------------------------------------------------------------------
+
+
+def times_minus_t(f: Factor1D) -> Factor1D:
+    """The factor -t f(t); each term splits by -t = -(t - c) - c."""
+    return Factor1D(tuple(term for a, c, w, p in f.terms
+                          for term in ((-a, c, w, p + 1), (-a * c, c, w, p))))
+
+
+def l1_norm(f: Factor1D) -> float:
+    t = np.linspace(f.lo, f.hi, 8192)
+    return float(np.trapezoid(np.abs(f.fn(t)), t))
+
+
+def dilated(spec: GaussianKernelSpec, r: float) -> GaussianKernelSpec:
+    """Kernel x -> kappa(r . x) for the group dilation."""
+    return GaussianKernelSpec(
+        tuple(c / r**u for c, u in zip(spec.centers, WEIGHTS)),
+        tuple(w / r**u for w, u in zip(spec.widths, WEIGHTS)),
+    )
+
+
+@dataclass
+class ProductKernel:
+    """General product kernel given by four 1-D factors."""
+
+    factors: tuple[Factor1D, Factor1D, Factor1D, Factor1D]
+
+    @staticmethod
+    def from_gaussian(spec: GaussianKernelSpec) -> "ProductKernel":
+        return ProductKernel(tuple(spec.factors()))
+
+    def l1_norm(self) -> float:
+        out = 1.0
+        for f in self.factors:
+            out *= l1_norm(f)
+        return out
+
+    def with_coordinate_weight(self, i: int) -> "ProductKernel":
+        """Kernel of (-x_i) kappa, the difference-operator source."""
+        fs = list(self.factors)
+        fs[i - 1] = times_minus_t(fs[i - 1])
+        return ProductKernel(tuple(fs))
+
+
+def fourier_product_kernel(kernel: ProductKernel, param: Generic,
+                           grid: SpectralGrid) -> np.ndarray:
+    """Group Fourier transform of a product kernel at a generic parameter:
+    its operator kernel K (N, N), which acts as grid.h * K @ phi.
+
+    Uses the pinned-shift reduction; the three transverse integrals are
+    the closed-form 1-D Fourier transforms of the coordinate factors.
+    """
+    if not isinstance(param, Generic):
+        raise TypeError("kernel reduction is implemented for Generic parameters")
+    d, b = param.delta, param.beta
+    f1, f2, f3, f4 = kernel.factors
+    supp1 = max(abs(f1.lo), abs(f1.hi))
+    if supp1 > 2 * grid.L:
+        raise GridMarginError("x1 support of the kernel exceeds the grid box")
+    xi = grid.nodes
+    u = xi[:, None] - xi[None, :]
+    col2 = f2.transform(b + 0.5 * d * xi**2)
+    k3 = f3.transform(0.5 * d * (xi[:, None] + xi[None, :]))
+    k4 = complex(f4.transform(np.array([d]))[0])
+    return f1.fn(u) * col2[:, None] * k3 * k4
+
+
+_BETA_STEP = 1e-3  # central-difference step of d_beta in Delta_2
+
+
+def difference_op_check(spec: GaussianKernelSpec, index: int, delta: float, beta: float,
+                        grid: SpectralGrid | None = None) -> tuple[float, float]:
+    """Verify the first two difference-operator formulas in HS norm, as the
+    (absolute, relative) deviation.
+
+    Delta_1 F kappa = (i/delta) [pi(X3), F kappa]  and
+    Delta_2 F kappa = (1/i) d_beta F kappa; the left sides are Fourier
+    transforms of (-x_i) kappa computed independently from the factor
+    transforms, the right sides use only the kernel of F kappa itself.
+    """
+    if index not in (1, 2):
+        raise ValueError("only Delta_1 and Delta_2 are realized")
+    kern = ProductKernel.from_gaussian(spec)
+    if grid is None:
+        grid = SpectralGrid(12.0, 768)
+    param = Generic(delta, beta)
+    lhs = fourier_product_kernel(kern.with_coordinate_weight(index), param, grid)
+    if index == 1:
+        K = fourier_product_kernel(kern, param, grid)
+        xi = grid.nodes
+        rhs = -(xi[:, None] - xi[None, :]) * K
+    else:
+        Kp = fourier_product_kernel(kern, Generic(delta, beta + _BETA_STEP), grid)
+        Km = fourier_product_kernel(kern, Generic(delta, beta - _BETA_STEP), grid)
+        rhs = (Kp - Km) / (2j * _BETA_STEP)
+    dev = float(np.sqrt(np.sum(np.abs(lhs - rhs) ** 2)) * grid.h)
+    scale = float(np.sqrt(np.sum(np.abs(rhs) ** 2)) * grid.h)
+    return dev, dev / max(scale, 1e-300)

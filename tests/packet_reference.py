@@ -18,14 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from engellab.algebra import (
-    HOMOGENEOUS_DIMENSION,
-    GroupElement,
-    dilate,
-    exp_basis,
-    inverse,
-    multiply,
-)
+from algebra_reference import dilate
+
+from engellab.algebra import HOMOGENEOUS_DIMENSION, GroupElement, exp_basis, inverse, multiply
 from engellab.fourier import matrix_coefficients
 from engellab.spectral import Generic, SpectralGrid
 from engellab.wavepacket import (

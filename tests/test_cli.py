@@ -552,3 +552,66 @@ def test_smicro_profile_cli(tmp_path):
     assert thresholds["on-cone-curvature-deviation"] == 1e-3
     csv = (tmp_path / "profile_densities.csv").read_text()
     assert csv.startswith("x2,density_t0,density_t1")
+
+
+PACKET_REFUSALS = [
+    ({"x0": [0, 0, 0]}, "{sub}: a packet needs x0 of 4 finite numbers, got (0.0, 0.0, 0.0)"),
+    ({"x0": ["a", 0, 0, 0]},
+     "{sub}: a packet needs numbers profile_width2, profile_width4, delta0 and beta0, "
+     "a list x0 and an integer n (could not convert string to float: 'a')"),
+    ({"x0": [0, float("nan"), 0, 0]},
+     "{sub}: a packet needs x0 of 4 finite numbers, got (0.0, nan, 0.0, 0.0)"),
+    ({"profile_width2": -1}, "{sub}: a packet needs finite profile widths > 0, "
+     "got profile.width2 = -1.0, profile.width4 = 0.8"),
+    ({"profile_width4": 0}, "{sub}: a packet needs finite profile widths > 0, "
+     "got profile.width2 = 0.45, profile.width4 = 0.0"),
+    ({"profile_width2": float("inf")}, "{sub}: a packet needs finite profile widths > 0, "
+     "got profile.width2 = inf, profile.width4 = 0.8"),
+    ({"hbar_ladder": [0.1, 0.05, 0.025, 0]},
+     "hbar_ladder must hold finite numbers > 0, got [0.1, 0.05, 0.025, 0]"),
+    ({"hbar_ladder": [0.1, 0.05, 0.025, -0.0125]},
+     "hbar_ladder must hold finite numbers > 0, got [0.1, 0.05, 0.025, -0.0125]"),
+    ({"hbar_ladder": [0.1, 0.05, 0.025, float("nan")]},
+     "hbar_ladder must hold finite numbers > 0, got [0.1, 0.05, 0.025, nan]"),
+    ({"t": float("nan")}, "{sub} needs a finite t, got nan"),
+    ({"t": float("inf")}, "{sub} needs a finite t, got inf"),
+]
+
+MALFORMED = [
+    ("critical-points", {"scan": [1]},
+     "critical-points needs a scan of exactly two numbers, got [1.0]"),
+    ("critical-points", {"scan": [-4, 4, 9]},
+     "critical-points needs a scan of exactly two numbers, got [-4.0, 4.0, 9.0]"),
+    ("critical-points", {"scan": [-4, "a"]},
+     "critical-points needs an integer n, a scan pair and a number tol "
+     "(could not convert string to float: 'a')"),
+    ("critical-points", {"scan": [-4, float("inf")]},
+     "critical-points needs an integer n, a scan pair and a number tol "
+     "([-4, inf] holds a number that is not finite)"),
+    ("smicro-profile", {"delta_list": 5},
+     "smicro-profile needs a list delta_list of finite numbers ('int' object is not iterable)"),
+    ("smicro-profile", {"delta_list": []}, "smicro-profile needs a non-empty delta_list"),
+    ("smicro-profile", {"delta_list": [1.0, float("nan")]},
+     "smicro-profile needs a list delta_list of finite numbers "
+     "([1.0, nan] holds a number that is not finite)"),
+    ("smicro-profile", {"times": ["a"]},
+     "smicro-profile needs integers n and grid_n and a list of times "
+     "(could not convert string to float: 'a')"),
+    ("smicro-profile", {"times": [0.0, float("nan")]},
+     "smicro-profile needs integers n and grid_n and a list of times "
+     "([0.0, nan] holds a number that is not finite)"),
+] + [(sub, config, message.format(sub=sub)) for sub in ("residual-scaling", "transport")
+     for config, message in PACKET_REFUSALS]
+
+
+@pytest.mark.parametrize("subcommand, config, message", MALFORMED,
+                         ids=[f"{sub}-{json.dumps(c)}" for sub, c, _ in MALFORMED])
+def test_malformed_configs_are_usage_errors(tmp_path, capsys, subcommand, config, message):
+    # refused before any work, naming the bad key, where they used to end in
+    # a traceback, fail a check, or pass with an extra scan entry dropped
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--config", str(path)])
+    assert exc.value.code == 2
+    assert f"error: {message}" in capsys.readouterr().err

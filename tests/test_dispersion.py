@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from grid_reference import eigenvalues_extrapolated
+from grid_reference import Montgomery, eigenvalues_extrapolated
 from hermite_reference import branch_by_spectral_sum, parity_block
 from scipy.linalg import eig_banded
 from scipy.linalg.lapack import dsbevx
@@ -25,7 +25,6 @@ from engellab.dispersion import (
 )
 from engellab.spectral import (
     ConfinementError,
-    Montgomery,
     box_grid,
     spectral_data,
 )

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from grid_reference import InfinitesimalOp, deflated_solve, eigenvalues_extrapolated
+from grid_reference import InfinitesimalOp, Montgomery, deflated_solve, eigenvalues_extrapolated
 from hypothesis import given, settings, strategies as st
 from projector import projector_derivative
 from scipy.linalg import eigh_tridiagonal
@@ -16,7 +16,6 @@ from engellab.spectral import (
     _reduced_resolvent,
     ConfinementError,
     Generic,
-    Montgomery,
     Schrodinger,
     SpectralGrid,
     box_grid,
