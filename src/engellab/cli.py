@@ -37,10 +37,8 @@ SUBCOMMANDS = (
 
 
 class ConfigError(ValueError):
-    """A config a subcommand refuses: keys it does not read, a value of the
-    wrong kind, an empty sweep grid or a step that is not > 0, an hbar
-    ladder too short for the experiment, a malformed kernel, an argument
-    the library refuses."""
+    """A config a subcommand refuses: keys it does not read, a value its key's
+    converter refuses, an empty sweep grid, an argument the library refuses."""
 
 
 def _fmt(x) -> str:
@@ -81,7 +79,7 @@ class Check:
 @dataclass
 class RunReport:
     experiment: str
-    config: dict
+    config: dict = field(default_factory=dict)  # the config as given, set by `run`
     checks: list[Check] = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
@@ -109,10 +107,13 @@ def _write_report(report: RunReport, out_dir: Path) -> None:
     report.outputs.append(str(path))
 
 
-def _reads(*keys: str):
-    """Declare the config keys a runner reads; `run` rejects any other key."""
+def _reads(**keys):
+    """Declare the config keys a runner reads, each as key=(default,
+    convert).  `run` refuses any other key and passes the runner every
+    declared key converted, at its default where the config lacks it."""
     def declare(runner):
         runner.keys = frozenset(keys)
+        runner.declared = keys
         return runner
     return declare
 
@@ -128,39 +129,52 @@ def _refusing(subcommand: str, call, *args, **kwargs):
         raise ConfigError(f"{subcommand}: {err}") from None
 
 
-def _converting(refusal: str, convert):
-    """convert(), which converts raw config values; a TypeError or
-    ValueError there is a value of the wrong kind, raised as a ConfigError
-    that starts with `refusal`."""
-    try:
-        return convert()
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{refusal} ({err})") from None
+def _converter(convert, holds, need: str):
+    """A config value converter: it returns convert(value), and raises a
+    ValueError saying the value must `need` unless convert succeeds and
+    `holds` of its result."""
+    def checked(value):
+        try:
+            converted = convert(value)
+            if holds(converted):
+                return converted
+        except (KeyError, TypeError, ValueError, OverflowError):
+            pass
+        raise ValueError(f"must {need}, got {value!r}")
+    return checked
 
 
-def _integer(value) -> int:
-    """int(value) for a config count; a float with a fractional part (or
-    nan or inf) is a ValueError, not truncated: 2048.0 reads as 2048."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
+def _as_given(value):
+    """The value itself, for a key the library parses."""
+    return value
 
 
-def _finite_numbers(value) -> list[float]:
-    """A config list of numbers as floats; a TypeError or ValueError unless
-    every entry is a finite number."""
-    numbers = [float(v) for v in value]
-    if not np.isfinite(numbers).all():
-        raise ValueError(f"{value!r} holds a number that is not finite")
-    return numbers
+_number = _converter(float, lambda x: True, "be a number")  # the library checks its range
+_finite = _converter(float, np.isfinite, "be a finite number")
 
 
-def _finite_time(value, subcommand: str) -> float:
-    """The config's time t as a float; ConfigError unless it is finite."""
-    t = _converting(f"{subcommand} needs a number t", lambda: float(value))
-    if not np.isfinite(t):
-        raise ConfigError(f"{subcommand} needs a finite t, got {t}")
-    return t
+def _integer(least: int | None = None):
+    """A converter to an int, at least `least` if given.  A float with a
+    fractional part (or nan or inf) is refused, not truncated: 2048.0 reads
+    as 2048."""
+    return _converter(lambda v: int(v) if not isinstance(v, float) or v.is_integer() else None,
+                      lambda n: n is not None and (least is None or n >= least),
+                      "be an integer" if least is None else f"be an integer >= {least}")
+
+
+def _list(least: int, most: int | None = None, item=_finite, noun="finite numbers"):
+    """A converter to a list of `least` to `most` entries (no upper bound
+    if None), each converted by `item`."""
+    size = f" of length {least}" if most == least else f" of length >= {least}" if least else ""
+    return _converter(lambda v: [item(x) for x in v] if isinstance(v, (list, tuple)) else None,
+                      lambda xs: xs is not None and least <= len(xs) <= (most or len(xs)),
+                      f"be a list{size} of {noun}")
+
+
+def _ladder(least: int):
+    """A converter to an hbar ladder of at least `least` distinct values."""
+    return _converter(_list(least), lambda hbars: min(hbars) > 0 and len(set(hbars)) >= least,
+                      f"be a list of finite numbers > 0 with >= {least} distinct values")
 
 
 def _print_checks(report: RunReport) -> None:
@@ -181,7 +195,7 @@ def _nonzero_terms(*pairs) -> int:
                for lhs, rhs in pairs for a, b in zip(lhs.coords(), rhs.coords()))
 
 
-@_reads("trials")
+@_reads(trials=(40, _integer(0)))
 def run_identities(cfg: dict, seed: int) -> RunReport:
     """Exact algebra suite.
 
@@ -192,11 +206,7 @@ def run_identities(cfg: dict, seed: int) -> RunReport:
     words test PBW confluence; the enveloping-algebra lemmas are exact.
     """
     rng = np.random.default_rng(seed)
-    trials = _converting("identities needs an integer trial count",
-                         lambda: _integer(cfg.get("trials", 40)))
-    if trials < 0:
-        raise ConfigError(f"identities needs a trial count of at least 0, got {trials}")
-    rep = RunReport("identities", cfg)
+    rep = RunReport("identities")
 
     t = algebra.Polynomial.variables(12)
     x, y, z = (algebra.GroupElement(*t[i:i + 4]) for i in (0, 4, 8))
@@ -218,7 +228,7 @@ def run_identities(cfg: dict, seed: int) -> RunReport:
     # generators multiplied out one at a time
     X1, X2, X3, X4 = generators = [algebra.PBWPolynomial.generator(i) for i in (1, 2, 3, 4)]
     bad_confluence = 0
-    for _ in range(trials):
+    for _ in range(cfg["trials"]):
         word = rng.integers(1, 5, size=int(rng.integers(2, 7))).tolist()
         ref = algebra.pbw_normal_form(word)
         reref = algebra.PBWPolynomial.one()
@@ -263,27 +273,22 @@ def _fd_deviation(n: int, nu: float, branch, N: int) -> float:
     return max(abs(f - v) for f, v in zip((d.mu, d.mu_d1, d.mu_d2), branch)) / scale
 
 
-@_reads("n_list", "nu_min", "nu_max", "nu_step", "grid_n")
+@_reads(n_list=([1, 2, 3, 4], _list(1, item=_integer(1), noun="integers >= 1")),
+        nu_min=(-4.0, _finite), nu_max=(4.0, _finite), nu_step=(0.05, _finite),
+        grid_n=(2048, _integer(3)))
 def run_dispersion(cfg: dict, seed: int) -> RunReport:
     """The Montgomery branches (mu, mu', mu'') of `n_list` on the nu grid,
     at delta = 1, where d_beta = d_nu, each row from `montgomery_branch`.
     `grid_n` is the grid of the independent check: `spectral_data` on it
     at the first and last nu of each branch must agree with the rows to
     O(h^2) (`fd-agreement`)."""
-    ns, nu_min, nu_max, step, N = _converting(
-        "dispersion needs a list n_list and numbers nu_min, nu_max, nu_step and grid_n",
-        lambda: (list(cfg.get("n_list", [1, 2, 3, 4])), float(cfg.get("nu_min", -4.0)),
-                 float(cfg.get("nu_max", 4.0)), float(cfg.get("nu_step", 0.05)),
-                 _integer(cfg.get("grid_n", 2048))))
-    if not (np.isfinite([nu_min, nu_max, step]).all() and step > 0.0):
-        raise ConfigError("dispersion needs finite nu_min, nu_max and nu_step > 0, got "
-                          f"{nu_min}, {nu_max}, {step}")
-    if not ns or nu_max <= nu_min:
-        raise ConfigError("empty sweep grid")
-    if N < 3 or not all(isinstance(n, int) and n >= 1 for n in ns):
-        raise ConfigError(f"dispersion needs integer modes >= 1 and grid_n >= 3, got {ns}, {N}")
+    ns, nu_min, nu_max, step = cfg["n_list"], cfg["nu_min"], cfg["nu_max"], cfg["nu_step"]
+    if not step > 0.0:
+        raise ConfigError(f"dispersion: nu_step must be > 0, got {step}")
+    if nu_max <= nu_min:
+        raise ConfigError(f"dispersion: empty sweep grid, nu_max {nu_max} <= nu_min {nu_min}")
     nus = [float(nu) for nu in np.arange(nu_min, nu_max + 0.5 * step, step)]
-    rep = RunReport("dispersion", cfg)
+    rep = RunReport("dispersion")
 
     # montgomery_branch's rows, one batched solve per branch, n-ascending
     # then nu-ascending
@@ -291,7 +296,7 @@ def run_dispersion(cfg: dict, seed: int) -> RunReport:
     rows = [(n, 1.0, nu, *b) for n, branch in branches for nu, b in zip(nus, branch)]
     ends = sorted({0, len(nus) - 1})
     rep.metrics["rows"] = len(rows)
-    rep.metrics["fd_deviation"] = max(_fd_deviation(n, nus[i], branch[i], N)
+    rep.metrics["fd_deviation"] = max(_fd_deviation(n, nus[i], branch[i], cfg["grid_n"])
                                       for n, branch in branches for i in ends)
     rep.checks.append(Check("row-count", len(rows), len(ns) * len(nus), "=="))
     rep.checks.append(Check("fd-agreement", rep.metrics["fd_deviation"], _FD_DEVIATION_BOUND))
@@ -305,18 +310,13 @@ def run_dispersion(cfg: dict, seed: int) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-@_reads("n", "scan", "tol")
+@_reads(n=(1, _integer()), scan=([-4.0, 4.0], _list(2, 2)), tol=(1e-10, _number))
 def run_critical_points(cfg: dict, seed: int) -> RunReport:
-    n, scan, tol = _converting(
-        "critical-points needs an integer n, a scan pair and a number tol",
-        lambda: (_integer(cfg.get("n", 1)), _finite_numbers(cfg.get("scan", [-4.0, 4.0])),
-                 float(cfg.get("tol", 1e-10))))
-    if len(scan) != 2:
-        raise ConfigError(f"critical-points needs a scan of exactly two numbers, got {scan}")
-    reports = _refusing("critical-points", dispersion.critical_points, n, scan=scan, tol=tol)
-    rep = RunReport("critical-points", cfg)
+    reports = _refusing("critical-points", dispersion.critical_points,
+                        cfg["n"], scan=cfg["scan"], tol=cfg["tol"])
+    rep = RunReport("critical-points")
     rep.metrics["reports"] = [asdict(r) for r in reports]
-    if n == 1:
+    if cfg["n"] == 1:
         rep.checks.append(Check("n1-critical-point-count", len(reports), 1, "=="))
         if reports:
             rep.checks.append(
@@ -325,36 +325,20 @@ def run_critical_points(cfg: dict, seed: int) -> RunReport:
     return rep
 
 
-def _default_kernels() -> list[fourier.GaussianKernelSpec]:
-    return [
-        fourier.GaussianKernelSpec((0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0)),
-        fourier.GaussianKernelSpec((0.3, -0.2, 0.1, 0.0), (0.7, 1.3, 0.8, 0.6)),
-        fourier.GaussianKernelSpec((0.0, 0.4, -0.3, 0.2), (1.2, 0.9, 1.1, 1.4)),
-    ]
+_DEFAULT_KERNELS = [
+    {"centers": [0.0, 0.0, 0.0, 0.0], "widths": [1.0, 1.0, 1.0, 1.0]},
+    {"centers": [0.3, -0.2, 0.1, 0.0], "widths": [0.7, 1.3, 0.8, 0.6]},
+    {"centers": [0.0, 0.4, -0.3, 0.2], "widths": [1.2, 0.9, 1.1, 1.4]},
+]
 
 
-def _kernel_from_cfg(i: int, entry) -> fourier.GaussianKernelSpec:
-    """Entry i of the plancherel `kernels` list; ConfigError naming the entry
-    unless GaussianKernelSpec accepts it."""
-    try:
-        return fourier.GaussianKernelSpec(tuple(entry["centers"]), tuple(entry["widths"]))
-    except (KeyError, TypeError, ValueError):
-        raise ConfigError(f"plancherel kernel {i} {entry!r} needs 4 finite centers "
-                          "and 4 finite positive widths") from None
-
-
-@_reads("kernels")
+@_reads(kernels=(_DEFAULT_KERNELS, _list(
+    2, item=lambda k: fourier.GaussianKernelSpec(tuple(k["centers"]), tuple(k["widths"])),
+    noun="kernels, each with 4 finite centers and 4 finite widths > 0")))
 def run_plancherel(cfg: dict, seed: int) -> RunReport:
-    if "kernels" in cfg:
-        entries = cfg["kernels"]
-        if not isinstance(entries, list) or len(entries) < 2:
-            raise ConfigError(f"plancherel needs a list of at least 2 kernels, got {entries!r}")
-        kernels = [_kernel_from_cfg(i, k) for i, k in enumerate(entries)]
-    else:
-        kernels = _default_kernels()
-    rep = RunReport("plancherel", cfg)
-    cal = fourier.plancherel_calibrate(kernels)
-    cal2 = fourier.plancherel_calibrate(kernels, box_scale=2.0)
+    rep = RunReport("plancherel")
+    cal = fourier.plancherel_calibrate(cfg["kernels"])
+    cal2 = fourier.plancherel_calibrate(cfg["kernels"], box_scale=2.0)
     drift = abs(cal2.mean - cal.mean) / cal.mean
     rep.metrics["calibration"] = asdict(cal)
     rep.metrics["calibration_doubled_box"] = asdict(cal2)
@@ -363,47 +347,26 @@ def run_plancherel(cfg: dict, seed: int) -> RunReport:
     return rep
 
 
-_SPEC_KEYS = ("profile_width2", "profile_width4", "x0", "delta0", "beta0", "n")
+_SPEC_KEYS = dict(profile_width2=(0.45, _number), profile_width4=(0.8, _number),
+                  x0=([0.0, 0.0, 0.0, 0.0], _list(0, item=_number, noun="numbers")),
+                  delta0=(1.0, _number), beta0=(0.0, _number), n=(1, _integer()))
 
 
-def _hbar_ladder(values, least: int, use: str) -> list[float]:
-    """The config's hbar ladder as floats; ConfigError unless it holds at
-    least `least` numbers, each finite and > 0."""
-    try:
-        hbars = [float(h) for h in values]
-    except (TypeError, ValueError):
-        raise ConfigError(f"hbar_ladder must be a list of numbers, got {values!r}") from None
-    if len(hbars) < least:
-        raise ConfigError(f"{use} needs at least {least} hbar value(s), got {len(hbars)}")
-    if not all(0.0 < h < np.inf for h in hbars):
-        raise ConfigError(f"hbar_ladder must hold finite numbers > 0, got {values!r}")
-    return hbars
-
-
-def _spec_from_cfg(cfg: dict) -> wavepacket.WavePacketSpec:
-    """The packet spec from the `_SPEC_KEYS` of cfg."""
-    width2, width4, x0, delta0, beta0, n = _converting(
-        "a packet needs numbers profile_width2, profile_width4, delta0 and beta0, "
-        "a list x0 and an integer n",
-        lambda: (float(cfg.get("profile_width2", 0.45)), float(cfg.get("profile_width4", 0.8)),
-                 tuple(float(c) for c in cfg.get("x0", (0.0, 0.0, 0.0, 0.0))),
-                 float(cfg.get("delta0", 1.0)),
-                 float(cfg.get("beta0", 0.0)), _integer(cfg.get("n", 1))))
+def _spec(cfg: dict) -> wavepacket.WavePacketSpec:
+    """The packet spec from the `_SPEC_KEYS` of the converted cfg."""
     return wavepacket.WavePacketSpec(
-        x0=x0, delta0=delta0, beta0=beta0, n=n,
-        profile=wavepacket.GaussianProfile(width2=width2, width4=width4),
+        x0=tuple(cfg["x0"]), delta0=cfg["delta0"], beta0=cfg["beta0"], n=cfg["n"],
+        profile=wavepacket.GaussianProfile(width2=cfg["profile_width2"],
+                                           width4=cfg["profile_width4"]),
     )
 
 
-@_reads(*_SPEC_KEYS, "hbar_ladder", "t")
+@_reads(**_SPEC_KEYS, hbar_ladder=([0.1, 0.05, 0.025, 0.0125], _ladder(4)), t=(0.1, _finite))
 def run_residual_scaling(cfg: dict, seed: int) -> RunReport:
     # exact integrals, no sampling: the seed changes nothing
-    spec = _refusing("residual-scaling", lambda: _spec_from_cfg(cfg))
-    hbars = _hbar_ladder(cfg.get("hbar_ladder", [0.1, 0.05, 0.025, 0.0125]), 4,
-                         "a residual-scaling slope")
-    t = _finite_time(cfg.get("t", 0.1), "residual-scaling")
-    rep = RunReport("residual-scaling", cfg)
-    reports = wavepacket.residual_scaling_experiment(spec, hbars, t=t)
+    spec = _refusing("residual-scaling", _spec, cfg)
+    rep = RunReport("residual-scaling")
+    reports = wavepacket.residual_scaling_experiment(spec, cfg["hbar_ladder"], t=cfg["t"])
     full = reports[wavepacket.AnsatzOrder.WITH_SIGMA1_AND_2]
     first = reports[wavepacket.AnsatzOrder.WITH_SIGMA1]
     rep.metrics["full_slope"] = full.slope
@@ -418,14 +381,12 @@ def run_residual_scaling(cfg: dict, seed: int) -> RunReport:
     return rep
 
 
-@_reads(*_SPEC_KEYS, "hbar_ladder", "t")
+@_reads(**_SPEC_KEYS, hbar_ladder=([0.05, 0.025, 0.0125], _ladder(1)), t=(0.5, _finite))
 def run_transport(cfg: dict, seed: int) -> RunReport:
     # exact integrals, no sampling: the seed changes nothing
-    spec = _refusing("transport", lambda: _spec_from_cfg(cfg))
-    t = _finite_time(cfg.get("t", 0.5), "transport")
-    hbars = _hbar_ladder(cfg.get("hbar_ladder", [0.05, 0.025, 0.0125]), 1, "transport")
-    rows = wavepacket.transport_demo(spec, t, hbar_list=hbars)
-    rep = RunReport("transport", cfg)
+    spec = _refusing("transport", _spec, cfg)
+    rows = wavepacket.transport_demo(spec, cfg["t"], hbar_list=cfg["hbar_ladder"])
+    rep = RunReport("transport")
     rep.files["transport.csv"] = _csv(
         ("t", "centroid_x2", "predicted_x2", "hbar", "packet_width", "drift_error"),
         ((r.t, r.centroid_x2, r.predicted_x2, r.hbar, r.packet_width, r.drift_error)
@@ -450,24 +411,20 @@ def run_transport(cfg: dict, seed: int) -> RunReport:
     return rep
 
 
-@_reads("n", "grid_n", "delta_list", "times")
+@_reads(n=(1, _integer()), grid_n=(4096, _integer()),
+        delta_list=([0.5, 1.0, 2.0], _list(1)),
+        times=([0.0, 0.5, 1.0, 2.0],
+               _converter(_list(0), any, "be a list of finite numbers holding a t != 0")))
 def run_smicro_profile(cfg: dict, seed: int) -> RunReport:
-    n, N, times = _converting(
-        "smicro-profile needs integers n and grid_n and a list of times",
-        lambda: (_integer(cfg.get("n", 1)), _integer(cfg.get("grid_n", 4096)),
-                 _finite_numbers(cfg.get("times", (0.0, 0.5, 1.0, 2.0)))))
-    deltas = _converting("smicro-profile needs a list delta_list of finite numbers",
-                         lambda: _finite_numbers(cfg.get("delta_list", [0.5, 1.0, 2.0])))
-    if not deltas:
-        raise ConfigError("smicro-profile needs a non-empty delta_list")
+    n = cfg["n"]
     reports = _refusing("smicro-profile", dispersion.critical_points, n, samples=81)
     if not reports:
         raise ConfigError(f"smicro-profile: mode {n} has no critical point on [-4, 4]")
     r0 = reports[0]
     cc = _refusing("smicro-profile", dispersion.curvature_consistency,
-                   n, r0.nu_c, deltas, N=N)
-    demo = wavepacket.second_microlocal_profile_demo(r0.curvature, times=times)
-    rep = RunReport("smicro-profile", cfg)
+                   n, r0.nu_c, cfg["delta_list"], N=cfg["grid_n"])
+    demo = wavepacket.second_microlocal_profile_demo(r0.curvature, times=cfg["times"])
+    rep = RunReport("smicro-profile")
     rep.metrics["critical_point"] = asdict(r0)
     rep.metrics["coefficient"] = demo.coefficient
     rep.files["profile_densities.csv"] = _csv(
@@ -479,14 +436,21 @@ def run_smicro_profile(cfg: dict, seed: int) -> RunReport:
     return rep
 
 
-@_reads("q", "p", "expect")
+_VERDICTS = (dispersion.ALLOWED, dispersion.OBSTRUCTED, dispersion.NOT_ADMISSIBLE)
+
+
+_EXPONENT = _converter(_as_given, lambda v: v is None or isinstance(v, (str, int, float)),
+                       'be a number, a fraction such as "7/3" or "inf"')  # the library parses it
+
+
+@_reads(q=("inf", _EXPONENT), p=(2, _EXPONENT),
+        expect=(None, _converter(_as_given, lambda v: v is None or v in _VERDICTS,
+                                 f"be one of {', '.join(_VERDICTS)}")))
 def run_strichartz(cfg: dict, seed: int) -> RunReport:
-    q = cfg.get("q", "inf")
-    p = cfg.get("p", 2)
-    rep = RunReport("strichartz", cfg)
+    q, p, expected = cfg["q"], cfg["p"], cfg["expect"]
+    rep = RunReport("strichartz")
     verdict = _refusing("strichartz", dispersion.strichartz_admissible, q, p)
     rep.metrics["classification"] = verdict
-    expected = cfg.get("expect")
     if expected is not None:
         rep.checks.append(
             Check("classification-matches", float(verdict == expected), 1.0, ">=")
@@ -512,7 +476,9 @@ def run(subcommand: str, config: dict, out_dir: str | Path | None = None,
     """Execute one experiment; write report.json and data CSVs under out_dir.
 
     Raises ValueError for an unknown subcommand, and ConfigError naming every
-    config key the subcommand does not read.
+    config key the subcommand does not read, or the first key whose value
+    its converter refuses.  The runner gets every key it declares,
+    converted; report.json echoes the config as given.
     """
     if subcommand not in _RUNNERS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
@@ -521,7 +487,14 @@ def run(subcommand: str, config: dict, out_dir: str | Path | None = None,
     if unknown:
         raise ConfigError(f"{subcommand} does not read config key(s) {', '.join(unknown)}; "
                           f"it reads {', '.join(sorted(runner.keys))}")
-    report = runner(dict(config), seed)
+    cfg = {}
+    for key, (default, convert) in runner.declared.items():
+        try:
+            cfg[key] = convert(config.get(key, default))
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"{subcommand}: {key} {err}") from None
+    report = runner(cfg, seed)
+    report.config = dict(config)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -566,14 +539,9 @@ def main(argv: list[str] | None = None) -> int:
     cfg: dict = {}
     if args.config is not None:
         cfg.update(json.loads(args.config.read_text()))
-    for key in ("n", "q", "p", "tol"):
-        val = getattr(args, key)
-        if val is not None:
-            cfg[key] = val
-    if args.grid_n is not None:
-        cfg["grid_n"] = args.grid_n
-    if args.hbar_ladder is not None:
-        cfg["hbar_ladder"] = args.hbar_ladder
+    for key in ("n", "q", "p", "tol", "grid_n", "hbar_ladder"):
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
 
     t0 = time.time()
     try:

@@ -261,6 +261,14 @@ def test_transport_empty_ladder_errors():
         run("transport", {"hbar_ladder": []}, seed=3)
 
 
+def test_transport_accepts_a_repeated_hbar():
+    # only residual-scaling fits a slope over the ladder, so only it needs
+    # distinct values
+    rep = run("transport", {"hbar_ladder": [0.05, 0.05]})
+    assert rep.passed
+    assert [r["hbar"] for r in rep.metrics["mass_ratio"]] == [0.05, 0.05]
+
+
 def test_transport_output_independent_of_seed(tmp_path, monkeypatch):
     # exact moments, no sampling: the out tree is the same for every seed
     (a, b), rep = _run_at_seeds_0_and_7(tmp_path, monkeypatch, "transport")
@@ -303,6 +311,10 @@ def test_unknown_config_keys_rejected(tmp_path, subcommand, config, unknown):
     assert not any(tmp_path.iterdir())
 
 
+KERNELS = ("plancherel: kernels must be a list of length >= 2 of kernels, each with 4 finite "
+           "centers and 4 finite widths > 0, got ")
+
+
 @pytest.mark.filterwarnings("ignore:no sign change")  # smicro-profile --n 16
 def test_refused_config_is_a_usage_error(tmp_path, capsys):
     configs = {"empty": {"n_list": []}, "no-hbar": {"hbar_ladder": []},
@@ -328,7 +340,8 @@ def test_refused_config_is_a_usage_error(tmp_path, capsys):
     for argv, message in (
         (["strichartz", "--q", "2", "--p", "2.8", "--tol", "1"],
          "strichartz does not read config key(s) tol;"),
-        (["dispersion", "--config", str(tmp_path / "empty.json")], "empty sweep grid"),
+        (["dispersion", "--config", str(tmp_path / "empty.json")],
+         "dispersion: n_list must be a list of length >= 1 of integers >= 1, got []"),
         # a root tolerance that is not finite and positive would never stop Newton
         (["critical-points", "--tol", "0"],
          "critical-points: root tolerance must be finite and positive, got 0.0"),
@@ -338,80 +351,71 @@ def test_refused_config_is_a_usage_error(tmp_path, capsys):
          "critical-points: root tolerance must be finite and positive, got nan"),
         # bad hbar ladders are refused before any work
         (["residual-scaling", "--hbar-ladder", "0.1,0.05"],
-         "a residual-scaling slope needs at least 4 hbar value(s), got 2"),
+         "residual-scaling: hbar_ladder must be a list of finite numbers > 0 with >= 4 distinct "
+         "values, got [0.1, 0.05]"),
         (["residual-scaling", "--hbar-ladder", "0.1,x,0.025,0.0125"],
          "argument --hbar-ladder: expected comma-separated numbers, got '0.1,x,0.025,0.0125'"),
         (["transport", "--hbar-ladder", ""],
          "argument --hbar-ladder: expected comma-separated numbers, got ''"),
         (["transport", "--config", str(tmp_path / "no-hbar.json")],
-         "transport needs at least 1 hbar value(s), got 0"),
+         "transport: hbar_ladder must be a list of finite numbers > 0 with >= 1 distinct "
+         "values, got []"),
         (["transport", "--config", str(tmp_path / "text-hbar.json")],
-         "hbar_ladder must be a list of numbers, got ['0.05', 'a']"),
+         "transport: hbar_ladder must be a list of finite numbers > 0 with >= 1 distinct "
+         "values, got ['0.05', 'a']"),
         (["identities", "--config", str(tmp_path / "minus-trials.json")],
-         "identities needs a trial count of at least 0, got -1"),
-        # a malformed Gaussian kernel is refused, naming the entry
+         "identities: trials must be an integer >= 0, got -1"),
+        # a malformed Gaussian kernel is refused
         (["plancherel", "--config", str(tmp_path / "three-centers.json")],
-         "plancherel kernel 0 {'centers': [0, 0, 0], 'widths': [1, 1, 1, 1]} needs 4 finite "
-         "centers and 4 finite positive widths"),
+         f"{KERNELS}[{{'centers': [0, 0, 0], 'widths': [1, 1, 1, 1]}}, "),
         (["plancherel", "--config", str(tmp_path / "no-widths.json")],
-         "plancherel kernel 1 {'centers': [0, 0, 0, 0]} needs 4 finite centers"),
+         f"{KERNELS}[{{'centers': [0, 0, 0, 0], 'widths': [1, 1, 1, 1]}}, "
+         "{'centers': [0, 0, 0, 0]}]"),
         (["plancherel", "--config", str(tmp_path / "one-kernel.json")],
-         "plancherel needs a list of at least 2 kernels, got [{'centers': [0, 0, 0, 0], "
-         "'widths': [1, 1, 1, 1]}]"),
+         f"{KERNELS}[{{'centers': [0, 0, 0, 0], 'widths': [1, 1, 1, 1]}}]"),
         # a sweep step that is not finite and positive, or an infinite end
         (["dispersion", "--config", str(tmp_path / "zero-step.json")],
-         "dispersion needs finite nu_min, nu_max and nu_step > 0, got -4.0, 4.0, 0.0"),
+         "dispersion: nu_step must be > 0, got 0.0"),
         (["dispersion", "--config", str(tmp_path / "minus-step.json")],
-         "dispersion needs finite nu_min, nu_max and nu_step > 0, got -4.0, 4.0, -0.1"),
+         "dispersion: nu_step must be > 0, got -0.1"),
         (["dispersion", "--config", str(tmp_path / "nan-step.json")],
-         "dispersion needs finite nu_min, nu_max and nu_step > 0, got -4.0, 4.0, nan"),
+         "dispersion: nu_step must be a finite number, got nan"),
         (["dispersion", "--config", str(tmp_path / "inf-min.json")],
-         "dispersion needs finite nu_min, nu_max and nu_step > 0, got -inf, 4.0, 0.05"),
+         "dispersion: nu_min must be a finite number, got -inf"),
         # modes and grids the sweep cannot solve, refused before any work
         (["dispersion", "--config", str(tmp_path / "zero-mode.json")],
-         "dispersion needs integer modes >= 1 and grid_n >= 3, got [0], 2048"),
+         "dispersion: n_list must be a list of length >= 1 of integers >= 1, got [0]"),
         (["dispersion", "--config", str(tmp_path / "half-mode.json")],
-         "dispersion needs integer modes >= 1 and grid_n >= 3, got [1, 1.5], 2048"),
-        (["dispersion", "--grid-n", "2"],
-         "dispersion needs integer modes >= 1 and grid_n >= 3, got [1, 2, 3, 4], 2"),
+         "dispersion: n_list must be a list of length >= 1 of integers >= 1, got [1, 1.5]"),
+        (["dispersion", "--grid-n", "2"], "dispersion: grid_n must be an integer >= 3, got 2"),
         # config values of the wrong kind
         (["dispersion", "--config", str(tmp_path / "int-modes.json")],
-         "dispersion needs a list n_list and numbers nu_min, nu_max, nu_step and grid_n "
-         "('int' object is not iterable)"),
+         "dispersion: n_list must be a list of length >= 1 of integers >= 1, got 3"),
         (["dispersion", "--config", str(tmp_path / "text-grid.json")],
-         "dispersion needs a list n_list and numbers nu_min, nu_max, nu_step and grid_n "
-         "(invalid literal for int() with base 10: 'abc')"),
+         "dispersion: grid_n must be an integer >= 3, got 'abc'"),
         (["dispersion", "--config", str(tmp_path / "text-nu.json")],
-         "dispersion needs a list n_list and numbers nu_min, nu_max, nu_step and grid_n "
-         "(could not convert string to float: 'x')"),
+         "dispersion: nu_min must be a finite number, got 'x'"),
         (["critical-points", "--config", str(tmp_path / "text-n.json")],
-         "critical-points needs an integer n, a scan pair and a number tol "
-         "(invalid literal for int() with base 10: 'a')"),
+         "critical-points: n must be an integer, got 'a'"),
         (["identities", "--config", str(tmp_path / "text-trials.json")],
-         "identities needs an integer trial count "
-         "(invalid literal for int() with base 10: 'many')"),
+         "identities: trials must be an integer >= 0, got 'many'"),
         (["transport", "--config", str(tmp_path / "int-x0.json")],
-         "transport: a packet needs numbers profile_width2, profile_width4, delta0 and beta0, "
-         "a list x0 and an integer n ('int' object is not iterable)"),
+         "transport: x0 must be a list of numbers, got 3"),
         (["transport", "--config", str(tmp_path / "text-t.json")],
-         "transport needs a number t (could not convert string to float: 'x')"),
+         "transport: t must be a finite number, got 'x'"),
         (["smicro-profile", "--config", str(tmp_path / "int-times.json")],
-         "smicro-profile needs integers n and grid_n and a list of times "
-         "('int' object is not iterable)"),
+         "smicro-profile: times must be a list of finite numbers holding a t != 0, got 3"),
         # counts with a fractional part, which int() would truncate
         (["dispersion", "--config", str(tmp_path / "half-grid.json")],
-         "dispersion needs a list n_list and numbers nu_min, nu_max, nu_step and grid_n "
-         "(2048.9 is not an integer)"),
+         "dispersion: grid_n must be an integer >= 3, got 2048.9"),
         (["critical-points", "--config", str(tmp_path / "half-n.json")],
-         "critical-points needs an integer n, a scan pair and a number tol "
-         "(1.5 is not an integer)"),
+         "critical-points: n must be an integer, got 1.5"),
         (["identities", "--config", str(tmp_path / "half-trials.json")],
-         "identities needs an integer trial count (40.5 is not an integer)"),
+         "identities: trials must be an integer >= 0, got 40.5"),
         (["smicro-profile", "--config", str(tmp_path / "inf-grid.json")],
-         "smicro-profile needs integers n and grid_n and a list of times (inf is not an integer)"),
+         "smicro-profile: grid_n must be an integer, got inf"),
         (["residual-scaling", "--config", str(tmp_path / "half-packet-n.json")],
-         "residual-scaling: a packet needs numbers profile_width2, profile_width4, delta0 and "
-         "beta0, a list x0 and an integer n (2.5 is not an integer)"),
+         "residual-scaling: n must be an integer, got 2.5"),
         # arguments the library refuses
         (["smicro-profile", "--n", "0"],
          "smicro-profile: need n >= 1 and a finite nu, got n = 0, nu = -4.0"),
@@ -462,19 +466,57 @@ def test_cli_import_skips_scipy_interpolate():
 def test_real_faults_keep_their_traceback(monkeypatch):
     def broken(cfg, seed):
         raise ValueError("a fault, not a refused config")
-    broken.keys = frozenset()
-    monkeypatch.setitem(cli._RUNNERS, "strichartz", broken)
+    monkeypatch.setitem(cli._RUNNERS, "strichartz", cli._reads()(broken))
     with pytest.raises(ValueError, match="a fault"):
         main(["strichartz"])
 
 
 def test_runners_declare_the_keys_they_read():
+    # a runner reads only its converted cfg, every declared key and no other
     for name, runner in cli._RUNNERS.items():
         src = inspect.getsource(runner)
-        if "_spec_from_cfg(cfg)" in src:
-            src += inspect.getsource(cli._spec_from_cfg)
-        read = set(re.findall(r'cfg(?:\.get\(|\[)"(\w+)"|"(\w+)" in cfg', src))
-        assert {k for pair in read for k in pair if k} == runner.keys, name
+        if "_spec, cfg" in src:
+            src += inspect.getsource(cli._spec)
+        assert "cfg.get" not in src and " in cfg" not in src, name
+        assert set(re.findall(r'cfg\["(\w+)"\]', src)) == runner.keys, name
+
+
+def test_declared_defaults_pass_their_converters():
+    for name, runner in cli._RUNNERS.items():
+        for key, (default, convert) in runner.declared.items():
+            try:
+                convert(default)
+            except (TypeError, ValueError) as err:
+                pytest.fail(f"{name}: default {key} = {default!r} refused: {err}")
+
+
+def _defaults(subcommand):
+    return {key: default for key, (default, _) in cli._RUNNERS[subcommand].declared.items()}
+
+
+@pytest.mark.parametrize("subcommand", cli.SUBCOMMANDS)
+def test_explicit_defaults_run_as_the_empty_config(subcommand):
+    # the declared defaults are the ones the runner uses: writing them all out
+    # changes no data file, check or metric
+    implicit = run(subcommand, {})
+    explicit = run(subcommand, _defaults(subcommand))
+    assert implicit.files == explicit.files
+    assert [c.to_dict() for c in implicit.checks] == [c.to_dict() for c in explicit.checks]
+    assert (json.dumps(implicit.metrics, sort_keys=True)
+            == json.dumps(explicit.metrics, sort_keys=True))
+    assert implicit.config == {} and explicit.config == _defaults(subcommand)
+
+
+def test_readme_tables_match_the_declared_keys():
+    # README's `## CLI` has one table per subcommand: key, default and what
+    # the key must be
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tables = {sub: {cells[0].strip("` "): json.loads(cells[1].strip("` "))
+                    for cells in (row.split("|")[1:] for row in body.splitlines())}
+              for sub, body in re.findall(
+                  r"^#### `([\w-]+)`\n\n\| key \| default \| must be \|\n\|[-|]+\|\n"
+                  r"((?:\|.*\n)+)", readme, re.M)}
+    assert tables == {sub: _defaults(sub) for sub in cli.SUBCOMMANDS}
 
 
 def _workloads_module(monkeypatch):
@@ -521,7 +563,8 @@ def test_main_flags_accepted_where_read(monkeypatch, capsys, flags, key, readers
     # a usage error; only the experiments are stubbed out, each with its
     # runner's keys
     monkeypatch.setattr(cli, "_RUNNERS", {
-        name: cli._reads(*runner.keys)(lambda cfg, seed, name=name: cli.RunReport(name, cfg))
+        name: cli._reads(**{key: (None, cli._as_given) for key in runner.keys})(
+            lambda cfg, seed, name=name: cli.RunReport(name))
         for name, runner in cli._RUNNERS.items()})
     for sub in cli.SUBCOMMANDS:
         if sub in readers:
@@ -554,11 +597,12 @@ def test_smicro_profile_cli(tmp_path):
     assert csv.startswith("x2,density_t0,density_t1")
 
 
+LADDER = ("{sub}: hbar_ladder must be a list of finite numbers > 0 with >= {least} distinct "
+          "values, got ")
+
 PACKET_REFUSALS = [
     ({"x0": [0, 0, 0]}, "{sub}: a packet needs x0 of 4 finite numbers, got (0.0, 0.0, 0.0)"),
-    ({"x0": ["a", 0, 0, 0]},
-     "{sub}: a packet needs numbers profile_width2, profile_width4, delta0 and beta0, "
-     "a list x0 and an integer n (could not convert string to float: 'a')"),
+    ({"x0": ["a", 0, 0, 0]}, "{sub}: x0 must be a list of numbers, got ['a', 0, 0, 0]"),
     ({"x0": [0, float("nan"), 0, 0]},
      "{sub}: a packet needs x0 of 4 finite numbers, got (0.0, nan, 0.0, 0.0)"),
     ({"profile_width2": -1}, "{sub}: a packet needs finite profile widths > 0, "
@@ -567,40 +611,42 @@ PACKET_REFUSALS = [
      "got profile.width2 = 0.45, profile.width4 = 0.0"),
     ({"profile_width2": float("inf")}, "{sub}: a packet needs finite profile widths > 0, "
      "got profile.width2 = inf, profile.width4 = 0.8"),
-    ({"hbar_ladder": [0.1, 0.05, 0.025, 0]},
-     "hbar_ladder must hold finite numbers > 0, got [0.1, 0.05, 0.025, 0]"),
-    ({"hbar_ladder": [0.1, 0.05, 0.025, -0.0125]},
-     "hbar_ladder must hold finite numbers > 0, got [0.1, 0.05, 0.025, -0.0125]"),
-    ({"hbar_ladder": [0.1, 0.05, 0.025, float("nan")]},
-     "hbar_ladder must hold finite numbers > 0, got [0.1, 0.05, 0.025, nan]"),
-    ({"t": float("nan")}, "{sub} needs a finite t, got nan"),
-    ({"t": float("inf")}, "{sub} needs a finite t, got inf"),
+    ({"hbar_ladder": [0.1, 0.05, 0.025, 0]}, LADDER + "[0.1, 0.05, 0.025, 0]"),
+    ({"hbar_ladder": [0.1, 0.05, 0.025, -0.0125]}, LADDER + "[0.1, 0.05, 0.025, -0.0125]"),
+    ({"hbar_ladder": [0.1, 0.05, 0.025, float("nan")]}, LADDER + "[0.1, 0.05, 0.025, nan]"),
+    ({"t": float("nan")}, "{sub}: t must be a finite number, got nan"),
+    ({"t": float("inf")}, "{sub}: t must be a finite number, got inf"),
 ]
 
+SCAN = "critical-points: scan must be a list of length 2 of finite numbers, got "
+DELTAS = "smicro-profile: delta_list must be a list of length >= 1 of finite numbers, got "
+TIMES = "smicro-profile: times must be a list of finite numbers holding a t != 0, got "
+
 MALFORMED = [
-    ("critical-points", {"scan": [1]},
-     "critical-points needs a scan of exactly two numbers, got [1.0]"),
-    ("critical-points", {"scan": [-4, 4, 9]},
-     "critical-points needs a scan of exactly two numbers, got [-4.0, 4.0, 9.0]"),
-    ("critical-points", {"scan": [-4, "a"]},
-     "critical-points needs an integer n, a scan pair and a number tol "
-     "(could not convert string to float: 'a')"),
-    ("critical-points", {"scan": [-4, float("inf")]},
-     "critical-points needs an integer n, a scan pair and a number tol "
-     "([-4, inf] holds a number that is not finite)"),
-    ("smicro-profile", {"delta_list": 5},
-     "smicro-profile needs a list delta_list of finite numbers ('int' object is not iterable)"),
-    ("smicro-profile", {"delta_list": []}, "smicro-profile needs a non-empty delta_list"),
-    ("smicro-profile", {"delta_list": [1.0, float("nan")]},
-     "smicro-profile needs a list delta_list of finite numbers "
-     "([1.0, nan] holds a number that is not finite)"),
-    ("smicro-profile", {"times": ["a"]},
-     "smicro-profile needs integers n and grid_n and a list of times "
-     "(could not convert string to float: 'a')"),
-    ("smicro-profile", {"times": [0.0, float("nan")]},
-     "smicro-profile needs integers n and grid_n and a list of times "
-     "([0.0, nan] holds a number that is not finite)"),
-] + [(sub, config, message.format(sub=sub)) for sub in ("residual-scaling", "transport")
+    ("critical-points", {"scan": [1]}, SCAN + "[1]"),
+    ("critical-points", {"scan": [-4, 4, 9]}, SCAN + "[-4, 4, 9]"),
+    ("critical-points", {"scan": [-4, "a"]}, SCAN + "[-4, 'a']"),
+    ("critical-points", {"scan": [-4, float("inf")]}, SCAN + "[-4, inf]"),
+    ("smicro-profile", {"delta_list": 5}, DELTAS + "5"),
+    ("smicro-profile", {"delta_list": []}, DELTAS + "[]"),
+    ("smicro-profile", {"delta_list": [1.0, float("nan")]}, DELTAS + "[1.0, nan]"),
+    ("smicro-profile", {"times": ["a"]}, TIMES + "['a']"),
+    ("smicro-profile", {"times": [0.0, float("nan")]}, TIMES + "[0.0, nan]"),
+    # no evolved profile: both profile checks would pass at exactly 0
+    ("smicro-profile", {"times": []}, TIMES + "[]"),
+    ("smicro-profile", {"times": [0.0]}, TIMES + "[0.0]"),
+    # a slope fitted through one abscissa
+    ("residual-scaling", {"hbar_ladder": [0.05, 0.05, 0.05, 0.05]},
+     LADDER.format(sub="residual-scaling", least=4) + "[0.05, 0.05, 0.05, 0.05]"),
+    # a misspelt verdict would fail classification-matches, not be refused
+    ("strichartz", {"q": 2, "p": 2.8, "expect": "alowed"},
+     "strichartz: expect must be one of allowed, admissible-but-obstructed, not-admissible, "
+     "got 'alowed'"),
+    # an exponent that is not a number or a string was a TypeError traceback
+    ("strichartz", {"q": [2]},
+     'strichartz: q must be a number, a fraction such as "7/3" or "inf", got [2]'),
+] + [(sub, config, message.format(sub=sub, least=least))
+     for sub, least in (("residual-scaling", 4), ("transport", 1))
      for config, message in PACKET_REFUSALS]
 
 
