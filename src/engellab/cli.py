@@ -24,18 +24,6 @@ import numpy as np
 
 from . import algebra, dispersion, fourier, spectral, wavepacket
 
-SUBCOMMANDS = (
-    "identities",
-    "dispersion",
-    "critical-points",
-    "plancherel",
-    "residual-scaling",
-    "transport",
-    "smicro-profile",
-    "strichartz",
-)
-
-
 class ConfigError(ValueError):
     """A config a subcommand refuses: keys it does not read, a value its key's
     converter refuses, an empty sweep grid, an argument the library refuses."""
@@ -171,6 +159,17 @@ def _list(least: int, most: int | None = None, item=_finite, noun="finite number
                       f"be a list{size} of {noun}")
 
 
+def _distinct(convert):
+    """A converter that refuses a list holding an entry twice, once
+    `convert` has accepted it."""
+    def checked(value):
+        converted = convert(value)
+        if len(set(converted)) < len(converted):
+            raise ValueError(f"must not repeat an entry, got {value!r}")
+        return converted
+    return checked
+
+
 def _ladder(least: int):
     """A converter to an hbar ladder of at least `least` distinct values."""
     return _converter(_list(least), lambda hbars: min(hbars) > 0 and len(set(hbars)) >= least,
@@ -226,7 +225,7 @@ def run_identities(cfg: dict, seed: int) -> RunReport:
 
     # PBW confluence: a random word's normal form equals the product of its
     # generators multiplied out one at a time
-    X1, X2, X3, X4 = generators = [algebra.PBWPolynomial.generator(i) for i in (1, 2, 3, 4)]
+    X1, X2, X3, X4 = generators = algebra.X1, algebra.X2, algebra.X3, algebra.X4
     bad_confluence = 0
     for _ in range(cfg["trials"]):
         word = rng.integers(1, 5, size=int(rng.integers(2, 7))).tolist()
@@ -273,7 +272,7 @@ def _fd_deviation(n: int, nu: float, branch, N: int) -> float:
     return max(abs(f - v) for f, v in zip((d.mu, d.mu_d1, d.mu_d2), branch)) / scale
 
 
-@_reads(n_list=([1, 2, 3, 4], _list(1, item=_integer(1), noun="integers >= 1")),
+@_reads(n_list=([1, 2, 3, 4], _distinct(_list(1, item=_integer(1), noun="integers >= 1"))),
         nu_min=(-4.0, _finite), nu_max=(4.0, _finite), nu_step=(0.05, _finite),
         grid_n=(2048, _integer(3)))
 def run_dispersion(cfg: dict, seed: int) -> RunReport:
@@ -413,8 +412,8 @@ def run_transport(cfg: dict, seed: int) -> RunReport:
 
 @_reads(n=(1, _integer()), grid_n=(4096, _integer()),
         delta_list=([0.5, 1.0, 2.0], _list(1)),
-        times=([0.0, 0.5, 1.0, 2.0],
-               _converter(_list(0), any, "be a list of finite numbers holding a t != 0")))
+        times=([0.0, 0.5, 1.0, 2.0], _distinct(
+            _converter(_list(0), any, "be a list of finite numbers holding a t != 0"))))
 def run_smicro_profile(cfg: dict, seed: int) -> RunReport:
     n = cfg["n"]
     reports = _refusing("smicro-profile", dispersion.critical_points, n, samples=81)
@@ -469,6 +468,7 @@ _RUNNERS = {
     "smicro-profile": run_smicro_profile,
     "strichartz": run_strichartz,
 }
+SUBCOMMANDS = tuple(_RUNNERS)
 
 
 def run(subcommand: str, config: dict, out_dir: str | Path | None = None,

@@ -25,13 +25,13 @@ Rayleigh quotient in gradient form, accurate to ~eps mu where bisection
 alone stops at ~eps ||H||, with ||H|| ~ 4/h^2.  These and the checks run on
 the block; vectors are mirrored to the full grid, exactly even or odd, on
 return.  The wall must clear the confined level by max(E, mu/2).
-`eigen_lowest` solves the k lowest modes; `eigen_mode` solves mode n alone,
-at its index in its own block, through the same code, and is what
-`spectral_data` uses.  Default boxes come from `box_grid`, a closed-form
-rule that puts the wall 18 Agmon lengths past the turning point of a bound
-on the confined level; it scales with the natural length |delta|^{-1/3}
-(|lambda|^{-1/2} for Schrodinger), so the box of Generic(delta, beta) is
-|delta|^{-1/3} times that of Generic(1, nu).
+`eigen_mode` solves mode n alone, at its index in its own block, and is
+what `spectral_data` uses; `eigen_lowest` stacks it for n = 1..k.  Default
+boxes come from `box_grid`, a closed-form rule that puts the wall 18 Agmon
+lengths past the turning point of a bound on the confined level; it scales
+with the natural length |delta|^{-1/3} (|lambda|^{-1/2} for Schrodinger),
+so the box of Generic(delta, beta) is |delta|^{-1/3} times that of
+Generic(1, nu).
 
 Critical points of the Montgomery branches and their curvature reference
 come from `dispersion.montgomery_branch` on Hermite functions instead.
@@ -42,7 +42,6 @@ Grid functions are normalized in the trapezoid inner product
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -297,14 +296,21 @@ def _mirror(x: np.ndarray, parity: int, h: float, out: np.ndarray) -> np.ndarray
     return out
 
 
-def _solve_modes(op: OperatorMatrix, first: int, last: int,
-                 confine_level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Certified pairs of modes first..last (1-based) from their parity blocks.
+def eigen_mode(op: OperatorMatrix, n: int) -> tuple[float, np.ndarray]:
+    """Eigenpair n (1-based) of the mirror-symmetric tridiagonal operator.
 
-    Mode 2i + 1 + p is the i-th pair of block p, so each block solves only
-    the indices of its own modes in the range.  Confinement is checked at
-    mode `confine_level`, which must lie in the range.
+    Mode 2i + 1 is the i-th pair of the even block and mode 2i + 2 the i-th
+    of the odd one, so only that index of that block is bisected and
+    inverse-iterated; a tunnelling pair whose values come out non-monotone
+    at rounding level keeps these labels.  Raises ValueError on a diagonal
+    that is not mirror-symmetric, RuntimeError when mu, the Rayleigh
+    quotient of the vector, leaves the bisection interval of index n, and
+    ConfinementError when the wall does not confine mode n.  The vector is
+    exactly even or odd and positive at the first maximum of |phi|; mirror
+    peaks are bitwise equal, so the left one wins.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     N = op.grid.N
     d = op.diagonal
     if (d != d[::-1]).any():
@@ -314,100 +320,53 @@ def _solve_modes(op: OperatorMatrix, first: int, last: int,
     tol = _BISECT_RTOL * op.energy_scale
     # backward-error floor: inverse iteration delivers ||r|| ~ eps * ||H||
     floor = 200.0 * np.finfo(float).eps * (float(abs(d).max()) + 2.0 * abs(op.offdiag))
-    k = last - first + 1
-    counted, vals, resid = np.empty(k), np.empty(k), np.empty(k)
-    vecs = np.empty((N, k), order="F")  # contiguous columns, as LAPACK returns them
-    for parity in (0, 1):
-        lo, hi = (first - parity) // 2, (last - 1 - parity) // 2
-        if lo > hi:
-            continue
-        bd, be = _parity_block(d, op.offdiag, parity)
-        count, w, iblock, isplit, info = dstebz(bd, be, 2, 0.0, 1.0, lo + 1, hi + 1, tol, "B")
-        if not info:
-            x, info = dstein(bd, be, w[:count], iblock, isplit)
-        if info:
-            raise np.linalg.LinAlgError(f"stebz/stein info {info} on parity block {parity}")
-        # mu from the Rayleigh quotient in gradient form: 1/h^2 times the
-        # squared differences from the wall's zero on (the last one to the
-        # mirror node once for even N, to the centre node twice for odd N)
-        # plus V x^2; no 2/h^2 cancels, so mu is good to ~eps mu, not eps ||H||
-        dx = x[1:m] - x[:m - 1]
-        ends = x[0] ** 2 + ((x[m - 1] - (0.0 if parity else np.sqrt(2.0) * x[m])) ** 2
-                            if N % 2 else 2.0 * parity * x[m - 1] ** 2)
-        mu = -op.offdiag * (np.einsum("ij,ij->j", dx, dx) + ends) + V[:len(bd)] @ x**2
-        r = _tridiagonal_apply(bd[:, None], be[:, None], x) - mu * x
-        start = 2 * lo + 1 + parity - first  # column of the block's first mode
-        counted[start::2], vals[start::2] = w[:count], mu
-        resid[start::2] = np.linalg.norm(r, axis=0)
-        _mirror(x, parity, h, vecs[:, start::2])
+    parity, index = (n - 1) % 2, (n - 1) // 2 + 1
+    bd, be = _parity_block(d, op.offdiag, parity)
+    count, w, iblock, isplit, info = dstebz(bd, be, 2, 0.0, 1.0, index, index, tol, "B")
+    if not info:
+        x, info = dstein(bd, be, w[:count], iblock, isplit)
+    if info:
+        raise np.linalg.LinAlgError(f"stebz/stein info {info} on parity block {parity}")
+    # mu from the Rayleigh quotient in gradient form: 1/h^2 times the
+    # squared differences from the wall's zero on (the last one to the
+    # mirror node once for even N, to the centre node twice for odd N)
+    # plus V x^2; no 2/h^2 cancels, so mu is good to ~eps mu, not eps ||H||
+    dx = x[1:m] - x[:m - 1]
+    ends = x[0] ** 2 + ((x[m - 1] - (0.0 if parity else np.sqrt(2.0) * x[m])) ** 2
+                        if N % 2 else 2.0 * parity * x[m - 1] ** 2)
+    mu = float((-op.offdiag * (np.einsum("ij,ij->j", dx, dx) + ends)
+                + V[:len(bd)] @ x**2)[0])
+    x = x[:, 0]
+    resid = np.linalg.norm(_tridiagonal_apply(bd, be, x) - mu * x)
+    phi = _mirror(x, parity, h, np.empty(N))
     # positive at the first maximum of |phi|, which the left half holds
-    peak = abs(vecs[:N - m]).argmax(axis=0)
-    vecs *= np.where(vecs[peak, np.arange(k)] < 0, -1.0, 1.0)
+    if phi[abs(phi[:N - m]).argmax()] < 0:
+        phi *= -1.0
     # confinement + residual post-conditions
-    mu_top = float(vals[confine_level - first])
-    if V[0] <= mu_top + max(op.energy_scale, 0.5 * abs(mu_top)):
+    if V[0] <= mu + max(op.energy_scale, 0.5 * abs(mu)):
         raise ConfinementError(f"V(+-L) = {V[0]:.3g} does not confine level mu = "
-                               f"{mu_top:.3g}; enlarge the box (L = {op.grid.L})")
-    # each vector's mode is the one bisection counted at its index
-    if (abs(vals - counted) > tol + floor).any():
+                               f"{mu:.3g}; enlarge the box (L = {op.grid.L})")
+    # the vector's mode is the one bisection counted at its index
+    if abs(mu - w[0]) > tol + floor:
         raise RuntimeError("inverse iteration left the bisection interval of a mode")
-    bad = resid > _EIGEN_RESIDUAL_RTOL * np.maximum(abs(vals), 1.0) + floor
-    if bad.any():
-        raise RuntimeError(f"eigen residual too large for mode {first + np.argmax(bad)}")
-    return vals, vecs
+    if resid > _EIGEN_RESIDUAL_RTOL * max(abs(mu), 1.0) + floor:
+        raise RuntimeError(f"eigen residual too large for mode {n}")
+    return mu, phi
 
 
-def eigen_lowest(op: OperatorMatrix, k: int,
-                 confine_level: int | None = None) -> EigenResult:
-    """k lowest eigenpairs of the mirror-symmetric tridiagonal operator.
-
-    The operator commutes with xi -> -xi, so it is solved as its even and
-    odd blocks of about N/2 rows.  With a negative off-diagonal the j-th
-    eigenvector has j - 1 sign changes, so mode 2i + 1 is the i-th even
-    pair and mode 2i + 2 the i-th odd one; a tunnelling pair whose values
-    come out non-monotone at rounding level keeps these labels.  Vectors
-    are exactly even or odd.  Raises ValueError on a diagonal that is not
-    mirror-symmetric.  Bisection to `_BISECT_RTOL` E fixes each mode's
-    index and mu is the Rayleigh quotient of its vector; a quotient outside
-    the bisection interval raises RuntimeError.
-
-    Deterministic sign convention: each vector is positive at the first
-    maximum of |phi|; mirror peaks are bitwise equal, so the left one wins
-    whatever k is.  Confinement is checked for mode `confine_level`
-    (default k); modes above it may be box-limited.
-    """
+def eigen_lowest(op: OperatorMatrix, k: int) -> EigenResult:
+    """The k lowest eigenpairs: `eigen_mode(op, n)` for n = 1..k, stacked;
+    confinement is checked at each mode."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    vals, vecs = _solve_modes(op, 1, k, k if confine_level is None else confine_level)
-    if k >= 2:
-        gaps = np.diff(vals)
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        if np.any(gaps < 1e-10 * scale):
-            warnings.warn(
-                "near-degenerate eigenvalues detected; projector derivatives "
-                "will be unreliable at the affected levels",
-                stacklevel=2,
-            )
-    return EigenResult(op, vals, vecs)
-
-
-def eigen_mode(op: OperatorMatrix, n: int) -> tuple[float, np.ndarray]:
-    """Eigenpair n (1-based) alone: `eigen_lowest(op, n).pair(n)` to rounding.
-
-    Only index (n - 1) // 2 of parity block (n - 1) % 2 is bisected and
-    inverse-iterated, with the checks of `eigen_lowest`; confinement is
-    checked at mode n.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    vals, vecs = _solve_modes(op, n, n, n)
-    return float(vals[0]), vecs[:, 0]
+    mus, phis = zip(*(eigen_mode(op, n) for n in range(1, k + 1)))
+    return EigenResult(op, np.array(mus), np.column_stack(phis))
 
 
 def solve_lowest(param: SpectralParam, k: int, grid: SpectralGrid | None = None,
                  N: int = 4096) -> EigenResult:
     """Build the Hamiltonian on `grid` (default: the box of level k) and
-    return the k lowest pairs; confinement is checked at level k."""
+    return the k lowest pairs."""
     if grid is None:
         grid = box_grid(param, k, N)
     return eigen_lowest(build_hamiltonian(param, grid), k)
@@ -456,9 +415,8 @@ def spectral_data(delta: float, beta: float, n: int, grid: SpectralGrid | None =
     n + 1, confinement is checked at n) and takes dphi = (mu_n - H)^{-1}
     Pi_perp (2 W phi_n) from one solve on phi_n's parity block, so that
     mu_n'' = 2 + 2 <2 W phi_n, dphi> and dphi has phi_n's parity exactly.
-    No neighbouring level is solved, so a tunnelling pair (e.g. n = 1 at
-    beta = -40) gives no near-degeneracy warning; the resolvent's residual
-    gate is what refuses a level too close to its neighbours.
+    The resolvent's residual gate is what refuses a level too close to its
+    neighbours.
     """
     param = Generic(delta, beta)
     if grid is None:

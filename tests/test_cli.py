@@ -635,6 +635,12 @@ MALFORMED = [
     # no evolved profile: both profile checks would pass at exactly 0
     ("smicro-profile", {"times": []}, TIMES + "[]"),
     ("smicro-profile", {"times": [0.0]}, TIMES + "[0.0]"),
+    # a repeated time wrote two columns of one name, a repeated branch its
+    # rows twice
+    ("smicro-profile", {"times": [1.0, 1.0]},
+     "smicro-profile: times must not repeat an entry, got [1.0, 1.0]"),
+    ("dispersion", {"n_list": [1, 1], "nu_min": 0, "nu_max": 0.1, "nu_step": 0.1},
+     "dispersion: n_list must not repeat an entry, got [1, 1]"),
     # a slope fitted through one abscissa
     ("residual-scaling", {"hbar_ladder": [0.05, 0.05, 0.05, 0.05]},
      LADDER.format(sub="residual-scaling", least=4) + "[0.05, 0.05, 0.05, 0.05]"),

@@ -1,6 +1,5 @@
 """Spectral solver, Feynman-Hellmann machinery, reduced resolvent."""
 
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -80,7 +79,6 @@ def test_sign_convention():
         assert peak < res.grid.N // 2
 
 
-@pytest.mark.filterwarnings("ignore:near-degenerate")
 def test_parity_split_matches_full_solve():
     # the even and odd blocks against one full-N solve, on even and odd N
     # (refined grids are odd) and through the tunnelling pairs of nu = -4
@@ -112,14 +110,17 @@ def test_asymmetric_diagonal_refused():
 
 
 def test_mode_certificate_refuses_a_swapped_vector(monkeypatch):
-    # a vector of another mode has its Rayleigh quotient outside the
-    # bisection interval of the index it was returned for
-    def swapped(*args, **kwargs):
-        v, info = dstein(*args, **kwargs)
-        return v[:, ::-1], info
+    # inverse iteration hands back the vector of the next index of the same
+    # block, whose Rayleigh quotient is outside the bisection interval of
+    # the index it was asked for
+    def swapped(d, e, w, iblock, isplit):
+        block = eigh_tridiagonal(d, e, eigvals_only=True)
+        return dstein(d, e, block[np.abs(block - w[0]).argmin() + 1:][:1], iblock, isplit)
+    H = build_hamiltonian(Montgomery(0.0), box_grid(Montgomery(0.0), 6, 2048))
     monkeypatch.setattr(spectral, "dstein", swapped)
-    with pytest.raises(RuntimeError, match="bisection interval"):
-        solve_lowest(Montgomery(0.0), 4, N=2048)
+    for n in (1, 2, 3, 4):
+        with pytest.raises(RuntimeError, match="bisection interval"):
+            eigen_mode(H, n)
 
 
 def test_confinement_error_advises_larger_box():
@@ -173,11 +174,10 @@ def test_tiny_scales_certified():
     assert np.max(np.abs(mus - ladder) / ladder) <= 5e-5
 
 
-@pytest.mark.filterwarnings("ignore:near-degenerate")
 def test_eigenvalue_independent_of_mode_count():
     # mu is the Rayleigh quotient of its vector, so it does not carry the
-    # k-dependent bisection error (~1e-11 at eps ||H|| on these grids);
-    # measured worst case 9.6e-16
+    # bisection error (~1e-11 at eps ||H|| on these grids); each mode is
+    # solved alone, so the values agree bitwise
     for N in (2048, 8192):
         for nu in (-4.0, -3.0, NU_CRIT_1, 0.0, 2.0, 4.0):
             p = Montgomery(nu)
@@ -360,14 +360,14 @@ def test_resolvent_solves_a_row_where_a_plain_lu_meets_a_zero_pivot():
     assert abs(data.mu_d2 - mu_d2) <= 2e-12 * max(1.0, abs(mu_d2))
 
 
-@pytest.mark.filterwarnings("ignore:near-degenerate")
 def test_single_mode_solves_match_lowest_modes_route():
-    # spectral_data solves mode n alone, on its parity block; the reference
-    # takes pair n of eigen_lowest(H, n + 1) on the same grid and the
-    # full-grid resolvent solve.  Measured worst cases at N = 2048: 4.0e-16
-    # (mu), 4.5e-14 (mu'), 5.5e-13 (mu'', n = 3 at nu = -4, where both
-    # routes are 1.2-1.8e-12 from the block's complete spectral sum) and
-    # 2.7e-13 (dphi, phi's parity); the bounds leave a margin of >= 3.6x.
+    # spectral_data solves mode n alone and its resolvent on the parity
+    # block; the reference takes pair n of eigen_lowest(H, n + 1) on the
+    # same grid, which is that mode's pair bitwise, and the full-grid
+    # resolvent solve.  Measured worst cases at N = 2048: 1.5e-15 (mu'),
+    # 5.4e-13 (mu'', n = 3 at nu = -4, where both routes are 1.2-1.8e-12
+    # from the block's complete spectral sum) and 2.7e-13 (dphi, phi's
+    # parity); the bounds leave a margin of >= 3.6x.
     # The reference's dphi has a part of the other parity, rounding
     # amplified by 1/gap (up to 7.4e-2 of ||dphi|| at nu = -40), which the
     # block solve never forms, so only phi's parity is compared
@@ -375,18 +375,14 @@ def test_single_mode_solves_match_lowest_modes_route():
         for nu in (-40.0, -4.0, NU_CRIT_1, 0.0, 4.0):
             p = Montgomery(nu)
             grid = box_grid(p, n + 1, 2048)
-            with warnings.catch_warnings():
-                # no neighbouring level is solved, so the tunnelling pair
-                # of nu = -40 gives no near-degeneracy warning
-                warnings.simplefilter("error")
-                data = spectral_data(1.0, nu, n, grid=grid)
+            data = spectral_data(1.0, nu, n, grid=grid)
             H = build_hamiltonian(p, grid)
             mu, phi = eigen_lowest(H, n + 1).pair(n)
             dH_phi = 2.0 * data.w * phi
             dphi = deflated_solve(data.op, mu, phi, dH_phi)
             mu_d2 = 2.0 + 2.0 * grid.inner(dH_phi, dphi).real
             scale = max(1.0, abs(mu))
-            assert abs(data.mu - mu) <= 1e-14 * scale, (n, nu)
+            assert data.mu == mu, (n, nu)
             assert abs(data.mu_d1 - grid.inner(dH_phi, phi).real) <= 1e-12 * scale, (n, nu)
             assert abs(data.mu_d2 - mu_d2) <= 2e-12 * max(1.0, abs(mu_d2)), (n, nu)
             diff = data.dphi - dphi
@@ -427,19 +423,20 @@ def test_eigenvector_derivative_matches_complete_spectral_sum():
 
 
 @pytest.mark.parametrize("nu, N", [(-1.0, 2048), (2.0, 2048), (-3.0, 4096), (0.0, 8192),
-                                   (-0.5, 2048), (3.0, 2048), (-1.0, 4096)])
+                                   (-0.5, 2048), (3.0, 2048), (-1.0, 4096), (-1.0, 2049),
+                                   (-4.0, 2048), (-4.0, 4097)])
 def test_eigenvector_sign_independent_of_mode_count(nu, N):
-    # vectors are mirrored from their parity block, so an odd mode's two
-    # peaks are bitwise equal and the sign rule is a plain argmax of |phi|;
-    # the sign must not depend on how many modes the solve was asked for
+    # eigen_lowest stacks eigen_mode, so pair n, its vector's sign included,
+    # is bitwise the same whatever the mode count; nu = -4 puts modes 1 and
+    # 2 in a tunnelling pair
     p = Generic(1.0, nu)
-    H = build_hamiltonian(p, box_grid(p, 4, N))
-    many = eigen_lowest(H, 32, confine_level=5).eigenvectors
-    for n in (2, 4):
-        few = eigen_lowest(H, n + 1).eigenvectors[:, n - 1]
-        assert np.max(np.abs(few - many[:, n - 1])) <= 1e-8
-        _, alone = eigen_mode(H, n)
-        assert np.max(np.abs(alone - many[:, n - 1])) <= 1e-8
+    H = build_hamiltonian(p, box_grid(p, 5, N))
+    for k in range(1, 6):
+        res = eigen_lowest(H, k)
+        for n in range(1, k + 1):
+            mu, phi = eigen_mode(H, n)
+            assert res.pair(n)[0] == mu, (k, n)
+            assert np.array_equal(res.pair(n)[1], phi), (k, n)
 
 
 def test_richardson_extrapolation_improves():
