@@ -289,12 +289,6 @@ class PBWPolynomial:
         expo[i - 1] = 1
         return PBWPolynomial({tuple(expo): 1})
 
-    @staticmethod
-    def from_word(word: Sequence[int], coeff=1) -> "PBWPolynomial":
-        """Normal form of coeff * X_{w1} X_{w2} ... (generator indices)."""
-        coeff = _exact(coeff)
-        return PBWPolynomial._of({mono: coeff * c for mono, c in _normal_form_word(tuple(word))})
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "PBWPolynomial") -> "PBWPolynomial":
@@ -378,8 +372,10 @@ def _monomial_product(m1: Monomial, m2: Monomial) -> tuple[tuple[Monomial, int],
 
 
 def pbw_normal_form(word: Sequence[int], coeff=1) -> PBWPolynomial:
-    """Normal ordering of a generator word with a rational prefactor."""
-    return PBWPolynomial.from_word(word, coeff)
+    """Normal form of coeff * X_{w1} X_{w2} ... (generator indices), coeff
+    rational."""
+    coeff = _exact(coeff)
+    return PBWPolynomial._of({mono: coeff * c for mono, c in _normal_form_word(tuple(word))})
 
 
 # handy aliases used by tests and the CLI identity suite

@@ -365,7 +365,8 @@ def run_residual_scaling(cfg: dict, seed: int) -> RunReport:
     # exact integrals, no sampling: the seed changes nothing
     spec = _refusing("residual-scaling", _spec, cfg)
     rep = RunReport("residual-scaling")
-    reports = wavepacket.residual_scaling_experiment(spec, cfg["hbar_ladder"], t=cfg["t"])
+    reports = _refusing("residual-scaling", wavepacket.residual_scaling_experiment,
+                        spec, cfg["hbar_ladder"], t=cfg["t"])
     full = reports[wavepacket.AnsatzOrder.WITH_SIGMA1_AND_2]
     first = reports[wavepacket.AnsatzOrder.WITH_SIGMA1]
     rep.metrics["full_slope"] = full.slope

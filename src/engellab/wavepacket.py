@@ -40,7 +40,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -69,20 +69,17 @@ class GaussianProfile:
     """Schwartz profile a(t, y2, y4), centred Gaussian of unit peak in both slots.
 
     The y2 factor evolves under i d_t a + coeff d_2^2 a = 0 in closed form
-    (complex-width Gaussian); y4 is a spectator.  All partial derivatives
-    entering the correctors are analytic.
+    (complex-width Gaussian), coeff being the packet's dispersion
+    coefficient; y4 is a spectator.  All partial derivatives entering the
+    correctors are analytic.
     """
 
     width2: float = 0.45
     width4: float = 0.8
-    coeff: float = 0.0  # dispersion coefficient; 0 freezes the profile
 
-    def _s(self, t: float) -> complex:
-        return self.width2**2 + 2j * self.coeff * t
-
-    def partials(self, t: float, y2, y4, kmax: int) -> np.ndarray:
+    def partials(self, t: float, coeff: float, y2, y4, kmax: int) -> np.ndarray:
         """d_2^k2 d_4^k4 a for k2, k4 <= kmax, indexed [k2, k4, ...]."""
-        s = self._s(t)
+        s = self.width2**2 + 2j * coeff * t
         u2 = np.asarray(y2, dtype=float)
         u4 = np.asarray(y4, dtype=float)
         a = (self.width2 / np.sqrt(s) * np.exp(-(u2**2) / (2 * s))
@@ -91,58 +88,31 @@ class GaussianProfile:
         p4 = _gaussian_factors(u4, self.width4**2, kmax)
         return p2[:, None] * p4[None, :] * a
 
-    def evolved_width2(self, t: float) -> float:
+    def evolved_width2(self, t: float, coeff: float) -> float:
         """Dispersed |a|^2 width: w^2 + (2 coeff t / w)^2 in variance form."""
         w = self.width2
-        return math.sqrt(w**2 + (2.0 * self.coeff * t / w) ** 2)
+        return math.sqrt(w**2 + (2.0 * coeff * t / w) ** 2)
 
     def l2_normsq(self) -> float:
         return math.pi * self.width2 * self.width4
 
 
-@dataclass
-class ProfileState:
-    """Complex profile on a periodic x2 grid; x4 enters as a parameter axis."""
-
-    x2: np.ndarray  # (n2,) uniform
-    values: np.ndarray  # (n2,) or (n2, n4)
-    time: float = 0.0
-
-    def normsq(self) -> float:
-        dx = self.x2[1] - self.x2[0]
-        return float(np.sum(np.abs(self.values) ** 2) * dx)
-
-    def edge_mass(self) -> float:
-        amax = float(np.max(np.abs(self.values)))
-        strip = max(2, len(self.x2) // 64)
-        edge = max(
-            float(np.max(np.abs(self.values[:strip]))),
-            float(np.max(np.abs(self.values[-strip:]))),
-        )
-        return edge / amax if amax else 0.0
-
-
-def profile_evolve(state: ProfileState, t: float, coeff: float) -> ProfileState:
-    """Evolve i d_t a + coeff d_{x2}^2 a = 0 exactly in the Fourier basis.
+def profile_evolve(x2: np.ndarray, values: np.ndarray, t: float, coeff: float) -> np.ndarray:
+    """Evolve i d_t a + coeff d_{x2}^2 a = 0 for a time t exactly in the
+    Fourier basis, a sampled as `values` on the uniform periodic grid x2.
 
     The multiplier exp(-i coeff k^2 t) is unimodular, so the discrete norm
-    is conserved to rounding; a wrap-around check guards the periodic box.
+    is conserved to rounding.  A wrap-around check guards the periodic box:
+    on the outer 1/64 of the grid (at least two nodes) the evolved |a| must
+    stay below 1e-8 of its peak.
     """
-    n2 = len(state.x2)
-    dx = state.x2[1] - state.x2[0]
-    k = 2.0 * math.pi * np.fft.fftfreq(n2, d=dx)
+    k = 2.0 * math.pi * np.fft.fftfreq(len(x2), d=x2[1] - x2[0])
     mult = np.exp(-1j * coeff * k**2 * t)
-    vals = np.asarray(state.values, dtype=complex)
-    if vals.ndim == 1:
-        out = np.fft.ifft(mult * np.fft.fft(vals))
-    else:
-        out = np.fft.ifft(mult[:, None] * np.fft.fft(vals, axis=0), axis=0)
-    new = ProfileState(state.x2, out, state.time + t)
-    if new.edge_mass() > 1e-8:
-        raise ValueError(
-            "profile reached the periodic box boundary; enlarge the x2 box"
-        )
-    return new
+    out = np.fft.ifft(mult * np.fft.fft(np.asarray(values, dtype=complex)))
+    mag, strip = np.abs(out), max(2, len(x2) // 64)
+    if max(mag[:strip].max(), mag[-strip:].max()) > 1e-8 * mag.max():
+        raise ValueError("profile reached the periodic box boundary; enlarge the x2 box")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +131,9 @@ class WavePacketSpec:
     """Concentration data of a packet family, without hbar; heavy spectral
     objects are cached per spec.
 
-    The profile disperses with mu_n''/2 of the packet's own mode, so its
-    `coeff` is not an input: any value other than 0 is refused.  x0 is four
-    finite numbers and both profile widths are finite and > 0.
+    The profile disperses with mu_n''/2 of the packet's own mode (the
+    machinery's `dispersion`), so the spec holds only its two widths.  x0 is
+    four finite numbers and both profile widths are finite and > 0.
     """
 
     x0: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
@@ -183,9 +153,6 @@ class WavePacketSpec:
         if not all(math.isfinite(w) and w > 0 for w in widths):
             raise ValueError("a packet needs finite profile widths > 0, got "
                              f"profile.width2 = {widths[0]}, profile.width4 = {widths[1]}")
-        if self.profile.coeff != 0:
-            raise ValueError("a packet's profile disperses with mu''/2 of its mode; "
-                             "leave profile.coeff at 0")
 
     def x0_element(self) -> GroupElement:
         return GroupElement(*self.x0)
@@ -235,7 +202,6 @@ class _PacketMachinery:
         [((mu, mu_d1, mu_d2), (w, phi_p, on_phi))] = _hermite_branch(n, [nu])
         self.mu, self.mu_d1, self.mu_d2 = float(cbrt * cbrt * mu), float(cbrt * mu_d1), float(mu_d2)
         self.dispersion = 0.5 * self.mu_d2  # profile equation coefficient
-        self.profile = replace(spec.profile, coeff=self.dispersion)
 
         M, p, i = 2 * len(phi_p), (n - 1) % 2, np.argmax(np.abs(phi_p))
         phi = np.zeros(M + _PAD)
@@ -381,8 +347,9 @@ def _fibre_rule(m: _PacketMachinery, t: float) -> tuple[np.ndarray, np.ndarray, 
     """Nodes y2 (n, 1) and y4 (1, n) of the (y2, y4) rule and its weights,
     which divide out |a(t)|^2's Gaussian: the integrands carry it."""
     x, wts = np.polynomial.hermite.hermgauss(_GH_NODES)
-    alpha2 = m.profile.evolved_width2(t) ** -2  # |a|^2 ~ exp(-alpha2 y2^2 - alpha4 y4^2)
-    alpha4 = m.profile.width4 ** -2
+    # |a|^2 ~ exp(-alpha2 y2^2 - alpha4 y4^2)
+    alpha2 = m.spec.profile.evolved_width2(t, m.dispersion) ** -2
+    alpha4 = m.spec.profile.width4 ** -2
     quad = np.outer(wts * np.exp(x**2), wts * np.exp(x**2)) / math.sqrt(alpha2 * alpha4)
     return x[:, None] / math.sqrt(alpha2), x[None, :] / math.sqrt(alpha4), quad
 
@@ -400,7 +367,7 @@ def _fibre_pairs(m: _PacketMachinery, t: float, hb: float, y2: np.ndarray, y4: n
     times, then the P moves p times.
     """
     kmax = max(max(k[2:]) for _, term, _ in columns for k in term)
-    partials = m.profile.partials(t, y2, y4, kmax)
+    partials = m.spec.profile.partials(t, m.dispersion, y2, y4, kmax)
     rh = math.sqrt(hb)
     pf = -0.5j * hb / m.spec.delta0
     on_y1 = (("x", "", rh), ("", "x", -rh))
@@ -465,6 +432,12 @@ def _fibre_densities(m: _PacketMachinery, pair_maps: list[dict]) -> list[np.ndar
 # ---------------------------------------------------------------------------
 
 
+class GramSumError(ValueError):
+    """A squared L2 norm that `residual` sums over the fibres came out
+    negative: the corrector columns lost their precision, as they do next to
+    a near-degenerate partner of the packet's mode."""
+
+
 @dataclass
 class ResidualEstimate:
     hbar: float
@@ -508,8 +481,13 @@ def residual(spec: WavePacketSpec, order: AnsatzOrder, t: float,
                        ((name, 1), x1A, 2.0 * math.sqrt(hbar)),
                        ((name, 2), x2A, 2j * math.sqrt(hbar))]
         pair_maps += [_fibre_pairs(m, t, hbar, y2, y4, cols) for cols in (psi_cols, r_cols)]
-    norms = [math.sqrt(hbar**1.5 * float(np.sum(quad * d)))
-             for d in _fibre_densities(m, pair_maps)]
+    sums = [hbar**1.5 * float(np.sum(quad * d)) for d in _fibre_densities(m, pair_maps)]
+    for k, sq in enumerate(sums):
+        if sq < 0:
+            raise GramSumError(
+                f"the {list(AnsatzOrder)[k // 2].value} order's ||{('psi', 'r')[k % 2]}||^2 "
+                f"Gram sum is {sq:.6g} < 0 at hbar = {hbar}: its correctors lost precision")
+    norms = [math.sqrt(sq) for sq in sums]
     return {cut: ResidualEstimate(hbar=hbar, order=cut.value, relative=r / psi,
                                   absolute=r, psi_norm=psi)
             for cut, psi, r in zip(AnsatzOrder, norms[::2], norms[1::2])}
@@ -625,23 +603,17 @@ def second_microlocal_profile_demo(
     """
     coeff = 0.5 * curvature
     x2 = np.linspace(-_DEMO_BOX, _DEMO_BOX, _DEMO_POINTS, endpoint=False)
-    state = ProfileState(x2, np.exp(-(x2**2) / (2.0 * _DEMO_WIDTH**2)).astype(complex))
-    analytic = GaussianProfile(width2=_DEMO_WIDTH, width4=1.0, coeff=coeff)
-    mass0 = state.normsq()
-    densities = []
-    mass_drift = 0.0
-    law_err = 0.0
+    a0 = np.exp(-(x2**2) / (2.0 * _DEMO_WIDTH**2)).astype(complex)
+    analytic = GaussianProfile(width2=_DEMO_WIDTH, width4=1.0)
+    dx = x2[1] - x2[0]
+    mass0 = float(np.sum(np.abs(a0) ** 2) * dx)
+    densities, mass_drift, law_err = [], 0.0, 0.0
     for t in times:
-        st = profile_evolve(state, float(t), coeff) if t else state
-        densities.append(np.abs(st.values) ** 2)
-        mass_drift = max(mass_drift, abs(st.normsq() - mass0) / mass0)
-        ref = analytic.partials(float(t), x2, 0.0, 0)[0, 0]
-        law_err = max(law_err, float(np.max(np.abs(st.values - ref))))
-    return ProfileDemoReport(
-        coefficient=coeff,
-        times=[float(t) for t in times],
-        x2=x2,
-        densities=densities,
-        mass_drift=mass_drift,
-        gaussian_law_error=law_err,
-    )
+        a = profile_evolve(x2, a0, float(t), coeff) if t else a0
+        densities.append(np.abs(a) ** 2)
+        mass_drift = max(mass_drift, abs(float(np.sum(np.abs(a) ** 2) * dx) - mass0) / mass0)
+        ref = analytic.partials(float(t), coeff, x2, 0.0, 0)[0, 0]
+        law_err = max(law_err, float(np.max(np.abs(a - ref))))
+    return ProfileDemoReport(coefficient=coeff, times=[float(t) for t in times], x2=x2,
+                             densities=densities, mass_drift=mass_drift,
+                             gaussian_law_error=law_err)

@@ -89,7 +89,7 @@ def _stacked(x: GroupElement) -> np.ndarray:
 def _scalars(m: _PacketMachinery, t: float, y: GroupElement, kmax: int):
     """(P, y1, profile partials up to kmax) at reduced points y."""
     P = -0.5 * (y.x3 + y.x1 * y.x2)
-    return P, y.x1, m.profile.partials(t, y.x2, y.x4, kmax)
+    return P, y.x1, m.spec.profile.partials(t, m.dispersion, y.x2, y.x4, kmax)
 
 
 def _evaluate(term: dict, P, y1, partials):

@@ -299,19 +299,19 @@ def test_pbw_confluence_every_word_up_to_length_five():
         assert product == pbw_normal_form(word), word
 
 
-def test_from_word_and_scale_with_fraction_coefficients():
-    half = PBWPolynomial.from_word([2, 1], Fraction(1, 2))
+def test_pbw_normal_form_and_scale_with_fraction_coefficients():
+    half = pbw_normal_form([2, 1], Fraction(1, 2))
     assert half.terms == {(1, 1, 0, 0): Fraction(1, 2), (0, 0, 1, 0): Fraction(-1, 2)}
     assert half == (X1 * X2 - X3).scale(Fraction(1, 2)) == pbw_normal_form([2, 1]).scale(0.5)
     assert half.scale(2) == pbw_normal_form([2, 1])
-    assert half.scale(0).is_zero() and PBWPolynomial.from_word([2, 1], 0).is_zero()
+    assert half.scale(0).is_zero() and pbw_normal_form([2, 1], 0).is_zero()
     # an int coefficient stays an int
-    assert all(type(c) is int for c in PBWPolynomial.from_word([2, 1], 3).terms.values())
+    assert all(type(c) is int for c in pbw_normal_form([2, 1], 3).terms.values())
 
 
 def test_int_and_fraction_coefficients_compare_hash_and_print_alike():
-    ints = PBWPolynomial.from_word([2, 1], 2)
-    fractions_ = PBWPolynomial.from_word([2, 1], Fraction(2))
+    ints = pbw_normal_form([2, 1], 2)
+    fractions_ = pbw_normal_form([2, 1], Fraction(2))
     mixed = PBWPolynomial({(1, 1, 0, 0): 2, (0, 0, 1, 0): Fraction(-2)})
     text = "-2 * X1^0 X2^0 X3^1 X4^0 + 2 * X1^1 X2^1 X3^0 X4^0"
     for p in (ints, fractions_, mixed, deserialize(text)):

@@ -656,6 +656,19 @@ MALFORMED = [
      for config, message in PACKET_REFUSALS]
 
 
+def test_lost_precision_is_a_usage_error(tmp_path, capsys):
+    # at beta0 = -6 the sigma_2 Gram sums of the packet go negative, which
+    # ended in a math domain error traceback with exit 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"beta0": -6}))
+    with pytest.raises(SystemExit) as exc:
+        main(["residual-scaling", "--config", str(path)])
+    assert exc.value.code == 2
+    assert re.search(r"error: residual-scaling: the sigma2 order's \|\|(psi|r)\|\|\^2 Gram sum "
+                     r"is -\S+ < 0 at hbar = 0\.1: its correctors lost precision",
+                     capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("subcommand, config, message", MALFORMED,
                          ids=[f"{sub}-{json.dumps(c)}" for sub, c, _ in MALFORMED])
 def test_malformed_configs_are_usage_errors(tmp_path, capsys, subcommand, config, message):
