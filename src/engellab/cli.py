@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -224,11 +224,14 @@ def run_identities(cfg: dict, seed: int) -> RunReport:
         rep.checks.append(Check(f"{name}-nonzero-terms", terms, 0, "=="))
 
     # PBW confluence: a random word's normal form equals the product of its
-    # generators multiplied out one at a time
+    # generators multiplied out one at a time; all lengths are drawn in one
+    # batch, then all letters, which are cut into the words
     X1, X2, X3, X4 = generators = algebra.X1, algebra.X2, algebra.X3, algebra.X4
     bad_confluence = 0
-    for _ in range(cfg["trials"]):
-        word = rng.integers(1, 5, size=int(rng.integers(2, 7))).tolist()
+    lengths = rng.integers(2, 7, size=cfg["trials"]).tolist()
+    letters = iter(rng.integers(1, 5, size=sum(lengths)).tolist())
+    for n in lengths:
+        word = list(islice(letters, n))
         ref = algebra.pbw_normal_form(word)
         reref = algebra.PBWPolynomial.one()
         for g in word:
@@ -429,7 +432,7 @@ def run_smicro_profile(cfg: dict, seed: int) -> RunReport:
     rep.metrics["coefficient"] = demo.coefficient
     rep.files["profile_densities.csv"] = _csv(
         ("x2", *(f"density_t{_fmt(t)}" for t in demo.times)),
-        zip(demo.x2, *demo.densities))
+        zip(demo.x2.tolist(), *(d.tolist() for d in demo.densities)))
     rep.checks.append(Check("mass-drift", demo.mass_drift, 1e-10))
     rep.checks.append(Check("gaussian-law-error", demo.gaussian_law_error, 1e-6))
     rep.checks.append(Check("on-cone-curvature-deviation", cc.max_deviation, 1e-3))

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import solve_banded
 
 from .algebra import GroupElement
@@ -114,14 +114,14 @@ def _quadratic_phase(param: RepParam, coords: np.ndarray):
     c = 0; Character(alpha1, alpha2): a = alpha1 x1 + alpha2 x2, b = c = 0.
     """
     x1, x2, x3, x4 = coords.T
-    zero = np.zeros_like(x1)
     if isinstance(param, Generic):
         d = param.delta
         return d * (x4 - 0.5 * x1 * x3) + param.beta * x2, d * x3, 0.5 * d * x2
     if isinstance(param, Schrodinger):
         lam = param.lam
-        return lam * (x3 - 0.5 * x1 * x2), lam * x2, zero
+        return lam * (x3 - 0.5 * x1 * x2), lam * x2, np.zeros_like(x1)
     if isinstance(param, Character):
+        zero = np.zeros_like(x1)
         return param.alpha1 * x1 + param.alpha2 * x2, zero, zero
     raise TypeError(f"unsupported representation parameter {param!r}")
 
@@ -236,13 +236,15 @@ def matrix_coefficients(param: RepParam, coords: np.ndarray, V: np.ndarray,
     so one cubic spline of phi2 serves every point and column.  Its piece
     table and live range are built when phi2 or the grid differ from the
     previous call's and reused otherwise (`_prepared` keeps the last
-    ones); a single column V equal to that phi2 reuses its live range as
-    V's window.  On the uniform grid eta_j - s lies in spline piece
-    j + k(s) at an offset t(s) that is the same for every j, so a point's
-    row of phi2 values is the cubic in t over a contiguous slice of the
-    piece coefficients.  Of the phase theta = a + b eta + c eta^2
-    (`_quadratic_phase`), b eta + c eta^2 takes exact cos/sin at every
-    summed node and e^{ia} multiplies each output row once.
+    ones; a call reads that memo once); a single column V equal to phi2
+    reuses its live range as V's window.  On the uniform grid eta_j - s
+    lies in spline piece j + k(s) at an offset t(s) that is the same for
+    every j, so a point's row of phi2 values is the cubic in t over a
+    contiguous slice of the piece coefficients, and a tile takes its rows
+    from one read-only strided view of the table.  Of the phase
+    theta = a + b eta + c eta^2 (`_quadratic_phase`), b eta + c eta^2
+    takes exact cos/sin at every summed node and e^{ia} multiplies each
+    output row once.
 
     The points are taken in input order in tiles of `_TILE`.  A tile sums
     only over the nodes in the live window of V where phi2(eta - s) is live
@@ -256,18 +258,18 @@ def matrix_coefficients(param: RepParam, coords: np.ndarray, V: np.ndarray,
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     shifts = _shift_of(param, coords[:, 0])
-    last = _last_prepared
-    if (last is not None and last.grid == grid and V.shape[1] == 1
-            and np.array_equal(V[:, 0], last.phi2)):
-        # V is the prepared vector: |V| has its live range
-        window = _checked_window(last.live, last.nodes, grid.L, shifts)[0]
+    prep = _prepared(phi2, grid)
+    if V.shape[1] == 1 and np.array_equal(V[:, 0], prep.phi2):
+        # V is phi2: |V| has its prepared live range
+        window = _checked_window(prep.live, prep.nodes, grid.L, shifts)[0]
     else:
         window = live_window(V, grid, shifts)[0]
-    prep = _prepared(phi2, grid)
     p0, p1 = prep.live
     xi, h, pieces = prep.nodes, grid.h, prep.pieces
     k = np.floor(-shifts / h).astype(int)
-    powers = np.vander(-shifts - k * h, 4)  # t^3, t^2, t, 1
+    t = -shifts - k * h
+    t2 = t * t  # np.vander's products: t^3 = (t t) t
+    powers = np.stack((t2 * t, t2, t, np.ones_like(t)), axis=1)
     pa, pb, pc = _quadratic_phase(param, coords)
     out = np.zeros((len(coords), V.shape[1]), dtype=complex)
     for a in range(0, len(coords), _TILE):
@@ -281,8 +283,11 @@ def matrix_coefficients(param: RepParam, coords: np.ndarray, V: np.ndarray,
         G = np.empty(theta.shape, dtype=complex)
         np.cos(theta, out=G.real)
         np.sin(theta, out=G.imag)
-        # conj(phi2) rows: pieces k + j + 1 (padded numbering), j = j0 .. j1 - 1
-        rows = sliding_window_view(pieces, j1 - j0, axis=1)[:, kt + j0 + 1]
+        # conj(phi2) rows: pieces k + j + 1 (padded numbering), j = j0 .. j1 - 1,
+        # from sliding_window_view(pieces, j1 - j0, axis=1)'s strided view
+        windows = as_strided(pieces, (4, pieces.shape[1] - (j1 - j0) + 1, j1 - j0),
+                             (*pieces.strides, pieces.strides[1]), writeable=False)
+        rows = windows[:, kt + j0 + 1]
         G *= np.einsum("mp,pmw->mw", powers[z], rows)
         out[z] = (G @ V[j0:j1]) * (h * np.exp(1j * pa[z]))[:, None]
     return out

@@ -69,6 +69,39 @@ def test_identities_catch_a_broken_law(monkeypatch, name, broken, check):
     assert not rep.passed
 
 
+def _recording_normal_form(monkeypatch, perturb=lambda nf: nf):
+    """Words that run_identities puts to algebra.pbw_normal_form, in order."""
+    words, normal_form = [], algebra.pbw_normal_form
+
+    def recording(word, coeff=1):
+        words.append(list(word))
+        return perturb(normal_form(word, coeff))
+
+    monkeypatch.setattr(algebra, "pbw_normal_form", recording)
+    return words
+
+
+@pytest.mark.parametrize("trials", [0, 1, 37, 2000])
+def test_identities_draw_trials_words_of_length_2_to_6(monkeypatch, trials):
+    words = _recording_normal_form(monkeypatch)
+    rep = cli.run_identities({"trials": trials}, seed=11)
+    assert rep.passed
+    assert len(words) == trials
+    assert all(2 <= len(w) <= 6 and set(w) <= {1, 2, 3, 4} for w in words)
+    if trials == 2000:  # the whole law shows
+        assert {len(w) for w in words} == {2, 3, 4, 5, 6}
+        assert set().union(*words) == {1, 2, 3, 4}
+
+
+def test_identities_catch_a_perturbed_normal_form(monkeypatch):
+    # every word's normal form is nonzero, so doubling it fails each trial
+    words = _recording_normal_form(monkeypatch, lambda nf: nf.scale(2))
+    rep = cli.run_identities({"trials": 25}, seed=11)
+    assert {c.name: c.value for c in rep.checks}["pbw-confluence-failures"] == 25
+    assert len(words) == 25
+    assert not rep.passed
+
+
 def test_strichartz_exit_codes(capsys):
     assert main(["strichartz", "--q", "2", "--p", "2.8"]) == 0
     out = capsys.readouterr().out

@@ -439,6 +439,35 @@ def test_memo_never_keeps_refused_phi2():
                            ORACLE_GRID)
 
 
+class _LiveWindowCalled(Exception):
+    pass
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_v_equal_to_phi2_takes_its_prepared_live_range(monkeypatch, complex_values):
+    # with no preparation kept, a one-point call whose V holds phi2's values
+    # in a distinct array prepares phi2 and gives V phi2's live range, never
+    # calling live_window; a V other than phi2 still calls it
+    _, phi2 = _oracle_vectors(complex_values)
+    window = live_window(phi2[:, None], ORACLE_GRID)[0]
+    ref = matrix_coefficients(PARAM, MEMO_POINTS[:1], np.column_stack([phi2, phi2]), phi2,
+                              ORACLE_GRID)[0, 0]
+    monkeypatch.setattr(fourier, "_last_prepared", None)
+
+    def refused(*args, **kwargs):
+        raise _LiveWindowCalled
+
+    monkeypatch.setattr(fourier, "live_window", refused)
+    got = matrix_coefficients(PARAM, MEMO_POINTS[:1], phi2.copy()[:, None], phi2,
+                              ORACLE_GRID)[0, 0]
+    assert fourier._last_prepared.live == (window.start, window.stop)
+    assert abs(got - ref) <= 1e-15 * abs(ref)
+    other = phi2.copy()
+    other[window.start + 5] *= 1 + 1e-9
+    with pytest.raises(_LiveWindowCalled):
+        matrix_coefficients(PARAM, MEMO_POINTS[:1], other[:, None], phi2, ORACLE_GRID)
+
+
 def test_memo_keyed_by_grid_and_dtype(monkeypatch):
     # the same values on another grid of as many nodes, and as float and as
     # complex, are each prepared anew and give their cold results
