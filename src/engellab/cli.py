@@ -388,7 +388,8 @@ def run_residual_scaling(cfg: dict, seed: int) -> RunReport:
 def run_transport(cfg: dict, seed: int) -> RunReport:
     # exact integrals, no sampling: the seed changes nothing
     spec = _refusing("transport", _spec, cfg)
-    rows = wavepacket.transport_demo(spec, cfg["t"], hbar_list=cfg["hbar_ladder"])
+    rows = _refusing("transport", wavepacket.transport_demo, spec, cfg["t"],
+                     hbar_list=cfg["hbar_ladder"])
     rep = RunReport("transport")
     rep.files["transport.csv"] = _csv(
         ("t", "centroid_x2", "predicted_x2", "hbar", "packet_width", "drift_error"),

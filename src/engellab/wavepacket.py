@@ -285,10 +285,11 @@ def _sigma2_terms(m: _PacketMachinery) -> dict[str, dict]:
     }
 
 
-def _ansatz_terms(m: _PacketMachinery, order: AnsatzOrder, hb: float) -> list[dict[str, dict]]:
+def _ansatz_terms(m: _PacketMachinery, order: AnsatzOrder, hb) -> list[dict[str, dict]]:
     """Term tables of a, sqrt(hbar) sigma_1 and hbar sigma_2, one per order
-    from LEADING through `order`; their union is the ansatz cut at `order`."""
-    orders = [({"phi": {(0, 0, 0, 0): 1.0}}, 1.0), (_SIGMA1, math.sqrt(hb)), (_sigma2_terms(m), hb)]
+    from LEADING through `order`; their union is the ansatz cut at `order`.
+    hbar is a number or an (H, 1, 1) ladder, and so are the corrector terms."""
+    orders = [({"phi": {(0, 0, 0, 0): 1.0}}, 1.0), (_SIGMA1, np.sqrt(hb)), (_sigma2_terms(m), hb)]
     return [{n: {k: f * c for k, c in tm.items()} for n, tm in table.items()}
             for table, f in orders[: list(AnsatzOrder).index(order) + 1]]
 
@@ -354,9 +355,9 @@ def _fibre_rule(m: _PacketMachinery, t: float) -> tuple[np.ndarray, np.ndarray, 
     return x[:, None] / math.sqrt(alpha2), x[None, :] / math.sqrt(alpha4), quad
 
 
-def _fibre_pairs(m: _PacketMachinery, t: float, hb: float, y2: np.ndarray, y4: np.ndarray,
+def _fibre_pairs(m: _PacketMachinery, t: float, hb: np.ndarray, y2: np.ndarray, y4: np.ndarray,
                  columns: list[tuple[tuple[str, int], dict, complex]]) -> dict:
-    """{(u word, v word): coefficient on the nodes} with
+    """{(u word, v word): coefficient on the ladder hb (H, 1, 1) and nodes} with
 
         sum over columns (u, term, factor) of factor * term . C[u; phi]
             = sum c C[u word; v word]
@@ -364,12 +365,12 @@ def _fibre_pairs(m: _PacketMachinery, t: float, hb: float, y2: np.ndarray, y4: n
     at each fixed (w2, w4).  u is an image column (name, col); a word
     (name, col, ops) is that column, or phi's, with xi ('x') and D1 ('d')
     applied in the order of ops.  A monomial P^p y1^q takes the y1 moves q
-    times, then the P moves p times.
+    times, then the P moves p times.  No word depends on hbar.
     """
     kmax = max(max(k[2:]) for _, term, _ in columns for k in term)
     partials = m.spec.profile.partials(t, m.dispersion, y2, y4, kmax)
-    rh = math.sqrt(hb)
-    pf = -0.5j * hb / m.spec.delta0
+    rh = np.sqrt(hb)
+    pf = -0.5j * (hb / m.spec.delta0)
     on_y1 = (("x", "", rh), ("", "x", -rh))
     on_p = (("", "x", 0.5 * (rh * y2 + m.mu_d1 * t)), ("d", "", pf), ("", "d", pf))
 
@@ -383,10 +384,11 @@ def _fibre_pairs(m: _PacketMachinery, t: float, hb: float, y2: np.ndarray, y4: n
             words = out
         return words
 
-    grouped: dict = {}  # (u, p, q) -> coefficient on the nodes
+    grouped: dict = {}  # (u, p, q) -> coefficient on the ladder and the nodes
+    zero = np.zeros_like(hb)  # so that every coefficient has the ladder's axis
     for u, term, factor in columns:
         for (p, q, k2, k4), c in term.items():
-            grouped[u, p, q] = grouped.get((u, p, q), 0.0) + factor * c * partials[k2, k4]
+            grouped[u, p, q] = grouped.get((u, p, q), zero) + factor * c * partials[k2, k4]
     expansions = {pq: expansion(*pq) for pq in {(p, q) for _, p, q in grouped}}
     pairs: dict = {}
     for (u, p, q), f in grouped.items():
@@ -397,9 +399,10 @@ def _fibre_pairs(m: _PacketMachinery, t: float, hb: float, y2: np.ndarray, y4: n
 
 
 def _fibre_densities(m: _PacketMachinery, pair_maps: list[dict]) -> list[np.ndarray]:
-    """int int |sum c C[u; v]|^2 dw1 dw3 on the nodes for each pair map
-    {(u, v): c}, as (2 pi / |delta|) sum_{s,t} c_s conj c_t (u_s, u_t) (v_t, v_s)
-    from one Gram matrix of every word the maps name, on coefficients."""
+    """int int |sum c C[u; v]|^2 dw1 dw3 on the ladder and the nodes (H, n, n)
+    for each pair map {(u, v): c}, as (2 pi / |delta|) sum_{s,t} c_s conj c_t
+    (u_s, u_t) (v_t, v_s) from one Gram matrix of every word the maps name, on
+    coefficients; the form is taken one hbar at a time, bitwise as if alone."""
     vectors: dict = {}
 
     def vector(word):
@@ -420,10 +423,14 @@ def _fibre_densities(m: _PacketMachinery, pair_maps: list[dict]) -> list[np.ndar
     for pairs in pair_maps:
         u = [index[key[0]] for key in pairs]
         v = [index[key[1]] for key in pairs]
-        coupling = gram[np.ix_(u, u)] * gram[np.ix_(v, v)].T
-        c = np.array(list(pairs.values())).reshape(len(pairs), -1)
-        form = np.sum(c * (coupling @ c.conj()), axis=0).real
-        densities.append(2.0 * math.pi / abs(m.spec.delta0) * form.reshape(_GH_NODES, -1))
+        coupling = gram[np.ix_(u, u)]
+        coupling *= gram[np.ix_(v, v)].T  # in place: one pairs x pairs temporary fewer
+        forms = []
+        for at_hbar in zip(*pairs.values()):  # (pairs, nodes), as large as a one-hbar call's
+            c = np.reshape(at_hbar, (len(pairs), -1))
+            forms.append(np.sum(c * (coupling @ c.conj()), axis=0).real)
+        densities.append(2.0 * math.pi / abs(m.spec.delta0)
+                         * np.reshape(forms, (-1, _GH_NODES, _GH_NODES)))
     return densities
 
 
@@ -433,9 +440,29 @@ def _fibre_densities(m: _PacketMachinery, pair_maps: list[dict]) -> list[np.ndar
 
 
 class GramSumError(ValueError):
-    """A squared L2 norm that `residual` sums over the fibres came out
+    """A squared L2 norm or a variance summed over the fibres came out
     negative: the corrector columns lost their precision, as they do next to
     a near-degenerate partner of the packet's mode."""
+
+
+def _gram_sum(value: float, what: str, hbar: float) -> float:
+    """value, or a GramSumError naming `what` and hbar if it is negative."""
+    if value < 0:
+        raise GramSumError(f"{what} Gram sum is {value:.6g} < 0 at hbar = {hbar}: "
+                           "its correctors lost precision")
+    return value
+
+
+def _hbar_ladder(hbars: Sequence[float], distinct: int = 1) -> list[float]:
+    """The ladder as floats; a ValueError names an hbar that is not finite
+    and > 0, or a ladder with fewer than `distinct` distinct values."""
+    hbars = [float(h) for h in hbars]
+    for h in hbars:
+        if not (math.isfinite(h) and h > 0):
+            raise ValueError(f"every hbar must be finite and > 0, got hbar = {h}")
+    if len(set(hbars)) < distinct:
+        raise ValueError(f"need {distinct} or more distinct hbar values, got {hbars}")
+    return hbars
 
 
 @dataclass
@@ -448,9 +475,10 @@ class ResidualEstimate:
 
 
 def residual(spec: WavePacketSpec, order: AnsatzOrder, t: float,
-             hbar: float) -> dict[AnsatzOrder, ResidualEstimate]:
+             hbars: Sequence[float]) -> list[dict[AnsatzOrder, ResidualEstimate]]:
     """L2 norms of r = i hbar d_t psi + hbar^2 (X1^2 + X2^2) psi and of psi
-    over the packet, for every ansatz order from LEADING through `order`.
+    over the packet, for every ansatz order from LEADING through `order`, one
+    dict per hbar of the ladder.
 
     With psi = hbar^{-7/4} e^{-i mu t/hbar} sum_j A_j(t, y) C[v_j; Phi1](w),
     exactly
@@ -461,36 +489,39 @@ def residual(spec: WavePacketSpec, order: AnsatzOrder, t: float,
     the phase has modulus one, and both norms are exact Gram sums over the
     fibres.  The orders are nested, so each lower order's r and psi are
     partial sums of the same columns, and one Gram matrix serves them all.
+    hbar is a leading (H, 1, 1) axis of the coefficients, so one pass serves
+    the ladder, each hbar's estimates bitwise those of a one-hbar call.
     """
+    hbars = _hbar_ladder(hbars)
     m = machinery(spec)
     y2, y4, quad = _fibre_rule(m, t)
+    hb = np.reshape(hbars, (-1, 1, 1))
+    rh = np.sqrt(hb)
     # d_t at fixed x: the profile flows (d_t a = i c3 a_22) and recenters
     # (y2 = (x2 - c2 t)/sqrt(hbar)); P and y1 do not move
-    dt = ({}, {}, {(0, 0, 2, 0): 1j * m.dispersion, (0, 0, 1, 0): -m.mu_d1 / math.sqrt(hbar)})
-    psi_cols: list = []
-    r_cols: list = []
-    pair_maps = []
-    for table in _ansatz_terms(m, order, hbar):
+    dt = ({}, {}, {(0, 0, 2, 0): 1j * m.dispersion, (0, 0, 1, 0): -m.mu_d1 / rh})
+    psi_cols, r_cols, pair_maps = [], [], []
+    for table in _ansatz_terms(m, order, hb):
         for name, A in table.items():
             x1A, x2A = _derive(A, _X1), _derive(A, _X2)
             psi_cols.append(((name, 0), A, 1.0))
-            r_cols += [((name, 0), _derive(A, dt), 1j * hbar),
-                       ((name, 0), _derive(x1A, _X1), hbar),
-                       ((name, 0), _derive(x2A, _X2), hbar),
+            r_cols += [((name, 0), _derive(A, dt), 1j * hb),
+                       ((name, 0), _derive(x1A, _X1), hb),
+                       ((name, 0), _derive(x2A, _X2), hb),
                        ((name, 3), A, 1.0),
-                       ((name, 1), x1A, 2.0 * math.sqrt(hbar)),
-                       ((name, 2), x2A, 2j * math.sqrt(hbar))]
-        pair_maps += [_fibre_pairs(m, t, hbar, y2, y4, cols) for cols in (psi_cols, r_cols)]
-    sums = [hbar**1.5 * float(np.sum(quad * d)) for d in _fibre_densities(m, pair_maps)]
-    for k, sq in enumerate(sums):
-        if sq < 0:
-            raise GramSumError(
-                f"the {list(AnsatzOrder)[k // 2].value} order's ||{('psi', 'r')[k % 2]}||^2 "
-                f"Gram sum is {sq:.6g} < 0 at hbar = {hbar}: its correctors lost precision")
-    norms = [math.sqrt(sq) for sq in sums]
-    return {cut: ResidualEstimate(hbar=hbar, order=cut.value, relative=r / psi,
-                                  absolute=r, psi_norm=psi)
-            for cut, psi, r in zip(AnsatzOrder, norms[::2], norms[1::2])}
+                       ((name, 1), x1A, 2.0 * rh),
+                       ((name, 2), x2A, 2j * rh)]
+        pair_maps += [_fibre_pairs(m, t, hb, y2, y4, cols) for cols in (psi_cols, r_cols)]
+    densities = _fibre_densities(m, pair_maps)
+    names = [f"the {cut.value} order's ||{f}||^2" for cut in AnsatzOrder for f in ("psi", "r")]
+    estimates = []
+    for h, hbar in enumerate(hbars):
+        norms = [math.sqrt(_gram_sum(hbar**1.5 * float(np.sum(quad * d[h])), name, hbar))
+                 for name, d in zip(names, densities)]
+        estimates.append({cut: ResidualEstimate(hbar=hbar, order=cut.value, relative=r / psi,
+                                                absolute=r, psi_norm=psi)
+                          for cut, psi, r in zip(AnsatzOrder, norms[::2], norms[1::2])})
+    return estimates
 
 
 @dataclass
@@ -505,11 +536,9 @@ class ScalingReport:
 def residual_scaling_experiment(spec: WavePacketSpec, hbar_list: Sequence[float],
                                 t: float = 0.1) -> dict[AnsatzOrder, ScalingReport]:
     """Least-squares slope of log(relative residual) against log(hbar), for
-    every ansatz order, one `residual` call per hbar."""
-    if len(hbar_list) < 4:
-        raise ValueError("need at least 4 hbar values for a slope")
-    hbars = [float(h) for h in hbar_list]
-    per_hbar = [residual(spec, AnsatzOrder.WITH_SIGMA1_AND_2, t, hb) for hb in hbars]
+    every ansatz order, from one `residual` call on a ladder of >= 4 distinct hbar."""
+    hbars = _hbar_ladder(hbar_list, distinct=4)
+    per_hbar = residual(spec, AnsatzOrder.WITH_SIGMA1_AND_2, t, hbars)
     reports = {}
     for cut in per_hbar[0]:
         res = [e[cut].relative for e in per_hbar]
@@ -524,16 +553,22 @@ def residual_scaling_experiment(spec: WavePacketSpec, hbar_list: Sequence[float]
 
 
 def _fibre_moments(m: _PacketMachinery, order: AnsatzOrder, t: float,
-                   hb: float) -> tuple[float, float, float]:
+                   hbars: list[float]) -> list[tuple[float, float, float]]:
     """Exact ||psi||^2 and the mean and variance of y2 under |psi|^2 for the
-    ansatz cut at `order`: y2^j weights on the fibre density of psi."""
+    ansatz cut at `order`, per hbar: y2^j weights on the fibre densities of
+    psi, hbar a leading axis as in `residual`."""
     y2, y4, quad = _fibre_rule(m, t)
+    hb = np.reshape(hbars, (-1, 1, 1))
     cols = [((name, 0), A, 1.0) for table in _ansatz_terms(m, order, hb)
             for name, A in table.items()]
     density, = _fibre_densities(m, [_fibre_pairs(m, t, hb, y2, y4, cols)])
-    i0, i1, i2 = (float(np.sum(quad * y2**j * density)) for j in range(3))
-    mean = i1 / i0
-    return hb**1.5 * i0, mean, i2 / i0 - mean**2
+    moments = []
+    for hbar, d in zip(hbars, density):
+        i0, i1, i2 = (float(np.sum(quad * y2**j * d)) for j in range(3))
+        mean = i1 / _gram_sum(i0, f"the {order.value} order's mass", hbar)
+        var = _gram_sum(i2 / i0 - mean**2, f"the {order.value} order's y2 variance", hbar)
+        moments.append((hbar**1.5 * i0, mean, var))
+    return moments
 
 
 @dataclass
@@ -552,21 +587,18 @@ def transport_demo(spec: WavePacketSpec, t: float,
     """x2 centroid of |ansatz|^2 (cut after sigma_1) at time t against the
     center x0 Exp(d_beta mu_n t X2), one row per hbar.
 
-    The mass, centroid and width are exact integrals (`_fibre_moments`),
-    so the rows are deterministic.  Works both at generic beta0 (nonzero
-    drift) and on a critical cone (stationary center).
+    The mass, centroid and width are exact integrals from one `_fibre_moments`
+    call on the ladder, so the rows are deterministic.  Works both at generic
+    beta0 (nonzero drift) and on a critical cone (stationary center).
     """
-    if not hbar_list:
-        raise ValueError("need at least one hbar value")
+    hbars = _hbar_ladder(hbar_list)
     m = machinery(spec)
     pred = float(m.center(t).x2)
     rows = []
-    for hb in hbar_list:
-        hb = float(hb)
-        mass, mean, var = _fibre_moments(m, AnsatzOrder.WITH_SIGMA1, t, hb)
+    for hb, (mass, mean, var) in zip(hbars, _fibre_moments(m, AnsatzOrder.WITH_SIGMA1, t, hbars)):
         offset = math.sqrt(hb) * mean  # x2 = x(t)_2 + sqrt(hbar) y2
         rows.append(TransportRow(hbar=hb, t=t, centroid_x2=pred + offset, predicted_x2=pred,
-                                 packet_width=math.sqrt(hb * max(var, 0.0)),
+                                 packet_width=math.sqrt(hb * var),
                                  drift_error=abs(offset), mass=mass))
     return rows
 

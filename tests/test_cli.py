@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from engellab import algebra, cli, dispersion, spectral
+from engellab import algebra, cli, dispersion, spectral, wavepacket
 from engellab.algebra import GroupElement, LieVector, bracket, exp_to_semidirect, multiply
 from engellab.cli import main, run
 
@@ -700,6 +700,21 @@ def test_lost_precision_is_a_usage_error(tmp_path, capsys):
     assert re.search(r"error: residual-scaling: the sigma2 order's \|\|(psi|r)\|\|\^2 Gram sum "
                      r"is -\S+ < 0 at hbar = 0\.1: its correctors lost precision",
                      capsys.readouterr().err)
+
+
+def test_negative_transport_mass_is_a_usage_error(capsys, monkeypatch):
+    # transport's moments go through the same Gram-sum check as the residual
+    fibre_densities = wavepacket._fibre_densities
+
+    def negated(m, pair_maps):
+        return [-d for d in fibre_densities(m, pair_maps)]
+
+    monkeypatch.setattr(wavepacket, "_fibre_densities", negated)
+    with pytest.raises(SystemExit) as exc:
+        main(["transport"])
+    assert exc.value.code == 2
+    assert re.search(r"error: transport: the sigma1 order's mass Gram sum is -\S+ < 0 "
+                     r"at hbar = 0\.05: its correctors lost precision", capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("subcommand, config, message", MALFORMED,

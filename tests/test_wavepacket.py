@@ -65,7 +65,7 @@ def test_norm_scaling_is_hbar_three_quarters():
     # hbar^{-3/4} ||psi|| should be flat in hbar and match the closed form
     vals = []
     for hb in (0.1, 0.05, 0.025):
-        est = residual(SPEC, AnsatzOrder.LEADING, 0.0, hb)[AnsatzOrder.LEADING].psi_norm
+        est = residual(SPEC, AnsatzOrder.LEADING, 0.0, [hb])[0][AnsatzOrder.LEADING].psi_norm
         assert est == pytest.approx(packet_norm_exact(SPEC, hb), rel=0.02)
         vals.append(est / hb**0.75)
     assert max(vals) / min(vals) - 1.0 <= 0.02
@@ -182,7 +182,7 @@ def test_tunnelling_pair_builds():
         assert not np.any(m.basis[name][1::2]), name
     for name in ("xi_phi", "u1", "u4", "u5"):
         assert not np.any(m.basis[name][::2]), name
-    est = residual(WavePacketSpec(beta0=-4.0), AnsatzOrder.WITH_SIGMA1_AND_2, 0.1, 0.0125)
+    est = residual(WavePacketSpec(beta0=-4.0), AnsatzOrder.WITH_SIGMA1_AND_2, 0.1, [0.0125])[0]
     assert all(math.isfinite(e.relative) for e in est.values())
 
 
@@ -194,9 +194,14 @@ def test_negative_gram_sum_is_refused_by_name():
     spec = WavePacketSpec(beta0=-6.0)
     with pytest.raises(GramSumError, match=r"^the sigma2 order's \|\|(psi|r)\|\|\^2 Gram sum "
                        r"is -\S+ < 0 at hbar = 0\.1: its correctors lost precision$"):
-        residual(spec, AnsatzOrder.WITH_SIGMA1_AND_2, 0.1, 0.1)
-    est = residual(spec, AnsatzOrder.WITH_SIGMA1, 0.1, 0.1)
+        residual(spec, AnsatzOrder.WITH_SIGMA1_AND_2, 0.1, [0.1])
+    est, = residual(spec, AnsatzOrder.WITH_SIGMA1, 0.1, [0.1])
     assert all(math.isfinite(e.relative) and e.relative > 0 for e in est.values())
+    # every hbar of a ladder has a negative sigma_2 sum here; the first in
+    # ladder order is named, as one-hbar calls in turn would name it
+    for ladder, named in (([0.1, 0.0125], "0.1"), ([0.0125, 0.1], "0.0125")):
+        with pytest.raises(GramSumError, match=rf"Gram sum is -\S+ < 0 at hbar = {named}: "):
+            residual(spec, AnsatzOrder.WITH_SIGMA1_AND_2, 0.1, ladder)
 
 
 def test_padding_keeps_every_image_and_word_exact(monkeypatch):
@@ -215,7 +220,7 @@ def test_padding_keeps_every_image_and_word_exact(monkeypatch):
         out = []
         for spec in specs:
             out += [(e.relative, e.absolute, e.psi_norm) for hb in (0.1, 0.0125) for e in
-                    residual(spec, AnsatzOrder.WITH_SIGMA1_AND_2, 0.1, hb).values()]
+                    residual(spec, AnsatzOrder.WITH_SIGMA1_AND_2, 0.1, [hb])[0].values()]
             out += [(r.mass, r.centroid_x2, r.packet_width)
                     for r in transport_demo(spec, 0.5, [0.05, 0.0125])]
         return out
@@ -441,7 +446,7 @@ def test_residual_order_hierarchy():
     # exact values 0.265 > 0.0833 > 0.0367
     hb = 0.05
     t = 0.1
-    r = residual(SPEC, AnsatzOrder.WITH_SIGMA1_AND_2, t, hbar=hb)
+    r, = residual(SPEC, AnsatzOrder.WITH_SIGMA1_AND_2, t, [hb])
     r0, r1, r2 = (r[order] for order in AnsatzOrder)
     assert r2.relative < r1.relative < r0.relative
     assert r2.relative <= 0.1
@@ -473,11 +478,11 @@ def test_one_pass_orders_match_separate_calls(monkeypatch):
         return e.relative, e.absolute, e.psi_norm
 
     for k, hb in enumerate(ladder):
-        one_pass = residual(SPEC, top, 0.1, hbar=hb)
+        one_pass, = residual(SPEC, top, 0.1, [hb])
         for order, est in one_pass.items():
             assert reports[order].residuals[k] == est.relative
             if order is not top:
-                lone = residual(SPEC, order, 0.1, hbar=hb)[order]
+                lone = residual(SPEC, order, 0.1, [hb])[0][order]
                 assert fields(est) == pytest.approx(fields(lone), rel=1e-14)
 
 
@@ -487,7 +492,7 @@ def test_residual_gauss_hermite_rule_is_exact(monkeypatch):
     def fields():
         return [(e.relative, e.absolute, e.psi_norm)
                 for t, hb in ((0.1, 0.1), (0.1, 0.0125), (0.5, 0.05))
-                for e in residual(SPEC, AnsatzOrder.WITH_SIGMA1_AND_2, t, hbar=hb).values()]
+                for e in residual(SPEC, AnsatzOrder.WITH_SIGMA1_AND_2, t, [hb])[0].values()]
 
     base = fields()
     monkeypatch.setattr(wavepacket, "_GH_NODES", 2 * wavepacket._GH_NODES)
@@ -501,8 +506,7 @@ def test_leading_residual_halforder_scaling():
     # removes; exact slope 0.5086
     rels = []
     for hb in (0.1, 0.025):
-        rels.append(residual(SPEC, AnsatzOrder.LEADING, 0.05,
-                             hbar=hb)[AnsatzOrder.LEADING].relative)
+        rels.append(residual(SPEC, AnsatzOrder.LEADING, 0.05, [hb])[0][AnsatzOrder.LEADING].relative)
     slope = math.log(rels[0] / rels[1]) / math.log(4.0)
     assert 0.3 <= slope <= 0.7
 
@@ -510,10 +514,9 @@ def test_leading_residual_halforder_scaling():
 def test_residual_invariant_under_left_translation():
     # moving x0 left-translates the packet, and the Haar measure does not
     # see it, so the estimate is reproduced up to arithmetic roundoff
-    base = residual(SPEC, AnsatzOrder.WITH_SIGMA1, 0.1, hbar=0.05)[AnsatzOrder.WITH_SIGMA1]
+    base = residual(SPEC, AnsatzOrder.WITH_SIGMA1, 0.1, [0.05])[0][AnsatzOrder.WITH_SIGMA1]
     moved_spec = WavePacketSpec(x0=(0.3, -0.2, 0.15, 0.1), delta0=1.0, beta0=0.0, n=1)
-    moved = residual(moved_spec, AnsatzOrder.WITH_SIGMA1, 0.1,
-                     hbar=0.05)[AnsatzOrder.WITH_SIGMA1]
+    moved = residual(moved_spec, AnsatzOrder.WITH_SIGMA1, 0.1, [0.05])[0][AnsatzOrder.WITH_SIGMA1]
     assert moved.relative == pytest.approx(base.relative, rel=1e-6)
 
 
@@ -646,7 +649,7 @@ def test_residual_exact_matches_monte_carlo(hb):
     points, weights = _draw_samples(SPEC, 0.1, hb, 20000, np.random.default_rng(0))
     top = AnsatzOrder.WITH_SIGMA1_AND_2
     mc = _mc_residual(SPEC, top, 0.1, hb, points, weights)
-    for order, est in residual(SPEC, top, 0.1, hbar=hb).items():
+    for order, est in residual(SPEC, top, 0.1, [hb])[0].items():
         rel, err = mc[order]
         assert abs(est.relative - rel) <= MAX_Z * err, order
 
@@ -678,8 +681,8 @@ def test_residual_fibre_density_matches_brute_force(monkeypatch, hb):
         return densities
 
     monkeypatch.setattr(wavepacket, "_fibre_densities", captured)
-    residual(spec, top, t, hbar=hb)
-    r_density = densities[-1]  # psi and r of each order in turn
+    residual(spec, top, t, [hb])
+    r_density = densities[-1][0]  # psi and r of each order in turn; hbar leads
     y2, y4, _ = wavepacket._fibre_rule(m, t)
     period, M, dw1 = 2.0 * math.pi / (abs(spec.delta0) * COARSE.h), 256, 0.1
     w1, k = np.meshgrid(np.arange(-9.5, 9.5, dw1) + 0.013,
@@ -830,7 +833,7 @@ def test_leading_order_mass_is_closed_form():
     m = machinery(SPEC)
     for t in (0.0, 0.5):
         for hb in (0.1, 0.0125):
-            mass = wavepacket._fibre_moments(m, AnsatzOrder.LEADING, t, hb)[0]
+            [(mass, _, _)] = wavepacket._fibre_moments(m, AnsatzOrder.LEADING, t, [hb])
             assert mass == pytest.approx(packet_norm_exact(SPEC, hb) ** 2, rel=1e-13)
 
 
@@ -859,8 +862,87 @@ def test_second_microlocal_demo_custom_profile():
 def test_short_ladders_raise_value_error():
     # library callers get a ValueError before any work; the CLI checks its
     # ladders itself and reports them as usage errors
-    with pytest.raises(ValueError, match="at least 4 hbar values"):
+    with pytest.raises(ValueError, match="4 or more distinct hbar values"):
         residual_scaling_experiment(SPEC, [0.1, 0.05, 0.025])
-    with pytest.raises(ValueError, match="at least one hbar value"):
+    with pytest.raises(ValueError, match="1 or more distinct hbar values"):
         transport_demo(SPEC, 0.5, [])
+    with pytest.raises(ValueError, match="1 or more distinct hbar values"):
+        residual(SPEC, AnsatzOrder.LEADING, 0.1, [])
+    # four copies of one hbar fitted a slope through one abscissa with only
+    # a RankWarning
+    with pytest.raises(ValueError, match=r"^need 4 or more distinct hbar values, got \[0\.05, "):
+        residual_scaling_experiment(SPEC, [0.05] * 4)
 
+
+def _residual_call(ladder):
+    return residual(SPEC, AnsatzOrder.WITH_SIGMA1_AND_2, 0.1, ladder)
+
+
+def _transport_call(ladder):
+    return transport_demo(SPEC, 0.5, ladder)
+
+
+@pytest.mark.parametrize("call", [_residual_call, _transport_call])
+@pytest.mark.parametrize("bad", [0.0, -0.0125, math.nan, math.inf])
+def test_bad_hbar_is_refused_by_name(call, bad):
+    # hbar = 0 raised ZeroDivisionError in residual and gave a silent
+    # mass = 0, width = 0 transport row; hbar < 0 was a math domain error;
+    # nan and inf gave NaN estimates and rows
+    with pytest.raises(ValueError, match=rf"^every hbar must be finite and > 0, got hbar = {bad}$"):
+        call([0.05, bad, 0.025])
+
+
+LADDER = [0.1, 0.05, 0.025, 0.0125, 0.00625]
+LADDER_SPECS = [SPEC, WavePacketSpec(beta0=-4.0), WavePacketSpec(delta0=-0.7, n=2)]
+
+
+@pytest.mark.parametrize("spec", LADDER_SPECS)
+def test_ladder_estimates_are_one_hbar_estimates_bitwise(spec):
+    # the ladder is a leading array axis, and each hbar's Gram form is taken
+    # on its own slice, so no hbar's bits depend on the others in the call
+    top = AnsatzOrder.WITH_SIGMA1_AND_2
+    ladder_est = residual(spec, top, 0.1, LADDER)
+    assert ladder_est == [residual(spec, top, 0.1, [hb])[0] for hb in LADDER]
+    assert [e[top].hbar for e in ladder_est] == LADDER
+    rows = transport_demo(spec, 0.5, LADDER)
+    assert rows == [transport_demo(spec, 0.5, [hb])[0] for hb in LADDER]
+
+
+@pytest.mark.parametrize("spec", LADDER_SPECS)
+def test_permuted_ladder_permutes_estimates(spec):
+    order = [3, 0, 4, 2, 1]
+    permuted = [LADDER[k] for k in order]
+    top = AnsatzOrder.WITH_SIGMA1_AND_2
+    base = residual(spec, top, 0.1, LADDER)
+    assert residual(spec, top, 0.1, permuted) == [base[k] for k in order]
+    rows = transport_demo(spec, 0.5, LADDER)
+    assert transport_demo(spec, 0.5, permuted) == [rows[k] for k in order]
+
+
+def test_negative_transport_moments_are_refused_by_name(monkeypatch):
+    # _fibre_moments divided by a negative mass, and transport_demo hid a
+    # negative variance behind max(var, 0)
+    fibre_densities = wavepacket._fibre_densities
+
+    def negated(m, pair_maps):
+        return [-d for d in fibre_densities(m, pair_maps)]
+
+    monkeypatch.setattr(wavepacket, "_fibre_densities", negated)
+    with pytest.raises(GramSumError, match=r"^the sigma1 order's mass Gram sum is -\S+ < 0 "
+                       r"at hbar = 0\.025: its correctors lost precision$"):
+        transport_demo(SPEC, 0.5, [0.025, 0.05])
+
+    # d (1 - k y2^2) with m2/m4 < k < m0/m2 (m_j = int y2^j d) keeps the mass
+    # positive and makes the second moment, so the variance, negative
+    def tilted(m, pair_maps):
+        y2, _, quad = wavepacket._fibre_rule(m, 0.5)
+        out = []
+        for d in fibre_densities(m, pair_maps):
+            m0, m2, m4 = (np.sum(quad * y2**j * d, axis=(1, 2))[:, None, None] for j in (0, 2, 4))
+            out.append(d * (1.0 - 0.5 * (m2 / m4 + m0 / m2) * y2**2))
+        return out
+
+    monkeypatch.setattr(wavepacket, "_fibre_densities", tilted)
+    with pytest.raises(GramSumError, match=r"^the sigma1 order's y2 variance Gram sum is -\S+ < 0 "
+                       r"at hbar = 0\.025: its correctors lost precision$"):
+        transport_demo(SPEC, 0.5, [0.025, 0.05])
