@@ -14,6 +14,10 @@ coordinates; on float arrays they act elementwise, so one GroupElement
 whose coordinates are (M,) arrays is a batch of M points.  On `Polynomial`
 coordinates they are exact as well, so one symbolic evaluation proves a
 polynomial identity of the group or the algebra for every point.
+
+`Polynomial` is the one exact term type.  `PBWPolynomial`, an element of
+the universal enveloping algebra, is a Polynomial that differs only in its
+product (PBW normal ordering) and its constant monomial (0, 0, 0, 0).
 """
 
 from __future__ import annotations
@@ -148,7 +152,7 @@ def exp_basis(i: int, t) -> GroupElement:
 
 
 # ---------------------------------------------------------------------------
-# Commutative polynomials: symbolic coordinates
+# Exact term arithmetic: commutative polynomials and PBW polynomials
 # ---------------------------------------------------------------------------
 
 
@@ -156,13 +160,15 @@ class Polynomial:
     """Commutative polynomial with int/Fraction coefficients.
 
     `terms` maps an exponent tuple (e0, e1, ...) of t0^e0 t1^e1 ... to its
-    nonzero coefficient; tuples carry no trailing zeros, so () is the
-    constant monomial.  Polynomials add, subtract and multiply with each
-    other and with int/Fraction scalars on either side, which is all the
-    group law, inverse, BCH split and bracket ask of a coordinate.
+    nonzero coefficient; tuples carry no trailing zeros, so `_ONE` = () is
+    the constant monomial.  The constructor takes int/Fraction coefficients
+    and drops zeros; `scale` takes any number.  Polynomials of one type add,
+    subtract and multiply with each other and with int/Fraction scalars on
+    either side, and compare and hash by value.
     """
 
     __slots__ = ("terms",)
+    _ONE: tuple[int, ...] = ()
 
     def __init__(self, terms: dict[tuple[int, ...], int | Fraction] | None = None):
         self.terms = {m: c for m, c in (terms or {}).items() if c}
@@ -172,21 +178,31 @@ class Polynomial:
         """The coordinate functions t0, ..., t_{count-1}."""
         return [Polynomial({(0,) * i + (1,): 1}) for i in range(count)]
 
+    def _terms_of(self, other) -> dict | None:
+        """The terms of `other`, a polynomial of this type or an int/Fraction
+        constant; None for anything else."""
+        if type(other) is type(self):
+            return other.terms
+        if isinstance(other, (int, Fraction)):
+            return {self._ONE: other}
+        return None
+
     def __add__(self, other):
-        if not isinstance(other, (Polynomial, int, Fraction)):
+        terms = self._terms_of(other)
+        if terms is None:
             return NotImplemented
         out = dict(self.terms)
-        for m, c in _as_polynomial(other).terms.items():
+        for m, c in terms.items():
             out[m] = out.get(m, 0) + c
-        return Polynomial(out)
+        return type(self)(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial({m: -c for m, c in self.terms.items()})
+        return type(self)({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, (Polynomial, int, Fraction)):
+        if self._terms_of(other) is None:
             return NotImplemented
         return self + -other
 
@@ -194,20 +210,39 @@ class Polynomial:
         return -self + other
 
     def __mul__(self, other):
-        if not isinstance(other, (Polynomial, int, Fraction)):
+        terms = self._terms_of(other)
+        if terms is None:
             return NotImplemented
         out: dict[tuple[int, ...], int | Fraction] = {}
-        for m2, c2 in _as_polynomial(other).terms.items():
+        for m2, c2 in terms.items():
             for m1, c1 in self.terms.items():
                 m = tuple(a + b for a, b in zip_longest(m1, m2, fillvalue=0))
                 out[m] = out.get(m, 0) + c1 * c2
-        return Polynomial(out)
+        return type(self)(out)
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        # a scalar is central, so scalar * p is p * scalar in every subclass
+        return self.__mul__(other)
+
+    def scale(self, c):
+        """c times the polynomial, c any number (as `_exact` reads it)."""
+        c = _exact(c)
+        return type(self)({m: c * v for m, v in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(tuple(sorted(self.terms.items())))
 
 
-def _as_polynomial(v) -> Polynomial:
-    return v if isinstance(v, Polynomial) else Polynomial({(): v})
+def _exact(c) -> int | Fraction:
+    """An int coefficient as itself, any other number as a Fraction; the two
+    compare, hash and print alike where their values agree."""
+    return c if isinstance(c, int) else Fraction(c)
 
 
 # ---------------------------------------------------------------------------
@@ -246,34 +281,17 @@ def _normal_form_word(word: tuple[int, ...]) -> tuple[tuple[Monomial, int], ...]
     return ((tuple(expo), 1),)
 
 
-class PBWPolynomial:
-    """Rational linear combination of ordered monomials X1^a X2^b X3^c X4^d,
-    with int or Fraction coefficients.
+class PBWPolynomial(Polynomial):
+    """Rational linear combination of ordered monomials X1^a X2^b X3^c X4^d:
+    a `Polynomial` whose product is PBW normal ordering and whose constant
+    monomial is (0, 0, 0, 0).
 
     The zero polynomial has empty support; two elements are equal iff their
     normal forms coincide, which is what makes the rewriting confluent.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Monomial, int | Fraction] | None = None):
-        self.terms: dict[Monomial, int | Fraction] = {}
-        if terms:
-            for mono, c in terms.items():
-                if not isinstance(c, (int, Fraction)):
-                    c = Fraction(c)
-                if c:
-                    self.terms[tuple(mono)] = c
-
-    @classmethod
-    def _of(cls, terms: dict[Monomial, int | Fraction]) -> "PBWPolynomial":
-        """The polynomial of int/Fraction `terms` keyed by monomial tuples,
-        as the ring operations build them: zeros dropped, nothing converted."""
-        p = cls.__new__(cls)
-        p.terms = {mono: c for mono, c in terms.items() if c}
-        return p
-
-    # -- constructors ------------------------------------------------------
+    __slots__ = ()
+    _ONE = (0, 0, 0, 0)
 
     @staticmethod
     def zero() -> "PBWPolynomial":
@@ -289,71 +307,28 @@ class PBWPolynomial:
         expo[i - 1] = 1
         return PBWPolynomial({tuple(expo): 1})
 
-    # -- ring operations ----------------------------------------------------
-
-    def __add__(self, other: "PBWPolynomial") -> "PBWPolynomial":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out.get(mono, 0) + c
-        return PBWPolynomial._of(out)
-
-    def __sub__(self, other: "PBWPolynomial") -> "PBWPolynomial":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out.get(mono, 0) - c
-        return PBWPolynomial._of(out)
-
-    def __neg__(self) -> "PBWPolynomial":
-        return PBWPolynomial._of({m: -c for m, c in self.terms.items()})
-
-    def scale(self, c) -> "PBWPolynomial":
-        c = _exact(c)
-        return PBWPolynomial._of({m: c * v for m, v in self.terms.items()})
-
-    def __mul__(self, other: "PBWPolynomial") -> "PBWPolynomial":
+    def __mul__(self, other):
+        terms = self._terms_of(other)
+        if terms is None:
+            return NotImplemented
         out: dict[Monomial, int | Fraction] = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+            for m2, c2 in terms.items():
                 coeff = c1 * c2
                 for mono, c in _monomial_product(m1, m2):
                     out[mono] = out.get(mono, 0) + coeff * c
-        return PBWPolynomial._of(out)
+        return PBWPolynomial(out)
 
     def commutator(self, other: "PBWPolynomial") -> "PBWPolynomial":
         return self * other - other * self
 
-    # -- structure -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PBWPolynomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
     def __repr__(self):
         return f"PBWPolynomial({self.serialize()!r})"
 
-    # -- canonical text form --------------------------------------------------
-
     def serialize(self) -> str:
         """Canonical text form, terms sorted lexicographically by exponents."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms):
-            a, b, c, d = mono
-            coeff = self.terms[mono]
-            parts.append(f"{coeff} * X1^{a} X2^{b} X3^{c} X4^{d}")
-        return " + ".join(parts)
-
-
-def _exact(c) -> int | Fraction:
-    """An int coefficient as itself, any other number as a Fraction; the two
-    compare, hash and print alike where their values agree."""
-    return c if isinstance(c, int) else Fraction(c)
+        return " + ".join(f"{self.terms[a, b, c, d]} * X1^{a} X2^{b} X3^{c} X4^{d}"
+                          for a, b, c, d in sorted(self.terms)) or "0"
 
 
 def _monomial_word(mono: Monomial) -> tuple[int, ...]:
@@ -375,7 +350,7 @@ def pbw_normal_form(word: Sequence[int], coeff=1) -> PBWPolynomial:
     """Normal form of coeff * X_{w1} X_{w2} ... (generator indices), coeff
     rational."""
     coeff = _exact(coeff)
-    return PBWPolynomial._of({mono: coeff * c for mono, c in _normal_form_word(tuple(word))})
+    return PBWPolynomial({mono: coeff * c for mono, c in _normal_form_word(tuple(word))})
 
 
 # handy aliases used by tests and the CLI identity suite

@@ -487,8 +487,9 @@ def residual(spec: WavePacketSpec, order: AnsatzOrder, t: float,
             + 2 sqrt(hbar) (X1 A_j C[D1 v_j] + i X2 A_j C[W v_j]) + A_j C[(mu - H) v_j]];
 
     the phase has modulus one, and both norms are exact Gram sums over the
-    fibres.  The orders are nested, so each lower order's r and psi are
-    partial sums of the same columns, and one Gram matrix serves them all.
+    fibres.  The orders are nested and name disjoint basis vectors, so each
+    order's pairs are built once and merged into the lower orders', and one
+    Gram matrix serves them all.
     hbar is a leading (H, 1, 1) axis of the coefficients, so one pass serves
     the ladder, each hbar's estimates bitwise those of a one-hbar call.
     """
@@ -500,8 +501,9 @@ def residual(spec: WavePacketSpec, order: AnsatzOrder, t: float,
     # d_t at fixed x: the profile flows (d_t a = i c3 a_22) and recenters
     # (y2 = (x2 - c2 t)/sqrt(hbar)); P and y1 do not move
     dt = ({}, {}, {(0, 0, 2, 0): 1j * m.dispersion, (0, 0, 1, 0): -m.mu_d1 / rh})
-    psi_cols, r_cols, pair_maps = [], [], []
+    psi, r, pair_maps = {}, {}, []
     for table in _ansatz_terms(m, order, hb):
+        psi_cols, r_cols = [], []
         for name, A in table.items():
             x1A, x2A = _derive(A, _X1), _derive(A, _X2)
             psi_cols.append(((name, 0), A, 1.0))
@@ -511,7 +513,9 @@ def residual(spec: WavePacketSpec, order: AnsatzOrder, t: float,
                        ((name, 3), A, 1.0),
                        ((name, 1), x1A, 2.0 * rh),
                        ((name, 2), x2A, 2j * rh)]
-        pair_maps += [_fibre_pairs(m, t, hb, y2, y4, cols) for cols in (psi_cols, r_cols)]
+        psi = {**psi, **_fibre_pairs(m, t, hb, y2, y4, psi_cols)}
+        r = {**r, **_fibre_pairs(m, t, hb, y2, y4, r_cols)}
+        pair_maps += [psi, r]
     densities = _fibre_densities(m, pair_maps)
     names = [f"the {cut.value} order's ||{f}||^2" for cut in AnsatzOrder for f in ("psi", "r")]
     estimates = []

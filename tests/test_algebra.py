@@ -236,6 +236,64 @@ def test_polynomial_ring_operations():
         t0 * 0.5
 
 
+def test_polynomial_compares_and_hashes_by_value():
+    t0, t1 = Polynomial.variables(2)
+    p, q = (t0 + 1) * t1, t1 + t0 * t1
+    assert p is not q and p == q and hash(p) == hash(q)
+    assert len({p, q, t1 * (1 + t0)}) == 1
+    assert p != t1 and p != 1
+    # int and Fraction coefficients of one value are one polynomial
+    assert t0.scale(2) == t0.scale(Fraction(2)) == 2 * t0
+    assert hash(t0.scale(2)) == hash(t0.scale(Fraction(4, 2)))
+
+
+def test_a_constant_lands_on_the_constant_monomial():
+    t0, = Polynomial.variables(1)
+    assert (t0 + 3).terms == {(1,): 1, (): 3}
+    assert (2 - t0).terms == {(): 2, (1,): -1}
+    assert (X1 + 3).terms == {(1, 0, 0, 0): 1, (0, 0, 0, 0): 3}
+    assert (Fraction(1, 2) - X2).terms == {(0, 0, 0, 0): Fraction(1, 2), (0, 1, 0, 0): -1}
+    assert X1 + 3 == X1 + PBWPolynomial.one().scale(3)
+    assert (X1 + 0).terms == X1.terms and (X1 - X1 + 0).is_zero()
+
+
+def test_pbw_results_keep_their_type():
+    p = X2 * X1
+    for result in (p + X3, p - X3, -p, p.scale(Fraction(1, 3)), p + 1, 1 - p, 2 * p,
+                   p * 2, p.commutator(X2)):
+        assert type(result) is PBWPolynomial
+    t0, = Polynomial.variables(1)
+    for result in (t0 + t0, t0 - 1, -t0, t0.scale(2), 3 * t0):
+        assert type(result) is Polynomial
+
+
+def test_scalar_product_is_scale_on_both_sides():
+    # an int/Fraction scalar is central: scalar * p, p * scalar and
+    # p.scale(scalar) agree; a float is refused on both sides, as in
+    # Polynomial, and scale reads it exactly
+    p = X2 * X1 + X4
+    for c in (2, Fraction(-3, 4), 0):
+        assert c * p == p * c == p.scale(c)
+    assert (0 * p).is_zero()
+    for scalar in (0.5, 1j, "2"):
+        with pytest.raises(TypeError):
+            p * scalar
+        with pytest.raises(TypeError):
+            scalar * p
+    assert p.scale(0.5) == p.scale(Fraction(1, 2))
+
+
+def test_commutative_and_pbw_polynomials_do_not_mix():
+    t0, = Polynomial.variables(1)
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(TypeError):
+            op(t0, X1)
+        with pytest.raises(TypeError):
+            op(X1, t0)
+    # equal terms of the two types are two different elements
+    assert X1 != Polynomial({(1, 0, 0, 0): 1}) and Polynomial({(1, 0, 0, 0): 1}) != X1
+
+
 def test_symbolic_product_agrees_with_rational_evaluation():
     t = Polynomial.variables(12)
     x, y, z = (GroupElement(*t[i:i + 4]) for i in (0, 4, 8))

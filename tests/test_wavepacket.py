@@ -486,6 +486,23 @@ def test_one_pass_orders_match_separate_calls(monkeypatch):
                 assert fields(est) == pytest.approx(fields(lone), rel=1e-14)
 
 
+def test_residual_builds_each_orders_pairs_once(monkeypatch):
+    # psi and r of each order are paired once, over that order's columns;
+    # a lower order's pairs enter the higher cut by merging, not by pairing
+    # the cumulative columns again
+    seen = []
+    fibre_pairs = wavepacket._fibre_pairs
+
+    def recorded(m, t, hb, y2, y4, columns):
+        seen.append({u[0] for u, _, _ in columns})
+        return fibre_pairs(m, t, hb, y2, y4, columns)
+
+    monkeypatch.setattr(wavepacket, "_fibre_pairs", recorded)
+    residual(SPEC, AnsatzOrder.WITH_SIGMA1_AND_2, 0.1, [0.05])
+    names = [{"phi"}, {"xi_phi", "dphi"}, {f"u{k}" for k in range(1, 7)}]
+    assert seen == [names[0], names[0], names[1], names[1], names[2], names[2]]
+
+
 def test_residual_gauss_hermite_rule_is_exact(monkeypatch):
     # the |r|^2 and |psi|^2 integrands are polynomials of degree <= 8 per
     # axis times a Gaussian, so doubling the nodes changes nothing beyond rounding
