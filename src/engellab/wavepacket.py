@@ -158,11 +158,6 @@ class WavePacketSpec:
         return GroupElement(*self.x0)
 
 
-# sigma_2's basis u_j = (mu - H)^{-1} Pi_perp source_j, each source a column
-# [v, D1 v, W v] of the images of v = xi phi or dphi
-_RESOLVENT_SOURCES = {"u1": ("xi_phi", 0), "u2": ("dphi", 0), "u3": ("xi_phi", 1),
-                      "u4": ("dphi", 1), "u5": ("xi_phi", 2), "u6": ("dphi", 2)}
-
 # zero coefficients kept past the M Hermite functions of the solves: xi and
 # d/dxi raise a vector's top index by one, W by two and H by four, and the
 # deepest word of `residual` (d/dxi or xi on the (mu - H) image of xi phi)
@@ -189,9 +184,10 @@ class _PacketMachinery:
     beta0 / delta0^{1/3}, where H is |delta0|^{2/3} (nu^2 + block) on each
     parity block of `montgomery_branch`, whose phi, mu, mu' and mu'' and
     certified size (m functions per parity, M = 2m) the machinery takes.
-    dphi and u1..u6 solve (mu - H) u = Pi_perp r, <u, phi> = 0 by one
-    banded LU per block (`dispersion._resolve`): Nelson's between
-    projections onto phi-perp on phi's block, a plain one on the other.
+    dphi and the sigma_2 correctors, one per monomial of `_SIGMA2`, solve
+    (mu - H) u = Pi_perp r, <u, phi> = 0 by one banded LU per block
+    (`dispersion._resolve`): Nelson's between projections onto phi-perp on
+    phi's block, a plain one on the other.
     """
 
     def __init__(self, spec: WavePacketSpec):
@@ -215,10 +211,11 @@ class _PacketMachinery:
             u[1 - p:M:2] = _resolve(off_phi, w, r[1 - p:M:2])
             return u / (cbrt * cbrt)
 
-        self.images = self._images({"phi": phi, "xi_phi": self.xi(phi),
-                                    "dphi": solve(2.0 * self.w(phi))})
-        sources = np.column_stack([self.images[k][:, col] for k, col in _RESOLVENT_SOURCES.values()])
-        self.images.update(self._images(dict(zip(_RESOLVENT_SOURCES, solve(sources).T))))
+        xi_phi, dphi = self.xi(phi), solve(2.0 * self.w(phi))
+        sources = _sigma2_sources(self, xi_phi, dphi)
+        correctors = solve(np.column_stack(list(sources.values()))).T
+        self.images = self._images({"phi": phi, "xi_phi": xi_phi, "dphi": dphi,
+                                    **dict(zip(sources, correctors))})
         self.basis = {k: v[:, 0] for k, v in self.images.items()}
 
     def xi(self, v: np.ndarray) -> np.ndarray:
@@ -264,32 +261,31 @@ _X2 = ({(0, 1, 0, 0): -0.5}, {}, {(0, 0, 1, 0): 1.0})  # X2 = d2
 # to -X1a . (xi phi_n) - i X2a . (d_beta phi_n)
 _SIGMA1 = {"xi_phi": {(1, 0, 0, 1): -1.0}, "dphi": {(0, 0, 1, 0): -1j}}
 
+# sigma_2 Phi1 = (mu - H)^{-1} Pi_perp R Phi1, R = i c2 X2~ sigma_1 - 2 (pi(V).V)
+# sigma_1 - (i d_t a + Delta a) Id, c2 = mu', takes one corrector per monomial
+# of R Phi1 (`_sigma2_sources`); the factors of i stay here, so the correctors
+# and the Gram matrix are real.  X2 = d_2 also differentiates P, giving y1 d4 a.
+_SIGMA2 = {"u_Pa24": {(1, 0, 1, 1): 1j}, "u_a22": {(0, 0, 2, 0): 1.0},
+           "u_PPa44": {(2, 0, 0, 2): 2.0}, "u_y1a4": {(0, 1, 0, 1): -1j}}
 
-def _sigma2_terms(m: _PacketMachinery) -> dict[str, dict]:
-    """Coefficients of sigma_2 Phi1 on the resolvent images u1..u6.
 
-    These are the scalar weights of the right-hand side
-    R = i c2 X2~ sigma_1 - 2 (pi(V).V) sigma_1 - (i d_t a + Delta a) Id
-    applied to Phi1, expanded on the `_RESOLVENT_SOURCES`; the
-    left-invariant X2 = d_2 also differentiates the P(y) factor, producing
-    the y1 d4 a correction on the W xi phi slot.
-    """
+def _sigma2_sources(m: _PacketMachinery, xi_phi: np.ndarray,
+                    dphi: np.ndarray) -> dict[str, np.ndarray]:
+    """{corrector: the source R Phi1 puts on its `_SIGMA2` monomial}, before
+    (mu - H)^{-1} Pi_perp.  In the double well, xi phi and D1 dphi solved
+    one by one each carry phi's near-degenerate partner with weight ~1/gap;
+    summed first, on P a_24, the partner parts cancel."""
     c2 = m.mu_d1
-    return {
-        "u1": {(1, 0, 1, 1): -1j * c2},
-        "u2": {(0, 0, 2, 0): c2},
-        "u3": {(2, 0, 0, 2): 2.0},
-        "u4": {(1, 0, 1, 1): 2j},
-        "u5": {(1, 0, 1, 1): 2j, (0, 1, 0, 1): -1j},
-        "u6": {(0, 0, 2, 0): -2.0},
-    }
+    return {"u_Pa24": 2.0 * (m.d(dphi) + m.w(xi_phi)) - c2 * xi_phi,
+            "u_a22": c2 * dphi - 2.0 * m.w(dphi),
+            "u_PPa44": m.d(xi_phi), "u_y1a4": m.w(xi_phi)}
 
 
-def _ansatz_terms(m: _PacketMachinery, order: AnsatzOrder, hb) -> list[dict[str, dict]]:
+def _ansatz_terms(order: AnsatzOrder, hb) -> list[dict[str, dict]]:
     """Term tables of a, sqrt(hbar) sigma_1 and hbar sigma_2, one per order
     from LEADING through `order`; their union is the ansatz cut at `order`.
     hbar is a number or an (H, 1, 1) ladder, and so are the corrector terms."""
-    orders = [({"phi": {(0, 0, 0, 0): 1.0}}, 1.0), (_SIGMA1, np.sqrt(hb)), (_sigma2_terms(m), hb)]
+    orders = [({"phi": {(0, 0, 0, 0): 1.0}}, 1.0), (_SIGMA1, np.sqrt(hb)), (_SIGMA2, hb)]
     return [{n: {k: f * c for k, c in tm.items()} for n, tm in table.items()}
             for table, f in orders[: list(AnsatzOrder).index(order) + 1]]
 
@@ -428,7 +424,9 @@ def _fibre_densities(m: _PacketMachinery, pair_maps: list[dict]) -> list[np.ndar
         forms = []
         for at_hbar in zip(*pairs.values()):  # (pairs, nodes), as large as a one-hbar call's
             c = np.reshape(at_hbar, (len(pairs), -1))
-            forms.append(np.sum(c * (coupling @ c.conj()), axis=0).real)
+            ab = np.hstack([c.real, c.imag])  # Re c.(K conj c) = a.(K a) + b.(K b), K real
+            form = np.sum(ab * (coupling @ ab), axis=0)
+            forms.append(form[: c.shape[1]] + form[c.shape[1]:])
         densities.append(2.0 * math.pi / abs(m.spec.delta0)
                          * np.reshape(forms, (-1, _GH_NODES, _GH_NODES)))
     return densities
@@ -441,8 +439,8 @@ def _fibre_densities(m: _PacketMachinery, pair_maps: list[dict]) -> list[np.ndar
 
 class GramSumError(ValueError):
     """A squared L2 norm or a variance summed over the fibres came out
-    negative: the corrector columns lost their precision, as they do next to
-    a near-degenerate partner of the packet's mode."""
+    negative: the corrector columns lost their precision.  A guard: one
+    corrector per sigma_2 monomial keeps them O(1) in the double well."""
 
 
 def _gram_sum(value: float, what: str, hbar: float) -> float:
@@ -502,7 +500,7 @@ def residual(spec: WavePacketSpec, order: AnsatzOrder, t: float,
     # (y2 = (x2 - c2 t)/sqrt(hbar)); P and y1 do not move
     dt = ({}, {}, {(0, 0, 2, 0): 1j * m.dispersion, (0, 0, 1, 0): -m.mu_d1 / rh})
     psi, r, pair_maps = {}, {}, []
-    for table in _ansatz_terms(m, order, hb):
+    for table in _ansatz_terms(order, hb):
         psi_cols, r_cols = [], []
         for name, A in table.items():
             x1A, x2A = _derive(A, _X1), _derive(A, _X2)
@@ -563,7 +561,7 @@ def _fibre_moments(m: _PacketMachinery, order: AnsatzOrder, t: float,
     psi, hbar a leading axis as in `residual`."""
     y2, y4, quad = _fibre_rule(m, t)
     hb = np.reshape(hbars, (-1, 1, 1))
-    cols = [((name, 0), A, 1.0) for table in _ansatz_terms(m, order, hb)
+    cols = [((name, 0), A, 1.0) for table in _ansatz_terms(order, hb)
             for name, A in table.items()]
     density, = _fibre_densities(m, [_fibre_pairs(m, t, hb, y2, y4, cols)])
     moments = []

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import eig_banded
 
 from engellab.dispersion import _BASIS_STEP, _basis_size, _certify
-from engellab.wavepacket import _PAD, _RESOLVENT_SOURCES, _PacketMachinery
+from engellab.wavepacket import _PAD, _PacketMachinery, _sigma2_sources
 
 
 def parity_block(n: int, nu: float, m: int) -> np.ndarray:
@@ -72,7 +72,8 @@ def dense_machinery(m: _PacketMachinery) -> tuple[dict[str, np.ndarray], np.ndar
     """m's basis vectors and (mu, mu', mu''), solved densely on m's M
     functions: H = W^2 - D^2 from m's generators, phi mode n of H's parity
     block by `eigh` (largest entry positive), mu' = <dH phi, phi> with
-    dH = 2W, mu'' = 2 + 2 <dH phi, dphi>, and dphi and u1..u6 with
+    dH = 2W, mu'' = 2 + 2 <dH phi, dphi>, and dphi and the sigma_2
+    correctors of `_sigma2_sources` (whose c2 is m's mu') with
     (mu - H) u = Pi_perp r and <u, phi> = 0 from the bordered system
     [[mu - H, phi], [phi^T, 0]] of size M + 1, whose multiplier takes r's
     component along phi; every vector is zero past the M functions."""
@@ -92,7 +93,6 @@ def dense_machinery(m: _PacketMachinery) -> tuple[dict[str, np.ndarray], np.ndar
     dH_phi = 2.0 * m.w(phi)
     dphi = bordered_solve(dH_phi)
     basis = {"phi": phi, "xi_phi": m.xi(phi), "dphi": dphi}
-    images = {k: (x, m.d(x), m.w(x)) for k, x in basis.items()}
-    sources = np.column_stack([images[k][col] for k, col in _RESOLVENT_SOURCES.values()])
-    basis.update(zip(_RESOLVENT_SOURCES, bordered_solve(sources).T))
+    sources = _sigma2_sources(m, basis["xi_phi"], dphi)
+    basis.update(zip(sources, bordered_solve(np.column_stack(list(sources.values()))).T))
     return basis, np.array([w[j], dH_phi @ phi, 2.0 + 2.0 * (dH_phi @ dphi)])

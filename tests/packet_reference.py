@@ -24,13 +24,13 @@ from engellab.algebra import HOMOGENEOUS_DIMENSION, GroupElement, exp_basis, inv
 from engellab.fourier import matrix_coefficients
 from engellab.spectral import Generic, SpectralGrid
 from engellab.wavepacket import (
-    _RESOLVENT_SOURCES,
     _SIGMA1,
+    _SIGMA2,
     AnsatzOrder,
     WavePacketSpec,
     _ansatz_terms,
     _PacketMachinery,
-    _sigma2_terms,
+    _sigma2_sources,
     machinery,
 )
 
@@ -107,7 +107,7 @@ def corrector_sigma2(spec: WavePacketSpec, t: float, y: GroupElement | np.ndarra
     """sigma_2(t, y) Phi1 = (mu - H)^{-1} Pi_perp R(t, y) Phi1 as coefficients."""
     m = machinery(spec)
     sc = _scalars(m, t, _points(y), 2)
-    return sum(_evaluate(tm, *sc) * m.basis[n] for n, tm in _sigma2_terms(m).items())
+    return sum(_evaluate(tm, *sc) * m.basis[n] for n, tm in _SIGMA2.items())
 
 
 def sigma2_diagnostic(spec: WavePacketSpec, t: float, y_points: np.ndarray) -> float:
@@ -116,16 +116,16 @@ def sigma2_diagnostic(spec: WavePacketSpec, t: float, y_points: np.ndarray) -> f
     Vanishing diagonal part of R is exactly the solvability condition for
     sigma_2; it holds when the profile satisfies the dispersion equation
     with the same mu_n'' used in the coefficients.  Besides the sources
-    of u1..u6, R holds the identity term ((c3 - 1) a_22 - P^2 a_44) phi_n,
-    which Pi_perp removes from sigma_2's right side.
+    of its correctors (`_sigma2_sources`), R holds the identity term
+    ((c3 - 1) a_22 - P^2 a_44) phi_n, which Pi_perp removes from sigma_2's
+    right side.
     """
     m = machinery(spec)
     sc = _scalars(m, t, _points(y_points), 2)
     diag = _evaluate({(0, 0, 2, 0): m.dispersion - 1.0, (2, 0, 0, 2): -1.0}, *sc)
-    diag = diag + sum(
-        _evaluate(tm, *sc) * float(m.images[k][:, col] @ m.basis["phi"])
-        for tm, (k, col) in zip(_sigma2_terms(m).values(), _RESOLVENT_SOURCES.values())
-    )
+    sources = _sigma2_sources(m, m.basis["xi_phi"], m.basis["dphi"])
+    diag = diag + sum(_evaluate(tm, *sc) * float(sources[n] @ m.basis["phi"])
+                      for n, tm in _SIGMA2.items())
     return float(np.max(np.abs(diag)))
 
 
@@ -145,7 +145,7 @@ def ansatz_values(spec: WavePacketSpec, order: AnsatzOrder, t: float,
     GroupElement with (M,) coordinate arrays or as an (M, 4) array."""
     m, g = machinery(spec), on_grid(spec)
     w, y = _arguments(m, t, _points(points), hbar)
-    terms = {n: tm for table in _ansatz_terms(m, order, hbar) for n, tm in table.items()}
+    terms = {n: tm for table in _ansatz_terms(order, hbar) for n, tm in table.items()}
     C = matrix_coefficients(g.param, w, np.column_stack([g.basis[n] for n in terms]),
                             g.basis["phi"], g.grid)
     sc = _scalars(m, t, y, 2)

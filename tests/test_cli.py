@@ -687,13 +687,18 @@ MALFORMED = [
      for sub in ("residual-scaling", "transport") for config, message in PACKET_REFUSALS]
 
 
-def test_lost_precision_is_a_usage_error(tmp_path, capsys):
-    # at beta0 = -6 the sigma_2 Gram sums of the packet go negative, which
-    # ended in a math domain error traceback with exit 1
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"beta0": -6}))
+def test_lost_precision_is_a_usage_error(capsys, monkeypatch):
+    # a negative sigma_2 Gram sum of the packet ended in a math domain error
+    # traceback with exit 1; the sigma_2 order's psi and r densities are the
+    # last two of residual's six
+    fibre_densities = wavepacket._fibre_densities
+
+    def negated(m, pair_maps):
+        return [-d if k >= 4 else d for k, d in enumerate(fibre_densities(m, pair_maps))]
+
+    monkeypatch.setattr(wavepacket, "_fibre_densities", negated)
     with pytest.raises(SystemExit) as exc:
-        main(["residual-scaling", "--config", str(path)])
+        main(["residual-scaling"])
     assert exc.value.code == 2
     assert re.search(r"error: residual-scaling: the sigma2 order's \|\|(psi|r)\|\|\^2 Gram sum "
                      r"is -\S+ < 0 at hbar = 0\.1: its correctors lost precision",

@@ -73,8 +73,7 @@ def test_norm_scaling_is_hbar_three_quarters():
 
 def test_norm_needs_no_spectral_data():
     # the norm is the profile's closed form, 0.28187 at hbar 0.05, also at
-    # beta0 = -4 (gap 1.6e-5), where the correctors grow like 1/gap
-    # (test_tunnelling_pair_builds)
+    # beta0 = -4 (gap 1.6e-5), in the double well
     spec = WavePacketSpec(delta0=1.0, beta0=-4.0, n=1)
     exact = HBAR**0.75 * math.sqrt(2.0 * math.pi * math.pi * 0.45 * 0.8)
     assert packet_norm_exact(spec, HBAR) == pytest.approx(exact, rel=1e-15)
@@ -131,8 +130,8 @@ def test_machinery_matches_montgomery_branch(n):
 # the banded block solves against the dense route of hermite_reference
 # (eigh, then one bordered solve over both parities), relative to each
 # vector's largest entry: measured worst 2.3e-15 at the first three specs;
-# at beta0 = -4 (gap 1.6e-5) 7.1e-15 on phi's parity and 3.2e-10 to
-# 7.6e-10 for u1, u4 and u5, whose block has condition 1.6e8 there.
+# at beta0 = -4 (gap 1.6e-5) 7.1e-15 on phi's parity and 2.9e-10 and
+# 3.2e-10 for u_Pa24 and u_y1a4, whose block has condition 1.6e8 there.
 # (mu, mu', mu'') agree to 6.7e-15 of max(1, |value|).  Bounds at ~4x
 @pytest.mark.parametrize("spec, phi_tol, other_tol", [
     (SPEC, 1e-14, 1e-14),
@@ -146,7 +145,7 @@ def test_machinery_matches_the_dense_bordered_route(spec, phi_tol, other_tol):
     got = np.array([m.mu, m.mu_d1, m.mu_d2])
     assert np.all(np.abs(got - fh) <= 3e-14 * np.maximum(1.0, np.abs(fh)))
     for name, v in basis.items():
-        tol = other_tol if name in ("xi_phi", "u1", "u4", "u5") else phi_tol
+        tol = other_tol if name in ("xi_phi", "u_Pa24", "u_y1a4") else phi_tol
         assert np.max(np.abs(m.basis[name] - v)) <= tol * np.max(np.abs(v)), name
 
 
@@ -178,30 +177,96 @@ def test_tunnelling_pair_builds():
     m = machinery(WavePacketSpec(beta0=-4.0))
     # measured 2.7e-15, bound as in test_machinery_matches_montgomery_branch
     assert abs(m.mu_d2 - montgomery_branch(1, -4.0)[2]) <= 3e-14
-    for name in ("phi", "dphi", "u2", "u3", "u6"):  # phi's parity: even indices
+    for name in ("phi", "dphi", "u_a22", "u_PPa44"):  # phi's parity: even indices
         assert not np.any(m.basis[name][1::2]), name
-    for name in ("xi_phi", "u1", "u4", "u5"):
+    for name in ("xi_phi", "u_Pa24", "u_y1a4"):
         assert not np.any(m.basis[name][::2]), name
     est = residual(WavePacketSpec(beta0=-4.0), AnsatzOrder.WITH_SIGMA1_AND_2, 0.1, [0.0125])[0]
     assert all(math.isfinite(e.relative) for e in est.values())
 
 
-def test_negative_gram_sum_is_refused_by_name():
-    # at beta0 = -6 (gap 9.0e-11) the sigma_2 columns lose their precision
-    # in the other-parity solves, and at hbar = 0.1 their Gram sums read
-    # ||psi||^2 = -39.3 and ||r||^2 = -401, where math.sqrt raised a bare
-    # math domain error; the leading and sigma_1 sums stay sane
-    spec = WavePacketSpec(beta0=-6.0)
+def test_negative_gram_sum_is_refused_by_name(monkeypatch):
+    # a negative sigma_2 Gram sum ended in a bare math domain error from
+    # math.sqrt.  Its psi and r densities are negated here, the last two of
+    # residual's six pair maps; a sigma_1 cut has four, whose sums stay sane
+    fibre_densities = wavepacket._fibre_densities
+
+    def negated(m, pair_maps):
+        return [-d if k >= 4 else d for k, d in enumerate(fibre_densities(m, pair_maps))]
+
+    monkeypatch.setattr(wavepacket, "_fibre_densities", negated)
     with pytest.raises(GramSumError, match=r"^the sigma2 order's \|\|(psi|r)\|\|\^2 Gram sum "
                        r"is -\S+ < 0 at hbar = 0\.1: its correctors lost precision$"):
-        residual(spec, AnsatzOrder.WITH_SIGMA1_AND_2, 0.1, [0.1])
-    est, = residual(spec, AnsatzOrder.WITH_SIGMA1, 0.1, [0.1])
+        residual(SPEC, AnsatzOrder.WITH_SIGMA1_AND_2, 0.1, [0.1])
+    est, = residual(SPEC, AnsatzOrder.WITH_SIGMA1, 0.1, [0.1])
     assert all(math.isfinite(e.relative) and e.relative > 0 for e in est.values())
     # every hbar of a ladder has a negative sigma_2 sum here; the first in
     # ladder order is named, as one-hbar calls in turn would name it
     for ladder, named in (([0.1, 0.0125], "0.1"), ([0.0125, 0.1], "0.0125")):
         with pytest.raises(GramSumError, match=rf"Gram sum is -\S+ < 0 at hbar = {named}: "):
-            residual(spec, AnsatzOrder.WITH_SIGMA1_AND_2, 0.1, ladder)
+            residual(SPEC, AnsatzOrder.WITH_SIGMA1_AND_2, 0.1, ladder)
+
+
+@pytest.mark.parametrize("beta0", [-5.5, -6.0, -7.0])
+def test_double_well_packet_is_answered(beta0):
+    # the gap mu2 - mu1 is 2.4e-9, 9.0e-11 and 7.1e-14 here, and on the ladder
+    # 1e-3 .. 1.25e-4 the slopes are criterion 7's: measured full 1.5035,
+    # 1.5042 and 1.5057, sigma1 1.0017, 1.0021 and 1.0030, each at least
+    # 0.14 inside the windows [1.35, 1.65] and [0.85, 1.15]
+    reports = residual_scaling_experiment(WavePacketSpec(beta0=beta0),
+                                          [1e-3, 5e-4, 2.5e-4, 1.25e-4], t=0.1)
+    for rep in reports.values():
+        assert all(math.isfinite(r) and r > 0 for r in rep.residuals)
+    assert 1.35 <= reports[AnsatzOrder.WITH_SIGMA1_AND_2].slope <= 1.65
+    assert 0.85 <= reports[AnsatzOrder.WITH_SIGMA1].slope <= 1.15
+
+
+@pytest.mark.parametrize("beta0", [0.0, -4.0, -6.0, -7.0])
+def test_every_sigma2_corrector_stays_order_one(beta0):
+    # sigma_2 takes one solve per monomial, so the near-degenerate partner
+    # cancels in the source: the largest norm, u_Pa24's, is measured 0.27,
+    # 1.21, 1.33 and 1.37 here; a solve of xi phi alone, as for a corrector
+    # per source column, reads 0.44, 1.7e5, 3.8e10 and 5.0e13.  Bound at ~2x
+    m = machinery(WavePacketSpec(beta0=beta0))
+    for name in m.basis.keys() - {"phi", "xi_phi", "dphi"}:
+        assert np.linalg.norm(m.basis[name]) <= 3.0, name
+
+
+def _word_vector(m, word):
+    """The coefficients of a word (name, col, ops) of `_fibre_pairs`."""
+    name, col, ops = word
+    v = m.images[name][:, col]
+    for op in ops:
+        v = m.xi(v) if op == "x" else m.d(v)
+    return v
+
+
+@pytest.mark.parametrize("beta0", [0.0, -4.0, -6.0])
+def test_fibre_densities_match_a_gram_free_form(monkeypatch, beta0):
+    # at a node, sum_{s,t} c_s conj c_t (u_s, u_t)(v_t, v_s) is
+    # ||U diag(c) V^T||_F^2 with the words as columns of U and V, which
+    # forms no Gram matrix and cancels nothing between its entries: the
+    # sigma_2 order's psi and r at three (y2, y4) nodes, hbar = 0.1, agree to
+    # 1.2e-14 here (with a corrector per source column, 9.9e-8 at beta0 = -4
+    # and no digit at -6); bound at ~8x
+    spec = WavePacketSpec(beta0=beta0)
+    m = machinery(spec)
+    captured = []
+    fibre_densities = wavepacket._fibre_densities
+
+    def recorded(m, pair_maps):
+        captured[:] = zip(pair_maps, fibre_densities(m, pair_maps))
+        return [d for _, d in captured]
+
+    monkeypatch.setattr(wavepacket, "_fibre_densities", recorded)
+    residual(spec, AnsatzOrder.WITH_SIGMA1_AND_2, 0.1, [0.1])
+    for pairs, density in captured[-2:]:
+        U = np.column_stack([_word_vector(m, u) for u, _ in pairs])
+        V = np.column_stack([_word_vector(m, v) for _, v in pairs])
+        for i, j in ((3, 4), (4, 2), (2, 5)):
+            c = np.array([f[0, i, j] for f in pairs.values()])
+            frobenius = 2.0 * math.pi / abs(spec.delta0) * np.sum(np.abs((U * c) @ V.T) ** 2)
+            assert density[0, i, j] == pytest.approx(frobenius, rel=1e-13)
 
 
 def test_padding_keeps_every_image_and_word_exact(monkeypatch):
@@ -499,7 +564,7 @@ def test_residual_builds_each_orders_pairs_once(monkeypatch):
 
     monkeypatch.setattr(wavepacket, "_fibre_pairs", recorded)
     residual(SPEC, AnsatzOrder.WITH_SIGMA1_AND_2, 0.1, [0.05])
-    names = [{"phi"}, {"xi_phi", "dphi"}, {f"u{k}" for k in range(1, 7)}]
+    names = [{"phi"}, {"xi_phi", "dphi"}, {"u_Pa24", "u_a22", "u_PPa44", "u_y1a4"}]
     assert seen == [names[0], names[0], names[1], names[1], names[2], names[2]]
 
 
@@ -585,7 +650,7 @@ def _pointwise(spec, order, t, hb, points, grid=packet_reference.GRID):
     for every order from LEADING through `order`."""
     m, g = machinery(spec), on_grid(spec, grid)
     w, y = packet_reference._arguments(m, t, points, hb)
-    tables = wavepacket._ansatz_terms(m, order, hb)
+    tables = wavepacket._ansatz_terms(order, hb)
     V = np.hstack([g.images[n] for table in tables for n in table])
     C = matrix_coefficients(g.param, w, V, g.basis["phi"], grid).reshape(len(w), -1, 4)
     sc = packet_reference._scalars(m, t, y, 4)
