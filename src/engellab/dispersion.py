@@ -308,19 +308,6 @@ def _refine_root(a: float, b: float, fa: float, fb: float, n: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConeSection:
-    """The dilation-invariant set beta = nu0 * delta^{1/3}."""
-
-    nu0: float
-
-    def beta(self, delta: float) -> float:
-        return self.nu0 * real_cbrt(delta)
-
-    def contains(self, delta: float, beta: float, tol: float = 1e-12) -> bool:
-        return abs(beta - self.beta(delta)) <= tol * max(1.0, abs(beta))
-
-
 @dataclass
 class CurvatureConsistency:
     nu0: float
@@ -353,7 +340,7 @@ def curvature_consistency(
     ref = montgomery_branch(n, nu0)[2]
     devs, d1s = {}, {}
     for delta in delta_list:
-        data = spectral_data(float(delta), float(ConeSection(nu0).beta(delta)), n, N=N)
+        data = spectral_data(float(delta), float(nu0 * real_cbrt(delta)), n, N=N)
         devs[float(delta)] = abs(data.mu_d2 - ref)
         d1s[float(delta)] = data.mu_d1
     return CurvatureConsistency(nu0, n, ref, devs, d1s)

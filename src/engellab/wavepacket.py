@@ -97,24 +97,6 @@ class GaussianProfile:
         return math.pi * self.width2 * self.width4
 
 
-def profile_evolve(x2: np.ndarray, values: np.ndarray, t: float, coeff: float) -> np.ndarray:
-    """Evolve i d_t a + coeff d_{x2}^2 a = 0 for a time t exactly in the
-    Fourier basis, a sampled as `values` on the uniform periodic grid x2.
-
-    The multiplier exp(-i coeff k^2 t) is unimodular, so the discrete norm
-    is conserved to rounding.  A wrap-around check guards the periodic box:
-    on the outer 1/64 of the grid (at least two nodes) the evolved |a| must
-    stay below 1e-8 of its peak.
-    """
-    k = 2.0 * math.pi * np.fft.fftfreq(len(x2), d=x2[1] - x2[0])
-    mult = np.exp(-1j * coeff * k**2 * t)
-    out = np.fft.ifft(mult * np.fft.fft(np.asarray(values, dtype=complex)))
-    mag, strip = np.abs(out), max(2, len(x2) // 64)
-    if max(mag[:strip].max(), mag[-strip:].max()) > 1e-8 * mag.max():
-        raise ValueError("profile reached the periodic box boundary; enlarge the x2 box")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # packet specification and cached machinery
 # ---------------------------------------------------------------------------
@@ -493,12 +475,21 @@ def residual(spec: WavePacketSpec, order: AnsatzOrder, t: float,
     """
     hbars = _hbar_ladder(hbars)
     m = machinery(spec)
+    return _residual(m, order, t, hbars, m.dispersion)
+
+
+def _residual(m: _PacketMachinery, order: AnsatzOrder, t: float, hbars: list[float],
+              c3) -> list[dict[AnsatzOrder, ResidualEstimate]]:
+    """`residual` of the packet whose profile flows by i d_t a + c3 d_2^2 a = 0
+    in d_t's rule; c3 is a number or an (H, 1, 1) array, one per ladder entry.
+    The profile and the fibre rule keep m.dispersion; at t = 0 they do not
+    depend on it."""
     y2, y4, quad = _fibre_rule(m, t)
     hb = np.reshape(hbars, (-1, 1, 1))
     rh = np.sqrt(hb)
     # d_t at fixed x: the profile flows (d_t a = i c3 a_22) and recenters
     # (y2 = (x2 - c2 t)/sqrt(hbar)); P and y1 do not move
-    dt = ({}, {}, {(0, 0, 2, 0): 1j * m.dispersion, (0, 0, 1, 0): -m.mu_d1 / rh})
+    dt = ({}, {}, {(0, 0, 2, 0): 1j * c3, (0, 0, 1, 0): -m.mu_d1 / rh})
     psi, r, pair_maps = {}, {}, []
     for table in _ansatz_terms(order, hb):
         psi_cols, r_cols = [], []
@@ -547,6 +538,48 @@ def residual_scaling_experiment(spec: WavePacketSpec, hbar_list: Sequence[float]
         slope, intercept = np.polyfit(np.log(np.asarray(hbars)), np.log(np.asarray(res)), 1)
         reports[cut] = ScalingReport(cut.value, hbars, res, float(slope), float(intercept))
     return reports
+
+
+# ---------------------------------------------------------------------------
+# the effective mass, read back from the residual
+# ---------------------------------------------------------------------------
+
+# hbar pair of the read-back, the second half the first for Richardson, and
+# the step between the three coefficients that fix each hbar's parabola
+_READBACK_HBARS, _READBACK_STEP = (1e-3, 5e-4), 0.1
+
+
+@dataclass
+class MassReadback:
+    hbars: list[float]
+    coefficient: float  # the machinery's dispersion, mu''/2
+    readback: list[float]  # c*(hbar), the vertex of ||r(c)||^2
+    richardson: float  # 2 rho(hbar/2) - rho(hbar), rho = c*/coefficient - 1
+
+
+def _mass_readback(spec: WavePacketSpec) -> MassReadback:
+    """The dispersion coefficient c* that the Schrodinger equation forces,
+    per hbar of `_READBACK_HBARS`, against the machinery's mu''/2.
+
+    At t = 0 the profile does not depend on its dispersion coefficient c, so
+    the residual of the packet whose profile obeys i d_t a + c d_2^2 a = 0 is
+    affine in c, through d_t's a_22 term alone, and ||r(c)||^2 is an exact
+    parabola.  One `_residual` pass takes c = c0 - step, c0, c0 + step at each
+    hbar on the ladder axis; c* is each parabola's vertex.  rho = c*/c0 - 1 is
+    O(hbar), and its Richardson value 2 rho(hbar/2) - rho(hbar) tends to 0
+    iff c0 is the coefficient the equation forces.  The ansatz is cut after
+    sigma_1: sigma_2 moves rho's O(hbar) slope, not its limit.
+    """
+    m = machinery(spec)
+    c0, steps = m.dispersion, (-_READBACK_STEP, 0.0, _READBACK_STEP)
+    ladder = [hb for hb in _READBACK_HBARS for _ in steps]
+    c3 = np.reshape([c0 + s for _ in _READBACK_HBARS for s in steps], (-1, 1, 1))
+    cut = AnsatzOrder.WITH_SIGMA1
+    f = np.reshape([e[cut].absolute ** 2 for e in _residual(m, cut, 0.0, ladder, c3)], (-1, 3))
+    readback = [c0 + _READBACK_STEP * float(lo - hi) / (2.0 * float(lo - 2.0 * mid + hi))
+                for lo, mid, hi in f]
+    rho = [c / c0 - 1.0 for c in readback]
+    return MassReadback(list(_READBACK_HBARS), c0, readback, 2.0 * rho[1] - rho[0])
 
 
 # ---------------------------------------------------------------------------
@@ -603,51 +636,3 @@ def transport_demo(spec: WavePacketSpec, t: float,
                                  packet_width=math.sqrt(hb * var),
                                  drift_error=abs(offset), mass=mass))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# second-microlocal 1-D dispersion demo
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ProfileDemoReport:
-    coefficient: float
-    times: list[float]
-    x2: np.ndarray
-    densities: list[np.ndarray]
-    mass_drift: float
-    gaussian_law_error: float
-
-
-# width and x2 grid of the demo's default Gaussian profile
-_DEMO_WIDTH, _DEMO_BOX, _DEMO_POINTS = 1.0, 40.0, 2048
-
-
-def second_microlocal_profile_demo(
-    curvature: float,
-    times: Sequence[float] = (0.0, 0.5, 1.0, 2.0),
-) -> ProfileDemoReport:
-    """Free 1-D dispersion of a Gaussian profile on the x2 line with the
-    effective-mass coefficient curvature/2, curvature = mutilde_n''(nu_c)
-    of a branch at its critical point.
-
-    Emits |a(t)|^2 curves, checks mass conservation and verifies the
-    analytic complex-width dispersion law.
-    """
-    coeff = 0.5 * curvature
-    x2 = np.linspace(-_DEMO_BOX, _DEMO_BOX, _DEMO_POINTS, endpoint=False)
-    a0 = np.exp(-(x2**2) / (2.0 * _DEMO_WIDTH**2)).astype(complex)
-    analytic = GaussianProfile(width2=_DEMO_WIDTH, width4=1.0)
-    dx = x2[1] - x2[0]
-    mass0 = float(np.sum(np.abs(a0) ** 2) * dx)
-    densities, mass_drift, law_err = [], 0.0, 0.0
-    for t in times:
-        a = profile_evolve(x2, a0, float(t), coeff) if t else a0
-        densities.append(np.abs(a) ** 2)
-        mass_drift = max(mass_drift, abs(float(np.sum(np.abs(a) ** 2) * dx) - mass0) / mass0)
-        ref = analytic.partials(float(t), coeff, x2, 0.0, 0)[0, 0]
-        law_err = max(law_err, float(np.max(np.abs(a - ref))))
-    return ProfileDemoReport(coefficient=coeff, times=[float(t) for t in times], x2=x2,
-                             densities=densities, mass_drift=mass_drift,
-                             gaussian_law_error=law_err)

@@ -239,8 +239,6 @@ CSV_RUNS = [
                     "grid_n": 512}, ["branches.csv"]),
     ("residual-scaling", {}, ["residual_scaling_full.csv", "residual_scaling_sigma1.csv"]),
     ("transport", {"hbar_ladder": [0.05, 0.025]}, ["transport.csv"]),
-    ("smicro-profile", {"grid_n": 2048, "times": [0.0, 1.0], "delta_list": [1.0]},
-     ["profile_densities.csv"]),
 ]
 
 
@@ -364,7 +362,7 @@ def test_refused_config_is_a_usage_error(tmp_path, capsys):
                "half-mode": {"n_list": [1, 1.5]}, "int-modes": {"n_list": 3},
                "text-grid": {"grid_n": "abc"}, "text-nu": {"nu_min": "x"},
                "text-n": {"n": "a"}, "text-trials": {"trials": "many"},
-               "text-t": {"t": "x"}, "int-times": {"times": 3}, "int-x0": {"x0": 3},
+               "text-t": {"t": "x"}, "int-x0": {"x0": 3},
                "half-grid": {"grid_n": 2048.9}, "half-n": {"n": 1.5},
                "half-trials": {"trials": 40.5}, "inf-grid": {"grid_n": float("inf")},
                "half-packet-n": {"n": 2.5}}
@@ -435,8 +433,6 @@ def test_refused_config_is_a_usage_error(tmp_path, capsys):
          "transport: x0 must be a list of numbers, got 3"),
         (["transport", "--config", str(tmp_path / "text-t.json")],
          "transport: t must be a finite number, got 'x'"),
-        (["smicro-profile", "--config", str(tmp_path / "int-times.json")],
-         "smicro-profile: times must be a list of finite numbers holding a t != 0, got 3"),
         # counts with a fractional part, which int() would truncate
         (["dispersion", "--config", str(tmp_path / "half-grid.json")],
          "dispersion: grid_n must be an integer >= 3, got 2048.9"),
@@ -620,13 +616,15 @@ def test_critical_points_cli(tmp_path):
 def test_smicro_profile_cli(tmp_path):
     # the check thresholds are fixed; "tol", which only critical-points reads,
     # is refused (test_unknown_config_keys_rejected)
-    rep = run("smicro-profile", {"grid_n": 2048, "times": [0.0, 1.0],
-                                 "delta_list": [1.0, 2.0]}, out_dir=tmp_path)
+    rep = run("smicro-profile", {"grid_n": 2048, "delta_list": [1.0, 2.0]}, out_dir=tmp_path)
     assert rep.passed
     thresholds = {c.name: c.threshold for c in rep.checks}
-    assert thresholds["on-cone-curvature-deviation"] == 1e-3
-    csv = (tmp_path / "profile_densities.csv").read_text()
-    assert csv.startswith("x2,density_t0,density_t1")
+    assert thresholds == {"effective-mass-readback": 1e-4, "on-cone-curvature-deviation": 1e-3}
+    readback = rep.metrics["mass_readback"]
+    assert readback["coefficient"] == 0.5 * rep.metrics["critical_point"]["curvature"]
+    # the finite-difference on-cone speed, 3.7e-7 at n = 1
+    assert rep.metrics["max_on_cone_d1"] <= 1e-5
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
 
 LADDER = "{sub}: hbar_ladder must be a list of length >= 1 of finite numbers, got "
@@ -652,7 +650,6 @@ PACKET_REFUSALS = [
 
 SCAN = "critical-points: scan must be a list of length 2 of finite numbers, got "
 DELTAS = "smicro-profile: delta_list must be a list of length >= 1 of finite numbers, got "
-TIMES = "smicro-profile: times must be a list of finite numbers holding a t != 0, got "
 
 MALFORMED = [
     ("critical-points", {"scan": [1]}, SCAN + "[1]"),
@@ -662,15 +659,9 @@ MALFORMED = [
     ("smicro-profile", {"delta_list": 5}, DELTAS + "5"),
     ("smicro-profile", {"delta_list": []}, DELTAS + "[]"),
     ("smicro-profile", {"delta_list": [1.0, float("nan")]}, DELTAS + "[1.0, nan]"),
-    ("smicro-profile", {"times": ["a"]}, TIMES + "['a']"),
-    ("smicro-profile", {"times": [0.0, float("nan")]}, TIMES + "[0.0, nan]"),
-    # no evolved profile: both profile checks would pass at exactly 0
-    ("smicro-profile", {"times": []}, TIMES + "[]"),
-    ("smicro-profile", {"times": [0.0]}, TIMES + "[0.0]"),
-    # a repeated time wrote two columns of one name, a repeated branch its
-    # rows twice
-    ("smicro-profile", {"times": [1.0, 1.0]},
-     "smicro-profile: times must not repeat an entry, got [1.0, 1.0]"),
+    # smicro-profile evolves no profile, so it reads no times
+    ("smicro-profile", {"times": [0.0, 1.0]}, "smicro-profile does not read config key(s) times;"),
+    # a repeated branch wrote its rows twice
     ("dispersion", {"n_list": [1, 1], "nu_min": 0, "nu_max": 0.1, "nu_step": 0.1},
      "dispersion: n_list must not repeat an entry, got [1, 1]"),
     # a slope fitted through one abscissa

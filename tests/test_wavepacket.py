@@ -18,7 +18,7 @@ from packet_reference import (
 
 from engellab import fourier, wavepacket
 from engellab.algebra import GroupElement, multiply
-from engellab.dispersion import montgomery_branch
+from engellab.dispersion import critical_points, montgomery_branch
 from engellab.fourier import (
     GridMarginError,
     live_window,
@@ -33,10 +33,8 @@ from engellab.wavepacket import (
     WavePacketSpec,
     machinery,
     packet_norm_exact,
-    profile_evolve,
     residual,
     residual_scaling_experiment,
-    second_microlocal_profile_demo,
     transport_demo,
 )
 
@@ -317,42 +315,18 @@ def test_spec_has_no_grid():
 # -- profile evolution ----------------------------------------------------------
 
 
-def _gaussian(width=1.0, box=30.0, n=1024):
-    x2 = np.linspace(-box, box, n, endpoint=False)
-    return x2, np.exp(-(x2**2) / (2 * width**2)).astype(complex)
-
-
-def _mass(x2, a):
-    return float(np.sum(np.abs(a) ** 2) * (x2[1] - x2[0]))
-
-
-def test_profile_evolve_zero_coeff_is_identity():
-    x2, a = _gaussian()
-    out = profile_evolve(x2, a, 1.7, 0.0)
-    assert np.max(np.abs(out - a)) < 1e-12
-
-
-def test_profile_evolve_norm_conservation():
-    x2, a = _gaussian(box=60.0, n=2048)
-    n0 = _mass(x2, a)
-    for t in (0.5, 2.0, 4.0):
-        assert _mass(x2, profile_evolve(x2, a, t, 0.8)) == pytest.approx(n0, rel=1e-10)
-
-
-def test_profile_evolve_matches_analytic_gaussian():
-    x2, a = _gaussian(width=1.2)
-    coeff = 0.7
-    ref = GaussianProfile(width2=1.2, width4=1.0)
+def test_profile_partials_solve_the_profile_equation():
+    # i d_t a + c d_2^2 a = 0 with d_t a a centred difference of step 1e-4:
+    # at most 2.25e-9 over the grid (the O(step^2) error of the difference),
+    # bounded with a margin of 4.4; a 1e-3 error in c leaves 4e-4
+    prof, c = GaussianProfile(width2=1.2, width4=1.0), 0.7
+    y2, y4, step = np.linspace(-8.0, 8.0, 321), np.zeros(1), 1e-4
     for t in (0.4, 1.5):
-        out = profile_evolve(x2, a, t, coeff)
-        expected = ref.partials(t, coeff, x2, 0.0, 0)[0, 0]
-        assert np.max(np.abs(out - expected)) <= 1e-6
-
-
-def test_profile_evolve_wraparound_guard():
-    x2, a = _gaussian(width=1.0, box=6.0, n=256)
-    with pytest.raises(ValueError, match="box"):
-        profile_evolve(x2, a, 40.0, 1.0)
+        dt = (prof.partials(t + step, c, y2, y4, 0)[0, 0]
+              - prof.partials(t - step, c, y2, y4, 0)[0, 0]) / (2.0 * step)
+        a22 = prof.partials(t, c, y2, y4, 2)[2, 0]
+        assert np.max(np.abs(1j * dt + c * a22)) <= 1e-8
+        assert np.max(np.abs(1j * dt + 1.001 * c * a22)) >= 1e-4
 
 
 def test_profile_dispersed_width_law():
@@ -919,26 +893,49 @@ def test_leading_order_mass_is_closed_form():
             assert mass == pytest.approx(packet_norm_exact(SPEC, hb) ** 2, rel=1e-13)
 
 
-# -- 1-D dispersion demo ------------------------------------------------------------
+# -- the effective mass, read back from the residual --------------------------------
 
 
-def test_second_microlocal_demo_checks():
-    rep = second_microlocal_profile_demo(1.5761268)
-    assert rep.coefficient == pytest.approx(0.5 * 1.5761268)
-    assert rep.mass_drift <= 1e-10
-    assert rep.gaussian_law_error <= 1e-6
-    d0 = rep.densities[0]
-    assert np.max(np.abs(d0 - np.exp(-(rep.x2**2)))) < 1e-12
+def _cone(n):
+    return WavePacketSpec(delta0=1.0, beta0=critical_points(n, samples=81)[0].nu_c, n=n)
 
 
-def test_second_microlocal_demo_custom_profile():
-    # any Schwartz-class grid profile evolves with conserved mass
-    x2 = np.linspace(-40, 40, 2048, endpoint=False)
-    bump = (np.exp(-(x2**2) / 2) * np.cos(1.3 * x2)).astype(complex)
-    later = profile_evolve(x2, bump, 1.0, 0.5 * 1.5761268)
-    assert abs(_mass(x2, later) - _mass(x2, bump)) / _mass(x2, bump) <= 1e-10
-    # a modulated packet drifts: the density at t=1 is not the initial one
-    assert np.max(np.abs(np.abs(later) ** 2 - np.abs(bump) ** 2)) > 0.1
+@pytest.mark.parametrize("n, delta0, beta0", [(1, 1.0, None), (2, 1.0, None), (3, 1.0, None),
+                                               (4, 1.0, None), (1, 1.0, 0.0), (2, -0.7, 0.7)])
+def test_mass_readback_recovers_half_the_curvature(n, delta0, beta0):
+    # |Richardson value| 6.9e-8, 1.7e-6, 4.7e-7 and 3.4e-6 on the cones
+    # (beta0 None) of modes 1..4, 1.8e-8 and 8.2e-7 off them; smicro-profile
+    # gates it at 1e-4
+    spec = _cone(n) if beta0 is None else WavePacketSpec(delta0=delta0, beta0=beta0, n=n)
+    rb = wavepacket._mass_readback(spec)
+    assert rb.coefficient == machinery(spec).dispersion
+    assert abs(rb.richardson) <= 1e-4
+    # rho = c*/coefficient - 1 is O(hbar)
+    for c, hb in zip(rb.readback, rb.hbars):
+        assert abs(c / rb.coefficient - 1.0) <= 3.0 * hb
+
+
+def test_mass_readback_sees_a_scaled_dispersion(monkeypatch):
+    # c* does not depend on the coefficient the machinery holds, so a
+    # dispersion 1e-3 too large reads back as rho's limit -1e-3
+    spec = _cone(1)
+    m = machinery(spec)
+    monkeypatch.setattr(m, "dispersion", m.dispersion * (1.0 + 1e-3))
+    rb = wavepacket._mass_readback(spec)
+    assert rb.richardson == pytest.approx(-1e-3, rel=0.01)
+    assert abs(rb.richardson) > 1e-4
+
+
+@pytest.mark.parametrize("order", [AnsatzOrder.WITH_SIGMA1, AnsatzOrder.WITH_SIGMA1_AND_2])
+def test_residual_at_t0_is_a_parabola_in_the_dispersion(order):
+    # at t = 0, r is affine in the d_t coefficient: a fourth coefficient
+    # lies on the parabola through three (measured to 3.1e-14 relative)
+    spec = _cone(1)
+    m = machinery(spec)
+    cs = m.dispersion + np.array([-0.1, 0.0, 0.1, 0.25])
+    est = wavepacket._residual(m, order, 0.0, [1e-3] * 4, cs.reshape(-1, 1, 1))
+    f = np.array([e[order].absolute ** 2 for e in est])
+    assert np.polyval(np.polyfit(cs[:3], f[:3], 2), cs[3]) == pytest.approx(f[3], rel=1e-12)
 
 
 def test_short_ladders_raise_value_error():
@@ -985,6 +982,11 @@ def test_ladder_estimates_are_one_hbar_estimates_bitwise(spec):
     top = AnsatzOrder.WITH_SIGMA1_AND_2
     ladder_est = residual(spec, top, 0.1, LADDER)
     assert ladder_est == [residual(spec, top, 0.1, [hb])[0] for hb in LADDER]
+    # so is the machinery's dispersion given once per ladder entry to the
+    # core, as the effective-mass read-back gives its coefficients
+    m = machinery(spec)
+    c3 = np.full((len(LADDER), 1, 1), m.dispersion)
+    assert wavepacket._residual(m, top, 0.1, LADDER, c3) == ladder_est
     assert [e[top].hbar for e in ladder_est] == LADDER
     rows = transport_demo(spec, 0.5, LADDER)
     assert rows == [transport_demo(spec, 0.5, [hb])[0] for hb in LADDER]
