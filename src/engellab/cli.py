@@ -119,11 +119,12 @@ def _refusing(subcommand: str, call, *args, **kwargs):
 def _converter(convert, holds, need: str):
     """A config value converter: it returns convert(value), and raises a
     ValueError saying the value must `need` unless convert succeeds and
-    `holds` of its result."""
+    `holds` of its result.  No key takes a bool: JSON true or false is
+    refused, not read as the number 1 or 0."""
     def checked(value):
         try:
             converted = convert(value)
-            if holds(converted):
+            if not isinstance(value, bool) and holds(converted):
                 return converted
         except (KeyError, TypeError, ValueError, OverflowError):
             pass
@@ -138,6 +139,7 @@ def _as_given(value):
 
 _number = _converter(float, lambda x: True, "be a number")  # the library checks its range
 _finite = _converter(float, np.isfinite, "be a finite number")
+_given_number = _converter(_as_given, lambda x: isinstance(x, (int, float)), "be a number")
 
 
 def _integer(least: int | None = None):
@@ -272,8 +274,9 @@ def _fd_deviation(n: int, nu: float, branch, N: int) -> float:
         nu_min=(-4.0, _finite), nu_max=(4.0, _finite), nu_step=(0.05, _finite),
         grid_n=(2048, _integer(3)))
 def run_dispersion(cfg: dict, seed: int) -> RunReport:
-    """The Montgomery branches (mu, mu', mu'') of `n_list` on the nu grid,
-    at delta = 1, where d_beta = d_nu, each row from `montgomery_branch`.
+    """The Montgomery branches (mu, mu', mu'') of `n_list` on the nu grid
+    nu_min + k nu_step, up to nu_max, at delta = 1, where d_beta = d_nu,
+    each row from `montgomery_branch`.
     `grid_n` is the grid of the independent check: `spectral_data` on it
     at the first and last nu of each branch must agree with the rows to
     O(h^2) (`fd-agreement`)."""
@@ -282,7 +285,10 @@ def run_dispersion(cfg: dict, seed: int) -> RunReport:
         raise ConfigError(f"dispersion: nu_step must be > 0, got {step}")
     if nu_max <= nu_min:
         raise ConfigError(f"dispersion: empty sweep grid, nu_max {nu_max} <= nu_min {nu_min}")
-    nus = [float(nu) for nu in np.arange(nu_min, nu_max + 0.5 * step, step)]
+    # np.arange may run past nu_max by up to step/2: keep nodes up to nu_max to
+    # a millionth of a step, so a whole number of steps keeps its last node
+    nus = [float(nu) for nu in np.arange(nu_min, nu_max + 0.5 * step, step)
+           if nu <= nu_max + 1e-6 * step]
     rep = RunReport("dispersion")
 
     # montgomery_branch's rows, one batched solve per branch, n-ascending
@@ -328,7 +334,8 @@ _DEFAULT_KERNELS = [
 
 
 @_reads(kernels=(_DEFAULT_KERNELS, _list(
-    2, item=lambda k: fourier.GaussianKernelSpec(tuple(k["centers"]), tuple(k["widths"])),
+    2, item=lambda k: fourier.GaussianKernelSpec(tuple(map(_given_number, k["centers"])),
+                                                 tuple(map(_given_number, k["widths"]))),
     noun="kernels, each with 4 finite centers and 4 finite widths > 0")))
 def run_plancherel(cfg: dict, seed: int) -> RunReport:
     rep = RunReport("plancherel")

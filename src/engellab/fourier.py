@@ -1,18 +1,18 @@
-"""Concrete realization of the unitary dual on spectral grids.
+"""Realization of the generic part of the unitary dual on spectral grids.
 
-Representations act on L^2(R_xi) grid vectors; the generic class reads
+The generic representations act on L^2(R_xi) grid vectors as
 
     pi(x) phi(xi) = exp[i d (x4 + xi x3 + x1 x3 / 2)]
                     exp[i (b + d (xi + x1)^2 / 2) x2] phi(xi + x1),
 
 with infinitesimal generators pi(X1) = d_xi, pi(X2) = i(b + d xi^2/2),
-pi(X3) = i d xi, pi(X4) = i d.  In the shifted variable eta = xi + s(x)
-(s = x1, or 0 for the characters) the phase of every class is a quadratic
-in eta whose coefficients depend on x alone; the matrix-coefficient kernel
-takes its cos/sin exactly at every node.  Off-node values phi2(eta - s)
-come from phi2's not-a-knot cubic spline (one tridiagonal slope solve,
-`_spline_table`); the kernel builds phi2's piece table only when phi2 or
-the grid differ from its previous call's, and keeps the last one.
+pi(X3) = i d xi, pi(X4) = i d.  In the shifted variable eta = xi + x1 the
+phase is a quadratic in eta whose coefficients depend on x alone; the
+matrix-coefficient kernel takes its cos/sin exactly at every node.
+Off-node values phi2(eta - x1) come from phi2's not-a-knot cubic spline
+(one tridiagonal slope solve, `_spline_table`); the kernel builds phi2's
+piece table only when phi2 or the grid differ from its previous call's,
+and keeps the last one.
 
 The group Fourier transform F kappa(pi) = int kappa(x) pi(x)* dx of a
 product kernel kappa(x) = f1(x1) f2(x2) f3(x3) f4(x4) reduces to the
@@ -43,10 +43,9 @@ from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import solve_banded
 
 from .algebra import GroupElement
-from .spectral import Character, Generic, RepParam, Schrodinger, SpectralGrid
+from .spectral import Generic, SpectralGrid
 
 __all__ = [
-    "RepParam",
     "GridMarginError",
     "QuadratureBoxError",
     "live_window",
@@ -104,31 +103,16 @@ def _checked_window(live: tuple[int, int], nodes: np.ndarray, L: float,
     return slice(lo, hi), reach
 
 
-def _quadratic_phase(param: RepParam, coords: np.ndarray):
+def _quadratic_phase(param: Generic, coords: np.ndarray):
     """(a, b, c), each of shape (M,), for points coords (M, 4), with
 
-        pi(x) phi(xi) = exp(i (a + b eta + c eta^2)) phi(eta),  eta = xi + s(x):
+        pi(x) phi(xi) = exp(i (a + b eta + c eta^2)) phi(eta),  eta = xi + x1:
 
-    Generic(delta, beta): a = delta (x4 - x1 x3 / 2) + beta x2, b = delta x3,
-    c = delta x2 / 2; Schrodinger(lam): a = lam (x3 - x1 x2 / 2), b = lam x2,
-    c = 0; Character(alpha1, alpha2): a = alpha1 x1 + alpha2 x2, b = c = 0.
+    a = delta (x4 - x1 x3 / 2) + beta x2, b = delta x3, c = delta x2 / 2.
     """
     x1, x2, x3, x4 = coords.T
-    if isinstance(param, Generic):
-        d = param.delta
-        return d * (x4 - 0.5 * x1 * x3) + param.beta * x2, d * x3, 0.5 * d * x2
-    if isinstance(param, Schrodinger):
-        lam = param.lam
-        return lam * (x3 - 0.5 * x1 * x2), lam * x2, np.zeros_like(x1)
-    if isinstance(param, Character):
-        zero = np.zeros_like(x1)
-        return param.alpha1 * x1 + param.alpha2 * x2, zero, zero
-    raise TypeError(f"unsupported representation parameter {param!r}")
-
-
-def _shift_of(param: RepParam, x1):
-    """The xi-shift s(x) of pi(x): x1, except for the characters."""
-    return 0.0 * x1 if isinstance(param, Character) else x1
+    d = param.delta
+    return d * (x4 - 0.5 * x1 * x3) + param.beta * x2, d * x3, 0.5 * d * x2
 
 
 def _spline_table(nodes: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -225,11 +209,11 @@ def _prepared(phi2: np.ndarray, grid: SpectralGrid) -> _Prepared:
     return _last_prepared
 
 
-def matrix_coefficients(param: RepParam, coords: np.ndarray, V: np.ndarray,
+def matrix_coefficients(param: Generic, coords: np.ndarray, V: np.ndarray,
                         phi2: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """(pi(x_m) v_k, phi2) for points coords (M, 4) and columns V (N, K).
 
-    The shift moves onto phi2: with eta = xi + s(x),
+    The shift s = x1 moves onto phi2: with eta = xi + s,
 
         (pi(x) v, phi2) = h sum_eta v(eta) e^{i theta(eta)} conj(phi2(eta - s)),
 
@@ -257,7 +241,7 @@ def matrix_coefficients(param: RepParam, coords: np.ndarray, V: np.ndarray,
     phi2's argument past the box.
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    shifts = _shift_of(param, coords[:, 0])
+    shifts = coords[:, 0]
     prep = _prepared(phi2, grid)
     if V.shape[1] == 1 and np.array_equal(V[:, 0], prep.phi2):
         # V is phi2: |V| has its prepared live range
@@ -293,7 +277,7 @@ def matrix_coefficients(param: RepParam, coords: np.ndarray, V: np.ndarray,
     return out
 
 
-def matrix_coefficient(param: RepParam, x: GroupElement, phi1: np.ndarray,
+def matrix_coefficient(param: Generic, x: GroupElement, phi1: np.ndarray,
                        phi2: np.ndarray, grid: SpectralGrid) -> complex:
     """(pi(x) phi1, phi2), trapezoid quadrature on the grid."""
     coords = np.array([[float(c) for c in x.coords()]])

@@ -13,25 +13,24 @@ with eigenvalues mu_n(delta, beta) = delta^{2/3} mutilde_n(beta delta^{-1/3})
 (real cube roots for delta < 0); Htilde(nu) is H(1, nu).
 
 Discretization: second-order central differences with Dirichlet walls at
-+-L.  Every potential here is even and `build_hamiltonian` mirrors it, so
++-L.  The potential is even and `build_hamiltonian` mirrors it, so
 the symmetric tridiagonal matrix commutes exactly with xi -> -xi and splits
 into an even and an odd block of about N/2 rows each.  By the discrete
 Sturm oscillation theorem mode j has j - 1 sign changes, so the modes
 alternate even, odd, even, ... from the ground state.  On its block,
 bisection on Sturm-sequence counts (LAPACK dstebz) certifies which mode is
-which to 1e-4 E, E the natural energy |delta|^{2/3} (|lambda| for
-Schrodinger); inverse iteration (dstein) gives the vector; and mu is its
-Rayleigh quotient in gradient form, accurate to ~eps mu where bisection
-alone stops at ~eps ||H||, with ||H|| ~ 4/h^2.  These and the checks run on
-the block; vectors are mirrored to the full grid, exactly even or odd, on
-return.  The wall must clear the confined level by max(E, mu/2).
+which to 1e-4 E, E the natural energy |delta|^{2/3}; inverse iteration
+(dstein) gives the vector; and mu is its Rayleigh quotient in gradient
+form, accurate to ~eps mu where bisection alone stops at ~eps ||H||, with
+||H|| ~ 4/h^2.  These and the checks run on the block; vectors are
+mirrored to the full grid, exactly even or odd, on return.  The wall must
+clear the confined level by max(E, mu/2).
 `eigen_mode` solves mode n alone, at its index in its own block, and is
 what `spectral_data` uses; `eigen_lowest` stacks it for n = 1..k.  Default
 boxes come from `box_grid`, a closed-form rule that puts the wall 18 Agmon
 lengths past the turning point of a bound on the confined level; it scales
-with the natural length |delta|^{-1/3} (|lambda|^{-1/2} for Schrodinger),
-so the box of Generic(delta, beta) is |delta|^{-1/3} times that of
-Generic(1, nu).
+with the natural length |delta|^{-1/3}, so the box of Generic(delta, beta)
+is |delta|^{-1/3} times that of Generic(1, nu).
 
 Critical points of the Montgomery branches and their curvature reference
 come from `dispersion.montgomery_branch` on Hermite functions instead.
@@ -43,7 +42,6 @@ Grid functions are normalized in the trapezoid inner product
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv, dstebz, dstein
@@ -55,7 +53,7 @@ def real_cbrt(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# dual-set parameters
+# the generic representation parameter
 # ---------------------------------------------------------------------------
 
 
@@ -68,41 +66,7 @@ class Generic:
 
     def __post_init__(self):
         if self.delta == 0:
-            raise ValueError("Generic requires delta != 0; use Schrodinger or Character")
-
-
-@dataclass(frozen=True)
-class Schrodinger:
-    """Non-generic infinite-dimensional class, parameter lambda != 0."""
-
-    lam: float
-
-    def __post_init__(self):
-        if self.lam == 0:
-            raise ValueError("Schrodinger requires lambda != 0")
-
-
-@dataclass(frozen=True)
-class Character:
-    """One-dimensional character of the first stratum."""
-
-    alpha1: float
-    alpha2: float
-
-
-RepParam = Generic | Schrodinger | Character
-SpectralParam = Generic | Schrodinger
-
-
-def potential(param: SpectralParam) -> Callable[[np.ndarray], np.ndarray]:
-    """Confining potential of the 1-D symbol for the given parameter."""
-    if isinstance(param, Generic):
-        d, b = param.delta, param.beta
-        return lambda xi: (b + 0.5 * d * xi**2) ** 2
-    if isinstance(param, Schrodinger):
-        lam = param.lam
-        return lambda xi: lam**2 * xi**2
-    raise TypeError(f"no 1-D symbol for parameter {param!r}")
+            raise ValueError("Generic requires delta != 0")
 
 
 class ConfinementError(ValueError):
@@ -152,7 +116,7 @@ class OperatorMatrix:
     grid: SpectralGrid
     diagonal: np.ndarray
     offdiag: float  # constant off-diagonal entry, -1/h^2
-    energy_scale: float  # natural energy E of the symbol: |delta|^{2/3} or |lambda|
+    energy_scale: float  # natural energy E of the symbol, |delta|^{2/3}
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         return _tridiagonal_apply(self.diagonal, self.offdiag, u)
@@ -169,27 +133,19 @@ def _tridiagonal_apply(d, e, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _energy_scale(param: SpectralParam) -> float:
-    """Natural energy: mu_n scales as |delta|^{2/3} (generic), |lambda| (Schrodinger)."""
-    if isinstance(param, Generic):
-        return abs(param.delta) ** (2.0 / 3.0)
-    if isinstance(param, Schrodinger):
-        return abs(param.lam)
-    raise TypeError(f"unsupported parameter {param!r}")
-
-
-def build_hamiltonian(param: SpectralParam, grid: SpectralGrid) -> OperatorMatrix:
-    """Three-point Laplacian plus the diagonal squared potential.
+def build_hamiltonian(param: Generic, grid: SpectralGrid) -> OperatorMatrix:
+    """Three-point Laplacian plus the diagonal potential (beta + delta xi^2/2)^2.
 
     V is even; it is evaluated on the left half of the nodes (centre
     included) and mirrored, so the diagonal is exactly symmetric although
     linspace nodes are antisymmetric only to ~1 ulp.
     """
     N = grid.N
-    V = potential(param)(grid.nodes[: (N + 1) // 2])
+    d, b = param.delta, param.beta
+    V = (b + 0.5 * d * grid.nodes[: (N + 1) // 2] ** 2) ** 2
     V = np.concatenate([V, V[: N // 2][::-1]])
     h = grid.h
-    return OperatorMatrix(grid, 2.0 / h**2 + V, -1.0 / h**2, _energy_scale(param))
+    return OperatorMatrix(grid, 2.0 / h**2 + V, -1.0 / h**2, abs(d) ** (2.0 / 3.0))
 
 
 # Agmon integral of sqrt(V - mu) from the turning point to the wall: the
@@ -197,38 +153,28 @@ def build_hamiltonian(param: SpectralParam, grid: SpectralGrid) -> OperatorMatri
 _WALL_DECAY = 18.0
 
 
-def _mu_scale_guess(param: SpectralParam, k: int) -> float:
+def _mu_scale_guess(param: Generic, k: int) -> float:
     """Crude upper bound for mu_k used only to size the box."""
-    if isinstance(param, Schrodinger):
-        return abs(param.lam) * (2 * k + 1)
-    if isinstance(param, Generic):
-        s = _energy_scale(param)
-        nu = param.beta * real_cbrt(param.delta) / s
-        return s * (4.0 * (k + 1) ** (4.0 / 3.0) + nu**2 + 2 * abs(nu))
-    raise TypeError(f"unsupported parameter {param!r}")
+    s = abs(param.delta) ** (2.0 / 3.0)
+    nu = param.beta * real_cbrt(param.delta) / s
+    return s * (4.0 * (k + 1) ** (4.0 / 3.0) + nu**2 + 2 * abs(nu))
 
 
-def box_grid(param: SpectralParam, k: int, N: int = 4096) -> SpectralGrid:
+def box_grid(param: Generic, k: int, N: int = 4096) -> SpectralGrid:
     """Default box of N nodes: half-width L with the wall _WALL_DECAY Agmon
     lengths past level k.
 
     Let mu bound mu_k from above and xi0 be its outer turning point.  Past
-    xi0, sqrt(V - mu) >= a (xi^2 - xi0^2) for V = a^2 (xi^2 + b)^2 (generic:
-    a = |delta|/2, b = 2 beta/delta; xi0 > 0 because sqrt(mu) > a |b|) and
-    sqrt(V - mu) >= |lam| (xi - xi0) for V = lam^2 xi^2, so the Agmon
-    integral from xi0 reaches _WALL_DECAY by xi0 + u.  L = 1.1 (xi0 + u),
-    and no less than the turning point of 4 mu.
+    xi0, sqrt(V - mu) >= a (xi^2 - xi0^2) for V = a^2 (xi^2 + b)^2 with
+    a = |delta|/2 and b = 2 beta/delta (xi0 > 0 because sqrt(mu) > a |b|),
+    so the Agmon integral from xi0 reaches _WALL_DECAY by xi0 + u.
+    L = 1.1 (xi0 + u), and no less than the turning point of 4 mu.
     """
     mu = _mu_scale_guess(param, k)
-    if isinstance(param, Schrodinger):
-        lam = abs(param.lam)
-        xi0, xi4 = np.sqrt(mu) / lam, 2.0 * np.sqrt(mu) / lam
-        u = np.sqrt(2.0 * _WALL_DECAY / lam)
-    else:
-        a, b = 0.5 * abs(param.delta), 2.0 * param.beta / param.delta
-        xi0 = np.sqrt(np.sqrt(mu) / a - b)
-        xi4 = np.sqrt(2.0 * np.sqrt(mu) / a - b)
-        u = min((3.0 * _WALL_DECAY / a) ** (1.0 / 3.0), np.sqrt(_WALL_DECAY / (a * xi0)))
+    a, b = 0.5 * abs(param.delta), 2.0 * param.beta / param.delta
+    xi0 = np.sqrt(np.sqrt(mu) / a - b)
+    xi4 = np.sqrt(2.0 * np.sqrt(mu) / a - b)
+    u = min((3.0 * _WALL_DECAY / a) ** (1.0 / 3.0), np.sqrt(_WALL_DECAY / (a * xi0)))
     return SpectralGrid(float(max(1.1 * (xi0 + u), xi4)), N)
 
 
@@ -363,7 +309,7 @@ def eigen_lowest(op: OperatorMatrix, k: int) -> EigenResult:
     return EigenResult(op, np.array(mus), np.column_stack(phis))
 
 
-def solve_lowest(param: SpectralParam, k: int, grid: SpectralGrid | None = None,
+def solve_lowest(param: Generic, k: int, grid: SpectralGrid | None = None,
                  N: int = 4096) -> EigenResult:
     """Build the Hamiltonian on `grid` (default: the box of level k) and
     return the k lowest pairs."""

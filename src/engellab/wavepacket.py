@@ -78,10 +78,10 @@ class GaussianProfile:
     width4: float = 0.8
 
     def partials(self, t: float, coeff: float, y2, y4, kmax: int) -> np.ndarray:
-        """d_2^k2 d_4^k4 a for k2, k4 <= kmax, indexed [k2, k4, ...]."""
+        """d_2^k2 d_4^k4 a for k2, k4 <= kmax, indexed [k2, k4, ...], the
+        trailing axes those of y2 and y4 broadcast together."""
         s = self.width2**2 + 2j * coeff * t
-        u2 = np.asarray(y2, dtype=float)
-        u4 = np.asarray(y4, dtype=float)
+        u2, u4 = np.broadcast_arrays(np.asarray(y2, dtype=float), np.asarray(y4, dtype=float))
         a = (self.width2 / np.sqrt(s) * np.exp(-(u2**2) / (2 * s))
              * np.exp(-(u4**2) / (2 * self.width4**2)))
         p2 = _gaussian_factors(u2, s, kmax)

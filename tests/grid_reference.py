@@ -1,9 +1,9 @@
 """References on a spectral grid that no library code uses: the Montgomery
-parameter, a representation applied to a grid vector, the generators of a
-generic representation as grid operators, the group Fourier transform of
-a product kernel with the difference operators Delta_1 and Delta_2,
-Richardson-extrapolated eigenvalues, and the reduced resolvent solved on
-the full grid."""
+parameter, a generic representation applied to a grid vector, its
+generators as grid operators, the group Fourier transform of a product
+kernel with the difference operators Delta_1 and Delta_2, the harmonic
+oscillator as a grid operator, Richardson-extrapolated eigenvalues, and
+the reduced resolvent solved on the full grid."""
 
 from dataclasses import dataclass
 
@@ -16,16 +16,13 @@ from engellab.fourier import (
     GaussianKernelSpec,
     GridMarginError,
     _quadratic_phase,
-    _shift_of,
     _spline_table,
     live_window,
 )
 from engellab.spectral import (
     Generic,
     OperatorMatrix,
-    RepParam,
     SpectralGrid,
-    SpectralParam,
     box_grid,
     build_hamiltonian,
     eigen_lowest,
@@ -37,12 +34,12 @@ def Montgomery(nu: float) -> Generic:
     return Generic(1.0, nu)
 
 
-def rep_apply(param: RepParam, x: GroupElement, phi: np.ndarray,
+def rep_apply(param: Generic, x: GroupElement, phi: np.ndarray,
               grid: SpectralGrid) -> np.ndarray:
-    """Apply the representation of x to a grid vector; phi(. + s) comes
-    from phi's not-a-knot cubic spline, zero outside the box."""
+    """Apply the representation of x to a grid vector; phi(. + s), s = x1,
+    comes from phi's not-a-knot cubic spline, zero outside the box."""
     coords = np.array([[float(v) for v in x.coords()]])
-    s = _shift_of(param, coords[0, 0])
+    s = coords[0, 0]
     live_window(phi, grid, s)
     nodes = grid.nodes
     target = nodes + s
@@ -79,8 +76,6 @@ class InfinitesimalOp:
 
 def infinitesimal(param: Generic, i: int, grid: SpectralGrid) -> InfinitesimalOp:
     """pi(Xi) for a generic parameter."""
-    if not isinstance(param, Generic):
-        raise TypeError("infinitesimal generators are realized for Generic only")
     xi = grid.nodes
     d, b = param.delta, param.beta
     if i == 1:
@@ -94,7 +89,18 @@ def infinitesimal(param: Generic, i: int, grid: SpectralGrid) -> InfinitesimalOp
     raise ValueError(f"generator index must be 1..4, got {i}")
 
 
-def eigenvalues_extrapolated(param: SpectralParam, k: int, N: int = 4096,
+def harmonic(lam: float, grid: SpectralGrid) -> OperatorMatrix:
+    """The harmonic oscillator -d^2 + lam^2 xi^2, levels |lam| (2k - 1), on
+    the grid as `build_hamiltonian` builds a symbol: V on the left half of
+    the nodes (centre included), mirrored, and natural energy |lam|."""
+    N = grid.N
+    V = lam**2 * grid.nodes[: (N + 1) // 2] ** 2
+    V = np.concatenate([V, V[: N // 2][::-1]])
+    h = grid.h
+    return OperatorMatrix(grid, 2.0 / h**2 + V, -1.0 / h**2, abs(lam))
+
+
+def eigenvalues_extrapolated(param: Generic, k: int, N: int = 4096,
                              grid: SpectralGrid | None = None) -> np.ndarray:
     """Richardson-extrapolated eigenvalues from grids N and 2N.
 
@@ -178,8 +184,6 @@ def fourier_product_kernel(kernel: ProductKernel, param: Generic,
     Uses the pinned-shift reduction; the three transverse integrals are
     the closed-form 1-D Fourier transforms of the coordinate factors.
     """
-    if not isinstance(param, Generic):
-        raise TypeError("kernel reduction is implemented for Generic parameters")
     d, b = param.delta, param.beta
     f1, f2, f3, f4 = kernel.factors
     supp1 = max(abs(f1.lo), abs(f1.hi))

@@ -14,6 +14,7 @@ from grid_reference import (
     Montgomery,
     difference_op_check,
     eigenvalues_extrapolated,
+    harmonic,
 )
 
 from engellab import algebra, cli, dispersion, fourier, spectral, wavepacket
@@ -37,9 +38,7 @@ def test_criterion_1_exact_algebra_suite():
 
 
 def test_criterion_2_harmonic_sanity():
-    res = spectral.solve_lowest(
-        spectral.Schrodinger(1.0), 4, grid=spectral.SpectralGrid(10.0, 4096)
-    )
+    res = spectral.eigen_lowest(harmonic(1.0, spectral.SpectralGrid(10.0, 4096)), 4)
     target = np.array([1.0, 3.0, 5.0, 7.0])
     worst = float(np.max(np.abs(res.eigenvalues - target) / target))
     _criterion(2, "harmonic sanity", worst <= 1e-5,

@@ -147,6 +147,22 @@ def test_dispersion_sweep_rows_and_determinism(tmp_path):
     assert keys == sorted(keys)
 
 
+def test_dispersion_sweep_stops_at_nu_max(tmp_path):
+    # a step that does not divide the span: the rows stop at the last node
+    # <= nu_max, not at 0.12; spans that are a whole number of steps to
+    # rounding keep their last node
+    rep = run("dispersion", {"n_list": [1], "nu_min": 0, "nu_max": 0.1, "nu_step": 0.06},
+              out_dir=tmp_path)
+    assert [row[2] for row in _branch_rows(tmp_path)] == [0.0, 0.06]
+    assert rep.metrics["rows"] == 2
+    for nu_min, nu_max, step in ((-4.0, 4.0, 0.05), (-6.0, 6.0, 0.05), (-0.2, 0.2, 0.1),
+                                 (0.0, 0.3, 0.1)):
+        nus = run("dispersion", {"n_list": [1], "nu_min": nu_min, "nu_max": nu_max,
+                                 "nu_step": step}).files["branches.csv"].splitlines()[1:]
+        assert len(nus) == round((nu_max - nu_min) / step) + 1
+        assert abs(float(nus[-1].split(",")[2]) - nu_max) <= 1e-12
+
+
 def test_branch_csv_columns(tmp_path):
     # a Hermite row has no grid, so the grid columns are gone
     run("dispersion", {"n_list": [1], "nu_min": 0.0, "nu_max": 0.5, "nu_step": 0.5,
@@ -646,6 +662,10 @@ PACKET_REFUSALS = [
     ({"hbar_ladder": [0.1, 0.05, 0.025, float("nan")]}, LADDER + "[0.1, 0.05, 0.025, nan]"),
     ({"t": float("nan")}, "{sub}: t must be a finite number, got nan"),
     ({"t": float("inf")}, "{sub}: t must be a finite number, got inf"),
+    # a JSON boolean is not the number 1 or 0
+    ({"t": True}, "{sub}: t must be a finite number, got True"),
+    ({"n": True}, "{sub}: n must be an integer, got True"),
+    ({"x0": [False, 0, 0, 0]}, "{sub}: x0 must be a list of numbers, got [False, 0, 0, 0]"),
 ]
 
 SCAN = "critical-points: scan must be a list of length 2 of finite numbers, got "
@@ -674,6 +694,18 @@ MALFORMED = [
     # an exponent that is not a number or a string was a TypeError traceback
     ("strichartz", {"q": [2]},
      'strichartz: q must be a number, a fraction such as "7/3" or "inf", got [2]'),
+    # a JSON boolean ran as the number 1: mode 1, t = 1 and hbar = 1
+    ("critical-points", {"n": True}, "critical-points: n must be an integer, got True"),
+    ("residual-scaling", {"t": True, "hbar_ladder": [True, 0.05, 0.025, 0.0125]},
+     "residual-scaling: hbar_ladder must be a list of length >= 1 of finite numbers, "
+     "got [True, 0.05, 0.025, 0.0125]"),
+    ("dispersion", {"n_list": [True]},
+     "dispersion: n_list must be a list of length >= 1 of integers >= 1, got [True]"),
+    ("strichartz", {"q": True},
+     'strichartz: q must be a number, a fraction such as "7/3" or "inf", got True'),
+    ("plancherel", {"kernels": [{"centers": [True, 0, 0, 0], "widths": [1, 1, 1, 1]}] * 2},
+     "plancherel: kernels must be a list of length >= 2 of kernels, each with 4 finite "
+     "centers and 4 finite widths > 0, got [{'centers': [True, 0, 0, 0]"),
 ] + [(sub, config, message.format(sub=sub))
      for sub in ("residual-scaling", "transport") for config, message in PACKET_REFUSALS]
 

@@ -28,7 +28,7 @@ from engellab.fourier import (
     matrix_coefficients,
     plancherel_calibrate,
 )
-from engellab.spectral import Character, Generic, Schrodinger, SpectralGrid
+from engellab.spectral import Generic, SpectralGrid
 
 GRID = SpectralGrid(10.0, 2048)
 PARAM = Generic(1.0, 0.3)
@@ -71,15 +71,6 @@ def test_homomorphism_on_random_pairs():
         lhs = rep_apply(PARAM, multiply(x, y), phi, GRID)
         rhs = rep_apply(PARAM, x, rep_apply(PARAM, y, phi, GRID), GRID)
         assert GRID.norm(lhs - rhs) <= 1e-5
-
-
-def test_schrodinger_and_character_classes():
-    phi = _gaussian()
-    out = rep_apply(Schrodinger(2.0), GroupElement(0, 0.4, 0, 9.0), phi, GRID)
-    expected = np.exp(1j * 2.0 * GRID.nodes * 0.4) * phi  # x4 is invisible
-    assert np.max(np.abs(out - expected)) < 1e-12
-    ch = rep_apply(Character(0.5, -1.0), GroupElement(2.0, 3.0, 1.0, 1.0), phi, GRID)
-    assert np.max(np.abs(ch - np.exp(1j * (0.5 * 2.0 - 1.0 * 3.0)) * phi)) < 1e-12
 
 
 def test_margin_error_on_large_shift():
@@ -125,14 +116,14 @@ def test_spline_table_is_scipy_not_a_knot(N):
 def _rep_apply_by_scipy(param, x, phi, grid):
     """rep_apply with phi(. + s) from scipy's CubicSpline at the targets."""
     coords = np.array([[float(v) for v in x.coords()]])
-    target = grid.nodes + (0.0 if isinstance(param, Character) else coords[0, 0])
+    target = grid.nodes + coords[0, 0]
     shifted = CubicSpline(grid.nodes, phi)(target).astype(complex)
     shifted[(target < -grid.L) | (target > grid.L)] = 0.0
     (a,), (b,), (c,) = _quadratic_phase(param, coords)
     return shifted * np.exp(1j * (a + (b + c * target) * target))
 
 
-@pytest.mark.parametrize("param", [PARAM, Schrodinger(2.0), Character(0.5, -1.0)], ids=repr)
+@pytest.mark.parametrize("param", [PARAM], ids=repr)
 def test_rep_apply_matches_scipy_spline(param):
     # x1 = 0 puts every target on a node, -L and L included; the narrow
     # vector takes off-node shifts and targets past the box
@@ -221,23 +212,19 @@ TWO_PI = np.longdouble("6.283185307179586476925286766559005768")
 
 
 def _reference_phase(param, coords, u):
-    """theta(u, x) of pi(x) phi(u) = e^{i theta} phi(u + s(x)), straight from
+    """theta(u, x) of pi(x) phi(u) = e^{i theta} phi(u + x1), straight from
     the representation formulas, per element in long double."""
     x1, x2, x3, x4 = (v[:, None] for v in np.asarray(coords, dtype=np.longdouble).T)
     u = np.asarray(u, dtype=np.longdouble)
-    if isinstance(param, Generic):
-        d, b = np.longdouble(param.delta), np.longdouble(param.beta)
-        return d * (x4 + u * x3 + x1 * x3 / 2) + (b + d * (u + x1) * (u + x1) / 2) * x2
-    if isinstance(param, Schrodinger):
-        return np.longdouble(param.lam) * (x3 + u * x2 + x1 * x2 / 2)
-    return np.longdouble(param.alpha1) * x1 + np.longdouble(param.alpha2) * x2 + 0 * u
+    d, b = np.longdouble(param.delta), np.longdouble(param.beta)
+    return d * (x4 + u * x3 + x1 * x3 / 2) + (b + d * (u + x1) * (u + x1) / 2) * x2
 
 
 def _direct_coefficients(param, coords, V, phi2, grid):
     """Reference kernel: every node, no window, theta per element in long
     double at u = xi - s and reduced there to [-pi, pi] before exp, phi2's
     spline evaluated at u by scipy, then one product with V."""
-    shifts = coords[:, 0] * (not isinstance(param, Character))
+    shifts = coords[:, 0]
     xi = grid.nodes.astype(np.longdouble)
     theta = _reference_phase(param, coords, xi[None, :] - shifts[:, None])
     theta = (theta - TWO_PI * np.rint(theta / TWO_PI)).astype(float)  # |theta| <= pi
@@ -275,7 +262,7 @@ def _oracle_points(rng, M, large):
                             rng.standard_normal((M, 3)) * scale])
 
 
-ORACLE_PARAMS = [Generic(1.0, 0.3), Generic(-0.7, 0.2), Schrodinger(0.8), Character(0.4, -1.1)]
+ORACLE_PARAMS = [Generic(1.0, 0.3), Generic(-0.7, 0.2)]
 
 
 @pytest.mark.parametrize("param", ORACLE_PARAMS, ids=repr)
@@ -288,7 +275,7 @@ def test_kernel_matches_direct_formula(param, M):
     perm = rng.permutation(M)
     for large in (False, True):
         coords = _oracle_points(rng, M, large)
-        if large and M == 1000 and isinstance(param, Generic):
+        if large and M == 1000:
             xi = ORACLE_GRID.nodes[np.abs(ORACLE_GRID.nodes) < 7.3]
             assert np.max(np.abs(_reference_phase(param, coords, xi))) > 2500
         for complex_values in (False, True):

@@ -4,7 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from grid_reference import InfinitesimalOp, Montgomery, deflated_solve, eigenvalues_extrapolated
+from grid_reference import (
+    InfinitesimalOp,
+    Montgomery,
+    deflated_solve,
+    eigenvalues_extrapolated,
+    harmonic,
+)
 from hypothesis import given, settings, strategies as st
 from projector import projector_derivative
 from scipy.linalg import eigh_tridiagonal
@@ -15,13 +21,11 @@ from engellab.spectral import (
     _reduced_resolvent,
     ConfinementError,
     Generic,
-    Schrodinger,
     SpectralGrid,
     box_grid,
     build_hamiltonian,
     eigen_lowest,
     eigen_mode,
-    potential,
     real_cbrt,
     solve_lowest,
     spectral_data,
@@ -40,19 +44,15 @@ def test_potential_entries():
     assert V[k0] == pytest.approx(0.7**2, abs=1e-12)
     Hm = build_hamiltonian(Montgomery(0.0), g)
     assert Hm.potential_values()[5] == pytest.approx(g.nodes[5] ** 4 / 4)
-    Hs = build_hamiltonian(Schrodinger(1.0), g)
-    assert np.allclose(Hs.potential_values(), g.nodes**2)
 
 
 def test_generic_requires_nonzero_delta():
     with pytest.raises(ValueError):
         Generic(0.0, 1.0)
-    with pytest.raises(ValueError):
-        Schrodinger(0.0)
 
 
 def test_harmonic_sanity_relative():
-    res = solve_lowest(Schrodinger(1.0), 4, grid=SpectralGrid(10.0, 4096))
+    res = eigen_lowest(harmonic(1.0, SpectralGrid(10.0, 4096)), 4)
     target = np.array([1.0, 3.0, 5.0, 7.0])
     rel = np.abs(res.eigenvalues - target) / target
     assert np.max(rel) <= 1e-5
@@ -125,7 +125,7 @@ def test_mode_certificate_refuses_a_swapped_vector(monkeypatch):
 
 def test_confinement_error_advises_larger_box():
     with pytest.raises(ConfinementError, match="enlarge"):
-        solve_lowest(Schrodinger(1.0), 4, grid=SpectralGrid(2.0, 256))
+        eigen_lowest(harmonic(1.0, SpectralGrid(2.0, 256)), 4)
     # the odd block of the smallest grid has a single row
     with pytest.raises(ConfinementError, match="enlarge"):
         spectral_data(1.0, 0.0, 2, grid=SpectralGrid(5.0, 3))
@@ -148,30 +148,27 @@ def test_box_rule_natural_length_and_wall_decay(log_delta, sign, nu, k):
     mu = res.eigenvalues[k - 1]
     xi0 = np.sqrt(2.0 * np.sqrt(mu) / abs(delta) - 2.0 * p.beta / delta)
     xi = np.linspace(xi0, grid.L / 1.1, 20001)
-    assert np.trapezoid(np.sqrt(np.maximum(potential(p)(xi) - mu, 0.0)), xi) >= 18.0
-
-
-def test_schrodinger_box_natural_length():
-    unit = box_grid(Schrodinger(1.0), 4).L
-    for lam in (1e-4, 0.3, -5.0, 40.0, -1e3):
-        assert box_grid(Schrodinger(lam), 4).L * abs(lam) ** 0.5 == pytest.approx(
-            unit, rel=1e-12)
-        mus = solve_lowest(Schrodinger(lam), 4).eigenvalues / abs(lam)
-        assert np.max(np.abs(mus - [1.0, 3.0, 5.0, 7.0])) <= 1e-4
+    V = (p.beta + 0.5 * p.delta * xi**2) ** 2
+    assert np.trapezoid(np.sqrt(np.maximum(V - mu, 0.0)), xi) >= 18.0
 
 
 def test_tiny_scales_certified():
     # the wall margin is in the natural energy E, so boxes that follow the
-    # natural length confine at any scale; measured 7.7e-13 (rescaling law),
-    # 1.1e-6 and 5.2e-6 (harmonic ladder, the O(h^2) stencil bias), and
-    # the bounds leave a margin of ~10x
+    # natural length confine at any scale: the harmonic oscillator's unit
+    # box L = 10 scaled by |lam|^{-1/2}; measured 7.7e-13 (rescaling law),
+    # 1.5e-6 and 5.3e-6 (harmonic ladder, the O(h^2) stencil bias), and
+    # the bounds leave a margin of ~7-10x
     lhs = eigenvalues_extrapolated(Generic(1e-6, 0.0), 1)[0]
     rhs = 1e-4 * eigenvalues_extrapolated(Montgomery(0.0), 1)[0]
     assert abs(lhs - rhs) <= 1e-11 * abs(rhs)
-    assert abs(solve_lowest(Schrodinger(1e-4), 1).eigenvalues[0] / 1e-4 - 1.0) <= 1e-5
+
+    def harmonic_levels(lam, k):
+        return eigen_lowest(harmonic(lam, SpectralGrid(10.0 / abs(lam) ** 0.5, 4096)),
+                            k).eigenvalues / abs(lam)
+
+    assert abs(harmonic_levels(1e-4, 1)[0] - 1.0) <= 1e-5
     ladder = np.array([1.0, 3.0, 5.0, 7.0])
-    mus = solve_lowest(Schrodinger(0.01), 4).eigenvalues / 0.01
-    assert np.max(np.abs(mus - ladder) / ladder) <= 5e-5
+    assert np.max(np.abs(harmonic_levels(0.01, 4) - ladder) / ladder) <= 5e-5
 
 
 def test_montgomery_ground_frozen_value():

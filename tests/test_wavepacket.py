@@ -329,6 +329,21 @@ def test_profile_partials_solve_the_profile_equation():
         assert np.max(np.abs(1j * dt + 1.001 * c * a22)) >= 1e-4
 
 
+def test_profile_partials_broadcast_nodes_of_any_rank():
+    # y2 and y4 of different ranks broadcast as arrays do: each entry is the
+    # one-point call's to rounding (vectorized exp differs in the last ulp)
+    prof, t, c = GaussianProfile(width2=1.2, width4=1.0), 0.4, 0.7
+    y2, y4 = np.linspace(-2.0, 2.0, 5), np.array([[-0.5], [0.0], [0.8]])
+    for a2, a4 in ((y2, 0.3), (0.3, y2), (y2, y4)):
+        got = prof.partials(t, c, a2, a4, 2)
+        b2, b4 = np.broadcast_arrays(a2, a4)
+        assert got.shape == (3, 3, *b2.shape)
+        for i in np.ndindex(b2.shape):
+            one = prof.partials(t, c, b2[i], b4[i], 2)
+            err = np.abs(got[(slice(None), slice(None), *i)] - one)
+            assert np.max(err) <= 1e-14 * np.max(np.abs(one))
+
+
 def test_profile_dispersed_width_law():
     w, c = 0.9, 0.6
     prof = GaussianProfile(width2=w)
