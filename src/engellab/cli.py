@@ -116,15 +116,17 @@ def _refusing(subcommand: str, call, *args, **kwargs):
         raise ConfigError(f"{subcommand}: {err}") from None
 
 
-def _converter(convert, holds, need: str):
+def _converter(convert, holds, need: str, text: bool = False):
     """A config value converter: it returns convert(value), and raises a
     ValueError saying the value must `need` unless convert succeeds and
     `holds` of its result.  No key takes a bool: JSON true or false is
-    refused, not read as the number 1 or 0."""
+    refused, not read as the number 1 or 0.  Only a `text` key takes a
+    str: elsewhere "2" or "nan" is refused, not read as the number."""
     def checked(value):
         try:
             converted = convert(value)
-            if not isinstance(value, bool) and holds(converted):
+            if (not isinstance(value, bool) and (text or not isinstance(value, str))
+                    and holds(converted)):
                 return converted
         except (KeyError, TypeError, ValueError, OverflowError):
             pass
@@ -448,13 +450,14 @@ def run_smicro_profile(cfg: dict, seed: int) -> RunReport:
 _VERDICTS = (dispersion.ALLOWED, dispersion.OBSTRUCTED, dispersion.NOT_ADMISSIBLE)
 
 
+# the library parses an exponent
 _EXPONENT = _converter(_as_given, lambda v: v is None or isinstance(v, (str, int, float)),
-                       'be a number, a fraction such as "7/3" or "inf"')  # the library parses it
+                       'be a number, a fraction such as "7/3" or "inf"', text=True)
 
 
 @_reads(q=("inf", _EXPONENT), p=(2, _EXPONENT),
         expect=(None, _converter(_as_given, lambda v: v is None or v in _VERDICTS,
-                                 f"be one of {', '.join(_VERDICTS)}")))
+                                 f"be one of {', '.join(_VERDICTS)}", text=True)))
 def run_strichartz(cfg: dict, seed: int) -> RunReport:
     q, p, expected = cfg["q"], cfg["p"], cfg["expect"]
     rep = RunReport("strichartz")

@@ -28,9 +28,9 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv, dsbevx
+from scipy.linalg.lapack import dsbevx
 
-from .spectral import ConfinementError, real_cbrt, spectral_data
+from .spectral import ConfinementError, _integral_mode, _resolve, real_cbrt, spectral_data
 
 
 # ---------------------------------------------------------------------------
@@ -70,72 +70,32 @@ def _certify(n: int, nus: Sequence[float], size: int, rule: np.ndarray, more: np
                                f"functions give (mu, mu', mu'') = {rule[k]} and {more[k]}")
 
 
-_BAND_TERMS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _band_terms(p: int):
-    """The nu-independent parts of `_parity_blocks` on the _BASIS_MAX
-    Hermite functions k = p, p + 2, ...: xi^2's unit-length diagonal d and
-    (k, k + 2) entry e, and the lower band of xi^4 = (xi^2)^2.  A block
-    of any size takes their leading entries, so they are built once per
-    parity, read-only."""
-    if p not in _BAND_TERMS:
-        k = np.arange(p, 2 * _BASIS_MAX, 2.0)
-        d, e = k + 0.5, 0.5 * np.sqrt((k + 1) * (k + 2))
-        quartic = np.zeros((3, _BASIS_MAX))
-        quartic[0] = d * d + e * e
-        quartic[0, 1:] += e[:-1] * e[:-1]
-        quartic[1], quartic[2, :-1] = 2.0 * e * (d + 1.0), e[:-1] * e[1:]
-        for a in (d, e, quartic):
-            a.flags.writeable = False
-        _BAND_TERMS[p] = d, e, quartic
-    return _BAND_TERMS[p]
-
-
 def _parity_blocks(p: int, nus: Sequence[float], m: int):
     """Htilde(nu) - nu^2 on `montgomery_branch`'s m functions k = p, p + 2,
     ..., one block per nu of `nus`: the squared lengths s^2 = (2 + max(nu,
-    0))^{-1/2}, the lower bands for `dsbevx`, shape (len(nus), 3, m), and
-    -bands in general band storage for `_resolve`, shape (len(nus), 7, m)."""
-    d, e, quartic = _band_terms(p)
+    0))^{-1/2}, the lower bands, shape (len(nus), 3, m), that `dsbevx` and
+    `spectral._resolve` take, and xi^2's unit-length diagonal d and (k, k + 2)
+    entry e."""
+    k = np.arange(p, 2 * m, 2.0)
+    d, e = k + 0.5, 0.5 * np.sqrt((k + 1) * (k + 2))
+    # the lower band of xi^4 = (xi^2)^2 on the block
+    quartic = np.zeros((3, m))
+    quartic[0] = d * d + e * e
+    quartic[0, 1:] += e[:-1] * e[:-1]
+    quartic[1], quartic[2, :-1] = 2.0 * e * (d + 1.0), e[:-1] * e[1:]
     s2 = [(2.0 + max(nu, 0.0)) ** -0.5 for nu in nus]
     # per nu: the factors of xi^4, of the diagonal d and of the entry e
     f = np.array([(0.25 * s * s, 1.0 / s + nu * s, nu * s - 1.0 / s) for s, nu in zip(s2, nus)])
-    bands = quartic[:, :m] * f[:, 0, None, None]
-    bands[:, 2, -1] = 0.0  # past the block
-    bands[:, 0] += f[:, 1, None] * d[:m]
-    bands[:, 1] += f[:, 2, None] * e[:m]
-    # -band in LAPACK's general band storage, entry (r, c) in row 4 + r - c;
-    # rows 0 and 1 are the LU's fill-in
-    negs = np.zeros((len(nus), 7, m))
-    negs[:, 4:] = -bands
-    negs[:, 3, 1:], negs[:, 2, 2:] = negs[:, 5, :-1], negs[:, 6, :-2]
-    return s2, bands, negs
-
-
-def _resolve(neg: np.ndarray, w: float, r: np.ndarray, i: int | None = None) -> np.ndarray:
-    """u (axis 0) with (w - block) u = r on the block's leading len(r)
-    functions, neg = -block: one banded LU (`dgbsv`), given i with Nelson's
-    normalization u_i = 0 for the eigenvalue w (`montgomery_branch`)."""
-    lu = neg[:, :len(r)].copy()
-    lu[4] += w
-    if i is not None:
-        # column i of w - block becomes a unit column, so the other entries
-        # of u solve the system without row and column i; row i leaves
-        # rounding in u_i, which the normalization sets to zero
-        lu[2:, i] = 0.0, 0.0, 1.0, 0.0, 0.0
-    *_, u, info = dgbsv(2, 2, lu, r, overwrite_ab=1)
-    if info:
-        raise np.linalg.LinAlgError(f"w - block is degenerate at w = {w} (pivot {info})")
-    if i is not None:
-        u[i] = 0.0
-    return u
+    bands = quartic * f[:, 0, None, None]
+    bands[:, 0] += f[:, 1, None] * d
+    bands[:, 1] += f[:, 2, None] * e
+    return s2, bands, (d, e)
 
 
 def _hermite_branch(n: int, nus: Sequence[float]) -> list[tuple[np.ndarray, tuple]]:
     """`montgomery_branch`'s (mu, mu', mu'') at each of `nus`, with (w, phi,
-    neg): w = mu - nu^2, phi mode n on its parity block at the certificate's
-    size, and neg = -block there in `_resolve`'s storage.
+    band): w = mu - nu^2, phi mode n on its parity block at the
+    certificate's size, and band that block's lower band.
 
     The nus that share a basis size are solved together: one band build,
     then per nu one `dsbevx`, one `_resolve` and the dot products at each of
@@ -144,6 +104,7 @@ def _hermite_branch(n: int, nus: Sequence[float]) -> list[tuple[np.ndarray, tupl
     before any solve (n < 1, nu not finite, a basis over _BASIS_MAX)
     raises as its one-nu call does, the first such nu in `nus` order.
     """
+    _integral_mode(n)
     nus, sizes = [float(nu) for nu in nus], []
     for nu in nus:
         if n < 1 or not math.isfinite(nu):
@@ -152,12 +113,11 @@ def _hermite_branch(n: int, nus: Sequence[float]) -> list[tuple[np.ndarray, tupl
     if not nus:
         return []
     p, j = (n - 1) % 2, (n - 1) // 2
-    d, e, _ = _band_terms(p)
     out = [None] * len(nus)
     for size in dict.fromkeys(sizes):
         at = [k for k, s in enumerate(sizes) if s == size]
         group = [nus[k] for k in at]
-        s2, bands, negs = _parity_blocks(p, group, size + _BASIS_STEP)
+        s2, bands, (d, e) = _parity_blocks(p, group, size + _BASIS_STEP)
 
         def solve(m: int):
             w, phi = np.empty(len(group)), np.empty((len(group), m))
@@ -174,14 +134,14 @@ def _hermite_branch(n: int, nus: Sequence[float]) -> list[tuple[np.ndarray, tupl
             c = np.array([a @ b for a, b in zip(phi, x2_phi)])
             r = x2_phi - c[:, None] * phi
             i = np.abs(phi).argmax(axis=1)
-            ru = [rk @ _resolve(neg, wk, rk, ik) for rk, neg, wk, ik in zip(r, negs, w, i)]
+            ru = [rk @ _resolve(band, wk, rk, ik) for rk, band, wk, ik in zip(r, bands, w, i)]
             return np.array([(nu * nu + wk, 2.0 * nu + s * ck, 2.0 + 2.0 * s * s * ruk)
                              for nu, s, wk, ck, ruk in zip(group, s2, w, c, ru)]), (w, phi)
 
         rule, (more, (w, phi)) = solve(size)[0], solve(size + _BASIS_STEP)
         _certify(n, group, size, rule, more)
-        for k, values, wk, ph, neg in zip(at, more, w, phi, negs):
-            out[k] = values, (wk, ph, neg)
+        for k, values, wk, ph, band in zip(at, more, w, phi, bands):
+            out[k] = values, (wk, ph, band)
     return out
 
 
@@ -202,13 +162,14 @@ def montgomery_branch(n: int, nu: float) -> tuple[float, float, float]:
     eigenpair j is solved, by LAPACK dsbevx called as `eig_banded` calls
     it, whose Sturm-count bisection certifies the index.  mu' = 2 nu +
     <phi, xi^2 phi> and mu'' = 2 + 2 <r, u> with r = Pi_perp xi^2 phi and
-    (mu - H) u = r: one banded LU with Nelson's normalization (`_resolve`),
-    whose u differs from the reduced resolvent's by a multiple of phi, to
-    which r is orthogonal.  The length is s = (2 + max(nu, 0))^{-1/4}
-    (harmonic for large nu) and the basis size is certified by
-    `_certify`: the values on `_basis_size`'s m functions must agree with
-    those on _BASIS_STEP more, which are returned; the band is built once
-    at the larger size, and the rule's size solves its leading block.
+    (mu - H) u = r: one banded LU with Nelson's normalization
+    (`spectral._resolve`), whose u differs from the reduced resolvent's by
+    a multiple of phi, to which r is orthogonal.  The length is s = (2 +
+    max(nu, 0))^{-1/4} (harmonic for large nu) and the basis size is
+    certified by `_certify`: the values on `_basis_size`'s m functions must
+    agree with those on _BASIS_STEP more, which are returned; the band is
+    built once at the larger size, and the rule's size solves its leading
+    block.
     """
     return _branch_rows(n, [nu])[0]
 

@@ -26,11 +26,14 @@ form, accurate to ~eps mu where bisection alone stops at ~eps ||H||, with
 mirrored to the full grid, exactly even or odd, on return.  The wall must
 clear the confined level by max(E, mu/2).
 `eigen_mode` solves mode n alone, at its index in its own block, and is
-what `spectral_data` uses; `eigen_lowest` stacks it for n = 1..k.  Default
-boxes come from `box_grid`, a closed-form rule that puts the wall 18 Agmon
-lengths past the turning point of a bound on the confined level; it scales
-with the natural length |delta|^{-1/3}, so the box of Generic(delta, beta)
-is |delta|^{-1/3} times that of Generic(1, nu).
+what `spectral_data` uses; `eigen_lowest` stacks it for n = 1..k.  Its
+reduced resolvent on the block is the banded LU with Nelson's
+normalization (`_resolve`) that the Hermite blocks of `dispersion` and
+`wavepacket` share.  Default boxes come from `box_grid`, a closed-form
+rule that puts the wall 18 Agmon lengths past the turning point of a bound
+on the confined level; it scales with the natural length |delta|^{-1/3},
+so the box of Generic(delta, beta) is |delta|^{-1/3} times that of
+Generic(1, nu).
 
 Critical points of the Montgomery branches and their curvature reference
 come from `dispersion.montgomery_branch` on Hermite functions instead.
@@ -41,10 +44,11 @@ Grid functions are normalized in the trapezoid inner product
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dstebz, dstein
+from scipy.linalg.lapack import dgbsv, dstebz, dstein
 
 
 def real_cbrt(x: float) -> float:
@@ -67,6 +71,13 @@ class Generic:
     def __post_init__(self):
         if self.delta == 0:
             raise ValueError("Generic requires delta != 0")
+
+
+def _integral_mode(n) -> None:
+    """ValueError naming n unless the mode index is an integer (NumPy's
+    included); a float n would only fail later, at a slice or an index."""
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"the mode index n must be an integer, got n = {n!r}")
 
 
 class ConfinementError(ValueError):
@@ -255,6 +266,7 @@ def eigen_mode(op: OperatorMatrix, n: int) -> tuple[float, np.ndarray]:
     exactly even or odd and positive at the first maximum of |phi|; mirror
     peaks are bitwise equal, so the left one wins.
     """
+    _integral_mode(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     N = op.grid.N
@@ -334,8 +346,7 @@ class SpectralData:
     dphi = d phi_n / d beta is the reduced resolvent of mu_n - H applied to
     d_beta H phi_n = 2 W phi_n; mu_d1/mu_d2 are the Feynman-Hellmann first
     and second derivatives of mu_n in beta (the second uses d_beta^2 H = 2).
-    `op` is the operator phi_n was solved on, which the resolvent solves
-    reuse.
+    `op` is the operator phi_n and dphi were solved on.
     """
 
     param: Generic
@@ -353,15 +364,20 @@ class SpectralData:
         return _w_values(self.param.delta, self.param.beta, self.grid)
 
 
+# worst residual over the default branch sweep is 1.3e-11 of ||rhs|| (N = 2049: 1.5e-11)
+_RESOLVENT_RTOL = 1e-8
+
+
 def spectral_data(delta: float, beta: float, n: int, grid: SpectralGrid | None = None,
                   N: int = 4096) -> SpectralData:
     """Eigenpair n, its beta-derivative and the FH derivatives of mu_n.
 
     Solves for mode n alone (`eigen_mode`; the default box is that of level
     n + 1, confinement is checked at n) and takes dphi = (mu_n - H)^{-1}
-    Pi_perp (2 W phi_n) from one solve on phi_n's parity block, so that
-    mu_n'' = 2 + 2 <2 W phi_n, dphi> and dphi has phi_n's parity exactly.
-    The resolvent's residual gate is what refuses a level too close to its
+    Pi_perp (2 W phi_n) from one `_reduced_resolvent` on phi_n's parity
+    block, so that mu_n'' = 2 + 2 <2 W phi_n, dphi> and dphi has phi_n's
+    parity exactly.  A resolvent residual over `_RESOLVENT_RTOL` ||2 W
+    phi_n|| raises: that gate is what refuses a level too close to its
     neighbours.
     """
     param = Generic(delta, beta)
@@ -373,40 +389,51 @@ def spectral_data(delta: float, beta: float, n: int, grid: SpectralGrid | None =
     x = phi[: grid.N - m if parity == 0 else m] * np.sqrt(2.0 * h)  # block coordinates
     x[m:] = phi[m:len(x)] * np.sqrt(h)  # an odd grid's centre, in the even block
     dH_x = 2.0 * _w_values(delta, beta, grid)[:len(x)] * x
-    u = _reduced_resolvent(op, mu, x, dH_x, parity)
+    bd, be = _parity_block(op.diagonal, op.offdiag, parity)
+    u = _reduced_resolvent(np.array([bd, np.append(be[:len(bd) - 1], 0.0)]), mu, x, dH_x)
     mu_d1, mu_d2 = float(dH_x @ x), 2.0 + 2.0 * float(dH_x @ u)
+    resid = np.linalg.norm(mu * u - _tridiagonal_apply(bd, be, u) - (dH_x - mu_d1 * x))
+    if resid > _RESOLVENT_RTOL * np.linalg.norm(dH_x):
+        raise RuntimeError(f"reduced-resolvent residual {resid:.3g} exceeds {_RESOLVENT_RTOL:g}"
+                           " * ||rhs||; the level is too close to its neighbours")
     dphi = _mirror(u, parity, h, np.empty(grid.N))
     return SpectralData(param, n, grid, mu, phi, dphi, mu_d1, mu_d2, op)
 
 
-# worst residual over the default branch sweep is 1.3e-11 of ||rhs|| (N = 2049: 1.5e-11)
-_RESOLVENT_RTOL = 1e-8
-
-
-def _reduced_resolvent(op: OperatorMatrix, mu: float, x: np.ndarray, rhs: np.ndarray,
-                       parity: int) -> np.ndarray:
-    """u with (mu - H) u = Pi_perp rhs and <u, x> = 0 on parity block
-    `parity`, in its coordinates, x the mu-eigenvector.
-
-    One tridiagonal LU (LAPACK dgtsv) with Nelson's normalization: the
-    column of mu - H at x's largest entry i is a unit column, which leaves
-    a nonsingular system, and u_i = 0 stands in for <u, x> = 0 (they differ
-    by a multiple of x, to which the right side is orthogonal) until a last
-    projection.  Raises when the residual exceeds `_RESOLVENT_RTOL` ||rhs||.
-    """
-    bd, be = _parity_block(op.diagonal, op.offdiag, parity)
-    r = rhs - x * (x @ rhs)
-    i = np.argmax(np.abs(x))
-    dl, dd, du = -be, mu - bd, -be
-    dd[i] = 1.0
-    du[i - 1:i] = dl[i:i + 1] = 0.0
-    *_, u, info = dgtsv(dl, dd, du, r, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+def _resolve(band: np.ndarray, w: float, r: np.ndarray, i: int | None = None) -> np.ndarray:
+    """u (axis 0) with (w - A) u = r on the leading len(r) rows of the
+    symmetric banded block A whose lower band, k + 1 rows, is `band`: one
+    banded LU (LAPACK dgbsv), given i with Nelson's normalization u_i = 0
+    for the eigenvalue w.  k is 1 for a finite-difference block and 2 for
+    a Hermite one."""
+    k, m = len(band) - 1, len(r)
+    # w - A in general band storage, entry (r, c) in row 2k + r - c; the
+    # upper band mirrors the lower, and rows 0..k-1 are the LU's fill-in.
+    # Fortran order, so dgbsv factors it in place
+    ab = np.zeros((3 * k + 1, m), order="F")
+    ab[2 * k:] = -band[:, :m]
+    for j in range(1, k + 1):
+        ab[2 * k - j, j:] = ab[2 * k + j, :-j]
+    ab[2 * k] += w
+    if i is not None:
+        # column i of w - A becomes a unit column, so the other entries of
+        # u solve the system without row and column i; row i leaves
+        # rounding in u_i, which the normalization sets to zero
+        ab[k:, i] = 0.0
+        ab[2 * k, i] = 1.0
+    *_, u, info = dgbsv(k, k, ab, r, overwrite_ab=1)
     if info:
-        raise np.linalg.LinAlgError(f"mu - H is singular off x's direction (pivot {info})")
-    u[i] = 0.0
-    u -= x * (x @ u)
-    resid = np.linalg.norm(mu * u - _tridiagonal_apply(bd, be, u) - r)
-    if resid > _RESOLVENT_RTOL * np.linalg.norm(rhs):
-        raise RuntimeError(f"reduced-resolvent residual {resid:.3g} exceeds {_RESOLVENT_RTOL:g}"
-                           " * ||rhs||; the level is too close to its neighbours")
+        raise np.linalg.LinAlgError(f"w - block is degenerate at w = {w} (pivot {info})")
+    if i is not None:
+        u[i] = 0.0
     return u
+
+
+def _reduced_resolvent(band: np.ndarray, w: float, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """u (axis 0) with (w - A) u = Pi_perp r and <u, x> = 0, A the block of
+    `_resolve` and x its unit w-eigenvector: `_resolve` of Pi_perp r with
+    Nelson's normalization at x's largest entry, then Pi_perp.  u_i = 0
+    stands in for <u, x> = 0 until the last projection: the two differ by
+    a multiple of x, to which Pi_perp r is orthogonal."""
+    u = _resolve(band, w, r - np.multiply.outer(x, x @ r), int(np.argmax(np.abs(x))))
+    return u - np.multiply.outer(x, x @ u)

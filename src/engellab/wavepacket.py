@@ -46,8 +46,8 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import GroupElement, exp_basis, multiply
-from .dispersion import _hermite_branch, _parity_blocks, _resolve
-from .spectral import real_cbrt
+from .dispersion import _hermite_branch, _parity_blocks
+from .spectral import _integral_mode, _reduced_resolvent, _resolve, real_cbrt
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +125,7 @@ class WavePacketSpec:
     profile: GaussianProfile = GaussianProfile()
 
     def __post_init__(self):
+        _integral_mode(self.n)
         if not (self.n >= 1 and self.delta0 != 0 and math.isfinite(self.delta0)
                 and math.isfinite(self.beta0)):
             raise ValueError(f"a packet needs n >= 1, a finite delta0 != 0 and a finite beta0, "
@@ -168,8 +169,8 @@ class _PacketMachinery:
     certified size (m functions per parity, M = 2m) the machinery takes.
     dphi and the sigma_2 correctors, one per monomial of `_SIGMA2`, solve
     (mu - H) u = Pi_perp r, <u, phi> = 0 by one banded LU per block
-    (`dispersion._resolve`): Nelson's between projections onto phi-perp on
-    phi's block, a plain one on the other.
+    (`spectral._resolve`): `spectral._reduced_resolvent` on phi's block,
+    a plain solve on the other.
     """
 
     def __init__(self, spec: WavePacketSpec):
@@ -184,12 +185,11 @@ class _PacketMachinery:
         M, p, i = 2 * len(phi_p), (n - 1) % 2, np.argmax(np.abs(phi_p))
         phi = np.zeros(M + _PAD)
         phi[p:M:2] = phi_p = phi_p * np.sign(phi_p[i])  # largest entry positive
-        [off_phi] = _parity_blocks(1 - p, [nu], M // 2)[2]
+        [off_phi] = _parity_blocks(1 - p, [nu], M // 2)[1]
 
         def solve(r: np.ndarray) -> np.ndarray:
             u = np.zeros_like(r)
-            u_p = _resolve(on_phi, w, r[p:M:2] - np.multiply.outer(phi_p, phi_p @ r[p:M:2]), i)
-            u[p:M:2] = u_p - np.multiply.outer(phi_p, phi_p @ u_p)
+            u[p:M:2] = _reduced_resolvent(on_phi, w, phi_p, r[p:M:2])
             u[1 - p:M:2] = _resolve(off_phi, w, r[1 - p:M:2])
             return u / (cbrt * cbrt)
 

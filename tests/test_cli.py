@@ -706,6 +706,15 @@ MALFORMED = [
     ("plancherel", {"kernels": [{"centers": [True, 0, 0, 0], "widths": [1, 1, 1, 1]}] * 2},
      "plancherel: kernels must be a list of length >= 2 of kernels, each with 4 finite "
      "centers and 4 finite widths > 0, got [{'centers': [True, 0, 0, 0]"),
+    # a numeric string ran as its number: mode 3, t = 0.1, 2048 nodes, hbar = 0.1
+    # and a nan tolerance
+    ("critical-points", {"n": "3"}, "critical-points: n must be an integer, got '3'"),
+    ("critical-points", {"tol": "nan"}, "critical-points: tol must be a number, got 'nan'"),
+    ("residual-scaling", {"t": "0.1"}, "residual-scaling: t must be a finite number, got '0.1'"),
+    ("dispersion", {"grid_n": "2048"}, "dispersion: grid_n must be an integer >= 3, got '2048'"),
+    ("residual-scaling", {"hbar_ladder": ["0.1", 0.05, 0.025, 0.0125]},
+     "residual-scaling: hbar_ladder must be a list of length >= 1 of finite numbers, "
+     "got ['0.1', 0.05, 0.025, 0.0125]"),
 ] + [(sub, config, message.format(sub=sub))
      for sub in ("residual-scaling", "transport") for config, message in PACKET_REFUSALS]
 
@@ -754,3 +763,4 @@ def test_malformed_configs_are_usage_errors(tmp_path, capsys, subcommand, config
         main([subcommand, "--config", str(path)])
     assert exc.value.code == 2
     assert f"error: {message}" in capsys.readouterr().err
+

@@ -269,7 +269,7 @@ def test_branch_eigenpair_is_eig_bandeds_to_the_bit(monkeypatch):
 
 def test_singular_reduced_resolvent_is_refused(monkeypatch):
     # a singular LU would pass NaN through the certificate; it raises instead
-    monkeypatch.setattr(dispersion, "dgbsv", lambda *a, **k: (None, None, a[3], 1))
+    monkeypatch.setattr(spectral, "dgbsv", lambda *a, **k: (None, None, a[3], 1))
     with pytest.raises(np.linalg.LinAlgError, match="degenerate"):
         montgomery_branch(1, 0.0)
 
@@ -308,6 +308,17 @@ def test_montgomery_branch_far_from_the_critical_points():
     assert abs(montgomery_branch(2, -40.0)[0] - montgomery_branch(1, -40.0)[0]) <= 1e-9
 
 
+def test_a_non_integral_mode_index_is_refused_by_name():
+    # a float n was a TypeError from a slice deep in the branch solve
+    for call in (lambda n: montgomery_branch(n, 0.0), critical_points):
+        for n in (2.0, 1.5):
+            with pytest.raises(ValueError, match=f"mode index n must be an integer, got n = {n}"):
+                call(n)
+    # a NumPy integer is an integer
+    assert montgomery_branch(np.int64(2), 0.0) == montgomery_branch(2, 0.0)
+    assert critical_points(np.int64(2))[0].nu_c == critical_points(2)[0].nu_c
+
+
 def test_montgomery_branch_refusals():
     with pytest.raises(ValueError, match="need n >= 1 and a finite nu, got n = 0"):
         montgomery_branch(0, 0.0)
@@ -336,27 +347,27 @@ def test_batched_branch_is_the_one_nu_branch_bit_for_bit(n):
     assert len(set(sizes)) == 8
     rows = dispersion._branch_rows(n, BATCH_GRID)
     assert _bits(rows) == _bits([montgomery_branch(n, nu) for nu in BATCH_GRID])
-    for nu, size, (values, (w, phi, neg)) in zip(BATCH_GRID, sizes,
-                                                  dispersion._hermite_branch(n, BATCH_GRID)):
-        [(v1, (w1, phi1, neg1))] = dispersion._hermite_branch(n, [nu])
+    for nu, size, (values, (w, phi, band)) in zip(BATCH_GRID, sizes,
+                                                   dispersion._hermite_branch(n, BATCH_GRID)):
+        [(v1, (w1, phi1, band1))] = dispersion._hermite_branch(n, [nu])
         assert _bits(values) == _bits(v1) and _bits(w) == _bits(w1)
-        assert _bits(phi) == _bits(phi1) and _bits(neg) == _bits(neg1)
+        assert _bits(phi) == _bits(phi1) and _bits(band) == _bits(band1)
         assert len(phi) == size + dispersion._BASIS_STEP
 
 
 def test_branch_returns_phis_block_at_phis_size():
-    # neg is -block in general band storage, entry (r, c) in row 4 + r - c,
-    # at phi's size, and phi is its eigenvector of eigenvalue w: against the
-    # dense block, measured 2.3e-16 of its largest entry and a residual of
+    # band is the block's lower band, entry (r, c) in row r - c, at phi's
+    # size, and phi is its eigenvector of eigenvalue w: against the dense
+    # block, measured 2.3e-16 of its largest entry and a residual of
     # 3.7e-16 max(1, |w|) at worst; bounds at ~30x
     for n, nu in ((1, -3.5), (2, 0.3), (3, -40.0), (4, 7.0)):
-        [(_, (w, phi, neg))] = dispersion._hermite_branch(n, [nu])
+        [(_, (w, phi, band))] = dispersion._hermite_branch(n, [nu])
         m = len(phi)
         dense = parity_block(n, nu, m)
         got = np.zeros((m, m))
         for r in range(m):
-            for c in range(max(0, r - 2), min(m, r + 3)):
-                got[r, c] = -neg[4 + r - c, c]
+            for c in range(max(0, r - 2), r + 1):
+                got[r, c] = got[c, r] = band[r - c, c]
         assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense)), (n, nu)
         assert np.max(np.abs(dense @ phi - w * phi)) <= 1e-14 * max(1.0, abs(w)), (n, nu)
 

@@ -16,7 +16,7 @@ from projector import projector_derivative
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv, dstein
 
-from engellab import spectral
+from engellab import dispersion, spectral
 from engellab.spectral import (
     _reduced_resolvent,
     ConfinementError,
@@ -107,6 +107,13 @@ def test_asymmetric_diagonal_refused():
     d[0] = np.nextafter(d[0], np.inf)
     with pytest.raises(ValueError, match="mirror-symmetric"):
         eigen_lowest(replace(H, diagonal=d), 1)
+
+
+def test_a_non_integral_mode_index_is_refused_by_name():
+    # n = 1.5 left the bisection interval of a mode, a misleading RuntimeError
+    with pytest.raises(ValueError, match="mode index n must be an integer, got n = 1.5"):
+        spectral_data(1.0, 0.0, 1.5)
+    assert spectral_data(1.0, 0.0, np.int64(2), N=512).mu == spectral_data(1.0, 0.0, 2, N=512).mu
 
 
 def test_mode_certificate_refuses_a_swapped_vector(monkeypatch):
@@ -285,11 +292,14 @@ def test_diagonal_part_identity_x1():
 
 
 def _resolvent(data, mu, rhs):
-    """`_reduced_resolvent` of `spectral_data` for an even mode on an even
-    grid and a right side of its parity, both on the full grid."""
+    """`_reduced_resolvent` on the even block of `spectral_data`'s operator
+    for an even mode on an even grid and a right side of its parity, both
+    on the full grid."""
     g = data.grid
+    bd, be = spectral._parity_block(data.op.diagonal, data.op.offdiag, 0)
     x, r = (v[: g.N // 2] * np.sqrt(2.0 * g.h) for v in (data.phi, rhs))
-    return spectral._mirror(_reduced_resolvent(data.op, mu, x, r, 0), 0, g.h, np.empty(g.N))
+    u = _reduced_resolvent(np.array([bd, np.append(be, 0.0)]), mu, x, r)
+    return spectral._mirror(u, 0, g.h, np.empty(g.N))
 
 
 def test_reduced_resolvent_zero_rhs():
@@ -320,13 +330,56 @@ def test_reduced_resolvent_random_rhs_residual():
     assert abs(complex(g.inner(u, data.phi))) <= 1e-10
 
 
-def test_reduced_resolvent_refuses_wrong_level():
+def test_reduced_resolvent_refuses_wrong_level(monkeypatch):
     # phi_1 paired with mu_3, the next level of its block: mu - H is
-    # singular off the deflated direction
+    # singular off the deflated direction, and spectral_data's residual
+    # gate refuses the solve
     data = spectral_data(1.0, 0.1, 1, N=2048)
     mu_3 = float(solve_lowest(data.param, 3, grid=data.grid).eigenvalues[2])
+    monkeypatch.setattr(spectral, "eigen_mode", lambda op, n: (mu_3, data.phi))
     with pytest.raises(RuntimeError, match="residual"):
-        _resolvent(data, mu_3, data.grid.nodes**2 * data.phi)
+        spectral_data(1.0, 0.1, 1, N=2048)
+
+
+def _block(k: int):
+    """A parity block's lower band (k + 1 rows), an eigenvalue w and a
+    w-eigenvector x: the even finite-difference block of mode 3 for k = 1,
+    the Hermite block of mode 4 at nu = 7 for k = 2."""
+    if k == 1:
+        data = spectral_data(1.0, 0.1, 3, N=256)
+        bd, be = spectral._parity_block(data.op.diagonal, data.op.offdiag, 0)
+        return np.array([bd, np.append(be, 0.0)]), data.mu, data.phi[:128]
+    [(_, (w, phi, band))] = dispersion._hermite_branch(4, [7.0])
+    return band, w, phi
+
+
+def _dense(band: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose lower band is `band`."""
+    m = band.shape[1]
+    lower = sum(np.diag(row[:m - j], -j) for j, row in enumerate(band))
+    return lower + np.tril(lower, -1).T
+
+
+@pytest.mark.parametrize("k, bound", [(1, 1e-13), (2, 4e-15)])
+def test_banded_solve_matches_the_dense_block(k, bound):
+    # `_resolve` against np.linalg.solve on the dense block: plain off the
+    # spectrum, on the leading rows too, and with Nelson's unit column at
+    # x's largest entry for the eigenvalue.  Measured 7.9e-15 (k = 1) and
+    # 3.0e-16 (k = 2) of the largest entry at worst; the bounds are at ~13x
+    band, w, x = _block(k)
+    assert band.shape[0] == k + 1
+    m, dense = band.shape[1], _dense(band)
+    r = np.random.default_rng(3).standard_normal((m, 2))
+    for rows, at, i in ((m, w + 0.3, None), (m - 8, w + 0.3, None),
+                        (m, w, int(np.argmax(np.abs(x))))):
+        system = at * np.eye(rows) - dense[:rows, :rows]
+        if i is not None:
+            system[:, i] = np.eye(rows)[i]
+        expected = np.linalg.solve(system, r[:rows])
+        if i is not None:
+            expected[i] = 0.0
+        u = spectral._resolve(band, at, r[:rows], i)
+        assert np.max(np.abs(u - expected)) <= bound * np.max(np.abs(expected)), (rows, i)
 
 
 def test_resolvent_solves_a_row_where_a_plain_lu_meets_a_zero_pivot():

@@ -303,6 +303,14 @@ def test_basis_beyond_the_cap_is_refused():
         machinery(WavePacketSpec(beta0=-600.0))
 
 
+def test_a_non_integral_mode_index_is_refused_by_name():
+    # n = 2.0 was a TypeError from a slice when the machinery was built
+    with pytest.raises(ValueError, match="mode index n must be an integer, got n = 2.0"):
+        WavePacketSpec(n=2.0)
+    assert wavepacket._PacketMachinery(WavePacketSpec(n=np.int64(2))).mu == machinery(
+        WavePacketSpec(n=2)).mu
+
+
 def test_spec_has_no_grid():
     for knob in ("grid_L", "grid_N"):
         with pytest.raises(TypeError, match=knob):
