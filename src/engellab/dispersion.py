@@ -290,7 +290,7 @@ def curvature_consistency(
     n: int,
     nu0: float,
     delta_list: Sequence[float],
-    N: int = 8192,
+    N: int,
 ) -> CurvatureConsistency:
     """Check d_beta^2 mu_n(delta, nu0 delta^{1/3}) = mutilde_n''(nu0).
 

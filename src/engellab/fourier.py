@@ -22,14 +22,14 @@ operator kernel
 
 where g^ is the 1-D Fourier transform int g(t) exp(-i w t) dt: the x1
 integral is pinned by the shift and the remaining three are 1-D factors
-(tests/grid_reference.py builds K on a grid).
-Each factor is a finite sum of polynomial x Gaussian terms, so g^ is
-closed form, and the Plancherel quadrature boxes are sized from the
-factors' widths.  Plancherel calibration integrates beta over the whole
-line, where f2^(b + d xi^2/2) integrates to ||f2^||^2 whatever the shift,
-and |delta| from 0 to delta_max = 0.7 * 8/w4.  It takes Gaussian kernels,
-whose delta marginal |f4^(delta)|^2 makes the delta fraction beyond the
-box erfc(w4 delta_max) in closed form.
+(tests/grid_reference.py builds K on a grid, from factors that are sums
+of polynomial x Gaussian terms with closed-form transforms).
+Plancherel calibration takes Gaussian kernels and integrates beta over
+the whole line, where f2^(b + d xi^2/2) integrates to ||f2^||^2 whatever
+the shift, and |delta| from 0 to delta_max = 0.7 * 8/w4.  Every factor
+norm is a closed form in the widths alone; only the delta integral is a
+trapezoid rule, and the delta marginal |f4^(delta)|^2 makes the fraction
+beyond the box erfc(w4 delta_max) in closed form.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ __all__ = [
     "live_window",
     "matrix_coefficients",
     "matrix_coefficient",
-    "Factor1D",
     "GaussianKernelSpec",
     "plancherel_calibrate",
 ]
@@ -285,58 +284,8 @@ def matrix_coefficient(param: Generic, x: GroupElement, phi1: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# product kernels and their group Fourier transform
+# Gaussian product kernels and Plancherel calibration
 # ---------------------------------------------------------------------------
-
-
-def _moment_transform(omegas: np.ndarray, c: float, w: float, p: int) -> np.ndarray:
-    """F_p(omega) = int (t - c)^p exp(-(t - c)^2 / (2 w^2)) exp(-i omega t) dt.
-
-    F_0 = w sqrt(2 pi) exp(-i omega c - w^2 omega^2 / 2); integrating
-    (t - c) G = -w^2 G' by parts gives F_{k+1} = w^2 (k F_{k-1} - i omega F_k).
-    """
-    prev = 0.0
-    cur = w * math.sqrt(2 * math.pi) * np.exp(-1j * omegas * c - 0.5 * (w * omegas) ** 2)
-    for k in range(p):
-        prev, cur = cur, w**2 * (k * prev - 1j * omegas * cur)
-    return cur
-
-
-@dataclass(frozen=True)
-class Factor1D:
-    """One coordinate factor of a product kernel: the finite sum of terms
-    a (t - c)^p exp(-(t - c)^2 / (2 w^2)), each given as (a, c, w, p).
-
-    Its support box is [min(c - 10 w), max(c + 10 w)] over the terms.
-    """
-
-    terms: tuple[tuple[float, float, float, int], ...]
-
-    def __post_init__(self):
-        if not self.terms or any(w <= 0 for _, _, w, _ in self.terms):
-            raise ValueError("a factor needs at least one term, each of positive width")
-
-    @property
-    def lo(self) -> float:
-        return min(c - 10 * w for _, c, w, _ in self.terms)
-
-    @property
-    def hi(self) -> float:
-        return max(c + 10 * w for _, c, w, _ in self.terms)
-
-    def fn(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return sum(a * (t - c) ** p * np.exp(-((t - c) ** 2) / (2 * w**2))
-                   for a, c, w, p in self.terms)
-
-    def transform(self, omegas: np.ndarray) -> np.ndarray:
-        """f^(w) = int f(t) exp(-i w t) dt, in closed form term by term."""
-        omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-        return sum(a * _moment_transform(omegas, c, w, p) for a, c, w, p in self.terms)
-
-    def l2_normsq(self) -> float:
-        t = np.linspace(self.lo, self.hi, 8192)
-        return float(np.trapezoid(np.abs(self.fn(t)) ** 2, t))
 
 
 @dataclass(frozen=True)
@@ -353,16 +302,6 @@ class GaussianKernelSpec:
             raise ValueError("a Gaussian kernel needs 4 finite centers and 4 finite "
                              "positive widths")
 
-    def factors(self) -> list[Factor1D]:
-        """One single-term Gaussian factor per coordinate."""
-        return [Factor1D(((1.0, float(c), float(w), 0),))
-                for c, w in zip(self.centers, self.widths)]
-
-
-# ---------------------------------------------------------------------------
-# Plancherel calibration
-# ---------------------------------------------------------------------------
-
 
 @dataclass
 class CalibrationReport:
@@ -373,37 +312,27 @@ class CalibrationReport:
     kernels: list[dict]  # per kernel: its echo, quadrature box and tail
 
 
-def _reach(f: Factor1D) -> float:
-    """8/w, w the factor's narrowest width: a Gaussian's |f^| is e^-32 there."""
-    return 8.0 / min(w for _, _, w, _ in f.terms)
-
-
 _N_DELTA = 96  # delta nodes of the Plancherel box over its default delta range
-_NU_PTS, _NV_PTS = 192, 512  # its u and vtilde trapezoid nodes
 
 
-def _hs_mass_box(factors: Sequence[Factor1D], delta_nodes: np.ndarray) -> float:
-    """Integral of ||F kappa||_HS^2 |delta| d delta d beta, beta over the
-    whole line and delta over both signs of the (nonnegative) delta nodes.
+def _hs_mass_box(widths: Sequence[float], delta_nodes: np.ndarray) -> float:
+    """Integral of ||F kappa||_HS^2 |delta| d delta d beta for the Gaussian
+    kernel of these widths, beta over the whole line and delta over both
+    signs of the (nonnegative) delta nodes.
 
     In the variables u = xi - xi', vtilde = delta (xi + xi')/2 the |delta|
     Plancherel weight cancels the Jacobian, and beta enters only through
     f2^(beta + delta xi_eff^2 / 2), whose integral over the whole line is
-    ||f2^||^2 whatever the shift.  So the integral factors into ||f1||^2,
-    ||f3^||^2 and ||f2^||^2 (trapezoid rules on u, vtilde and tau nodes)
-    times the delta trapezoid of 2 |f4^(delta)|^2: f4 is real, so
-    |f4^(-d)| = |f4^(d)|.
+    ||f2^||^2 whatever the shift.  So the integral factors into
+    ||f1||^2 = w1 sqrt(pi), ||f3^||^2 = 2 pi^(3/2) w3 and
+    ||f2^||^2 = 2 pi^(3/2) w2, none of which sees a center, times the
+    delta trapezoid of 2 |f4^(delta)|^2 = 4 pi w4^2 exp(-w4^2 delta^2):
+    f4 is real, so |f4^(-d)| = |f4^(d)|.
     """
-    f1, f2, f3, f4 = factors
-    u = np.linspace(f1.lo, f1.hi, _NU_PTS)
-    vt = np.linspace(-_reach(f3), _reach(f3), _NV_PTS)
-    # |f2^|^2 is supported inside ~2x the factor reach
-    tau = np.linspace(-2.5 * _reach(f2), 2.5 * _reach(f2), 6000)
-    base = (np.trapezoid(np.abs(f1.fn(u)) ** 2, u)
-            * np.trapezoid(np.abs(f3.transform(vt)) ** 2, vt)
-            * np.trapezoid(np.abs(f2.transform(tau)) ** 2, tau))
-    w4 = 2.0 * np.abs(f4.transform(delta_nodes)) ** 2
-    return float(base * np.trapezoid(w4, delta_nodes))
+    w1, w2, w3, w4 = widths
+    base = (w1 * math.sqrt(math.pi)) * (2.0 * math.pi**1.5 * w3) * (2.0 * math.pi**1.5 * w2)
+    f4sq = 4.0 * math.pi * w4**2 * np.exp(-((w4 * delta_nodes) ** 2))
+    return float(base * np.trapezoid(f4sq, delta_nodes))
 
 
 def plancherel_calibrate(kernels: Sequence[GaussianKernelSpec],
@@ -411,15 +340,15 @@ def plancherel_calibrate(kernels: Sequence[GaussianKernelSpec],
     """Estimate the Plancherel constant from the L^2 Parseval identity.
 
     For each kernel, c_est = ||kappa||_2^2 / int ||F kappa||_HS^2 |d| dd db,
-    with beta over the whole line and |delta| over [0, delta_max],
-    delta_max = box_scale * 0.7 * 8/w4; the outer delta tail is
-    compensated through the kernel's central (x4) spectral density.  That
-    delta marginal is |f4^(delta)|^2, proportional to exp(-w4^2 delta^2)
-    for the x4 width w4, because the other factors integrate out
-    independently; so the excluded fraction is erfc(w4 delta_max) in
-    closed form.  The constant itself is calibrated, never asserted:
-    constancy across kernels is the meaningful output.  A box whose tail
-    exceeds 0.1%, or that holds fewer than 2 delta nodes, raises
+    with ||kappa||_2^2 = pi^2 w1 w2 w3 w4, beta over the whole line and
+    |delta| over [0, delta_max], delta_max = box_scale * 0.7 * 8/w4 (|f4^|
+    is e^-32 at 8/w4); the outer delta tail is compensated through the
+    kernel's central (x4) spectral density.  That delta marginal is
+    |f4^(delta)|^2, proportional to exp(-w4^2 delta^2) for the x4 width
+    w4, because the other factors integrate out independently; so the
+    excluded fraction is erfc(w4 delta_max) in closed form.  The constant
+    itself is calibrated, never asserted: constancy across kernels is the
+    meaningful output.  A box whose tail exceeds 0.1% raises
     QuadratureBoxError.
     """
     if len(kernels) < 2:
@@ -428,23 +357,17 @@ def plancherel_calibrate(kernels: Sequence[GaussianKernelSpec],
     kernel_echo: list[dict] = []
     for spec in kernels:
         echo = dict(centers=list(spec.centers), widths=list(spec.widths))
-        factors = spec.factors()
-        # f4's spectral density lives inside |d| <~ its reach; size the box there
-        dmax_default = 0.7 * _reach(factors[3])
+        w4 = spec.widths[3]
+        dmax_default = 0.7 * (8.0 / w4)
         dmax = box_scale * dmax_default
         # one delta step at every box scale, _N_DELTA nodes over the default
         # delta range, so doubling the box tests truncation, not a coarser rule
         step = dmax_default / (_N_DELTA - 1)
-        n_delta = round(dmax / step) + 1
-        if n_delta < 2:
-            raise QuadratureBoxError(
-                f"delta range [0, {dmax:g}] holds fewer than 2 nodes of the delta step {step:.3g}"
-            )
-        tail = math.erfc(spec.widths[3] * dmax)
+        tail = math.erfc(w4 * dmax)
         if tail > 1e-3:
             raise QuadratureBoxError(f"quadrature box too small: uncompensated tail {tail:.2%}")
-        box_integral = _hs_mass_box(factors, np.linspace(0.0, dmax, n_delta))
-        ests.append(math.prod(f.l2_normsq() for f in factors) * (1.0 - tail) / box_integral)
+        box_integral = _hs_mass_box(spec.widths, np.linspace(0.0, dmax, round(dmax / step) + 1))
+        ests.append(math.pi**2 * math.prod(spec.widths) * (1.0 - tail) / box_integral)
         echo.update(box=dict(delta_max=float(dmax)), tail=tail)
         kernel_echo.append(echo)
     mean = float(np.mean(ests))

@@ -116,8 +116,8 @@ class SpectralGrid:
     def norm(self, u: np.ndarray) -> float:
         return float(np.sqrt(self.h * np.sum(np.abs(u) ** 2)))
 
-    def refined(self, factor: int = 2) -> "SpectralGrid":
-        return SpectralGrid(self.L, factor * (self.N - 1) + 1)
+    def refined(self) -> "SpectralGrid":
+        return SpectralGrid(self.L, 2 * (self.N - 1) + 1)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """References on a spectral grid that no library code uses: the Montgomery
 parameter, a generic representation applied to a grid vector, its
-generators as grid operators, the group Fourier transform of a product
-kernel with the difference operators Delta_1 and Delta_2, the harmonic
+generators as grid operators, product-kernel factors with closed-form 1-D
+Fourier transforms, the group Fourier transform of a product kernel with
+the difference operators Delta_1 and Delta_2, the harmonic
 oscillator as a grid operator, Richardson-extrapolated eigenvalues, and
 the reduced resolvent solved on the full grid."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,7 +14,6 @@ from scipy.linalg import solve_banded
 
 from engellab.algebra import WEIGHTS, GroupElement
 from engellab.fourier import (
-    Factor1D,
     GaussianKernelSpec,
     GridMarginError,
     _quadratic_phase,
@@ -134,6 +135,58 @@ def deflated_solve(op: OperatorMatrix, mu: float, phi: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
+def _moment_transform(omegas: np.ndarray, c: float, w: float, p: int) -> np.ndarray:
+    """F_p(omega) = int (t - c)^p exp(-(t - c)^2 / (2 w^2)) exp(-i omega t) dt.
+
+    F_0 = w sqrt(2 pi) exp(-i omega c - w^2 omega^2 / 2); integrating
+    (t - c) G = -w^2 G' by parts gives F_{k+1} = w^2 (k F_{k-1} - i omega F_k).
+    """
+    prev = 0.0
+    cur = w * math.sqrt(2 * math.pi) * np.exp(-1j * omegas * c - 0.5 * (w * omegas) ** 2)
+    for k in range(p):
+        prev, cur = cur, w**2 * (k * prev - 1j * omegas * cur)
+    return cur
+
+
+@dataclass(frozen=True)
+class Factor1D:
+    """One coordinate factor of a product kernel: the finite sum of terms
+    a (t - c)^p exp(-(t - c)^2 / (2 w^2)), each given as (a, c, w, p).
+
+    Its support box is [min(c - 10 w), max(c + 10 w)] over the terms.
+    """
+
+    terms: tuple[tuple[float, float, float, int], ...]
+
+    def __post_init__(self):
+        if not self.terms or any(w <= 0 for _, _, w, _ in self.terms):
+            raise ValueError("a factor needs at least one term, each of positive width")
+
+    @property
+    def lo(self) -> float:
+        return min(c - 10 * w for _, c, w, _ in self.terms)
+
+    @property
+    def hi(self) -> float:
+        return max(c + 10 * w for _, c, w, _ in self.terms)
+
+    def fn(self, t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        return sum(a * (t - c) ** p * np.exp(-((t - c) ** 2) / (2 * w**2))
+                   for a, c, w, p in self.terms)
+
+    def transform(self, omegas: np.ndarray) -> np.ndarray:
+        """f^(w) = int f(t) exp(-i w t) dt, in closed form term by term."""
+        omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+        return sum(a * _moment_transform(omegas, c, w, p) for a, c, w, p in self.terms)
+
+
+def gaussian_factors(spec: GaussianKernelSpec) -> list[Factor1D]:
+    """One single-term Gaussian factor per coordinate of the kernel."""
+    return [Factor1D(((1.0, float(c), float(w), 0),))
+            for c, w in zip(spec.centers, spec.widths)]
+
+
 def times_minus_t(f: Factor1D) -> Factor1D:
     """The factor -t f(t); each term splits by -t = -(t - c) - c."""
     return Factor1D(tuple(term for a, c, w, p in f.terms
@@ -161,7 +214,7 @@ class ProductKernel:
 
     @staticmethod
     def from_gaussian(spec: GaussianKernelSpec) -> "ProductKernel":
-        return ProductKernel(tuple(spec.factors()))
+        return ProductKernel(tuple(gaussian_factors(spec)))
 
     def l1_norm(self) -> float:
         out = 1.0

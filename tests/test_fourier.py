@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 from grid_reference import (
+    Factor1D,
     ProductKernel,
     difference_op_check,
     dilated,
     fourier_product_kernel,
+    gaussian_factors,
     infinitesimal,
     rep_apply,
     times_minus_t,
@@ -16,7 +18,6 @@ from scipy.interpolate import CubicSpline
 from engellab import fourier
 from engellab.algebra import GroupElement, exp_basis, inverse, multiply
 from engellab.fourier import (
-    Factor1D,
     GaussianKernelSpec,
     GridMarginError,
     QuadratureBoxError,
@@ -484,8 +485,8 @@ def _trapezoid_transform(factor, omegas, npts=20001):
 
 @pytest.mark.parametrize("name", ["shifted", "times_minus_t", "times_minus_t twice", "sum"])
 def test_factor_transform_matches_trapezoid(name):
-    shifted = GaussianKernelSpec((0.3, 0, 0, 0), (0.7, 1, 1, 1)).factors()[0]
-    other = GaussianKernelSpec((-0.4, 0, 0, 0), (1.1, 1, 1, 1)).factors()[0]
+    shifted = gaussian_factors(GaussianKernelSpec((0.3, 0, 0, 0), (0.7, 1, 1, 1)))[0]
+    other = gaussian_factors(GaussianKernelSpec((-0.4, 0, 0, 0), (1.1, 1, 1, 1)))[0]
     factor = {
         "shifted": shifted,
         "times_minus_t": times_minus_t(shifted),
@@ -666,25 +667,36 @@ def test_hs_mass_matches_beta_quadrature_of_fourier_kernel(delta, L, N, n_beta):
     # rule on [0, delta].  The beta range holds every shift delta xi^2 / 2
     # of the grid plus 30 on each side; the box L keeps |f3^| below ~1e-10.
     # Measured 3.0e-11, 4.4e-16 and 2.2e-16 apart; the bound leaves ~10x.
-    kernel = ProductKernel.from_gaussian(DEFAULT_KERNELS[1])
+    spec = DEFAULT_KERNELS[1]
+    kernel = ProductKernel.from_gaussian(spec)
     grid = SpectralGrid(L, N)
     betas = np.linspace(-0.5 * delta * L**2 - 30.0, 30.0, n_beta)
     hs = [np.sum(np.abs(fourier_product_kernel(kernel, Generic(delta, b), grid)) ** 2)
           for b in betas]
     quadrature = delta * grid.h**2 * np.trapezoid(hs, betas)
     f4sq = np.abs(kernel.factors[3].transform(np.array([0.0, delta]))) ** 2
-    reduced = (fourier._hs_mass_box(kernel.factors, np.array([0.0, delta]))
+    reduced = (fourier._hs_mass_box(spec.widths, np.array([0.0, delta]))
                / (delta * f4sq.sum()) * f4sq[1])
     assert abs(quadrature / reduced - 1.0) <= 3e-10
 
 
 @pytest.mark.parametrize("box_scale, message", [
     (0.4, "uncompensated tail 0.15%"),  # delta_max = 0.4 * 0.7 * 8/w4
-    (0.0, "fewer than 2 nodes"),
+    (0.0, "uncompensated tail 100.00%"),  # delta_max = 0, no delta node past 0
 ])
 def test_plancherel_refuses_undersized_box(box_scale, message):
     with pytest.raises(QuadratureBoxError, match=message):
         plancherel_calibrate(DEFAULT_KERNELS, box_scale=box_scale)
+
+
+def test_plancherel_ignores_kernel_centers():
+    # every factor norm is translation invariant, so kernels that differ
+    # only in their centers give bitwise the same estimate
+    widths = (0.7, 1.3, 0.8, 0.6)
+    rep = plancherel_calibrate([GaussianKernelSpec((0, 0, 0, 0), widths),
+                                GaussianKernelSpec((0.3, -0.2, 0.1, 0), widths)])
+    assert rep.c_estimates[0] == rep.c_estimates[1]
+    assert rep.relative_spread == 0.0
 
 
 def test_plancherel_dilation_invariance():

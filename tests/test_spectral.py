@@ -14,7 +14,7 @@ from grid_reference import (
 from hypothesis import given, settings, strategies as st
 from projector import projector_derivative
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv, dstein
+from scipy.linalg.lapack import dstein
 
 from engellab import dispersion, spectral
 from engellab.spectral import (
@@ -383,13 +383,12 @@ def test_banded_solve_matches_the_dense_block(k, bound):
 
 
 def test_resolvent_solves_a_row_where_a_plain_lu_meets_a_zero_pivot():
-    # at this row of a branch sweep an LU of the even block of mu - H meets
-    # an exactly zero pivot; with the unit column at phi's peak the system
-    # is nonsingular, and mu'' matches the full-grid route (measured 2.9e-15)
+    # at this row of a branch sweep a plain tridiagonal LU (LAPACK dgtsv)
+    # of the even block of mu - H meets an exactly zero pivot; the
+    # library's solve puts a unit column at phi's peak (`spectral._resolve`),
+    # and mu'' matches the full-grid route (measured 2.9e-15)
     nu = 1.7000000000000046
     data = spectral_data(1.0, nu, 3, grid=box_grid(Montgomery(nu), 4, 2048))
-    bd, be = spectral._parity_block(data.op.diagonal, data.op.offdiag, 0)
-    assert dgtsv(-be, data.mu - bd, -be, np.ones(len(bd)))[-1] > 0
     dH_phi = 2.0 * data.w * data.phi
     dphi = deflated_solve(data.op, data.mu, data.phi, dH_phi)
     mu_d2 = 2.0 + 2.0 * data.grid.inner(dH_phi, dphi).real
