@@ -201,6 +201,8 @@ def run_identities(cfg: dict, seed: int) -> RunReport:
     difference, and does not depend on the seed.  `trials` seeded random
     words test PBW confluence; the enveloping-algebra lemmas are exact.
     """
+    if seed < 0:
+        raise ConfigError(f"identities: seed must be an integer >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     rep = RunReport("identities")
 
@@ -313,10 +315,9 @@ def run_dispersion(cfg: dict, seed: int) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-@_reads(n=(1, _integer()), scan=([-4.0, 4.0], _list(2, 2)), tol=(1e-10, _number))
+@_reads(n=(1, _integer()), scan=([-4.0, 4.0], _list(2, 2)))
 def run_critical_points(cfg: dict, seed: int) -> RunReport:
-    reports = _refusing("critical-points", dispersion.critical_points,
-                        cfg["n"], scan=cfg["scan"], tol=cfg["tol"])
+    reports = _refusing("critical-points", dispersion.critical_points, cfg["n"], scan=cfg["scan"])
     rep = RunReport("critical-points")
     rep.metrics["reports"] = [asdict(r) for r in reports]
     if cfg["n"] == 1:
@@ -542,9 +543,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="nodes of the finite-difference grid that checks the "
                              "Hermite values: dispersion's fd-agreement rows and "
                              "smicro-profile's on-cone curvature")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="critical-points root tolerance: the Newton "
-                             "refinement stops once a step is below it")
     parser.add_argument("--hbar-ladder", type=_numbers, default=None,
                         help="comma-separated hbar values")
     args = parser.parse_args(argv)
@@ -552,7 +550,7 @@ def main(argv: list[str] | None = None) -> int:
     cfg: dict = {}
     if args.config is not None:
         cfg.update(json.loads(args.config.read_text()))
-    for key in ("n", "q", "p", "tol", "grid_n", "hbar_ladder"):
+    for key in ("n", "q", "p", "grid_n", "hbar_ladder"):
         if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
 

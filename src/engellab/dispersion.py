@@ -179,6 +179,11 @@ def montgomery_branch(n: int, nu: float) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 
 
+# Newton stops once a step is below this; the root is then at rounding: a
+# tolerance of 1e-300 moves no nu_c of n <= 12 by more than 6.2e-15
+_ROOT_TOL = 1e-10
+
+
 @dataclass
 class DispersionReport:
     """One certified critical point of a Montgomery branch."""
@@ -188,39 +193,41 @@ class DispersionReport:
     mu_at_c: float
     curvature: float
     bracket: tuple[float, float]
-    certificate: int  # sign changes of mu' counted over the whole scan
+    certificate: int  # sign changes of mu' counted over the solved scan samples
     kind: str  # "minimum" | "maximum"
-    scan_margin: float  # smallest |mu'| over the scan samples
+    scan_margin: float  # smallest |mu'| over the solved scan samples
 
 
 def critical_points(
     n: int,
     scan: tuple[float, float] = (-4.0, 4.0),
-    tol: float = 1e-10,
     samples: int = 161,
 ) -> list[DispersionReport]:
     """Locate and certify all roots of mutilde_n' inside the scan window.
 
     Every value is `montgomery_branch`'s, the scan samples' from one
-    batched call.  The certificate is the number of sign changes of mu'
-    over `samples` points; a sample where it is exactly 0 opens a bracket
+    batched call.  mu' = 2 nu + s^2 <phi, xi^2 phi> with xi^2 positive
+    definite, so mu' > 0 at every nu >= 0: of the `samples` points of the
+    window only those up to and including the first with nu >= 0 are
+    solved, which keeps the bracket of a root between the last negative
+    sample and 0.  The certificate is the number of sign changes of mu'
+    over the solved samples; a sample where it is exactly 0 opens a bracket
     of its own.  Each bracket is refined by
     Newton steps on mu' with mu'', starting from the secant point of the
     scan values: a step that does not land strictly inside the bracket is
     replaced by its midpoint, and the iteration stops once a step is below
-    `tol` (finite and positive, else ValueError) or no point is left
-    strictly inside the bracket.  Brackets are disjoint, so each holds one
-    root.  mu and the curvature are those of the last Newton point.
+    _ROOT_TOL or no point is left strictly inside the bracket.  Brackets
+    are disjoint, so each holds one root.  mu and the curvature are those
+    of the last Newton point.
     """
     lo, hi = float(scan[0]), float(scan[1])
     if not hi > lo:
         raise ValueError("empty scan window")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"root tolerance must be finite and positive, got {tol!r}")
     nus = np.linspace(lo, hi, samples)
+    nus = nus[: np.searchsorted(nus, 0.0) + 1]
     d1 = np.array([row[1] for row in _branch_rows(n, nus)])
 
-    sign_changes = [k for k in range(samples - 1)
+    sign_changes = [k for k in range(len(nus) - 1)
                     if d1[k] == 0.0 or d1[k] * d1[k + 1] < 0.0]
     margin = float(np.min(np.abs(d1)))
     if not sign_changes:
@@ -229,8 +236,7 @@ def critical_points(
     reports = []
     for k in sign_changes:
         bracket = (float(nus[k]), float(nus[k + 1]))
-        root, (mu, _, mu_d2) = _refine_root(*bracket, float(d1[k]), float(d1[k + 1]),
-                                            n, tol)
+        root, (mu, _, mu_d2) = _refine_root(*bracket, float(d1[k]), float(d1[k + 1]), n)
         reports.append(DispersionReport(
             n=n, nu_c=root, mu_at_c=mu, curvature=mu_d2, bracket=bracket,
             certificate=len(sign_changes), kind="minimum" if mu_d2 > 0 else "maximum",
@@ -238,8 +244,8 @@ def critical_points(
     return reports
 
 
-def _refine_root(a: float, b: float, fa: float, fb: float, n: int,
-                 tol: float) -> tuple[float, tuple[float, float, float]]:
+def _refine_root(a: float, b: float, fa: float, fb: float,
+                 n: int) -> tuple[float, tuple[float, float, float]]:
     """Root of mutilde_n' in [a, b], where it takes the scan values fa and
     fb, by safeguarded Newton steps, with the branch solved at the last
     Newton point."""
@@ -260,7 +266,7 @@ def _refine_root(a: float, b: float, fa: float, fb: float, n: int,
         step = -f / df if df else math.inf
         if not a < x + step < b:
             step = 0.5 * (a + b) - x
-        last = abs(step) < tol or not a < x + step < b
+        last = abs(step) < _ROOT_TOL or not a < x + step < b
         x += step
 
 

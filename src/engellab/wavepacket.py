@@ -89,9 +89,17 @@ class GaussianProfile:
         return p2[:, None] * p4[None, :] * a
 
     def evolved_width2(self, t: float, coeff: float) -> float:
-        """Dispersed |a|^2 width: w^2 + (2 coeff t / w)^2 in variance form."""
+        """Dispersed |a|^2 width: w^2 + (2 coeff t / w)^2 in variance form;
+        ValueError naming t where it is not a finite number > 0."""
         w = self.width2
-        return math.sqrt(w**2 + (2.0 * coeff * t / w) ** 2)
+        try:
+            width = math.sqrt(w**2 + (2.0 * coeff * t / w) ** 2)
+        except OverflowError:
+            width = math.inf
+        if not (math.isfinite(width) and width > 0.0):
+            raise ValueError(f"t = {t} with profile.width2 = {w} disperses the profile to a "
+                             f"y2 width of {width}, not a finite number > 0")
+        return width
 
     def l2_normsq(self) -> float:
         return math.pi * self.width2 * self.width4

@@ -303,6 +303,13 @@ def test_residual_scaling_output_independent_of_seed(tmp_path, monkeypatch):
     assert "sampling_health" not in rep.metrics
 
 
+def test_negative_seed_is_refused(tmp_path):
+    # numpy's generator raised its own ValueError from inside identities
+    with pytest.raises(cli.ConfigError, match="identities: seed must be an integer >= 0, got -1"):
+        run("identities", {}, out_dir=tmp_path, seed=-1)
+    assert not any(tmp_path.iterdir())
+
+
 def test_transport_empty_ladder_errors():
     with pytest.raises(ValueError, match="hbar"):
         run("transport", {"hbar_ladder": []}, seed=3)
@@ -381,21 +388,20 @@ def test_refused_config_is_a_usage_error(tmp_path, capsys):
                "text-t": {"t": "x"}, "int-x0": {"x0": 3},
                "half-grid": {"grid_n": 2048.9}, "half-n": {"n": 1.5},
                "half-trials": {"trials": 40.5}, "inf-grid": {"grid_n": float("inf")},
-               "half-packet-n": {"n": 2.5}}
+               "half-packet-n": {"n": 2.5}, "tol": {"tol": 1e-8}}
     for name, config in configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))
     for argv, message in (
-        (["strichartz", "--q", "2", "--p", "2.8", "--tol", "1"],
-         "strichartz does not read config key(s) tol;"),
+        (["strichartz", "--q", "2", "--p", "2.8", "--grid-n", "512"],
+         "strichartz does not read config key(s) grid_n;"),
         (["dispersion", "--config", str(tmp_path / "empty.json")],
          "dispersion: n_list must be a list of length >= 1 of integers >= 1, got []"),
-        # a root tolerance that is not finite and positive would never stop Newton
-        (["critical-points", "--tol", "0"],
-         "critical-points: root tolerance must be finite and positive, got 0.0"),
-        (["critical-points", "--tol", "-1"],
-         "critical-points: root tolerance must be finite and positive, got -1.0"),
-        (["critical-points", "--tol", "nan"],
-         "critical-points: root tolerance must be finite and positive, got nan"),
+        # the Newton tolerance is a constant of the library: no flag or key sets it
+        (["critical-points", "--tol", "1e-8"], "unrecognized arguments: --tol 1e-8"),
+        (["critical-points", "--config", str(tmp_path / "tol.json")],
+         "critical-points does not read config key(s) tol; it reads n, scan"),
+        # numpy's generator refuses a negative seed with a traceback
+        (["identities", "--seed", "-1"], "identities: seed must be an integer >= 0, got -1"),
         # bad hbar ladders are refused before any work: the reader checks
         # the entries are finite numbers, the library the rest
         (["residual-scaling", "--hbar-ladder", "0.1,0.05"],
@@ -589,7 +595,6 @@ def test_benchmark_configs_accepted(monkeypatch):
 MAIN_FLAGS = [
     (["--n", "2"], "n", ("residual-scaling", "critical-points", "smicro-profile", "transport")),
     (["--q", "4", "--p", "7/3"], "p", ("strichartz",)),
-    (["--tol", "1e-8"], "tol", ("critical-points",)),
     (["--grid-n", "512"], "grid_n", ("smicro-profile", "dispersion")),
     (["--hbar-ladder", "0.1,0.05"], "hbar_ladder", ("residual-scaling", "transport")),
 ]
@@ -622,16 +627,15 @@ def test_main_flags_accepted_where_read(monkeypatch, capsys, flags, key, readers
 
 
 def test_critical_points_cli(tmp_path):
-    rep = run("critical-points", {"n": 1, "scan": [-1.0, 0.5], "tol": 1e-8},
-              out_dir=tmp_path)
+    rep = run("critical-points", {"n": 1, "scan": [-1.0, 0.5]}, out_dir=tmp_path)
     assert rep.passed
     assert len(rep.metrics["reports"]) == 1
     assert rep.metrics["reports"][0]["curvature"] > 0
 
 
 def test_smicro_profile_cli(tmp_path):
-    # the check thresholds are fixed; "tol", which only critical-points reads,
-    # is refused (test_unknown_config_keys_rejected)
+    # the check thresholds are fixed; "tol" is refused
+    # (test_unknown_config_keys_rejected)
     rep = run("smicro-profile", {"grid_n": 2048, "delta_list": [1.0, 2.0]}, out_dir=tmp_path)
     assert rep.passed
     thresholds = {c.name: c.threshold for c in rep.checks}
@@ -645,6 +649,9 @@ def test_smicro_profile_cli(tmp_path):
 
 LADDER = "{sub}: hbar_ladder must be a list of length >= 1 of finite numbers, got "
 HBAR = "{sub}: every hbar must be finite and > 0, got hbar = "
+
+WIDTH = ("{{sub}}: t = {t} with profile.width2 = {w} disperses the profile to a y2 width "
+         "of inf, not a finite number > 0")
 
 PACKET_REFUSALS = [
     ({"x0": [0, 0, 0]}, "{sub}: a packet needs x0 of 4 finite numbers, got (0.0, 0.0, 0.0)"),
@@ -662,6 +669,12 @@ PACKET_REFUSALS = [
     ({"hbar_ladder": [0.1, 0.05, 0.025, float("nan")]}, LADDER + "[0.1, 0.05, 0.025, nan]"),
     ({"t": float("nan")}, "{sub}: t must be a finite number, got nan"),
     ({"t": float("inf")}, "{sub}: t must be a finite number, got inf"),
+    # a finite t (or width) whose dispersed width overflows was an
+    # OverflowError traceback
+    ({"t": 1e155}, WIDTH.format(t="1e+155", w="0.45")),
+    ({"t": 1e200}, WIDTH.format(t="1e+200", w="0.45")),
+    ({"t": 1e300}, WIDTH.format(t="1e+300", w="0.45")),
+    ({"profile_width2": 1e200, "t": 0.5}, WIDTH.format(t="0.5", w="1e+200")),
     # a JSON boolean is not the number 1 or 0
     ({"t": True}, "{sub}: t must be a finite number, got True"),
     ({"n": True}, "{sub}: n must be an integer, got True"),
@@ -706,10 +719,10 @@ MALFORMED = [
     ("plancherel", {"kernels": [{"centers": [True, 0, 0, 0], "widths": [1, 1, 1, 1]}] * 2},
      "plancherel: kernels must be a list of length >= 2 of kernels, each with 4 finite "
      "centers and 4 finite widths > 0, got [{'centers': [True, 0, 0, 0]"),
-    # a numeric string ran as its number: mode 3, t = 0.1, 2048 nodes, hbar = 0.1
-    # and a nan tolerance
+    # a numeric string ran as its number: mode 3, t = 0.1, 2048 nodes and
+    # hbar = 0.1; the root tolerance is a library constant, read from no key
     ("critical-points", {"n": "3"}, "critical-points: n must be an integer, got '3'"),
-    ("critical-points", {"tol": "nan"}, "critical-points: tol must be a number, got 'nan'"),
+    ("critical-points", {"tol": "nan"}, "critical-points does not read config key(s) tol;"),
     ("residual-scaling", {"t": "0.1"}, "residual-scaling: t must be a finite number, got '0.1'"),
     ("dispersion", {"grid_n": "2048"}, "dispersion: grid_n must be an integer >= 3, got '2048'"),
     ("residual-scaling", {"hbar_ladder": ["0.1", 0.05, 0.025, 0.0125]},

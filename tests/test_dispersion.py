@@ -76,6 +76,48 @@ def test_scan_without_critical_point_is_empty():
         assert critical_points(1, scan=(1.0, 3.0), samples=21) == []
 
 
+def _solved_samples(monkeypatch, *args, **kwargs):
+    """critical_points(*args, **kwargs) and the nus of its batched scan call."""
+    calls: list[list[float]] = []
+    real = dispersion._branch_rows
+
+    def recording(n, nus):
+        calls.append(list(nus))
+        return real(n, nus)
+
+    monkeypatch.setattr(dispersion, "_branch_rows", recording)
+    reports = critical_points(*args, **kwargs)
+    monkeypatch.undo()
+    return reports, calls[0]
+
+
+def test_branch_derivative_is_positive_at_nonnegative_nu():
+    # mu' = 2 nu + s^2 <phi, xi^2 phi> with xi^2 positive definite: the
+    # identity that lets the scan stop at its first sample with nu >= 0.
+    # Measured 0.575 at worst (n = 1, nu = 0)
+    for n in range(1, 13):
+        for nu in (0.0, 0.05, 1.0, 4.0, 40.0, 100.0):
+            assert montgomery_branch(n, nu)[1] > 0.0, (n, nu)
+
+
+def test_scan_keeps_its_first_nonnegative_sample(monkeypatch):
+    # samples -0.4, 0.1, 0.6: the root -0.3468 lies between the last
+    # negative sample and the kept 0.1, which the scan still solves; it is
+    # the default scan's root, measured 1.1e-16 apart
+    reports, solved = _solved_samples(monkeypatch, 1, scan=(-0.4, 0.6), samples=3)
+    assert solved == pytest.approx([-0.4, 0.1], abs=1e-15)
+    [r] = reports
+    assert r.bracket == (-0.4, solved[1]) and r.certificate == 1
+    assert abs(r.nu_c - (-0.34675840375)) <= 1e-12
+
+
+def test_scan_at_nonnegative_nu_solves_one_sample(monkeypatch):
+    # mu' > 0 on the whole window, so only its first sample is solved
+    with pytest.warns(UserWarning, match="widen the scan"):
+        reports, solved = _solved_samples(monkeypatch, 2, scan=(0.0, 3.0), samples=31)
+    assert reports == [] and solved == [0.0]
+
+
 def test_report_json_round_trip():
     r = critical_points(1, scan=(-1.0, 0.5), samples=21)[0]
     text = json.dumps(asdict(r), sort_keys=True)
@@ -110,10 +152,13 @@ def test_certificate_and_root_match_full_grid_oracle(n, monkeypatch):
     monkeypatch.undo()
 
     assert len(reports) == len(changes) >= 1
-    # the scan samples, then the Newton points, none at a bracket end again
-    newton = len(calls) - samples
+    # the scan samples through the first nu >= 0 (mu' > 0 beyond it), then
+    # the Newton points, none at a bracket end again
+    solved = int(np.searchsorted(nus, 0.0)) + 1
+    assert calls[:solved] == list(nus[:solved])
+    newton = len(calls) - solved
     assert len(reports) <= newton <= 6 * len(reports)
-    assert not set(calls[samples:]) & set(nus)
+    assert not set(calls[solved:]) & set(nus)
     for r, k in zip(reports, changes):
         assert r.certificate == len(changes)
         assert r.bracket == (nus[k], nus[k + 1])
@@ -151,11 +196,12 @@ def test_curvature_is_the_last_newton_solve_fh_second_derivative(n):
         assert r.kind == ("minimum" if r.curvature > 0 else "maximum")
 
 
-def test_tolerance_below_rounding_stops_at_the_root():
+def test_tolerance_below_rounding_stops_at_the_root(monkeypatch):
     # Newton steps fall below the ulp of nu_c long before 1e-300: the
     # refinement stops once a step no longer moves the point
     default = critical_points(1, scan=(-1.0, 0.5), samples=21)[0]
-    tiny = critical_points(1, scan=(-1.0, 0.5), samples=21, tol=1e-300)[0]
+    monkeypatch.setattr(dispersion, "_ROOT_TOL", 1e-300)
+    tiny = critical_points(1, scan=(-1.0, 0.5), samples=21)[0]
     assert abs(tiny.nu_c - default.nu_c) <= 1e-10
 
 
