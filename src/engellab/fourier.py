@@ -23,13 +23,8 @@ operator kernel
 where g^ is the 1-D Fourier transform int g(t) exp(-i w t) dt: the x1
 integral is pinned by the shift and the remaining three are 1-D factors
 (tests/grid_reference.py builds K on a grid, from factors that are sums
-of polynomial x Gaussian terms with closed-form transforms).
-Plancherel calibration takes Gaussian kernels and integrates beta over
-the whole line, where f2^(b + d xi^2/2) integrates to ||f2^||^2 whatever
-the shift, and |delta| from 0 to delta_max = 0.7 * 8/w4.  Every factor
-norm is a closed form in the widths alone; only the delta integral is a
-trapezoid rule, and the delta marginal |f4^(delta)|^2 makes the fraction
-beyond the box erfc(w4 delta_max) in closed form.
+of polynomial x Gaussian terms with closed-form transforms).  For a
+Gaussian kernel every norm in the Plancherel identity is a closed form.
 """
 
 from __future__ import annotations
@@ -47,21 +42,15 @@ from .spectral import Generic, SpectralGrid
 
 __all__ = [
     "GridMarginError",
-    "QuadratureBoxError",
     "live_window",
     "matrix_coefficients",
     "matrix_coefficient",
-    "GaussianKernelSpec",
     "plancherel_calibrate",
 ]
 
 
 class GridMarginError(ValueError):
     """Shift pushes the vector's support outside the grid box."""
-
-
-class QuadratureBoxError(ValueError):
-    """The Plancherel quadrature box leaves too much delta mass outside it."""
 
 
 _LIVE_RTOL = 1e-13
@@ -278,29 +267,14 @@ def matrix_coefficients(param: Generic, coords: np.ndarray, V: np.ndarray,
 
 def matrix_coefficient(param: Generic, x: GroupElement, phi1: np.ndarray,
                        phi2: np.ndarray, grid: SpectralGrid) -> complex:
-    """(pi(x) phi1, phi2), trapezoid quadrature on the grid."""
+    """(pi(x) phi1, phi2), summed over the grid nodes as in `matrix_coefficients`."""
     coords = np.array([[float(c) for c in x.coords()]])
     return complex(matrix_coefficients(param, coords, phi1[:, None], phi2, grid)[0, 0])
 
 
 # ---------------------------------------------------------------------------
-# Gaussian product kernels and Plancherel calibration
+# Plancherel calibration of Gaussian product kernels
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GaussianKernelSpec:
-    """Product Gaussian kappa(x) = prod_i exp(-(x_i - c_i)^2 / (2 w_i^2))."""
-
-    centers: tuple[float, float, float, float]
-    widths: tuple[float, float, float, float]
-
-    def __post_init__(self):
-        if (len(self.centers) != 4 or len(self.widths) != 4
-                or not all(map(math.isfinite, (*self.centers, *self.widths)))
-                or any(w <= 0 for w in self.widths)):
-            raise ValueError("a Gaussian kernel needs 4 finite centers and 4 finite "
-                             "positive widths")
 
 
 @dataclass
@@ -308,69 +282,28 @@ class CalibrationReport:
     c_estimates: list[float]
     mean: float
     relative_spread: float
-    tail_estimate: float
-    kernels: list[dict]  # per kernel: its echo, quadrature box and tail
 
 
-_N_DELTA = 96  # delta nodes of the Plancherel box over its default delta range
+def _transverse_mass(widths: Sequence[float]) -> float:
+    """||f1||^2 ||f2^||^2 ||f3^||^2 = w1 sqrt(pi) 2 pi^(3/2) w2 2 pi^(3/2) w3,
+    the Gaussian kernel's |delta| int ||F kappa(pi_{delta,beta})||_HS^2 d beta
+    over |f4^(delta)|^2.  In u = xi - xi', vtilde = delta (xi + xi')/2 the
+    |delta| weight cancels the Jacobian, and f2^(beta + delta xi_eff^2 / 2)
+    integrates over beta to ||f2^||^2 whatever the shift."""
+    w1, w2, w3, _ = widths
+    return (w1 * math.sqrt(math.pi)) * (2.0 * math.pi**1.5 * w3) * (2.0 * math.pi**1.5 * w2)
 
 
-def _hs_mass_box(widths: Sequence[float], delta_nodes: np.ndarray) -> float:
-    """Integral of ||F kappa||_HS^2 |delta| d delta d beta for the Gaussian
-    kernel of these widths, beta over the whole line and delta over both
-    signs of the (nonnegative) delta nodes.
-
-    In the variables u = xi - xi', vtilde = delta (xi + xi')/2 the |delta|
-    Plancherel weight cancels the Jacobian, and beta enters only through
-    f2^(beta + delta xi_eff^2 / 2), whose integral over the whole line is
-    ||f2^||^2 whatever the shift.  So the integral factors into
-    ||f1||^2 = w1 sqrt(pi), ||f3^||^2 = 2 pi^(3/2) w3 and
-    ||f2^||^2 = 2 pi^(3/2) w2, none of which sees a center, times the
-    delta trapezoid of 2 |f4^(delta)|^2 = 4 pi w4^2 exp(-w4^2 delta^2):
-    f4 is real, so |f4^(-d)| = |f4^(d)|.
-    """
-    w1, w2, w3, w4 = widths
-    base = (w1 * math.sqrt(math.pi)) * (2.0 * math.pi**1.5 * w3) * (2.0 * math.pi**1.5 * w2)
-    f4sq = 4.0 * math.pi * w4**2 * np.exp(-((w4 * delta_nodes) ** 2))
-    return float(base * np.trapezoid(f4sq, delta_nodes))
-
-
-def plancherel_calibrate(kernels: Sequence[GaussianKernelSpec],
-                         box_scale: float = 1.0) -> CalibrationReport:
-    """Estimate the Plancherel constant from the L^2 Parseval identity.
-
-    For each kernel, c_est = ||kappa||_2^2 / int ||F kappa||_HS^2 |d| dd db,
-    with ||kappa||_2^2 = pi^2 w1 w2 w3 w4, beta over the whole line and
-    |delta| over [0, delta_max], delta_max = box_scale * 0.7 * 8/w4 (|f4^|
-    is e^-32 at 8/w4); the outer delta tail is compensated through the
-    kernel's central (x4) spectral density.  That delta marginal is
-    |f4^(delta)|^2, proportional to exp(-w4^2 delta^2) for the x4 width
-    w4, because the other factors integrate out independently; so the
-    excluded fraction is erfc(w4 delta_max) in closed form.  The constant
-    itself is calibrated, never asserted: constancy across kernels is the
-    meaningful output.  A box whose tail exceeds 0.1% raises
-    QuadratureBoxError.
-    """
-    if len(kernels) < 2:
+def plancherel_calibrate(kernel_widths: Sequence[Sequence[float]]) -> CalibrationReport:
+    """Parseval ratios c_est = ||kappa||_2^2 / int ||F kappa||_HS^2 |delta| d delta d beta
+    of the Gaussian kernels kappa(x) = prod_i exp(-(x_i - c_i)^2 / (2 w_i^2)),
+    one per 4-tuple of widths: ||kappa||_2^2 = pi^2 w1 w2 w3 w4, and the
+    denominator, delta and beta over the whole line, is `_transverse_mass`
+    times int |f4^(delta)|^2 d delta = 2 pi^(3/2) w4; no norm sees a centre.
+    Constancy across kernels is the meaningful output."""
+    if len(kernel_widths) < 2:
         raise ValueError("need at least two kernels to judge constancy")
-    ests: list[float] = []
-    kernel_echo: list[dict] = []
-    for spec in kernels:
-        echo = dict(centers=list(spec.centers), widths=list(spec.widths))
-        w4 = spec.widths[3]
-        dmax_default = 0.7 * (8.0 / w4)
-        dmax = box_scale * dmax_default
-        # one delta step at every box scale, _N_DELTA nodes over the default
-        # delta range, so doubling the box tests truncation, not a coarser rule
-        step = dmax_default / (_N_DELTA - 1)
-        tail = math.erfc(w4 * dmax)
-        if tail > 1e-3:
-            raise QuadratureBoxError(f"quadrature box too small: uncompensated tail {tail:.2%}")
-        box_integral = _hs_mass_box(spec.widths, np.linspace(0.0, dmax, round(dmax / step) + 1))
-        ests.append(math.pi**2 * math.prod(spec.widths) * (1.0 - tail) / box_integral)
-        echo.update(box=dict(delta_max=float(dmax)), tail=tail)
-        kernel_echo.append(echo)
+    ests = [math.pi**2 * math.prod(w) / (_transverse_mass(w) * 2.0 * math.pi**1.5 * w[3])
+            for w in kernel_widths]
     mean = float(np.mean(ests))
-    spread = float((max(ests) - min(ests)) / mean)
-    return CalibrationReport(ests, mean, spread, float(max(k["tail"] for k in kernel_echo)),
-                             kernel_echo)
+    return CalibrationReport(ests, mean, float((max(ests) - min(ests)) / mean))

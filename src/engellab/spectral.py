@@ -38,7 +38,7 @@ Generic(1, nu).
 Critical points of the Montgomery branches and their curvature reference
 come from `dispersion.montgomery_branch` on Hermite functions instead.
 
-Grid functions are normalized in the trapezoid inner product
+Grid functions are normalized in the grid inner product
 <u, v> = h * sum(u * conj(v)).
 """
 

@@ -429,12 +429,16 @@ def _fibre_densities(m: _PacketMachinery, pair_maps: list[dict]) -> list[np.ndar
 
 class GramSumError(ValueError):
     """A squared L2 norm or a variance summed over the fibres came out
-    negative: the corrector columns lost their precision.  A guard: one
-    corrector per sigma_2 monomial keeps them O(1) in the double well."""
+    negative (the correctors lost precision; a guard) or not finite (the
+    fibre sums overflowed at a large t)."""
 
 
-def _gram_sum(value: float, what: str, hbar: float) -> float:
-    """value, or a GramSumError naming `what` and hbar if it is negative."""
+def _gram_sum(value: float, what: str, t: float, hbar: float) -> float:
+    """value, or a GramSumError naming `what` with t and hbar if it is NaN
+    or infinite, with hbar if it is negative."""
+    if not math.isfinite(value):
+        raise GramSumError(f"{what} Gram sum is {value} at t = {t}, hbar = {hbar}: "
+                           "the fibre sums overflowed")
     if value < 0:
         raise GramSumError(f"{what} Gram sum is {value:.6g} < 0 at hbar = {hbar}: "
                            "its correctors lost precision")
@@ -517,7 +521,7 @@ def _residual(m: _PacketMachinery, order: AnsatzOrder, t: float, hbars: list[flo
     names = [f"the {cut.value} order's ||{f}||^2" for cut in AnsatzOrder for f in ("psi", "r")]
     estimates = []
     for h, hbar in enumerate(hbars):
-        norms = [math.sqrt(_gram_sum(hbar**1.5 * float(np.sum(quad * d[h])), name, hbar))
+        norms = [math.sqrt(_gram_sum(hbar**1.5 * float(np.sum(quad * d[h])), name, t, hbar))
                  for name, d in zip(names, densities)]
         estimates.append({cut: ResidualEstimate(hbar=hbar, order=cut.value, relative=r / psi,
                                                 absolute=r, psi_norm=psi)
@@ -608,8 +612,8 @@ def _fibre_moments(m: _PacketMachinery, order: AnsatzOrder, t: float,
     moments = []
     for hbar, d in zip(hbars, density):
         i0, i1, i2 = (float(np.sum(quad * y2**j * d)) for j in range(3))
-        mean = i1 / _gram_sum(i0, f"the {order.value} order's mass", hbar)
-        var = _gram_sum(i2 / i0 - mean**2, f"the {order.value} order's y2 variance", hbar)
+        mean = i1 / _gram_sum(i0, f"the {order.value} order's mass", t, hbar)
+        var = _gram_sum(i2 / i0 - mean**2, f"the {order.value} order's y2 variance", t, hbar)
         moments.append((hbar**1.5 * i0, mean, var))
     return moments
 

@@ -1,10 +1,10 @@
 """References on a spectral grid that no library code uses: the Montgomery
 parameter, a generic representation applied to a grid vector, its
-generators as grid operators, product-kernel factors with closed-form 1-D
-Fourier transforms, the group Fourier transform of a product kernel with
-the difference operators Delta_1 and Delta_2, the harmonic
-oscillator as a grid operator, Richardson-extrapolated eigenvalues, and
-the reduced resolvent solved on the full grid."""
+generators as grid operators, Gaussian product kernels and product-kernel
+factors with closed-form 1-D Fourier transforms, the group Fourier
+transform of a product kernel with the difference operators Delta_1 and
+Delta_2, the harmonic oscillator as a grid operator, Richardson-extrapolated
+eigenvalues, and the reduced resolvent solved on the full grid."""
 
 import math
 from dataclasses import dataclass
@@ -14,7 +14,6 @@ from scipy.linalg import solve_banded
 
 from engellab.algebra import WEIGHTS, GroupElement
 from engellab.fourier import (
-    GaussianKernelSpec,
     GridMarginError,
     _quadratic_phase,
     _spline_table,
@@ -146,6 +145,14 @@ def _moment_transform(omegas: np.ndarray, c: float, w: float, p: int) -> np.ndar
     for k in range(p):
         prev, cur = cur, w**2 * (k * prev - 1j * omegas * cur)
     return cur
+
+
+@dataclass(frozen=True)
+class GaussianKernelSpec:
+    """Product Gaussian kappa(x) = prod_i exp(-(x_i - c_i)^2 / (2 w_i^2))."""
+
+    centers: tuple[float, float, float, float]
+    widths: tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)

@@ -354,7 +354,7 @@ def test_transport_picks_its_check_by_drift_against_width():
     ("transport", {"sample_count": 500}, "sample_count"),
     # nor does residual-scaling
     ("residual-scaling", {"sample_count": 500}, "sample_count"),
-    # plancherel integrates beta over the whole line and delta from 0
+    # plancherel integrates beta and delta over the whole line
     ("plancherel", {"beta_box": 100.0, "delta_min": 0.1, "delta_max": 5.0},
      "beta_box, delta_max, delta_min"),
 ])
@@ -365,19 +365,12 @@ def test_unknown_config_keys_rejected(tmp_path, subcommand, config, unknown):
     assert not any(tmp_path.iterdir())
 
 
-KERNELS = ("plancherel: kernels must be a list of length >= 2 of kernels, each with 4 finite "
-           "centers and 4 finite widths > 0, got ")
-
-
 @pytest.mark.filterwarnings("ignore:no sign change")  # smicro-profile --n 16
 def test_refused_config_is_a_usage_error(tmp_path, capsys):
     configs = {"empty": {"n_list": []}, "no-hbar": {"hbar_ladder": []},
                "text-hbar": {"hbar_ladder": ["0.05", "a"]}, "minus-trials": {"trials": -1},
-               "three-centers": {"kernels": [{"centers": [0, 0, 0], "widths": [1, 1, 1, 1]},
-                                             {"centers": [0, 0, 0, 0], "widths": [1, 1, 1, 1]}]},
-               "no-widths": {"kernels": [{"centers": [0, 0, 0, 0], "widths": [1, 1, 1, 1]},
-                                         {"centers": [0, 0, 0, 0]}]},
-               "one-kernel": {"kernels": [{"centers": [0, 0, 0, 0], "widths": [1, 1, 1, 1]}]},
+               "kernels": {"kernels": [{"centers": [0, 0, 0, 0], "widths": [1, 1, 1, 1]},
+                                       {"centers": [0, 0, 0, 0], "widths": [1, 1, 1, 1]}]},
                "zero-step": {"nu_step": 0}, "minus-step": {"nu_step": -0.1},
                "nan-step": {"nu_step": float("nan")}, "inf-min": {"nu_min": float("-inf")},
                "zero-delta": {"delta_list": [0.5, 0.0]}, "grid-l": {"grid_l": 12.0},
@@ -417,14 +410,9 @@ def test_refused_config_is_a_usage_error(tmp_path, capsys):
          "got ['0.05', 'a']"),
         (["identities", "--config", str(tmp_path / "minus-trials.json")],
          "identities: trials must be an integer >= 0, got -1"),
-        # a malformed Gaussian kernel is refused
-        (["plancherel", "--config", str(tmp_path / "three-centers.json")],
-         f"{KERNELS}[{{'centers': [0, 0, 0], 'widths': [1, 1, 1, 1]}}, "),
-        (["plancherel", "--config", str(tmp_path / "no-widths.json")],
-         f"{KERNELS}[{{'centers': [0, 0, 0, 0], 'widths': [1, 1, 1, 1]}}, "
-         "{'centers': [0, 0, 0, 0]}]"),
-        (["plancherel", "--config", str(tmp_path / "one-kernel.json")],
-         f"{KERNELS}[{{'centers': [0, 0, 0, 0], 'widths': [1, 1, 1, 1]}}]"),
+        # the Gaussian kernels are fixed: plancherel reads no keys
+        (["plancherel", "--config", str(tmp_path / "kernels.json")],
+         "plancherel does not read config key(s) kernels; it reads no keys"),
         # a sweep step that is not finite and positive, or an infinite end
         (["dispersion", "--config", str(tmp_path / "zero-step.json")],
          "dispersion: nu_step must be > 0, got 0.0"),
@@ -559,13 +547,13 @@ def test_explicit_defaults_run_as_the_empty_config(subcommand):
 
 def test_readme_tables_match_the_declared_keys():
     # README's `## CLI` has one table per subcommand: key, default and what
-    # the key must be
+    # the key must be; a subcommand that reads no keys says so in its place
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     tables = {sub: {cells[0].strip("` "): json.loads(cells[1].strip("` "))
                     for cells in (row.split("|")[1:] for row in body.splitlines())}
               for sub, body in re.findall(
-                  r"^#### `([\w-]+)`\n\n\| key \| default \| must be \|\n\|[-|]+\|\n"
-                  r"((?:\|.*\n)+)", readme, re.M)}
+                  r"^#### `([\w-]+)`\n\n(?:\| key \| default \| must be \|\n\|[-|]+\|\n"
+                  r"((?:\|.*\n)+)|It reads no keys\b)", readme, re.M)}
     assert tables == {sub: _defaults(sub) for sub in cli.SUBCOMMANDS}
 
 
@@ -716,9 +704,6 @@ MALFORMED = [
      "dispersion: n_list must be a list of length >= 1 of integers >= 1, got [True]"),
     ("strichartz", {"q": True},
      'strichartz: q must be a number, a fraction such as "7/3" or "inf", got True'),
-    ("plancherel", {"kernels": [{"centers": [True, 0, 0, 0], "widths": [1, 1, 1, 1]}] * 2},
-     "plancherel: kernels must be a list of length >= 2 of kernels, each with 4 finite "
-     "centers and 4 finite widths > 0, got [{'centers': [True, 0, 0, 0]"),
     # a numeric string ran as its number: mode 3, t = 0.1, 2048 nodes and
     # hbar = 0.1; the root tolerance is a library constant, read from no key
     ("critical-points", {"n": "3"}, "critical-points: n must be an integer, got '3'"),
@@ -763,6 +748,32 @@ def test_negative_transport_mass_is_a_usage_error(capsys, monkeypatch):
     assert exc.value.code == 2
     assert re.search(r"error: transport: the sigma1 order's mass Gram sum is -\S+ < 0 "
                      r"at hbar = 0\.05: its correctors lost precision", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("subcommand, t", [
+    (sub, t) for sub in ("residual-scaling", "transport") for t in (1e40, 1e80, 1e100, 1e153)
+    if (sub, t) != ("transport", 1e40)])
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_overflowing_gram_sum_is_a_usage_error(tmp_path, capsys, subcommand, t):
+    # at a large finite t the fibre sums overflow: residual-scaling printed
+    # NaN slopes from t = 1e40, and transport PASSed its stationary gate at
+    # 1e80 and 1e100 by dividing by an infinite width, then printed NaN
+    config = tmp_path / "t.json"
+    config.write_text(json.dumps({"t": t}))
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--config", str(config)])
+    assert exc.value.code == 2
+    assert re.search(rf"error: {subcommand}: the \w+ order's .+ Gram sum is (inf|nan) "
+                     rf"at t = {re.escape(str(t))}, hbar = \S+: the fibre sums overflowed",
+                     capsys.readouterr().err)
+
+
+def test_transport_moments_stay_finite_at_1e40():
+    # transport's moments overflow only from t = 1e80 on: at 1e40 it checks
+    # the drift, with a finite value, as at t = 1e35
+    checks = run("transport", {"t": 1e40}).checks
+    assert [c.name for c in checks] == ["drift-relative-error"]
+    assert checks[0].value == pytest.approx(run("transport", {"t": 1e35}).checks[0].value)
 
 
 @pytest.mark.parametrize("subcommand, config, message", MALFORMED,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from grid_reference import (
     Factor1D,
+    GaussianKernelSpec,
     ProductKernel,
     difference_op_check,
     dilated,
@@ -18,9 +19,7 @@ from scipy.interpolate import CubicSpline
 from engellab import fourier
 from engellab.algebra import GroupElement, exp_basis, inverse, multiply
 from engellab.fourier import (
-    GaussianKernelSpec,
     GridMarginError,
-    QuadratureBoxError,
     _TILE,
     _quadratic_phase,
     _spline_table,
@@ -493,7 +492,7 @@ def test_factor_transform_matches_trapezoid(name):
         "times_minus_t twice": times_minus_t(times_minus_t(shifted)),
         "sum": Factor1D(shifted.terms + other.terms),
     }[name]
-    # the widest frequency a Plancherel box reaches, 0.7 * 8/w
+    # frequencies out to 0.7 * 8/w, where a Gaussian's |f^| is e^-15.7 of its peak
     edge = 0.7 * 8.0 / min(w for _, _, w, _ in factor.terms)
     omegas = np.linspace(-edge, edge, 201)
     ref = _trapezoid_transform(factor, omegas)
@@ -618,42 +617,25 @@ DEFAULT_KERNELS = [
     GaussianKernelSpec((0.3, -0.2, 0.1, 0.0), (0.7, 1.3, 0.8, 0.6)),
     GaussianKernelSpec((0.0, 0.4, -0.3, 0.2), (1.2, 0.9, 1.1, 1.4)),
 ]
+DEFAULT_WIDTHS = [k.widths for k in DEFAULT_KERNELS]
 
-# c estimates of the default kernels with closed-form transforms, beta over
-# the whole line and the erfc delta fraction, and the per-kernel boxes 0.7 * 8/w4
-PINNED = {
-    1.0: dict(c=[0.004031441804149939, 0.004031441804149938, 0.004031441804149939],
-              delta_max=[5.6, 9.333333333333334, 4.0]),
-    2.0: dict(c=[0.004031441804149939, 0.004031441804149938, 0.004031441804149938],
-              delta_max=[11.2, 18.666666666666668, 8.0]),
-}
-
-
-def _assert_pinned(rep, box_scale):
-    pinned = PINNED[box_scale]
-    assert rep.c_estimates == pytest.approx(pinned["c"], rel=1e-12, abs=0)
-    # each kernel reports its own box; kernel 2 (w4 = 0.6) reaches furthest
-    assert [k["box"] for k in rep.kernels] == [dict(delta_max=d) for d in pinned["delta_max"]]
-    assert rep.tail_estimate == max(k["tail"] for k in rep.kernels)
+# c estimates of the default kernels from closed-form factor norms, beta and
+# delta over the whole line
+PINNED_C = [0.004031441804149936, 0.004031441804149936, 0.004031441804149937]
 
 
 def test_plancherel_constancy_and_tails():
-    rep = plancherel_calibrate(DEFAULT_KERNELS)
+    rep = plancherel_calibrate(DEFAULT_WIDTHS)
     assert rep.relative_spread <= 0.01
-    _assert_pinned(rep, 1.0)
+    assert rep.c_estimates == pytest.approx(PINNED_C, rel=1e-12, abs=0)
 
 
-def test_plancherel_doubled_box_pinned():
-    _assert_pinned(plancherel_calibrate(DEFAULT_KERNELS, box_scale=2.0), 2.0)
-
-
-@pytest.mark.parametrize("box_scale", [1.0, 2.0])
-def test_plancherel_matches_parseval_constant(box_scale):
+def test_plancherel_matches_parseval_constant():
     # with |d| d(delta) d(beta) on the generic dual, Parseval holds with the
     # exact constant (2 pi)^{-3}; every estimate must sit within 2e-15 of it
-    # (worst measured 4.4e-16, at both box scales: a margin of ~4.5x)
+    # (worst measured 2.2e-16: a margin of ~9x)
     exact = 1.0 / (8.0 * np.pi**3)
-    rep = plancherel_calibrate(DEFAULT_KERNELS, box_scale=box_scale)
+    rep = plancherel_calibrate(DEFAULT_WIDTHS)
     assert all(abs(c / exact - 1.0) <= 2e-15 for c in rep.c_estimates)
 
 
@@ -663,10 +645,10 @@ def test_plancherel_matches_parseval_constant(box_scale):
 def test_hs_mass_matches_beta_quadrature_of_fourier_kernel(delta, L, N, n_beta):
     # oracle for the exact-beta reduction: |delta| int ||F kappa(pi)||_HS^2
     # d beta by the trapezoid rule over HS norms of the operator kernel,
-    # against _hs_mass_box's base |f4^(delta)|^2, read off its two-node
-    # rule on [0, delta].  The beta range holds every shift delta xi^2 / 2
+    # against the closed-form factor product ||f1||^2 ||f2^||^2 ||f3^||^2
+    # times |f4^(delta)|^2.  The beta range holds every shift delta xi^2 / 2
     # of the grid plus 30 on each side; the box L keeps |f3^| below ~1e-10.
-    # Measured 3.0e-11, 4.4e-16 and 2.2e-16 apart; the bound leaves ~10x.
+    # Measured 3.0e-11, 2.2e-16 and 0 apart; the bound leaves ~10x.
     spec = DEFAULT_KERNELS[1]
     kernel = ProductKernel.from_gaussian(spec)
     grid = SpectralGrid(L, N)
@@ -674,52 +656,20 @@ def test_hs_mass_matches_beta_quadrature_of_fourier_kernel(delta, L, N, n_beta):
     hs = [np.sum(np.abs(fourier_product_kernel(kernel, Generic(delta, b), grid)) ** 2)
           for b in betas]
     quadrature = delta * grid.h**2 * np.trapezoid(hs, betas)
-    f4sq = np.abs(kernel.factors[3].transform(np.array([0.0, delta]))) ** 2
-    reduced = (fourier._hs_mass_box(spec.widths, np.array([0.0, delta]))
-               / (delta * f4sq.sum()) * f4sq[1])
+    f4sq = abs(complex(kernel.factors[3].transform(np.array([delta]))[0])) ** 2
+    reduced = fourier._transverse_mass(spec.widths) * f4sq
     assert abs(quadrature / reduced - 1.0) <= 3e-10
-
-
-@pytest.mark.parametrize("box_scale, message", [
-    (0.4, "uncompensated tail 0.15%"),  # delta_max = 0.4 * 0.7 * 8/w4
-    (0.0, "uncompensated tail 100.00%"),  # delta_max = 0, no delta node past 0
-])
-def test_plancherel_refuses_undersized_box(box_scale, message):
-    with pytest.raises(QuadratureBoxError, match=message):
-        plancherel_calibrate(DEFAULT_KERNELS, box_scale=box_scale)
-
-
-def test_plancherel_ignores_kernel_centers():
-    # every factor norm is translation invariant, so kernels that differ
-    # only in their centers give bitwise the same estimate
-    widths = (0.7, 1.3, 0.8, 0.6)
-    rep = plancherel_calibrate([GaussianKernelSpec((0, 0, 0, 0), widths),
-                                GaussianKernelSpec((0.3, -0.2, 0.1, 0), widths)])
-    assert rep.c_estimates[0] == rep.c_estimates[1]
-    assert rep.relative_spread == 0.0
 
 
 def test_plancherel_dilation_invariance():
     k0 = GaussianKernelSpec((0.1, 0.0, -0.1, 0.0), (0.9, 1.1, 1.0, 0.8))
-    rep = plancherel_calibrate([k0, dilated(k0, 1.3)])
+    rep = plancherel_calibrate([k0.widths, dilated(k0, 1.3).widths])
     assert rep.relative_spread <= 0.01
 
 
 def test_plancherel_requires_two_kernels():
     with pytest.raises(ValueError):
-        plancherel_calibrate([GaussianKernelSpec((0, 0, 0, 0), (1, 1, 1, 1))])
-
-
-@pytest.mark.parametrize("centers, widths", [
-    ((0, 0, 0), (1, 1, 1, 1)),
-    ((0, 0, 0, 0), (1, 1, 1, 1, 1)),
-    ((0, 0, float("nan"), 0), (1, 1, 1, 1)),
-    ((0, 0, 0, 0), (1, 1, float("inf"), 1)),
-    ((0, 0, 0, 0), (1, 0, 1, 1)),
-])
-def test_gaussian_kernel_needs_four_finite_centers_and_widths(centers, widths):
-    with pytest.raises(ValueError, match="4 finite centers and 4 finite positive widths"):
-        GaussianKernelSpec(centers, widths)
+        plancherel_calibrate([(1, 1, 1, 1)])
 
 
 # -- difference operators ----------------------------------------------------------
