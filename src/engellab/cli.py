@@ -3,7 +3,8 @@
 Every run takes a JSON config (with per-flag overrides), writes machine
 readable outputs under --out, prints one PASS/FAIL line per check and
 exits nonzero iff any check fails.  Given (config, seed) the written
-artifacts are byte-identical across runs; wall time goes to stderr only.
+artifacts are byte-identical across runs and do not depend on the --out
+path; wall time goes to stderr only.
 The library returns dataclasses; this module alone decides how they are
 written: data files through `_csv`, library reports into report.json
 through `dataclasses.asdict`.
@@ -69,7 +70,6 @@ class RunReport:
     config: dict = field(default_factory=dict)  # the config as given, set by `run`
     checks: list[Check] = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
-    outputs: list[str] = field(default_factory=list)
     files: dict[str, str] = field(default_factory=dict)  # data files by name
 
     @property
@@ -82,16 +82,9 @@ class RunReport:
             config=self.config,
             checks=[c.to_dict() for c in self.checks],
             metrics=self.metrics,
-            outputs=self.outputs,
+            outputs=sorted(self.files),  # names relative to --out
             passed=self.passed,
         )
-
-
-def _write_report(report: RunReport, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "report.json"
-    path.write_text(json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n")
-    report.outputs.append(str(path))
 
 
 def _reads(**keys):
@@ -99,7 +92,6 @@ def _reads(**keys):
     convert).  `run` refuses any other key and passes the runner every
     declared key converted, at its default where the config lacks it."""
     def declare(runner):
-        runner.keys = frozenset(keys)
         runner.declared = keys
         return runner
     return declare
@@ -477,7 +469,8 @@ SUBCOMMANDS = tuple(_RUNNERS)
 
 def run(subcommand: str, config: dict, out_dir: str | Path | None = None,
         seed: int = 0) -> RunReport:
-    """Execute one experiment; write report.json and data CSVs under out_dir.
+    """Execute one experiment; write its data files and report.json under
+    out_dir, whose path no written byte depends on.
 
     Raises ValueError for an unknown subcommand, and ConfigError naming every
     config key the subcommand does not read, or the first key whose value
@@ -487,9 +480,9 @@ def run(subcommand: str, config: dict, out_dir: str | Path | None = None,
     if subcommand not in _RUNNERS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
     runner = _RUNNERS[subcommand]
-    unknown = sorted(set(config) - runner.keys)
+    unknown = sorted(set(config) - set(runner.declared))
     if unknown:
-        reads = ", ".join(sorted(runner.keys)) or "no keys"
+        reads = ", ".join(sorted(runner.declared)) or "no keys"
         raise ConfigError(f"{subcommand} does not read config key(s) {', '.join(unknown)}; "
                           f"it reads {reads}")
     cfg = {}
@@ -503,10 +496,9 @@ def run(subcommand: str, config: dict, out_dir: str | Path | None = None,
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        for name in sorted(report.files):
-            (out / name).write_text(report.files[name])
-            report.outputs.append(str(out / name))
-        _write_report(report, out)
+        report_json = json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n"
+        for name, text in {**report.files, "report.json": report_json}.items():
+            (out / name).write_text(text)
     return report
 
 

@@ -156,6 +156,11 @@ class WavePacketSpec:
 _PAD = 6
 
 
+# An overflow ends in a value that is not finite, which the machinery and
+# `_gram_sum` refuse by name; numpy's warnings would only come before the refusal
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
 def _ladder(v: np.ndarray, up: float, down: float) -> np.ndarray:
     """Coefficients (axis 0) of sum_k v_k (up e_k psi_{k+1} + down e_{k-1} psi_{k-1}),
     e_k = sqrt((k + 1)/2): on Hermite functions psi_k of length s, xi is
@@ -178,9 +183,11 @@ class _PacketMachinery:
     dphi and the sigma_2 correctors, one per monomial of `_SIGMA2`, solve
     (mu - H) u = Pi_perp r, <u, phi> = 0 by one banded LU per block
     (`spectral._resolve`): `spectral._reduced_resolvent` on phi's block,
-    a plain solve on the other.
+    a plain solve on the other.  A spec whose (mu, mu', mu'') or images
+    overflow is refused with a ValueError.
     """
 
+    @_quiet_overflow
     def __init__(self, spec: WavePacketSpec):
         self.spec = spec
         n, cbrt = spec.n, real_cbrt(spec.delta0)
@@ -207,6 +214,11 @@ class _PacketMachinery:
         self.images = self._images({"phi": phi, "xi_phi": xi_phi, "dphi": dphi,
                                     **dict(zip(sources, correctors))})
         self.basis = {k: v[:, 0] for k, v in self.images.items()}
+        if not (np.isfinite([self.mu, self.mu_d1, self.mu_d2]).all()
+                and all(np.isfinite(v).all() for v in self.images.values())):
+            raise ValueError(f"the packet at delta0 = {spec.delta0}, beta0 = {spec.beta0}, "
+                             f"n = {n} overflowed: (mu, mu', mu'') or an image of its "
+                             "carrier is not finite")
 
     def xi(self, v: np.ndarray) -> np.ndarray:
         return _ladder(v, self.length, self.length)
@@ -490,6 +502,7 @@ def residual(spec: WavePacketSpec, order: AnsatzOrder, t: float,
     return _residual(m, order, t, hbars, m.dispersion)
 
 
+@_quiet_overflow
 def _residual(m: _PacketMachinery, order: AnsatzOrder, t: float, hbars: list[float],
               c3) -> list[dict[AnsatzOrder, ResidualEstimate]]:
     """`residual` of the packet whose profile flows by i d_t a + c3 d_2^2 a = 0
@@ -599,6 +612,7 @@ def _mass_readback(spec: WavePacketSpec) -> MassReadback:
 # ---------------------------------------------------------------------------
 
 
+@_quiet_overflow
 def _fibre_moments(m: _PacketMachinery, order: AnsatzOrder, t: float,
                    hbars: list[float]) -> list[tuple[float, float, float]]:
     """Exact ||psi||^2 and the mean and variance of y2 under |psi|^2 for the

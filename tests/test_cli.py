@@ -126,10 +126,8 @@ def test_dispersion_sweep_rows_and_determinism(tmp_path):
     csv_a = (a / "branches.csv").read_bytes()
     csv_b = (b / "branches.csv").read_bytes()
     assert csv_a == csv_b
-    rep_a = (a / "report.json").read_bytes()
-    rep_b = (b / "report.json").read_bytes()
-    # the report echoes only config/checks/metrics, so it is reproducible too
-    assert rep_a.replace(str(a).encode(), b"") == rep_b.replace(str(b).encode(), b"")
+    # the report names its files relative to --out, so it is reproducible too
+    assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
     lines = csv_a.decode().strip().split("\n")
     assert lines[0].startswith("n,delta,beta")
     assert len(lines) - 1 == 2 * 5
@@ -282,20 +280,18 @@ def test_dispersion_empty_grid_errors():
         run("dispersion", {"n_list": [1], "nu_min": 1.0, "nu_max": 0.0})
 
 
-def _run_at_seeds_0_and_7(tmp_path, monkeypatch, subcommand):
-    """The two --out trees of a run at the defaults, seeds 0 and 7 (relative
-    --out, since report.json lists the written paths), and the last report."""
+def _run_at_seeds_0_and_7(tmp_path, subcommand):
+    """The two --out trees of a run at the defaults, seeds 0 and 7, and the
+    last report."""
     for seed in (0, 7):
-        (tmp_path / f"s{seed}").mkdir()
-        monkeypatch.chdir(tmp_path / f"s{seed}")
-        rep = run(subcommand, {}, out_dir="out", seed=seed)
+        rep = run(subcommand, {}, out_dir=tmp_path / f"s{seed}" / "out", seed=seed)
         assert rep.passed
     return [tmp_path / f"s{seed}" / "out" for seed in (0, 7)], rep
 
 
-def test_residual_scaling_output_independent_of_seed(tmp_path, monkeypatch):
+def test_residual_scaling_output_independent_of_seed(tmp_path):
     # exact fibre integrals, no sampling: the out tree is the same for every seed
-    (a, b), rep = _run_at_seeds_0_and_7(tmp_path, monkeypatch, "residual-scaling")
+    (a, b), rep = _run_at_seeds_0_and_7(tmp_path, "residual-scaling")
     for name in ("report.json", "residual_scaling_full.csv", "residual_scaling_sigma1.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
     for name in ("residual_scaling_full.csv", "residual_scaling_sigma1.csv"):
@@ -323,9 +319,9 @@ def test_transport_accepts_a_repeated_hbar():
     assert [r["hbar"] for r in rep.metrics["mass_ratio"]] == [0.05, 0.05]
 
 
-def test_transport_output_independent_of_seed(tmp_path, monkeypatch):
+def test_transport_output_independent_of_seed(tmp_path):
     # exact moments, no sampling: the out tree is the same for every seed
-    (a, b), rep = _run_at_seeds_0_and_7(tmp_path, monkeypatch, "transport")
+    (a, b), rep = _run_at_seeds_0_and_7(tmp_path, "transport")
     for name in ("report.json", "transport.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
     ratios = [r["mass_ratio"] for r in rep.metrics["mass_ratio"]]
@@ -516,7 +512,7 @@ def test_runners_declare_the_keys_they_read():
         if "_spec, cfg" in src:
             src += inspect.getsource(cli._spec)
         assert "cfg.get" not in src and " in cfg" not in src, name
-        assert set(re.findall(r'cfg\["(\w+)"\]', src)) == runner.keys, name
+        assert set(re.findall(r'cfg\["(\w+)"\]', src)) == set(runner.declared), name
 
 
 def test_declared_defaults_pass_their_converters():
@@ -574,7 +570,7 @@ def test_benchmark_configs_accepted(monkeypatch):
     for name in ("branch-sweep", "certify", "packet-residual"):
         for exp in workloads.make_inputs(name, 0).experiments:
             if exp.subcommand in cli._RUNNERS:
-                assert set(exp.config) <= cli._RUNNERS[exp.subcommand].keys, exp.exp_id
+                assert set(exp.config) <= set(cli._RUNNERS[exp.subcommand].declared), exp.exp_id
                 sent |= set(exp.config)
     assert {"n_list", "nu_step", "grid_n", "n", "trials", "q", "p", "expect"} <= sent
 
@@ -600,7 +596,7 @@ def test_main_flags_accepted_where_read(monkeypatch, capsys, flags, key, readers
     # a usage error; only the experiments are stubbed out, each with its
     # runner's keys
     monkeypatch.setattr(cli, "_RUNNERS", {
-        name: cli._reads(**{key: (None, cli._as_given) for key in runner.keys})(
+        name: cli._reads(**{key: (None, cli._as_given) for key in runner.declared})(
             lambda cfg, seed, name=name: cli.RunReport(name))
         for name, runner in cli._RUNNERS.items()})
     for sub in cli.SUBCOMMANDS:
@@ -612,6 +608,20 @@ def test_main_flags_accepted_where_read(monkeypatch, capsys, flags, key, readers
             assert exc.value.code == 2
             assert re.search(rf"error: {sub} does not read config key\(s\) [^;]*\b{key}\b",
                              capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("subcommand", cli.SUBCOMMANDS)
+def test_out_tree_does_not_depend_on_the_out_path(tmp_path, subcommand):
+    # report.json names its data files relative to --out: two --out paths of
+    # different depth get the same files, byte for byte
+    config = {"q": "2", "p": "2.8"} if subcommand == "strichartz" else {}
+    trees = []
+    for out in (tmp_path / "a" / "out", tmp_path / "b" / "deep" / "out"):
+        run(subcommand, config, out_dir=out)
+        trees.append({str(f.relative_to(out)): f.read_bytes() for f in out.rglob("*")})
+    assert trees[0] == trees[1]
+    outputs = json.loads(trees[0]["report.json"])["outputs"]
+    assert outputs == sorted(set(trees[0]) - {"report.json"})
 
 
 def test_critical_points_cli(tmp_path):
@@ -750,22 +760,51 @@ def test_negative_transport_mass_is_a_usage_error(capsys, monkeypatch):
                      r"at hbar = 0\.05: its correctors lost precision", capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("subcommand, t", [
-    (sub, t) for sub in ("residual-scaling", "transport") for t in (1e40, 1e80, 1e100, 1e153)
-    if (sub, t) != ("transport", 1e40)])
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-def test_overflowing_gram_sum_is_a_usage_error(tmp_path, capsys, subcommand, t):
+@pytest.mark.parametrize("subcommand, config", [
+    *(pytest.param(sub, {"t": t}, id=f"{sub}-{t}")
+      for sub in ("residual-scaling", "transport") for t in (1e40, 1e80, 1e100, 1e153)
+      if (sub, t) != ("transport", 1e40)),
+    pytest.param("residual-scaling", {"beta0": 1e100}, id="residual-scaling-beta0=1e+100")])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_gram_sum_is_a_usage_error(tmp_path, capsys, subcommand, config):
     # at a large finite t the fibre sums overflow: residual-scaling printed
     # NaN slopes from t = 1e40, and transport PASSed its stationary gate at
-    # 1e80 and 1e100 by dividing by an infinite width, then printed NaN
-    config = tmp_path / "t.json"
-    config.write_text(json.dumps({"t": t}))
+    # 1e80 and 1e100 by dividing by an infinite width, then printed NaN; the
+    # residual of the packet at beta0 = 1e100 overflows at the default t.
+    # numpy's overflow warnings came before the refusal
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
     with pytest.raises(SystemExit) as exc:
-        main([subcommand, "--config", str(config)])
+        main([subcommand, "--config", str(path)])
     assert exc.value.code == 2
+    t = config.get("t", 0.1)
     assert re.search(rf"error: {subcommand}: the \w+ order's .+ Gram sum is (inf|nan) "
                      rf"at t = {re.escape(str(t))}, hbar = \S+: the fibre sums overflowed",
                      capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("subcommand", ["residual-scaling", "transport"])
+@pytest.mark.parametrize("beta0", [1e150, 1e155, 1e300])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_packet_is_a_usage_error(tmp_path, capsys, subcommand, beta0):
+    # from beta0 = 1e155 on mu is inf, and at 1e150 mu V overflows in the
+    # carrier's images: transport PASSed its drift gate on them, and
+    # residual-scaling refused only at a NaN Gram sum, after numpy's warnings
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"beta0": beta0}))
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--config", str(path)])
+    assert exc.value.code == 2
+    assert (f"error: {subcommand}: the packet at delta0 = 1.0, beta0 = {beta0}, n = 1 "
+            "overflowed: (mu, mu', mu'') or an image of its carrier is not finite"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_transport_answers_beta0_1e100():
+    # the packet at beta0 = 1e100 is finite: transport checks its drift
+    checks = run("transport", {"beta0": 1e100}).checks
+    assert [(c.name, c.passed) for c in checks] == [("drift-relative-error", True)]
 
 
 def test_transport_moments_stay_finite_at_1e40():
