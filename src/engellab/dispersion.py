@@ -14,9 +14,11 @@ xi^4/4 is an exact pentadiagonal matrix on each parity block: per basis
 size one eigenpair of that block and one banded reduced-resolvent solve
 for the second derivative, with no box, grid or Richardson step.
 `critical_points`, the `dispersion` sweep of `cli` and the packet
-machinery of `wavepacket` run on these blocks alone, and the branch is
-the reference that finite differences are checked against: the curvature
-in `curvature_consistency` and (mu, mu', mu'') at each swept branch's ends.
+machinery of `wavepacket` run on these blocks alone; this module solves no
+finite-difference grid.  The branch is the reference that `cli` checks
+finite differences against: the certified critical point's curvature in
+`smicro-profile` and (mu, mu', mu'') at each swept branch's ends in
+`dispersion`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg.lapack import dsbevx
 
-from .spectral import ConfinementError, _integral_mode, _resolve, real_cbrt, spectral_data
+from .spectral import ConfinementError, _integral_mode, _resolve
 
 
 # ---------------------------------------------------------------------------
@@ -268,49 +270,6 @@ def _refine_root(a: float, b: float, fa: float, fb: float,
             step = 0.5 * (a + b) - x
         last = abs(step) < _ROOT_TOL or not a < x + step < b
         x += step
-
-
-# ---------------------------------------------------------------------------
-# cones and curvature consistency across the rescaling
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CurvatureConsistency:
-    nu0: float
-    n: int
-    curvature_ref: float
-    deviations: dict[float, float]
-    on_cone_d1: dict[float, float]
-
-    @property
-    def max_deviation(self) -> float:
-        return max(self.deviations.values())
-
-    @property
-    def max_on_cone_d1(self) -> float:
-        return max(abs(v) for v in self.on_cone_d1.values())
-
-
-def curvature_consistency(
-    n: int,
-    nu0: float,
-    delta_list: Sequence[float],
-    N: int,
-) -> CurvatureConsistency:
-    """Check d_beta^2 mu_n(delta, nu0 delta^{1/3}) = mutilde_n''(nu0).
-
-    The left side is the second FH derivative at each delta on the cone,
-    on the N-node finite-difference grid; the reference curvature is that
-    of `montgomery_branch`, so the two routes share no discretization.
-    """
-    ref = montgomery_branch(n, nu0)[2]
-    devs, d1s = {}, {}
-    for delta in delta_list:
-        data = spectral_data(float(delta), float(nu0 * real_cbrt(delta)), n, N=N)
-        devs[float(delta)] = abs(data.mu_d2 - ref)
-        d1s[float(delta)] = data.mu_d1
-    return CurvatureConsistency(nu0, n, ref, devs, d1s)
 
 
 # ---------------------------------------------------------------------------

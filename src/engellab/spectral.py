@@ -36,7 +36,9 @@ so the box of Generic(delta, beta) is |delta|^{-1/3} times that of
 Generic(1, nu).
 
 Critical points of the Montgomery branches and their curvature reference
-come from `dispersion.montgomery_branch` on Hermite functions instead.
+come from `dispersion.montgomery_branch` on Hermite functions instead;
+`cli` checks `spectral_data` against them, on the cones in `smicro-profile`
+and at the ends of each swept branch in `dispersion`.
 
 Grid functions are normalized in the grid inner product
 <u, v> = h * sum(u * conj(v)).

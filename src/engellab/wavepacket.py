@@ -25,14 +25,17 @@ dpi(X1) = d/dxi, dpi(X2) = iW and dpi(X1^2 + X2^2) = -H = d^2/dxi^2 - W^2,
 with no grid and no box.
 
 The exact L2 norm of the bare packet is hbar^{3/4} sqrt(2 pi / |delta0|)
-||a||_{L2} ||Phi1||^2: the coefficient carries the (x1, x3) mass at
-scales (hbar, hbar^2) with constant transverse mass (an exact ambiguity-
-function identity), while the profile carries (x2, x4) at scales
-(hbar^{1/2}, hbar^{3/2}).  The same identity with the transverse phase
-integrated out makes every L2 integral of the packet exact: `residual`'s
-||r|| and ||psi|| and `transport_demo`'s moments are Gram sums over the
-(w1, w3) fibres followed by a fixed Gauss-Hermite rule in (y2, y4)
-(`_fibre_pairs`, `_fibre_densities`).
+||a||_{L2} ||Phi1||^2: the coefficient carries the (x1, x3) mass with
+constant transverse mass (an exact ambiguity-function identity), while
+the profile carries (x2, x4) at scales (hbar^{1/2}, hbar^{3/2}).  In x1
+the coefficient's scale is hbar.  In x3 its fibre variable w3 has second
+moment <w3^2> = 2 ||D phi||^2 / delta^2 + <xi^2>_phi w2^2 on the bare
+carrier phi, so the x3 extent is hbar^2 only at x2 = x0_2 and about
+hbar^{3/2} across the profile, where w2 ~ hbar^{-1/2}.  The same identity
+with the transverse phase integrated out makes every L2 integral of the
+packet exact: `residual`'s ||r|| and ||psi|| and `transport_demo`'s
+moments are Gram sums over the (w1, w3) fibres followed by a fixed
+Gauss-Hermite rule in (y2, y4) (`_fibre_pairs`, `_fibre_densities`).
 """
 
 from __future__ import annotations
@@ -472,7 +475,6 @@ def _hbar_ladder(hbars: Sequence[float], distinct: int = 1) -> list[float]:
 @dataclass
 class ResidualEstimate:
     hbar: float
-    order: str
     relative: float
     absolute: float
     psi_norm: float
@@ -536,7 +538,7 @@ def _residual(m: _PacketMachinery, order: AnsatzOrder, t: float, hbars: list[flo
     for h, hbar in enumerate(hbars):
         norms = [math.sqrt(_gram_sum(hbar**1.5 * float(np.sum(quad * d[h])), name, t, hbar))
                  for name, d in zip(names, densities)]
-        estimates.append({cut: ResidualEstimate(hbar=hbar, order=cut.value, relative=r / psi,
+        estimates.append({cut: ResidualEstimate(hbar=hbar, relative=r / psi,
                                                 absolute=r, psi_norm=psi)
                           for cut, psi, r in zip(AnsatzOrder, norms[::2], norms[1::2])})
     return estimates
@@ -544,11 +546,9 @@ def _residual(m: _PacketMachinery, order: AnsatzOrder, t: float, hbars: list[flo
 
 @dataclass
 class ScalingReport:
-    order: str
     hbars: list[float]
     residuals: list[float]
     slope: float
-    intercept: float
 
 
 def residual_scaling_experiment(spec: WavePacketSpec, hbar_list: Sequence[float],
@@ -560,8 +560,8 @@ def residual_scaling_experiment(spec: WavePacketSpec, hbar_list: Sequence[float]
     reports = {}
     for cut in per_hbar[0]:
         res = [e[cut].relative for e in per_hbar]
-        slope, intercept = np.polyfit(np.log(np.asarray(hbars)), np.log(np.asarray(res)), 1)
-        reports[cut] = ScalingReport(cut.value, hbars, res, float(slope), float(intercept))
+        slope = np.polyfit(np.log(np.asarray(hbars)), np.log(np.asarray(res)), 1)[0]
+        reports[cut] = ScalingReport(hbars, res, float(slope))
     return reports
 
 

@@ -4,7 +4,8 @@ generators as grid operators, Gaussian product kernels and product-kernel
 factors with closed-form 1-D Fourier transforms, the group Fourier
 transform of a product kernel with the difference operators Delta_1 and
 Delta_2, the harmonic oscillator as a grid operator, Richardson-extrapolated
-eigenvalues, and the reduced resolvent solved on the full grid."""
+eigenvalues, the reduced resolvent solved on the full grid, and the
+finite-difference curvature along a cone against the Hermite branch."""
 
 import math
 from dataclasses import dataclass
@@ -13,6 +14,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from engellab.algebra import WEIGHTS, GroupElement
+from engellab.dispersion import montgomery_branch
 from engellab.fourier import (
     GridMarginError,
     _quadratic_phase,
@@ -26,6 +28,8 @@ from engellab.spectral import (
     box_grid,
     build_hamiltonian,
     eigen_lowest,
+    real_cbrt,
+    spectral_data,
 )
 
 
@@ -112,6 +116,17 @@ def eigenvalues_extrapolated(param: Generic, k: int, N: int = 4096,
     coarse = eigen_lowest(build_hamiltonian(param, grid), k).eigenvalues
     fine = eigen_lowest(build_hamiltonian(param, grid.refined()), k).eigenvalues
     return (4.0 * fine - coarse) / 3.0
+
+
+def cone_deviations(n: int, nu0: float, delta_list, N: int) -> tuple[dict, dict]:
+    """On the cone beta = nu0 delta^{1/3}, per delta of `delta_list`:
+    |mu'' - mutilde_n''(nu0)| and mu', with mu' and mu'' of `spectral_data`
+    on its N-node grid and mutilde_n'' of `montgomery_branch`, so the two
+    routes share no discretization."""
+    ref = montgomery_branch(n, nu0)[2]
+    on_cone = {float(d): spectral_data(float(d), nu0 * real_cbrt(d), n, N=N) for d in delta_list}
+    return ({d: abs(x.mu_d2 - ref) for d, x in on_cone.items()},
+            {d: x.mu_d1 for d, x in on_cone.items()})
 
 
 def deflated_solve(op: OperatorMatrix, mu: float, phi: np.ndarray,

@@ -341,6 +341,17 @@ def test_transport_picks_its_check_by_drift_against_width():
         assert rep.passed
 
 
+def test_transport_gates_its_smallest_hbar():
+    # the gate reads the row of the smallest hbar wherever the ladder puts
+    # it: gating the last row read 0.025 of the drift on [0.0125, 0.05, 0.4]
+    # and 2.6e-5 on [0.4, 0.05, 0.0125]
+    checks = [run("transport", {"beta0": 0.7, "hbar_ladder": ladder}).checks
+              for ladder in ([0.4, 0.05, 0.0125], [0.0125, 0.05, 0.4], [0.05, 0.0125, 0.4])]
+    assert checks[0] == checks[1] == checks[2]
+    assert [c.name for c in checks[0]] == ["drift-relative-error"]
+    assert checks[0][0].value <= 1e-4
+
+
 @pytest.mark.parametrize("subcommand, config, unknown", [
     ("transport", {"hbar": 0.02}, "hbar"),
     ("residual-scaling", {"sample_cont": 300, "hbar_ladder": [0.1]}, "sample_cont"),
@@ -377,10 +388,20 @@ def test_refused_config_is_a_usage_error(tmp_path, capsys):
                "text-t": {"t": "x"}, "int-x0": {"x0": 3},
                "half-grid": {"grid_n": 2048.9}, "half-n": {"n": 1.5},
                "half-trials": {"trials": 40.5}, "inf-grid": {"grid_n": float("inf")},
-               "half-packet-n": {"n": 2.5}, "tol": {"tol": 1e-8}}
+               "half-packet-n": {"n": 2.5}, "tol": {"tol": 1e-8}, "list": [1, 2]}
     for name, config in configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))
+    (tmp_path / "bad.json").write_text("{bad")
     for argv, message in (
+        # a config file that is missing, not JSON or not a JSON object was a
+        # traceback with exit 1
+        (["critical-points", "--config", str(tmp_path / "missing.json")],
+         f"--config {tmp_path / 'missing.json'}: No such file or directory"),
+        (["critical-points", "--config", str(tmp_path / "bad.json")],
+         f"--config {tmp_path / 'bad.json'}: not a JSON file: "
+         "Expecting property name enclosed in double quotes"),
+        (["critical-points", "--config", str(tmp_path / "list.json")],
+         f"--config {tmp_path / 'list.json'}: must hold a JSON object, got a list"),
         (["strichartz", "--q", "2", "--p", "2.8", "--grid-n", "512"],
          "strichartz does not read config key(s) grid_n;"),
         (["dispersion", "--config", str(tmp_path / "empty.json")],
@@ -643,6 +664,20 @@ def test_smicro_profile_cli(tmp_path):
     # the finite-difference on-cone speed, 3.7e-7 at n = 1
     assert rep.metrics["max_on_cone_d1"] <= 1e-5
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+
+def test_smicro_profile_checks_the_certified_curvature(monkeypatch):
+    # the on-cone curvature is checked against the critical point's: one
+    # whose curvature is off by 2e-3 fails that check and no other
+    certified = dispersion.critical_points
+
+    def shifted(*args, **kwargs):
+        return [replace(r, curvature=r.curvature + 2e-3) for r in certified(*args, **kwargs)]
+
+    monkeypatch.setattr(dispersion, "critical_points", shifted)
+    rep = run("smicro-profile", {"grid_n": 2048, "delta_list": [1.0, 2.0]})
+    assert {c.name: c.passed for c in rep.checks} == {
+        "effective-mass-readback": True, "on-cone-curvature-deviation": False}
 
 
 LADDER = "{sub}: hbar_ladder must be a list of length >= 1 of finite numbers, got "

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from grid_reference import Montgomery, eigenvalues_extrapolated
+from grid_reference import Montgomery, cone_deviations, eigenvalues_extrapolated
 from hermite_reference import branch_by_spectral_sum, parity_block
 from scipy.linalg import eig_banded
 from scipy.linalg.lapack import dsbevx
@@ -18,7 +18,6 @@ from engellab.dispersion import (
     NOT_ADMISSIBLE,
     OBSTRUCTED,
     critical_points,
-    curvature_consistency,
     montgomery_branch,
     strichartz_admissible,
 )
@@ -440,12 +439,21 @@ def test_batched_branch_refuses_as_the_one_nu_call(n, refused, error, basis_min,
 
 
 def test_curvature_consistency_across_cone():
-    cc = curvature_consistency(1, NU_CRIT_1, [0.5, 1.0, 2.0, 8.0], N=4096)
-    assert cc.max_deviation <= 1e-3
-    assert cc.max_on_cone_d1 <= 1e-5
+    deviations, d1 = cone_deviations(1, NU_CRIT_1, [0.5, 1.0, 2.0, 8.0], N=4096)
+    assert max(deviations.values()) <= 1e-3
+    assert max(abs(v) for v in d1.values()) <= 1e-5
     # delta = 1 is the identity rescaling: the deviation is the O(h^2) bias
     # of the N = 4096 grid against the Hermite reference, 6.7e-7
-    assert cc.deviations[1.0] <= 1e-6
+    assert deviations[1.0] <= 1e-6
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_critical_point_curvature_is_the_branch_at_nu_c(n):
+    # smicro-profile checks the on-cone curvature against the certified
+    # critical point's, with no solve of its own: that curvature is
+    # montgomery_branch's at nu_c to the bit
+    r = critical_points(n, samples=81)[0]
+    assert r.curvature == montgomery_branch(n, r.nu_c)[2]
 
 
 def test_cone_dilation_invariance():
