@@ -1,17 +1,18 @@
-"""Wave packets concentrated at a point of the group and a generic
+"""Wave packets concentrated at the identity of the group and a generic
 representation, their corrector hierarchy, and propagation experiments.
 
 A packet with profile a, carrier vector Phi1 (eigenvector of the symbol
-at level n, also the pairing vector), center x0 and scale hbar is
+at level n, also the pairing vector) and scale hbar is
 
-    psi(x) = hbar^{-7/4} a(hbar^{-1/2}.(x0^{-1} x))
-             (pi(hbar^{-1}.(x0^{-1} x)) Phi1, Phi1),
+    psi(x) = hbar^{-7/4} a(hbar^{-1/2}.x) (pi(hbar^{-1}.x) Phi1, Phi1),
 
-the profile depending only on the (x2, x4) coordinates.  `WavePacketSpec`
-holds the concentration data of the family (psi^hbar)_{hbar>0}; hbar is
-the asymptotic variable, so every evaluator takes it as an argument.
+the profile depending only on the (x2, x4) coordinates.  The sub-Laplacian
+is left-invariant, so a packet based at another point is a left translate
+of this one with the same residual and moments.  `WavePacketSpec` holds
+the concentration data of the family (psi^hbar)_{hbar>0}; hbar is the
+asymptotic variable, so every evaluator takes it as an argument.
 Approximate evolution takes the phase S(t) = -mu_n t, moves the center
-along x(t) = x0 Exp(d_beta mu_n t X2), disperses the profile by
+along x(t) = Exp(d_beta mu_n t X2), disperses the profile by
 
     i d_t a + (d_beta^2 mu_n / 2) d_{x2}^2 a = 0,
 
@@ -30,7 +31,7 @@ constant transverse mass (an exact ambiguity-function identity), while
 the profile carries (x2, x4) at scales (hbar^{1/2}, hbar^{3/2}).  In x1
 the coefficient's scale is hbar.  In x3 its fibre variable w3 has second
 moment <w3^2> = 2 ||D phi||^2 / delta^2 + <xi^2>_phi w2^2 on the bare
-carrier phi, so the x3 extent is hbar^2 only at x2 = x0_2 and about
+carrier phi, so the x3 extent is hbar^2 only at x2 = 0 and about
 hbar^{3/2} across the profile, where w2 ~ hbar^{-1/2}.  The same identity
 with the transverse phase integrated out makes every L2 integral of the
 packet exact: `residual`'s ||r|| and ||psi|| and `transport_demo`'s
@@ -48,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import GroupElement, exp_basis, multiply
+from .algebra import GroupElement, exp_basis
 from .dispersion import _hermite_branch, _parity_blocks
 from .spectral import _integral_mode, _reduced_resolvent, _resolve, real_cbrt
 
@@ -125,11 +126,10 @@ class WavePacketSpec:
     objects are cached per spec.
 
     The profile disperses with mu_n''/2 of the packet's own mode (the
-    machinery's `dispersion`), so the spec holds only its two widths.  x0 is
-    four finite numbers and both profile widths are finite and > 0.
+    machinery's `dispersion`), so the spec holds only its two widths, both
+    finite and > 0.
     """
 
-    x0: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
     delta0: float = 1.0
     beta0: float = 0.0
     n: int = 1
@@ -141,15 +141,10 @@ class WavePacketSpec:
                 and math.isfinite(self.beta0)):
             raise ValueError(f"a packet needs n >= 1, a finite delta0 != 0 and a finite beta0, "
                              f"got n = {self.n}, delta0 = {self.delta0}, beta0 = {self.beta0}")
-        if len(self.x0) != 4 or not all(map(math.isfinite, self.x0)):
-            raise ValueError(f"a packet needs x0 of 4 finite numbers, got {self.x0}")
         widths = (self.profile.width2, self.profile.width4)
         if not all(math.isfinite(w) and w > 0 for w in widths):
             raise ValueError("a packet needs finite profile widths > 0, got "
                              f"profile.width2 = {widths[0]}, profile.width4 = {widths[1]}")
-
-    def x0_element(self) -> GroupElement:
-        return GroupElement(*self.x0)
 
 
 # zero coefficients kept past the M Hermite functions of the solves: xi and
@@ -242,8 +237,8 @@ class _PacketMachinery:
         return dict(zip(vectors, images.transpose(1, 0, 2)))
 
     def center(self, t: float) -> GroupElement:
-        """Moving center x(t) = x0 Exp(d_beta mu_n t X2)."""
-        return multiply(self.spec.x0_element(), exp_basis(2, self.mu_d1 * t))
+        """Moving center x(t) = Exp(d_beta mu_n t X2)."""
+        return exp_basis(2, self.mu_d1 * t)
 
 
 @functools.lru_cache(maxsize=8)
@@ -331,8 +326,8 @@ def packet_norm_exact(spec: WavePacketSpec, hbar: float) -> float:
 #     (w3 + w1 w2) C[u; v] = -w2 C[u; xi v] + (i / delta) (C[D1 u; v] + C[u; D1 v]),
 #
 # with y1 = sqrt(hbar) w1 and P = -hbar (w3 + w1 w2) / 2 (the shift
-# x0^{-1} x -> x(t)^{-1} x leaves y3 + y1 y2 unchanged).  With x = x0 z,
-# z = hbar.w, hbar w2 = sqrt(hbar) y2 + d_beta mu_n t and y4 = hbar^{3/2} w4,
+# x -> x(t)^{-1} x leaves y3 + y1 y2 unchanged).  With x = hbar.w,
+# hbar w2 = sqrt(hbar) y2 + d_beta mu_n t and y4 = hbar^{3/2} w4,
 # every coefficient left over is a polynomial in y2 times a partial of a, so
 # after the Gram sum the (y2, y4) integral is Gauss-Hermite with |a|^2's
 # weights.  The measure gives ||f||^2 = hbar^{3/2} int int (Gram sum) dy2 dy4
@@ -646,7 +641,7 @@ class TransportRow:
 def transport_demo(spec: WavePacketSpec, t: float,
                    hbar_list: Sequence[float]) -> list[TransportRow]:
     """x2 centroid of |ansatz|^2 (cut after sigma_1) at time t against the
-    center x0 Exp(d_beta mu_n t X2), one row per hbar.
+    center Exp(d_beta mu_n t X2), one row per hbar.
 
     The mass, centroid and width are exact integrals from one `_fibre_moments`
     call on the ladder, so the rows are deterministic.  Works both at generic

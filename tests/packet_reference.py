@@ -5,11 +5,11 @@ fibre sums, which evaluate the packet at no point.
 The machinery holds coefficient vectors on Hermite functions; `on_grid`
 samples them on a grid by the three-term recurrence, for the coefficient
 kernel of `fourier`.  Batches of points are GroupElements with (M,) float
-coordinate arrays, and every product, inverse and dilation goes through
-the group law in `algebra`: the arguments are hbar^{-1}.(x0^{-1} x) and
-hbar^{-1/2}.(Exp(-d_beta mu_n t X2) x0^{-1} x), with the center x(t) from
-the machinery.  (M, 4) coordinate arrays appear only at the coefficient
-kernel and as an accepted input form.
+coordinate arrays, and every product and dilation goes through the group
+law in `algebra`: the arguments are hbar^{-1}.x and
+hbar^{-1/2}.(Exp(-d_beta mu_n t X2) x) for the packet at the identity,
+with the center x(t) from the machinery.  (M, 4) coordinate arrays appear
+only at the coefficient kernel and as an accepted input form.
 """
 
 import functools
@@ -20,7 +20,7 @@ import numpy as np
 
 from algebra_reference import dilate
 
-from engellab.algebra import HOMOGENEOUS_DIMENSION, GroupElement, exp_basis, inverse, multiply
+from engellab.algebra import HOMOGENEOUS_DIMENSION, GroupElement, exp_basis, multiply
 from engellab.fourier import matrix_coefficients
 from engellab.spectral import Generic, SpectralGrid
 from engellab.wavepacket import (
@@ -131,12 +131,11 @@ def sigma2_diagnostic(spec: WavePacketSpec, t: float, y_points: np.ndarray) -> f
 
 def _arguments(m: _PacketMachinery, t: float, x: GroupElement,
                hb: float) -> tuple[np.ndarray, GroupElement]:
-    """Representation argument w = hbar^{-1}.(x0^{-1} x), as an (M, 4)
-    array, and profile argument y = hbar^{-1/2}.(x(t)^{-1} x) of points x;
-    x(t)^{-1} x = Exp(-d_beta mu_n t X2) x0^{-1} x."""
-    z0 = multiply(inverse(m.spec.x0_element()), x)
-    z = multiply(exp_basis(2, -m.mu_d1 * t), z0)
-    return _stacked(dilate(1.0 / hb, z0)), dilate(hb ** (-0.5), z)
+    """Representation argument w = hbar^{-1}.x, as an (M, 4) array, and
+    profile argument y = hbar^{-1/2}.(x(t)^{-1} x) of points x;
+    x(t)^{-1} x = Exp(-d_beta mu_n t X2) x."""
+    z = multiply(exp_basis(2, -m.mu_d1 * t), x)
+    return _stacked(dilate(1.0 / hb, x)), dilate(hb ** (-0.5), z)
 
 
 def ansatz_values(spec: WavePacketSpec, order: AnsatzOrder, t: float,

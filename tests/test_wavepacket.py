@@ -85,13 +85,11 @@ def test_profile_disperses_with_half_the_mode_curvature():
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    (dict(x0=(0.0, 0.0, 0.0)), "x0 of 4 finite numbers"),
-    (dict(x0=(0.0, math.inf, 0.0, 0.0)), "x0 of 4 finite numbers"),
     (dict(profile=GaussianProfile(width2=-1.0)), "finite profile widths > 0"),
     (dict(profile=GaussianProfile(width4=0.0)), "finite profile widths > 0"),
     (dict(profile=GaussianProfile(width2=math.nan)), "finite profile widths > 0"),
 ])
-def test_spec_refuses_malformed_x0_and_widths(kwargs, message):
+def test_spec_refuses_malformed_widths(kwargs, message):
     with pytest.raises(ValueError, match=message):
         WavePacketSpec(**kwargs)
 
@@ -444,8 +442,8 @@ def test_ansatz_phase_continuity_along_center_path():
 
 def test_ansatz_modulus_at_moving_center():
     # |psi(t, x(t))| = hbar^{-7/4} |a(t,0)| |(pi(w)Phi1, Phi2)|: the profile
-    # recenters with x(t) but the representation argument stays at x0, so
-    # the coefficient dephases; check against the independent coefficient
+    # recenters with x(t) but the representation argument hbar^{-1}.x does
+    # not, so the coefficient dephases; check against the independent coefficient
     # route (rep_apply shifts Phi1, the batch kernel shifts Phi2)
     m, g = machinery(SPEC), on_grid(SPEC)
     hb = HBAR
@@ -588,15 +586,6 @@ def test_leading_residual_halforder_scaling():
         rels.append(residual(SPEC, AnsatzOrder.LEADING, 0.05, [hb])[0][AnsatzOrder.LEADING].relative)
     slope = math.log(rels[0] / rels[1]) / math.log(4.0)
     assert 0.3 <= slope <= 0.7
-
-
-def test_residual_invariant_under_left_translation():
-    # moving x0 left-translates the packet, and the Haar measure does not
-    # see it, so the estimate is reproduced up to arithmetic roundoff
-    base = residual(SPEC, AnsatzOrder.WITH_SIGMA1, 0.1, [0.05])[0][AnsatzOrder.WITH_SIGMA1]
-    moved_spec = WavePacketSpec(x0=(0.3, -0.2, 0.15, 0.1), delta0=1.0, beta0=0.0, n=1)
-    moved = residual(moved_spec, AnsatzOrder.WITH_SIGMA1, 0.1, [0.05])[0][AnsatzOrder.WITH_SIGMA1]
-    assert moved.relative == pytest.approx(base.relative, rel=1e-6)
 
 
 # -- pointwise and Monte-Carlo references for the residual -----------------------
@@ -849,7 +838,7 @@ def _mc_transport(spec, t, hb, count, seed):
     """Importance-sampled mass, x2 centroid and x2 variance of |ansatz|^2
     (cut after sigma_1), each as (estimate, standard error).
 
-    x = x0 z with z = (hbar w1, z2, hbar^2 w3, z4): z2 and z4 follow |a|^2
+    x = (hbar w1, z2, hbar^2 w3, z4): z2 and z4 follow |a|^2
     at twice its variance, and (w1, w3) follow the coefficient's transverse
     mass, which sits at w3 ~ -w1 w2 / 2 and spreads with the chirp |w2|.
     """
@@ -869,7 +858,7 @@ def _mc_transport(spec, t, hb, count, seed):
     q = (np.exp(-0.5 * (((z2 - c) / s2) ** 2 + (z4 / s4) ** 2 + (w1 / s1) ** 2
                         + ((w3 + 0.5 * w1 * w2) / s3) ** 2))
          / ((2.0 * math.pi) ** 2 * s1 * s2 * s3 * s4 * hb**3))
-    x = multiply(spec.x0_element(), GroupElement(hb * w1, z2, hb**2 * w3, z4))
+    x = GroupElement(hb * w1, z2, hb**2 * w3, z4)
     dens = np.abs(ansatz_values(spec, AnsatzOrder.WITH_SIGMA1, t, x, hb)) ** 2 / q
     x2, root_n = x.x2, math.sqrt(count)
     mass = float(np.mean(dens))
@@ -895,7 +884,7 @@ def test_transport_gauss_hermite_rule_is_exact(monkeypatch):
     # the (y2, y4) integrands are polynomials of degree <= 4 times a Gaussian,
     # so doubling the nodes changes nothing beyond rounding
     specs = (SPEC, WavePacketSpec(delta0=1.0, beta0=-0.3467583952, n=1),
-             WavePacketSpec(x0=(0.3, -0.2, 0.15, 0.1), delta0=0.7, beta0=0.5, n=2))
+             WavePacketSpec(delta0=0.7, beta0=0.5, n=2))
     ladder = [0.05, 0.025, 0.0125]
 
     def rows():
