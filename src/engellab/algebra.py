@@ -346,11 +346,10 @@ def _monomial_product(m1: Monomial, m2: Monomial) -> tuple[tuple[Monomial, int],
     return _normal_form_word(_monomial_word(m1) + _monomial_word(m2))
 
 
-def pbw_normal_form(word: Sequence[int], coeff=1) -> PBWPolynomial:
-    """Normal form of coeff * X_{w1} X_{w2} ... (generator indices), coeff
-    rational."""
-    coeff = _exact(coeff)
-    return PBWPolynomial({mono: coeff * c for mono, c in _normal_form_word(tuple(word))})
+def pbw_normal_form(word: Sequence[int]) -> PBWPolynomial:
+    """Normal form of X_{w1} X_{w2} ... (generator indices); `.scale(c)` is
+    that of c times the word."""
+    return PBWPolynomial(dict(_normal_form_word(tuple(word))))
 
 
 # handy aliases used by tests and the CLI identity suite

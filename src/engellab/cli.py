@@ -307,7 +307,7 @@ def run_dispersion(cfg: dict, seed: int) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-@_reads(n=(1, _integer()), scan=([-4.0, 4.0], _list(2, 2)))
+@_reads(n=(1, _integer()), scan=(list(dispersion.SCAN_WINDOW), _list(2, 2)))
 def run_critical_points(cfg: dict, seed: int) -> RunReport:
     reports = _refusing("critical-points", dispersion.critical_points, cfg["n"], scan=cfg["scan"])
     rep = RunReport("critical-points")
@@ -406,24 +406,31 @@ def run_transport(cfg: dict, seed: int) -> RunReport:
 _READBACK_BOUND = 1e-4
 
 
-@_reads(n=(1, _integer()), grid_n=(4096, _integer()))
+# the on-cone finite-difference check runs on this grid, where its 1e-3
+# bound was set: the deviation is 6.7e-7, 2.5e-6 and 2.1e-6 at n = 1, 2, 3
+_ON_CONE_GRID_N = 4096
+
+
+@_reads(n=(1, _integer()))
 def run_smicro_profile(cfg: dict, seed: int) -> RunReport:
-    """Mode n's cone beta = nu_c delta^{1/3}: the finite-difference mu'' of
-    `spectral_data` at (delta, beta) = (1, nu_c) on the `grid_n`-node grid
-    against the Hermite mutilde''(nu_c) of the certified critical point,
-    which `critical_points` already solved, and the effective mass mu''/2
-    of the packet on the cone (delta0 = 1, beta0 = nu_c) read back from its
-    residual.  The grid's box scales with |delta|^{-1/3}, so every other
-    point of the cone rescales this problem and leaves mu'' unchanged.  With
-    `run_dispersion`'s fd-agreement this is one of the two finite-difference
-    checks of the Hermite branches."""
+    """Mode n's cone beta = nu_c delta^{1/3}, nu_c the first critical point
+    that `critical_points(n)` certifies, the call `critical-points` makes:
+    the finite-difference mu'' of `spectral_data` at (delta, beta) =
+    (1, nu_c) on the _ON_CONE_GRID_N-node grid against the Hermite
+    mutilde''(nu_c) that `critical_points` already solved, and the effective
+    mass mu''/2 of the packet on the cone (delta0 = 1, beta0 = nu_c) read
+    back from its residual.  The grid's box scales with |delta|^{-1/3}, so
+    every other point of the cone rescales this problem and leaves mu''
+    unchanged.  With `run_dispersion`'s fd-agreement this is one of the two
+    finite-difference checks of the Hermite branches."""
     n = cfg["n"]
-    reports = _refusing("smicro-profile", dispersion.critical_points, n, samples=81)
+    reports = _refusing("smicro-profile", dispersion.critical_points, n)
     if not reports:
-        raise ConfigError(f"smicro-profile: mode {n} has no critical point on [-4, 4]")
+        lo, hi = dispersion.SCAN_WINDOW
+        raise ConfigError(f"smicro-profile: mode {n} has no critical point on [{lo:g}, {hi:g}]")
     r0 = reports[0]
     on_cone = _refusing("smicro-profile", spectral.spectral_data, 1.0, r0.nu_c, n,
-                        N=cfg["grid_n"])
+                        N=_ON_CONE_GRID_N)
     readback = wavepacket._mass_readback(
         wavepacket.WavePacketSpec(delta0=1.0, beta0=r0.nu_c, n=n))
     rep = RunReport("smicro-profile")
@@ -530,9 +537,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--q", type=str, default=None)
     parser.add_argument("--p", type=str, default=None)
     parser.add_argument("--grid-n", type=int, default=None,
-                        help="nodes of the finite-difference grid that checks the "
-                             "Hermite values: dispersion's fd-agreement rows and "
-                             "smicro-profile's on-cone curvature")
+                        help="nodes of the finite-difference grid of dispersion's "
+                             "fd-agreement check of its Hermite rows")
     parser.add_argument("--hbar-ladder", type=_numbers, default=None,
                         help="comma-separated hbar values")
     args = parser.parse_args(argv)

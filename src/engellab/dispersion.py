@@ -185,6 +185,13 @@ def montgomery_branch(n: int, nu: float) -> tuple[float, float, float]:
 # tolerance of 1e-300 moves no nu_c of n <= 12 by more than 6.2e-15
 _ROOT_TOL = 1e-10
 
+# every scan samples its window at this many evenly spaced points
+_SCAN_SAMPLES = 161
+
+# the window `critical_points` scans unless given another: each of the
+# branches n = 1..12 has exactly one critical point, a minimum, in it
+SCAN_WINDOW = (-4.0, 4.0)
+
 
 @dataclass
 class DispersionReport:
@@ -200,21 +207,17 @@ class DispersionReport:
     scan_margin: float  # smallest |mu'| over the solved scan samples
 
 
-def critical_points(
-    n: int,
-    scan: tuple[float, float] = (-4.0, 4.0),
-    samples: int = 161,
-) -> list[DispersionReport]:
+def critical_points(n: int, scan: tuple[float, float] = SCAN_WINDOW) -> list[DispersionReport]:
     """Locate and certify all roots of mutilde_n' inside the scan window.
 
     Every value is `montgomery_branch`'s, the scan samples' from one
     batched call.  mu' = 2 nu + s^2 <phi, xi^2 phi> with xi^2 positive
-    definite, so mu' > 0 at every nu >= 0: of the `samples` points of the
-    window only those up to and including the first with nu >= 0 are
-    solved, which keeps the bracket of a root between the last negative
-    sample and 0.  The certificate is the number of sign changes of mu'
-    over the solved samples; a sample where it is exactly 0 opens a bracket
-    of its own.  Each bracket is refined by
+    definite, so mu' > 0 at every nu >= 0: of the _SCAN_SAMPLES evenly
+    spaced points of the window only those up to and including the first
+    with nu >= 0 are solved, which keeps the bracket of a root between the
+    last negative sample and 0.  The certificate is the number of sign
+    changes of mu' over the solved samples; a sample where it is exactly 0
+    opens a bracket of its own.  Each bracket is refined by
     Newton steps on mu' with mu'', starting from the secant point of the
     scan values: a step that does not land strictly inside the bracket is
     replaced by its midpoint, and the iteration stops once a step is below
@@ -225,7 +228,7 @@ def critical_points(
     lo, hi = float(scan[0]), float(scan[1])
     if not hi > lo:
         raise ValueError("empty scan window")
-    nus = np.linspace(lo, hi, samples)
+    nus = np.linspace(lo, hi, _SCAN_SAMPLES)
     nus = nus[: np.searchsorted(nus, 0.0) + 1]
     d1 = np.array([row[1] for row in _branch_rows(n, nus)])
 

@@ -44,6 +44,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -127,7 +128,7 @@ class WavePacketSpec:
 
     The profile disperses with mu_n''/2 of the packet's own mode (the
     machinery's `dispersion`), so the spec holds only its two widths, both
-    finite and > 0.
+    > 0 with a finite square.
     """
 
     delta0: float = 1.0
@@ -144,6 +145,9 @@ class WavePacketSpec:
         widths = (self.profile.width2, self.profile.width4)
         if not all(math.isfinite(w) and w > 0 for w in widths):
             raise ValueError("a packet needs finite profile widths > 0, got "
+                             f"profile.width2 = {widths[0]}, profile.width4 = {widths[1]}")
+        if not all(math.isfinite(w * w) for w in widths):
+            raise ValueError("a packet needs profile widths whose square is finite, got "
                              f"profile.width2 = {widths[0]}, profile.width4 = {widths[1]}")
 
 
@@ -457,11 +461,17 @@ def _gram_sum(value: float, what: str, t: float, hbar: float) -> float:
 
 def _hbar_ladder(hbars: Sequence[float], distinct: int = 1) -> list[float]:
     """The ladder as floats; a ValueError names an hbar that is not finite
-    and > 0, or a ladder with fewer than `distinct` distinct values."""
+    and > 0, one whose fibre measure hbar^{3/2}, which every norm carries,
+    is not a normal float (hbar < 7.9e-206: it loses digits, then
+    underflows to 0), or a ladder with fewer than `distinct` distinct
+    values."""
     hbars = [float(h) for h in hbars]
     for h in hbars:
         if not (math.isfinite(h) and h > 0):
             raise ValueError(f"every hbar must be finite and > 0, got hbar = {h}")
+        if h ** 1.5 < sys.float_info.min:
+            raise ValueError(f"hbar = {h} is too small: its fibre measure hbar^(3/2) = "
+                             f"{h ** 1.5} is below the smallest normal float")
     if len(set(hbars)) < distinct:
         raise ValueError(f"need {distinct} or more distinct hbar values, got {hbars}")
     return hbars

@@ -106,7 +106,7 @@ def test_criterion_4_feynman_hellmann():
 
 
 def test_criterion_5_hl_reproduction():
-    reports = dispersion.critical_points(1, scan=(-4.0, 4.0), samples=161)
+    reports = dispersion.critical_points(1, scan=(-4.0, 4.0))
     unique = len(reports) == 1
     r = reports[0]
     # refinement: the finite-difference root at N = 16384, bisected on the

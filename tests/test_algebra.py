@@ -358,18 +358,19 @@ def test_pbw_confluence_every_word_up_to_length_five():
 
 
 def test_pbw_normal_form_and_scale_with_fraction_coefficients():
-    half = pbw_normal_form([2, 1], Fraction(1, 2))
+    half = pbw_normal_form([2, 1]).scale(Fraction(1, 2))
     assert half.terms == {(1, 1, 0, 0): Fraction(1, 2), (0, 0, 1, 0): Fraction(-1, 2)}
     assert half == (X1 * X2 - X3).scale(Fraction(1, 2)) == pbw_normal_form([2, 1]).scale(0.5)
     assert half.scale(2) == pbw_normal_form([2, 1])
-    assert half.scale(0).is_zero() and pbw_normal_form([2, 1], 0).is_zero()
+    assert half.scale(0).is_zero() and pbw_normal_form([2, 1]).scale(0).is_zero()
     # an int coefficient stays an int
-    assert all(type(c) is int for c in pbw_normal_form([2, 1], 3).terms.values())
+    assert all(type(c) is int for c in pbw_normal_form([2, 1]).terms.values())
+    assert all(type(c) is int for c in pbw_normal_form([2, 1]).scale(3).terms.values())
 
 
 def test_int_and_fraction_coefficients_compare_hash_and_print_alike():
-    ints = pbw_normal_form([2, 1], 2)
-    fractions_ = pbw_normal_form([2, 1], Fraction(2))
+    ints = pbw_normal_form([2, 1]).scale(2)
+    fractions_ = pbw_normal_form([2, 1]).scale(Fraction(2))
     mixed = PBWPolynomial({(1, 1, 0, 0): 2, (0, 0, 1, 0): Fraction(-2)})
     text = "-2 * X1^0 X2^0 X3^1 X4^0 + 2 * X1^1 X2^1 X3^0 X4^0"
     for p in (ints, fractions_, mixed, deserialize(text)):
@@ -381,7 +382,7 @@ def test_int_and_fraction_coefficients_compare_hash_and_print_alike():
 def test_zero_polynomial_support_and_serialization():
     z = X1 - X1
     assert z.is_zero() and z.serialize() == "0"
-    p = pbw_normal_form([2, 1], Fraction(1, 2))
+    p = pbw_normal_form([2, 1]).scale(Fraction(1, 2))
     text = p.serialize()
     assert text == "-1/2 * X1^0 X2^0 X3^1 X4^0 + 1/2 * X1^1 X2^1 X3^0 X4^0"
     assert deserialize(text) == p

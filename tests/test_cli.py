@@ -74,9 +74,9 @@ def _recording_normal_form(monkeypatch, perturb=lambda nf: nf):
     """Words that run_identities puts to algebra.pbw_normal_form, in order."""
     words, normal_form = [], algebra.pbw_normal_form
 
-    def recording(word, coeff=1):
+    def recording(word):
         words.append(list(word))
-        return perturb(normal_form(word, coeff))
+        return perturb(normal_form(word))
 
     monkeypatch.setattr(algebra, "pbw_normal_form", recording)
     return words
@@ -356,7 +356,7 @@ def test_transport_gates_its_smallest_hbar():
 @pytest.mark.parametrize("subcommand, config, unknown", [
     ("transport", {"hbar": 0.02}, "hbar"),
     ("residual-scaling", {"sample_cont": 300, "hbar_ladder": [0.1]}, "sample_cont"),
-    ("smicro-profile", {"tol": 1e9, "grid_n": 2048}, "tol"),
+    ("smicro-profile", {"tol": 1e9}, "tol"),
     ("strichartz", {"q": 2, "p": 2.8, "alpha": 1, "beta": 2}, "alpha, beta"),
     # transport integrates exactly and no longer samples
     ("transport", {"sample_count": 500}, "sample_count"),
@@ -370,6 +370,8 @@ def test_transport_gates_its_smallest_hbar():
     ("transport", {"x0": [0.3, -0.2, 0.15, 0.1]}, "x0"),
     # the cone is dilation-invariant: smicro-profile solves it at delta = 1
     ("smicro-profile", {"delta_list": [0.5, 1.0, 2.0]}, "delta_list"),
+    # the on-cone check runs on the grid where its bound was set
+    ("smicro-profile", {"grid_n": 4096}, "grid_n"),
 ])
 def test_unknown_config_keys_rejected(tmp_path, subcommand, config, unknown):
     # refused before any work, naming every key the subcommand does not read
@@ -472,7 +474,7 @@ def test_refused_config_is_a_usage_error(tmp_path, capsys):
         (["identities", "--config", str(tmp_path / "half-trials.json")],
          "identities: trials must be an integer >= 0, got 40.5"),
         (["smicro-profile", "--config", str(tmp_path / "inf-grid.json")],
-         "smicro-profile: grid_n must be an integer, got inf"),
+         "smicro-profile does not read config key(s) grid_n;"),
         (["residual-scaling", "--config", str(tmp_path / "half-packet-n.json")],
          "residual-scaling: n must be an integer, got 2.5"),
         # arguments the library refuses
@@ -484,7 +486,7 @@ def test_refused_config_is_a_usage_error(tmp_path, capsys):
         (["transport", "--config", str(tmp_path / "zero-delta0.json")],
          "transport: a packet needs n >= 1, a finite delta0 != 0 and a finite beta0, "
          "got n = 1, delta0 = 0.0, beta0 = 0.0"),
-        (["smicro-profile", "--grid-n", "2"], "smicro-profile: need at least 3 grid nodes"),
+        (["smicro-profile", "--grid-n", "2"], "smicro-profile does not read config key(s) grid_n;"),
         (["smicro-profile", "--n", "16"], "smicro-profile: mode 16 has no critical point on [-4, 4]"),
         (["strichartz", "--p", "abc"], "strichartz: Invalid literal for Fraction: 'abc'"),
         (["strichartz", "--p", "1/0"], "strichartz: exponent '1/0' has a zero denominator"),
@@ -608,7 +610,7 @@ def test_benchmark_configs_accepted(monkeypatch):
 MAIN_FLAGS = [
     (["--n", "2"], "n", ("residual-scaling", "critical-points", "smicro-profile", "transport")),
     (["--q", "4", "--p", "7/3"], "p", ("strichartz",)),
-    (["--grid-n", "512"], "grid_n", ("smicro-profile", "dispersion")),
+    (["--grid-n", "512"], "grid_n", ("dispersion",)),
     (["--hbar-ladder", "0.1,0.05"], "hbar_ladder", ("residual-scaling", "transport")),
 ]
 
@@ -663,7 +665,7 @@ def test_critical_points_cli(tmp_path):
 def test_smicro_profile_cli(tmp_path):
     # the check thresholds are fixed; "tol" is refused
     # (test_unknown_config_keys_rejected)
-    rep = run("smicro-profile", {"grid_n": 2048}, out_dir=tmp_path)
+    rep = run("smicro-profile", {}, out_dir=tmp_path)
     assert rep.passed
     thresholds = {c.name: c.threshold for c in rep.checks}
     assert thresholds == {"effective-mass-readback": 1e-4, "on-cone-curvature-deviation": 1e-3}
@@ -683,13 +685,25 @@ def test_smicro_profile_checks_the_certified_curvature(monkeypatch):
         return [replace(r, curvature=r.curvature + 2e-3) for r in certified(*args, **kwargs)]
 
     monkeypatch.setattr(dispersion, "critical_points", shifted)
-    rep = run("smicro-profile", {"grid_n": 2048})
+    rep = run("smicro-profile", {})
     assert {c.name: c.passed for c in rep.checks} == {
         "effective-mass-readback": True, "on-cone-curvature-deviation": False}
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_smicro_profile_certifies_the_critical_points_root(n):
+    # one cone search: smicro-profile's critical point is critical-points'
+    # report, bracket and scan margin included
+    assert (run("critical-points", {"n": n}).metrics["reports"][0]
+            == run("smicro-profile", {"n": n}).metrics["critical_point"])
+
+
 LADDER = "{sub}: hbar_ladder must be a list of length >= 1 of finite numbers, got "
 HBAR = "{sub}: every hbar must be finite and > 0, got hbar = "
+TINY_HBAR = ("{{sub}}: hbar = {h} is too small: its fibre measure hbar^(3/2) = {m} is below "
+             "the smallest normal float")
+SQUARE = ("{{sub}}: a packet needs profile widths whose square is finite, "
+          "got profile.width2 = {w2}, profile.width4 = {w4}")
 
 WIDTH = ("{{sub}}: t = {t} with profile.width2 = {w} disperses the profile to a y2 width "
          "of inf, not a finite number > 0")
@@ -711,6 +725,11 @@ PACKET_REFUSALS = [
     ({"hbar_ladder": [0.1, 0.05, 0.025, 0]}, HBAR + "0.0"),
     ({"hbar_ladder": [0.1, 0.05, 0.025, -0.0125]}, HBAR + "-0.0125"),
     ({"hbar_ladder": [0.1, 0.05, 0.025, float("nan")]}, LADDER + "[0.1, 0.05, 0.025, nan]"),
+    # hbar^{3/2} underflowed to 0, and r / psi or the mass ratio divided by
+    # it: a ZeroDivisionError traceback; a subnormal one lost digits silently
+    ({"hbar_ladder": [1e-300, 2e-300, 3e-300, 4e-300]}, TINY_HBAR.format(h="1e-300", m="0.0")),
+    ({"hbar_ladder": [0.1, 0.05, 0.025, 1e-217]}, TINY_HBAR.format(h="1e-217", m="0.0")),
+    ({"hbar_ladder": [0.1, 0.05, 0.025, 1e-214]}, TINY_HBAR.format(h="1e-214", m="1e-321")),
     ({"t": float("nan")}, "{sub}: t must be a finite number, got nan"),
     ({"t": float("inf")}, "{sub}: t must be a finite number, got inf"),
     # a finite t (or width) whose dispersed width overflows was an
@@ -718,7 +737,12 @@ PACKET_REFUSALS = [
     ({"t": 1e155}, WIDTH.format(t="1e+155", w="0.45")),
     ({"t": 1e200}, WIDTH.format(t="1e+200", w="0.45")),
     ({"t": 1e300}, WIDTH.format(t="1e+300", w="0.45")),
-    ({"profile_width2": 1e200, "t": 0.5}, WIDTH.format(t="0.5", w="1e+200")),
+    ({"profile_width2": 1e-200, "t": 0.5}, WIDTH.format(t="0.5", w="1e-200")),
+    # a width whose square overflows: an OverflowError traceback in the
+    # profile's partials (width4) or its dispersed width (width2)
+    ({"profile_width2": 1e200, "t": 0.5}, SQUARE.format(w2="1e+200", w4="0.8")),
+    ({"profile_width4": 1e155}, SQUARE.format(w2="0.45", w4="1e+155")),
+    ({"profile_width4": 1e300}, SQUARE.format(w2="0.45", w4="1e+300")),
     # a JSON boolean is not the number 1 or 0
     ({"t": True}, "{sub}: t must be a finite number, got True"),
     ({"n": True}, "{sub}: n must be an integer, got True"),

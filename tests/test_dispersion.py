@@ -35,7 +35,7 @@ CURV_CRIT_1 = 1.5761268
 
 
 def test_unique_minimum_for_ground_branch():
-    reports = critical_points(1, scan=(-4.0, 4.0), samples=81)
+    reports = critical_points(1)
     assert len(reports) == 1
     r = reports[0]
     assert r.certificate == 1
@@ -44,7 +44,7 @@ def test_unique_minimum_for_ground_branch():
 
 
 def test_frozen_values_regression():
-    r = critical_points(1, scan=(-1.0, 0.5), samples=41)[0]
+    r = critical_points(1, scan=(-1.0, 0.5))[0]
     assert r.nu_c == pytest.approx(NU_CRIT_1, abs=1e-5)
     assert r.mu_at_c == pytest.approx(MU_AT_CRIT_1, abs=1e-5)
     assert r.curvature == pytest.approx(CURV_CRIT_1, abs=1e-5)
@@ -54,7 +54,7 @@ def test_frozen_values_against_the_hermite_oracle():
     # the frozen values come from finite differences; the Hermite basis shares
     # no discretization with them.  Measured gaps: 8.6e-9 in nu_c, 1.7e-9 in
     # mu and 9.3e-8 in the curvature, which is frozen to 8 digits; bound at ~2x
-    r = critical_points(1, scan=(-1.0, 0.5), samples=41)[0]
+    r = critical_points(1, scan=(-1.0, 0.5))[0]
     assert abs(r.nu_c - NU_CRIT_1) <= 2e-8
     assert abs(r.mu_at_c - MU_AT_CRIT_1) <= 4e-9
     assert abs(r.curvature - CURV_CRIT_1) <= 2e-7
@@ -63,8 +63,8 @@ def test_frozen_values_against_the_hermite_oracle():
 def test_report_root_quality_and_grid_stability():
     # the root does not depend on the scan grid that brackets it, and the
     # finite-difference derivative vanishes there to its O(h^2) bias
-    r1 = critical_points(1, scan=(-1.0, 0.5), samples=41)[0]
-    r2 = critical_points(1, scan=(-4.0, 4.0), samples=81)[0]
+    r1 = critical_points(1, scan=(-1.0, 0.5))[0]
+    r2 = critical_points(1)[0]
     assert abs(r1.nu_c - r2.nu_c) <= 1e-10
     assert r1.bracket[0] <= r1.nu_c <= r1.bracket[1]
     assert abs(spectral_data(1.0, r1.nu_c, 1, N=4096).mu_d1) <= 1e-6
@@ -72,7 +72,7 @@ def test_report_root_quality_and_grid_stability():
 
 def test_scan_without_critical_point_is_empty():
     with pytest.warns(UserWarning, match="widen the scan"):
-        assert critical_points(1, scan=(1.0, 3.0), samples=21) == []
+        assert critical_points(1, scan=(1.0, 3.0)) == []
 
 
 def _solved_samples(monkeypatch, *args, **kwargs):
@@ -100,10 +100,11 @@ def test_branch_derivative_is_positive_at_nonnegative_nu():
 
 
 def test_scan_keeps_its_first_nonnegative_sample(monkeypatch):
-    # samples -0.4, 0.1, 0.6: the root -0.3468 lies between the last
-    # negative sample and the kept 0.1, which the scan still solves; it is
-    # the default scan's root, measured 1.1e-16 apart
-    reports, solved = _solved_samples(monkeypatch, 1, scan=(-0.4, 0.6), samples=3)
+    # the window's 161 samples are -0.4, 0.1, 0.6, ..., 79.6: the root
+    # -0.3468 lies between the last negative sample and the kept 0.1, which
+    # the scan still solves; it is the default scan's root, measured
+    # 1.1e-16 apart
+    reports, solved = _solved_samples(monkeypatch, 1, scan=(-0.4, 79.6))
     assert solved == pytest.approx([-0.4, 0.1], abs=1e-15)
     [r] = reports
     assert r.bracket == (-0.4, solved[1]) and r.certificate == 1
@@ -113,12 +114,12 @@ def test_scan_keeps_its_first_nonnegative_sample(monkeypatch):
 def test_scan_at_nonnegative_nu_solves_one_sample(monkeypatch):
     # mu' > 0 on the whole window, so only its first sample is solved
     with pytest.warns(UserWarning, match="widen the scan"):
-        reports, solved = _solved_samples(monkeypatch, 2, scan=(0.0, 3.0), samples=31)
+        reports, solved = _solved_samples(monkeypatch, 2, scan=(0.0, 3.0))
     assert reports == [] and solved == [0.0]
 
 
 def test_report_json_round_trip():
-    r = critical_points(1, scan=(-1.0, 0.5), samples=21)[0]
+    r = critical_points(1, scan=(-1.0, 0.5))[0]
     text = json.dumps(asdict(r), sort_keys=True)
     payload = json.loads(text)
     assert payload["n"] == 1 and payload["certificate"] == 1
@@ -126,7 +127,7 @@ def test_report_json_round_trip():
     assert payload == {**asdict(r), "bracket": list(r.bracket)}
     assert 0.0 < payload["scan_margin"] < 0.1
     # diagnostics are deterministic
-    again = critical_points(1, scan=(-1.0, 0.5), samples=21)[0]
+    again = critical_points(1, scan=(-1.0, 0.5))[0]
     assert json.dumps(asdict(again), sort_keys=True) == text
 
 
@@ -134,7 +135,7 @@ def test_report_json_round_trip():
 def test_certificate_and_root_match_full_grid_oracle(n, monkeypatch):
     # the oracle counts the sign changes of mu' over the same samples and
     # bisects each bracket to 1e-12
-    samples, lo, hi = 81, -4.0, 4.0
+    samples, (lo, hi) = 161, dispersion.SCAN_WINDOW
     nus = np.linspace(lo, hi, samples)
     d1 = [montgomery_branch(n, v)[1] for v in nus]
     changes = [k for k in range(samples - 1) if d1[k] == 0.0 or d1[k] * d1[k + 1] < 0.0]
@@ -147,7 +148,7 @@ def test_certificate_and_root_match_full_grid_oracle(n, monkeypatch):
         return real(n, nus)
 
     monkeypatch.setattr(dispersion, "_branch_rows", counting)
-    reports = critical_points(n, scan=(lo, hi), samples=samples)
+    reports = critical_points(n)
     monkeypatch.undo()
 
     assert len(reports) == len(changes) >= 1
@@ -198,9 +199,9 @@ def test_curvature_is_the_last_newton_solve_fh_second_derivative(n):
 def test_tolerance_below_rounding_stops_at_the_root(monkeypatch):
     # Newton steps fall below the ulp of nu_c long before 1e-300: the
     # refinement stops once a step no longer moves the point
-    default = critical_points(1, scan=(-1.0, 0.5), samples=21)[0]
+    default = critical_points(1, scan=(-1.0, 0.5))[0]
     monkeypatch.setattr(dispersion, "_ROOT_TOL", 1e-300)
-    tiny = critical_points(1, scan=(-1.0, 0.5), samples=21)[0]
+    tiny = critical_points(1, scan=(-1.0, 0.5))[0]
     assert abs(tiny.nu_c - default.nu_c) <= 1e-10
 
 
@@ -336,7 +337,7 @@ def test_critical_points_certified_over_wide_scans(n, scan):
     # wide scans find the root of the default scan again
     reports = critical_points(n, scan=scan)
     assert [r.kind for r in reports] == ["minimum"]
-    assert abs(reports[0].nu_c - critical_points(n, samples=81)[0].nu_c) <= 1e-10
+    assert abs(reports[0].nu_c - critical_points(n)[0].nu_c) <= 1e-10
 
 
 def test_montgomery_branch_far_from_the_critical_points():
@@ -452,7 +453,7 @@ def test_critical_point_curvature_is_the_branch_at_nu_c(n):
     # smicro-profile checks the on-cone curvature against the certified
     # critical point's, with no solve of its own: that curvature is
     # montgomery_branch's at nu_c to the bit
-    r = critical_points(n, samples=81)[0]
+    r = critical_points(n)[0]
     assert r.curvature == montgomery_branch(n, r.nu_c)[2]
 
 

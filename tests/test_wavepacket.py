@@ -1,6 +1,7 @@
 """Wave-packet assembly, correctors, residual orders, transport."""
 
 import math
+import sys
 
 import numpy as np
 import packet_reference
@@ -88,10 +89,22 @@ def test_profile_disperses_with_half_the_mode_curvature():
     (dict(profile=GaussianProfile(width2=-1.0)), "finite profile widths > 0"),
     (dict(profile=GaussianProfile(width4=0.0)), "finite profile widths > 0"),
     (dict(profile=GaussianProfile(width2=math.nan)), "finite profile widths > 0"),
+    # a square that overflows ended in an OverflowError in the profile's
+    # partials (width4) or its dispersed width (width2)
+    (dict(profile=GaussianProfile(width4=1.35e154)), "square is finite, got profile.width2 = "
+     r"0\.45, profile\.width4 = 1\.35e\+154$"),
+    (dict(profile=GaussianProfile(width4=1e300)), "square is finite"),
+    (dict(profile=GaussianProfile(width2=1e200)), "square is finite"),
 ])
 def test_spec_refuses_malformed_widths(kwargs, message):
     with pytest.raises(ValueError, match=message):
         WavePacketSpec(**kwargs)
+
+
+def test_spec_takes_the_widest_width_with_a_finite_square():
+    widest = math.sqrt(sys.float_info.max)
+    assert math.isfinite(widest * widest)
+    WavePacketSpec(profile=GaussianProfile(width2=widest, width4=widest))
 
 
 def test_phase_and_center_group_law():
@@ -909,7 +922,7 @@ def test_leading_order_mass_is_closed_form():
 
 
 def _cone(n):
-    return WavePacketSpec(delta0=1.0, beta0=critical_points(n, samples=81)[0].nu_c, n=n)
+    return WavePacketSpec(delta0=1.0, beta0=critical_points(n)[0].nu_c, n=n)
 
 
 @pytest.mark.parametrize("n, delta0, beta0", [(1, 1.0, None), (2, 1.0, None), (3, 1.0, None),
@@ -981,6 +994,23 @@ def test_bad_hbar_is_refused_by_name(call, bad):
     # nan and inf gave NaN estimates and rows
     with pytest.raises(ValueError, match=rf"^every hbar must be finite and > 0, got hbar = {bad}$"):
         call([0.05, bad, 0.025])
+
+
+@pytest.mark.parametrize("call", [_residual_call, _transport_call])
+@pytest.mark.parametrize("tiny", [1e-300, 1e-217, 1e-214, 7.9e-206])
+def test_hbar_with_a_subnormal_fibre_measure_is_refused_by_name(call, tiny):
+    # every norm carries the fibre measure hbar^{3/2}: at 1e-300 and 1e-217
+    # it underflowed to 0 and residual's r / psi and transport's mass ratio
+    # divided by it (ZeroDivisionError); at 1e-214 it was subnormal and
+    # lost digits silently
+    with pytest.raises(ValueError, match=rf"^hbar = {tiny} is too small: its fibre measure "
+                                         r"hbar\^\(3/2\) = \S+ is below the smallest normal float$"):
+        call([0.05, tiny, 0.025])
+
+
+def test_smallest_hbar_with_a_normal_fibre_measure_is_taken():
+    assert (7.92e-206) ** 1.5 >= sys.float_info.min
+    assert wavepacket._hbar_ladder([7.92e-206]) == [7.92e-206]
 
 
 LADDER = [0.1, 0.05, 0.025, 0.0125, 0.00625]
